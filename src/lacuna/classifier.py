@@ -19,8 +19,9 @@ membership, grid realness/nonnegativity, nonconstancy) and validation
 failure is an error, never a silent downgrade.
 
 The verdict pair can also be ``None`` when float rank decisions hit the
-indeterminate band; callers see why in ``diagnostics`` and the CLI maps
-that state to its own exit code.
+indeterminate band, and ``exposed`` alone when the cone solver stalls;
+callers see why in ``diagnostics`` and the CLI maps that state to its own
+exit code.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from .circle_analysis import l1_norm, find_zeros
 from .errors import (
     AuditMismatch,
     IllConditionedZeros,
+    NotHermitianSymmetric,
     RankIndeterminate,
+    SolverStalled,
     SpectrumViolation,
     UnsupportedMode,
     WitnessValidationFailed,
@@ -193,12 +196,7 @@ def _validate_witness(
     grid: int,
 ) -> dict | None:
     """Run the witness checks; a dict of measurements on success, None on failure."""
-    if q.is_zero():
-        return None
-    try:
-        if not spectrum_in(q, pattern):
-            return None
-    except Exception:
+    if q.is_zero() or not spectrum_in(q, pattern):
         return None
     Q = symbol_to_poly(v, half_degree)
     _, h = _grid_multiplier(Q, factor, grid)
@@ -383,7 +381,7 @@ def classify(
     scale = 1.0 / norm_res.value
 
     canonical = canonical_factorization(p, pattern.N, eps_circle=opt.eps_circle)
-    tilde = tilde_factorization(p, pattern.N, canonical, eps_circle=opt.eps_circle)
+    tilde = tilde_factorization(p, pattern.N, canonical)
 
     forbidden = tuple(pattern.forbidden)
     mat = build_matrix(canonical.coef, forbidden, canonical.m, kind="plain")
@@ -453,11 +451,15 @@ def classify(
     found_plus: list[CoefVector] | None = None
     if exposed is None:
         fast_exposed = "plus_dimension"
-        dim_plus, found_plus = plus_dimension(
-            [v.as_array() for v in kernel_tilde.vectors], seed=seed_tilde
-        )
-        exposed = dim_plus == 1
-        diagnostics["plus_vectors_found"] = len(found_plus)
+        try:
+            dim_plus, found_plus = plus_dimension(
+                [v.as_array() for v in kernel_tilde.vectors], seed=seed_tilde
+            )
+        except SolverStalled as exc:
+            diagnostics["undecided_reason"] = f"cone solver stalled: {exc}"
+        else:
+            exposed = dim_plus == 1
+            diagnostics["plus_vectors_found"] = len(found_plus)
 
     if opt.audit:
         _run_audit(
@@ -493,7 +495,7 @@ def _safe_seed(factor: ComplexPoly, half_degree: int) -> CoefVector | None:
         return None
     try:
         return real_symbol_on_circle(factor, half_degree)
-    except Exception:
+    except (NotHermitianSymmetric, ValueError):
         return None
 
 
@@ -523,7 +525,7 @@ def _run_audit(
     if pattern.M == 0:
         audit_log["checks"].append("full_space_route")
         fs = classify_full_space(p, N=pattern.N, eps_circle=opt.eps_circle)
-        if fs.extreme != extreme or fs.exposed != exposed:
+        if fs.extreme != extreme or (exposed is not None and fs.exposed != exposed):
             audit_log["mismatches"].append("full_space_route")
             raise AuditMismatch(
                 f"zero-structure route says extreme={fs.extreme} exposed={fs.exposed}, "

@@ -8,7 +8,8 @@ Subcommands:
 * ``norm``     - just the circle L1 norm.
 
 Exit codes: 0 for a decided run, 2 when the classifier reports an undecided
-verdict (float rank on the threshold), 1 for errors and corpus failures.
+verdict (float rank on the threshold, or a stalled cone solver), 1 for
+errors and corpus failures.
 
 Reports serialize under the schema tag ``lacuna/1``.  Exact rationals are
 encoded as strings ("5/8", "1/2+3/4i"), floats as JSON numbers, so an exact
@@ -21,9 +22,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -486,12 +485,7 @@ def _cmd_corpus(args) -> int:
         sys.stderr.write(f"warning: no corpus files in {root}\n")
         return EXIT_OK
     jobs = [_load_job(p) for p in paths]
-    workers = args.jobs or int(os.environ.get("LACUNA_THREADS", "0")) or None
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs))
-    else:
-        results = [_run_job(j) for j in jobs]
+    results = [_run_job(j) for j in jobs]
     failed = 0
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
@@ -545,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("corpus", help="run a directory of expectation files")
     r.add_argument("directory")
-    r.add_argument("--jobs", type=int, help="worker threads (or LACUNA_THREADS)")
     r.set_defaults(func=_cmd_corpus)
     return ap
 

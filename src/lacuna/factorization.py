@@ -150,7 +150,6 @@ def tilde_factorization(
     p: ComplexPoly,
     N: int,
     canonical: CanonicalData,
-    eps_circle: float = 1e-8,
 ) -> TildeData:
     """Extend the canonical factor by half of every multiple circle zero."""
     circle = [c for c in canonical.zero_clusters if c.region == "circle"]

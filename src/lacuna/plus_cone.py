@@ -12,9 +12,13 @@ vectors) is what ``plus_dimension`` computes.
 
 Membership is decided by a global minimum scan (grid plus Newton polish on
 the derivative); for vectors with rational entries the verdict is instead
-certified exactly through a Cayley-transform numerator: tau >= 0 iff that
-real polynomial has positive leading coefficient, an even degree deficit,
-and no odd-multiplicity real root (counted by Sturm chains).  Positive
+certified exactly through the Cayley-transform numerator P: tau >= 0 iff P
+has positive leading coefficient, an even degree deficit, and no
+odd-multiplicity real root.  Those roots are counted from Sturm chains
+alone, level by level: the chain of P_j ends in gcd(P_j, P_j') = P_{j+1},
+and with r_j the number of distinct real roots of P_j, the alternating sum
+r_1 - r_2 + r_3 - ... is the number of odd-multiplicity ones.  The
+divisions run on ``poly_core.long_division``.  Positive
 verdicts carry a Gram-matrix witness: a PSD matrix Q with
 gamma_k = sum_j Q[j+k, j], built by spectral factorization of tau and
 repaired, if needed, by alternating projections.
@@ -37,6 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FacialMismatch, SolverStalled
+from .poly_core import long_division
 
 
 def _is_exact_entry(x) -> bool:
@@ -216,146 +221,51 @@ def _polish_minimum(ks, gr, gi, t0: float, h: float) -> float:
 # ---------------------------------------------------------------------------
 # exact nonnegativity certificate for rational vectors
 # ---------------------------------------------------------------------------
-# Real-coefficient polynomial helpers on Fraction lists (ascending powers).
-
-
-def _rp_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _rp_deriv(p: list[Fraction]) -> list[Fraction]:
-    return _rp_trim([p[k] * k for k in range(1, len(p))])
-
-
-def _rp_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _rp_trim(out)
-
-
-def _rp_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        c = a[-1] / lead
-        off = len(a) - 1 - db
-        for j in range(db + 1):
-            a[off + j] -= c * b[j]
-        a = _rp_trim(a[:-1])  # leading entry cancelled exactly
-    return _rp_trim(a)
-
-
-def _rp_div(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = a[-1] / lead
-        q[len(a) - 1 - db] = c
-        off = len(a) - 1 - db
-        for j in range(db + 1):
-            a[off + j] -= c * b[j]
-        a = _rp_trim(a)
-    return _rp_trim(q)
-
-
-def _rp_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _rp_rem(a, b)
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _rp_sign_at_inf(p: list[Fraction], positive_inf: bool) -> int:
-    if not p:
-        return 0
-    s = 1 if p[-1] > 0 else -1
-    if not positive_inf and (len(p) - 1) % 2 == 1:
-        s = -s
-    return s
-
-
-def _sturm_count_all_real(p: list[Fraction]) -> int:
-    """Number of distinct real roots of a square-free rational polynomial."""
-    p = _rp_trim(list(p))
-    if len(p) <= 1:
-        return 0
-    chain = [p, _rp_deriv(p)]
-    while chain[-1]:
-        nxt = [-c for c in _rp_rem(chain[-2], chain[-1])]
-        chain.append(nxt)
-    chain.pop()
-
-    def variations(positive_inf: bool) -> int:
-        signs = [s for q in chain if (s := _rp_sign_at_inf(q, positive_inf)) != 0]
-        return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
-
-    return variations(False) - variations(True)
-
-
-def _yun_real(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    out = []
-    g = _rp_gcd(p, _rp_deriv(p))
-    c = _rp_div(p, g)
-    d = [x - y for x, y in _pad(_rp_div(_rp_deriv(p), g), _rp_deriv(c))]
-    d = _rp_trim(d)
-    i = 1
-    while len(c) > 1:
-        f = _rp_gcd(c, d) if d else [x / c[-1] for x in c]
-        if len(f) > 1:
-            out.append((f, i))
-        c = _rp_div(c, f)
-        d = _rp_trim([x - y for x, y in _pad(_rp_div(d, f) if d else [], _rp_deriv(c))])
-        i += 1
-    return out
-
-
-def _pad(a: list[Fraction], b: list[Fraction]):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
 
 
 def _cayley_numerator(v: CoefVector) -> list[Fraction]:
-    """P with tau(2 arctan x) = P(x) / (1+x^2)^d, exact in the rationals."""
-    alpha = [Fraction(a) for a in v.alpha]
-    beta = [Fraction(b) for b in v.beta]
-    one_px2 = [Fraction(1), Fraction(0), Fraction(1)]
-    # (1+ix)^(2k) = re_k(x) + i im_k(x), computed by repeated multiplication
-    pows = [([Fraction(1)], [])]  # k = 0
-    re_c, im_c = [Fraction(1)], [Fraction(0)]
-    for _ in range(2 * v.d):
-        # multiply (re + i im) by (1 + i x)
-        new_re = [x - y for x, y in _pad(re_c, [Fraction(0)] + im_c)]
-        new_im = [x + y for x, y in _pad(im_c, [Fraction(0)] + re_c)]
-        re_c, im_c = _rp_trim(new_re), _rp_trim(new_im)
-        pows.append((re_c, im_c))
-    acc = [Fraction(2) * alpha[0]]
-    weight = [Fraction(1)]
-    for _ in range(v.d):
-        weight = _rp_mul(weight, one_px2)
-    acc = _rp_mul(acc, weight)
-    for k in range(1, v.d + 1):
-        re_k, im_k = pows[2 * k]
-        term = [2 * alpha[k] * c for c in re_k]
-        term = _rp_trim([x - y for x, y in _pad(term, [2 * beta[k - 1] * c for c in im_k])])
-        w = [Fraction(1)]
-        for _ in range(v.d - k):
-            w = _rp_mul(w, one_px2)
-        acc = _rp_trim([x + y for x, y in _pad(acc, _rp_mul(term, w))])
-    return _rp_trim(acc)
+    """P with tau(2 arctan x) = P(x) / (1+x^2)^d, exact in the rationals.
+
+    With e^{ikt} = (1+ix)^(2k) / (1+x^2)^k, P = sum_k T_k (1+x^2)^(d-k) where
+    T_k = 2 Re(gamma_k (1+ix)^(2k)) (T_0 = gamma_0); the sum is taken by
+    Horner in (1+x^2).  The x^j coefficient of T_k is C(2k, j) Re(c_k i^j)
+    with c_k = 2 alpha_k + 2i beta_k.
+    """
+    P: list[Fraction] = []
+    for k in range(v.d + 1):
+        a = 2 * Fraction(v.alpha[k])
+        b = 2 * Fraction(v.beta[k - 1]) if k else Fraction(0)
+        re_ci = (a, -b, -a, b)  # Re(c_k i^j) for j mod 4
+        P = [
+            (P[j] if j < len(P) else 0)
+            + (P[j - 2] if j >= 2 else 0)
+            + math.comb(2 * k, j) * re_ci[j % 4]
+            for j in range(2 * k + 1)
+        ]
+    while P and not P[-1]:
+        P.pop()
+    return P
+
+
+def _sturm_level(p: list[Fraction]) -> tuple[int, list[Fraction]]:
+    """Distinct real roots of p (Sturm's theorem) and gcd(p, p'), the chain's end.
+
+    The chain p, p', -rem(p, p'), ... counts distinct real roots whether or
+    not p is square-free: dividing every member by the gcd changes no sign
+    pattern away from the roots of p.
+    """
+    chain = [p, [c * k for k, c in enumerate(p) if k]]
+    while chain[-1]:
+        chain.append([-c for c in long_division(chain[-2], chain[-1])[1]])
+    chain.pop()
+    at_pos_inf = [1 if q[-1] > 0 else -1 for q in chain]
+    at_neg_inf = [s * (-1) ** (len(q) - 1) for s, q in zip(at_pos_inf, chain)]
+
+    def changes(signs: list[int]) -> int:
+        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+    g = chain[-1]
+    return changes(at_neg_inf) - changes(at_pos_inf), [c / g[-1] for c in g]
 
 
 def certify_nonneg_exact(v: CoefVector) -> tuple[bool, bool]:
@@ -364,7 +274,9 @@ def certify_nonneg_exact(v: CoefVector) -> tuple[bool, bool]:
     tau >= 0 on the circle iff its Cayley numerator P has a positive leading
     coefficient, an even degree deficit 2d - deg P, and no real root of odd
     multiplicity; tau touches zero iff P has any real root or a positive
-    degree deficit.
+    degree deficit.  With P_1 = P and P_{j+1} = gcd(P_j, P_j'), a real root
+    of multiplicity m is a root of P_1..P_m, so if r_j counts the distinct
+    real roots of P_j, r_1 - r_2 + r_3 - ... counts the odd-multiplicity ones.
     """
     if not v.is_exact:
         raise ValueError("exact certification needs rational entries")
@@ -377,12 +289,14 @@ def certify_nonneg_exact(v: CoefVector) -> tuple[bool, bool]:
     if deficit % 2 == 1:
         return False, False
     touches = deficit > 0
-    for factor, mult in _yun_real(P):
-        nroots = _sturm_count_all_real(factor)
-        if nroots > 0:
-            if mult % 2 == 1:
-                return False, False
-            touches = True
+    odd, sign = 0, 1
+    while len(P) > 1:
+        roots, P = _sturm_level(P)
+        odd += sign * roots
+        sign = -sign
+        touches = touches or roots > 0
+    if odd:
+        return False, False
     return True, touches
 
 

@@ -622,6 +622,31 @@ def conjugate_reciprocal(p: ComplexPoly, N: int) -> ComplexPoly:
     return ComplexPoly(out, mode=p.mode)
 
 
+def long_division(num: Sequence, den: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of num / den over ascending coefficient lists.
+
+    Generic in the scalar type (``Fraction``, :class:`GaussianRational`,
+    ``complex``); zero is tested by truthiness.  ``den`` must end in a nonzero
+    coefficient.  Trailing zeros are stripped from the remainder, so an empty
+    remainder means the division is exact.
+    """
+    rem = list(num)
+    n = len(den) - 1
+    lead = den[-1]
+    quot = []
+    for k in range(len(rem) - n - 1, -1, -1):
+        c = rem[k + n] / lead
+        quot.append(c)
+        if c:
+            for j, dj in enumerate(den):
+                rem[k + j] = rem[k + j] - c * dj
+    quot.reverse()
+    del rem[n:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
 def divide_exact(p: ComplexPoly, d: ComplexPoly, tol: float = 1e-10) -> ComplexPoly:
     """Quotient p/d when the division is (tolerably) exact.
 
@@ -636,23 +661,13 @@ def divide_exact(p: ComplexPoly, d: ComplexPoly, tol: float = 1e-10) -> ComplexP
         return ComplexPoly.zero(a.mode)
     if a.deg < b.deg:
         raise NotDivisible(f"degree {a.deg} cannot be divided by degree {b.deg}")
-    rem = list(a.coeffs)
-    lead = b.coeffs[-1]
-    qlen = a.deg - b.deg + 1
-    quot = [GaussianRational() if a.mode == "exact" else 0j] * qlen
-    for k in range(qlen - 1, -1, -1):
-        c = rem[k + b.deg] / lead
-        quot[k] = c
-        if (c.is_zero() if a.mode == "exact" else c == 0):
-            continue
-        for j, bj in enumerate(b.coeffs):
-            rem[k + j] = rem[k + j] - c * bj
+    quot, rem = long_division(a.coeffs, b.coeffs)
     if a.mode == "exact":
-        if any(not r.is_zero() for r in rem[: b.deg]):
+        if rem:
             raise NotDivisible("nonzero remainder in exact division")
     else:
         scale = max(1.0, a.max_abs_coeff())
-        worst = max((abs(r) for r in rem[: b.deg]), default=0.0)
+        worst = max((abs(r) for r in rem), default=0.0)
         if worst > tol * scale:
             raise NotDivisible(
                 f"remainder sup-norm {worst:.3e} exceeds {tol:.1e} * {scale:.3e}"
@@ -664,27 +679,13 @@ def gcd_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
     """Monic gcd over Gaussian rationals (Euclid); exact mode only."""
     if p.mode != "exact" or q.mode != "exact":
         raise UnsupportedMode("gcd_exact requires exact-mode polynomials")
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, _rem_exact(a, b)
-    if a.is_zero():
+    a, b = p.coeffs, q.coeffs
+    while b:
+        a, b = b, long_division(a, b)[1]
+    if not a:
         raise ValueError("gcd of two zero polynomials is undefined")
-    lead = a.coeffs[-1]
-    return ComplexPoly([c / lead for c in a.coeffs], mode="exact")
-
-
-def _rem_exact(a: ComplexPoly, b: ComplexPoly) -> ComplexPoly:
-    if a.deg < b.deg:
-        return a
-    rem = list(a.coeffs)
-    lead = b.coeffs[-1]
-    for k in range(a.deg - b.deg, -1, -1):
-        c = rem[k + b.deg] / lead
-        if c.is_zero():
-            continue
-        for j, bj in enumerate(b.coeffs):
-            rem[k + j] = rem[k + j] - c * bj
-    return ComplexPoly(rem[: b.deg], mode="exact")
+    lead = a[-1]
+    return ComplexPoly([c / lead for c in a], mode="exact")
 
 
 def square_free_decomposition(p: ComplexPoly) -> list[tuple[ComplexPoly, int]]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from lacuna import (
     plus_dimension,
 )
 from lacuna.plus_cone import gram_diag_sums, proportional
+from lacuna.poly_core import ComplexPoly, GaussianRational
 
 V1_BASIS = np.array([[0.0, 1.0, 0.0]])
 V2_BASIS = np.array(
@@ -81,6 +83,109 @@ def test_certify_agrees_with_grid_minimum(entries):
         assert nonneg
     elif val < -band:
         assert not nonneg
+
+
+def _square_vector(q: ComplexPoly) -> list[Fraction]:
+    """Coefficient vector of |q(e^{it})|^2, gamma_k = sum_l q_{l+k} conj(q_l)."""
+    c = q.coeffs
+    d = len(c) - 1
+    gamma = [sum((c[l + k] * c[l].conjugate() for l in range(d + 1 - k)), GaussianRational())
+             for k in range(d + 1)]
+    return [gamma[0].re / 2] + [g.re for g in gamma[1:]] + [g.im for g in gamma[1:]]
+
+
+def _sympy_oracle(entries) -> tuple[bool, bool]:
+    """(nonneg, touches) from sympy: square-free factors and real-root counts
+    of P(x) = (1+x^2)^d tau(2 arctan x), built from e^{ikt} = ((1+ix)/(1-ix))^k."""
+    v = CoefVector.from_array([Fraction(e) for e in entries])
+    d = v.d
+    x = sympy.Symbol("x", real=True)
+    up, down = 1 + sympy.I * x, 1 - sympy.I * x
+    gam = [2 * sympy.Rational(v.alpha[0])] + [
+        sympy.Rational(v.alpha[k]) + sympy.I * sympy.Rational(v.beta[k - 1])
+        for k in range(1, d + 1)
+    ]
+    expr = gam[0] * (up * down) ** d
+    for k in range(1, d + 1):
+        expr += gam[k] * up ** (d + k) * down ** (d - k)
+        expr += sympy.conjugate(gam[k]) * down ** (d + k) * up ** (d - k)
+    coeffs = sympy.Poly(sympy.expand(expr), x).all_coeffs()
+    assert all(sympy.im(c) == 0 for c in coeffs)
+    P = sympy.Poly([sympy.re(c) for c in coeffs], x, domain="QQ")
+    if P.is_zero:
+        return True, True
+    lead, factors = P.sqf_list()
+    real_odd = any(f.count_roots() > 0 for f, m in factors if m % 2 == 1)
+    if lead < 0 or real_odd:
+        return False, False
+    touches = P.degree() < 2 * d or any(f.count_roots() > 0 for f, _ in factors)
+    return True, touches
+
+
+_small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+@st.composite
+def _shifted_squares(draw):
+    """|q|^2 + c for a small Gaussian-integer q: touching zeros show up often."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    parts = draw(st.lists(st.integers(-2, 2), min_size=2 * n, max_size=2 * n))
+    q = ComplexPoly([GaussianRational(parts[2 * j], parts[2 * j + 1]) for j in range(n)])
+    if q.is_zero():
+        q = ComplexPoly([1])
+    entries = _square_vector(q)
+    entries[0] += draw(st.sampled_from([0, 0, Fraction(-1, 100), Fraction(1, 50)]))
+    return entries
+
+
+@given(
+    st.one_of(
+        st.lists(_small_fractions, min_size=1, max_size=9).filter(lambda xs: len(xs) % 2 == 1),
+        _shifted_squares(),
+    )
+)
+def test_certify_matches_sympy_oracle(entries):
+    got = certify_nonneg_exact(CoefVector.from_array([Fraction(e) for e in entries]))
+    assert got == _sympy_oracle(entries)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        GaussianRational(1),
+        GaussianRational(-1),
+        GaussianRational(0, 1),
+        GaussianRational(Fraction(3, 5), Fraction(4, 5)),
+    ],
+    ids=["1", "-1", "i", "(3+4i)/5"],
+)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_certify_fejer_riesz_square_touching_to_order_2k(u, k):
+    # q = (z - u)^k r: |q|^2 vanishes to order 2k at u and nowhere else on
+    # the circle, since r = 3 + iz + z^2 has zeros of modulus (sqrt13 +- 1)/2
+    q = ComplexPoly([GaussianRational(3), GaussianRational(0, 1), GaussianRational(1)])
+    for _ in range(k):
+        q = q * ComplexPoly([-u, GaussianRational(1)])
+    entries = _square_vector(q)
+    assert certify_nonneg_exact(CoefVector.from_array(entries)) == (True, True)
+    entries[0] -= Fraction(1, 200)  # |q|^2 - 1/100
+    assert certify_nonneg_exact(CoefVector.from_array(entries)) == (False, False)
+
+
+@pytest.mark.parametrize("power", [1, 2, 3, 4, 5, 6])
+def test_certify_rotated_sine_power(power):
+    # sin(t - t0)^power with cos t0 = 3/5, sin t0 = 4/5: two circle zeros of
+    # order `power`, off the axis, so the Sturm levels decide the parity
+    g1 = GaussianRational(Fraction(-2, 5), Fraction(-3, 10))  # e^{-i t0} / 2i
+    s = ComplexPoly([g1.conjugate(), GaussianRational(), g1])  # e^{it} sin(t - t0)
+    laurent = ComplexPoly([1])
+    for _ in range(power):
+        laurent = laurent * s
+    c = laurent.coeffs
+    entries = [c[power].re / 2] + [c[power + k].re for k in range(1, power + 1)]
+    entries += [c[power + k].im for k in range(1, power + 1)]
+    want = (True, True) if power % 2 == 0 else (False, False)
+    assert certify_nonneg_exact(CoefVector.from_array(entries)) == want
 
 
 # -- numeric minimum -------------------------------------------------------------

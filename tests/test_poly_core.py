@@ -23,6 +23,7 @@ from lacuna.errors import NotDivisible
 from lacuna.poly_core import (
     format_poly,
     gcd_exact,
+    long_division,
     poly_from_json,
     square_free_decomposition,
 )
@@ -93,6 +94,23 @@ def test_divide_exact_rejects_nondivisor():
     q = parse_poly("1 + z")
     with pytest.raises(NotDivisible):
         divide_exact(p, q)
+
+
+@pytest.mark.parametrize(
+    "num,den,quot,rem",
+    [
+        # x^3 - 2x + 5 = (2x - 1)(x^2/2 + x/4 - 7/8) + 33/8
+        ([5, -2, 0, 1], [-1, 2], [Fraction(-7, 8), Fraction(1, 4), Fraction(1, 2)], [Fraction(33, 8)]),
+        # (x^2 - 1) / (x + 1): exact, so the remainder list is empty
+        ([Fraction(-1), 0, 1], [1, 1], [-1, 1], []),
+        # lower degree than the divisor: quotient empty, remainder is num
+        ([3, 1], [0, 0, 2], [], [3, 1]),
+        ([2j, 0j, 1 + 0j], [1j, 1 + 0j], [-1j, 1], [-1 + 2j]),  # complex floats
+    ],
+)
+def test_long_division_is_generic_in_the_scalar(num, den, quot, rem):
+    got_q, got_r = long_division(num, den)
+    assert got_q == quot and got_r == rem
 
 
 @given(polys, polys)
