@@ -27,6 +27,8 @@ from .poly_core import ComplexPoly, square_free_decomposition
 
 _GL_LO = np.polynomial.legendre.leggauss(16)
 _GL_HI = np.polynomial.legendre.leggauss(32)
+# distance under which a zero of p and a zero of p* count as one shared zero
+_MATCH_RADIUS = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,9 +44,6 @@ class ZeroCluster:
     multiplicity: int
     region: str  # "disk" | "circle" | "exterior"
     residual: float
-
-    def with_region(self, region: str) -> "ZeroCluster":
-        return ZeroCluster(self.location, self.multiplicity, region, self.residual)
 
 
 def _sort_key(z: complex):
@@ -313,7 +312,6 @@ def common_disk_zeros(
     p: ComplexPoly,
     pstar: ComplexPoly,
     eps_circle: float = 1e-8,
-    match_radius: float = 1e-6,
 ) -> tuple[tuple[ZeroCluster, ...], int]:
     """Zeros shared by p and its conjugate reciprocal inside the open disk.
 
@@ -327,7 +325,7 @@ def common_disk_zeros(
     total = 0
     for a in zp:
         for b in zs:
-            if abs(a.location - b.location) <= match_radius:
+            if abs(a.location - b.location) <= _MATCH_RADIUS:
                 mult = min(a.multiplicity, b.multiplicity)
                 shared.append(ZeroCluster(a.location, mult, "disk", max(a.residual, b.residual)))
                 total += mult

@@ -27,6 +27,8 @@ exit code.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -53,7 +55,6 @@ from .matrix_builder import BlockMatrix, KernelBasis, build_matrix, rank_and_ker
 from .plus_cone import (
     CoefVector,
     certify_nonneg_exact,
-    is_plus,
     plus_dimension,
     proportional,
 )
@@ -67,6 +68,10 @@ from .poly_core import (
 )
 
 
+# grid points on which a witness multiplier is checked
+_WITNESS_GRID = 2048
+
+
 @dataclasses.dataclass
 class ClassifyOptions:
     mode: str = "auto"  # auto | exact | float
@@ -76,7 +81,6 @@ class ClassifyOptions:
     audit: bool = False
     infer_pattern: bool = False
     generate_witnesses: bool = True
-    witness_grid: int = 2048
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,16 +105,17 @@ class ClassificationReport:
     tilde: TildeData
     matrix: BlockMatrix
     matrix_tilde: BlockMatrix
-    kernel: KernelBasis | None
-    kernel_tilde: KernelBasis | None
-    dim_plus: int | None
-    extreme: bool | None
-    exposed: bool | None
-    fast_path_extreme: str
-    fast_path_exposed: str
-    witnesses: tuple[Witness, ...]
     diagnostics: dict
     audit: dict
+    # set by the later stages of ``classify``
+    kernel: KernelBasis | None = None
+    kernel_tilde: KernelBasis | None = None
+    dim_plus: int | None = None
+    extreme: bool | None = None
+    exposed: bool | None = None
+    fast_path_extreme: str = "rank"
+    fast_path_exposed: str = ""
+    witnesses: tuple[Witness, ...] = ()
 
     @property
     def undecided(self) -> bool:
@@ -173,11 +178,9 @@ def symbol_to_poly(v: CoefVector, half_degree: int) -> ComplexPoly:
     return ComplexPoly(coeffs_f)
 
 
-def _grid_multiplier(
-    numer: ComplexPoly, denom: ComplexPoly, grid: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _grid_multiplier(numer: ComplexPoly, denom: ComplexPoly) -> tuple[np.ndarray, np.ndarray]:
     """Values of numer/denom on the grid points where denom is not tiny."""
-    t = 2 * np.pi * np.arange(grid) / grid
+    t = 2 * np.pi * np.arange(_WITNESS_GRID) / _WITNESS_GRID
     z = np.exp(1j * t)
     nv = numer.eval_many(z)
     dv = denom.eval_many(z)
@@ -186,20 +189,23 @@ def _grid_multiplier(
     return t[keep], nv[keep] / dv[keep]
 
 
-def _validate_witness(
+def _validated_witness(
     kind: str,
     v: CoefVector,
-    q: ComplexPoly,
-    pattern: LacunaryPattern,
+    Q: ComplexPoly,
+    cofactor: ComplexPoly,
     factor: ComplexPoly,
-    half_degree: int,
-    grid: int,
-) -> dict | None:
-    """Run the witness checks; a dict of measurements on success, None on failure."""
+    pattern: LacunaryPattern,
+) -> Witness | None:
+    """The witness q = Q * cofactor for the symbol Q of v, or None if a check fails.
+
+    Checks: q is nonzero and inside the pattern, and Q / factor is real and
+    nonconstant on the grid (and nonnegative for a non-exposed witness).
+    """
+    q = Q * cofactor
     if q.is_zero() or not spectrum_in(q, pattern):
         return None
-    Q = symbol_to_poly(v, half_degree)
-    _, h = _grid_multiplier(Q, factor, grid)
+    _, h = _grid_multiplier(Q, factor)
     if len(h) == 0:
         return None
     im_max = float(np.max(np.abs(h.imag)))
@@ -220,35 +226,44 @@ def _validate_witness(
         if neg < -1e-8 * (1.0 + h_scale):
             return None
         checks["min_multiplier"] = neg
-    return checks
+    return Witness(
+        kind=kind,
+        vector=v,
+        perturbation=q,
+        spectrum=tuple(spectrum(q)),
+        multiplier_bound=h_scale,
+        checks=checks,
+    )
 
 
 def _exact_plus_candidates(
     kernel: KernelBasis, seed: CoefVector | None
-) -> list[CoefVector]:
-    """Rational kernel vectors that certify nonnegative exactly, cheap ones first."""
+) -> Iterator[CoefVector]:
+    """Rational kernel vectors that certify nonnegative exactly, cheap ones first.
+
+    Each pool vector is certified only when the caller asks for the next
+    candidate.
+    """
     if not kernel.exact:
-        return []
-    basis = list(kernel.vectors)
-    cands: list[CoefVector] = []
-    pool: list[CoefVector] = []
-    pool.extend(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            pool.append(_vec_add(basis[i], basis[j]))
-            pool.append(_vec_sub(basis[i], basis[j]))
+        return
+    for cand in _candidate_pool(list(kernel.vectors), seed):
+        ok, _ = certify_nonneg_exact(cand)
+        if ok and any(x != 0 for x in list(cand.alpha) + list(cand.beta)):
+            yield cand
+
+
+def _candidate_pool(
+    basis: list[CoefVector], seed: CoefVector | None
+) -> Iterator[CoefVector]:
+    """The basis, pairwise sums and differences, then basis + seed and + 2 seed."""
+    yield from basis
+    for u, w in itertools.combinations(basis, 2):
+        yield _vec_add(u, w)
+        yield _vec_sub(u, w)
     if seed is not None and seed.is_exact:
         for b in basis:
-            pool.append(_vec_add(b, seed))
-            pool.append(_vec_add(_vec_add(b, seed), seed))
-    for cand in pool:
-        try:
-            ok, _ = certify_nonneg_exact(cand)
-        except ValueError:
-            continue
-        if ok and any(x != 0 for x in list(cand.alpha) + list(cand.beta)):
-            cands.append(cand)
-    return cands
+            yield _vec_add(b, seed)
+            yield _vec_add(_vec_add(b, seed), seed)
 
 
 def _vec_add(u: CoefVector, v: CoefVector) -> CoefVector:
@@ -272,7 +287,6 @@ def make_non_extreme_witness(
     kernel: KernelBasis,
     seed: CoefVector | None,
     pattern: LacunaryPattern,
-    grid: int = 2048,
 ) -> Witness:
     """Perturbation q with q/p real and nonconstant, from a kernel vector.
 
@@ -282,20 +296,12 @@ def make_non_extreme_witness(
     for v in kernel.vectors:
         if seed is not None and proportional(v, seed):
             continue
-        Q = symbol_to_poly(v, canonical.m)
-        q = Q * canonical.cofactor
-        checks = _validate_witness(
-            "non_extreme", v, q, pattern, canonical.disk_factor, canonical.m, grid
+        w = _validated_witness(
+            "non_extreme", v, symbol_to_poly(v, canonical.m),
+            canonical.cofactor, canonical.disk_factor, pattern,
         )
-        if checks is not None:
-            return Witness(
-                kind="non_extreme",
-                vector=v,
-                perturbation=q,
-                spectrum=tuple(spectrum(q)),
-                multiplier_bound=checks["multiplier_max"],
-                checks=checks,
-            )
+        if w is not None:
+            return w
     raise WitnessValidationFailed(
         "no kernel vector yielded a valid non-extreme perturbation"
     )
@@ -307,39 +313,34 @@ def make_non_exposed_witness(
     seed_tilde: CoefVector | None,
     pattern: LacunaryPattern,
     plus_vectors: list[CoefVector] | None = None,
-    grid: int = 2048,
 ) -> Witness:
     """Perturbation q with q/p real, *nonnegative* and nonconstant.
 
     Exactly certified rational kernel vectors are preferred; vectors found by
     the cone search are used as a fallback and are vetted by the same grid
-    validation as everything else.
+    validation as everything else.  The cone search runs here only when
+    neither source offers any candidate.
     """
-    candidates = _exact_plus_candidates(kernel_tilde, seed_tilde)
-    if plus_vectors:
-        candidates.extend(plus_vectors)
-    if not candidates:
+    candidates = itertools.chain(
+        _exact_plus_candidates(kernel_tilde, seed_tilde), plus_vectors or ()
+    )
+    first = next(candidates, None)
+    if first is None:
         _, found = plus_dimension(
             [v.as_array() for v in kernel_tilde.vectors], seed=seed_tilde
         )
-        candidates.extend(found)
+        candidates = iter(found)
+    else:
+        candidates = itertools.chain([first], candidates)
     for v in candidates:
         if seed_tilde is not None and proportional(v, seed_tilde):
             continue
-        Q = symbol_to_poly(v, tilde.m_tilde)
-        q = Q * tilde.reduced_cofactor
-        checks = _validate_witness(
-            "non_exposed", v, q, pattern, tilde.total_factor, tilde.m_tilde, grid
+        w = _validated_witness(
+            "non_exposed", v, symbol_to_poly(v, tilde.m_tilde),
+            tilde.reduced_cofactor, tilde.total_factor, pattern,
         )
-        if checks is not None:
-            return Witness(
-                kind="non_exposed",
-                vector=v,
-                perturbation=q,
-                spectrum=tuple(spectrum(q)),
-                multiplier_bound=checks["multiplier_max"],
-                checks=checks,
-            )
+        if w is not None:
+            return w
     raise WitnessValidationFailed(
         "no nonnegative kernel vector yielded a valid non-exposed perturbation"
     )
@@ -378,14 +379,28 @@ def classify(
         )
 
     norm_res = l1_norm(p)
-    scale = 1.0 / norm_res.value
-
     canonical = canonical_factorization(p, pattern.N, eps_circle=opt.eps_circle)
     tilde = tilde_factorization(p, pattern.N, canonical)
-
     forbidden = tuple(pattern.forbidden)
-    mat = build_matrix(canonical.coef, forbidden, canonical.m, kind="plain")
-    mat_tilde = build_matrix(tilde.coef, forbidden, tilde.m_tilde, kind="tilde")
+    rep = ClassificationReport(
+        pattern=pattern,
+        polynomial=p,
+        mode=canonical.mode,
+        norm=norm_res.value,
+        norm_error_bound=norm_res.abs_error_bound,
+        scale=1.0 / norm_res.value,
+        canonical=canonical,
+        tilde=tilde,
+        matrix=build_matrix(canonical.coef, forbidden, canonical.m, kind="plain"),
+        matrix_tilde=build_matrix(tilde.coef, forbidden, tilde.m_tilde, kind="tilde"),
+        diagnostics={
+            "canonical_mode": canonical.mode,
+            "tilde_mode": tilde.mode,
+            "norm_panels": norm_res.panels,
+        },
+        audit={"performed": opt.audit, "checks": [], "mismatches": []},
+    )
+    diagnostics = rep.diagnostics
 
     coef_scale = max(
         (abs(complex(c)) for c in canonical.coef.values()), default=0.0
@@ -393,101 +408,73 @@ def classify(
     coef_scale_t = max(
         (abs(complex(c)) for c in tilde.coef.values()), default=0.0
     )
-
-    diagnostics: dict = {
-        "canonical_mode": canonical.mode,
-        "tilde_mode": tilde.mode,
-        "norm_panels": norm_res.panels,
-    }
-    audit_log: dict = {"performed": opt.audit, "checks": [], "mismatches": []}
-
     seed = _safe_seed(canonical.disk_factor, canonical.m)
     seed_tilde = _safe_seed(tilde.total_factor, tilde.m_tilde)
 
-    kernel = kernel_tilde = None
-    extreme = exposed = None
-    dim_plus = None
-    fast_extreme = "rank"
-    fast_exposed = ""
-    witnesses: list[Witness] = []
-
     try:
-        kernel = rank_and_kernel(mat, gap_threshold=opt.rank_gap, scale=coef_scale)
-        kernel_tilde = rank_and_kernel(
-            mat_tilde, gap_threshold=opt.rank_gap, scale=coef_scale_t
+        rep.kernel = rank_and_kernel(
+            rep.matrix, gap_threshold=opt.rank_gap, scale=coef_scale
+        )
+        rep.kernel_tilde = rank_and_kernel(
+            rep.matrix_tilde, gap_threshold=opt.rank_gap, scale=coef_scale_t
         )
     except RankIndeterminate as exc:
         diagnostics["undecided_reason"] = str(exc)
         diagnostics["singular_values"] = list(exc.singular_values or ())
-        return _report(
-            pattern, p, norm_res, scale, canonical, tilde, mat, mat_tilde,
-            kernel, kernel_tilde, None, None, None, "rank", "", (), diagnostics,
-            audit_log,
-        )
+        return rep
 
-    _check_seed_membership(mat, seed, diagnostics, "plain")
-    _check_seed_membership(mat_tilde, seed_tilde, diagnostics, "tilde")
+    _check_seed_membership(rep.matrix, seed, diagnostics, "plain")
+    _check_seed_membership(rep.matrix_tilde, seed_tilde, diagnostics, "tilde")
 
     if pattern.M < canonical.m:
-        fast_extreme = "row_deficit"
-    extreme = kernel.rank == 2 * canonical.m
-    if fast_extreme == "row_deficit" and extreme:
+        rep.fast_path_extreme = "row_deficit"
+    rep.extreme = rep.kernel.rank == 2 * canonical.m
+    if rep.fast_path_extreme == "row_deficit" and rep.extreme:
         raise AuditMismatch(
             "row-deficit shortcut predicts non-extreme but the rank criterion disagrees"
         )
 
     has_multiple_circle_zero = any(lam >= 2 for _, lam, _ in tilde.circle_zeros)
 
-    if not extreme:
-        exposed = False
-        fast_exposed = "not_extreme"
+    if not rep.extreme:
+        rep.exposed = False
+        rep.fast_path_exposed = "not_extreme"
     elif not has_multiple_circle_zero:
-        exposed = extreme
-        fast_exposed = "simple_circle_zeros"
-    elif kernel_tilde.rank == 2 * tilde.m_tilde:
-        exposed = True
-        fast_exposed = "tilde_full_rank"
+        rep.exposed = True
+        rep.fast_path_exposed = "simple_circle_zeros"
+    elif rep.kernel_tilde.rank == 2 * tilde.m_tilde:
+        rep.exposed = True
+        rep.fast_path_exposed = "tilde_full_rank"
 
     found_plus: list[CoefVector] | None = None
-    if exposed is None:
-        fast_exposed = "plus_dimension"
+    if rep.exposed is None:
+        rep.fast_path_exposed = "plus_dimension"
         try:
-            dim_plus, found_plus = plus_dimension(
-                [v.as_array() for v in kernel_tilde.vectors], seed=seed_tilde
+            rep.dim_plus, found_plus = plus_dimension(
+                [v.as_array() for v in rep.kernel_tilde.vectors], seed=seed_tilde
             )
         except SolverStalled as exc:
             diagnostics["undecided_reason"] = f"cone solver stalled: {exc}"
         else:
-            exposed = dim_plus == 1
+            rep.exposed = rep.dim_plus == 1
             diagnostics["plus_vectors_found"] = len(found_plus)
 
     if opt.audit:
-        _run_audit(
-            p, pattern, canonical, tilde, kernel, kernel_tilde,
-            seed_tilde, extreme, exposed, fast_exposed, dim_plus, audit_log,
-            opt,
-        )
+        _run_audit(rep, seed_tilde, opt.eps_circle)
 
     if opt.generate_witnesses:
-        if extreme is False:
-            witnesses.append(
-                make_non_extreme_witness(
-                    canonical, kernel, seed, pattern, grid=opt.witness_grid
-                )
+        if rep.extreme is False:
+            rep.witnesses += (
+                make_non_extreme_witness(canonical, rep.kernel, seed, pattern),
             )
-        if exposed is False:
-            witnesses.append(
+        if rep.exposed is False:
+            rep.witnesses += (
                 make_non_exposed_witness(
-                    tilde, kernel_tilde, seed_tilde, pattern,
-                    plus_vectors=found_plus, grid=opt.witness_grid,
-                )
+                    tilde, rep.kernel_tilde, seed_tilde, pattern,
+                    plus_vectors=found_plus,
+                ),
             )
-
-    return _report(
-        pattern, p, norm_res, scale, canonical, tilde, mat, mat_tilde,
-        kernel, kernel_tilde, dim_plus, extreme, exposed,
-        fast_extreme, fast_exposed, tuple(witnesses), diagnostics, audit_log,
-    )
+    return rep
 
 
 def _safe_seed(factor: ComplexPoly, half_degree: int) -> CoefVector | None:
@@ -519,12 +506,14 @@ def _check_seed_membership(
 
 
 def _run_audit(
-    p, pattern, canonical, tilde, kernel, kernel_tilde, seed_tilde,
-    extreme, exposed, fast_exposed, dim_plus, audit_log, opt,
+    rep: ClassificationReport, seed_tilde: CoefVector | None, eps_circle: float
 ) -> None:
-    if pattern.M == 0:
+    """Cross-check the verdicts in rep by independent routes; log into rep.audit."""
+    audit_log = rep.audit
+    extreme, exposed, fast_exposed = rep.extreme, rep.exposed, rep.fast_path_exposed
+    if rep.pattern.M == 0:
         audit_log["checks"].append("full_space_route")
-        fs = classify_full_space(p, N=pattern.N, eps_circle=opt.eps_circle)
+        fs = classify_full_space(rep.polynomial, N=rep.pattern.N, eps_circle=eps_circle)
         if fs.extreme != extreme or (exposed is not None and fs.exposed != exposed):
             audit_log["mismatches"].append("full_space_route")
             raise AuditMismatch(
@@ -536,7 +525,7 @@ def _run_audit(
     ):
         audit_log["checks"].append("plus_dimension_cross_check")
         dp, _ = plus_dimension(
-            [v.as_array() for v in kernel_tilde.vectors], seed=seed_tilde
+            [v.as_array() for v in rep.kernel_tilde.vectors], seed=seed_tilde
         )
         audit_log["dim_plus_audit"] = dp
         if (dp == 1) != exposed:
@@ -546,36 +535,7 @@ def _run_audit(
                 f"dimension is {dp}"
             )
     else:
-        audit_log["dim_plus_audit"] = dim_plus
-
-
-def _report(
-    pattern, p, norm_res, scale, canonical, tilde, mat, mat_tilde,
-    kernel, kernel_tilde, dim_plus, extreme, exposed,
-    fast_extreme, fast_exposed, witnesses, diagnostics, audit_log,
-) -> ClassificationReport:
-    return ClassificationReport(
-        pattern=pattern,
-        polynomial=p,
-        mode=canonical.mode,
-        norm=norm_res.value,
-        norm_error_bound=norm_res.abs_error_bound,
-        scale=scale,
-        canonical=canonical,
-        tilde=tilde,
-        matrix=mat,
-        matrix_tilde=mat_tilde,
-        kernel=kernel,
-        kernel_tilde=kernel_tilde,
-        dim_plus=dim_plus,
-        extreme=extreme,
-        exposed=exposed,
-        fast_path_extreme=fast_extreme,
-        fast_path_exposed=fast_exposed,
-        witnesses=witnesses,
-        diagnostics=diagnostics,
-        audit=audit_log,
-    )
+        audit_log["dim_plus_audit"] = rep.dim_plus
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,8 @@ class JobSpec:
 
 def _load_job(path: Path) -> JobSpec:
     data = json.loads(path.read_text())
+    if not isinstance(data, dict):
+        raise ValueError("a job file holds one JSON object")
     name = data.get("name", path.stem)
     expect = data.get("expect", {})
     if "basis" in data:
@@ -484,14 +486,18 @@ def _cmd_corpus(args) -> int:
     if not paths:
         sys.stderr.write(f"warning: no corpus files in {root}\n")
         return EXIT_OK
-    jobs = [_load_job(p) for p in paths]
-    results = [_run_job(j) for j in jobs]
     failed = 0
-    for name, ok, detail in results:
+    for path in paths:
+        # a malformed job fails alone; the rest of the corpus still runs
+        try:
+            name, ok, detail = _run_job(_load_job(path))
+        except (OSError, ValueError, KeyError, TypeError, LacunaError) as exc:
+            sys.stderr.write(f"error: {path.name}: {exc!r}\n")
+            name, ok, detail = path.stem, False, f"error: {exc!r}"
         status = "PASS" if ok else "FAIL"
         sys.stdout.write(f"{status} {name}: {detail}\n")
         failed += 0 if ok else 1
-    sys.stdout.write(f"{len(results) - failed}/{len(results)} passed\n")
+    sys.stdout.write(f"{len(paths) - failed}/{len(paths)} passed\n")
     return EXIT_OK if failed == 0 else EXIT_ERROR
 
 

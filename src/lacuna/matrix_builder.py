@@ -77,8 +77,9 @@ def _split_real_imag(coef: dict) -> tuple[dict, dict, bool]:
     return A, B, exact
 
 
-def build_plus_minus_entries(A: dict, B: dict, forbidden, half_degree: int, exact: bool):
-    """The four blocks (A+, B+, A-, B-) as nested tuples."""
+def build_matrix(coef: dict, forbidden, half_degree: int, kind: str = "plain") -> BlockMatrix:
+    """Constraint matrix straight from a cofactor coefficient map."""
+    A, B, exact = _split_real_imag(coef)
     d = half_degree
     zero = Fraction(0) if exact else 0.0
 
@@ -88,21 +89,17 @@ def build_plus_minus_entries(A: dict, B: dict, forbidden, half_degree: int, exac
     def b(k):
         return B.get(k, zero)
 
-    a_plus, b_plus, a_minus, b_minus = [], [], [], []
-    for kj in forbidden:
-        a_plus.append(tuple(a(kj + l - d) + a(kj - l - d) for l in range(d + 1)))
-        b_plus.append(tuple(b(kj + l - d) + b(kj - l - d) for l in range(d + 1)))
-        a_minus.append(tuple(a(kj + l - d) - a(kj - l - d) for l in range(1, d + 1)))
-        b_minus.append(tuple(b(kj + l - d) - b(kj - l - d) for l in range(1, d + 1)))
-    return tuple(a_plus), tuple(b_plus), tuple(a_minus), tuple(b_minus)
-
-
-def assemble(a_plus, b_plus, a_minus, b_minus, half_degree: int, forbidden, kind: str, exact: bool) -> BlockMatrix:
-    rows = []
-    for j in range(len(forbidden)):
-        rows.append(tuple(a_plus[j]) + tuple(b_minus[j]))
-    for j in range(len(forbidden)):
-        rows.append(tuple(b_plus[j]) + tuple(-x for x in a_minus[j]))
+    # rows [A+ B-] for every forbidden exponent, then rows [B+ -A-]
+    rows = [
+        tuple(a(kj + l - d) + a(kj - l - d) for l in range(d + 1))
+        + tuple(b(kj + l - d) - b(kj - l - d) for l in range(1, d + 1))
+        for kj in forbidden
+    ]
+    rows += [
+        tuple(b(kj + l - d) + b(kj - l - d) for l in range(d + 1))
+        + tuple(-(a(kj + l - d) - a(kj - l - d)) for l in range(1, d + 1))
+        for kj in forbidden
+    ]
     return BlockMatrix(
         rows=tuple(rows),
         half_degree=half_degree,
@@ -110,13 +107,6 @@ def assemble(a_plus, b_plus, a_minus, b_minus, half_degree: int, forbidden, kind
         kind=kind,
         exact=exact,
     )
-
-
-def build_matrix(coef: dict, forbidden, half_degree: int, kind: str = "plain") -> BlockMatrix:
-    """Constraint matrix straight from a cofactor coefficient map."""
-    A, B, exact = _split_real_imag(coef)
-    blocks = build_plus_minus_entries(A, B, forbidden, half_degree, exact)
-    return assemble(*blocks, half_degree, forbidden, kind, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,15 @@ import numpy as np
 from .errors import FacialMismatch, SolverStalled
 from .poly_core import long_division
 
+# alternating projections: Gram repair, and the slice search's convergence
+# test, plateau detection, stall cap and re-certification band
+_GRAM_PROJECTION_ITERS = 5000
+_TOL_FEASIBLE = 1e-9
+_ITERATION_CAP = 20000
+_PLATEAU_WINDOW = 500
+_PLATEAU_LEVEL = 1e-7
+_RECERT_TOL = 1e-7
+
 
 def _is_exact_entry(x) -> bool:
     return isinstance(x, (int, Fraction))
@@ -411,10 +420,10 @@ def _gram_ok(Q: np.ndarray, gamma: np.ndarray, tol: float = 1e-8) -> bool:
     return bool(eigs[0] >= -tol)
 
 
-def _gram_by_projection(gamma: np.ndarray, n: int, iters: int = 5000) -> np.ndarray | None:
+def _gram_by_projection(gamma: np.ndarray, n: int) -> np.ndarray | None:
     Q = np.zeros((n, n), dtype=complex)
     Q = _spread_deficit(Q, gamma)
-    for _ in range(iters):
+    for _ in range(_GRAM_PROJECTION_ITERS):
         w, V = np.linalg.eigh(Q)
         Q = (V * np.clip(w, 0.0, None)) @ V.conj().T
         Q = _spread_deficit(Q, gamma)
@@ -436,8 +445,8 @@ class PlusCertificate:
     exact: bool
 
 
-def is_plus(v: CoefVector, tol: float = 1e-9) -> PlusCertificate:
-    """Decide membership in the plus cone, with a constructive witness.
+def _plus_verdict(v: CoefVector, tol: float = 1e-9) -> tuple[bool, bool, float, float]:
+    """(plus?, boundary?, argmin, min) of tau, without a Gram certificate.
 
     Rational vectors are decided exactly.  Float vectors are decided by the
     global minimum: min tau >= tol is plus, min tau <= -tol is not, and the
@@ -445,11 +454,19 @@ def is_plus(v: CoefVector, tol: float = 1e-9) -> PlusCertificate:
     """
     t_min, val = min_on_circle(v)
     if v.is_exact:
-        verdict, touches = certify_nonneg_exact(v)
-        boundary = touches
+        verdict, boundary = certify_nonneg_exact(v)
     else:
         verdict = val > -tol
         boundary = abs(val) < tol or (verdict and val <= tol)
+    return verdict, boundary, t_min, val
+
+
+def is_plus(v: CoefVector, tol: float = 1e-9) -> PlusCertificate:
+    """Decide membership in the plus cone, with a constructive witness.
+
+    The verdict is ``_plus_verdict``'s; a plus vector also gets a Gram matrix.
+    """
+    verdict, boundary, t_min, val = _plus_verdict(v, tol)
     if not verdict:
         return PlusCertificate(
             False, False, t_min, val, None, None, t_min, v.is_exact
@@ -564,20 +581,14 @@ def _complement_rows(sub: np.ndarray, ambient_dim: int) -> np.ndarray:
 def find_plus_in_slice(
     basis: np.ndarray,
     slice_constraint: tuple[np.ndarray, float],
-    *,
-    tol_feasible: float = 1e-9,
-    iteration_cap: int = 20000,
-    plateau_window: int = 500,
-    plateau_level: float = 1e-7,
-    recert_tol: float = 1e-7,
 ) -> CoefVector | None:
     """Plus vector v in span(basis) with <v, w> = target, or None.
 
     Alternating projections between the PSD cone and the affine set of Gram
     matrices whose coefficient vector lies in the slice.  ``None`` means the
-    residual plateaued above ``plateau_level`` for ``plateau_window``
+    residual plateaued above ``_PLATEAU_LEVEL`` for ``_PLATEAU_WINDOW``
     iterations (certified-infeasible in the sense of this solver); a run that
-    neither converges nor plateaus within ``iteration_cap`` iterations raises
+    neither converges nor plateaus within ``_ITERATION_CAP`` iterations raises
     :class:`SolverStalled`.
     """
     w, target = slice_constraint
@@ -601,29 +612,28 @@ def find_plus_in_slice(
     v = proj_affine(space.vec(np.eye(d + 1, dtype=complex)))
     history: list[float] = []
     recerts = 0
-    for _ in range(iteration_cap):
+    for _ in range(_ITERATION_CAP):
         vp = space.project_psd(v)
         va = proj_affine(vp)
         dist = float(np.linalg.norm(va - vp))
         history.append(dist)
-        if dist <= tol_feasible * (1.0 + float(np.linalg.norm(va))):
+        if dist <= _TOL_FEASIBLE * (1.0 + float(np.linalg.norm(va))):
             x = space.phi @ va
             cand = CoefVector.from_array(x, d=d)
-            cert = is_plus(cand, tol=recert_tol)
-            if cert.is_plus:
+            if _plus_verdict(cand, _RECERT_TOL)[0]:
                 return cand
             recerts += 1
             if recerts > 50:
                 raise SolverStalled(
                     "converged iterates keep failing plus re-certification"
                 )
-        if len(history) > plateau_window:
-            old = history[-plateau_window - 1]
-            if dist > plateau_level and old - dist <= 0.01 * old:
+        if len(history) > _PLATEAU_WINDOW:
+            old = history[-_PLATEAU_WINDOW - 1]
+            if dist > _PLATEAU_LEVEL and old - dist <= 0.01 * old:
                 return None
         v = va
     raise SolverStalled(
-        f"no convergence or plateau within {iteration_cap} iterations "
+        f"no convergence or plateau within {_ITERATION_CAP} iterations "
         f"(last residual {history[-1]:.3e})"
     )
 
@@ -669,7 +679,7 @@ def plus_dimension(
         resid = arr - VB.T @ (VB @ arr)
         if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(arr)):
             raise ValueError("seed does not lie in the given subspace")
-        if not is_plus(seed).is_plus:
+        if not _plus_verdict(seed)[0]:
             raise ValueError("seed is not a plus vector")
         found.append(seed)
 

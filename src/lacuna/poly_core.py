@@ -272,13 +272,6 @@ class ComplexPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "ComplexPoly":
-        """Multiply by z^k."""
-        if self.is_zero():
-            return self
-        pad = [GaussianRational() if self.mode == "exact" else 0j] * k
-        return ComplexPoly(list(pad) + list(self.coeffs), mode=self.mode)
-
     def derivative(self) -> "ComplexPoly":
         if self.deg <= 0:
             return ComplexPoly.zero(self.mode)
@@ -296,14 +289,6 @@ class ComplexPoly:
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * z + complex(c)
-        return acc
-
-    def eval_exact(self, z: GaussianRational) -> GaussianRational:
-        if self.mode != "exact":
-            raise UnsupportedMode("eval_exact requires an exact polynomial")
-        acc = GaussianRational()
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
         return acc
 
     def eval_many(self, zs):

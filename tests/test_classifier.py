@@ -277,3 +277,43 @@ def test_spectrum_helpers_on_witnesses(examples):
     for w in rep.witnesses:
         assert spectrum_in(w.perturbation, pat)
         assert spectrum(w.perturbation) == w.spectrum
+
+
+def test_witness_search_certifies_only_until_the_first_witness(examples, monkeypatch):
+    # the candidate pool of (1 - z^2)^2 holds 14 rational vectors; only the
+    # cone solver's seed check and the first pool vector need a certificate
+    import sys
+
+    import lacuna.plus_cone
+
+    original = lacuna.plus_cone.certify_nonneg_exact
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return original(v)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "lacuna" or name.startswith("lacuna."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    p, pat = examples["double_circle"]
+    rep = classify(p, pat)
+    assert len(calls) <= 2
+    (w,) = rep.witnesses
+    assert w.kind == "non_exposed"
+    assert w.vector.alpha == (1, 0, 0) and w.vector.beta == (0, 0)
+
+
+def test_cone_solver_decides_without_gram_certificates(monkeypatch):
+    import lacuna.plus_cone
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("a Gram certificate was built")
+
+    monkeypatch.setattr(lacuna.plus_cone, "_fejer_riesz_gram", no_gram)
+    monkeypatch.setattr(lacuna.plus_cone, "_gram_by_projection", no_gram)
+    rep = classify("(1 + z^2)^6", LacunaryPattern(12, [1, 3, 5, 7, 9, 11]))
+    assert rep.extreme is True and rep.exposed is False
+    assert [w.kind for w in rep.witnesses] == ["non_exposed"]

@@ -297,3 +297,26 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "lacuna" in capsys.readouterr().out
+
+
+def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
+    good = {
+        "input": "1 + z/2",
+        "pattern": {"N": 1, "forbidden": []},
+        "expect": {"extreme": True, "exposed": True},
+    }
+    (tmp_path / "a_good.json").write_text(json.dumps(good))
+    (tmp_path / "b_no_input.json").write_text(
+        json.dumps({"pattern": {"N": 1, "forbidden": []}, "expect": {}})
+    )
+    (tmp_path / "c_not_json.json").write_text("{not json")
+    zero = {"input": "0", "pattern": {"N": 1, "forbidden": []}, "expect": {}}
+    (tmp_path / "d_zero_polynomial.json").write_text(json.dumps(zero))
+    code = main(["corpus", str(tmp_path)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == EXIT_ERROR
+    assert out[0] == "PASS a_good: ok"
+    assert out[1].startswith("FAIL b_no_input:") and "KeyError('input')" in out[1]
+    assert out[2].startswith("FAIL c_not_json:") and "JSONDecodeError" in out[2]
+    assert out[3].startswith("FAIL d_zero_polynomial:") and "zero polynomial" in out[3]
+    assert out[4] == "1/4 passed"
