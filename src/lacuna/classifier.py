@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from .circle_analysis import l1_norm, find_zeros
 from .errors import (
     AuditMismatch,
     IllConditionedZeros,
+    NotDivisible,
     NotHermitianSymmetric,
     RankIndeterminate,
     SolverStalled,
@@ -62,6 +64,7 @@ from .poly_core import (
     ComplexPoly,
     GaussianRational,
     LacunaryPattern,
+    divide_exact,
     parse_poly,
     spectrum,
     spectrum_in,
@@ -326,21 +329,26 @@ def make_non_exposed_witness(
     )
     first = next(candidates, None)
     if first is None:
-        _, found = plus_dimension(
-            [v.as_array() for v in kernel_tilde.vectors], seed=seed_tilde
-        )
+        _, found = plus_dimension(kernel_tilde.vectors, seed=seed_tilde)
         candidates = iter(found)
     else:
         candidates = itertools.chain([first], candidates)
     for v in candidates:
         if seed_tilde is not None and proportional(v, seed_tilde):
             continue
+        Q = symbol_to_poly(v, tilde.m_tilde)
         w = _validated_witness(
-            "non_exposed", v, symbol_to_poly(v, tilde.m_tilde),
-            tilde.reduced_cofactor, tilde.total_factor, pattern,
+            "non_exposed", v, Q, tilde.reduced_cofactor, tilde.total_factor, pattern
         )
-        if w is not None:
-            return w
+        if w is None:
+            continue
+        # q/p = Q/total_factor has a pole on the circle unless Q takes every
+        # circle zero of the factor; the grid maximum then bounds nothing
+        try:
+            divide_exact(Q, tilde.circle_factor)
+        except NotDivisible:
+            w = dataclasses.replace(w, multiplier_bound=math.inf)
+        return w
     raise WitnessValidationFailed(
         "no nonnegative kernel vector yielded a valid non-exposed perturbation"
     )
@@ -451,7 +459,7 @@ def classify(
         rep.fast_path_exposed = "plus_dimension"
         try:
             rep.dim_plus, found_plus = plus_dimension(
-                [v.as_array() for v in rep.kernel_tilde.vectors], seed=seed_tilde
+                rep.kernel_tilde.vectors, seed=seed_tilde
             )
         except SolverStalled as exc:
             diagnostics["undecided_reason"] = f"cone solver stalled: {exc}"
@@ -524,9 +532,7 @@ def _run_audit(
         "simple_circle_zeros", "tilde_full_rank", "not_extreme",
     ):
         audit_log["checks"].append("plus_dimension_cross_check")
-        dp, _ = plus_dimension(
-            [v.as_array() for v in rep.kernel_tilde.vectors], seed=seed_tilde
-        )
+        dp, _ = plus_dimension(rep.kernel_tilde.vectors, seed=seed_tilde)
         audit_log["dim_plus_audit"] = dp
         if (dp == 1) != exposed:
             audit_log["mismatches"].append("plus_dimension_cross_check")

@@ -19,7 +19,6 @@ run is byte-stable across invocations.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -40,7 +39,6 @@ from .errors import LacunaError, SolverStalled
 from .matrix_builder import BlockMatrix, KernelBasis
 from .plus_cone import CoefVector, plus_dimension
 from .poly_core import (
-    ComplexPoly,
     LacunaryPattern,
     parse_poly,
     poly_to_json,
@@ -103,7 +101,8 @@ def _witness_to_json(w: Witness) -> dict:
         "vector": _vector_to_json(w.vector),
         "perturbation": poly_to_json(w.perturbation),
         "spectrum": list(w.spectrum),
-        "multiplier_bound": w.multiplier_bound,
+        # an unbounded multiplier is null: lacuna/1 is strict JSON
+        "multiplier_bound": w.multiplier_bound if math.isfinite(w.multiplier_bound) else None,
         "checks": w.checks,
     }
 
@@ -397,37 +396,6 @@ def _cmd_norm(args) -> int:
     return EXIT_OK
 
 
-@dataclasses.dataclass
-class JobSpec:
-    name: str
-    expect: dict
-    polynomial: ComplexPoly | None = None
-    pattern: LacunaryPattern | None = None
-    options: ClassifyOptions | None = None
-    basis_data: dict | None = None
-
-
-def _load_job(path: Path) -> JobSpec:
-    data = json.loads(path.read_text())
-    if not isinstance(data, dict):
-        raise ValueError("a job file holds one JSON object")
-    name = data.get("name", path.stem)
-    expect = data.get("expect", {})
-    if "basis" in data:
-        return JobSpec(name=name, expect=expect, basis_data=data)
-    raw = data["input"]
-    poly = parse_poly(raw if isinstance(raw, str) else json.dumps(raw))
-    pattern = LacunaryPattern.from_json(data["pattern"])
-    opt = ClassifyOptions()
-    for key, val in data.get("options", {}).items():
-        if not hasattr(opt, key):
-            raise ValueError(f"{path.name}: unknown option {key!r}")
-        setattr(opt, key, val)
-    return JobSpec(
-        name=name, expect=expect, polynomial=poly, pattern=pattern, options=opt
-    )
-
-
 def _matrix_matches_up_to_scale(actual: BlockMatrix, expected_rows, tol=1e-9) -> bool:
     act = actual.as_array()
     exp = np.array([[float(Fraction(x)) if isinstance(x, str) else float(x) for x in row]
@@ -441,43 +409,53 @@ def _matrix_matches_up_to_scale(actual: BlockMatrix, expected_rows, tol=1e-9) ->
     return bool(np.max(np.abs(act - ratio * exp)) <= tol * max(1.0, np.max(np.abs(act))))
 
 
-def _run_job(job: JobSpec) -> tuple[str, bool, str]:
-    if job.basis_data is not None:
+def _run_job(path: Path) -> tuple[str, bool, str]:
+    data = json.loads(path.read_text())
+    if not isinstance(data, dict):
+        raise ValueError("a job file holds one JSON object")
+    name = data.get("name", path.stem)
+    expect = data.get("expect", {})
+    if "basis" in data:
         try:
-            dim, _ = _run_plusdim_file(job.basis_data)
+            dim, _ = _run_plusdim_file(data)
         except LacunaError as exc:
-            return job.name, False, f"error: {exc}"
-        want = job.expect.get("dim_plus")
+            return name, False, f"error: {exc}"
+        want = expect.get("dim_plus")
         if want is not None and dim != want:
-            return job.name, False, f"dim_plus: expected {want}, got {dim}"
-        return job.name, True, "ok"
+            return name, False, f"dim_plus: expected {want}, got {dim}"
+        return name, True, "ok"
+    raw = data["input"]
+    poly = parse_poly(raw if isinstance(raw, str) else json.dumps(raw))
+    pattern = LacunaryPattern.from_json(data["pattern"])
+    opt = ClassifyOptions()
+    for key, val in data.get("options", {}).items():
+        if not hasattr(opt, key):
+            raise ValueError(f"{path.name}: unknown option {key!r}")
+        setattr(opt, key, val)
     try:
-        rep = classify(job.polynomial, job.pattern, job.options)
+        rep = classify(poly, pattern, opt)
     except LacunaError as exc:
-        return job.name, False, f"error: {exc}"
+        return name, False, f"error: {exc}"
     problems = []
     for key in ("extreme", "exposed"):
-        if key in job.expect and rep.__getattribute__(key) != job.expect[key]:
-            problems.append(
-                f"{key}: expected {job.expect[key]}, got {rep.__getattribute__(key)}"
-            )
-    if "dim_plus" in job.expect and rep.dim_plus != job.expect["dim_plus"]:
-        problems.append(f"dim_plus: expected {job.expect['dim_plus']}, got {rep.dim_plus}")
-    for mkey, attr in (("matrix", "matrix"), ("matrix_tilde", "matrix_tilde")):
-        if mkey in job.expect:
-            if not _matrix_matches_up_to_scale(
-                getattr(rep, attr), job.expect[mkey]["rows"]
-            ):
-                problems.append(f"{mkey}: mismatch beyond scalar multiple")
-    if "witness_kinds" in job.expect:
+        if key in expect and getattr(rep, key) != expect[key]:
+            problems.append(f"{key}: expected {expect[key]}, got {getattr(rep, key)}")
+    if "dim_plus" in expect and rep.dim_plus != expect["dim_plus"]:
+        problems.append(f"dim_plus: expected {expect['dim_plus']}, got {rep.dim_plus}")
+    for key in ("matrix", "matrix_tilde"):
+        if key in expect and not _matrix_matches_up_to_scale(
+            getattr(rep, key), expect[key]["rows"]
+        ):
+            problems.append(f"{key}: mismatch beyond scalar multiple")
+    if "witness_kinds" in expect:
         kinds = sorted(w.kind for w in rep.witnesses)
-        if kinds != sorted(job.expect["witness_kinds"]):
+        if kinds != sorted(expect["witness_kinds"]):
             problems.append(
-                f"witnesses: expected {job.expect['witness_kinds']}, got {kinds}"
+                f"witnesses: expected {expect['witness_kinds']}, got {kinds}"
             )
     if problems:
-        return job.name, False, "; ".join(problems)
-    return job.name, True, "ok"
+        return name, False, "; ".join(problems)
+    return name, True, "ok"
 
 
 def _cmd_corpus(args) -> int:
@@ -490,7 +468,7 @@ def _cmd_corpus(args) -> int:
     for path in paths:
         # a malformed job fails alone; the rest of the corpus still runs
         try:
-            name, ok, detail = _run_job(_load_job(path))
+            name, ok, detail = _run_job(path)
         except (OSError, ValueError, KeyError, TypeError, LacunaError) as exc:
             sys.stderr.write(f"error: {path.name}: {exc!r}\n")
             name, ok, detail = path.stem, False, f"error: {exc!r}"
@@ -553,10 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LacunaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (LacunaError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -24,17 +24,24 @@ gamma_k = sum_j Q[j+k, j], built by spectral factorization of tau and
 repaired, if needed, by alternating projections.
 
 ``find_plus_in_slice`` looks for a plus vector inside an affine slice of a
-subspace by alternating projections between the PSD cone (eigenvalue
-clipping) and the affine constraint set (least squares); ``plus_dimension``
-grows a basis of plus vectors greedily with such probes and then certifies
-completeness facially: the span of all plus vectors in V equals the set of
-vectors whose tau vanishes at each circle zero of the accumulated interior
-point to at least its order.
+subspace by alternating projections between the PSD cone and the affine
+constraint set; ``plus_dimension`` grows a basis of plus vectors greedily
+with such probes and then certifies completeness facially: the span of all
+plus vectors in V equals the set of vectors whose tau vanishes at each
+circle zero of the accumulated interior point to at least its order.
+
+Both solvers iterate on the Hermitian matrix Q itself and share its two
+steps: ``_project_psd`` clips the eigenvalues, and ``_affine_projector``
+projects by least squares onto {Q : C L Q = f}, where L maps Q to the
+coefficient vector of tau_Q.  The Gram repair takes C = I and f the
+coefficients of tau; the slice search takes C = [complement of the
+subspace; w] and f = (0, ..., 0, target).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -169,26 +176,33 @@ def min_on_circle(v: CoefVector) -> tuple[float, float]:
     g = v.gamma()
     if v.d == 0 or np.max(np.abs(g[1:])) == 0:
         return 0.0, float(g[0].real)
-    # hoisted coefficient arrays shared by every polish iteration
-    ks = np.arange(1, v.d + 1, dtype=float)
-    gr = g[1:].real.astype(float)
-    gi = g[1:].imag.astype(float)
+    ks, gr, gi = _harmonics(g)
     g0 = float(g[0].real)
-    n = 8 * v.d + 64
-    t = 2 * math.pi * np.arange(n) / n
-    vals = v.tau(t)
-    h = 2 * math.pi / n
-    candidates = []
-    for i in range(n):
-        if vals[i] <= vals[(i - 1) % n] and vals[i] <= vals[(i + 1) % n]:
-            candidates.append(_polish_minimum(ks, gr, gi, t[i], h))
     best_t, best_v = 0.0, math.inf
-    for tc in candidates:
+    for tc in _grid_minima(v, 8 * v.d + 64):
         ct, st = np.cos(ks * tc), np.sin(ks * tc)
         val = g0 + 2.0 * (gr @ ct - gi @ st)
         if val < best_v:
             best_t, best_v = float(tc % (2 * math.pi)), float(val)
     return best_t, best_v
+
+
+def _harmonics(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frequencies 1..d and the real and imaginary parts of gamma_1..gamma_d."""
+    return np.arange(1, len(g), dtype=float), g[1:].real.astype(float), g[1:].imag.astype(float)
+
+
+def _grid_minima(v: CoefVector, n: int, ceiling: float = math.inf) -> list[float]:
+    """Polished local minima of tau seeded from an n-point grid, in grid order.
+
+    A grid point seeds a polish when its value is at most both neighbours'
+    and at most ``ceiling``.
+    """
+    ks, gr, gi = _harmonics(v.gamma())
+    t = 2 * math.pi * np.arange(n) / n
+    vals = v.tau(t)
+    local = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)) & (vals <= ceiling)
+    return [_polish_minimum(ks, gr, gi, t[i], 2 * math.pi / n) for i in np.flatnonzero(local)]
 
 
 def _tau_d1_d2(ks, gr, gi, t: float) -> tuple[float, float]:
@@ -310,6 +324,59 @@ def certify_nonneg_exact(v: CoefVector) -> tuple[bool, bool]:
 
 
 # ---------------------------------------------------------------------------
+# Hermitian Gram matrices: the PSD step and the affine step
+# ---------------------------------------------------------------------------
+
+
+def _project_psd(Q: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix in the Frobenius norm: clip the eigenvalues at zero."""
+    w, V = np.linalg.eigh(Q)
+    return (V * np.clip(w, 0.0, None)) @ V.conj().T
+
+
+@functools.cache
+def _trace_map(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map L from an n x n complex Q to the coefficient vector of tau_Q,
+    and its pseudo-inverse.
+
+    L acts on the 2n^2 floats ``Q.view(float).ravel()`` and reads the upper
+    and lower triangles with weight 1/2 each, so it vanishes on skew-Hermitian
+    matrices and its adjoint writes Hermitian matrices.  On Hermitian Q the
+    Euclidean norm of those floats is the Frobenius norm.
+    """
+    i, j = np.indices((n, n))
+    k = np.abs(i - j)
+    off = k > 0
+    L = np.zeros((2 * n - 1, n, n, 2))
+    L[k, i, j, 0] = 0.5  # alpha_k: real parts of diagonal k
+    L[(n - 1 + k)[off], i[off], j[off], 1] = 0.5 * np.sign(i - j)[off]  # beta_k
+    L = L.reshape(2 * n - 1, 2 * n * n)
+    L_pinv = np.linalg.pinv(L)
+    L.flags.writeable = L_pinv.flags.writeable = False
+    return L, L_pinv
+
+
+def _affine_projector(n: int, f: np.ndarray, C: np.ndarray | None = None):
+    """Orthogonal projection of n x n Hermitian Q onto {Q : C L Q = f}.
+
+    C defaults to the identity, whose pseudo-inverse is cached with L: the
+    projection then spreads each coefficient's deficit evenly along its
+    diagonal.  Any other C costs one pseudo-inverse, so build the projector
+    once per solve.
+    """
+    M, M_pinv = _trace_map(n)
+    if C is not None:
+        M = C @ M
+        M_pinv = np.linalg.pinv(M, rcond=1e-12)
+
+    def project(Q: np.ndarray) -> np.ndarray:
+        q = Q.view(float).ravel()
+        return (q - M_pinv @ (M @ q - f)).view(complex).reshape(n, n)
+
+    return project
+
+
+# ---------------------------------------------------------------------------
 # Gram certificates
 # ---------------------------------------------------------------------------
 
@@ -323,25 +390,6 @@ def _gram_from_factor(q: np.ndarray, n: int) -> np.ndarray:
     qq = np.zeros(n, dtype=complex)
     qq[: len(q)] = q
     return np.outer(qq, qq.conj())
-
-
-def _spread_deficit(Q: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Distribute per-diagonal gamma deficits evenly along each diagonal."""
-    n = Q.shape[0]
-    out = Q.astype(complex).copy()
-    cur = gram_diag_sums(out)
-    for k in range(len(gamma)):
-        if k >= n:
-            break
-        deficit = gamma[k] - cur[k]
-        cnt = n - k
-        if k == 0:
-            out[np.arange(n), np.arange(n)] += (deficit.real / cnt)
-        else:
-            idx = np.arange(n - k)
-            out[idx + k, idx] += deficit / cnt
-            out[idx, idx + k] += np.conj(deficit) / cnt
-    return out
 
 
 def _fejer_riesz_gram(v: CoefVector) -> np.ndarray | None:
@@ -363,6 +411,7 @@ def _fejer_riesz_gram(v: CoefVector) -> np.ndarray | None:
     # z^deff * tau(z) has the conjugate-reflected coefficient list
     laurent = np.concatenate([np.conj(gamma[1 : deff + 1][::-1]), gamma[: deff + 1]])
     roots = np.roots(laurent[::-1])
+    repair = _affine_projector(n, v.as_array())
     for band in (1e-7, 1e-5, 1e-3):
         sel = _select_half_roots(roots, band)
         if sel is None:
@@ -380,8 +429,7 @@ def _fejer_riesz_gram(v: CoefVector) -> np.ndarray | None:
         sigma = (gamma[k_star] / auto[k_star]).real
         if sigma <= 0:
             continue
-        Q = _gram_from_factor(math.sqrt(sigma) * q, n)
-        Q = _spread_deficit(Q, gamma)
+        Q = repair(_gram_from_factor(math.sqrt(sigma) * q, n))
         if _gram_ok(Q, gamma):
             return Q
     return None
@@ -420,16 +468,16 @@ def _gram_ok(Q: np.ndarray, gamma: np.ndarray, tol: float = 1e-8) -> bool:
     return bool(eigs[0] >= -tol)
 
 
-def _gram_by_projection(gamma: np.ndarray, n: int) -> np.ndarray | None:
-    Q = np.zeros((n, n), dtype=complex)
-    Q = _spread_deficit(Q, gamma)
+def _gram_by_projection(v: CoefVector) -> np.ndarray | None:
+    """Gram matrix of tau_v by alternating projections from zero, or None."""
+    n = v.d + 1
+    gamma = v.gamma()
+    project_affine = _affine_projector(n, v.as_array())
+    Q = project_affine(np.zeros((n, n), dtype=complex))
     for _ in range(_GRAM_PROJECTION_ITERS):
-        w, V = np.linalg.eigh(Q)
-        Q = (V * np.clip(w, 0.0, None)) @ V.conj().T
-        Q = _spread_deficit(Q, gamma)
+        Q = project_affine(_project_psd(Q))
         if _gram_ok(Q, gamma, tol=1e-9):
-            w, V = np.linalg.eigh(Q)
-            return (V * np.clip(w, 0.0, None)) @ V.conj().T
+            return _project_psd(Q)
     return Q if _gram_ok(Q, gamma) else None
 
 
@@ -471,21 +519,17 @@ def is_plus(v: CoefVector, tol: float = 1e-9) -> PlusCertificate:
         return PlusCertificate(
             False, False, t_min, val, None, None, t_min, v.is_exact
         )
-    gamma = v.gamma()
-    shift = 0.0
+    lifted = v
     if val <= tol:
         # touching (or dipping within the band): lift tau off the floor a hair
         # so spectral factorization sees a genuinely nonnegative function
         shift = max(0.0, -val) + 1e-13 * max(v.scale(), 1.0)
-        gamma = gamma.copy()
-        gamma[0] += shift
-    Q = _fejer_riesz_gram(
-        v if not shift else CoefVector.from_array(
-            np.concatenate([[float(gamma[0].real) / 2.0], gamma[1:].real, gamma[1:].imag])
-        )
-    )
+        x = v.as_array()
+        x[0] += shift / 2
+        lifted = CoefVector.from_array(x)
+    Q = _fejer_riesz_gram(lifted)
     if Q is None:
-        Q = _gram_by_projection(gamma, v.d + 1)
+        Q = _gram_by_projection(lifted)
     resid = None
     if Q is not None:
         resid = float(np.max(np.abs(gram_diag_sums(Q)[: len(v.gamma())] - v.gamma())))
@@ -495,64 +539,6 @@ def is_plus(v: CoefVector, tol: float = 1e-9) -> PlusCertificate:
 # ---------------------------------------------------------------------------
 # affine slices of the PSD-representable cone
 # ---------------------------------------------------------------------------
-
-
-class _HermitianSpace:
-    """Real vectorization of n x n Hermitian matrices and the trace map.
-
-    vec(Q) = [diag; sqrt2 Re(lower); sqrt2 Im(lower)] is an isometry for the
-    Frobenius norm; ``phi`` maps vec(Q) to the coefficient vector x with
-    x = (alpha_0..alpha_d, beta_1..beta_d) of tau_Q.
-    """
-
-    _cache: dict[int, "_HermitianSpace"] = {}
-
-    def __new__(cls, n: int):
-        if n in cls._cache:
-            return cls._cache[n]
-        self = super().__new__(cls)
-        self.n = n
-        ti, tj = np.tril_indices(n, -1)
-        self.tri_i, self.tri_j = ti, tj
-        m = len(ti)
-        self.dim = n + 2 * m
-        d = n - 1
-        phi = np.zeros((2 * d + 1, self.dim))
-        phi[0, :n] = 0.5
-        for k in range(1, d + 1):
-            mask = (ti - tj) == k
-            cols = n + np.flatnonzero(mask)
-            phi[k, cols] = 1.0 / math.sqrt(2.0)
-            phi[d + k, cols + m] = 1.0 / math.sqrt(2.0)
-        self.phi = phi
-        cls._cache[n] = self
-        return self
-
-    def vec(self, Q: np.ndarray) -> np.ndarray:
-        out = np.empty(self.dim)
-        n = self.n
-        out[:n] = np.diag(Q).real
-        lower = Q[self.tri_i, self.tri_j]
-        m = len(self.tri_i)
-        out[n : n + m] = math.sqrt(2.0) * lower.real
-        out[n + m :] = math.sqrt(2.0) * lower.imag
-        return out
-
-    def unvec(self, v: np.ndarray) -> np.ndarray:
-        n = self.n
-        m = len(self.tri_i)
-        Q = np.zeros((n, n), dtype=complex)
-        Q[np.arange(n), np.arange(n)] = v[:n]
-        lower = (v[n : n + m] + 1j * v[n + m :]) / math.sqrt(2.0)
-        Q[self.tri_i, self.tri_j] = lower
-        Q[self.tri_j, self.tri_i] = lower.conj()
-        return Q
-
-    def project_psd(self, v: np.ndarray) -> np.ndarray:
-        Q = self.unvec(v)
-        w, V = np.linalg.eigh(Q)
-        Q = (V * np.clip(w, 0.0, None)) @ V.conj().T
-        return self.vec(Q)
 
 
 def _orthonormal_rows(rows: np.ndarray, tol: float = 1e-10, floor: float = 0.0) -> np.ndarray:
@@ -599,27 +585,20 @@ def find_plus_in_slice(
     w_in = VB.T @ (VB @ w)
     if np.linalg.norm(w_in) <= 1e-12 * max(1.0, np.linalg.norm(w)):
         return None
-    space = _HermitianSpace(d + 1)
     comp = _complement_rows(VB, nx)
-    C = np.vstack([comp @ space.phi, (w @ space.phi)[None, :]])
-    f = np.zeros(C.shape[0])
+    f = np.zeros(comp.shape[0] + 1)
     f[-1] = target
-    pinvC = np.linalg.pinv(C, rcond=1e-12)
-
-    def proj_affine(vv: np.ndarray) -> np.ndarray:
-        return vv - pinvC @ (C @ vv - f)
-
-    v = proj_affine(space.vec(np.eye(d + 1, dtype=complex)))
+    project_affine = _affine_projector(d + 1, f, np.vstack([comp, w]))
+    Q = project_affine(np.eye(d + 1, dtype=complex))
     history: list[float] = []
     recerts = 0
     for _ in range(_ITERATION_CAP):
-        vp = space.project_psd(v)
-        va = proj_affine(vp)
-        dist = float(np.linalg.norm(va - vp))
+        Qp = _project_psd(Q)
+        Qa = project_affine(Qp)
+        dist = float(np.linalg.norm(Qa - Qp))
         history.append(dist)
-        if dist <= _TOL_FEASIBLE * (1.0 + float(np.linalg.norm(va))):
-            x = space.phi @ va
-            cand = CoefVector.from_array(x, d=d)
+        if dist <= _TOL_FEASIBLE * (1.0 + float(np.linalg.norm(Qa))):
+            cand = CoefVector.from_array(_trace_map(d + 1)[0] @ Qa.view(float).ravel(), d=d)
             if _plus_verdict(cand, _RECERT_TOL)[0]:
                 return cand
             recerts += 1
@@ -631,7 +610,7 @@ def find_plus_in_slice(
             old = history[-_PLATEAU_WINDOW - 1]
             if dist > _PLATEAU_LEVEL and old - dist <= 0.01 * old:
                 return None
-        v = va
+        Q = Qa
     raise SolverStalled(
         f"no convergence or plateau within {_ITERATION_CAP} iterations "
         f"(last residual {history[-1]:.3e})"
@@ -764,18 +743,7 @@ def _circle_zeros_of_tau(v: CoefVector) -> list[tuple[float, int]]:
     """Zeros of a nonnegative tau with their (even) vanishing orders."""
     g = v.gamma()
     scale = float(np.sum(np.abs(g)))
-    n = max(64 * v.d + 256, 512)
-    t = 2 * math.pi * np.arange(n) / n
-    vals = v.tau(t)
-    zero_tol = 1e-8 * max(scale, 1e-30)
-    h = 2 * math.pi / n
-    ks = np.arange(1, v.d + 1, dtype=float)
-    gr = g[1:].real.astype(float)
-    gi = g[1:].imag.astype(float)
-    raw = []
-    for i in range(n):
-        if vals[i] <= vals[(i - 1) % n] and vals[i] <= vals[(i + 1) % n] and vals[i] <= zero_tol:
-            raw.append(_polish_minimum(ks, gr, gi, t[i], h))
+    raw = _grid_minima(v, max(64 * v.d + 256, 512), ceiling=1e-8 * max(scale, 1e-30))
     zeros: list[float] = []
     for t0 in sorted(x % (2 * math.pi) for x in raw):
         if zeros and min(abs(t0 - zeros[-1]), 2 * math.pi - abs(t0 - zeros[-1])) < 1e-6:

@@ -317,3 +317,24 @@ def test_cone_solver_decides_without_gram_certificates(monkeypatch):
     rep = classify("(1 + z^2)^6", LacunaryPattern(12, [1, 3, 5, 7, 9, 11]))
     assert rep.extreme is True and rep.exposed is False
     assert [w.kind for w in rep.witnesses] == ["non_exposed"]
+
+
+def test_non_exposed_multiplier_with_a_pole_is_unbounded(examples):
+    import json
+
+    from lacuna.cli_reports import report_to_dict
+
+    p, pat = examples["double_circle"]
+    rep = classify(p, pat)
+    (w,) = rep.witnesses
+    # q/p = 1/(2 sin^2 t) has poles at t = 0 and pi: the grid maximum
+    # stays a check, but no finite bound holds
+    assert w.multiplier_bound == math.inf
+    assert math.isfinite(w.checks["multiplier_max"])
+    report = report_to_dict(rep)
+    assert report["witnesses"][0]["multiplier_bound"] is None
+    assert "Infinity" not in json.dumps(report)
+    # no multiple circle zero, so no pole: the grid maximum is the bound
+    p, pat = examples["pair_and_gap"]
+    (w,) = [w for w in classify(p, pat).witnesses if w.kind == "non_exposed"]
+    assert w.multiplier_bound == w.checks["multiplier_max"] < math.inf

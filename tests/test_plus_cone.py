@@ -276,6 +276,47 @@ def test_gram_diag_sums_inverse_of_construction(rng):
     assert np.max(np.abs(sums - want)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (5 / 8, -1 / 2, 0),  # 5/4 - cos t
+        (1, -1, 0),  # 2 - 2cos t, touching zero
+        (1, 0, -1, 0, 0),  # 2 - 2cos 2t, touching zero twice
+    ],
+)
+def test_is_plus_gram_by_projection(entries, monkeypatch):
+    import lacuna.plus_cone
+
+    monkeypatch.setattr(lacuna.plus_cone, "_fejer_riesz_gram", lambda v: None)
+    cert = is_plus(_vec(*entries))
+    assert cert.is_plus
+    assert cert.gram is not None and cert.gram_residual <= 1e-8
+    assert np.linalg.eigvalsh(cert.gram).min() >= -1e-8
+
+
+def test_gram_repair_spreads_each_deficit_along_its_diagonal(rng):
+    from lacuna.plus_cone import _affine_projector
+
+    n = 4
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q = A @ A.conj().T
+    target = _vec(*rng.standard_normal(2 * n - 1))
+    # reference: add (gamma_k - current sum) / (n - k) to every entry of
+    # diagonal k, and its conjugate to the mirrored entry
+    want = Q.copy()
+    deficit = target.gamma() - gram_diag_sums(Q)
+    for k in range(n):
+        idx = np.arange(n - k)
+        if k == 0:
+            want[idx, idx] += deficit[0].real / n
+        else:
+            want[idx + k, idx] += deficit[k] / (n - k)
+            want[idx, idx + k] += np.conj(deficit[k]) / (n - k)
+    got = _affine_projector(n, target.as_array())(Q)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(gram_diag_sums(got) - target.gamma())) <= 1e-12
+
+
 # -- Fejer kernels ----------------------------------------------------------------
 
 
