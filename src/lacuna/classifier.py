@@ -30,7 +30,6 @@ import dataclasses
 import itertools
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 
 import numpy as np
 
@@ -79,7 +78,6 @@ _WITNESS_GRID = 2048
 class ClassifyOptions:
     mode: str = "auto"  # auto | exact | float
     eps_circle: float = 1e-8
-    rank_gap: float = 10.0
     spectrum_tol: float | None = None  # relative cutoff for support checks
     audit: bool = False
     infer_pattern: bool = False
@@ -164,21 +162,14 @@ def symbol_to_poly(v: CoefVector, half_degree: int) -> ComplexPoly:
     h = half_degree
     if v.d > h:
         raise ValueError("vector degree exceeds the requested half degree")
-    if v.is_exact:
-        coeffs = [GaussianRational(0) for _ in range(h + v.d + 1)]
-        coeffs[h] = GaussianRational(2 * Fraction(v.alpha[0]))
-        for l in range(1, v.d + 1):
-            g = GaussianRational(Fraction(v.alpha[l]), Fraction(v.beta[l - 1]))
-            coeffs[h + l] = g
-            coeffs[h - l] = g.conjugate()
-        return ComplexPoly(coeffs)
-    coeffs_f = [0j] * (h + v.d + 1)
-    coeffs_f[h] = complex(2.0 * float(v.alpha[0]))
+    scalar = GaussianRational if v.is_exact else complex
+    coeffs = [scalar(0)] * (h + v.d + 1)
+    coeffs[h] = scalar(2 * v.alpha[0])
     for l in range(1, v.d + 1):
-        g = complex(float(v.alpha[l]), float(v.beta[l - 1]))
-        coeffs_f[h + l] = g
-        coeffs_f[h - l] = g.conjugate()
-    return ComplexPoly(coeffs_f)
+        g = scalar(v.alpha[l], v.beta[l - 1])
+        coeffs[h + l] = g
+        coeffs[h - l] = g.conjugate()
+    return ComplexPoly(coeffs)
 
 
 def _grid_multiplier(numer: ComplexPoly, denom: ComplexPoly) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +379,7 @@ def classify(
 
     norm_res = l1_norm(p)
     canonical = canonical_factorization(p, pattern.N, eps_circle=opt.eps_circle)
-    tilde = tilde_factorization(p, pattern.N, canonical)
+    tilde = tilde_factorization(pattern.N, canonical)
     forbidden = tuple(pattern.forbidden)
     rep = ClassificationReport(
         pattern=pattern,
@@ -420,12 +411,8 @@ def classify(
     seed_tilde = _safe_seed(tilde.total_factor, tilde.m_tilde)
 
     try:
-        rep.kernel = rank_and_kernel(
-            rep.matrix, gap_threshold=opt.rank_gap, scale=coef_scale
-        )
-        rep.kernel_tilde = rank_and_kernel(
-            rep.matrix_tilde, gap_threshold=opt.rank_gap, scale=coef_scale_t
-        )
+        rep.kernel = rank_and_kernel(rep.matrix, scale=coef_scale)
+        rep.kernel_tilde = rank_and_kernel(rep.matrix_tilde, scale=coef_scale_t)
     except RankIndeterminate as exc:
         diagnostics["undecided_reason"] = str(exc)
         diagnostics["singular_values"] = list(exc.singular_values or ())

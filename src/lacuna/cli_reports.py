@@ -263,8 +263,11 @@ def _parse_pattern_arg(text: str) -> LacunaryPattern:
     return LacunaryPattern(int(n_part), forbidden)
 
 
+_CONFIG_KEYS = ("mode", "eps_circle", "tol", "audit", "witnesses", "pattern", "format")
+
+
 def _load_config(path: str) -> dict:
-    """key=value per line; '#' comments; later keys win."""
+    """key=value per line; '#' comments; later keys win; unknown keys fail."""
     out: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -272,8 +275,10 @@ def _load_config(path: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line (expected key=value): {raw!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        out[key] = val
     return out
 
 
@@ -296,8 +301,6 @@ def _options_from(args, config: dict) -> ClassifyOptions:
         opt.mode = config["mode"]
     if "eps_circle" in config:
         opt.eps_circle = float(config["eps_circle"])
-    if "rank_gap" in config:
-        opt.rank_gap = float(config["rank_gap"])
     if "tol" in config:
         opt.spectrum_tol = float(config["tol"])
     if "audit" in config:
@@ -376,8 +379,16 @@ def _cmd_plusdim(args) -> int:
     return EXIT_OK
 
 
+def _number(x) -> float:
+    """A JSON number, or a fraction string such as "5/8"."""
+    try:
+        return float(Fraction(x)) if isinstance(x, str) else float(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+
+
 def _coef_list(row, d: int) -> list[float]:
-    vals = [float(Fraction(x)) if isinstance(x, str) else float(x) for x in row]
+    vals = [_number(x) for x in row]
     if len(vals) != 2 * d + 1:
         raise ValueError(f"basis rows must have length {2 * d + 1}")
     return vals
@@ -398,8 +409,7 @@ def _cmd_norm(args) -> int:
 
 def _matrix_matches_up_to_scale(actual: BlockMatrix, expected_rows, tol=1e-9) -> bool:
     act = actual.as_array()
-    exp = np.array([[float(Fraction(x)) if isinstance(x, str) else float(x) for x in row]
-                    for row in expected_rows], dtype=float)
+    exp = np.array([[_number(x) for x in row] for row in expected_rows], dtype=float)
     if act.shape != exp.shape:
         return False
     idx = np.unravel_index(np.argmax(np.abs(exp)), exp.shape)

@@ -2,15 +2,16 @@
 
 Writes p = G R where G collects each zero a shared by p and its
 conjugate-reciprocal p* inside the open disk, paired with its reflection:
-G = prod (z - a)^m (1 - conj(a) z)^m.  The tilde variant additionally
-absorbs floor(multiplicity/2) copies of every circle zero of p, reflected
-the same way.  The cofactors R and R~ carry the coefficient maps that the
-rank criteria consume.
+G = prod (z - a)^m (1 - conj(a) z)^m.  The tilde factorization is the
+canonical one times the circle part: the circle factor C takes
+floor(multiplicity/2) copies of every circle zero of p, reflected the same
+way, and is divided out of R, so p = (G C) R~.  The cofactors R and R~
+carry the coefficient maps that the rank criteria consume.
 
 When the input has Gaussian-rational coefficients the factors are
 reconstructed exactly: the float factor built from the clustered zeros is
 rationalized coefficient-by-coefficient (growing denominator bounds) and
-accepted only if exact division of p succeeds.  Configurations whose factor
+accepted only if exact division succeeds.  Configurations whose factor
 is irrational (possible: the scalar normalization of G need not be rational
 even for rational p) degrade to the float pipeline; verdicts downstream are
 scale-invariant, so only exactness is lost, never correctness.
@@ -146,12 +147,12 @@ def canonical_factorization(
     )
 
 
-def tilde_factorization(
-    p: ComplexPoly,
-    N: int,
-    canonical: CanonicalData,
-) -> TildeData:
-    """Extend the canonical factor by half of every multiple circle zero."""
+def tilde_factorization(N: int, canonical: CanonicalData) -> TildeData:
+    """Extend the canonical factor by half of every multiple circle zero.
+
+    The circle factor is divided out of the canonical cofactor, so the total
+    factor is the canonical factor times the circle factor.
+    """
     circle = [c for c in canonical.zero_clusters if c.region == "circle"]
     triples = tuple(
         (complex(c.location), c.multiplicity, c.multiplicity // 2) for c in circle
@@ -164,30 +165,8 @@ def tilde_factorization(
             "halved circle multiplicity exceeds the remaining degree budget",
             diagnostics={"m_tilde": m_tilde, "N": N},
         )
-    if mu == 0:
-        one = ComplexPoly.one(canonical.disk_factor.mode)
-        return TildeData(
-            circle_zeros=triples,
-            mu=0,
-            m_tilde=m_tilde,
-            s_tilde=s_tilde,
-            circle_factor=one,
-            total_factor=canonical.disk_factor,
-            reduced_cofactor=canonical.cofactor,
-            coef=dict(canonical.coef),
-            mode=canonical.mode,
-        )
     doubled = [(loc, mu_j) for loc, _lam, mu_j in triples if mu_j >= 1]
-    items = [(c.location, c.multiplicity) for c in canonical.disk_zeros]
-    G_total, R_tilde, mode = _factor_out(p, items + doubled)
-    circle_factor_f = _build_factor_float(doubled)
-    if mode == "exact":
-        try:
-            circle_factor = divide_exact(G_total, canonical.disk_factor)
-        except NotDivisible:
-            circle_factor = circle_factor_f
-    else:
-        circle_factor = circle_factor_f
+    circle_factor, R_tilde, mode = _factor_out(canonical.cofactor, doubled)
     if R_tilde.deg > s_tilde:
         raise IllConditionedZeros(
             "reduced cofactor degree exceeds N - 2m~",
@@ -199,7 +178,7 @@ def tilde_factorization(
         m_tilde=m_tilde,
         s_tilde=s_tilde,
         circle_factor=circle_factor,
-        total_factor=G_total,
+        total_factor=canonical.disk_factor * circle_factor,
         reduced_cofactor=R_tilde,
         coef=_coef_map(R_tilde),
         mode=mode,
@@ -215,12 +194,11 @@ def real_symbol_on_circle(F: ComplexPoly, half_degree: int) -> CoefVector:
     h = half_degree
     if h < 0 or F.deg > 2 * h:
         raise ValueError("half_degree incompatible with the polynomial degree")
-    exact = F.mode == "exact"
     scale = F.max_abs_coeff() or 1.0
     for l in range(h + 1):
         hi = F.coefficient(h + l)
         lo = F.coefficient(h - l)
-        if exact:
+        if F.mode == "exact":
             if hi != lo.conjugate():
                 raise NotHermitianSymmetric(
                     f"coefficient {h + l} is not the conjugate of coefficient {h - l}"
@@ -231,13 +209,7 @@ def real_symbol_on_circle(F: ComplexPoly, half_degree: int) -> CoefVector:
                     f"coefficients {h + l}/{h - l} break Hermitian symmetry "
                     f"beyond 1e-9 relative"
                 )
-    if exact:
-        mid = F.coefficient(h)
-        alpha = [mid.re / 2] + [F.coefficient(h + l).re for l in range(1, h + 1)]
-        beta = [F.coefficient(h + l).im for l in range(1, h + 1)]
-    else:
-        alpha = [complex(F.coefficient(h)).real / 2.0] + [
-            complex(F.coefficient(h + l)).real for l in range(1, h + 1)
-        ]
-        beta = [complex(F.coefficient(h + l)).imag for l in range(1, h + 1)]
+    alpha = [F.coefficient(h).real / 2]
+    alpha += [F.coefficient(h + l).real for l in range(1, h + 1)]
+    beta = [F.coefficient(h + l).imag for l in range(1, h + 1)]
     return CoefVector(h, tuple(alpha), tuple(beta))

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import RankIndeterminate
 from .plus_cone import CoefVector
+from .poly_core import is_exact_scalar
 
 _RANK_SHIFT = 2.0**-26
 
@@ -60,20 +61,10 @@ class KernelBasis:
 
 
 def _split_real_imag(coef: dict) -> tuple[dict, dict, bool]:
-    A: dict = {}
-    B: dict = {}
-    exact = True
-    for k, c in coef.items():
-        if hasattr(c, "re"):
-            A[k] = c.re
-            B[k] = c.im
-        else:
-            exact = False
-            A[k] = complex(c).real
-            B[k] = complex(c).imag
-    if not exact:
-        A = {k: float(v) for k, v in A.items()}
-        B = {k: float(v) for k, v in B.items()}
+    exact = all(is_exact_scalar(c) for c in coef.values())
+    part = Fraction if exact else float
+    A = {k: part(c.real) for k, c in coef.items()}
+    B = {k: part(c.imag) for k, c in coef.items()}
     return A, B, exact
 
 

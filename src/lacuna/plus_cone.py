@@ -48,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FacialMismatch, SolverStalled
-from .poly_core import long_division
+from .poly_core import is_exact_scalar, long_division
 
 # alternating projections: Gram repair, and the slice search's convergence
 # test, plateau detection, stall cap and re-certification band
@@ -58,10 +58,6 @@ _ITERATION_CAP = 20000
 _PLATEAU_WINDOW = 500
 _PLATEAU_LEVEL = 1e-7
 _RECERT_TOL = 1e-7
-
-
-def _is_exact_entry(x) -> bool:
-    return isinstance(x, (int, Fraction))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,9 +74,7 @@ class CoefVector:
 
     @property
     def is_exact(self) -> bool:
-        return all(_is_exact_entry(x) for x in self.alpha) and all(
-            _is_exact_entry(x) for x in self.beta
-        )
+        return all(is_exact_scalar(x) for x in (*self.alpha, *self.beta))
 
     @staticmethod
     def from_array(x, d: int | None = None) -> "CoefVector":

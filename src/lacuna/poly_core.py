@@ -41,6 +41,14 @@ class GaussianRational:
         """|x|^2, exactly."""
         return self.re * self.re + self.im * self.im
 
+    @property
+    def real(self) -> Fraction:
+        return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
+
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -127,7 +135,8 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-def _is_exact_scalar(x) -> bool:
+def is_exact_scalar(x) -> bool:
+    """True for the scalars of exact mode: Gaussian rationals, ints, Fractions."""
     return isinstance(x, (GaussianRational, int, Fraction))
 
 
@@ -150,17 +159,15 @@ class ComplexPoly:
     def __init__(self, coeffs: Sequence, mode: str | None = None):
         items = list(coeffs)
         if mode is None:
-            mode = "exact" if all(_is_exact_scalar(c) for c in items) else "float"
+            mode = "exact" if all(is_exact_scalar(c) for c in items) else "float"
         if mode == "exact":
             items = [_to_exact(c) for c in items]
-            while items and items[-1].is_zero():
-                items.pop()
         elif mode == "float":
             items = [complex(c) for c in items]
-            while items and items[-1] == 0:
-                items.pop()
         else:
             raise ValueError(f"unknown mode {mode!r}")
+        while items and not items[-1]:
+            items.pop()
         self.coeffs = tuple(items)
         self.mode = mode
 
@@ -172,7 +179,7 @@ class ComplexPoly:
 
     @staticmethod
     def one(mode: str = "exact") -> "ComplexPoly":
-        return ComplexPoly([1], mode=mode) if mode == "exact" else ComplexPoly([1.0 + 0j], mode="float")
+        return ComplexPoly([1], mode=mode)
 
     @staticmethod
     def constant(c, mode: str | None = None) -> "ComplexPoly":
@@ -204,11 +211,7 @@ class ComplexPoly:
         """Multiplicity of the zero at the origin (0 for p(0) != 0)."""
         if self.is_zero():
             raise ValueError("zero polynomial has no vanishing order")
-        for k, c in enumerate(self.coeffs):
-            if (c.is_zero() if self.mode == "exact" else c == 0):
-                continue
-            return k
-        raise AssertionError("unreachable: trailing zeros are stripped")
+        return next(k for k, c in enumerate(self.coeffs) if c)
 
     def to_float(self) -> "ComplexPoly":
         if self.mode == "float":
@@ -252,16 +255,14 @@ class ComplexPoly:
             a, b = self._pair(other)
             if a.is_zero() or b.is_zero():
                 return ComplexPoly.zero(a.mode)
-            out = [
-                (GaussianRational() if a.mode == "exact" else 0j)
-                for _ in range(a.deg + b.deg + 1)
-            ]
+            # every slot receives a product, which sets the scalar type
+            out = [0] * (a.deg + b.deg + 1)
             for i, ca in enumerate(a.coeffs):
                 for j, cb in enumerate(b.coeffs):
                     out[i + j] = out[i + j] + ca * cb
             return ComplexPoly(out, mode=a.mode)
         # scalar
-        if _is_exact_scalar(other):
+        if is_exact_scalar(other):
             if self.mode == "exact":
                 s = _to_exact(other)
                 return ComplexPoly([c * s for c in self.coeffs], mode="exact")
@@ -281,9 +282,7 @@ class ComplexPoly:
 
     def conj(self) -> "ComplexPoly":
         """Coefficient-wise conjugation."""
-        if self.mode == "exact":
-            return ComplexPoly([c.conjugate() for c in self.coeffs], mode="exact")
-        return ComplexPoly([c.conjugate() for c in self.coeffs], mode="float")
+        return ComplexPoly([c.conjugate() for c in self.coeffs], mode=self.mode)
 
     def __call__(self, z: complex) -> complex:
         acc = 0j
@@ -514,6 +513,8 @@ def _coeff_from_json_entry(entry):
         rn, rd, im_n, im_d = entry
         if not all(isinstance(v, int) for v in entry):
             raise ParseError("4-element coefficient entries must be integers")
+        if rd == 0 or im_d == 0:
+            raise ParseError(f"zero denominator in coefficient entry {entry!r}")
         return GaussianRational(Fraction(rn, rd), Fraction(im_n, im_d))
     if len(entry) == 2:
         re_v, im_v = entry
@@ -600,11 +601,9 @@ def conjugate_reciprocal(p: ComplexPoly, N: int) -> ComplexPoly:
         raise ValueError("conjugate reciprocal of the zero polynomial is undefined")
     if p.deg > N:
         raise ValueError(f"deg p = {p.deg} exceeds N = {N}")
-    if p.mode == "exact":
-        out = [p.coefficient(N - k).conjugate() for k in range(N + 1)]
-    else:
-        out = [complex(p.coefficient(N - k)).conjugate() for k in range(N + 1)]
-    return ComplexPoly(out, mode=p.mode)
+    return ComplexPoly(
+        [p.coefficient(N - k).conjugate() for k in range(N + 1)], mode=p.mode
+    )
 
 
 def long_division(num: Sequence, den: Sequence) -> tuple[list, list]:
@@ -739,7 +738,7 @@ def format_poly(p: ComplexPoly, var: str = "z") -> str:
         return "0"
     parts = []
     for k, c in enumerate(p.coeffs):
-        if (c.is_zero() if p.mode == "exact" else c == 0):
+        if not c:
             continue
         s = _format_scalar(c)
         if k == 0:

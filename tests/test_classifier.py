@@ -203,9 +203,12 @@ def test_symbol_roundtrip_through_factors(examples):
         from lacuna import canonical_factorization
 
         can = canonical_factorization(p, pat.N)
-        v = real_symbol_on_circle(can.disk_factor, can.m)
-        back = symbol_to_poly(v, can.m)
-        assert back.coeffs == can.disk_factor.coeffs
+        for factor in (can.disk_factor, can.disk_factor.to_float()):
+            v = real_symbol_on_circle(factor, can.m)
+            assert v.is_exact is (factor.mode == "exact")
+            back = symbol_to_poly(v, can.m)
+            assert back.mode == factor.mode
+            assert back.coeffs == factor.coeffs
 
 
 # -- the zero-structure route -----------------------------------------------------

@@ -15,6 +15,9 @@ from lacuna.cli_reports import (
 )
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
+# outside input with a zero denominator: a classify input and a plusdim basis
+ZERO_DENOMINATOR_COEFFS = {"coeffs": [[1, 0, 0, 1], [1, 1, 0, 1]]}
+ZERO_DENOMINATOR_BASIS = {"d": 1, "basis": [["1/0", 0, 0]]}
 
 
 def test_classify_text(capsys):
@@ -180,9 +183,17 @@ def test_cli_flags_override_config(tmp_path, capsys):
 
 def test_bad_config_line_errors(tmp_path, capsys):
     cfg = tmp_path / "lacuna.cfg"
-    cfg.write_text("this is not a key value pair\n")
-    code = main(["classify", "1 + z/2", "--pattern", "1", "--config", str(cfg)])
-    assert code == EXIT_ERROR
+    # a malformed line, a misspelled key, and the retired rank_gap key
+    for text, named in (
+        ("this is not a key value pair\n", "key=value"),
+        ("witnesess = off\n", "'witnesess'"),
+        ("rank_gap = 10\n", "'rank_gap'"),
+    ):
+        cfg.write_text(text)
+        code = main(["classify", "1 + z/2", "--pattern", "1", "--config", str(cfg)])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
 
 
 def test_pattern_arg_parsing():
@@ -312,6 +323,12 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
     (tmp_path / "c_not_json.json").write_text("{not json")
     zero = {"input": "0", "pattern": {"N": 1, "forbidden": []}, "expect": {}}
     (tmp_path / "d_zero_polynomial.json").write_text(json.dumps(zero))
+    zero_den = {"input": ZERO_DENOMINATOR_COEFFS, "pattern": {"N": 1}, "expect": {}}
+    (tmp_path / "e_zero_denominator.json").write_text(json.dumps(zero_den))
+    (tmp_path / "f_basis_zero_denominator.json").write_text(
+        json.dumps(ZERO_DENOMINATOR_BASIS)
+    )
+    (tmp_path / "g_good_again.json").write_text(json.dumps(good))
     code = main(["corpus", str(tmp_path)])
     out = capsys.readouterr().out.splitlines()
     assert code == EXIT_ERROR
@@ -319,4 +336,18 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
     assert out[1].startswith("FAIL b_no_input:") and "KeyError('input')" in out[1]
     assert out[2].startswith("FAIL c_not_json:") and "JSONDecodeError" in out[2]
     assert out[3].startswith("FAIL d_zero_polynomial:") and "zero polynomial" in out[3]
-    assert out[4] == "1/4 passed"
+    assert out[4].startswith("FAIL e_zero_denominator:") and "ParseError" in out[4]
+    assert out[5].startswith("FAIL f_basis_zero_denominator:") and "'1/0'" in out[5]
+    assert out[6] == "PASS g_good_again: ok"
+    assert out[7] == "2/7 passed"
+
+
+def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(ZERO_DENOMINATOR_BASIS))
+    for argv in (
+        ["classify", json.dumps(ZERO_DENOMINATOR_COEFFS), "--pattern", "1"],
+        ["plusdim", f"@{basis}"],
+    ):
+        assert main(argv) == EXIT_ERROR
+        assert "zero denominator" in capsys.readouterr().err

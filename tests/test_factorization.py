@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lacuna import (
+    LacunaryPattern,
     NotHermitianSymmetric,
     canonical_factorization,
     parse_poly,
@@ -75,7 +76,7 @@ def test_canonical_degree_bound_via_origin():
 def test_tilde_double_circle(examples):
     p, pat = examples["double_circle"]
     can = canonical_factorization(p, pat.N)
-    til = tilde_factorization(p, pat.N, can)
+    til = tilde_factorization(pat.N, can)
     assert (til.mu, til.m_tilde, til.s_tilde) == (2, 2, 0)
     _exact(til.total_factor, [(-1, 0), (0, 0), (2, 0), (0, 0), (-1, 0)])
     _exact(til.reduced_cofactor, [(-1, 0)])
@@ -87,7 +88,7 @@ def test_tilde_double_circle(examples):
 def test_tilde_single_double_zero(examples):
     p, pat = examples["single_double_zero"]
     can = canonical_factorization(p, pat.N)
-    til = tilde_factorization(p, pat.N, can)
+    til = tilde_factorization(pat.N, can)
     assert (til.mu, til.m_tilde, til.s_tilde) == (1, 1, 1)
     _exact(til.total_factor, [(-1, 0), (2, 0), (-1, 0)])
     _exact(til.reduced_cofactor, [(-2, 0), (-1, 0)])
@@ -96,7 +97,7 @@ def test_tilde_single_double_zero(examples):
 def test_tilde_trivial_when_circle_zeros_simple(examples):
     p, pat = examples["pair_and_gap"]
     can = canonical_factorization(p, pat.N)
-    til = tilde_factorization(p, pat.N, can)
+    til = tilde_factorization(pat.N, can)
     # four simple circle zeros: nothing to absorb
     assert til.mu == 0 and til.m_tilde == can.m
     assert til.total_factor.coeffs == can.disk_factor.coeffs
@@ -104,11 +105,17 @@ def test_tilde_trivial_when_circle_zeros_simple(examples):
 
 
 def test_reconstruction_all_examples(examples):
-    for p, pat in examples.values():
+    # the last input has a shared disk pair and a double circle zero
+    both = (parse_poly("(z - 1/2)(2 - z)(1 - z)^2"), LacunaryPattern(4))
+    for p, pat in [*examples.values(), both]:
         can = canonical_factorization(p, pat.N)
-        til = tilde_factorization(p, pat.N, can)
+        til = tilde_factorization(pat.N, can)
         assert (can.disk_factor * can.cofactor).coeffs == p.coeffs
         _close(til.total_factor * til.reduced_cofactor, p, tol=1e-12)
+        # exact: the tilde factor is the canonical factor times the circle factor
+        assert til.mode == "exact"
+        assert til.total_factor == can.disk_factor * til.circle_factor
+        assert til.total_factor * til.reduced_cofactor == p
 
 
 def test_float_parity_with_exact(examples):

@@ -47,7 +47,7 @@ def _example_matrix(examples, name, kind="plain"):
     can = canonical_factorization(p, pat.N)
     if kind == "plain":
         return build_matrix(can.coef, pat.forbidden, can.m, kind="plain"), can
-    til = tilde_factorization(p, pat.N, can)
+    til = tilde_factorization(pat.N, can)
     return build_matrix(til.coef, pat.forbidden, til.m_tilde, kind="tilde"), til
 
 
@@ -193,13 +193,11 @@ def test_empty_matrix_identity_kernel():
 def test_exact_kernel_spans_float_kernel(examples):
     p, pat = examples["double_circle"]
     can = canonical_factorization(p, pat.N)
-    til = tilde_factorization(p, pat.N, can)
+    til = tilde_factorization(pat.N, can)
     me = build_matrix(til.coef, pat.forbidden, til.m_tilde, kind="tilde")
     exact_kb = rank_and_kernel(me)
 
-    flo = tilde_factorization(
-        p.to_float(), pat.N, canonical_factorization(p.to_float(), pat.N)
-    )
+    flo = tilde_factorization(pat.N, canonical_factorization(p.to_float(), pat.N))
     mf = build_matrix(flo.coef, pat.forbidden, flo.m_tilde, kind="tilde")
     scale = max(abs(complex(c)) for c in flo.coef.values())
     float_kb = rank_and_kernel(mf, scale=scale)

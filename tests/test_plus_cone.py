@@ -45,9 +45,10 @@ def _exact_vec(*entries):
         ((1, 0, 0), True, False),  # constant 2
         ((Fraction(5, 8), Fraction(-1, 2), 0), True, False),  # 5/4 - cos t
         ((0, 0, 0), True, True),  # identically zero
-        ((1, 0, 0, -1, 0), True, True),  # |z^2-1|^2 = 2 - 2cos 2t
+        ((1, 0, 0, -1, 0), True, True),  # 2 + 2 sin t, zero at -pi/2
         ((-1, 0, 0), False, None),  # constant -2
         ((1, Fraction(-3, 5), Fraction(-4, 5)), True, True),  # touch off-axis
+        ((1, 0, -1, 0, 0), True, True),  # |z^2-1|^2 = 2 - 2cos 2t, zeros at 0, pi
     ],
 )
 def test_certify_nonneg_exact_table(entries, nonneg, touches):
@@ -406,7 +407,7 @@ def test_plus_dimension_double_zero_kernel(examples):
 
     p, pat = examples["double_circle"]
     can = canonical_factorization(p, pat.N)
-    til = tilde_factorization(p, pat.N, can)
+    til = tilde_factorization(pat.N, can)
     mat = build_matrix(til.coef, pat.forbidden, til.m_tilde, kind="tilde")
     kb = rank_and_kernel(mat)
     dim, found = plus_dimension([v.as_array() for v in kb.vectors])
