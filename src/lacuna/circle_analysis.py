@@ -308,6 +308,32 @@ def _zeros_float(body: ComplexPoly, eps_circle: float) -> list[ZeroCluster]:
     ]
 
 
+def match_disk_zeros(
+    zp: list[ZeroCluster], zs: list[ZeroCluster]
+) -> tuple[tuple[ZeroCluster, ...], int]:
+    """Pair each zero of zp with the first zero of zs within ``_MATCH_RADIUS``.
+
+    Returns the matched clusters at zp's locations, with the shared
+    multiplicity ``min`` of the two sides, and their total multiplicity.
+    """
+    shared = []
+    for a in zp:
+        b = next((b for b in zs if abs(a.location - b.location) <= _MATCH_RADIUS), None)
+        if b is not None:
+            mult = min(a.multiplicity, b.multiplicity)
+            shared.append(ZeroCluster(a.location, mult, "disk", max(a.residual, b.residual)))
+    shared.sort(key=lambda c: _sort_key(c.location))
+    return tuple(shared), sum(c.multiplicity for c in shared)
+
+
+def reflected_zeros(clusters: list[ZeroCluster], origin_order: int) -> list[ZeroCluster]:
+    """Disk zeros of p* read off p's zeros: 1/conj(a) for each exterior zero a,
+    and the origin to order ``origin_order`` = N - deg p."""
+    out = [ZeroCluster(1 / c.location.conjugate(), c.multiplicity, "disk", c.residual)
+           for c in clusters if c.region == "exterior"]
+    return out + [ZeroCluster(0j, origin_order, "disk", 0.0)] if origin_order else out
+
+
 def common_disk_zeros(
     p: ComplexPoly,
     pstar: ComplexPoly,
@@ -321,14 +347,4 @@ def common_disk_zeros(
     """
     zp = [c for c in find_zeros(p, eps_circle) if c.region == "disk"]
     zs = [c for c in find_zeros(pstar, eps_circle) if c.region == "disk"]
-    shared = []
-    total = 0
-    for a in zp:
-        for b in zs:
-            if abs(a.location - b.location) <= _MATCH_RADIUS:
-                mult = min(a.multiplicity, b.multiplicity)
-                shared.append(ZeroCluster(a.location, mult, "disk", max(a.residual, b.residual)))
-                total += mult
-                break
-    shared.sort(key=lambda c: _sort_key(c.location))
-    return tuple(shared), total
+    return match_disk_zeros(zp, zs)

@@ -33,7 +33,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .circle_analysis import l1_norm, find_zeros
+from .circle_analysis import find_zeros, l1_norm, match_disk_zeros, reflected_zeros
 from .errors import (
     AuditMismatch,
     IllConditionedZeros,
@@ -401,18 +401,14 @@ def classify(
     )
     diagnostics = rep.diagnostics
 
-    coef_scale = max(
-        (abs(complex(c)) for c in canonical.coef.values()), default=0.0
-    )
-    coef_scale_t = max(
-        (abs(complex(c)) for c in tilde.coef.values()), default=0.0
-    )
     seed = _safe_seed(canonical.disk_factor, canonical.m)
     seed_tilde = _safe_seed(tilde.total_factor, tilde.m_tilde)
 
     try:
-        rep.kernel = rank_and_kernel(rep.matrix, scale=coef_scale)
-        rep.kernel_tilde = rank_and_kernel(rep.matrix_tilde, scale=coef_scale_t)
+        rep.kernel = rank_and_kernel(rep.matrix, scale=canonical.cofactor.max_abs_coeff())
+        rep.kernel_tilde = rank_and_kernel(
+            rep.matrix_tilde, scale=tilde.reduced_cofactor.max_abs_coeff()
+        )
     except RankIndeterminate as exc:
         diagnostics["undecided_reason"] = str(exc)
         diagnostics["singular_values"] = list(exc.singular_values or ())
@@ -429,12 +425,10 @@ def classify(
             "row-deficit shortcut predicts non-extreme but the rank criterion disagrees"
         )
 
-    has_multiple_circle_zero = any(lam >= 2 for _, lam, _ in tilde.circle_zeros)
-
     if not rep.extreme:
         rep.exposed = False
         rep.fast_path_exposed = "not_extreme"
-    elif not has_multiple_circle_zero:
+    elif tilde.mu == 0:  # no multiple circle zero
         rep.exposed = True
         rep.fast_path_exposed = "simple_circle_zeros"
     elif rep.kernel_tilde.rank == 2 * tilde.m_tilde:
@@ -551,8 +545,9 @@ def classify_full_space(
 
     With no forbidden exponents, extreme means no zero is shared with the
     conjugate-reciprocal inside the disk, and exposed additionally requires
-    every circle zero to be simple.  This route never builds a matrix, which
-    makes it an independent cross-check of the rank criterion.
+    every circle zero to be simple.  This route never builds a matrix, and
+    it reads the zeros of p* off p's own by reflection, which makes it an
+    independent cross-check of the rank criterion.
     """
     if isinstance(p, str):
         p = parse_poly(p)
@@ -564,19 +559,7 @@ def classify_full_space(
         raise ValueError(f"degree {p.deg} exceeds N={N}")
     clusters = find_zeros(p, eps_circle=eps_circle)
     disk = [c for c in clusters if c.region == "disk"]
-    m = 0
-    for c in disk:
-        loc = complex(c.location)
-        if abs(loc) == 0.0:
-            m += min(c.multiplicity, N - p.deg)
-            continue
-        reflected = 1.0 / np.conj(loc)
-        for other in clusters:
-            if abs(complex(other.location) - reflected) <= 1e-6 * max(
-                1.0, abs(reflected)
-            ):
-                m += min(c.multiplicity, other.multiplicity)
-                break
+    _, m = match_disk_zeros(disk, reflected_zeros(clusters, N - p.deg))
     circle_mults = tuple(
         c.multiplicity for c in clusters if c.region == "circle"
     )

@@ -40,6 +40,7 @@ from .matrix_builder import BlockMatrix, KernelBasis
 from .plus_cone import CoefVector, plus_dimension
 from .poly_core import (
     LacunaryPattern,
+    json_isinstance,
     parse_poly,
     poly_to_json,
 )
@@ -49,6 +50,8 @@ SCHEMA = "lacuna/1"
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
+# what bad input raises; a shape error in outside JSON is a ValueError
+_INPUT_ERRORS = (LacunaError, ValueError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +356,35 @@ def _cmd_classify(args) -> int:
     return EXIT_UNDECIDED if rep.undecided else EXIT_OK
 
 
-def _run_plusdim_file(data: dict) -> tuple[int, list[CoefVector]]:
-    d = int(data["d"])
-    rows = [_coef_list(row, d) for row in data["basis"]]
+_MISSING = object()
+_JSON_KINDS = {
+    bool: "a boolean", int: "an integer", (int, float): "a number", str: "a string",
+    list: "a list", dict: "an object", (str, list, dict): "a string, a list or an object",
+}
+# the JSON type of each ClassifyOptions field a corpus job may set
+_OPTION_KINDS = {
+    "mode": str, "eps_circle": (int, float), "spectrum_tol": (int, float),
+    "audit": bool, "infer_pattern": bool, "generate_witnesses": bool,
+}
+
+
+def _field(obj: dict, key: str, kind, default=_MISSING):
+    """obj[key] if it has the JSON type kind; a ValueError naming key otherwise."""
+    if key not in obj:
+        if default is _MISSING:
+            raise ValueError(f"missing key {key!r}")
+        return default
+    val = obj[key]
+    if not json_isinstance(val, kind):
+        raise ValueError(f"key {key!r} takes {_JSON_KINDS[kind]}, got {val!r}")
+    return val
+
+
+def _run_plusdim_file(data) -> tuple[int, list[CoefVector]]:
+    if not isinstance(data, dict):
+        raise ValueError("a basis file holds one JSON object")
+    d = _field(data, "d", int)
+    rows = [_coef_list(row, d) for row in _field(data, "basis", list)]
     seed = None
     if data.get("seed") is not None:
         seed = CoefVector.from_array(np.array(_coef_list(data["seed"], d)), d=d)
@@ -371,7 +400,7 @@ def _cmd_plusdim(args) -> int:
         return EXIT_UNDECIDED
     out = {
         "schema": SCHEMA,
-        "d": int(data["d"]),
+        "d": data["d"],
         "dim_plus": dim,
         "vectors": [_vector_to_json(v) for v in found],
     }
@@ -381,6 +410,8 @@ def _cmd_plusdim(args) -> int:
 
 def _number(x) -> float:
     """A JSON number, or a fraction string such as "5/8"."""
+    if not (isinstance(x, str) or json_isinstance(x, (int, float))):
+        raise ValueError(f"expected a number or a fraction string, got {x!r}")
     try:
         return float(Fraction(x)) if isinstance(x, str) else float(x)
     except ZeroDivisionError:
@@ -388,10 +419,9 @@ def _number(x) -> float:
 
 
 def _coef_list(row, d: int) -> list[float]:
-    vals = [_number(x) for x in row]
-    if len(vals) != 2 * d + 1:
-        raise ValueError(f"basis rows must have length {2 * d + 1}")
-    return vals
+    if not isinstance(row, list) or len(row) != 2 * d + 1:
+        raise ValueError(f"basis rows must be lists of length {2 * d + 1}, got {row!r}")
+    return [_number(x) for x in row]
 
 
 def _cmd_norm(args) -> int:
@@ -408,6 +438,8 @@ def _cmd_norm(args) -> int:
 
 
 def _matrix_matches_up_to_scale(actual: BlockMatrix, expected_rows, tol=1e-9) -> bool:
+    if not all(isinstance(row, list) for row in expected_rows):
+        raise ValueError(f"expected matrix rows must be lists, got {expected_rows!r}")
     act = actual.as_array()
     exp = np.array([[_number(x) for x in row] for row in expected_rows], dtype=float)
     if act.shape != exp.shape:
@@ -424,7 +456,7 @@ def _run_job(path: Path) -> tuple[str, bool, str]:
     if not isinstance(data, dict):
         raise ValueError("a job file holds one JSON object")
     name = data.get("name", path.stem)
-    expect = data.get("expect", {})
+    expect = _field(data, "expect", dict, {})
     if "basis" in data:
         try:
             dim, _ = _run_plusdim_file(data)
@@ -434,14 +466,15 @@ def _run_job(path: Path) -> tuple[str, bool, str]:
         if want is not None and dim != want:
             return name, False, f"dim_plus: expected {want}, got {dim}"
         return name, True, "ok"
-    raw = data["input"]
+    raw = _field(data, "input", (str, list, dict))
     poly = parse_poly(raw if isinstance(raw, str) else json.dumps(raw))
-    pattern = LacunaryPattern.from_json(data["pattern"])
+    pattern = LacunaryPattern.from_json(data.get("pattern"))
     opt = ClassifyOptions()
-    for key, val in data.get("options", {}).items():
-        if not hasattr(opt, key):
+    options = _field(data, "options", dict, {})
+    for key in options:
+        if key not in _OPTION_KINDS:
             raise ValueError(f"{path.name}: unknown option {key!r}")
-        setattr(opt, key, val)
+        setattr(opt, key, _field(options, key, _OPTION_KINDS[key]))
     try:
         rep = classify(poly, pattern, opt)
     except LacunaError as exc:
@@ -454,12 +487,12 @@ def _run_job(path: Path) -> tuple[str, bool, str]:
         problems.append(f"dim_plus: expected {expect['dim_plus']}, got {rep.dim_plus}")
     for key in ("matrix", "matrix_tilde"):
         if key in expect and not _matrix_matches_up_to_scale(
-            getattr(rep, key), expect[key]["rows"]
+            getattr(rep, key), _field(_field(expect, key, dict), "rows", list)
         ):
             problems.append(f"{key}: mismatch beyond scalar multiple")
     if "witness_kinds" in expect:
         kinds = sorted(w.kind for w in rep.witnesses)
-        if kinds != sorted(expect["witness_kinds"]):
+        if kinds != sorted(_field(expect, "witness_kinds", list), key=str):
             problems.append(
                 f"witnesses: expected {expect['witness_kinds']}, got {kinds}"
             )
@@ -479,7 +512,7 @@ def _cmd_corpus(args) -> int:
         # a malformed job fails alone; the rest of the corpus still runs
         try:
             name, ok, detail = _run_job(path)
-        except (OSError, ValueError, KeyError, TypeError, LacunaError) as exc:
+        except _INPUT_ERRORS as exc:
             sys.stderr.write(f"error: {path.name}: {exc!r}\n")
             name, ok, detail = path.stem, False, f"error: {exc!r}"
         status = "PASS" if ok else "FAIL"
@@ -541,7 +574,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LacunaError, ValueError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -6,7 +6,10 @@ G = prod (z - a)^m (1 - conj(a) z)^m.  The tilde factorization is the
 canonical one times the circle part: the circle factor C takes
 floor(multiplicity/2) copies of every circle zero of p, reflected the same
 way, and is divided out of R, so p = (G C) R~.  The cofactors R and R~
-carry the coefficient maps that the rank criteria consume.
+carry the coefficient maps that the rank criteria consume.  Both levels
+run through one split, ``_factor_out``, whose one consistency check is that
+the quotient fits the degree budget N - 2m (N - 2m~ for the tilde level);
+with no zeros to split off it divides by the constant 1.
 
 When the input has Gaussian-rational coefficients the factors are
 reconstructed exactly: the float factor built from the clustered zeros is
@@ -86,21 +89,33 @@ def _rationalize_coefficients(pf: ComplexPoly, bound: int):
         out.append(GaussianRational(re, im))
     return ComplexPoly(out)
 
-def _factor_out(p: ComplexPoly, items) -> tuple[ComplexPoly, ComplexPoly, str]:
-    """Divide the factor described by (location, multiplicity) items out of p."""
-    factor_f = _build_factor_float(items)
+
+def _factor_out(p: ComplexPoly, items, s: int) -> tuple[ComplexPoly, ComplexPoly, str]:
+    """Divide the factor described by (location, multiplicity) items out of p.
+
+    The quotient must fit the degree budget s, which also rejects s < 0; a
+    factor of higher degree than p already fails the division.
+    """
+    factor, quotient, mode = _build_factor_float(items), None, "float"
     if p.mode == "exact":
         for bound in _RATIONALIZE_BOUNDS:
-            cand = _rationalize_coefficients(factor_f, bound)
-            if cand is None or cand.deg != factor_f.deg:
+            cand = _rationalize_coefficients(factor, bound)
+            if cand is None or cand.deg != factor.deg:
                 continue
             try:
                 quotient = divide_exact(p, cand)
             except NotDivisible:
                 continue
-            return cand, quotient, "exact"
-    quotient = divide_exact(p, factor_f, tol=_FLOAT_DIVISION_TOL)
-    return factor_f, quotient, "float"
+            factor, mode = cand, "exact"
+            break
+    if quotient is None:
+        quotient = divide_exact(p, factor, tol=_FLOAT_DIVISION_TOL)
+    if quotient.deg > s:
+        raise IllConditionedZeros(
+            "cofactor degree exceeds the degree budget; zero identification is inconsistent",
+            diagnostics={"cofactor_degree": quotient.deg, "budget": s},
+        )
+    return factor, quotient, mode
 
 
 def _coef_map(r: ComplexPoly) -> dict:
@@ -119,22 +134,7 @@ def canonical_factorization(
     clusters = find_zeros(p, eps_circle=eps_circle)
     shared, m = common_disk_zeros(p, pstar, eps_circle=eps_circle)
     s = N - 2 * m
-    if s < 0:
-        raise IllConditionedZeros(
-            "shared disk multiplicity exceeds N/2",
-            diagnostics={"m": m, "N": N},
-        )
-    if m == 0:
-        G = ComplexPoly.one(p.mode)
-        R = p
-        mode = p.mode
-    else:
-        G, R, mode = _factor_out(p, [(c.location, c.multiplicity) for c in shared])
-    if R.deg > s:
-        raise IllConditionedZeros(
-            "cofactor degree exceeds N - 2m; zero identification is inconsistent",
-            diagnostics={"cofactor_degree": R.deg, "s": s},
-        )
+    G, R, mode = _factor_out(p, [(c.location, c.multiplicity) for c in shared], s)
     return CanonicalData(
         disk_zeros=shared,
         m=m,
@@ -160,18 +160,8 @@ def tilde_factorization(N: int, canonical: CanonicalData) -> TildeData:
     mu = sum(t[2] for t in triples)
     m_tilde = canonical.m + mu
     s_tilde = N - 2 * m_tilde
-    if s_tilde < 0:
-        raise IllConditionedZeros(
-            "halved circle multiplicity exceeds the remaining degree budget",
-            diagnostics={"m_tilde": m_tilde, "N": N},
-        )
     doubled = [(loc, mu_j) for loc, _lam, mu_j in triples if mu_j >= 1]
-    circle_factor, R_tilde, mode = _factor_out(canonical.cofactor, doubled)
-    if R_tilde.deg > s_tilde:
-        raise IllConditionedZeros(
-            "reduced cofactor degree exceeds N - 2m~",
-            diagnostics={"degree": R_tilde.deg, "s_tilde": s_tilde},
-        )
+    circle_factor, R_tilde, mode = _factor_out(canonical.cofactor, doubled, s_tilde)
     return TildeData(
         circle_zeros=triples,
         mu=mu,

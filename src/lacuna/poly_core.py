@@ -135,15 +135,14 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
+def json_isinstance(val, kind) -> bool:
+    """isinstance for parsed JSON: a JSON boolean is no number, though Python's bool is an int."""
+    return isinstance(val, kind) and isinstance(val, bool) == (kind is bool)
+
+
 def is_exact_scalar(x) -> bool:
     """True for the scalars of exact mode: Gaussian rationals, ints, Fractions."""
     return isinstance(x, (GaussianRational, int, Fraction))
-
-
-def _to_exact(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(x, 0)
 
 
 class ComplexPoly:
@@ -161,7 +160,7 @@ class ComplexPoly:
         if mode is None:
             mode = "exact" if all(is_exact_scalar(c) for c in items) else "float"
         if mode == "exact":
-            items = [_to_exact(c) for c in items]
+            items = [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in items]
         elif mode == "float":
             items = [complex(c) for c in items]
         else:
@@ -261,14 +260,8 @@ class ComplexPoly:
                 for j, cb in enumerate(b.coeffs):
                     out[i + j] = out[i + j] + ca * cb
             return ComplexPoly(out, mode=a.mode)
-        # scalar
-        if is_exact_scalar(other):
-            if self.mode == "exact":
-                s = _to_exact(other)
-                return ComplexPoly([c * s for c in self.coeffs], mode="exact")
-            return ComplexPoly([c * complex(_to_exact(other)) for c in self.coeffs], mode="float")
-        if isinstance(other, (float, complex)):
-            return ComplexPoly([complex(c) * other for c in self.to_float().coeffs], mode="float")
+        if is_exact_scalar(other) or isinstance(other, (float, complex)):
+            return self * ComplexPoly.constant(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -279,16 +272,6 @@ class ComplexPoly:
         return ComplexPoly(
             [self.coeffs[k] * k for k in range(1, len(self.coeffs))], mode=self.mode
         )
-
-    def conj(self) -> "ComplexPoly":
-        """Coefficient-wise conjugation."""
-        return ComplexPoly([c.conjugate() for c in self.coeffs], mode=self.mode)
-
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
 
     def eval_many(self, zs):
         import numpy as np
@@ -352,8 +335,16 @@ class LacunaryPattern:
         return {"N": self.N, "forbidden": list(self.forbidden)}
 
     @staticmethod
-    def from_json(obj: dict) -> "LacunaryPattern":
-        return LacunaryPattern(int(obj["N"]), [int(k) for k in obj.get("forbidden", [])])
+    def from_json(obj) -> "LacunaryPattern":
+        """{"N": n, "forbidden": [k, ...]}; a ValueError names a key of the wrong shape."""
+        if not isinstance(obj, dict) or not json_isinstance(obj.get("N"), int):
+            raise ValueError(f'a pattern needs an integer "N", got {obj!r}')
+        forbidden = obj.get("forbidden", [])
+        if not json_isinstance(forbidden, list) or not all(
+            json_isinstance(k, int) for k in forbidden
+        ):
+            raise ValueError(f'pattern "forbidden" must be a list of integers, got {forbidden!r}')
+        return LacunaryPattern(obj["N"], forbidden)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +500,8 @@ def _coeff_from_json_entry(entry):
     """One coefficient from a 2-list [re, im] or 4-list [re_n, re_d, im_n, im_d]."""
     if not isinstance(entry, (list, tuple)):
         raise ParseError(f"coefficient entry must be a list, got {entry!r}")
+    if not all(json_isinstance(v, (int, float)) for v in entry):
+        raise ParseError(f"coefficient entry parts must be numbers, got {entry!r}")
     if len(entry) == 4:
         rn, rd, im_n, im_d = entry
         if not all(isinstance(v, int) for v in entry):
@@ -532,6 +525,9 @@ def poly_from_json(obj) -> ComplexPoly:
     exact iff every component is an integer.
     """
     if isinstance(obj, dict):
+        for key in ("coeffs", "coeffs_f"):
+            if key in obj and not isinstance(obj[key], list):
+                raise ParseError(f"{key!r} must be a list of coefficient entries, got {obj[key]!r}")
         if "coeffs" in obj:
             cs = [_coeff_from_json_entry(e) for e in obj["coeffs"]]
             if not all(isinstance(c, GaussianRational) for c in cs):
@@ -542,7 +538,7 @@ def poly_from_json(obj) -> ComplexPoly:
             for e in obj["coeffs_f"]:
                 if not isinstance(e, (list, tuple)) or len(e) != 2:
                     raise ParseError('"coeffs_f" entries must be [re, im]')
-                cs.append(complex(float(e[0]), float(e[1])))
+                cs.append(complex(_coeff_from_json_entry(e)))
             return ComplexPoly(cs, mode="float")
         raise ParseError('polynomial object needs a "coeffs" or "coeffs_f" key')
     if isinstance(obj, list):

@@ -1,6 +1,7 @@
 """Norm quadrature against closed forms and a trapezoid cross-check; zeros."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from lacuna import (
     normalize,
     parse_poly,
 )
-from lacuna.circle_analysis import common_disk_zeros
-from lacuna.poly_core import ComplexPoly, conjugate_reciprocal
+from lacuna.circle_analysis import common_disk_zeros, match_disk_zeros, reflected_zeros
+from lacuna.poly_core import ComplexPoly, GaussianRational, conjugate_reciprocal
 
 # closed forms:
 #   ||1+z|| = 4/pi  (mean of 2|cos(t/2)|)
@@ -172,6 +173,40 @@ def test_common_disk_zeros_multiplicity_is_min():
     shared, m = common_disk_zeros(p, ps, eps_circle=1e-8)
     assert m == 1
     assert abs(shared[0].location - 1 / 3) < 1e-10
+
+
+def _planted_product(rng: random.Random) -> ComplexPoly:
+    """Random Gaussian-integer factor times reflected pairs (z - a)(1 - conj(a) z)
+    and a power of z."""
+    def gauss(lo, hi):
+        return GaussianRational(rng.randint(lo, hi), rng.randint(lo, hi))
+
+    p = ComplexPoly([gauss(-3, 3) for _ in range(rng.randint(1, 3))] + [gauss(1, 3)])
+    for _ in range(rng.randint(0, 2)):
+        a = gauss(-2, 2) / GaussianRational(rng.randint(3, 5))
+        p = p * ComplexPoly([-a, 1]) * ComplexPoly([1, -a.conjugate()])
+    return p * ComplexPoly.monomial(rng.randint(0, 2))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_reflected_zeros_match_like_the_zeros_of_pstar(mode):
+    rng = random.Random(11)
+    seen_pair = seen_origin = False
+    for _ in range(40):
+        p = _planted_product(rng)
+        p = p if mode == "exact" else p.to_float()
+        N = p.deg + rng.randint(0, 3)
+        shared, m = common_disk_zeros(p, conjugate_reciprocal(p, N))
+        clusters = find_zeros(p)
+        disk = [c for c in clusters if c.region == "disk"]
+        shared_r, m_r = match_disk_zeros(disk, reflected_zeros(clusters, N - p.deg))
+        assert m_r == m
+        assert [(c.location, c.multiplicity) for c in shared_r] == [
+            (c.location, c.multiplicity) for c in shared
+        ]
+        seen_pair |= any(c.location != 0 for c in shared)
+        seen_origin |= any(c.location == 0 for c in shared)
+    assert seen_pair and seen_origin
 
 
 def test_find_zeros_constant_poly():

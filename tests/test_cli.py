@@ -1,12 +1,15 @@
 """CLI behaviour: exit codes, formats, corpus runner, config handling."""
 
+import dataclasses
 import io
 import json
 from pathlib import Path
 
 import pytest
 
+from lacuna.classifier import ClassifyOptions
 from lacuna.cli_reports import (
+    _OPTION_KINDS,
     EXIT_ERROR,
     EXIT_OK,
     EXIT_UNDECIDED,
@@ -328,18 +331,33 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
     (tmp_path / "f_basis_zero_denominator.json").write_text(
         json.dumps(ZERO_DENOMINATOR_BASIS)
     )
-    (tmp_path / "g_good_again.json").write_text(json.dumps(good))
+    # option values of the wrong JSON type: a truthy string, a numeric string
+    for name, option in (("g_string_bool", {"generate_witnesses": "false"}),
+                         ("h_string_number", {"eps_circle": "1e-8"})):
+        job = {"input": "(1 - z)^2", "pattern": {"N": 2}, "options": option,
+               "expect": {"witness_kinds": []}}
+        (tmp_path / f"{name}.json").write_text(json.dumps(job))
+    (tmp_path / "i_good_again.json").write_text(json.dumps(good))
     code = main(["corpus", str(tmp_path)])
     out = capsys.readouterr().out.splitlines()
     assert code == EXIT_ERROR
     assert out[0] == "PASS a_good: ok"
-    assert out[1].startswith("FAIL b_no_input:") and "KeyError('input')" in out[1]
+    assert out[1].startswith("FAIL b_no_input:") and "missing key 'input'" in out[1]
     assert out[2].startswith("FAIL c_not_json:") and "JSONDecodeError" in out[2]
     assert out[3].startswith("FAIL d_zero_polynomial:") and "zero polynomial" in out[3]
     assert out[4].startswith("FAIL e_zero_denominator:") and "ParseError" in out[4]
     assert out[5].startswith("FAIL f_basis_zero_denominator:") and "'1/0'" in out[5]
-    assert out[6] == "PASS g_good_again: ok"
-    assert out[7] == "2/7 passed"
+    assert out[6].startswith("FAIL g_string_bool:")
+    assert "'generate_witnesses' takes a boolean" in out[6]
+    assert out[7].startswith("FAIL h_string_number:")
+    assert "'eps_circle' takes a number" in out[7]
+    assert out[8] == "PASS i_good_again: ok"
+    assert out[9] == "2/9 passed"
+
+
+def test_corpus_option_kinds_cover_classify_options():
+    fields = {f.name for f in dataclasses.fields(ClassifyOptions)}
+    assert set(_OPTION_KINDS) == fields
 
 
 def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
@@ -351,3 +369,36 @@ def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
     ):
         assert main(argv) == EXIT_ERROR
         assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,key",
+    [
+        (["plusdim", "-"], '{"basis": [[1,0,0]]}', "'d'"),
+        (["plusdim", "-"], '{"d": 1, "basis": 5}', "'basis'"),
+        (["classify", '{"coeffs": 5}', "--pattern", "1"], "", "'coeffs'"),
+        (["classify", "[[1,0],[1,null]]", "--pattern", "1"], "", "[1, None]"),
+    ],
+    ids=["plusdim-no-d", "plusdim-basis-not-a-list", "coeffs-not-a-list", "null-part"],
+)
+def test_malformed_json_input_exits_with_error(argv, stdin, key, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_classify_text_with_cone_dimension_and_witness(mode, capsys):
+    code = main(["classify", "(1 - z^2)^2", "--pattern", "4:1,3", "--mode", mode])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "cone trace dimension: 3" in out
+    assert "exposed: no (via plus_dimension)" in out
+    assert "multiplier bound inf" in out
+    if mode == "exact":
+        assert "witness [non_exposed]: q = (-2)z^2" in out
+    else:
+        assert "witness [non_exposed]: q = " in out
+        # float matrix rows print signed entries
+        assert "    [+0  -1  +0" in out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lacuna import (
+    IllConditionedZeros,
     LacunaryPattern,
     NotHermitianSymmetric,
     canonical_factorization,
@@ -13,6 +14,7 @@ from lacuna import (
     real_symbol_on_circle,
     tilde_factorization,
 )
+from lacuna.factorization import _factor_out
 from lacuna.poly_core import ComplexPoly, GaussianRational
 
 
@@ -56,6 +58,24 @@ def test_canonical_no_common_zeros(examples):
     assert (can.m, can.s) == (0, 4)
     assert can.disk_factor.deg == 0
     assert can.cofactor.coeffs == p.coeffs
+
+
+@pytest.mark.parametrize(
+    "expr,N", [("1 + z/2", 1), ("1 + z/2", 3), ("(1 - z^2)^2", 4), ("2 - 3z + z^3", 3)]
+)
+def test_canonical_without_shared_zeros_divides_by_one(expr, N):
+    p = parse_poly(expr)
+    can = canonical_factorization(p, N)
+    assert (can.m, can.s, can.mode) == (0, N, "exact")
+    assert can.disk_factor == ComplexPoly.one()
+    assert can.cofactor == p
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_split_rejects_a_quotient_over_the_degree_budget(s):
+    # no zeros to split off: the quotient is p itself, of degree 1 > s
+    with pytest.raises(IllConditionedZeros):
+        _factor_out(parse_poly("1 + z/2"), [], s)
 
 
 def test_canonical_origin_pair():
