@@ -409,13 +409,18 @@ def _cmd_plusdim(args) -> int:
 
 
 def _number(x) -> float:
-    """A JSON number, or a fraction string such as "5/8"."""
+    """A finite JSON number, or a fraction string such as "5/8"."""
     if not (isinstance(x, str) or json_isinstance(x, (int, float))):
         raise ValueError(f"expected a number or a fraction string, got {x!r}")
     try:
-        return float(Fraction(x)) if isinstance(x, str) else float(x)
+        value = float(Fraction(x)) if isinstance(x, str) else float(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {x!r}")
+    return value
 
 
 def _coef_list(row, d: int) -> list[float]:

@@ -11,17 +11,19 @@ dimension of a subspace's trace on the plus cone (the span of its plus
 vectors) is what ``plus_dimension`` computes.
 
 Membership is decided by a global minimum scan (grid plus Newton polish on
-the derivative); for vectors with rational entries the verdict is instead
-certified exactly through the Cayley-transform numerator P: tau >= 0 iff P
-has positive leading coefficient, an even degree deficit, and no
-odd-multiplicity real root.  Those roots are counted from Sturm chains
-alone, level by level: the chain of P_j ends in gcd(P_j, P_j') = P_{j+1},
-and with r_j the number of distinct real roots of P_j, the alternating sum
-r_1 - r_2 + r_3 - ... is the number of odd-multiplicity ones.  The
-divisions run on ``poly_core.long_division``.  Positive
-verdicts carry a Gram-matrix witness: a PSD matrix Q with
-gamma_k = sum_j Q[j+k, j], built by spectral factorization of tau and
-repaired, if needed, by alternating projections.
+the derivative, both on ``CoefVector.tau(t, order)``, the one evaluator of
+tau and its derivatives); for vectors with rational entries the verdict is
+instead certified exactly through the Cayley-transform numerator P:
+tau >= 0 iff P has positive leading coefficient, an even degree deficit,
+and no odd-multiplicity real root.  Those roots are counted from Sturm
+chains alone, level by level: the chain of P_j ends in gcd(P_j, P_j') =
+P_{j+1}, and with r_j the number of distinct real roots of P_j, the
+alternating sum r_1 - r_2 + r_3 - ... is the number of odd-multiplicity
+ones.  The divisions run on ``poly_core.long_division``.  A positive
+verdict carries a Gram-matrix witness (a PSD matrix Q with
+gamma_k = sum_j Q[j+k, j]) when spectral factorization of tau succeeds;
+nothing else builds one, so ``gram`` is None where it fails, typically at
+circle zeros of order >= 4.
 
 ``find_plus_in_slice`` looks for a plus vector inside an affine slice of a
 subspace by alternating projections between the PSD cone and the affine
@@ -29,13 +31,14 @@ constraint set; ``plus_dimension`` grows a basis of plus vectors greedily
 with such probes and then certifies completeness facially: the span of all
 plus vectors in V equals the set of vectors whose tau vanishes at each
 circle zero of the accumulated interior point to at least its order.
+Every subspace basis comes from one SVD rank cut, ``_row_space``.
 
-Both solvers iterate on the Hermitian matrix Q itself and share its two
-steps: ``_project_psd`` clips the eigenvalues, and ``_affine_projector``
-projects by least squares onto {Q : C L Q = f}, where L maps Q to the
-coefficient vector of tau_Q.  The Gram repair takes C = I and f the
-coefficients of tau; the slice search takes C = [complement of the
-subspace; w] and f = (0, ..., 0, target).
+Both constructions work on the Hermitian matrix Q: ``_project_psd`` clips
+the eigenvalues, and ``_affine_projector`` projects by least squares onto
+{Q : C L Q = f}, where L maps Q to the coefficient vector of tau_Q.  The
+Gram witness is the spectral factor's rank-one Gram matrix projected once
+with C = I and f the coefficients of tau; the slice search alternates both
+steps with C = [complement of the subspace; w] and f = (0, ..., 0, target).
 """
 
 from __future__ import annotations
@@ -50,9 +53,8 @@ import numpy as np
 from .errors import FacialMismatch, SolverStalled
 from .poly_core import is_exact_scalar, long_division
 
-# alternating projections: Gram repair, and the slice search's convergence
-# test, plateau detection, stall cap and re-certification band
-_GRAM_PROJECTION_ITERS = 5000
+# the slice search's alternating projections: convergence test, plateau
+# detection, stall cap and re-certification band
 _TOL_FEASIBLE = 1e-9
 _ITERATION_CAP = 20000
 _PLATEAU_WINDOW = 500
@@ -102,21 +104,17 @@ class CoefVector:
             g[k] = float(self.alpha[k]) + 1j * float(self.beta[k - 1])
         return g
 
-    def tau(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        g = self.gamma()
-        out = np.full_like(t, float(g[0].real), dtype=float)
-        for k in range(1, self.d + 1):
-            out += 2.0 * (g[k].real * np.cos(k * t) - g[k].imag * np.sin(k * t))
-        return out
+    def tau(self, t, order: int = 0) -> np.ndarray:
+        """tau, or its derivative of the given order, at t (scalar or array).
 
-    def tau_derivative(self, t, order: int = 1) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+        One sum over the harmonics: the m-th derivative is
+        2 Re sum_k (ik)^m gamma_k e^{ikt}, plus gamma_0 when m = 0.
+        """
         g = self.gamma()
-        out = np.zeros_like(t, dtype=float)
-        for k in range(1, self.d + 1):
-            out += 2.0 * ((1j * k) ** order * g[k] * np.exp(1j * k * t)).real
-        return out
+        k = np.arange(1, self.d + 1)
+        waves = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), k))
+        out = 2.0 * (waves @ ((1j * k) ** order * g[1:])).real
+        return out + g[0].real if order == 0 else out
 
     def scale(self) -> float:
         return float(np.max(np.abs(self.gamma()))) if self.d >= 0 else 0.0
@@ -170,20 +168,10 @@ def min_on_circle(v: CoefVector) -> tuple[float, float]:
     g = v.gamma()
     if v.d == 0 or np.max(np.abs(g[1:])) == 0:
         return 0.0, float(g[0].real)
-    ks, gr, gi = _harmonics(g)
-    g0 = float(g[0].real)
-    best_t, best_v = 0.0, math.inf
-    for tc in _grid_minima(v, 8 * v.d + 64):
-        ct, st = np.cos(ks * tc), np.sin(ks * tc)
-        val = g0 + 2.0 * (gr @ ct - gi @ st)
-        if val < best_v:
-            best_t, best_v = float(tc % (2 * math.pi)), float(val)
-    return best_t, best_v
-
-
-def _harmonics(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frequencies 1..d and the real and imaginary parts of gamma_1..gamma_d."""
-    return np.arange(1, len(g), dtype=float), g[1:].real.astype(float), g[1:].imag.astype(float)
+    ts = np.array(_grid_minima(v, 8 * v.d + 64))
+    vals = v.tau(ts)
+    i = int(np.argmin(vals))
+    return float(ts[i] % (2 * math.pi)), float(vals[i])
 
 
 def _grid_minima(v: CoefVector, n: int, ceiling: float = math.inf) -> list[float]:
@@ -192,25 +180,16 @@ def _grid_minima(v: CoefVector, n: int, ceiling: float = math.inf) -> list[float
     A grid point seeds a polish when its value is at most both neighbours'
     and at most ``ceiling``.
     """
-    ks, gr, gi = _harmonics(v.gamma())
     t = 2 * math.pi * np.arange(n) / n
     vals = v.tau(t)
     local = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)) & (vals <= ceiling)
-    return [_polish_minimum(ks, gr, gi, t[i], 2 * math.pi / n) for i in np.flatnonzero(local)]
+    return [_polish_minimum(v, t[i], 2 * math.pi / n) for i in np.flatnonzero(local)]
 
 
-def _tau_d1_d2(ks, gr, gi, t: float) -> tuple[float, float]:
-    """First and second derivative of tau at a scalar t, one trig evaluation."""
-    ct, st = np.cos(ks * t), np.sin(ks * t)
-    d1 = -2.0 * (ks * (gr * st + gi * ct)).sum()
-    d2 = -2.0 * (ks * ks * (gr * ct - gi * st)).sum()
-    return float(d1), float(d2)
-
-
-def _polish_minimum(ks, gr, gi, t0: float, h: float) -> float:
+def _polish_minimum(v: CoefVector, t0: float, h: float) -> float:
     t = t0
     for _ in range(40):
-        d1, d2 = _tau_d1_d2(ks, gr, gi, t)
+        d1, d2 = float(v.tau(t, 1)), float(v.tau(t, 2))
         if d2 <= 0:
             break
         step = d1 / d2
@@ -221,13 +200,10 @@ def _polish_minimum(ks, gr, gi, t0: float, h: float) -> float:
             return t
     # fall back to sign bisection of tau' on the bracket
     a, b = t0 - h, t0 + h
-    da, _ = _tau_d1_d2(ks, gr, gi, a)
-    db, _ = _tau_d1_d2(ks, gr, gi, b)
-    if da < 0 < db:
+    if v.tau(a, 1) < 0 < v.tau(b, 1):
         for _ in range(60):
             m = 0.5 * (a + b)
-            dm, _ = _tau_d1_d2(ks, gr, gi, m)
-            if dm < 0:
+            if v.tau(m, 1) < 0:
                 a = m
             else:
                 b = m
@@ -380,28 +356,14 @@ def gram_diag_sums(Q: np.ndarray) -> np.ndarray:
     return np.array([np.trace(Q, offset=-k) for k in range(n)], dtype=complex)
 
 
-def _gram_from_factor(q: np.ndarray, n: int) -> np.ndarray:
-    qq = np.zeros(n, dtype=complex)
-    qq[: len(q)] = q
-    return np.outer(qq, qq.conj())
-
-
 def _fejer_riesz_gram(v: CoefVector) -> np.ndarray | None:
     """Rank-one Gram matrix via spectral factorization of tau, or None."""
     gamma = v.gamma()
     n = v.d + 1
     scale = float(np.max(np.abs(gamma)))
-    if scale == 0:
-        return np.zeros((n, n), dtype=complex)
     deff = v.d
     while deff > 0 and abs(gamma[deff]) <= 1e-13 * scale:
         deff -= 1
-    if deff == 0:
-        if gamma[0].real < -1e-12 * scale:
-            return None
-        Q = np.zeros((n, n), dtype=complex)
-        Q[0, 0] = max(gamma[0].real, 0.0)
-        return Q
     # z^deff * tau(z) has the conjugate-reflected coefficient list
     laurent = np.concatenate([np.conj(gamma[1 : deff + 1][::-1]), gamma[: deff + 1]])
     roots = np.roots(laurent[::-1])
@@ -423,7 +385,8 @@ def _fejer_riesz_gram(v: CoefVector) -> np.ndarray | None:
         sigma = (gamma[k_star] / auto[k_star]).real
         if sigma <= 0:
             continue
-        Q = repair(_gram_from_factor(math.sqrt(sigma) * q, n))
+        q = math.sqrt(sigma) * np.pad(q, (0, n - len(q)))
+        Q = repair(np.outer(q, q.conj()))
         if _gram_ok(Q, gamma):
             return Q
     return None
@@ -460,19 +423,6 @@ def _gram_ok(Q: np.ndarray, gamma: np.ndarray, tol: float = 1e-8) -> bool:
         return False
     eigs = np.linalg.eigvalsh(Q)
     return bool(eigs[0] >= -tol)
-
-
-def _gram_by_projection(v: CoefVector) -> np.ndarray | None:
-    """Gram matrix of tau_v by alternating projections from zero, or None."""
-    n = v.d + 1
-    gamma = v.gamma()
-    project_affine = _affine_projector(n, v.as_array())
-    Q = project_affine(np.zeros((n, n), dtype=complex))
-    for _ in range(_GRAM_PROJECTION_ITERS):
-        Q = project_affine(_project_psd(Q))
-        if _gram_ok(Q, gamma, tol=1e-9):
-            return _project_psd(Q)
-    return Q if _gram_ok(Q, gamma) else None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -522,11 +472,7 @@ def is_plus(v: CoefVector, tol: float = 1e-9) -> PlusCertificate:
         x[0] += shift / 2
         lifted = CoefVector.from_array(x)
     Q = _fejer_riesz_gram(lifted)
-    if Q is None:
-        Q = _gram_by_projection(lifted)
-    resid = None
-    if Q is not None:
-        resid = float(np.max(np.abs(gram_diag_sums(Q)[: len(v.gamma())] - v.gamma())))
+    resid = None if Q is None else float(np.max(np.abs(gram_diag_sums(Q) - v.gamma())))
     return PlusCertificate(True, boundary, t_min, val, Q, resid, None, v.is_exact)
 
 
@@ -535,27 +481,19 @@ def is_plus(v: CoefVector, tol: float = 1e-9) -> PlusCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _orthonormal_rows(rows: np.ndarray, tol: float = 1e-10, floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the row space, dropping directions with tiny weight.
+def _row_space(
+    rows: np.ndarray, tol: float = 1e-10, floor: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the row space of ``rows`` and of its complement.
 
-    ``floor`` sets an absolute singular-value scale: pass 1.0 when the rows
-    are residuals of unit vectors, so that pure cancellation noise is not
-    mistaken for a direction.
+    One full SVD; singular values at most ``tol * max(s_max, floor)`` are
+    cut.  ``floor`` sets an absolute singular-value scale: pass 1.0 when the
+    rows are residuals of unit vectors, so that pure cancellation noise is
+    not mistaken for a direction.
     """
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    cutoff = tol * max(s[0] if len(s) else 0.0, floor)
-    keep = s > cutoff
-    return vh[: int(np.count_nonzero(keep))]
-
-
-def _complement_rows(sub: np.ndarray, ambient_dim: int) -> np.ndarray:
-    if sub.shape[0] == 0:
-        return np.eye(ambient_dim)
-    _, s, vh = np.linalg.svd(sub, full_matrices=True)
-    rank = int(np.count_nonzero(s > 1e-10 * s[0]))
-    return vh[rank:]
+    _, s, vh = np.linalg.svd(rows, full_matrices=True)
+    rank = int(np.count_nonzero(s > tol * max(s[0] if s.size else 0.0, floor)))
+    return vh[:rank], vh[rank:]
 
 
 def find_plus_in_slice(
@@ -575,11 +513,10 @@ def find_plus_in_slice(
     w = np.asarray(w, dtype=float)
     nx = len(w)
     d = (nx - 1) // 2
-    VB = _orthonormal_rows(np.asarray(basis, dtype=float).reshape(-1, nx))
+    VB, comp = _row_space(np.asarray(basis, dtype=float).reshape(-1, nx))
     w_in = VB.T @ (VB @ w)
     if np.linalg.norm(w_in) <= 1e-12 * max(1.0, np.linalg.norm(w)):
         return None
-    comp = _complement_rows(VB, nx)
     f = np.zeros(comp.shape[0] + 1)
     f[-1] = target
     project_affine = _affine_projector(d + 1, f, np.vstack([comp, w]))
@@ -635,10 +572,10 @@ def plus_dimension(
     the subspace W of V cut out by those vanishing conditions.  Disagreement
     raises :class:`FacialMismatch`; nothing is silently repaired.
     """
-    rows = _coerce_rows(basis)
+    rows = np.array([b.as_array() if isinstance(b, CoefVector) else b for b in basis], dtype=float)
     nx = rows.shape[1]
     d = (nx - 1) // 2
-    VB = _orthonormal_rows(rows)
+    VB, _ = _row_space(rows)
     r = VB.shape[0]
     if r == 0:
         return 0, []
@@ -657,20 +594,12 @@ def plus_dimension(
         found.append(seed)
 
     while True:
-        S = _orthonormal_rows(np.array([v.as_array() for v in found])) if found else np.zeros((0, nx))
-        proj = VB - (VB @ S.T) @ S if S.shape[0] else VB
-        comp = _orthonormal_rows(proj, floor=1.0)
+        S, _ = _row_space(np.array([v.as_array() for v in found]).reshape(-1, nx))
+        comp, _ = _row_space(VB - (VB @ S.T) @ S, floor=1.0)
         if comp.shape[0] == 0:
             break
-        hit = None
-        for w in comp:
-            for target in (1.0, -1.0):
-                cand = find_plus_in_slice(VB, (w, target))
-                if cand is not None:
-                    hit = cand
-                    break
-            if hit is not None:
-                break
+        probes = (find_plus_in_slice(VB, (w, target)) for w in comp for target in (1.0, -1.0))
+        hit = next((cand for cand in probes if cand is not None), None)
         if hit is None:
             break
         found.append(hit)
@@ -697,40 +626,21 @@ def plus_dimension(
     return dim_w, found
 
 
-def _coerce_rows(basis) -> np.ndarray:
-    rows = []
-    for b in basis:
-        rows.append(b.as_array() if isinstance(b, CoefVector) else np.asarray(b, dtype=float))
-    return np.array(rows, dtype=float)
-
-
 def _facial_span(found: list[CoefVector], VB: np.ndarray) -> np.ndarray:
     """Orthonormal basis of {y in V : tau_y vanishes at the zeros of tau_x}."""
     nx = VB.shape[1]
     d = (nx - 1) // 2
-    xs = np.zeros(nx)
-    for v in found:
-        arr = v.as_array()
-        xs = xs + arr / np.linalg.norm(arr)
+    xs = sum(v.as_array() / np.linalg.norm(v.as_array()) for v in found)
     x_hat = CoefVector.from_array(xs, d=d)
     zeros = _circle_zeros_of_tau(x_hat)
     if not zeros:
         return VB
-    basis_vecs = [CoefVector.from_array(VB[i], d=d) for i in range(VB.shape[0])]
-    rows = []
-    for t0, order in zeros:
-        for k in range(order):
-            row = [
-                float(b.tau(t0)) if k == 0 else float(b.tau_derivative(t0, k))
-                for b in basis_vecs
-            ]
-            rows.append(row)
-    A = np.array(rows, dtype=float)
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.count_nonzero(s > 1e-8 * max(smax, 1.0)))
-    null_coords = vh[rank:]
-    return _orthonormal_rows(null_coords @ VB)
+    basis_vecs = [CoefVector.from_array(row, d=d) for row in VB]
+    rows = [
+        [float(b.tau(t0, k)) for b in basis_vecs] for t0, order in zeros for k in range(order)
+    ]
+    _, null_coords = _row_space(np.array(rows, dtype=float), tol=1e-8, floor=1.0)
+    return _row_space(null_coords @ VB)[0]
 
 
 def _circle_zeros_of_tau(v: CoefVector) -> list[tuple[float, int]]:
@@ -740,17 +650,17 @@ def _circle_zeros_of_tau(v: CoefVector) -> list[tuple[float, int]]:
     raw = _grid_minima(v, max(64 * v.d + 256, 512), ceiling=1e-8 * max(scale, 1e-30))
     zeros: list[float] = []
     for t0 in sorted(x % (2 * math.pi) for x in raw):
-        if zeros and min(abs(t0 - zeros[-1]), 2 * math.pi - abs(t0 - zeros[-1])) < 1e-6:
-            continue
-        if zeros and min(abs(t0 - zeros[0]), 2 * math.pi - abs(t0 - zeros[0])) < 1e-6:
-            continue
-        zeros.append(t0)
+        # a new zero must be apart from its predecessor and, around the
+        # circle, from the first one
+        gaps = [abs(t0 - z) for z in zeros[-1:] + zeros[:1]]
+        if all(min(g, 2 * math.pi - g) >= 1e-6 for g in gaps):
+            zeros.append(t0)
     out = []
     for t0 in zeros:
         order = None
         for k in range(1, 2 * v.d + 1):
             bound = 2.0 * float(np.sum(np.abs(g[1:]) * (np.arange(1, v.d + 1) ** k)))
-            if abs(float(v.tau_derivative(t0, k))) > 1e-6 * max(bound, 1e-30):
+            if abs(float(v.tau(t0, k))) > 1e-6 * max(bound, 1e-30):
                 order = k
                 break
         if order is None or order % 2 == 1:

@@ -14,6 +14,7 @@ one operand is float.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import re as _re
@@ -563,6 +564,9 @@ def poly_to_json(p: ComplexPoly) -> dict:
 def parse_poly(text: str) -> ComplexPoly:
     """Parse a JSON coefficient array or a factored expression.
 
+    Every coefficient must have a finite float value: NaN, the infinities
+    and numbers beyond the float range are a :class:`ParseError`.
+
     >>> parse_poly("(z-1/2)*(8-z^3)").coeffs[0]
     GaussianRational(Fraction(-4, 1), Fraction(0, 1))
     >>> parse_poly("[[2,0],[-3,0],[0,0],[1,0]]").deg
@@ -578,8 +582,17 @@ def parse_poly(text: str) -> ComplexPoly:
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
-        return poly_from_json(obj)
-    return _ExprParser(stripped).parse()
+        p = poly_from_json(obj)
+    else:
+        p = _ExprParser(stripped).parse()
+    for k, c in enumerate(p.coeffs):
+        try:
+            finite = cmath.isfinite(complex(c))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ParseError(f"coefficient {k} (of z^{k}) has no finite float value")
+    return p
 
 
 # ---------------------------------------------------------------------------

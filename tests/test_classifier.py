@@ -109,6 +109,34 @@ def test_audit_mode_all_examples(examples):
         assert rep.audit["dim_plus_audit"] == expected_dim.get(name, 1), name
 
 
+FULL_PATTERN_CASES = [("(1 - z^2)^2", 4), ("(z - 1/2)(1 - z/2)", 2), ("1 + z/2", 1)]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("text,N", FULL_PATTERN_CASES)
+def test_audit_runs_the_full_space_route_on_full_patterns(text, N, mode):
+    rep = classify(text, LacunaryPattern(N, []), ClassifyOptions(mode=mode, audit=True))
+    assert "full_space_route" in rep.audit["checks"]
+    assert rep.audit["mismatches"] == []
+
+
+def test_audit_raises_when_the_full_space_route_disagrees(monkeypatch):
+    import dataclasses
+
+    import lacuna.classifier
+    from lacuna import AuditMismatch
+
+    original = lacuna.classifier.classify_full_space
+
+    def flipped(*args, **kwargs):
+        fs = original(*args, **kwargs)
+        return dataclasses.replace(fs, extreme=not fs.extreme)
+
+    monkeypatch.setattr(lacuna.classifier, "classify_full_space", flipped)
+    with pytest.raises(AuditMismatch, match="zero-structure route"):
+        classify("(1 - z^2)^2", LacunaryPattern(4, []), ClassifyOptions(audit=True))
+
+
 def test_scaling_invariance(examples):
     p, pat = examples["single_double_zero"]
     base = classify(p, pat, ClassifyOptions(generate_witnesses=False))
@@ -316,7 +344,6 @@ def test_cone_solver_decides_without_gram_certificates(monkeypatch):
         raise AssertionError("a Gram certificate was built")
 
     monkeypatch.setattr(lacuna.plus_cone, "_fejer_riesz_gram", no_gram)
-    monkeypatch.setattr(lacuna.plus_cone, "_gram_by_projection", no_gram)
     rep = classify("(1 + z^2)^6", LacunaryPattern(12, [1, 3, 5, 7, 9, 11]))
     assert rep.extreme is True and rep.exposed is False
     assert [w.kind for w in rep.witnesses] == ["non_exposed"]

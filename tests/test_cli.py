@@ -355,6 +355,23 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
     assert out[9] == "2/9 passed"
 
 
+def test_corpus_non_finite_jobs_fail_one_line_each(tmp_path, capsys):
+    jobs = {
+        "a_basis": {"d": 1, "basis": [["1e999", 0, 0]]},
+        "b_input": {"input": "10^400 + z", "pattern": {"N": 1}},
+        "c_input_json": {"input": {"coeffs_f": [[float("nan"), 0], [1, 0]]}, "pattern": {"N": 1}},
+    }
+    for name, job in jobs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(job))
+    code = main(["corpus", str(tmp_path)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == EXIT_ERROR
+    assert out[0].startswith("FAIL a_basis:") and "'1e999'" in out[0]
+    assert out[1].startswith("FAIL b_input:") and "coefficient 0" in out[1]
+    assert out[2].startswith("FAIL c_input_json:") and "coefficient 0" in out[2]
+    assert out[3:] == ["0/3 passed"]
+
+
 def test_corpus_option_kinds_cover_classify_options():
     fields = {f.name for f in dataclasses.fields(ClassifyOptions)}
     assert set(_OPTION_KINDS) == fields
@@ -378,8 +395,17 @@ def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
         (["plusdim", "-"], '{"d": 1, "basis": 5}', "'basis'"),
         (["classify", '{"coeffs": 5}', "--pattern", "1"], "", "'coeffs'"),
         (["classify", "[[1,0],[1,null]]", "--pattern", "1"], "", "[1, None]"),
+        # numbers without a finite float value
+        (["plusdim", "-"], '{"d": 1, "basis": [[1e999, 0, 0]]}', "got inf"),
+        (["plusdim", "-"], '{"d": 1, "basis": [["1e999", "0", "0"]]}', "'1e999'"),
+        (["plusdim", "-"], '{"d": 1, "basis": [[NaN, 0, 0]]}', "got nan"),
+        (["classify", "10^400 + z", "--pattern", "1"], "", "coefficient 0"),
+        (["classify", "1e400 + z", "--pattern", "1"], "", "coefficient 0"),
+        (["classify", '{"coeffs_f": [[1, 0], [NaN, 0]]}', "--pattern", "1"], "", "coefficient 1"),
     ],
-    ids=["plusdim-no-d", "plusdim-basis-not-a-list", "coeffs-not-a-list", "null-part"],
+    ids=["plusdim-no-d", "plusdim-basis-not-a-list", "coeffs-not-a-list", "null-part",
+         "plusdim-infinity", "plusdim-overflowing-string", "plusdim-nan",
+         "classify-overflowing-integer", "classify-infinite-decimal", "classify-nan"],
 )
 def test_malformed_json_input_exits_with_error(argv, stdin, key, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
