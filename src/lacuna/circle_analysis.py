@@ -7,10 +7,12 @@ every panel then sees a one-sided algebraic kink at worst and the composite
 rule converges fast.
 
 Zero finding reports clusters ``(location, multiplicity, region, residual)``.
-Numeric multiplicity is ill-posed, so exact mode first splits the polynomial
-by a square-free (Yun) decomposition and reads multiplicities off the
-decomposition; float mode clusters companion-matrix roots and validates the
-clustering by rebuilding the polynomial.
+Numeric multiplicity is ill-posed, so exact mode decides it exactly: a
+degree-0 gcd(p, p') modulo a prime certifies that p is square-free (every
+zero simple), and only otherwise does a square-free (Yun) decomposition split
+p and give the multiplicities.  Float mode clusters companion-matrix roots
+and validates the clustering by rebuilding the polynomial.  In both modes a
+zero beyond the float range raises :class:`IllConditionedZeros`.
 """
 
 from __future__ import annotations
@@ -89,13 +91,11 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no unit-norm representative")
-    coeffs = p.float_coeffs()
+    coeffs, roots = _float_roots(p, "p")
     breaks: list[float] = []
-    if p.deg >= 1:
-        roots = np.roots(coeffs[::-1])
-        for r in roots:
-            if abs(abs(r) - 1.0) < 0.1:
-                breaks.append(cmath.phase(complex(r)) % (2 * math.pi))
+    for r in roots:
+        if abs(abs(r) - 1.0) < 0.1:
+            breaks.append(cmath.phase(complex(r)) % (2 * math.pi))
     breaks = sorted(set(breaks))
     if not breaks:
         edges = [2 * math.pi * k / 8 for k in range(9)]
@@ -159,6 +159,38 @@ def normalize(p: ComplexPoly, tol: float = 1e-10) -> tuple[ComplexPoly, float]:
 # ---------------------------------------------------------------------------
 # zeros
 # ---------------------------------------------------------------------------
+
+
+def _float_roots(p: ComplexPoly, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """p's coefficients as floats and their companion-matrix roots.
+
+    A zero beyond the float range raises :class:`IllConditionedZeros` naming
+    p as ``name`` and the coefficient that shows the zero: one with no float
+    value, or one whose ratio to the leading coefficient (a companion-matrix
+    entry) overflows.
+    """
+    coeffs = []
+    for k, c in enumerate(p.coeffs):
+        try:
+            coeffs.append(complex(c))
+        except OverflowError:
+            raise _beyond_float_range(name, k, "has no float value") from None
+    coeffs = np.array(coeffs, dtype=complex)
+    top = np.trim_zeros(coeffs, "b")
+    if top.size >= 2:
+        with np.errstate(all="ignore"):
+            bad = np.flatnonzero(~np.isfinite(top[:-1] / top[-1]))
+        if bad.size:
+            raise _beyond_float_range(name, int(bad[0]), "over the leading one overflows")
+    return coeffs, np.roots(coeffs[::-1])
+
+
+def _beyond_float_range(name: str, k: int, what: str) -> IllConditionedZeros:
+    return IllConditionedZeros(
+        f"a zero of {name} lies beyond the float range: its coefficient {k} "
+        f"(of z^{k}) {what}",
+        diagnostics={"coefficient": k},
+    )
 
 
 def _backward_error(coeffs: np.ndarray, r: complex) -> float:
@@ -238,11 +270,13 @@ def find_zeros(p: ComplexPoly, eps_circle: float = 1e-8) -> list[ZeroCluster]:
     -------
     list of ZeroCluster
         Locations carry a backward-error ``residual``.  Exact mode certifies
-        multiplicities through the square-free decomposition; float mode
-        clusters companion-matrix roots (radius 1e-6, with a coarser and a
-        finer fallback) and validates by rebuilding the polynomial, raising
-        :class:`IllConditionedZeros` when no clustering reproduces the
-        coefficients to 1e-6.
+        square-free input (all multiplicities 1) by a degree-0 gcd(p, p')
+        modulo a prime and runs the square-free (Yun) decomposition only
+        otherwise; float mode clusters companion-matrix roots (radius 1e-6,
+        with a coarser and a finer fallback) and validates by rebuilding the
+        polynomial, raising :class:`IllConditionedZeros` when no clustering
+        reproduces the coefficients to 1e-6.  Both modes raise it too when a
+        zero lies beyond the float range.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -263,9 +297,9 @@ def find_zeros(p: ComplexPoly, eps_circle: float = 1e-8) -> list[ZeroCluster]:
 def _zeros_exact(body: ComplexPoly, eps_circle: float) -> list[ZeroCluster]:
     out = []
     for factor, mult in square_free_decomposition(body):
-        fc = factor.float_coeffs()
+        fc, roots = _float_roots(factor, f"p's monic factor of multiplicity {mult}")
         dfc = factor.derivative().float_coeffs()
-        for r in np.roots(fc[::-1]):
+        for r in roots:
             r = _newton_refine(fc, dfc, complex(r))
             res = _backward_error(fc, r)
             if res > 1e-6:
@@ -278,8 +312,7 @@ def _zeros_exact(body: ComplexPoly, eps_circle: float) -> list[ZeroCluster]:
 
 
 def _zeros_float(body: ComplexPoly, eps_circle: float) -> list[ZeroCluster]:
-    coeffs = body.float_coeffs()
-    roots = np.roots(coeffs[::-1])
+    coeffs, roots = _float_roots(body, "p over its zeros at the origin")
     best = None
     for radius in (1e-6, 1e-8, 1e-4):
         grouped = _cluster_roots(roots, radius)

@@ -255,11 +255,14 @@ class ComplexPoly:
             a, b = self._pair(other)
             if a.is_zero() or b.is_zero():
                 return ComplexPoly.zero(a.mode)
-            # every slot receives a product, which sets the scalar type
+            # only nonzero pairs multiply: a float sum starts from the int 0, so it
+            # is never -0.0 and a skipped +-0.0 product would not have changed it
             out = [0] * (a.deg + b.deg + 1)
+            terms = [(j, cb) for j, cb in enumerate(b.coeffs) if cb]
             for i, ca in enumerate(a.coeffs):
-                for j, cb in enumerate(b.coeffs):
-                    out[i + j] = out[i + j] + ca * cb
+                if ca:
+                    for j, cb in terms:
+                        out[i + j] = out[i + j] + ca * cb
             return ComplexPoly(out, mode=a.mode)
         if is_exact_scalar(other) or isinstance(other, (float, complex)):
             return self * ComplexPoly.constant(other)
@@ -668,24 +671,87 @@ def divide_exact(p: ComplexPoly, d: ComplexPoly, tol: float = 1e-10) -> ComplexP
     return ComplexPoly(quot, mode=a.mode)
 
 
+# A 62-bit prime l = 1 (mod 4) and a square root of -1 modulo l: a + bi -> a + b*iota
+# maps every Gaussian rational whose denominators l does not divide into F_l.
+_GCD_PRIME = 4611686018427387817
+_GCD_IOTA = 4490822397581186023
+
+
+def _image_mod_prime(coeffs: Sequence[GaussianRational]) -> list[int] | None:
+    """Images in F_l of Gaussian rationals, or None when l divides a denominator."""
+    ell = _GCD_PRIME
+    out = []
+    for c in coeffs:
+        if not (c.re.denominator % ell and c.im.denominator % ell):
+            return None
+        re = c.re.numerator * pow(c.re.denominator, -1, ell)
+        im = c.im.numerator * pow(c.im.denominator, -1, ell)
+        out.append((re + im * _GCD_IOTA) % ell)
+    return out
+
+
+def _coprime_mod_prime(p: ComplexPoly, q: ComplexPoly) -> bool:
+    """True when the images of p and q in F_l[z] have a gcd of degree 0.
+
+    False when the certificate does not apply: p is zero, l divides a
+    denominator in p or q, or p's leading coefficient maps to 0.
+    """
+    if p.is_zero():
+        return False
+    ell = _GCD_PRIME
+    a, b = _image_mod_prime(p.coeffs), _image_mod_prime(q.coeffs)
+    if a is None or b is None or not a[-1]:
+        return False
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        n = len(b) - 1
+        inv = pow(b[-1], -1, ell)
+        for k in range(len(a) - n - 1, -1, -1):
+            c = a[k + n] * inv % ell
+            if c:
+                for j, bj in enumerate(b):
+                    a[k + j] = (a[k + j] - c * bj) % ell
+        del a[n:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def gcd_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
-    """Monic gcd over Gaussian rationals (Euclid); exact mode only."""
+    """Monic gcd over Gaussian rationals (Euclid); exact mode only.
+
+    A coprime pair is first certified modulo the 62-bit prime l = ``_GCD_PRIME``
+    (W. S. Brown, J. ACM 1971).  The certificate is sound when p is nonzero,
+    l divides no denominator in p or q, and p's leading coefficient does not
+    map to 0: a common factor g over Q(i) then keeps its degree modulo l and
+    divides both images, so a degree-0 gcd of the images proves gcd(p, q) = 1.
+    Otherwise, or when the images share a factor, Euclid decides over Q(i).
+    """
     if p.mode != "exact" or q.mode != "exact":
         raise UnsupportedMode("gcd_exact requires exact-mode polynomials")
+    if _coprime_mod_prime(p, q):
+        return ComplexPoly.one()
     a, b = p.coeffs, q.coeffs
     while b:
         a, b = b, long_division(a, b)[1]
     if not a:
         raise ValueError("gcd of two zero polynomials is undefined")
-    lead = a[-1]
-    return ComplexPoly([c / lead for c in a], mode="exact")
+    return _monic(a)
+
+
+def _monic(coeffs: Sequence[GaussianRational]) -> ComplexPoly:
+    lead = coeffs[-1]
+    return ComplexPoly([c / lead for c in coeffs], mode="exact")
 
 
 def square_free_decomposition(p: ComplexPoly) -> list[tuple[ComplexPoly, int]]:
     """Yun decomposition [(f_i, i)] with p = lead * prod f_i^i, f_i square-free.
 
     Exact mode only; factors are monic and pairwise coprime, constants are
-    dropped.
+    dropped.  When the first gcd(p, p') is 1, p is square-free and the
+    result is [(monic p, 1)] without further gcds.
     """
     if p.mode != "exact":
         raise UnsupportedMode("square-free decomposition requires exact mode")
@@ -693,8 +759,11 @@ def square_free_decomposition(p: ComplexPoly) -> list[tuple[ComplexPoly, int]]:
         raise ValueError("zero polynomial has no square-free decomposition")
     if p.deg == 0:
         return []
-    out: list[tuple[ComplexPoly, int]] = []
     g = gcd_exact(p, p.derivative())
+    if g.deg == 0:
+        # square-free: the loop below would return this one monic factor
+        return [(_monic(p.coeffs), 1)]
+    out: list[tuple[ComplexPoly, int]] = []
     c = divide_exact(p, g)
     d = divide_exact(p.derivative(), g) - c.derivative()
     i = 1

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -402,14 +403,20 @@ def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
         (["classify", "10^400 + z", "--pattern", "1"], "", "coefficient 0"),
         (["classify", "1e400 + z", "--pattern", "1"], "", "coefficient 0"),
         (["classify", '{"coeffs_f": [[1, 0], [NaN, 0]]}', "--pattern", "1"], "", "coefficient 1"),
+        # finite coefficients whose zero, -10^400 or -10^320, has no float value
+        (["classify", "1 + z/10^400", "--pattern", "1"], "", "beyond the float range"),
+        (["classify", '{"coeffs_f": [[1,0],[1e-320,0]]}', "--pattern", "1"], "", "beyond the float range"),
     ],
     ids=["plusdim-no-d", "plusdim-basis-not-a-list", "coeffs-not-a-list", "null-part",
          "plusdim-infinity", "plusdim-overflowing-string", "plusdim-nan",
-         "classify-overflowing-integer", "classify-infinite-decimal", "classify-nan"],
+         "classify-overflowing-integer", "classify-infinite-decimal", "classify-nan",
+         "classify-exact-zero-beyond-float-range", "classify-float-zero-beyond-float-range"],
 )
 def test_malformed_json_input_exits_with_error(argv, stdin, key, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    assert main(argv) == EXIT_ERROR
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lacuna import (
@@ -20,7 +20,10 @@ from lacuna import (
     spectrum_in,
 )
 from lacuna.errors import NotDivisible
+import lacuna.poly_core
 from lacuna.poly_core import (
+    _GCD_IOTA,
+    _GCD_PRIME,
     format_poly,
     gcd_exact,
     long_division,
@@ -64,6 +67,40 @@ def test_mul_matches_sympy(p, q):
     got = p * q
     want = _from_sympy(_to_sympy(p) * _to_sympy(q))
     assert got.coeffs == want.coeffs
+
+
+def _dense_mul(a: ComplexPoly, b: ComplexPoly) -> ComplexPoly:
+    """Schoolbook product over every pair of coefficients, zeros included."""
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + ca * cb
+    return ComplexPoly(out, mode=a.mode)
+
+
+sparse_polys = st.lists(st.one_of(st.just(GaussianRational(0)), gauss), min_size=1, max_size=9).map(
+    ComplexPoly
+)
+float_parts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1e3, max_value=1e3))
+float_polys = st.lists(st.builds(complex, float_parts, float_parts), min_size=1, max_size=9).map(
+    lambda cs: ComplexPoly(cs, mode="float")
+)
+
+
+@given(sparse_polys, sparse_polys)
+def test_mul_skipping_zeros_matches_dense_product_exact(p, q):
+    assume(not p.is_zero() and not q.is_zero())
+    assert (p * q).coeffs == _dense_mul(p, q).coeffs
+
+
+@given(float_polys, float_polys)
+def test_mul_skipping_zeros_is_bitwise_dense_product_float(p, q):
+    assume(not p.is_zero() and not q.is_zero())
+
+    def bits(r):
+        return [(repr(c.real), repr(c.imag)) for c in r.coeffs]
+
+    assert bits(p * q) == bits(_dense_mul(p, q))
 
 
 @given(polys, polys)
@@ -115,7 +152,7 @@ def test_long_division_is_generic_in_the_scalar(num, den, quot, rem):
 
 @given(polys, polys)
 def test_gcd_divides_both(p, q):
-    if p.deg < 0 or q.deg < 0:
+    if p.deg < 0 and q.deg < 0:
         return
     g = gcd_exact(p, q)
     assert g.deg >= 0
@@ -123,6 +160,78 @@ def test_gcd_divides_both(p, q):
     divide_exact(q, g)
     want = sympy.gcd(_to_sympy(p), _to_sympy(q))
     assert g.deg == sympy.Poly(want, _z).degree()
+
+
+def _euclid_gcd(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
+    """Monic gcd by Euclid over Q(i) alone, the reference for the certificate."""
+    a, b = p.coeffs, q.coeffs
+    while b:
+        a, b = b, long_division(a, b)[1]
+    lead = a[-1]
+    return ComplexPoly([c / lead for c in a])
+
+
+def test_gcd_prime_constants():
+    assert sympy.isprime(_GCD_PRIME) and _GCD_PRIME.bit_length() == 62
+    assert _GCD_PRIME % 4 == 1
+    assert (_GCD_IOTA * _GCD_IOTA + 1) % _GCD_PRIME == 0
+
+
+_ELL = GaussianRational(_GCD_PRIME)
+# maps to iota - iota = 0 under a + bi -> a + b*iota
+_VANISHING = GaussianRational(_GCD_IOTA, -1)
+
+
+@pytest.mark.parametrize(
+    "p,q,want",
+    [
+        # p = 0: gcd(0, l z + 1) is z + 1/l, not the 1 of a degree-0 image
+        (ComplexPoly.zero(), ComplexPoly([1, _ELL]), ComplexPoly([Fraction(1, _GCD_PRIME), 1])),
+        # p's leading coefficient maps to 0, and so does the common factor's:
+        # the images z + 2 and z + 3 are coprime, p and q are not
+        (
+            ComplexPoly([1, _VANISHING]) * ComplexPoly([2, 1]),
+            ComplexPoly([1, _VANISHING]) * ComplexPoly([3, 1]),
+            ComplexPoly([1 / _VANISHING, 1]),
+        ),
+        # a denominator divisible by l has no image
+        (
+            ComplexPoly([1 / _ELL, 1]) * ComplexPoly([2, 1]),
+            ComplexPoly([1 / _ELL, 1]) * ComplexPoly([3, 1]),
+            ComplexPoly([1 / _ELL, 1]),
+        ),
+        (ComplexPoly([2, 1]), ComplexPoly([1 / _ELL, 1]), ComplexPoly.one()),
+    ],
+    ids=["zero-p", "leading-coefficient-maps-to-0", "common-factor-over-l", "coprime-over-l"],
+)
+def test_gcd_certificate_guards_fall_back_to_euclid(p, q, want):
+    assert _euclid_gcd(p, q) == want
+    assert gcd_exact(p, q) == want
+
+
+@given(polys, polys, polys, st.booleans())
+def test_gcd_with_planted_factor_matches_euclid(g, a, b, derivative):
+    assume(not g.is_zero())
+    p = g * a
+    q = p.derivative() if derivative else g * b
+    assume(not (p.is_zero() and q.is_zero()))
+    assert gcd_exact(p, q) == _euclid_gcd(p, q)
+
+
+def test_square_free_input_takes_one_gcd(monkeypatch):
+    p = parse_poly("(2+i)z^24 - 3z^17 + (1-2i)z^5 + z - 7")
+    sp = _to_sympy(p)
+    assert sympy.gcd(sp, sp.diff(_z)).degree() == 0
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return gcd_exact(a, b)
+
+    monkeypatch.setattr(lacuna.poly_core, "gcd_exact", counting_gcd)
+    lead = p.coeffs[-1]
+    assert square_free_decomposition(p) == [(ComplexPoly([c / lead for c in p.coeffs]), 1)]
+    assert len(calls) == 1
 
 
 def test_square_free_decomposition_oracle():
