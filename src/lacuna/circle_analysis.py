@@ -31,6 +31,8 @@ _GL_LO = np.polynomial.legendre.leggauss(16)
 _GL_HI = np.polynomial.legendre.leggauss(32)
 # distance under which a zero of p and a zero of p* count as one shared zero
 _MATCH_RADIUS = 1e-6
+# half-width of the annulus |1 - |r|| <= _EPS_CIRCLE whose zeros are "on the circle"
+_EPS_CIRCLE = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -212,11 +214,11 @@ def _newton_refine(coeffs: np.ndarray, dcoeffs: np.ndarray, r: complex, steps: i
     return complex(r)
 
 
-def _region(r: complex, eps_circle: float) -> str:
+def _region(r: complex) -> str:
     d = abs(r)
-    if d < 1.0 - eps_circle:
+    if d < 1.0 - _EPS_CIRCLE:
         return "disk"
-    if d <= 1.0 + eps_circle:
+    if d <= 1.0 + _EPS_CIRCLE:
         return "circle"
     return "exterior"
 
@@ -256,20 +258,20 @@ def _rebuild_score(coeffs: np.ndarray, clusters: list[tuple[complex, int]]) -> f
     return float(np.max(np.abs(rebuilt - coeffs))) / scale
 
 
-def find_zeros(p: ComplexPoly, eps_circle: float = 1e-8) -> list[ZeroCluster]:
+def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
     """All zeros of p as certified clusters, sorted by argument then modulus.
 
     Parameters
     ----------
     p : ComplexPoly
         Nonzero polynomial.
-    eps_circle : float
-        Half-width of the annulus treated as "on the circle".
 
     Returns
     -------
     list of ZeroCluster
-        Locations carry a backward-error ``residual``.  Exact mode certifies
+        Locations carry a backward-error ``residual``.  A zero whose modulus
+        is within ``_EPS_CIRCLE`` (1e-8) of 1 has region "circle"; the rest
+        are "disk" or "exterior".  Exact mode certifies
         square-free input (all multiplicities 1) by a degree-0 gcd(p, p')
         modulo a prime and runs the square-free (Yun) decomposition only
         otherwise; float mode clusters companion-matrix roots (radius 1e-6,
@@ -287,14 +289,14 @@ def find_zeros(p: ComplexPoly, eps_circle: float = 1e-8) -> list[ZeroCluster]:
     body = ComplexPoly(p.coeffs[k0:], mode=p.mode)
     if body.deg >= 1:
         if p.mode == "exact":
-            clusters.extend(_zeros_exact(body, eps_circle))
+            clusters.extend(_zeros_exact(body))
         else:
-            clusters.extend(_zeros_float(body, eps_circle))
+            clusters.extend(_zeros_float(body))
     clusters.sort(key=lambda c: _sort_key(c.location))
     return clusters
 
 
-def _zeros_exact(body: ComplexPoly, eps_circle: float) -> list[ZeroCluster]:
+def _zeros_exact(body: ComplexPoly) -> list[ZeroCluster]:
     out = []
     for factor, mult in square_free_decomposition(body):
         fc, roots = _float_roots(factor, f"p's monic factor of multiplicity {mult}")
@@ -307,11 +309,11 @@ def _zeros_exact(body: ComplexPoly, eps_circle: float) -> list[ZeroCluster]:
                     f"root {r} of a square-free factor has backward error {res:.2e}",
                     diagnostics={"factor_degree": factor.deg, "residual": res},
                 )
-            out.append(ZeroCluster(r, mult, _region(r, eps_circle), res))
+            out.append(ZeroCluster(r, mult, _region(r), res))
     return out
 
 
-def _zeros_float(body: ComplexPoly, eps_circle: float) -> list[ZeroCluster]:
+def _zeros_float(body: ComplexPoly) -> list[ZeroCluster]:
     coeffs, roots = _float_roots(body, "p over its zeros at the origin")
     best = None
     for radius in (1e-6, 1e-8, 1e-4):
@@ -336,9 +338,7 @@ def _zeros_float(body: ComplexPoly, eps_circle: float) -> list[ZeroCluster]:
             f"no clustering of the roots reproduces the coefficients (score {score:.2e})",
             diagnostics={"score": score},
         )
-    return [
-        ZeroCluster(c, mult, _region(c, eps_circle), score) for c, mult in refined
-    ]
+    return [ZeroCluster(c, mult, _region(c), score) for c, mult in refined]
 
 
 def match_disk_zeros(
@@ -368,9 +368,7 @@ def reflected_zeros(clusters: list[ZeroCluster], origin_order: int) -> list[Zero
 
 
 def common_disk_zeros(
-    p: ComplexPoly,
-    pstar: ComplexPoly,
-    eps_circle: float = 1e-8,
+    p: ComplexPoly, pstar: ComplexPoly
 ) -> tuple[tuple[ZeroCluster, ...], int]:
     """Zeros shared by p and its conjugate reciprocal inside the open disk.
 
@@ -378,6 +376,6 @@ def common_disk_zeros(
     sides) and their total multiplicity.  The origin participates through the
     order of ``pstar`` at zero, i.e. through ``N - deg p``.
     """
-    zp = [c for c in find_zeros(p, eps_circle) if c.region == "disk"]
-    zs = [c for c in find_zeros(pstar, eps_circle) if c.region == "disk"]
+    zp = [c for c in find_zeros(p) if c.region == "disk"]
+    zs = [c for c in find_zeros(pstar) if c.region == "disk"]
     return match_disk_zeros(zp, zs)

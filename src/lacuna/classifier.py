@@ -77,8 +77,6 @@ _WITNESS_GRID = 2048
 @dataclasses.dataclass
 class ClassifyOptions:
     mode: str = "auto"  # auto | exact | float
-    eps_circle: float = 1e-8
-    spectrum_tol: float | None = None  # relative cutoff for support checks
     audit: bool = False
     infer_pattern: bool = False
     generate_witnesses: bool = True
@@ -128,12 +126,12 @@ class ClassificationReport:
 # ---------------------------------------------------------------------------
 
 
-def infer_pattern(p: ComplexPoly, tol: float | None = None) -> LacunaryPattern:
+def infer_pattern(p: ComplexPoly) -> LacunaryPattern:
     """Largest pattern consistent with p: every vanishing interior coefficient
     is treated as forbidden."""
     if p.deg < 1:
         raise ValueError("need degree at least 1 to infer a pattern")
-    support = set(spectrum(p, tol))
+    support = set(spectrum(p))
     forbidden = [k for k in range(1, p.deg) if k not in support]
     return LacunaryPattern(p.deg, forbidden)
 
@@ -367,18 +365,18 @@ def classify(
             raise ValueError(
                 "no pattern given; pass one or enable infer_pattern explicitly"
             )
-        pattern = infer_pattern(p, tol=opt.spectrum_tol)
+        pattern = infer_pattern(p)
     if p.deg > pattern.N:
         raise SpectrumViolation(
             f"degree {p.deg} exceeds the pattern bound {pattern.N}"
         )
-    if not spectrum_in(p, pattern, tol=opt.spectrum_tol):
+    if not spectrum_in(p, pattern):
         raise SpectrumViolation(
             "polynomial has energy at a forbidden exponent of the pattern"
         )
 
     norm_res = l1_norm(p)
-    canonical = canonical_factorization(p, pattern.N, eps_circle=opt.eps_circle)
+    canonical = canonical_factorization(p, pattern.N)
     tilde = tilde_factorization(pattern.N, canonical)
     forbidden = tuple(pattern.forbidden)
     rep = ClassificationReport(
@@ -449,7 +447,7 @@ def classify(
             diagnostics["plus_vectors_found"] = len(found_plus)
 
     if opt.audit:
-        _run_audit(rep, seed_tilde, opt.eps_circle)
+        _run_audit(rep, seed_tilde)
 
     if opt.generate_witnesses:
         if rep.extreme is False:
@@ -494,15 +492,13 @@ def _check_seed_membership(
         )
 
 
-def _run_audit(
-    rep: ClassificationReport, seed_tilde: CoefVector | None, eps_circle: float
-) -> None:
+def _run_audit(rep: ClassificationReport, seed_tilde: CoefVector | None) -> None:
     """Cross-check the verdicts in rep by independent routes; log into rep.audit."""
     audit_log = rep.audit
     extreme, exposed, fast_exposed = rep.extreme, rep.exposed, rep.fast_path_exposed
     if rep.pattern.M == 0:
         audit_log["checks"].append("full_space_route")
-        fs = classify_full_space(rep.polynomial, N=rep.pattern.N, eps_circle=eps_circle)
+        fs = classify_full_space(rep.polynomial, N=rep.pattern.N)
         if fs.extreme != extreme or (exposed is not None and fs.exposed != exposed):
             audit_log["mismatches"].append("full_space_route")
             raise AuditMismatch(
@@ -538,9 +534,7 @@ class FullSpaceReport:
     circle_multiplicities: tuple[int, ...]
 
 
-def classify_full_space(
-    p, N: int | None = None, eps_circle: float = 1e-8
-) -> FullSpaceReport:
+def classify_full_space(p, N: int | None = None) -> FullSpaceReport:
     """Classification for the full exponent range 0..N, by zero structure only.
 
     With no forbidden exponents, extreme means no zero is shared with the
@@ -557,7 +551,7 @@ def classify_full_space(
         N = p.deg
     if p.deg > N:
         raise ValueError(f"degree {p.deg} exceeds N={N}")
-    clusters = find_zeros(p, eps_circle=eps_circle)
+    clusters = find_zeros(p)
     disk = [c for c in clusters if c.region == "disk"]
     _, m = match_disk_zeros(disk, reflected_zeros(clusters, N - p.deg))
     circle_mults = tuple(

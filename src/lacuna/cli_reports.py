@@ -258,15 +258,16 @@ def _read_input(arg: str) -> str:
 
 def _parse_pattern_arg(text: str) -> LacunaryPattern:
     """Pattern syntax: 'N' or 'N:k1,k2,...'."""
-    if ":" in text:
-        n_part, k_part = text.split(":", 1)
+    n_part, _, k_part = text.partition(":")
+    try:
+        N = int(n_part)
         forbidden = [int(x) for x in k_part.split(",") if x.strip()]
-    else:
-        n_part, forbidden = text, []
-    return LacunaryPattern(int(n_part), forbidden)
+    except ValueError:
+        raise ValueError(f"bad pattern {text!r}: expected 'N' or 'N:k1,k2,...'") from None
+    return LacunaryPattern(N, forbidden)
 
 
-_CONFIG_KEYS = ("mode", "eps_circle", "tol", "audit", "witnesses", "pattern", "format")
+_CONFIG_KEYS = ("mode", "audit", "witnesses", "pattern", "format")
 
 
 def _load_config(path: str) -> dict:
@@ -302,25 +303,17 @@ def _options_from(args, config: dict) -> ClassifyOptions:
     opt = ClassifyOptions()
     if "mode" in config:
         opt.mode = config["mode"]
-    if "eps_circle" in config:
-        opt.eps_circle = float(config["eps_circle"])
-    if "tol" in config:
-        opt.spectrum_tol = float(config["tol"])
     if "audit" in config:
         opt.audit = _as_bool(config["audit"], "audit")
     if "witnesses" in config:
         opt.generate_witnesses = _as_bool(config["witnesses"], "witnesses")
-    if getattr(args, "mode", None):
+    if args.mode:
         opt.mode = args.mode
-    if getattr(args, "eps_circle", None) is not None:
-        opt.eps_circle = args.eps_circle
-    if getattr(args, "tol", None) is not None:
-        opt.spectrum_tol = args.tol
-    if getattr(args, "audit", False):
+    if args.audit:
         opt.audit = True
-    if getattr(args, "no_witnesses", False):
+    if args.no_witnesses:
         opt.generate_witnesses = False
-    if getattr(args, "infer_pattern", False):
+    if args.infer_pattern:
         opt.infer_pattern = True
     return opt
 
@@ -358,13 +351,12 @@ def _cmd_classify(args) -> int:
 
 _MISSING = object()
 _JSON_KINDS = {
-    bool: "a boolean", int: "an integer", (int, float): "a number", str: "a string",
+    bool: "a boolean", int: "an integer", str: "a string",
     list: "a list", dict: "an object", (str, list, dict): "a string, a list or an object",
 }
 # the JSON type of each ClassifyOptions field a corpus job may set
 _OPTION_KINDS = {
-    "mode": str, "eps_circle": (int, float), "spectrum_tol": (int, float),
-    "audit": bool, "infer_pattern": bool, "generate_witnesses": bool,
+    "mode": str, "audit": bool, "infer_pattern": bool, "generate_witnesses": bool,
 }
 
 
@@ -551,8 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--mode", choices=["auto", "exact", "float"])
     c.add_argument("--audit", action="store_true", help="cross-check shortcuts")
-    c.add_argument("--eps-circle", type=float, dest="eps_circle")
-    c.add_argument("--tol", type=float, help="relative support-check tolerance")
     c.add_argument("--no-witnesses", action="store_true", dest="no_witnesses")
     c.add_argument("--format", choices=["text", "json"])
     c.add_argument("--out", help="write the report to a file")
@@ -576,7 +566,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means undecided here;
+        # --help and --version exit 0 and pass through
+        if exc.code == 0:
+            raise
+        return EXIT_ERROR
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

@@ -122,17 +122,15 @@ def _coef_map(r: ComplexPoly) -> dict:
     return {k: r.coeffs[k] for k in range(r.deg + 1)}
 
 
-def canonical_factorization(
-    p: ComplexPoly, N: int, eps_circle: float = 1e-8
-) -> CanonicalData:
+def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
     """Factor out the zeros shared with the conjugate-reciprocal inside the disk."""
     if p.deg < 0:
         raise ValueError("cannot factor the zero polynomial")
     if p.deg > N:
         raise ValueError(f"degree {p.deg} exceeds the ambient degree {N}")
     pstar = conjugate_reciprocal(p, N)
-    clusters = find_zeros(p, eps_circle=eps_circle)
-    shared, m = common_disk_zeros(p, pstar, eps_circle=eps_circle)
+    clusters = find_zeros(p)
+    shared, m = common_disk_zeros(p, pstar)
     s = N - 2 * m
     G, R, mode = _factor_out(p, [(c.location, c.multiplicity) for c in shared], s)
     return CanonicalData(

@@ -90,11 +90,13 @@ class GaussianRational:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            # a rational factor scales both parts; no Gaussian product needed
+            return GaussianRational(self.re * other, self.im * other)
+        if not isinstance(other, GaussianRational):
             return NotImplemented
         return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
         )
 
     __rmul__ = __mul__
@@ -742,8 +744,8 @@ def gcd_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
 
 
 def _monic(coeffs: Sequence[GaussianRational]) -> ComplexPoly:
-    lead = coeffs[-1]
-    return ComplexPoly([c / lead for c in coeffs], mode="exact")
+    inv = 1 / coeffs[-1]
+    return ComplexPoly([c * inv for c in coeffs], mode="exact")
 
 
 def square_free_decomposition(p: ComplexPoly) -> list[tuple[ComplexPoly, int]]:
@@ -759,13 +761,14 @@ def square_free_decomposition(p: ComplexPoly) -> list[tuple[ComplexPoly, int]]:
         raise ValueError("zero polynomial has no square-free decomposition")
     if p.deg == 0:
         return []
-    g = gcd_exact(p, p.derivative())
+    dp = p.derivative()
+    g = gcd_exact(p, dp)
     if g.deg == 0:
         # square-free: the loop below would return this one monic factor
         return [(_monic(p.coeffs), 1)]
     out: list[tuple[ComplexPoly, int]] = []
     c = divide_exact(p, g)
-    d = divide_exact(p.derivative(), g) - c.derivative()
+    d = divide_exact(dp, g) - c.derivative()
     i = 1
     while c.deg > 0:
         f = gcd_exact(c, d)
@@ -787,11 +790,11 @@ def spectrum(p: ComplexPoly, tol: float | None = None) -> tuple[int, ...]:
     return tuple(k for k, c in enumerate(p.coeffs) if abs(c) > cutoff)
 
 
-def spectrum_in(p: ComplexPoly, pattern: LacunaryPattern, tol: float | None = None) -> bool:
+def spectrum_in(p: ComplexPoly, pattern: LacunaryPattern) -> bool:
     """True when every carried frequency of p is allowed by the pattern."""
     if p.deg > pattern.N:
         return False
-    return all(k in pattern for k in spectrum(p, tol=tol))
+    return all(k in pattern for k in spectrum(p))
 
 
 # ---------------------------------------------------------------------------

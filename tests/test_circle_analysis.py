@@ -146,7 +146,7 @@ def test_find_zeros_residual_bound():
 def test_common_disk_zeros_detects_pair():
     p = parse_poly("(z - 1/2)(2 - z)(1 + z^4)")
     ps = conjugate_reciprocal(p, 6)
-    shared, m = common_disk_zeros(p, ps, eps_circle=1e-8)
+    shared, m = common_disk_zeros(p, ps)
     assert m == 1
     assert len(shared) == 1 and abs(shared[0].location - 0.5) < 1e-10
 
@@ -155,14 +155,14 @@ def test_common_disk_zeros_reflected_zero_of_p():
     # 1/2 and 2 are both zeros of p itself, so p* vanishes at 1/2 as well
     p = parse_poly("(z - 1/2)(8 - z^3)")
     ps = conjugate_reciprocal(p, 4)
-    shared, m = common_disk_zeros(p, ps, eps_circle=1e-8)
+    shared, m = common_disk_zeros(p, ps)
     assert m == 1 and abs(shared[0].location - 0.5) < 1e-10
 
 
 def test_common_disk_zeros_none():
     p = parse_poly("1 + z/2")
     ps = conjugate_reciprocal(p, 1)
-    shared, m = common_disk_zeros(p, ps, eps_circle=1e-8)
+    shared, m = common_disk_zeros(p, ps)
     assert m == 0 and shared == ()
 
 
@@ -170,7 +170,7 @@ def test_common_disk_zeros_multiplicity_is_min():
     # p has (z-1/3)^2, p* only one copy reflected in: shared multiplicity 1
     p = parse_poly("(z - 1/3)^2 (z - 3)")
     ps = conjugate_reciprocal(p, 3)
-    shared, m = common_disk_zeros(p, ps, eps_circle=1e-8)
+    shared, m = common_disk_zeros(p, ps)
     assert m == 1
     assert abs(shared[0].location - 1 / 3) < 1e-10
 

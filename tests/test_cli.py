@@ -1,8 +1,10 @@
 """CLI behaviour: exit codes, formats, corpus runner, config handling."""
 
+import argparse
 import dataclasses
 import io
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -10,15 +12,18 @@ import pytest
 
 from lacuna.classifier import ClassifyOptions
 from lacuna.cli_reports import (
+    _CONFIG_KEYS,
     _OPTION_KINDS,
     EXIT_ERROR,
     EXIT_OK,
     EXIT_UNDECIDED,
     _parse_pattern_arg,
+    build_parser,
     main,
 )
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
+README = Path(__file__).resolve().parents[1] / "README.md"
 # outside input with a zero denominator: a classify input and a plusdim basis
 ZERO_DENOMINATOR_COEFFS = {"coeffs": [[1, 0, 0, 1], [1, 1, 0, 1]]}
 ZERO_DENOMINATOR_BASIS = {"d": 1, "basis": [["1/0", 0, 0]]}
@@ -187,11 +192,13 @@ def test_cli_flags_override_config(tmp_path, capsys):
 
 def test_bad_config_line_errors(tmp_path, capsys):
     cfg = tmp_path / "lacuna.cfg"
-    # a malformed line, a misspelled key, and the retired rank_gap key
+    # a malformed line, a misspelled key, and the retired rank_gap, eps_circle and tol keys
     for text, named in (
         ("this is not a key value pair\n", "key=value"),
         ("witnesess = off\n", "'witnesess'"),
         ("rank_gap = 10\n", "'rank_gap'"),
+        ("eps_circle = 1e-8\n", "'eps_circle'"),
+        ("tol = 1e-10\n", "'tol'"),
     ):
         cfg.write_text(text)
         code = main(["classify", "1 + z/2", "--pattern", "1", "--config", str(cfg)])
@@ -207,8 +214,33 @@ def test_pattern_arg_parsing():
     assert (pat.N, pat.forbidden) == (4, ())
     pat = _parse_pattern_arg("9:2,5,7")
     assert pat.forbidden == (2, 5, 7)
-    with pytest.raises(ValueError):
-        _parse_pattern_arg("x")
+    for text in ("x", "4:a", "4:1;3", ""):
+        expected = f"bad pattern {text!r}: expected 'N' or 'N:k1,k2,...'"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            _parse_pattern_arg(text)
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["classify", "z", "--pattern", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["classify", "z", "--pattern", "1", "--mode", "fast"], "invalid choice: 'fast'"),
+        (["classify"], "required: input"),
+        ([], "required: command"),
+        # the retired circle band and support cutoff flags
+        (["classify", "(1 - z^2)^2", "--pattern", "4:1,3", "--eps-circle", "nan"],
+         "unrecognized arguments: --eps-circle nan"),
+        (["classify", "1.0 + 0.5z + z^2", "--pattern", "2:1", "--tol", "1e-6"],
+         "unrecognized arguments: --tol 1e-6"),
+    ],
+    ids=["unknown-flag", "bad-choice", "missing-input", "missing-command",
+         "eps-circle", "tol"],
+)
+def test_usage_errors_exit_with_error(argv, named, capsys):
+    # argparse's own exit code 2 would read as "undecided"
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
 
 
 def test_norm_subcommand(capsys):
@@ -332,13 +364,15 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
     (tmp_path / "f_basis_zero_denominator.json").write_text(
         json.dumps(ZERO_DENOMINATOR_BASIS)
     )
-    # option values of the wrong JSON type: a truthy string, a numeric string
+    # option values of the wrong JSON type (a truthy string, a number for a
+    # string), and the retired eps_circle option
     for name, option in (("g_string_bool", {"generate_witnesses": "false"}),
-                         ("h_string_number", {"eps_circle": "1e-8"})):
+                         ("h_string_number", {"mode": 1}),
+                         ("i_retired_option", {"eps_circle": 1e-8})):
         job = {"input": "(1 - z)^2", "pattern": {"N": 2}, "options": option,
                "expect": {"witness_kinds": []}}
         (tmp_path / f"{name}.json").write_text(json.dumps(job))
-    (tmp_path / "i_good_again.json").write_text(json.dumps(good))
+    (tmp_path / "j_good_again.json").write_text(json.dumps(good))
     code = main(["corpus", str(tmp_path)])
     out = capsys.readouterr().out.splitlines()
     assert code == EXIT_ERROR
@@ -351,9 +385,11 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
     assert out[6].startswith("FAIL g_string_bool:")
     assert "'generate_witnesses' takes a boolean" in out[6]
     assert out[7].startswith("FAIL h_string_number:")
-    assert "'eps_circle' takes a number" in out[7]
-    assert out[8] == "PASS i_good_again: ok"
-    assert out[9] == "2/9 passed"
+    assert "'mode' takes a string" in out[7]
+    assert out[8].startswith("FAIL i_retired_option:")
+    assert "unknown option 'eps_circle'" in out[8]
+    assert out[9] == "PASS j_good_again: ok"
+    assert out[10] == "2/10 passed"
 
 
 def test_corpus_non_finite_jobs_fail_one_line_each(tmp_path, capsys):
@@ -376,6 +412,23 @@ def test_corpus_non_finite_jobs_fail_one_line_each(tmp_path, capsys):
 def test_corpus_option_kinds_cover_classify_options():
     fields = {f.name for f in dataclasses.fields(ClassifyOptions)}
     assert set(_OPTION_KINDS) == fields
+
+
+def _readme_section(start: str, end: str) -> str:
+    text = README.read_text()
+    head = text.index(start) + len(start)
+    return text[head:text.index(end, head)]
+
+
+def test_readme_lists_the_option_surface():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {s for a in sub.choices["classify"]._actions for s in a.option_strings}
+    table = _readme_section("Flags for `classify`:", "Exit codes:")
+    assert set(re.findall(r"`(--[a-z-]+)", table)) == flags - {"-h", "--help"}
+    keys = _readme_section("### Config file", "any other key")
+    assert re.findall(r"`([a-z_]+)`", keys) == list(_CONFIG_KEYS)
+    options = _readme_section("take JSON types:", "(")
+    assert set(re.findall(r"`([a-z_]+)`", options)) == set(_OPTION_KINDS)
 
 
 def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
