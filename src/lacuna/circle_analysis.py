@@ -4,15 +4,18 @@ The integral mean ``(1/2pi) int |p(e^it)| dt`` is computed by adaptive
 composite Gauss-Legendre quadrature.  |p| is analytic between its circle
 zeros, so panel boundaries are seeded at the arguments of near-circle roots;
 every panel then sees a one-sided algebraic kink at worst and the composite
-rule converges fast.
+rule converges fast.  The nodes of each batch of new panels (the first
+ones, then both halves of a split) are evaluated in one ``np.polyval`` call.
 
 Zero finding reports clusters ``(location, multiplicity, region, residual)``.
 Numeric multiplicity is ill-posed, so exact mode decides it exactly: a
 degree-0 gcd(p, p') modulo a prime certifies that p is square-free (every
 zero simple), and only otherwise does a square-free (Yun) decomposition split
 p and give the multiplicities.  Float mode clusters companion-matrix roots
-and validates the clustering by rebuilding the polynomial.  In both modes a
-zero beyond the float range raises :class:`IllConditionedZeros`.
+and validates the clustering by rebuilding the polynomial.  One Newton pass
+polishes a whole root array and gives the backward errors; an overflowed
+residual is NaN and raises :class:`IllConditionedZeros`, as does a zero
+beyond the float range.
 """
 
 from __future__ import annotations
@@ -20,15 +23,18 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import heapq
+import itertools
 import math
 
 import numpy as np
 
 from .errors import IllConditionedZeros, QuadratureBudgetExceeded
-from .poly_core import ComplexPoly, square_free_decomposition
+from .poly_core import ComplexPoly, linear_product, square_free_decomposition
 
 _GL_LO = np.polynomial.legendre.leggauss(16)
 _GL_HI = np.polynomial.legendre.leggauss(32)
+# a panel's nodes for both rules, evaluated together
+_GL_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
 # distance under which a zero of p and a zero of p* count as one shared zero
 _MATCH_RADIUS = 1e-6
 # half-width of the annulus |1 - |r|| <= _EPS_CIRCLE whose zeros are "on the circle"
@@ -58,18 +64,20 @@ def _sort_key(z: complex):
     return (round(ang, 9), abs(z))
 
 
-def _panel_integrals(coeffs: np.ndarray, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    out = []
-    for nodes, weights in (_GL_LO, _GL_HI):
-        t = mid + half * nodes
-        z = np.exp(1j * t)
-        v = np.zeros_like(z)
-        for c in coeffs[::-1]:
-            v = v * z + c
-        out.append(half * float(np.dot(weights, np.abs(v))))
-    return out[0], out[1]
+def _add_panels(heap: list, serial, coeffs: np.ndarray, panels, total: float) -> float:
+    """Push each panel (a, b) keyed by |hi - lo|, the gap between its 16- and
+    32-point integrals, and return ``total`` plus the panels' 32-point
+    integrals, added in order.  All nodes go through one evaluation."""
+    half = np.array([0.5 * (b - a) for a, b in panels])
+    mid = np.array([0.5 * (a + b) for a, b in panels])
+    vals = np.abs(np.polyval(coeffs[::-1], np.exp(1j * (mid[:, None] + half[:, None] * _GL_NODES))))
+    n = len(_GL_LO[0])
+    for (a, b), h, v in zip(panels, half.tolist(), vals):
+        lo = h * float(np.dot(_GL_LO[1], v[:n]))
+        hi = h * float(np.dot(_GL_HI[1], v[n:]))
+        total += hi
+        heapq.heappush(heap, (-abs(hi - lo), next(serial), a, b, hi))
+    return total
 
 
 def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> NormResult:
@@ -111,15 +119,9 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
         refined.append(edges[-1])
         edges = refined
 
-    heap = []
-    serial = 0
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        lo, hi = _panel_integrals(coeffs, a, b)
-        total += hi
-        heapq.heappush(heap, (-abs(hi - lo), serial, a, b, hi))
-        serial += 1
-
+    heap: list = []
+    serial = itertools.count()
+    total = _add_panels(heap, serial, coeffs, list(zip(edges[:-1], edges[1:])), 0.0)
     while True:
         err = -sum(item[0] for item in heap)
         if err <= 0.5 * tol:
@@ -128,14 +130,9 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
             raise QuadratureBudgetExceeded(
                 f"{len(heap)} panels reached with error estimate {err:.3e} > {tol:.1e}"
             )
-        neg_est, _, a, b, hi = heapq.heappop(heap)
-        total -= hi
+        _, _, a, b, hi = heapq.heappop(heap)
         midpt = 0.5 * (a + b)
-        for aa, bb in ((a, midpt), (midpt, b)):
-            lo2, hi2 = _panel_integrals(coeffs, aa, bb)
-            total += hi2
-            heapq.heappush(heap, (-abs(hi2 - lo2), serial, aa, bb, hi2))
-            serial += 1
+        total = _add_panels(heap, serial, coeffs, [(a, midpt), (midpt, b)], total - hi)
 
     err = -sum(item[0] for item in heap)
     value = total / (2 * math.pi)
@@ -195,23 +192,26 @@ def _beyond_float_range(name: str, k: int, what: str) -> IllConditionedZeros:
     )
 
 
-def _backward_error(coeffs: np.ndarray, r: complex) -> float:
-    num = abs(np.polyval(coeffs[::-1], r))
-    den = float(np.polyval(np.abs(coeffs[::-1]), abs(r)))
-    return num / den if den > 0 else 0.0
+def _polish_roots(coeffs: np.ndarray, dcoeffs: np.ndarray, roots) -> tuple[np.ndarray, np.ndarray]:
+    """Three Newton steps on the whole root array, then each root's backward
+    error |p(r)| / sum |c_k| |r|^k.
 
-
-def _newton_refine(coeffs: np.ndarray, dcoeffs: np.ndarray, r: complex, steps: int = 3) -> complex:
-    for _ in range(steps):
-        fv = np.polyval(coeffs[::-1], r)
-        dv = np.polyval(dcoeffs[::-1], r)
-        if dv == 0:
-            break
-        step = fv / dv
-        if not np.isfinite(step):
-            break
-        r = r - step
-    return complex(r)
+    A root whose step is not finite (p'(r) = 0, or an overflow) keeps its
+    value.  A residual whose denominator is not finite is NaN: an overflowed
+    evaluation must not read as a small residual.
+    """
+    p, dp = coeffs[::-1], dcoeffs[::-1]
+    r = np.asarray(roots, dtype=complex)
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            step = np.polyval(p, r) / np.polyval(dp, r)
+            r = np.where(np.isfinite(step), r - step, r)
+        # moduli by hypot, which rounds like the scalar abs(); np.abs may not
+        fr = np.polyval(p, r)
+        num = np.hypot(fr.real, fr.imag)
+        den = np.polyval(np.abs(p), np.hypot(r.real, r.imag))
+        res = np.where(np.isfinite(den), num / den, np.nan)
+    return r, res
 
 
 def _region(r: complex) -> str:
@@ -247,11 +247,7 @@ def _cluster_roots(roots: np.ndarray, radius: float) -> list[tuple[complex, int]
 
 
 def _rebuild_score(coeffs: np.ndarray, clusters: list[tuple[complex, int]]) -> float:
-    rebuilt = np.array([1.0 + 0j])
-    for c, mult in clusters:
-        for _ in range(mult):
-            rebuilt = np.convolve(rebuilt, np.array([-c, 1.0]))
-    rebuilt = rebuilt * coeffs[-1]
+    rebuilt = linear_product((-c, 1.0) for c, mult in clusters for _ in range(mult)) * coeffs[-1]
     if len(rebuilt) != len(coeffs):
         return math.inf
     scale = float(np.max(np.abs(coeffs)))
@@ -276,9 +272,11 @@ def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
         modulo a prime and runs the square-free (Yun) decomposition only
         otherwise; float mode clusters companion-matrix roots (radius 1e-6,
         with a coarser and a finer fallback) and validates by rebuilding the
-        polynomial, raising :class:`IllConditionedZeros` when no clustering
-        reproduces the coefficients to 1e-6.  Both modes raise it too when a
-        zero lies beyond the float range.
+        polynomial.  One Newton pass polishes a whole root array.  Raises
+        :class:`IllConditionedZeros` when no clustering reproduces the
+        coefficients to 1e-6, when an exact-mode backward error is not
+        <= 1e-6 (NaN when it overflowed), or when a zero lies beyond the
+        float range.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -300,11 +298,9 @@ def _zeros_exact(body: ComplexPoly) -> list[ZeroCluster]:
     out = []
     for factor, mult in square_free_decomposition(body):
         fc, roots = _float_roots(factor, f"p's monic factor of multiplicity {mult}")
-        dfc = factor.derivative().float_coeffs()
-        for r in roots:
-            r = _newton_refine(fc, dfc, complex(r))
-            res = _backward_error(fc, r)
-            if res > 1e-6:
+        roots, residuals = _polish_roots(fc, factor.derivative().float_coeffs(), roots)
+        for r, res in zip(roots.tolist(), residuals.tolist()):
+            if not res <= 1e-6:
                 raise IllConditionedZeros(
                     f"root {r} of a square-free factor has backward error {res:.2e}",
                     diagnostics={"factor_degree": factor.deg, "residual": res},
@@ -318,15 +314,16 @@ def _zeros_float(body: ComplexPoly) -> list[ZeroCluster]:
     best = None
     for radius in (1e-6, 1e-8, 1e-4):
         grouped = _cluster_roots(roots, radius)
-        refined = []
-        for c, mult in grouped:
+        locs = np.array([c for c, _ in grouped])
+        mults = np.array([m for _, m in grouped])
+        dk = body
+        for m in range(1, int(mults.max()) + 1):
             # centroid of a multiplicity-m scatter is already O(eps) accurate;
             # polish on the (m-1)th derivative where the zero is simple
-            dk = body
-            for _ in range(mult - 1):
-                dk = dk.derivative()
-            c = _newton_refine(dk.float_coeffs(), dk.derivative().float_coeffs(), c)
-            refined.append((c, mult))
+            sel = mults == m
+            locs[sel] = _polish_roots(dk.float_coeffs(), dk.derivative().float_coeffs(), locs[sel])[0]
+            dk = dk.derivative()
+        refined = [(c, int(m)) for c, m in zip(locs.tolist(), mults)]
         score = _rebuild_score(coeffs, refined)
         if best is None or score < best[0]:
             best = (score, refined)

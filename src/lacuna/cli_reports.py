@@ -333,6 +333,9 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_classify(args) -> int:
     config = _load_config(args.config) if args.config else {}
     opt = _options_from(args, config)
+    fmt = args.format or config.get("format", "text")
+    if fmt not in ("text", "json"):
+        raise ValueError(f"config key format expects 'text' or 'json', got {fmt!r}")
     pattern = None
     if args.pattern:
         pattern = _parse_pattern_arg(args.pattern)
@@ -340,7 +343,6 @@ def _cmd_classify(args) -> int:
         pattern = _parse_pattern_arg(config["pattern"])
     text = _read_input(args.input)
     rep = classify(text, pattern, opt)
-    fmt = args.format or config.get("format", "text")
     if fmt == "json":
         payload = json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n"
     else:

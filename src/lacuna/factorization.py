@@ -25,12 +25,10 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-import numpy as np
-
 from .circle_analysis import ZeroCluster, common_disk_zeros, find_zeros
 from .errors import IllConditionedZeros, NotDivisible, NotHermitianSymmetric
 from .plus_cone import CoefVector
-from .poly_core import ComplexPoly, GaussianRational, conjugate_reciprocal, divide_exact
+from .poly_core import ComplexPoly, GaussianRational, conjugate_reciprocal, divide_exact, linear_product
 
 _RATIONALIZE_BOUNDS = (10**4, 10**7, 10**10)
 _FLOAT_DIVISION_TOL = 1e-6
@@ -67,13 +65,11 @@ class TildeData:
 
 def _build_factor_float(items) -> ComplexPoly:
     """prod (z - a)^m (1 - conj(a) z)^m as a float polynomial."""
-    c = np.array([1.0 + 0.0j])
+    factors = []
     for loc, mult in items:
         a = complex(loc)
-        for _ in range(mult):
-            c = np.convolve(c, np.array([-a, 1.0]))
-            c = np.convolve(c, np.array([1.0, -np.conj(a)]))
-    return ComplexPoly([complex(x) for x in c])
+        factors += [(-a, 1.0), (1.0, -a.conjugate())] * mult
+    return ComplexPoly([complex(x) for x in linear_product(factors)])
 
 
 def _rationalize_coefficients(pf: ComplexPoly, bound: int):

@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FacialMismatch, SolverStalled
-from .poly_core import is_exact_scalar, long_division
+from .poly_core import is_exact_scalar, linear_product, long_division
 
 # the slice search's alternating projections: convergence test, plateau
 # detection, stall cap and re-certification band
@@ -372,9 +372,7 @@ def _fejer_riesz_gram(v: CoefVector) -> np.ndarray | None:
         sel = _select_half_roots(roots, band)
         if sel is None:
             continue
-        q = np.array([1.0 + 0j])
-        for r in sel:
-            q = np.convolve(q, np.array([-r, 1.0]))
+        q = linear_product((-r, 1.0) for r in sel)
         # scale so the autocorrelation matches gamma
         auto = np.array(
             [np.dot(q[k:], np.conj(q[: len(q) - k])) for k in range(len(q))]

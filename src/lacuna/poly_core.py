@@ -21,6 +21,8 @@ import re as _re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import NotDivisible, ParseError, UnsupportedMode
 
 _EXPONENT_CAP = 512
@@ -221,8 +223,6 @@ class ComplexPoly:
         return ComplexPoly([complex(c) for c in self.coeffs], mode="float")
 
     def float_coeffs(self):
-        import numpy as np
-
         return np.array([complex(c) for c in self.coeffs], dtype=complex)
 
     def max_abs_coeff(self) -> float:
@@ -280,13 +280,7 @@ class ComplexPoly:
         )
 
     def eval_many(self, zs):
-        import numpy as np
-
-        zs = np.asarray(zs, dtype=complex)
-        acc = np.zeros_like(zs)
-        for c in reversed(self.coeffs):
-            acc = acc * zs + complex(c)
-        return acc
+        return np.polyval(self.float_coeffs()[::-1], np.asarray(zs, dtype=complex))
 
     def __eq__(self, other):
         if not isinstance(other, ComplexPoly):
@@ -618,6 +612,15 @@ def conjugate_reciprocal(p: ComplexPoly, N: int) -> ComplexPoly:
     return ComplexPoly(
         [p.coefficient(N - k).conjugate() for k in range(N + 1)], mode=p.mode
     )
+
+
+def linear_product(factors) -> np.ndarray:
+    """Float coefficients (ascending) of the product of the linear factors
+    ``(c0, c1)`` = c0 + c1 z, multiplied in the order given."""
+    out = np.array([1.0 + 0j])
+    for f in factors:
+        out = np.convolve(out, np.array(f, dtype=complex))
+    return out
 
 
 def long_division(num: Sequence, den: Sequence) -> tuple[list, list]:

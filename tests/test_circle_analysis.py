@@ -1,5 +1,7 @@
 """Norm quadrature against closed forms and a trapezoid cross-check; zeros."""
 
+import cmath
+import heapq
 import math
 import random
 
@@ -14,8 +16,16 @@ from lacuna import (
     normalize,
     parse_poly,
 )
-from lacuna.circle_analysis import common_disk_zeros, match_disk_zeros, reflected_zeros
-from lacuna.poly_core import ComplexPoly, GaussianRational, conjugate_reciprocal
+from lacuna.circle_analysis import (
+    _GL_HI,
+    _GL_LO,
+    _float_roots,
+    _polish_roots,
+    common_disk_zeros,
+    match_disk_zeros,
+    reflected_zeros,
+)
+from lacuna.poly_core import ComplexPoly, GaussianRational, conjugate_reciprocal, linear_product
 
 # closed forms:
 #   ||1+z|| = 4/pi  (mean of 2|cos(t/2)|)
@@ -211,3 +221,139 @@ def test_reflected_zeros_match_like_the_zeros_of_pstar(mode):
 
 def test_find_zeros_constant_poly():
     assert find_zeros(parse_poly("3")) == []
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        # np.roots puts the three small zeros at 0; one Newton step jumps to
+        # -10^100, where sum |c_k| |r|^k overflows
+        "(z + 10^100)(z^3 - 2)",
+        "(z + 10^100)(z - 1/2)(2 - z)(z + 3)",
+    ],
+)
+def test_find_zeros_rejects_an_overflowed_residual(expr):
+    with pytest.raises(IllConditionedZeros, match="backward error nan"):
+        find_zeros(parse_poly(expr))
+
+
+# -- the whole-array kernels against the scalar loops they replaced -------------
+
+
+def _ref_newton_refine(coeffs, dcoeffs, r, steps=3):
+    for _ in range(steps):
+        fv = np.polyval(coeffs[::-1], r)
+        dv = np.polyval(dcoeffs[::-1], r)
+        if dv == 0:
+            break
+        step = fv / dv
+        if not np.isfinite(step):
+            break
+        r = r - step
+    return complex(r)
+
+
+def _ref_backward_error(coeffs, r):
+    num = abs(np.polyval(coeffs[::-1], r))
+    den = float(np.polyval(np.abs(coeffs[::-1]), abs(r)))
+    return num / den if den > 0 else 0.0
+
+
+def _ref_panel_integrals(coeffs, a, b):
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    out = []
+    for nodes, weights in (_GL_LO, _GL_HI):
+        z = np.exp(1j * (mid + half * nodes))
+        v = np.zeros_like(z)
+        for c in coeffs[::-1]:
+            v = v * z + c
+        out.append(half * float(np.dot(weights, np.abs(v))))
+    return out
+
+
+def _ref_l1_norm(p, tol=1e-10):
+    """l1_norm with one scalar quadrature call per panel."""
+    coeffs, roots = _float_roots(p, "p")
+    breaks = sorted({cmath.phase(complex(r)) % (2 * math.pi) for r in roots if abs(abs(r) - 1.0) < 0.1})
+    if not breaks:
+        edges = [2 * math.pi * k / 8 for k in range(9)]
+    else:
+        wide = breaks + [breaks[0] + 2 * math.pi]
+        edges = []
+        for a, b in zip(wide[:-1], wide[1:]):
+            n = max(1, int(math.ceil((b - a) / (math.pi / 2))))
+            edges.extend(a + (b - a) * k / n for k in range(n))
+        edges.append(wide[-1])
+    heap, serial, total = [], 0, 0.0
+
+    def push(a, b):
+        nonlocal serial, total
+        lo, hi = _ref_panel_integrals(coeffs, a, b)
+        total += hi
+        heapq.heappush(heap, (-abs(hi - lo), serial, a, b, hi))
+        serial += 1
+
+    for a, b in zip(edges[:-1], edges[1:]):
+        push(a, b)
+    while -sum(item[0] for item in heap) > 0.5 * tol:
+        _, _, a, b, hi = heapq.heappop(heap)
+        total -= hi
+        midpt = 0.5 * (a + b)
+        push(a, midpt)
+        push(midpt, b)
+    err = -sum(item[0] for item in heap)
+    value = total / (2 * math.pi)
+    return value, err / (2 * math.pi) + 32 * np.finfo(float).eps * abs(value), len(heap)
+
+
+def _kernel_inputs():
+    """Seeded polynomials of degree 1..48: Gaussian-integer ones times
+    multiple and circle zeros, and float ones with normal coefficients."""
+    rng = random.Random(20261018)
+    extras = ["1", "(z - 1)^2", "(1 + z^2)^3", "(z - 1/2)^2 (2 - z)", "(1 - z^3)(z + 1)^2"]
+    out = []
+    for d in (1, 2, 3, 5, 8, 13, 21, 34, 48):
+        extra = parse_poly(extras[d % len(extras)])
+        k = max(0, d - extra.deg)
+        base = ComplexPoly([GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(k)]
+                           + [GaussianRational(rng.randint(1, 9), rng.randint(-9, 9))])
+        out.append(base * extra)
+        out.append(ComplexPoly([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d + 1)], mode="float"))
+    return out
+
+
+def test_polish_roots_matches_the_scalar_loops():
+    for p in _kernel_inputs():
+        coeffs, roots = _float_roots(p, "p")
+        dcoeffs = p.derivative().float_coeffs()
+        got, res = _polish_roots(coeffs, dcoeffs, roots)
+        want = [_ref_newton_refine(coeffs, dcoeffs, complex(r)) for r in roots]
+        assert got.tolist() == want
+        assert res.tolist() == [_ref_backward_error(coeffs, r) for r in want]
+
+
+def test_polish_roots_keeps_a_root_where_the_derivative_vanishes():
+    coeffs = parse_poly("z^2 - 1").float_coeffs()
+    dcoeffs = np.array([0j, 2 + 0j])
+    got, res = _polish_roots(coeffs, dcoeffs, [0j, 0.9 + 0j, -1.2 + 0j])
+    assert got[0] == 0 and res[0] == 1.0
+    assert got.tolist() == [_ref_newton_refine(coeffs, dcoeffs, r) for r in (0j, 0.9 + 0j, -1.2 + 0j)]
+    assert abs(got[1] - 1) < 1e-6 and abs(got[2] + 1) < 1e-6
+
+
+def test_l1_norm_matches_the_per_panel_quadrature():
+    for p in _kernel_inputs():
+        res = l1_norm(p)
+        assert (res.value, res.abs_error_bound, res.panels) == _ref_l1_norm(p)
+
+
+def test_linear_product_matches_the_convolution_loop():
+    rng = random.Random(5)
+    for n in (0, 1, 2, 7, 30):
+        factors = [(complex(rng.gauss(0, 1), rng.gauss(0, 1)), complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+                   for _ in range(n)]
+        want = np.array([1.0 + 0j])
+        for c0, c1 in factors:
+            want = np.convolve(want, np.array([c0, c1]))
+        assert linear_product(factors).tolist() == want.tolist()

@@ -192,13 +192,17 @@ def test_cli_flags_override_config(tmp_path, capsys):
 
 def test_bad_config_line_errors(tmp_path, capsys):
     cfg = tmp_path / "lacuna.cfg"
-    # a malformed line, a misspelled key, and the retired rank_gap, eps_circle and tol keys
+    # a malformed line, a misspelled key, the retired rank_gap, eps_circle and tol keys,
+    # and a format that is neither text nor json
     for text, named in (
         ("this is not a key value pair\n", "key=value"),
         ("witnesess = off\n", "'witnesess'"),
         ("rank_gap = 10\n", "'rank_gap'"),
         ("eps_circle = 1e-8\n", "'eps_circle'"),
         ("tol = 1e-10\n", "'tol'"),
+        # format takes text or json only
+        ("format = xml\n", "'xml'"),
+        ("format = JSON\n", "'JSON'"),
     ):
         cfg.write_text(text)
         code = main(["classify", "1 + z/2", "--pattern", "1", "--config", str(cfg)])
@@ -459,11 +463,14 @@ def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
         # finite coefficients whose zero, -10^400 or -10^320, has no float value
         (["classify", "1 + z/10^400", "--pattern", "1"], "", "beyond the float range"),
         (["classify", '{"coeffs_f": [[1,0],[1e-320,0]]}', "--pattern", "1"], "", "beyond the float range"),
+        # a root polished to -10^100 whose backward error overflows
+        (["classify", "(z + 10^100)(z^3 - 2)", "--pattern", "4", "--mode", "exact"], "", "backward error nan"),
     ],
     ids=["plusdim-no-d", "plusdim-basis-not-a-list", "coeffs-not-a-list", "null-part",
          "plusdim-infinity", "plusdim-overflowing-string", "plusdim-nan",
          "classify-overflowing-integer", "classify-infinite-decimal", "classify-nan",
-         "classify-exact-zero-beyond-float-range", "classify-float-zero-beyond-float-range"],
+         "classify-exact-zero-beyond-float-range", "classify-float-zero-beyond-float-range",
+         "classify-overflowed-residual"],
 )
 def test_malformed_json_input_exits_with_error(argv, stdin, key, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -471,7 +478,7 @@ def test_malformed_json_input_exits_with_error(argv, stdin, key, capsys, monkeyp
         warnings.simplefilter("error")
         assert main(argv) == EXIT_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

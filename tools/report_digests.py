@@ -1,0 +1,65 @@
+"""Digest every classify report of the benchmark workloads in one checkout.
+
+Usage::
+
+    python3 tools/report_digests.py CHECKOUT SEED
+
+CHECKOUT is a lacuna source tree (its ``src/`` and ``perfbench/`` are
+imported; nothing is written there).  For every classify case of the
+exact_generic and exact_circle workloads at SEED, census included, the
+script classifies the input in exact mode, in float mode and in exact mode
+with the audit, and prints one line per report::
+
+    <workload> <case id> <exact|float|audit> <sha256>
+
+where the digest covers the ``lacuna/1`` JSON of ``report_to_dict`` followed
+by ``render_text``.  A raised exception is printed as its class and message
+in place of the digest.  Run it on two checkouts on one machine and diff the
+outputs to show that a change leaves every report byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+MODES = {"exact": {"mode": "exact"}, "float": {"mode": "float"}, "audit": {"mode": "exact", "audit": True}}
+
+
+def _digest(lacuna, case, overrides: dict) -> str:
+    opts = {**dict(case.options), **overrides}
+    try:
+        p = lacuna.poly_core.parse_poly(case.source)
+        pattern = lacuna.poly_core.LacunaryPattern(case.N, case.forbidden)
+        rep = lacuna.classifier.classify(p, pattern, lacuna.classifier.ClassifyOptions(**opts))
+        text = json.dumps(lacuna.cli_reports.report_to_dict(rep), indent=2, sort_keys=True) + "\n"
+        text += lacuna.cli_reports.render_text(rep)
+    except Exception as exc:  # the outcome is part of the behaviour being compared
+        return f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/report_digests.py CHECKOUT SEED", file=sys.stderr)
+        return 1
+    root, seed = Path(argv[0]).resolve(), int(argv[1])
+    sys.path[:0] = [str(root / "src"), str(root)]
+    import lacuna
+    import lacuna.cli_reports
+    from perfbench import cases
+
+    for workload in cases.WORKLOADS:
+        todo = cases.make_cases(workload, seed, root / "corpus") + cases.make_census(workload, root / "corpus")
+        for case in todo:
+            if case.kind != "classify":
+                continue
+            for name, overrides in MODES.items():
+                print(workload, case.id, name, _digest(lacuna, case, overrides), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
