@@ -6,6 +6,8 @@ zeros, so panel boundaries are seeded at the arguments of near-circle roots;
 every panel then sees a one-sided algebraic kink at worst and the composite
 rule converges fast.  The nodes of each batch of new panels (the first
 ones, then both halves of a split) are evaluated in one ``np.polyval`` call.
+The stop test sums the panels' error estimates only when a running sum of
+them, less a bound on its rounding, has come down to the target.
 
 Zero finding reports clusters ``(location, multiplicity, region, residual)``.
 Numeric multiplicity is ill-posed, so exact mode decides it exactly: a
@@ -39,6 +41,7 @@ _GL_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
 _MATCH_RADIUS = 1e-6
 # half-width of the annulus |1 - |r|| <= _EPS_CIRCLE whose zeros are "on the circle"
 _EPS_CIRCLE = 1e-8
+_EPS = np.finfo(float).eps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,10 +67,14 @@ def _sort_key(z: complex):
     return (round(ang, 9), abs(z))
 
 
-def _add_panels(heap: list, serial, coeffs: np.ndarray, panels, total: float) -> float:
+def _add_panels(
+    heap: list, serial, coeffs: np.ndarray, panels, total: float, run: float, slack: float
+) -> tuple[float, float, float]:
     """Push each panel (a, b) keyed by |hi - lo|, the gap between its 16- and
-    32-point integrals, and return ``total`` plus the panels' 32-point
-    integrals, added in order.  All nodes go through one evaluation."""
+    32-point integrals.  Return ``total`` plus the panels' 32-point integrals,
+    added in order, and the running error sum ``run`` plus the gaps, with
+    ``slack`` grown by the rounding of each addition.  All nodes go through
+    one evaluation."""
     half = np.array([0.5 * (b - a) for a, b in panels])
     mid = np.array([0.5 * (a + b) for a, b in panels])
     vals = np.abs(np.polyval(coeffs[::-1], np.exp(1j * (mid[:, None] + half[:, None] * _GL_NODES))))
@@ -76,8 +83,10 @@ def _add_panels(heap: list, serial, coeffs: np.ndarray, panels, total: float) ->
         lo = h * float(np.dot(_GL_LO[1], v[:n]))
         hi = h * float(np.dot(_GL_HI[1], v[n:]))
         total += hi
+        run += abs(hi - lo)
+        slack += math.ulp(run)
         heapq.heappush(heap, (-abs(hi - lo), next(serial), a, b, hi))
-    return total
+    return total, run, slack
 
 
 def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> NormResult:
@@ -121,22 +130,36 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
 
     heap: list = []
     serial = itertools.count()
-    total = _add_panels(heap, serial, coeffs, list(zip(edges[:-1], edges[1:])), 0.0)
+
+    def heap_error() -> float:
+        return -sum(item[0] for item in heap)
+
+    # ``run`` is within ``slack`` of the exact sum of the heap's gaps, and
+    # the heap sum of n gaps within n * eps of it: while run clears the
+    # target by both, the heap sum does too and need not be taken
+    first = list(zip(edges[:-1], edges[1:]))
+    total, run, slack = _add_panels(heap, serial, coeffs, first, 0.0, 0.0, 0.0)
     while True:
-        err = -sum(item[0] for item in heap)
-        if err <= 0.5 * tol:
-            break
+        rounding = 2 * len(heap) * _EPS * (run + slack)
+        if run - slack - rounding <= 0.5 * tol:
+            err = heap_error()
+            if err <= 0.5 * tol:
+                break
+            run, slack = err, 2 * len(heap) * _EPS * err
         if len(heap) >= panel_budget:
             raise QuadratureBudgetExceeded(
-                f"{len(heap)} panels reached with error estimate {err:.3e} > {tol:.1e}"
+                f"{len(heap)} panels reached with error estimate {heap_error():.3e} > {tol:.1e}"
             )
-        _, _, a, b, hi = heapq.heappop(heap)
+        key, _, a, b, hi = heapq.heappop(heap)
+        run += key
+        slack += math.ulp(run)
         midpt = 0.5 * (a + b)
-        total = _add_panels(heap, serial, coeffs, [(a, midpt), (midpt, b)], total - hi)
+        total, run, slack = _add_panels(
+            heap, serial, coeffs, [(a, midpt), (midpt, b)], total - hi, run, slack
+        )
 
-    err = -sum(item[0] for item in heap)
     value = total / (2 * math.pi)
-    bound = err / (2 * math.pi) + 32 * np.finfo(float).eps * abs(value)
+    bound = err / (2 * math.pi) + 32 * _EPS * abs(value)
     return NormResult(value=value, abs_error_bound=bound, panels=len(heap))
 
 

@@ -31,6 +31,10 @@ constraint set; ``plus_dimension`` grows a basis of plus vectors greedily
 with such probes and then certifies completeness facially: the span of all
 plus vectors in V equals the set of vectors whose tau vanishes at each
 circle zero of the accumulated interior point to at least its order.
+Before it searches, ``plus_dimension`` compresses V by its harmonic
+lattice: when every exactly nonzero entry sits at a harmonic in kZ, V is
+a space of functions of kt, and t -> t/k maps it onto degree d // k
+without changing which vectors are plus.
 Every subspace basis comes from one SVD rank cut, ``_row_space``.
 
 Both constructions work on the Hermitian matrix Q: ``_project_psd`` clips
@@ -557,6 +561,15 @@ def plus_dimension(
 ) -> tuple[int, list[CoefVector]]:
     """Dimension of span(plus vectors in span(basis)), with realizing vectors.
 
+    First the input is compressed by its harmonic lattice: k is the gcd of
+    the harmonics l >= 1 at which a basis row or the seed has an exactly
+    nonzero entry.  For k > 1 every vector of V is a function of kt, so the
+    search runs on the columns (alpha_0, alpha_k, ..., beta_k, beta_2k, ...)
+    at degree d // k, and each found vector is spread back to degree d with
+    tau_spread(t) = tau(kt).  As tau(kt) >= 0 iff tau >= 0 and spreading is a
+    linear bijection onto V, the dimension and the facial certificate carry
+    over unchanged; the seed comes back as the caller's own object.
+
     Phase 1 grows the span greedily: for each direction w of an orthonormal
     complement basis (in index order, + target before -), probe the slice
     {v in V : <v, w> = +-1} for a plus vector; every hit enlarges the span
@@ -571,6 +584,32 @@ def plus_dimension(
     raises :class:`FacialMismatch`; nothing is silently repaired.
     """
     rows = np.array([b.as_array() if isinstance(b, CoefVector) else b for b in basis], dtype=float)
+    d = (rows.shape[1] - 1) // 2
+    entries = [(*b.alpha, *b.beta) if isinstance(b, CoefVector) else b for b in basis]
+    if seed is not None:
+        entries.append((*seed.alpha, *seed.beta))
+    k = math.gcd(*{i if i <= d else i - d for row in entries for i, x in enumerate(row) if x != 0})
+    if k <= 1:
+        return _search_plus_span(rows, seed)
+    cols = [*range(0, d + 1, k), *range(d + k, 2 * d + 1, k)]
+    small = None if seed is None else CoefVector(d // k, seed.alpha[::k], seed.beta[k - 1 :: k])
+    dim, found = _search_plus_span(rows[:, cols], small)
+    return dim, [seed if v is small else _spread(v, k, d) for v in found]
+
+
+def _spread(v: CoefVector, k: int, d: int) -> CoefVector:
+    """The degree-d vector whose tau is t -> tau_v(kt)."""
+    zero = Fraction(0) if v.is_exact else 0.0
+    alpha, beta = [zero] * (d + 1), [zero] * d
+    alpha[::k] = v.alpha
+    beta[k - 1 :: k] = v.beta
+    return CoefVector(d, tuple(alpha), tuple(beta))
+
+
+def _search_plus_span(
+    rows: np.ndarray, seed: CoefVector | None
+) -> tuple[int, list[CoefVector]]:
+    """``plus_dimension`` on float basis rows, without the lattice step."""
     nx = rows.shape[1]
     d = (nx - 1) // 2
     VB, _ = _row_space(rows)

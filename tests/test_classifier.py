@@ -8,6 +8,7 @@ import pytest
 
 from lacuna import (
     ClassifyOptions,
+    IllConditionedZeros,
     LacunaryPattern,
     RankIndeterminate,
     SpectrumViolation,
@@ -368,3 +369,52 @@ def test_non_exposed_multiplier_with_a_pole_is_unbounded(examples):
     p, pat = examples["pair_and_gap"]
     (w,) = [w for w in classify(p, pat).witnesses if w.kind == "non_exposed"]
     assert w.multiplier_bound == w.checks["multiplier_max"] < math.inf
+
+
+GAPPED_CIRCLE = [
+    (f"(1 {sym} z^{k})^{j}", k, j) for k in (2, 3) for j in range(2, 7) for sym in "+-"
+]
+
+
+def _classify_gapped(text, k, j, mode):
+    N = k * j
+    pattern = LacunaryPattern(N, [e for e in range(1, N) if e % k])
+    return classify(text, pattern, ClassifyOptions(mode=mode))
+
+
+@pytest.mark.parametrize("text,k,j", GAPPED_CIRCLE)
+def test_gapped_circle_powers_are_decided_on_the_harmonic_lattice(text, k, j):
+    # (1 +- z^k)^j on the exponents kZ is (1 +- w)^j under w = z^k: extreme,
+    # not exposed, and its cone has dimension 2 floor(j/2) + 1
+    rep = _classify_gapped(text, k, j, "exact")
+    assert (rep.extreme, rep.exposed) == (True, False)
+    assert rep.fast_path_exposed == "plus_dimension"
+    assert rep.dim_plus == 2 * (j // 2) + 1
+    assert [w.kind for w in rep.witnesses] == ["non_exposed"]
+
+
+# known defect: float zero clustering cannot hold these multiple circle zeros
+_FLOAT_ILL_CONDITIONED = {(2, 4), (2, 5), (2, 6), (3, 5), (3, 6)}
+
+
+@pytest.mark.parametrize(
+    "text,k,j",
+    [
+        pytest.param(
+            text, k, j,
+            marks=pytest.mark.xfail(
+                raises=IllConditionedZeros, strict=True,
+                reason="float mode raises IllConditionedZeros on multiple circle zeros",
+            ),
+        )
+        if (k, j) in _FLOAT_ILL_CONDITIONED
+        else (text, k, j)
+        for text, k, j in GAPPED_CIRCLE
+    ],
+)
+def test_gapped_circle_powers_agree_across_modes(text, k, j):
+    exact = _classify_gapped(text, k, j, "exact")
+    flo = _classify_gapped(text, k, j, "float")
+    assert flo.mode == "float"
+    assert (flo.extreme, flo.exposed, flo.dim_plus) == (exact.extreme, exact.exposed, exact.dim_plus)
+    assert [w.kind for w in flo.witnesses] == ["non_exposed"]

@@ -149,9 +149,10 @@ def test_classify_undecided_exit(capsys, monkeypatch):
 
 
 def test_classify_stalled_cone_solver_exit(capsys):
-    # the cone solver neither converges nor plateaus on this tilde kernel
+    # no harmonic lattice compresses this tilde kernel, and the cone solver
+    # neither converges nor plateaus on it
     code = main(
-        ["classify", "(1 - z^3)^4", "--pattern", "12:1,2,4,5,7,8,10,11", "--mode", "exact"]
+        ["classify", "(1-z^2)^2*(3-z-z^2-2z^3)", "--pattern", "8:3", "--mode", "exact"]
     )
     out = capsys.readouterr().out
     assert code == EXIT_UNDECIDED
@@ -159,6 +160,19 @@ def test_classify_stalled_cone_solver_exit(capsys):
     assert "exposed: UNDECIDED" in out
     assert "undecided: cone solver stalled" in out
     assert "witness" not in out
+
+
+def test_classify_decides_a_cone_on_the_harmonic_lattice(capsys):
+    # every tilde kernel vector lives on harmonics 0, 3, 6: the cone search
+    # runs at degree 2, where the kernel is the whole space
+    code = main(
+        ["classify", "(1 - z^3)^4", "--pattern", "12:1,2,4,5,7,8,10,11", "--mode", "exact"]
+    )
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "extreme: yes" in out
+    assert "exposed: no (via plus_dimension)" in out
+    assert "cone trace dimension: 5" in out
 
 
 def test_config_file(tmp_path, capsys):

@@ -449,6 +449,37 @@ def test_plus_dimension_double_zero_kernel(examples):
         assert is_plus(v, tol=1e-7).is_plus
 
 
+def _dilate(v: CoefVector, k: int) -> CoefVector:
+    """The degree-k*d vector with tau(t) = tau_v(kt), by placing the entries."""
+    d = v.d * k
+    alpha, beta = [Fraction(0)] * (d + 1), [Fraction(0)] * d
+    alpha[::k] = v.alpha
+    beta[k - 1 :: k] = v.beta
+    return CoefVector(d, tuple(alpha), tuple(beta))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_plus_dimension_runs_on_the_harmonic_lattice(k):
+    # V holds a positive constant, so dim+ = dim V = 3; at degree 2 V is a
+    # proper subspace and the slice search runs there
+    small = [_exact_vec(1, 0, 0, 0, 0), _exact_vec(1, 0, -1, 0, 0), _exact_vec(0, 1, 0, 0, 0)]
+    small_seed = _exact_vec(1, 0, -1, 0, 0)  # 4 sin^2 t
+    basis = [_dilate(v, k) for v in small]
+    seed = _dilate(small_seed, k)
+    dim, found = plus_dimension(basis, seed=seed)
+    assert dim == plus_dimension(small, seed=small_seed)[0] == 3
+    assert len(found) == 3 and found[0] is seed
+    rows = np.array([v.as_array() for v in basis])
+    stack = np.array([v.as_array() for v in found])
+    assert np.linalg.matrix_rank(stack, tol=1e-8) == 3
+    assert np.linalg.matrix_rank(np.vstack([rows, stack]), tol=1e-8) == 3
+    for v in found:
+        assert v.d == 2 * k
+        assert is_plus(v, tol=1e-7).is_plus
+        assert all(a == 0 for i, a in enumerate(v.alpha) if i % k)
+        assert all(b == 0 for i, b in enumerate(v.beta, start=1) if i % k)
+
+
 # -- CoefVector plumbing ---------------------------------------------------------
 
 

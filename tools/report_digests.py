@@ -10,11 +10,13 @@ exact_generic and exact_circle workloads at SEED, census included, the
 script classifies the input in exact mode, in float mode and in exact mode
 with the audit, and prints one line per report::
 
-    <workload> <case id> <exact|float|audit> <sha256>
+    <workload> <case id> <exact|float|audit> <sha256> <extreme> <exposed> <dim_plus>
 
 where the digest covers the ``lacuna/1`` JSON of ``report_to_dict`` followed
-by ``render_text``.  A raised exception is printed as its class and message
-in place of the digest.  Run it on two checkouts on one machine and diff the
+by ``render_text``, and the verdicts are the report's (``None`` where
+undecided), so a diff shows whether a changed report moved a verdict.  A
+raised exception is printed as its class and message in place of the
+digest and the verdicts.  Run it on two checkouts on one machine and diff the
 outputs to show that a change leaves every report byte-identical.
 """
 
@@ -29,6 +31,7 @@ MODES = {"exact": {"mode": "exact"}, "float": {"mode": "float"}, "audit": {"mode
 
 
 def _digest(lacuna, case, overrides: dict) -> str:
+    """The report's digest and verdicts, or the exception raised instead."""
     opts = {**dict(case.options), **overrides}
     try:
         p = lacuna.poly_core.parse_poly(case.source)
@@ -38,7 +41,8 @@ def _digest(lacuna, case, overrides: dict) -> str:
         text += lacuna.cli_reports.render_text(rep)
     except Exception as exc:  # the outcome is part of the behaviour being compared
         return f"{type(exc).__name__}: {exc}"
-    return hashlib.sha256(text.encode()).hexdigest()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return f"{digest} {rep.extreme} {rep.exposed} {rep.dim_plus}"
 
 
 def main(argv: list[str]) -> int:
