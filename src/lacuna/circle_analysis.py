@@ -7,7 +7,8 @@ every panel then sees a one-sided algebraic kink at worst and the composite
 rule converges fast.  The nodes of each batch of new panels (the first
 ones, then both halves of a split) are evaluated in one ``np.polyval`` call.
 The stop test sums the panels' error estimates only when a running sum of
-them, less a bound on its rounding, has come down to the target.
+them, less a bound on its rounding, has come down to the target, which is
+never finer than the rounding floor of the summed value.
 
 Zero finding reports clusters ``(location, multiplicity, region, residual)``.
 Numeric multiplicity is ill-posed, so exact mode decides it exactly: a
@@ -42,6 +43,8 @@ _MATCH_RADIUS = 1e-6
 # half-width of the annulus |1 - |r|| <= _EPS_CIRCLE whose zeros are "on the circle"
 _EPS_CIRCLE = 1e-8
 _EPS = np.finfo(float).eps
+# relative rounding error of the summed quadrature value
+_ROUNDING_FLOOR = 32 * _EPS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,7 +100,9 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
     p : ComplexPoly
         Nonzero polynomial, either mode.
     tol : float
-        Target absolute error for the returned value.
+        Target absolute error for the returned value.  Where the rounding
+        floor 32 eps |value| is larger, that floor is the target, so the
+        result does not depend on the scale of p.
     panel_budget : int
         Cap on the number of quadrature panels; exceeding it raises
         :class:`QuadratureBudgetExceeded`.
@@ -140,15 +145,17 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
     first = list(zip(edges[:-1], edges[1:]))
     total, run, slack = _add_panels(heap, serial, coeffs, first, 0.0, 0.0, 0.0)
     while True:
+        # no finer than the rounding floor the returned bound carries anyway
+        target = max(tol, _ROUNDING_FLOOR * abs(total) / (2 * math.pi))
         rounding = 2 * len(heap) * _EPS * (run + slack)
-        if run - slack - rounding <= 0.5 * tol:
+        if run - slack - rounding <= 0.5 * target:
             err = heap_error()
-            if err <= 0.5 * tol:
+            if err <= 0.5 * target:
                 break
             run, slack = err, 2 * len(heap) * _EPS * err
         if len(heap) >= panel_budget:
             raise QuadratureBudgetExceeded(
-                f"{len(heap)} panels reached with error estimate {heap_error():.3e} > {tol:.1e}"
+                f"{len(heap)} panels reached with error estimate {heap_error():.3e} > {target:.1e}"
             )
         key, _, a, b, hi = heapq.heappop(heap)
         run += key
@@ -159,7 +166,7 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
         )
 
     value = total / (2 * math.pi)
-    bound = err / (2 * math.pi) + 32 * _EPS * abs(value)
+    bound = err / (2 * math.pi) + _ROUNDING_FLOOR * abs(value)
     return NormResult(value=value, abs_error_bound=bound, panels=len(heap))
 
 

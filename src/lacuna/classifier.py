@@ -228,50 +228,35 @@ def _validated_witness(
     )
 
 
-def _exact_plus_candidates(
-    kernel: KernelBasis, seed: CoefVector | None
+def _plus_candidates(
+    kernel: KernelBasis, seed: CoefVector | None, plus_vectors: list[CoefVector] | None
 ) -> Iterator[CoefVector]:
-    """Rational kernel vectors that certify nonnegative exactly, cheap ones first.
+    """Plus vectors of the tilde kernel to try as non-exposed witnesses.
 
-    Each pool vector is certified only when the caller asks for the next
-    candidate.
+    First the exactly certified vectors of a rational kernel, each certified
+    only when the caller asks for the next one: the basis, pairwise sums and
+    differences, then basis + seed and basis + 2 seed.  Then the vectors the
+    cone search found.  The cone search runs here only when neither source
+    offered anything.
     """
-    if not kernel.exact:
-        return
-    for cand in _candidate_pool(list(kernel.vectors), seed):
-        ok, _ = certify_nonneg_exact(cand)
-        if ok and any(x != 0 for x in list(cand.alpha) + list(cand.beta)):
-            yield cand
-
-
-def _candidate_pool(
-    basis: list[CoefVector], seed: CoefVector | None
-) -> Iterator[CoefVector]:
-    """The basis, pairwise sums and differences, then basis + seed and + 2 seed."""
-    yield from basis
-    for u, w in itertools.combinations(basis, 2):
-        yield _vec_add(u, w)
-        yield _vec_sub(u, w)
-    if seed is not None and seed.is_exact:
-        for b in basis:
-            yield _vec_add(b, seed)
-            yield _vec_add(_vec_add(b, seed), seed)
-
-
-def _vec_add(u: CoefVector, v: CoefVector) -> CoefVector:
-    return CoefVector(
-        u.d,
-        tuple(a + b for a, b in zip(u.alpha, v.alpha)),
-        tuple(a + b for a, b in zip(u.beta, v.beta)),
-    )
-
-
-def _vec_sub(u: CoefVector, v: CoefVector) -> CoefVector:
-    return CoefVector(
-        u.d,
-        tuple(a - b for a, b in zip(u.alpha, v.alpha)),
-        tuple(a - b for a, b in zip(u.beta, v.beta)),
-    )
+    offered = False
+    if kernel.exact:
+        basis = kernel.vectors
+        seeds = (seed, seed + seed) if seed is not None and seed.is_exact else ()
+        pool = itertools.chain(
+            basis,
+            (x for u, w in itertools.combinations(basis, 2) for x in (u + w, u - w)),
+            (b + s for b in basis for s in seeds),
+        )
+        for cand in pool:
+            if certify_nonneg_exact(cand)[0] and any(cand.entries):
+                offered = True
+                yield cand
+    for v in plus_vectors or ():
+        offered = True
+        yield v
+    if not offered:
+        yield from plus_dimension(kernel.vectors, seed=seed)[1]
 
 
 def make_non_extreme_witness(
@@ -308,21 +293,11 @@ def make_non_exposed_witness(
 ) -> Witness:
     """Perturbation q with q/p real, *nonnegative* and nonconstant.
 
-    Exactly certified rational kernel vectors are preferred; vectors found by
-    the cone search are used as a fallback and are vetted by the same grid
-    validation as everything else.  The cone search runs here only when
-    neither source offers any candidate.
+    Candidates come from ``_plus_candidates``: exactly certified rational
+    kernel vectors first, then the cone search's, all vetted by the same
+    grid validation.
     """
-    candidates = itertools.chain(
-        _exact_plus_candidates(kernel_tilde, seed_tilde), plus_vectors or ()
-    )
-    first = next(candidates, None)
-    if first is None:
-        _, found = plus_dimension(kernel_tilde.vectors, seed=seed_tilde)
-        candidates = iter(found)
-    else:
-        candidates = itertools.chain([first], candidates)
-    for v in candidates:
+    for v in _plus_candidates(kernel_tilde, seed_tilde, plus_vectors):
         if seed_tilde is not None and proportional(v, seed_tilde):
             continue
         Q = symbol_to_poly(v, tilde.m_tilde)
@@ -388,8 +363,8 @@ def classify(
         scale=1.0 / norm_res.value,
         canonical=canonical,
         tilde=tilde,
-        matrix=build_matrix(canonical.coef, forbidden, canonical.m, kind="plain"),
-        matrix_tilde=build_matrix(tilde.coef, forbidden, tilde.m_tilde, kind="tilde"),
+        matrix=build_matrix(canonical.cofactor, forbidden, canonical.m, kind="plain"),
+        matrix_tilde=build_matrix(tilde.reduced_cofactor, forbidden, tilde.m_tilde, kind="tilde"),
         diagnostics={
             "canonical_mode": canonical.mode,
             "tilde_mode": tilde.mode,

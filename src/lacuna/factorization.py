@@ -5,8 +5,8 @@ conjugate-reciprocal p* inside the open disk, paired with its reflection:
 G = prod (z - a)^m (1 - conj(a) z)^m.  The tilde factorization is the
 canonical one times the circle part: the circle factor C takes
 floor(multiplicity/2) copies of every circle zero of p, reflected the same
-way, and is divided out of R, so p = (G C) R~.  The cofactors R and R~
-carry the coefficient maps that the rank criteria consume.  Both levels
+way, and is divided out of R, so p = (G C) R~.  The rank criteria read
+their constraint matrices off the cofactors R and R~.  Both levels
 run through one split, ``_factor_out``, whose one consistency check is that
 the quotient fits the degree budget N - 2m (N - 2m~ for the tilde level);
 with no zeros to split off it divides by the constant 1.
@@ -43,7 +43,6 @@ class CanonicalData:
     s: int
     disk_factor: ComplexPoly
     cofactor: ComplexPoly
-    coef: dict
     zero_clusters: tuple[ZeroCluster, ...]
     mode: str  # "exact" if the factorization itself is exact, else "float"
 
@@ -59,7 +58,6 @@ class TildeData:
     circle_factor: ComplexPoly
     total_factor: ComplexPoly
     reduced_cofactor: ComplexPoly
-    coef: dict
     mode: str
 
 
@@ -114,10 +112,6 @@ def _factor_out(p: ComplexPoly, items, s: int) -> tuple[ComplexPoly, ComplexPoly
     return factor, quotient, mode
 
 
-def _coef_map(r: ComplexPoly) -> dict:
-    return {k: r.coeffs[k] for k in range(r.deg + 1)}
-
-
 def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
     """Factor out the zeros shared with the conjugate-reciprocal inside the disk."""
     if p.deg < 0:
@@ -135,7 +129,6 @@ def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
         s=s,
         disk_factor=G,
         cofactor=R,
-        coef=_coef_map(R),
         zero_clusters=clusters,
         mode=mode,
     )
@@ -164,7 +157,6 @@ def tilde_factorization(N: int, canonical: CanonicalData) -> TildeData:
         circle_factor=circle_factor,
         total_factor=canonical.disk_factor * circle_factor,
         reduced_cofactor=R_tilde,
-        coef=_coef_map(R_tilde),
         mode=mode,
     )
 

@@ -1,8 +1,9 @@
 """Assembly and rank analysis of the forbidden-frequency block matrix.
 
-Given the cofactor coefficient map C (with real part A and imaginary part
-B), the forbidden exponents k_1 < ... < k_M, and the half-degree d of the
-factored-out symbol, the constraint matrix is the 2M x (2d+1) block array
+Given the cofactor polynomial, whose coefficients have real parts A(k) and
+imaginary parts B(k) (zero outside 0..deg), the forbidden exponents
+k_1 < ... < k_M, and the half-degree d of the factored-out symbol, the
+constraint matrix is the 2M x (2d+1) block array
 
     [ A+  B- ]        A+-[j,l] = A(k_j + l - d) +- A(k_j - l - d)
     [ B+ -A- ]        B+-[j,l] = B(k_j + l - d) +- B(k_j - l - d)
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import RankIndeterminate
 from .plus_cone import CoefVector
-from .poly_core import is_exact_scalar
+from .poly_core import ComplexPoly
 
 _RANK_SHIFT = 2.0**-26
 
@@ -60,25 +61,15 @@ class KernelBasis:
     exact: bool
 
 
-def _split_real_imag(coef: dict) -> tuple[dict, dict, bool]:
-    exact = all(is_exact_scalar(c) for c in coef.values())
-    part = Fraction if exact else float
-    A = {k: part(c.real) for k, c in coef.items()}
-    B = {k: part(c.imag) for k, c in coef.items()}
-    return A, B, exact
-
-
-def build_matrix(coef: dict, forbidden, half_degree: int, kind: str = "plain") -> BlockMatrix:
-    """Constraint matrix straight from a cofactor coefficient map."""
-    A, B, exact = _split_real_imag(coef)
+def build_matrix(cofactor: ComplexPoly, forbidden, half_degree: int, kind: str = "plain") -> BlockMatrix:
+    """Constraint matrix straight from the cofactor's coefficients."""
     d = half_degree
-    zero = Fraction(0) if exact else 0.0
 
     def a(k):
-        return A.get(k, zero)
+        return cofactor.coefficient(k).real
 
     def b(k):
-        return B.get(k, zero)
+        return cofactor.coefficient(k).imag
 
     # rows [A+ B-] for every forbidden exponent, then rows [B+ -A-]
     rows = [
@@ -96,7 +87,7 @@ def build_matrix(coef: dict, forbidden, half_degree: int, kind: str = "plain") -
         half_degree=half_degree,
         forbidden=tuple(forbidden),
         kind=kind,
-        exact=exact,
+        exact=cofactor.mode == "exact",
     )
 
 
@@ -139,12 +130,7 @@ def _rref_kernel(rows: list[list[Fraction]], ncols: int) -> tuple[int, list[list
     return len(pivots), kernel
 
 
-def rank_and_kernel(
-    mat: BlockMatrix,
-    *,
-    gap_threshold: float = 10.0,
-    scale: float = 0.0,
-) -> KernelBasis:
+def rank_and_kernel(mat: BlockMatrix, *, scale: float = 0.0) -> KernelBasis:
     """Rank of the constraint matrix and a basis of its kernel.
 
     Exact matrices are decided by Gauss-Jordan elimination over the
@@ -153,8 +139,8 @@ def rank_and_kernel(
     singular values against the threshold 2^-26 * max(sigma_max, scale);
     ``scale`` should be the coefficient scale feeding the matrix so that a
     matrix of pure rounding noise is recognized as zero.  A singular value
-    within a factor 10 of the threshold, or a spectral gap below
-    ``gap_threshold`` at the cut, raises :class:`RankIndeterminate`.
+    within a factor 10 of the threshold raises :class:`RankIndeterminate`,
+    so the spectral gap at the cut, reported as ``gap``, is at least 100.
     """
     nrows, ncols = mat.shape
     d = mat.half_degree
@@ -175,27 +161,17 @@ def rank_and_kernel(
     _, sing, vh = np.linalg.svd(arr, full_matrices=True)
     smax = float(sing[0]) if len(sing) else 0.0
     threshold = _RANK_SHIFT * max(smax, float(scale))
-    if threshold == 0.0:
-        rank = 0
-    else:
-        near = [x for x in sing if threshold / 10.0 < x < threshold * 10.0]
-        if near:
-            raise RankIndeterminate(
-                "singular values sit on the rank threshold",
-                gap=None,
-                singular_values=tuple(float(x) for x in sing),
-            )
-        rank = int(np.count_nonzero(sing > threshold))
+    if any(threshold / 10.0 < x < threshold * 10.0 for x in sing):
+        raise RankIndeterminate(
+            "singular values sit on the rank threshold",
+            gap=None,
+            singular_values=tuple(float(x) for x in sing),
+        )
+    rank = int(np.count_nonzero(sing > threshold))
     gap = None
     if 0 < rank < len(sing):
         tail = float(sing[rank])
         gap = float(sing[rank - 1]) / tail if tail > 0 else float("inf")
-        if gap < gap_threshold:
-            raise RankIndeterminate(
-                f"spectral gap {gap:.2f} at the rank cut is below {gap_threshold}",
-                gap=gap,
-                singular_values=tuple(float(x) for x in sing),
-            )
     kernel_rows = vh[rank:]
     vectors = tuple(CoefVector.from_array(row, d=d) for row in kernel_rows)
     norm = float(np.max(np.abs(arr))) if arr.size else 0.0

@@ -79,8 +79,13 @@ class CoefVector:
             raise ValueError("alpha needs d+1 entries and beta needs d entries")
 
     @property
+    def entries(self) -> tuple:
+        """(alpha_0..alpha_d, beta_1..beta_d), the order of ``as_array``."""
+        return (*self.alpha, *self.beta)
+
+    @property
     def is_exact(self) -> bool:
-        return all(is_exact_scalar(x) for x in (*self.alpha, *self.beta))
+        return all(is_exact_scalar(x) for x in self.entries)
 
     @staticmethod
     def from_array(x, d: int | None = None) -> "CoefVector":
@@ -96,9 +101,13 @@ class CoefVector:
         return CoefVector(d, alpha, beta)
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [float(a) for a in self.alpha] + [float(b) for b in self.beta], dtype=float
-        )
+        return np.array([float(x) for x in self.entries], dtype=float)
+
+    def __add__(self, other: "CoefVector") -> "CoefVector":
+        return CoefVector.from_array([x + y for x, y in zip(self.entries, other.entries, strict=True)])
+
+    def __sub__(self, other: "CoefVector") -> "CoefVector":
+        return CoefVector.from_array([x - y for x, y in zip(self.entries, other.entries, strict=True)])
 
     def gamma(self) -> np.ndarray:
         """Analytic-side Fourier coefficients gamma_0..gamma_d (gamma_0 = 2 alpha_0)."""
@@ -583,11 +592,11 @@ def plus_dimension(
     the subspace W of V cut out by those vanishing conditions.  Disagreement
     raises :class:`FacialMismatch`; nothing is silently repaired.
     """
-    rows = np.array([b.as_array() if isinstance(b, CoefVector) else b for b in basis], dtype=float)
+    entries = [b.entries if isinstance(b, CoefVector) else b for b in basis]
+    rows = np.array(entries, dtype=float)
     d = (rows.shape[1] - 1) // 2
-    entries = [(*b.alpha, *b.beta) if isinstance(b, CoefVector) else b for b in basis]
     if seed is not None:
-        entries.append((*seed.alpha, *seed.beta))
+        entries.append(seed.entries)
     k = math.gcd(*{i if i <= d else i - d for row in entries for i, x in enumerate(row) if x != 0})
     if k <= 1:
         return _search_plus_span(rows, seed)

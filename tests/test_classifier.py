@@ -141,7 +141,7 @@ def test_audit_raises_when_the_full_space_route_disagrees(monkeypatch):
 def test_scaling_invariance(examples):
     p, pat = examples["single_double_zero"]
     base = classify(p, pat, ClassifyOptions(generate_witnesses=False))
-    for c in (2, Fraction(1, 3), 0.7, -1.5, 2.0 + 1.0j):
+    for c in (2, Fraction(1, 3), 0.7, -1.5, 2.0 + 1.0j, 10**8, 10**9):
         scaled = p * c if not isinstance(c, complex) else p.to_float() * c
         rep = classify(scaled, pat, ClassifyOptions(generate_witnesses=False))
         assert (rep.extreme, rep.exposed) == (base.extreme, base.exposed)
@@ -336,6 +336,51 @@ def test_witness_search_certifies_only_until_the_first_witness(examples, monkeyp
     (w,) = rep.witnesses
     assert w.kind == "non_exposed"
     assert w.vector.alpha == (1, 0, 0) and w.vector.beta == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "name, mode, reject, runs",
+    [
+        ("pair_and_gap", "exact", False, 0),  # the rational pool offers candidates
+        ("pair_and_gap", "float", False, 1),  # nothing is offered
+        ("double_circle", "exact", False, 0),  # classify's cone search offers its vectors
+        ("double_circle", "float", False, 0),
+        # every candidate fails validation: what was offered decides
+        ("pair_and_gap", "exact", True, 0),
+        ("pair_and_gap", "float", True, 1),
+    ],
+)
+def test_witness_search_runs_the_cone_search_only_when_nothing_was_offered(
+    examples, monkeypatch, name, mode, reject, runs
+):
+    import lacuna.classifier
+    from lacuna import WitnessValidationFailed
+
+    original = lacuna.classifier.plus_dimension
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lacuna.classifier, "plus_dimension", counting)
+    p, pat = examples[name]
+    classify(p, pat, ClassifyOptions(mode=mode, generate_witnesses=False))
+    without = len(calls)
+    if reject:
+        validate = lacuna.classifier._validated_witness
+
+        def no_non_exposed(kind, *args):
+            return None if kind == "non_exposed" else validate(kind, *args)
+
+        monkeypatch.setattr(lacuna.classifier, "_validated_witness", no_non_exposed)
+        with pytest.raises(WitnessValidationFailed):
+            classify(p, pat, ClassifyOptions(mode=mode))
+    else:
+        rep = classify(p, pat, ClassifyOptions(mode=mode))
+        assert rep.exposed is False
+        assert "non_exposed" in [w.kind for w in rep.witnesses]
+    assert len(calls) - 2 * without == runs
 
 
 def test_cone_solver_decides_without_gram_certificates(monkeypatch):

@@ -163,7 +163,7 @@ def test_cofactor_coefficients_match_fft(examples):
     grid = np.exp(2j * np.pi * np.arange(n) / n)
     vals = can.cofactor.eval_many(grid)
     hat = np.fft.fft(vals) / n  # \hat R(k) for k = 0..n-1
-    for k, c in can.coef.items():
+    for k, c in enumerate(can.cofactor.coeffs):
         assert abs(complex(c) - hat[k]) <= 1e-12
     for k in range(can.s + 1, 8):
         assert abs(hat[k]) <= 1e-12

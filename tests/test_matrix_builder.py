@@ -15,18 +15,17 @@ from lacuna import (
 )
 from lacuna.matrix_builder import BlockMatrix
 from lacuna.plus_cone import proportional
+from lacuna.poly_core import ComplexPoly
 
 
-def _entry_oracle(coef, forbidden, d):
+def _entry_oracle(coeffs, forbidden, d):
     """Direct transcription of the block formulas, no shared code."""
 
     def a(k):
-        c = coef.get(k)
-        return 0.0 if c is None else complex(c).real
+        return complex(coeffs[k]).real if 0 <= k < len(coeffs) else 0.0
 
     def b(k):
-        c = coef.get(k)
-        return 0.0 if c is None else complex(c).imag
+        return complex(coeffs[k]).imag if 0 <= k < len(coeffs) else 0.0
 
     rows = []
     for kj in forbidden:
@@ -46,9 +45,9 @@ def _example_matrix(examples, name, kind="plain"):
     p, pat = examples[name]
     can = canonical_factorization(p, pat.N)
     if kind == "plain":
-        return build_matrix(can.coef, pat.forbidden, can.m, kind="plain"), can
+        return build_matrix(can.cofactor, pat.forbidden, can.m, kind="plain"), can
     til = tilde_factorization(pat.N, can)
-    return build_matrix(til.coef, pat.forbidden, til.m_tilde, kind="tilde"), til
+    return build_matrix(til.reduced_cofactor, pat.forbidden, til.m_tilde, kind="tilde"), til
 
 
 def test_matrix_pair_and_gap_is_zero(examples):
@@ -101,22 +100,22 @@ def test_entries_match_direct_formula(examples):
     for name in examples:
         p, pat = examples[name]
         can = canonical_factorization(p, pat.N)
-        mat = build_matrix(can.coef, pat.forbidden, can.m, kind="plain")
-        want = _entry_oracle(can.coef, pat.forbidden, can.m)
+        mat = build_matrix(can.cofactor, pat.forbidden, can.m, kind="plain")
+        want = _entry_oracle(can.cofactor.coeffs, pat.forbidden, can.m)
         assert np.allclose(mat.as_array(), want, atol=0)
 
 
 def test_entries_match_direct_formula_random(rng):
-    # random coefficient map, no structure at all
+    # random cofactor, no structure at all
     d, s = 3, 5
-    coef = {
-        k: complex(rng.standard_normal(), rng.standard_normal())
-        for k in range(s + 1)
-    }
+    coeffs = [
+        complex(rng.standard_normal(), rng.standard_normal())
+        for _ in range(s + 1)
+    ]
     forbidden = (2, 4, 6)
-    mat = build_matrix(coef, forbidden, d, kind="plain")
+    mat = build_matrix(ComplexPoly(coeffs), forbidden, d, kind="plain")
     assert mat.shape == (6, 7)
-    assert np.allclose(mat.as_array(), _entry_oracle(coef, forbidden, d), atol=0)
+    assert np.allclose(mat.as_array(), _entry_oracle(coeffs, forbidden, d), atol=0)
 
 
 def test_kernel_vectors_annihilate(examples):
@@ -135,9 +134,9 @@ def test_rank_agrees_between_modes(examples):
         p, pat = examples[name]
         exact_can = canonical_factorization(p, pat.N)
         float_can = canonical_factorization(p.to_float(), pat.N)
-        me = build_matrix(exact_can.coef, pat.forbidden, exact_can.m, kind="plain")
-        mf = build_matrix(float_can.coef, pat.forbidden, float_can.m, kind="plain")
-        scale = max(abs(complex(c)) for c in float_can.coef.values())
+        me = build_matrix(exact_can.cofactor, pat.forbidden, exact_can.m, kind="plain")
+        mf = build_matrix(float_can.cofactor, pat.forbidden, float_can.m, kind="plain")
+        scale = max(abs(complex(c)) for c in float_can.cofactor.coeffs)
         assert (
             rank_and_kernel(me).rank == rank_and_kernel(mf, scale=scale).rank
         )
@@ -148,13 +147,13 @@ def test_rank_invariant_under_phase(examples):
     p, pat = examples["clean_gap"]
     can = canonical_factorization(p, pat.N)
     base = rank_and_kernel(
-        build_matrix(can.coef, pat.forbidden, can.m, kind="plain")
+        build_matrix(can.cofactor, pat.forbidden, can.m, kind="plain")
     ).rank
     for theta in (0.3, 1.1, 2.0, 4.4):
         rot = cmath.exp(1j * theta)
-        coef = {k: complex(c) * rot for k, c in can.coef.items()}
-        mat = build_matrix(coef, pat.forbidden, can.m, kind="plain")
-        scale = max(abs(v) for v in coef.values())
+        rotated = ComplexPoly([complex(c) * rot for c in can.cofactor.coeffs])
+        mat = build_matrix(rotated, pat.forbidden, can.m, kind="plain")
+        scale = max(abs(v) for v in rotated.coeffs)
         assert rank_and_kernel(mat, scale=scale).rank == base
 
 
@@ -174,16 +173,29 @@ def test_rank_indeterminate_near_threshold():
     assert exc.value.singular_values is not None
 
 
-def test_rank_indeterminate_small_gap():
-    rows = ((1.0, 0.0, 0.0), (0.0, 1e-12, 0.0))
-    mat = BlockMatrix(rows, 1, (2,), "plain", False)
-    # demanding a gap of 1e15 at the cut cannot be met: 1.0 / 1e-12 = 1e12
-    with pytest.raises(RankIndeterminate):
-        rank_and_kernel(mat, gap_threshold=1e15, scale=1.0)
+def test_float_rank_gap_is_at_least_100(rng):
+    # singular values spread over 20 decades around the threshold: a value
+    # within a factor 10 of it raises, so every decided cut has a gap >= 100
+    gaps = 0
+    for _ in range(400):
+        nrows, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        k = min(nrows, 2 * d + 1)
+        u = np.linalg.qr(rng.standard_normal((nrows, nrows)))[0][:, :k]
+        v = np.linalg.qr(rng.standard_normal((2 * d + 1, 2 * d + 1)))[0][:, :k]
+        sing = 10.0 ** rng.uniform(-20.0, 0.0, k)
+        rows = tuple(tuple(r) for r in (u * sing) @ v.T)
+        mat = BlockMatrix(rows, d, tuple(range(nrows)), "plain", False)
+        try:
+            kb = rank_and_kernel(mat, scale=float(rng.choice([0.0, 1.0, 1e3])))
+        except RankIndeterminate:
+            continue
+        assert kb.gap is None or kb.gap >= 100
+        gaps += kb.gap is not None
+    assert gaps >= 50
 
 
 def test_empty_matrix_identity_kernel():
-    mat = build_matrix({0: Fraction(1)}, (), 2, kind="plain")
+    mat = build_matrix(ComplexPoly.one(), (), 2, kind="plain")
     kb = rank_and_kernel(mat)
     assert kb.rank == 0 and kb.dim == 5
     arrs = np.array([v.as_array() for v in kb.vectors], dtype=float)
@@ -194,12 +206,12 @@ def test_exact_kernel_spans_float_kernel(examples):
     p, pat = examples["double_circle"]
     can = canonical_factorization(p, pat.N)
     til = tilde_factorization(pat.N, can)
-    me = build_matrix(til.coef, pat.forbidden, til.m_tilde, kind="tilde")
+    me = build_matrix(til.reduced_cofactor, pat.forbidden, til.m_tilde, kind="tilde")
     exact_kb = rank_and_kernel(me)
 
     flo = tilde_factorization(pat.N, canonical_factorization(p.to_float(), pat.N))
-    mf = build_matrix(flo.coef, pat.forbidden, flo.m_tilde, kind="tilde")
-    scale = max(abs(complex(c)) for c in flo.coef.values())
+    mf = build_matrix(flo.reduced_cofactor, pat.forbidden, flo.m_tilde, kind="tilde")
+    scale = max(abs(complex(c)) for c in flo.reduced_cofactor.coeffs)
     float_kb = rank_and_kernel(mf, scale=scale)
 
     assert exact_kb.dim == float_kb.dim

@@ -337,6 +337,31 @@ def test_gram_repair_spreads_each_deficit_along_its_diagonal(rng):
     assert np.max(np.abs(gram_diag_sums(got) - target.gamma())) <= 1e-12
 
 
+# -- coefficient vector arithmetic ---------------------------------------------------
+
+
+def test_coef_vector_sums_match_the_array_sums(rng):
+    for d in (0, 1, 3):
+        u = CoefVector.from_array(rng.standard_normal(2 * d + 1))
+        w = CoefVector.from_array(rng.standard_normal(2 * d + 1))
+        assert (u + w).d == (u - w).d == d
+        assert np.array_equal((u + w).as_array(), u.as_array() + w.as_array())
+        assert np.array_equal((u - w).as_array(), u.as_array() - w.as_array())
+    with pytest.raises(ValueError):
+        _vec(1, 0, 0) + _vec(1)
+
+
+def test_coef_vector_sums_keep_fractions_exact():
+    u = _exact_vec(Fraction(1, 3), Fraction(-2, 7), 5, Fraction(1, 6), 0)
+    w = _exact_vec(Fraction(2, 3), Fraction(1, 7), -1, Fraction(-1, 6), Fraction(3, 11))
+    for got, op in ((u + w, Fraction.__add__), (u - w, Fraction.__sub__)):
+        assert got.is_exact and all(isinstance(x, Fraction) for x in got.entries)
+        assert got.entries == tuple(op(x, y) for x, y in zip(u.entries, w.entries))
+        assert np.allclose(got.as_array(), [float(op(x, y)) for x, y in zip(u.entries, w.entries)])
+    assert (u - w) + w == u
+    assert (u + w).entries == (u + w).alpha + (u + w).beta == (1, Fraction(-1, 7), 4, 0, Fraction(3, 11))
+
+
 # -- Fejer kernels ----------------------------------------------------------------
 
 
@@ -439,7 +464,7 @@ def test_plus_dimension_double_zero_kernel(examples):
     p, pat = examples["double_circle"]
     can = canonical_factorization(p, pat.N)
     til = tilde_factorization(pat.N, can)
-    mat = build_matrix(til.coef, pat.forbidden, til.m_tilde, kind="tilde")
+    mat = build_matrix(til.reduced_cofactor, pat.forbidden, til.m_tilde, kind="tilde")
     kb = rank_and_kernel(mat)
     dim, found = plus_dimension([v.as_array() for v in kb.vectors])
     assert dim == 3 and len(found) == 3

@@ -1,4 +1,4 @@
-"""Digest every classify report of the benchmark workloads in one checkout.
+"""Digest every classify report and plusdim result of the benchmark workloads.
 
 Usage::
 
@@ -16,13 +16,21 @@ where the digest covers the ``lacuna/1`` JSON of ``report_to_dict`` followed
 by ``render_text``, and the verdicts are the report's (``None`` where
 undecided), so a diff shows whether a changed report moved a verdict.  A
 raised exception is printed as its class and message in place of the
-digest and the verdicts.  Run it on two checkouts on one machine and diff the
-outputs to show that a change leaves every report byte-identical.
+digest and the verdicts.  Each plusdim job of the corpus gets one line::
+
+    <workload> <case id> plusdim <sha256> <dim_plus>
+
+whose digest covers what ``lacuna plusdim`` prints for the job (a nonzero
+exit code is printed with the error message instead).  Run it on two
+checkouts on one machine and diff the outputs to show that a change leaves
+every report byte-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -45,6 +53,20 @@ def _digest(lacuna, case, overrides: dict) -> str:
     return f"{digest} {rep.extreme} {rep.exposed} {rep.dim_plus}"
 
 
+def _plusdim_digest(lacuna, case) -> str:
+    """The digest of what ``lacuna plusdim`` prints for the job, and its dim_plus."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = lacuna.cli_reports.main(["plusdim", json.dumps(case.source)])
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if code != 0:
+        return f"exit {code}: {err.getvalue().strip()}"
+    text = out.getvalue()
+    return f"{hashlib.sha256(text.encode()).hexdigest()} {json.loads(text)['dim_plus']}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/report_digests.py CHECKOUT SEED", file=sys.stderr)
@@ -58,7 +80,8 @@ def main(argv: list[str]) -> int:
     for workload in cases.WORKLOADS:
         todo = cases.make_cases(workload, seed, root / "corpus") + cases.make_census(workload, root / "corpus")
         for case in todo:
-            if case.kind != "classify":
+            if case.kind == "plusdim":
+                print(workload, case.id, "plusdim", _plusdim_digest(lacuna, case), flush=True)
                 continue
             for name, overrides in MODES.items():
                 print(workload, case.id, name, _digest(lacuna, case, overrides), flush=True)
