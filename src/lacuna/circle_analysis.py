@@ -15,10 +15,11 @@ Numeric multiplicity is ill-posed, so exact mode decides it exactly: a
 degree-0 gcd(p, p') modulo a prime certifies that p is square-free (every
 zero simple), and only otherwise does a square-free (Yun) decomposition split
 p and give the multiplicities.  Float mode clusters companion-matrix roots
-and validates the clustering by rebuilding the polynomial.  One Newton pass
-polishes a whole root array and gives the backward errors; an overflowed
-residual is NaN and raises :class:`IllConditionedZeros`, as does a zero
-beyond the float range.
+by ``cluster_roots``, the one rule that merges numerically split zeros
+(``plus_cone`` groups circle roots and minima by it too), and validates the
+clustering by rebuilding the polynomial.  One Newton pass polishes a whole
+root array and gives the backward errors; an overflowed residual is NaN and
+raises :class:`IllConditionedZeros`, as does a zero beyond the float range.
 """
 
 from __future__ import annotations
@@ -100,9 +101,9 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
     p : ComplexPoly
         Nonzero polynomial, either mode.
     tol : float
-        Target absolute error for the returned value.  Where the rounding
-        floor 32 eps |value| is larger, that floor is the target, so the
-        result does not depend on the scale of p.
+        Target absolute error for the returned value, times the norm below
+        unit norm.  Where the rounding floor 32 eps |value| is larger, that
+        floor is the target, so the result does not depend on the scale of p.
     panel_budget : int
         Cap on the number of quadrature panels; exceeding it raises
         :class:`QuadratureBudgetExceeded`.
@@ -145,8 +146,9 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
     first = list(zip(edges[:-1], edges[1:]))
     total, run, slack = _add_panels(heap, serial, coeffs, first, 0.0, 0.0, 0.0)
     while True:
-        # no finer than the rounding floor the returned bound carries anyway
-        target = max(tol, _ROUNDING_FLOOR * abs(total) / (2 * math.pi))
+        # relative below unit norm, and never finer than the rounding floor
+        norm = abs(total) / (2 * math.pi)
+        target = max(tol * min(1.0, norm), _ROUNDING_FLOOR * norm)
         rounding = 2 * len(heap) * _EPS * (run + slack)
         if run - slack - rounding <= 0.5 * target:
             err = heap_error()
@@ -253,8 +255,9 @@ def _region(r: complex) -> str:
     return "exterior"
 
 
-def _cluster_roots(roots: np.ndarray, radius: float) -> list[tuple[complex, int]]:
-    """Greedy single-linkage clustering of a root list."""
+def cluster_roots(roots, radius: float) -> list[tuple[complex, int]]:
+    """Greedy single-linkage clustering of complex points into (centroid, size)
+    pairs: the one rule by which numerically split zeros count as one zero."""
     remaining = list(roots)
     clusters = []
     while remaining:
@@ -343,7 +346,7 @@ def _zeros_float(body: ComplexPoly) -> list[ZeroCluster]:
     coeffs, roots = _float_roots(body, "p over its zeros at the origin")
     best = None
     for radius in (1e-6, 1e-8, 1e-4):
-        grouped = _cluster_roots(roots, radius)
+        grouped = cluster_roots(roots, radius)
         locs = np.array([c for c, _ in grouped])
         mults = np.array([m for _, m in grouped])
         dk = body

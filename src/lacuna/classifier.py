@@ -390,13 +390,9 @@ def classify(
     _check_seed_membership(rep.matrix, seed, diagnostics, "plain")
     _check_seed_membership(rep.matrix_tilde, seed_tilde, diagnostics, "tilde")
 
-    if pattern.M < canonical.m:
+    if pattern.M < canonical.m:  # 2M rows have rank < 2m: the rank test agrees
         rep.fast_path_extreme = "row_deficit"
     rep.extreme = rep.kernel.rank == 2 * canonical.m
-    if rep.fast_path_extreme == "row_deficit" and rep.extreme:
-        raise AuditMismatch(
-            "row-deficit shortcut predicts non-extreme but the rank criterion disagrees"
-        )
 
     if not rep.extreme:
         rep.exposed = False

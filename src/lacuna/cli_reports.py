@@ -134,12 +134,7 @@ def report_to_dict(rep: ClassificationReport) -> dict:
             "m_tilde": til.m_tilde,
             "s_tilde": til.s_tilde,
             "circle_zeros": [
-                {
-                    "location": [complex(loc).real, complex(loc).imag],
-                    "multiplicity": lam,
-                    "halved": mu,
-                }
-                for loc, lam, mu in til.circle_zeros
+                {**_zero_to_json(loc, lam), "halved": mu} for loc, lam, mu in til.circle_zeros
             ],
             "circle_factor": poly_to_json(til.circle_factor),
             "total_factor": poly_to_json(til.total_factor),
@@ -378,11 +373,13 @@ def _run_plusdim_file(data) -> tuple[int, list[CoefVector]]:
     if not isinstance(data, dict):
         raise ValueError("a basis file holds one JSON object")
     d = _field(data, "d", int)
+    if d < 0:
+        raise ValueError(f"key 'd' takes a nonnegative integer, got {d}")
     rows = [_coef_list(row, d) for row in _field(data, "basis", list)]
     seed = None
     if data.get("seed") is not None:
         seed = CoefVector.from_array(np.array(_coef_list(data["seed"], d)), d=d)
-    return plus_dimension(np.array(rows, dtype=float), seed=seed)
+    return plus_dimension(np.array(rows, dtype=float).reshape(-1, 2 * d + 1), seed=seed)
 
 
 def _cmd_plusdim(args) -> int:

@@ -31,6 +31,8 @@ constraint set; ``plus_dimension`` grows a basis of plus vectors greedily
 with such probes and then certifies completeness facially: the span of all
 plus vectors in V equals the set of vectors whose tau vanishes at each
 circle zero of the accumulated interior point to at least its order.
+Those zeros, and the circle roots that the Gram witness halves, are grouped
+by ``circle_analysis.cluster_roots``, the rule for the float zeros of p.
 Before it searches, ``plus_dimension`` compresses V by its harmonic
 lattice: when every exactly nonzero entry sits at a harmonic in kZ, V is
 a space of functions of kt, and t -> t/k maps it onto degree d // k
@@ -54,6 +56,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .circle_analysis import cluster_roots
 from .errors import FacialMismatch, SolverStalled
 from .poly_core import is_exact_scalar, linear_product, long_division
 
@@ -410,21 +413,10 @@ def _select_half_roots(roots: np.ndarray, band: float) -> list[complex] | None:
     if len(inside) != len(outside):
         return None
     chosen = list(inside)
-    used = [False] * len(on_circle)
-    for i, r in enumerate(on_circle):
-        if used[i]:
-            continue
-        group = [i]
-        used[i] = True
-        for j in range(i + 1, len(on_circle)):
-            if not used[j] and abs(on_circle[j] - r) <= max(10 * band, 1e-6):
-                group.append(j)
-                used[j] = True
-        if len(group) % 2 == 1:
+    for c, size in cluster_roots(on_circle, max(10 * band, 1e-6)):
+        if size % 2 == 1:
             return None
-        centroid = np.mean([on_circle[j] for j in group])
-        centroid = centroid / abs(centroid)
-        chosen.extend([complex(centroid)] * (len(group) // 2))
+        chosen.extend([c / abs(c)] * (size // 2))
     return chosen
 
 
@@ -593,7 +585,8 @@ def plus_dimension(
     raises :class:`FacialMismatch`; nothing is silently repaired.
     """
     entries = [b.entries if isinstance(b, CoefVector) else b for b in basis]
-    rows = np.array(entries, dtype=float)
+    # a 2-D array keeps its column count, also with no rows
+    rows = np.array(basis if isinstance(basis, np.ndarray) else entries, dtype=float)
     d = (rows.shape[1] - 1) // 2
     if seed is not None:
         entries.append(seed.entries)
@@ -694,13 +687,8 @@ def _circle_zeros_of_tau(v: CoefVector) -> list[tuple[float, int]]:
     g = v.gamma()
     scale = float(np.sum(np.abs(g)))
     raw = _grid_minima(v, max(64 * v.d + 256, 512), ceiling=1e-8 * max(scale, 1e-30))
-    zeros: list[float] = []
-    for t0 in sorted(x % (2 * math.pi) for x in raw):
-        # a new zero must be apart from its predecessor and, around the
-        # circle, from the first one
-        gaps = [abs(t0 - z) for z in zeros[-1:] + zeros[:1]]
-        if all(min(g, 2 * math.pi - g) >= 1e-6 for g in gaps):
-            zeros.append(t0)
+    points = np.exp(1j * np.array(raw))
+    zeros = sorted(np.angle([c for c, _ in cluster_roots(points, 1e-6)]) % (2 * math.pi))
     out = []
     for t0 in zeros:
         order = None

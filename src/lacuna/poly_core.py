@@ -31,35 +31,24 @@ _EXPONENT_CAP = 512
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+    def __init__(self, real=0, imag=0):
+        self.real = Fraction(real)
+        self.imag = Fraction(imag)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational(self.real, -self.imag)
 
     def abs2(self) -> Fraction:
         """|x|^2, exactly."""
-        return self.re * self.re + self.im * self.im
-
-    @property
-    def real(self) -> Fraction:
-        return self.re
-
-    @property
-    def imag(self) -> Fraction:
-        return self.im
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.real * self.real + self.imag * self.imag
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.real or self.imag)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(float(self.real), float(self.imag))
 
     def _coerce(self, other):
         if isinstance(other, GaussianRational):
@@ -72,18 +61,18 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return GaussianRational(self.real + o.real, self.imag + o.imag)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational(-self.real, -self.imag)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return GaussianRational(self.real - o.real, self.imag - o.imag)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -94,12 +83,11 @@ class GaussianRational:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             # a rational factor scales both parts; no Gaussian product needed
-            return GaussianRational(self.re * other, self.im * other)
+            return GaussianRational(self.real * other, self.imag * other)
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
-        )
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -111,7 +99,7 @@ class GaussianRational:
         if den == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         num = self * o.conjugate()
-        return GaussianRational(num.re / den, num.im / den)
+        return GaussianRational(num.real / den, num.imag / den)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -123,21 +111,21 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.real == o.real and self.imag == o.imag
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.real, self.imag))
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        return f"GaussianRational({self.real!r}, {self.imag!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        if self.imag == 0:
+            return str(self.real)
+        if self.real == 0:
+            return f"{self.imag}i"
+        sign = "+" if self.imag > 0 else "-"
+        return f"{self.real}{sign}{abs(self.imag)}i"
 
 
 def json_isinstance(val, kind) -> bool:
@@ -364,8 +352,6 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN_RX.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
-                break
             raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", position=pos)
         if m.group("num") is not None:
             lit = m.group("num")
@@ -441,11 +427,7 @@ class _ExprParser:
                     raise ParseError("'/' accepts only a constant divisor", position=pos)
                 if q.is_zero():
                     raise ParseError("division by zero", position=pos)
-                c = q.coefficient(0)
-                if isinstance(c, GaussianRational):
-                    p = p * (GaussianRational(1) / c)
-                else:
-                    p = p * (1.0 / c)
+                p = p * (1 / q.coefficient(0))
             elif kind in self._ATOM_STARTS:
                 p = p * self.unary()
             else:
@@ -553,7 +535,7 @@ def poly_to_json(p: ComplexPoly) -> dict:
     if p.mode == "exact":
         return {
             "coeffs": [
-                [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
+                [c.real.numerator, c.real.denominator, c.imag.numerator, c.imag.denominator]
                 for c in p.coeffs
             ]
         }
@@ -687,10 +669,10 @@ def _image_mod_prime(coeffs: Sequence[GaussianRational]) -> list[int] | None:
     ell = _GCD_PRIME
     out = []
     for c in coeffs:
-        if not (c.re.denominator % ell and c.im.denominator % ell):
+        if not (c.real.denominator % ell and c.imag.denominator % ell):
             return None
-        re = c.re.numerator * pow(c.re.denominator, -1, ell)
-        im = c.im.numerator * pow(c.im.denominator, -1, ell)
+        re = c.real.numerator * pow(c.real.denominator, -1, ell)
+        im = c.imag.numerator * pow(c.imag.denominator, -1, ell)
         out.append((re + im * _GCD_IOTA) % ell)
     return out
 
@@ -788,7 +770,7 @@ def spectrum(p: ComplexPoly, tol: float | None = None) -> tuple[int, ...]:
     if p.is_zero():
         return ()
     if p.mode == "exact":
-        return tuple(k for k, c in enumerate(p.coeffs) if not c.is_zero())
+        return tuple(k for k, c in enumerate(p.coeffs) if c)
     cutoff = (1e-10 if tol is None else tol) * p.max_abs_coeff()
     return tuple(k for k, c in enumerate(p.coeffs) if abs(c) > cutoff)
 

@@ -382,10 +382,10 @@ def test_criterion_07_gap_patterns_no_shared_zeros():
             )
 
         a = coef()
-        while a.is_zero():
+        while not a:
             a = coef()
         b = coef()
-        while b.is_zero() or b.abs2() == a.abs2():
+        while not b or b.abs2() == a.abs2():
             b = coef()
         # a + b z^N: all zeros share the modulus |a/b|^(1/N) != 1, and the
         # conjugate-reciprocal's zeros sit at the reciprocal modulus, so the
@@ -499,7 +499,7 @@ def test_criterion_09_scaling_invariance(examples):
                     Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))),
                     Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))),
                 )
-                if c.is_zero():
+                if not c:
                     c = GaussianRational(Fraction(2, 3))
                 q = p * c
             else:

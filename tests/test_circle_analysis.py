@@ -75,6 +75,17 @@ def test_l1_norm_scales_homogeneously():
     assert abs(b - 5 * a) <= 1e-9 * b
 
 
+def test_l1_norm_is_scale_equivariant_below_unit_norm():
+    # below unit norm the stop target is relative, so c p is integrated on
+    # the same panels at every small c and keeps the relative accuracy of p
+    p = parse_poly("(3+2i) - (1-4i)z + (2+i)z^5 - 7z^8").to_float()
+    unit = l1_norm(p).value
+    runs = {k: l1_norm(p * 10.0**-k) for k in range(2, 15)}
+    for k, res in runs.items():
+        assert abs(res.value * 10.0**k - unit) <= 1e-12 * unit, k
+    assert len({res.panels for res in runs.values()}) == 1
+
+
 def test_l1_norm_budget():
     # root at 0.85 evades the break seeding, so panels must actually split
     with pytest.raises(QuadratureBudgetExceeded):

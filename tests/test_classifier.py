@@ -138,6 +138,50 @@ def test_audit_raises_when_the_full_space_route_disagrees(monkeypatch):
         classify("(1 - z^2)^2", LacunaryPattern(4, []), ClassifyOptions(audit=True))
 
 
+def test_audit_raises_when_the_cone_dimension_disagrees_with_a_shortcut(monkeypatch):
+    import lacuna.classifier
+    from lacuna import AuditMismatch
+
+    # exposed by simple_circle_zeros; a cone dimension of 2 contradicts it
+    monkeypatch.setattr(lacuna.classifier, "plus_dimension", lambda *args, **kwargs: (2, []))
+    with pytest.raises(AuditMismatch, match="simple_circle_zeros says exposed=True"):
+        classify("(z - 1/2)(8 - z^3)", LacunaryPattern(4, [2]), ClassifyOptions(audit=True))
+
+
+def test_seed_outside_the_kernel_is_inconsistent():
+    from lacuna.classifier import _check_seed_membership
+    from lacuna.plus_cone import CoefVector
+
+    rep = classify("(z - 1/2)(8 - z^3)", LacunaryPattern(4, [2]))
+    diagnostics = {}
+    with pytest.raises(IllConditionedZeros, match="kernel equations of the plain matrix"):
+        _check_seed_membership(rep.matrix, CoefVector(1, (1, 0), (0,)), diagnostics, "plain")
+    assert diagnostics["seed_residual_plain"] == 8.0
+
+
+@pytest.mark.parametrize(
+    "kind,Q,factor,N,forbidden",
+    [
+        ("non_extreme", "z", "1", 2, [1]),  # q = z sits at a forbidden exponent
+        ("non_extreme", "1", "0", 1, []),  # the factor vanishes on the whole grid
+        ("non_extreme", "i", "1", 1, []),  # the multiplier i is not real
+        ("non_extreme", "2", "1", 1, []),  # the multiplier 2 is constant
+        ("non_exposed", "1 + z^2", "z", 2, []),  # the multiplier 2 cos t dips below 0
+    ],
+    ids=["outside-pattern", "empty-grid", "non-real", "constant", "negative"],
+)
+def test_validated_witness_rejects_each_failed_check(kind, Q, factor, N, forbidden):
+    from lacuna.classifier import _validated_witness
+    from lacuna.plus_cone import CoefVector
+
+    v, one = CoefVector(0, (1,), ()), parse_poly("1")
+    pattern = LacunaryPattern(N, forbidden)
+    assert _validated_witness(kind, v, parse_poly(Q), one, parse_poly(factor), pattern) is None
+    # the multiplier 2 cos t passes every check of a non-extreme witness
+    full = LacunaryPattern(2, [])
+    assert _validated_witness("non_extreme", v, parse_poly("1 + z^2"), one, parse_poly("z"), full)
+
+
 def test_scaling_invariance(examples):
     p, pat = examples["single_double_zero"]
     base = classify(p, pat, ClassifyOptions(generate_witnesses=False))

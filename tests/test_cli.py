@@ -290,6 +290,22 @@ def test_plusdim_zero_dimension(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["dim_plus"] == 0
 
 
+def test_plusdim_empty_basis_spans_zero(capsys):
+    code = main(["plusdim", '{"d": 1, "basis": []}'])
+    assert code == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dim_plus"] == 0 and doc["vectors"] == []
+
+
+def test_corpus_runs_an_empty_basis_job_next_to_a_good_one(tmp_path, capsys):
+    (tmp_path / "a_empty.json").write_text(json.dumps({"d": 1, "basis": [], "expect": {"dim_plus": 0}}))
+    good = {"input": "1 + z/2", "pattern": {"N": 1}, "expect": {"extreme": True, "exposed": True}}
+    (tmp_path / "b_good.json").write_text(json.dumps(good))
+    code = main(["corpus", str(tmp_path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["PASS a_empty: ok", "PASS b_good: ok", "2/2 passed"]
+
+
 def test_plusdim_stalled_exit(tmp_path, capsys, monkeypatch):
     import lacuna.cli_reports as mod
     from lacuna import SolverStalled
@@ -465,6 +481,7 @@ def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
     [
         (["plusdim", "-"], '{"basis": [[1,0,0]]}', "'d'"),
         (["plusdim", "-"], '{"d": 1, "basis": 5}', "'basis'"),
+        (["plusdim", "-"], '{"d": -1, "basis": []}', "'d'"),
         (["classify", '{"coeffs": 5}', "--pattern", "1"], "", "'coeffs'"),
         (["classify", "[[1,0],[1,null]]", "--pattern", "1"], "", "[1, None]"),
         # numbers without a finite float value
@@ -480,7 +497,7 @@ def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
         # a root polished to -10^100 whose backward error overflows
         (["classify", "(z + 10^100)(z^3 - 2)", "--pattern", "4", "--mode", "exact"], "", "backward error nan"),
     ],
-    ids=["plusdim-no-d", "plusdim-basis-not-a-list", "coeffs-not-a-list", "null-part",
+    ids=["plusdim-no-d", "plusdim-basis-not-a-list", "plusdim-negative-d", "coeffs-not-a-list", "null-part",
          "plusdim-infinity", "plusdim-overflowing-string", "plusdim-nan",
          "classify-overflowing-integer", "classify-infinite-decimal", "classify-nan",
          "classify-exact-zero-beyond-float-range", "classify-float-zero-beyond-float-range",

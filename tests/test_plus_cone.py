@@ -94,7 +94,7 @@ def _square_vector(q: ComplexPoly) -> list[Fraction]:
     d = len(c) - 1
     gamma = [sum((c[l + k] * c[l].conjugate() for l in range(d + 1 - k)), GaussianRational())
              for k in range(d + 1)]
-    return [gamma[0].re / 2] + [g.re for g in gamma[1:]] + [g.im for g in gamma[1:]]
+    return [gamma[0].real / 2] + [g.real for g in gamma[1:]] + [g.imag for g in gamma[1:]]
 
 
 def _sympy_oracle(entries) -> tuple[bool, bool]:
@@ -185,8 +185,8 @@ def test_certify_rotated_sine_power(power):
     for _ in range(power):
         laurent = laurent * s
     c = laurent.coeffs
-    entries = [c[power].re / 2] + [c[power + k].re for k in range(1, power + 1)]
-    entries += [c[power + k].im for k in range(1, power + 1)]
+    entries = [c[power].real / 2] + [c[power + k].real for k in range(1, power + 1)]
+    entries += [c[power + k].imag for k in range(1, power + 1)]
     want = (True, True) if power % 2 == 0 else (False, False)
     assert certify_nonneg_exact(CoefVector.from_array(entries)) == want
 

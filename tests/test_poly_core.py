@@ -37,7 +37,7 @@ _z = sympy.symbols("z")
 def _to_sympy(p: ComplexPoly):
     expr = sympy.Integer(0)
     for k, c in enumerate(p.coeffs):
-        expr += (sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I) * _z**k
+        expr += (sympy.Rational(c.real) + sympy.Rational(c.imag) * sympy.I) * _z**k
     return sympy.Poly(expr, _z, domain="QQ_I")
 
 
@@ -249,7 +249,7 @@ def test_square_free_decomposition_oracle():
     ratio = None
     for k in range(p.deg + 1):
         c = rebuilt.coefficient(k)
-        if not c.is_zero():
+        if c:
             ratio = p.coefficient(k) / c
             break
     assert all(
@@ -325,13 +325,16 @@ def test_parser_table(text, coeffs):
     assert p.mode == "exact"
     for k, (re, im) in enumerate(coeffs):
         c = p.coefficient(k)
-        assert c.re == Fraction(re) and c.im == Fraction(im)
+        assert c.real == Fraction(re) and c.imag == Fraction(im)
 
 
 def test_parser_decimal_goes_float():
     p = parse_poly("0.5 + z")
     assert p.mode == "float"
     assert abs(complex(p.coeffs[0]) - 0.5) < 1e-15
+    # a float divisor takes the same division path as an exact one
+    q = parse_poly("z/4.0")
+    assert q.mode == "float" and q.coeffs == (0j, 0.25 + 0j)
 
 
 def test_parser_implicit_multiplication():
