@@ -9,7 +9,8 @@ way, and is divided out of R, so p = (G C) R~.  The rank criteria read
 their constraint matrices off the cofactors R and R~.  Both levels
 run through one split, ``_factor_out``, whose one consistency check is that
 the quotient fits the degree budget N - 2m (N - 2m~ for the tilde level);
-with no zeros to split off it divides by the constant 1.
+with no zeros to split off, an exact input is its own quotient by the
+factor 1, and a float input is divided by the constant 1.0.
 
 When the input has Gaussian-rational coefficients the factors are
 reconstructed exactly: the float factor built from the clustered zeros is
@@ -88,10 +89,13 @@ def _factor_out(p: ComplexPoly, items, s: int) -> tuple[ComplexPoly, ComplexPoly
     """Divide the factor described by (location, multiplicity) items out of p.
 
     The quotient must fit the degree budget s, which also rejects s < 0; a
-    factor of higher degree than p already fails the division.
+    factor of higher degree than p already fails the division.  With no
+    items an exact p is its own quotient, with no division.
     """
     factor, quotient, mode = _build_factor_float(items), None, "float"
-    if p.mode == "exact":
+    if p.mode == "exact" and not items:
+        factor, quotient, mode = ComplexPoly.one(), p, "exact"
+    elif p.mode == "exact":
         for bound in _RATIONALIZE_BOUNDS:
             cand = _rationalize_coefficients(factor, bound)
             if cand is None or cand.deg != factor.deg:

@@ -615,22 +615,24 @@ def _search_plus_span(
     nx = rows.shape[1]
     d = (nx - 1) // 2
     VB, _ = _row_space(rows)
-    r = VB.shape[0]
-    if r == 0:
-        return 0, []
-    if r == nx:
-        vecs = [fejer_vector(d, shift=2 * math.pi * j / (2 * d + 1)) for j in range(nx)]
-        return nx, vecs
-
     found: list[CoefVector] = []
     if seed is not None:
         arr = seed.as_array()
         resid = arr - VB.T @ (VB @ arr)
         if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(arr)):
             raise ValueError("seed does not lie in the given subspace")
-        if not _plus_verdict(seed)[0]:
+        # an exact seed's verdict needs no float search for the minimum
+        plus = certify_nonneg_exact(seed)[0] if seed.is_exact else _plus_verdict(seed)[0]
+        if not plus:
             raise ValueError("seed is not a plus vector")
         found.append(seed)
+
+    r = VB.shape[0]
+    if r == 0:
+        return 0, []
+    if r == nx:
+        vecs = [fejer_vector(d, shift=2 * math.pi * j / (2 * d + 1)) for j in range(nx)]
+        return nx, vecs
 
     while True:
         S, _ = _row_space(np.array([v.as_array() for v in found]).reshape(-1, nx))

@@ -2,9 +2,9 @@
 
 Two numeric modes run through the whole package:
 
-* ``exact``  -- coefficients are :class:`GaussianRational` (pairs of
-  :class:`fractions.Fraction`); arithmetic is closed and division/gcd are
-  decided exactly.
+* ``exact``  -- coefficients are :class:`GaussianRational`, each one
+  reduced integer triple (a + b i)/d; arithmetic is closed and division/gcd
+  are decided exactly, on Python ints.
 * ``float`` -- coefficients are Python ``complex``; divisibility and spectrum
   questions become tolerance questions.
 
@@ -19,6 +19,7 @@ import dataclasses
 import json
 import re as _re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,50 +30,82 @@ _EXPONENT_CAP = 512
 
 
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number (a + b i) / d with exact rational real and imaginary parts.
 
-    __slots__ = ("real", "imag")
+    The value is stored as three Python ints with d > 0 and gcd(a, b, d) = 1,
+    so every value has exactly one representation and arithmetic never builds
+    a :class:`fractions.Fraction`.  ``real`` and ``imag`` are read-only
+    Fraction views a/d and b/d.  The constructor takes anything
+    ``Fraction()`` takes for either part (ints, Fractions, floats, strings).
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, real=0, imag=0):
-        self.real = Fraction(real)
-        self.imag = Fraction(imag)
+        if type(real) is int and type(imag) is int:
+            self._a, self._b, self._d = real, imag, 1
+            return
+        re, im = Fraction(real), Fraction(imag)
+        rd, id_ = re.denominator, im.denominator
+        d = rd // gcd(rd, id_) * id_
+        # a prime dividing d divides one part's reduced denominator to its full
+        # power, so it does not divide that part's scaled numerator
+        self._a, self._b, self._d = re.numerator * (d // rd), im.numerator * (d // id_), d
+
+    @property
+    def real(self) -> Fraction:
+        return Fraction(self._a) if self._d == 1 else Fraction(self._a, self._d)
+
+    @property
+    def imag(self) -> Fraction:
+        return Fraction(self._b) if self._d == 1 else Fraction(self._b, self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.real, -self.imag)
+        return _gauss(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """|x|^2, exactly."""
-        return self.real * self.real + self.imag * self.imag
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __bool__(self):
-        return bool(self.real or self.imag)
+        return bool(self._a or self._b)
 
     def __complex__(self):
-        return complex(float(self.real), float(self.imag))
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(self._a / self._d, self._b / self._d)
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
+    @staticmethod
+    def _coerce(other):
+        if type(other) is GaussianRational:
             return other
+        if type(other) is int:
+            return _gauss(other, 0, 1)
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(other, 0)
+            return GaussianRational(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.real + o.real, self.imag + o.imag)
+        d, f = self._d, o._d
+        if d == f:
+            return _gauss(self._a + o._a, self._b + o._b, d)
+        return _gauss(self._a * f + o._a * d, self._b * f + o._b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.real, -self.imag)
+        return _gauss(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.real - o.real, self.imag - o.imag)
+        d, f = self._d, o._d
+        if d == f:
+            return _gauss(self._a - o._a, self._b - o._b, d)
+        return _gauss(self._a * f - o._a * d, self._b * f - o._b * d, d * f)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -81,13 +114,14 @@ class GaussianRational:
         return o - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a rational factor scales both parts; no Gaussian product needed
-            return GaussianRational(self.real * other, self.imag * other)
-        if not isinstance(other, GaussianRational):
+        if type(other) is int:
+            # an integer factor scales both parts; no Gaussian product needed
+            return _gauss(self._a * other, self._b * other, self._d)
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _gauss(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -95,11 +129,13 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        den = o.abs2()
-        if den == 0:
+        a, b, c, e = self._a, self._b, o._a, o._b
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        den = c * c + e * e
+        if not den:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        num = self * o.conjugate()
-        return GaussianRational(num.real / den, num.imag / den)
+        f = o._d
+        return _gauss((a * c + b * e) * f, (b * c - a * e) * f, self._d * den)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -111,21 +147,37 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.real == o.real and self.imag == o.imag
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
+        # the hash of the Fraction pair, so sets and dicts order as they did;
+        # an int hashes like the Fraction of the same value
+        if self._d == 1:
+            return hash((self._a, self._b))
         return hash((self.real, self.imag))
 
     def __repr__(self):
         return f"GaussianRational({self.real!r}, {self.imag!r})"
 
     def __str__(self):
-        if self.imag == 0:
-            return str(self.real)
-        if self.real == 0:
-            return f"{self.imag}i"
-        sign = "+" if self.imag > 0 else "-"
-        return f"{self.real}{sign}{abs(self.imag)}i"
+        re, im = self.real, self.imag
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
+
+
+def _gauss(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d from ints with d > 0, reduced to gcd(a, b, d) = 1."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    x = object.__new__(GaussianRational)
+    x._a, x._b, x._d = a, b, d
+    return x
 
 
 def json_isinstance(val, kind) -> bool:
@@ -452,9 +504,14 @@ class _ExprParser:
                 raise ParseError("exponent must be a nonnegative integer", position=epos)
             if value > _EXPONENT_CAP:
                 raise ParseError(f"exponent {value} exceeds cap {_EXPONENT_CAP}", position=epos)
+            # square-and-multiply over the exponent's bits, low bit first
             out = ComplexPoly.one(base.mode)
-            for _ in range(value):
-                out = out * base
+            while value:
+                if value & 1:
+                    out = out * base
+                value >>= 1
+                if value:
+                    base = base * base
             return out
         return base
 
@@ -533,12 +590,12 @@ def poly_from_json(obj) -> ComplexPoly:
 
 def poly_to_json(p: ComplexPoly) -> dict:
     if p.mode == "exact":
-        return {
-            "coeffs": [
-                [c.real.numerator, c.real.denominator, c.imag.numerator, c.imag.denominator]
-                for c in p.coeffs
-            ]
-        }
+        # each part in lowest terms, as its Fraction view would give it
+        out = []
+        for c in p.coeffs:
+            g, h = gcd(c._a, c._d), gcd(c._b, c._d)
+            out.append([c._a // g, c._d // g, c._b // h, c._d // h])
+        return {"coeffs": out}
     return {"coeffs_f": [[c.real, c.imag] for c in p.coeffs]}
 
 
@@ -669,11 +726,13 @@ def _image_mod_prime(coeffs: Sequence[GaussianRational]) -> list[int] | None:
     ell = _GCD_PRIME
     out = []
     for c in coeffs:
-        if not (c.real.denominator % ell and c.imag.denominator % ell):
-            return None
-        re = c.real.numerator * pow(c.real.denominator, -1, ell)
-        im = c.imag.numerator * pow(c.imag.denominator, -1, ell)
-        out.append((re + im * _GCD_IOTA) % ell)
+        # l divides the common denominator d iff it divides a part's denominator
+        image = c._a + c._b * _GCD_IOTA
+        if c._d != 1:
+            if not c._d % ell:
+                return None
+            image *= pow(c._d, -1, ell)
+        out.append(image % ell)
     return out
 
 

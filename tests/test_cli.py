@@ -297,6 +297,22 @@ def test_plusdim_empty_basis_spans_zero(capsys):
     assert doc["dim_plus"] == 0 and doc["vectors"] == []
 
 
+@pytest.mark.parametrize(
+    "basis,message",
+    [
+        ([], "seed does not lie in the given subspace"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "seed is not a plus vector"),
+    ],
+    ids=["empty-basis", "whole-space"],
+)
+def test_plusdim_checks_the_seed_when_the_basis_spans_zero_or_everything(basis, message, capsys):
+    # the seed 2 cos t is neither in {0} nor a plus vector
+    code = main(["plusdim", json.dumps({"d": 1, "basis": basis, "seed": [0, 1, 0]})])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_corpus_runs_an_empty_basis_job_next_to_a_good_one(tmp_path, capsys):
     (tmp_path / "a_empty.json").write_text(json.dumps({"d": 1, "basis": [], "expect": {"dim_plus": 0}}))
     good = {"input": "1 + z/2", "pattern": {"N": 1}, "expect": {"extreme": True, "exposed": True}}

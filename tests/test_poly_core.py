@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic against sympy oracles, parser, serialization."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,82 @@ gauss = st.builds(
     st.fractions(min_value=-4, max_value=4, max_denominator=9),
 )
 polys = st.lists(gauss, min_size=0, max_size=7).map(ComplexPoly)
+
+# Gaussian rationals against a reference pair of Fractions: small parts that
+# collide and cancel, and large ones whose float conversion must round
+_parts = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+)
+_operands = st.one_of(
+    st.tuples(_parts, _parts).map(lambda ri: (GaussianRational(*ri), ri)),
+    st.integers(-50, 50).map(lambda n: (n, (Fraction(n), Fraction(0)))),
+    _parts.map(lambda f: (f, (f, Fraction(0)))),
+)
+_scalar_ops = {
+    "+": (lambda x, y: x + y, lambda a, b, c, d: (a + c, b + d)),
+    "-": (lambda x, y: x - y, lambda a, b, c, d: (a - c, b - d)),
+    "*": (lambda x, y: x * y, lambda a, b, c, d: (a * c - b * d, a * d + b * c)),
+    "/": (lambda x, y: x / y,
+          lambda a, b, c, d: ((a * c + b * d) / (c * c + d * d), (b * c - a * d) / (c * c + d * d))),
+}
+
+
+def _assert_normalized(x, re, im):
+    """x is the Gaussian rational re + im i, stored as its reduced int triple."""
+    a, b, d = x._a, x._b, x._d
+    assert type(x) is GaussianRational and type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == (re, im)
+    assert type(x.real) is Fraction and (x.real, x.imag) == (re, im)
+
+
+def _reference_str(re, im):
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+@given(_operands, _operands, st.sampled_from(sorted(_scalar_ops)))
+def test_gaussian_rational_arithmetic_matches_fraction_pairs(x, y, op):
+    (xv, (a, b)), (yv, (c, d)) = x, y
+    assume(isinstance(xv, GaussianRational) or isinstance(yv, GaussianRational))
+    apply, reference = _scalar_ops[op]
+    if op == "/" and c == 0 and d == 0:
+        with pytest.raises(ZeroDivisionError):
+            apply(xv, yv)
+        return
+    _assert_normalized(apply(xv, yv), *reference(a, b, c, d))
+    assert (xv == yv) == ((a, b) == (c, d)) and (yv == xv) == (xv == yv)
+
+
+@given(st.tuples(_parts, _parts))
+def test_gaussian_rational_unary_views_match_fraction_pairs(ri):
+    re, im = ri
+    x = GaussianRational(re, im)
+    _assert_normalized(x, re, im)
+    _assert_normalized(x.conjugate(), re, -im)
+    _assert_normalized(-x, -re, -im)
+    assert type(x.abs2()) is Fraction and x.abs2() == re * re + im * im
+    assert hash(x) == hash((re, im))
+    assert str(x) == _reference_str(re, im)
+    assert repr(x) == f"GaussianRational({re!r}, {im!r})"
+    assert bool(x) == bool(re or im)
+    if x:
+        parts = [re.numerator, re.denominator, im.numerator, im.denominator]
+        assert poly_to_json(ComplexPoly([x])) == {"coeffs": [parts]}
+    z, want = complex(x), complex(float(re), float(im))
+    assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_gaussian_rational_constructor_takes_what_fraction_takes():
+    assert GaussianRational(0.1).real == Fraction(0.1)
+    assert GaussianRational("3/4", 2).imag == 2
+    x = GaussianRational(Fraction(1, 6), Fraction(-3, 4))
+    assert (x._a, x._b, x._d) == (2, -9, 12)
+    assert GaussianRational(True) == GaussianRational(1) == 1 == GaussianRational(Fraction(2, 2))
 
 
 @given(polys, polys)
@@ -339,6 +416,16 @@ def test_parser_decimal_goes_float():
 
 def test_parser_implicit_multiplication():
     assert parse_poly("(1+z)(1-z)").coeffs == parse_poly("1 - z^2").coeffs
+
+
+def test_parser_power_matches_binomials_and_repeated_products():
+    p = parse_poly("(1+z)^512")
+    assert p.coeffs == tuple(GaussianRational(math.comb(512, k)) for k in range(513))
+    base = parse_poly("3+2i - (1-4i)z")
+    product = ComplexPoly.one()
+    for _ in range(37):
+        product = product * base
+    assert parse_poly("(3+2i - (1-4i)z)^37") == product
 
 
 @pytest.mark.parametrize("bad", ["", "z^", "1 +", "(1+z", "z^9999", "1/(1+z)", "^2"])

@@ -1,0 +1,77 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs of runs.
+
+Usage::
+
+    python3 tools/bench_pairs.py PARENT CHANGE WORKLOAD SEED...
+
+PARENT and CHANGE are lacuna source trees.  For each SEED the script runs
+the benchmark command of PARENT's ``BENCHMARK.json`` (``perfbench/run.py``)
+once in each checkout, for the declared ``run_seconds``, and takes the
+result object from the last line of its output.  The side that runs first
+alternates from pair to pair.  It then prints one line per end-to-end
+metric of ``BENCHMARK.json``::
+
+    <metric> <unit> parent <median> [<q1> <q3>] change <median> [<q1> <q3>] change better in <w>/<pairs>
+
+where a pair counts as won only when the change's value is strictly better
+in the direction the benchmark declares (ties count for neither side), and
+last the failed and attempted operations of each side.  The runs write
+nothing but what the benchmark itself keeps in each checkout.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _run(checkout: Path, spec: dict, workload: str, seed: str) -> dict:
+    cmd = [*spec["command"], "--workload", workload, "--seed", seed,
+           "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def _summary(values: list[float]) -> str:
+    if len(values) < 2:
+        return f"{values[0]:.6g}"
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return f"{statistics.median(values):.6g} [{q1:.6g} {q3:.6g}]"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 4:
+        print("usage: python3 tools/bench_pairs.py PARENT CHANGE WORKLOAD SEED...", file=sys.stderr)
+        return 1
+    parent, change = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    workload, seeds = argv[2], argv[3:]
+    spec = json.loads((parent / "BENCHMARK.json").read_text())
+    runs: dict[Path, list[dict]] = {parent: [], change: []}
+    for i, seed in enumerate(seeds):
+        order = (parent, change) if i % 2 == 0 else (change, parent)
+        for checkout in order:
+            runs[checkout].append(_run(checkout, spec, workload, seed))
+        print(f"pair {i + 1}/{len(seeds)} seed {seed} done ({order[0].name} first)", file=sys.stderr)
+
+    for metric in spec["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        old = [r["metrics"][name]["value"] for r in runs[parent]]
+        new = [r["metrics"][name]["value"] for r in runs[change]]
+        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        print(f"{name} {metric['unit']} parent {_summary(old)} change {_summary(new)} "
+              f"change better in {wins}/{len(seeds)}")
+    for label, checkout in (("parent", parent), ("change", change)):
+        failed = sum(r["failed"] for r in runs[checkout])
+        attempted = sum(r["attempted"] for r in runs[checkout])
+        print(f"{label} failed {failed} of {attempted} attempted")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
