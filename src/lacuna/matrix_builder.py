@@ -64,26 +64,18 @@ class KernelBasis:
 def build_matrix(cofactor: ComplexPoly, forbidden, half_degree: int, kind: str = "plain") -> BlockMatrix:
     """Constraint matrix straight from the cofactor's coefficients."""
     d = half_degree
-
-    def a(k):
-        return cofactor.coefficient(k).real
-
-    def b(k):
-        return cofactor.coefficient(k).imag
-
-    # rows [A+ B-] for every forbidden exponent, then rows [B+ -A-]
-    rows = [
-        tuple(a(kj + l - d) + a(kj - l - d) for l in range(d + 1))
-        + tuple(b(kj + l - d) - b(kj - l - d) for l in range(1, d + 1))
-        for kj in forbidden
-    ]
-    rows += [
-        tuple(b(kj + l - d) + b(kj - l - d) for l in range(d + 1))
-        + tuple(-(a(kj + l - d) - a(kj - l - d)) for l in range(1, d + 1))
-        for kj in forbidden
-    ]
+    c = cofactor.coefficient
+    # A+- and B+- are the parts of one sum or difference of two coefficients,
+    # so each entry reads one part (a Fraction view in exact mode) of one
+    # scalar; rows [A+ B-] for every forbidden exponent, then rows [B+ -A-]
+    top, bottom = [], []
+    for kj in forbidden:
+        plus = [c(kj + l - d) + c(kj - l - d) for l in range(d + 1)]
+        minus = [c(kj + l - d) - c(kj - l - d) for l in range(1, d + 1)]
+        top.append(tuple(x.real for x in plus) + tuple(x.imag for x in minus))
+        bottom.append(tuple(x.imag for x in plus) + tuple(-x.real for x in minus))
     return BlockMatrix(
-        rows=tuple(rows),
+        rows=tuple(top + bottom),
         half_degree=half_degree,
         forbidden=tuple(forbidden),
         kind=kind,

@@ -27,10 +27,14 @@ circle zeros of order >= 4.
 
 ``find_plus_in_slice`` looks for a plus vector inside an affine slice of a
 subspace by alternating projections between the PSD cone and the affine
-constraint set; ``plus_dimension`` grows a basis of plus vectors greedily
-with such probes and then certifies completeness facially: the span of all
-plus vectors in V equals the set of vectors whose tau vanishes at each
-circle zero of the accumulated interior point to at least its order.
+constraint set.  It reports a slice empty when the affine step's
+displacement, read as a Farkas certificate, puts the mean of tau of every
+plus vector of the slice beyond the solver's tolerance, or else when the
+residual plateaus (weakly infeasible slices have no such certificate).
+``plus_dimension`` grows a basis of plus vectors greedily with such probes
+and then certifies completeness facially: the span of all plus vectors
+in V equals the set of vectors whose tau vanishes at each circle zero of
+the accumulated interior point to at least its order.
 Those zeros, and the circle roots that the Gram witness halves, are grouped
 by ``circle_analysis.cluster_roots``, the rule for the float zeros of p.
 Before it searches, ``plus_dimension`` compresses V by its harmonic
@@ -60,8 +64,9 @@ from .circle_analysis import cluster_roots
 from .errors import FacialMismatch, SolverStalled
 from .poly_core import is_exact_scalar, linear_product, long_division
 
-# the slice search's alternating projections: convergence test, plateau
-# detection, stall cap and re-certification band
+# the slice search's alternating projections: convergence test (and the
+# Farkas bound's threshold), plateau detection, stall cap and
+# re-certification band
 _TOL_FEASIBLE = 1e-9
 _ITERATION_CAP = 20000
 _PLATEAU_WINDOW = 500
@@ -499,6 +504,44 @@ def _row_space(
     return vh[:rank], vh[rank:]
 
 
+def _slice_mean_bound(Y: np.ndarray, C: np.ndarray, f: np.ndarray) -> float:
+    """Lower bound on mean(tau_v) over the plus vectors v of {v : C v = f}.
+
+    Y is an affine step's displacement Q - project_affine(Q), which lies in
+    the range of (C L)^T; so Y = L^T z with z = C^T y, and y is read back by
+    least squares.  Any y gives a Farkas-type bound.  Let v = L X be a plus
+    vector of the slice, with X >= 0 its Fejer-Riesz Gram matrix; then
+    mu = tr X = 2 alpha_0 is the mean of tau_v, and every entry of v is at
+    most mu in size.  With g = <y, f> = y_last * target,
+
+        g = <y, C L X> = <L^T z, X> >= lambda_min(L^T z) * mu,
+
+    so for g < 0 every plus vector of the slice has mu >= -g / s with
+    s = max(-lambda_min, 0), and there is none at all when s = 0.
+
+    Rounding allowance, with u the unit roundoff, m the rows of C and n the
+    size of Q: z' = fl(C^T y) differs from z by at most e = 2 m u |C|^T |y|
+    entrywise, which moves <z, v> by at most ||e||_1 mu; T = L^T z' is
+    exact (every entry is 0 or +-z'_k / 2); a backward-stable eigensolver
+    returns lambda_min(T) within p(n) u ||T||_2, taken generously as
+    n^2 u ||T||_F; and fl(y_last * target) is within a factor 1 +- u of g.
+    So s is taken as max(-lambda, 0) + n^2 u ||T||_F + ||e||_1, and the
+    bound as -fl(g) (1 - u) / s (infinite for s = 0).  It is 0 when g >= 0.
+    """
+    u = np.finfo(float).eps / 2
+    n = Y.shape[0]
+    L, L_pinv = _trace_map(n)
+    y = np.linalg.lstsq(C.T, L_pinv.T @ Y.view(float).ravel(), rcond=None)[0]
+    g = float(y[-1] * f[-1])
+    if g >= 0.0:
+        return 0.0
+    T = (L.T @ (C.T @ y)).view(complex).reshape(n, n)
+    lam = float(np.linalg.eigvalsh(T)[0])
+    e = 2 * C.shape[0] * u * (np.abs(C).T @ np.abs(y))
+    s = max(-lam, 0.0) + n * n * u * float(np.linalg.norm(T)) + float(np.sum(e))
+    return math.inf if s == 0.0 else -g * (1 - u) / s
+
+
 def find_plus_in_slice(
     basis: np.ndarray,
     slice_constraint: tuple[np.ndarray, float],
@@ -506,11 +549,16 @@ def find_plus_in_slice(
     """Plus vector v in span(basis) with <v, w> = target, or None.
 
     Alternating projections between the PSD cone and the affine set of Gram
-    matrices whose coefficient vector lies in the slice.  ``None`` means the
+    matrices whose coefficient vector lies in the slice.  ``None`` means one
+    of two things.  Either the Farkas bound of ``_slice_mean_bound``, read
+    from the affine step at iterations 0, 1, 2, 4, 8, ..., shows that every
+    plus vector of the slice has mean(tau) > |target| / (|w| _TOL_FEASIBLE),
+    so its w-component is below the feasibility tolerance of its size (for
+    a unit w and target +-1 the bound exceeds 1 / _TOL_FEASIBLE); or the
     residual plateaued above ``_PLATEAU_LEVEL`` for ``_PLATEAU_WINDOW``
-    iterations (certified-infeasible in the sense of this solver); a run that
-    neither converges nor plateaus within ``_ITERATION_CAP`` iterations raises
-    :class:`SolverStalled`.
+    iterations, which is the verdict for weakly infeasible slices that have
+    no strict certificate.  A run that neither converges nor plateaus within
+    ``_ITERATION_CAP`` iterations raises :class:`SolverStalled`.
     """
     w, target = slice_constraint
     w = np.asarray(w, dtype=float)
@@ -520,13 +568,15 @@ def find_plus_in_slice(
     w_in = VB.T @ (VB @ w)
     if np.linalg.norm(w_in) <= 1e-12 * max(1.0, np.linalg.norm(w)):
         return None
-    f = np.zeros(comp.shape[0] + 1)
+    C = np.vstack([comp, w])
+    f = np.zeros(C.shape[0])
     f[-1] = target
-    project_affine = _affine_projector(d + 1, f, np.vstack([comp, w]))
+    mean_cap = abs(target) / (float(np.linalg.norm(w)) * _TOL_FEASIBLE)
+    project_affine = _affine_projector(d + 1, f, C)
     Q = project_affine(np.eye(d + 1, dtype=complex))
     history: list[float] = []
     recerts = 0
-    for _ in range(_ITERATION_CAP):
+    for i in range(_ITERATION_CAP):
         Qp = _project_psd(Q)
         Qa = project_affine(Qp)
         dist = float(np.linalg.norm(Qa - Qp))
@@ -540,6 +590,8 @@ def find_plus_in_slice(
                 raise SolverStalled(
                     "converged iterates keep failing plus re-certification"
                 )
+        elif i & (i - 1) == 0 and _slice_mean_bound(Qp - Qa, C, f) > mean_cap:
+            return None
         if len(history) > _PLATEAU_WINDOW:
             old = history[-_PLATEAU_WINDOW - 1]
             if dist > _PLATEAU_LEVEL and old - dist <= 0.01 * old:

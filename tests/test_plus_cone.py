@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lacuna import (
@@ -418,6 +418,70 @@ def test_find_plus_in_slice_stalls_when_recertification_keeps_failing(monkeypatc
     e0 = np.eye(3)[0]
     with pytest.raises(SolverStalled, match="keep failing plus re-certification"):
         find_plus_in_slice(np.eye(3)[[0, 1]], (e0, 1.0))
+
+
+@pytest.mark.parametrize("target", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "basis,w",
+    [
+        (V1_BASIS, [0.0, 1.0, 0.0]),  # corpus cosine_line: w = cos t
+        (V2_BASIS, [0.0, 1.0, 0.0, 0.0, 0.0]),  # corpus sine_square_plane: w perp 4 sin^2 t
+    ],
+    ids=["cosine_line", "sine_square_plane"],
+)
+def test_infeasible_corpus_probes_end_at_the_farkas_bound(monkeypatch, basis, w, target):
+    import lacuna.plus_cone
+
+    calls = []
+    project_psd = lacuna.plus_cone._project_psd
+
+    def counting(Q):
+        calls.append(Q.shape)
+        return project_psd(Q)
+
+    monkeypatch.setattr(lacuna.plus_cone, "_project_psd", counting)
+    assert find_plus_in_slice(basis, (np.array(w), target)) is None
+    assert 1 <= len(calls) <= 2
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.integers(-100, 100), min_size=2 * d + 1, max_size=2 * d + 1),
+            st.lists(
+                st.lists(st.integers(-3, 3), min_size=2 * d + 1, max_size=2 * d + 1),
+                max_size=2,
+            ),
+            st.lists(
+                st.floats(min_value=-1, max_value=1, allow_nan=False),
+                min_size=2 * d + 1,
+                max_size=2 * d + 1,
+            ),
+        )
+    )
+)
+def test_find_plus_in_slice_never_rejects_a_slice_through_a_strictly_plus_vector(drawn):
+    # v0 = Fejer kernel lifted by 1 (tau >= 1) plus a perturbation whose tau
+    # is at most 1/2 in size: tau_v0 >= 1/2, so the slice <v, w> = sign
+    # <v0, w> holds the plus vector v0 / |<v0, w>| and no certificate may fire
+    perturb, extra_rows, w = drawn
+    d = (len(w) - 1) // 2
+    fejer = fejer_vector(d).entries
+    v0 = np.array(
+        [float(x + Fraction(p, 400 * (2 * d + 1))) for x, p in zip(fejer, perturb)]
+    )
+    v0[0] += 0.5  # the lift: tau += 1
+    w = np.array(w)
+    assume(np.linalg.norm(w) > 0.1)
+    w /= np.linalg.norm(w)
+    reach = float(np.dot(v0, w))
+    assume(abs(reach) >= 0.1)
+    basis = np.array([v0, *extra_rows], dtype=float)
+    target = math.copysign(1.0, reach)
+    got = find_plus_in_slice(basis, (w, target))
+    assert got is not None
+    assert abs(float(np.dot(got.as_array(), w)) - target) <= 1e-6
+    assert is_plus(got, tol=1e-7).is_plus
 
 
 def test_plus_dimension_v1_is_zero():

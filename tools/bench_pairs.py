@@ -8,8 +8,9 @@ PARENT and CHANGE are lacuna source trees.  For each SEED the script runs
 the benchmark command of PARENT's ``BENCHMARK.json`` (``perfbench/run.py``)
 once in each checkout, for the declared ``run_seconds``, and takes the
 result object from the last line of its output.  The side that runs first
-alternates from pair to pair.  It then prints one line per end-to-end
-metric of ``BENCHMARK.json``::
+alternates from pair to pair; after each pair a progress line on standard
+error says whether the parent or the change ran first.  It then prints one
+line per end-to-end metric of ``BENCHMARK.json``::
 
     <metric> <unit> parent <median> [<q1> <q3>] change <median> [<q1> <q3>] change better in <w>/<pairs>
 
@@ -57,7 +58,8 @@ def main(argv: list[str]) -> int:
         order = (parent, change) if i % 2 == 0 else (change, parent)
         for checkout in order:
             runs[checkout].append(_run(checkout, spec, workload, seed))
-        print(f"pair {i + 1}/{len(seeds)} seed {seed} done ({order[0].name} first)", file=sys.stderr)
+        first = "parent" if i % 2 == 0 else "change"
+        print(f"pair {i + 1}/{len(seeds)} seed {seed} done ({first} first)", file=sys.stderr)
 
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
