@@ -4,11 +4,11 @@ The integral mean ``(1/2pi) int |p(e^it)| dt`` is computed by adaptive
 composite Gauss-Legendre quadrature.  |p| is analytic between its circle
 zeros, so panel boundaries are seeded at the arguments of near-circle roots;
 every panel then sees a one-sided algebraic kink at worst and the composite
-rule converges fast.  The nodes of each batch of new panels (the first
-ones, then both halves of a split) are evaluated in one ``np.polyval`` call.
-The stop test sums the panels' error estimates only when a running sum of
-them, less a bound on its rounding, has come down to the target, which is
-never finer than the rounding floor of the summed value.
+rule converges fast.  Refinement runs in rounds: each round splits the
+fewest largest-gap panels whose gaps |I32 - I16| cover the excess over half
+the target, and evaluates all their children in one ``np.polyval`` call.
+Values and gaps are summed by ``math.fsum``, and the target is never finer
+than the rounding floor of the summed value.
 
 Zero finding reports clusters ``(location, multiplicity, region, residual)``.
 Numeric multiplicity is ill-posed, so exact mode decides it exactly: a
@@ -18,16 +18,15 @@ p and give the multiplicities.  Float mode clusters companion-matrix roots
 by ``cluster_roots``, the one rule that merges numerically split zeros
 (``plus_cone`` groups circle roots and minima by it too), and validates the
 clustering by rebuilding the polynomial.  One Newton pass polishes a whole
-root array and gives the backward errors; an overflowed residual is NaN and
-raises :class:`IllConditionedZeros`, as does a zero beyond the float range.
+root array, each step reading p and p' off one table of powers, and gives
+the backward errors; an overflowed residual is NaN and raises
+:class:`IllConditionedZeros`, as does a zero beyond the float range.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
-import heapq
-import itertools
 import math
 
 import numpy as np
@@ -43,9 +42,8 @@ _GL_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
 _MATCH_RADIUS = 1e-6
 # half-width of the annulus |1 - |r|| <= _EPS_CIRCLE whose zeros are "on the circle"
 _EPS_CIRCLE = 1e-8
-_EPS = np.finfo(float).eps
 # relative rounding error of the summed quadrature value
-_ROUNDING_FLOOR = 32 * _EPS
+_ROUNDING_FLOOR = 32 * np.finfo(float).eps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,26 +69,16 @@ def _sort_key(z: complex):
     return (round(ang, 9), abs(z))
 
 
-def _add_panels(
-    heap: list, serial, coeffs: np.ndarray, panels, total: float, run: float, slack: float
-) -> tuple[float, float, float]:
-    """Push each panel (a, b) keyed by |hi - lo|, the gap between its 16- and
-    32-point integrals.  Return ``total`` plus the panels' 32-point integrals,
-    added in order, and the running error sum ``run`` plus the gaps, with
-    ``slack`` grown by the rounding of each addition.  All nodes go through
-    one evaluation."""
-    half = np.array([0.5 * (b - a) for a, b in panels])
-    mid = np.array([0.5 * (a + b) for a, b in panels])
+def _panel_integrals(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """32-point integrals of |p| over the panels (a[i], b[i]) and their gaps
+    |I32 - I16| to the 16-point ones.  All nodes go through one evaluation,
+    and each rule is one matrix-vector product."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
     vals = np.abs(np.polyval(coeffs[::-1], np.exp(1j * (mid[:, None] + half[:, None] * _GL_NODES))))
     n = len(_GL_LO[0])
-    for (a, b), h, v in zip(panels, half.tolist(), vals):
-        lo = h * float(np.dot(_GL_LO[1], v[:n]))
-        hi = h * float(np.dot(_GL_HI[1], v[n:]))
-        total += hi
-        run += abs(hi - lo)
-        slack += math.ulp(run)
-        heapq.heappush(heap, (-abs(hi - lo), next(serial), a, b, hi))
-    return total, run, slack
+    lo, hi = half * (vals[:, :n] @ _GL_LO[1]), half * (vals[:, n:] @ _GL_HI[1])
+    return hi, np.abs(hi - lo)
 
 
 def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> NormResult:
@@ -105,14 +93,14 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
         unit norm.  Where the rounding floor 32 eps |value| is larger, that
         floor is the target, so the result does not depend on the scale of p.
     panel_budget : int
-        Cap on the number of quadrature panels; exceeding it raises
-        :class:`QuadratureBudgetExceeded`.
+        Hard cap on the number of quadrature panels: a round of splits that
+        would exceed it raises :class:`QuadratureBudgetExceeded`.
 
     Returns
     -------
     NormResult
-        ``value`` with ``abs_error_bound`` (sum of per-panel error
-        estimates plus rounding slack) and the panel count used.
+        ``value`` with ``abs_error_bound`` (the summed gaps |I32 - I16| of
+        the panels plus the rounding floor) and the panel count used.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no unit-norm representative")
@@ -134,42 +122,32 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
         refined.append(edges[-1])
         edges = refined
 
-    heap: list = []
-    serial = itertools.count()
-
-    def heap_error() -> float:
-        return -sum(item[0] for item in heap)
-
-    # ``run`` is within ``slack`` of the exact sum of the heap's gaps, and
-    # the heap sum of n gaps within n * eps of it: while run clears the
-    # target by both, the heap sum does too and need not be taken
-    first = list(zip(edges[:-1], edges[1:]))
-    total, run, slack = _add_panels(heap, serial, coeffs, first, 0.0, 0.0, 0.0)
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    hi, gap = _panel_integrals(coeffs, a, b)
     while True:
+        total, err = math.fsum(hi), math.fsum(gap)
         # relative below unit norm, and never finer than the rounding floor
         norm = abs(total) / (2 * math.pi)
         target = max(tol * min(1.0, norm), _ROUNDING_FLOOR * norm)
-        rounding = 2 * len(heap) * _EPS * (run + slack)
-        if run - slack - rounding <= 0.5 * target:
-            err = heap_error()
-            if err <= 0.5 * target:
-                break
-            run, slack = err, 2 * len(heap) * _EPS * err
-        if len(heap) >= panel_budget:
+        if err <= 0.5 * target:
+            break
+        # split the fewest largest-gap panels whose gaps cover the excess
+        order = np.argsort(-gap, kind="stable")
+        k = min(int(np.searchsorted(np.cumsum(gap[order]), err - 0.5 * target)) + 1, len(gap))
+        if len(gap) + k > panel_budget:
             raise QuadratureBudgetExceeded(
-                f"{len(heap)} panels reached with error estimate {heap_error():.3e} > {target:.1e}"
+                f"{len(gap) + k} panels needed (budget {panel_budget}) with error estimate "
+                f"{err:.3e} > {target:.1e}"
             )
-        key, _, a, b, hi = heapq.heappop(heap)
-        run += key
-        slack += math.ulp(run)
-        midpt = 0.5 * (a + b)
-        total, run, slack = _add_panels(
-            heap, serial, coeffs, [(a, midpt), (midpt, b)], total - hi, run, slack
-        )
+        split, keep = order[:k], order[k:]
+        mid = 0.5 * (a[split] + b[split])
+        a, b = np.concatenate([a[keep], a[split], mid]), np.concatenate([b[keep], mid, b[split]])
+        new_hi, new_gap = _panel_integrals(coeffs, a[-2 * k:], b[-2 * k:])
+        hi, gap = np.concatenate([hi[keep], new_hi]), np.concatenate([gap[keep], new_gap])
 
     value = total / (2 * math.pi)
     bound = err / (2 * math.pi) + _ROUNDING_FLOOR * abs(value)
-    return NormResult(value=value, abs_error_bound=bound, panels=len(heap))
+    return NormResult(value=value, abs_error_bound=bound, panels=len(gap))
 
 
 def normalize(p: ComplexPoly, tol: float = 1e-10) -> tuple[ComplexPoly, float]:
@@ -228,17 +206,20 @@ def _polish_roots(coeffs: np.ndarray, dcoeffs: np.ndarray, roots) -> tuple[np.nd
     """Three Newton steps on the whole root array, then each root's backward
     error |p(r)| / sum |c_k| |r|^k.
 
+    Each step reads p and p' off one table of powers r^k (``np.vander``).
     A root whose step is not finite (p'(r) = 0, or an overflow) keeps its
-    value.  A residual whose denominator is not finite is NaN: an overflowed
-    evaluation must not read as a small residual.
+    value.  The backward error is evaluated by ``np.polyval``; a residual
+    whose denominator is not finite is NaN, since an overflowed evaluation
+    must not read as a small residual.
     """
-    p, dp = coeffs[::-1], dcoeffs[::-1]
     r = np.asarray(roots, dtype=complex)
     with np.errstate(all="ignore"):
         for _ in range(3):
-            step = np.polyval(p, r) / np.polyval(dp, r)
+            powers = np.vander(r, len(coeffs), increasing=True)
+            step = (powers @ coeffs) / (powers[:, : len(dcoeffs)] @ dcoeffs)
             r = np.where(np.isfinite(step), r - step, r)
         # moduli by hypot, which rounds like the scalar abs(); np.abs may not
+        p = coeffs[::-1]
         fr = np.polyval(p, r)
         num = np.hypot(fr.real, fr.imag)
         den = np.polyval(np.abs(p), np.hypot(r.real, r.imag))

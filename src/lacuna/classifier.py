@@ -70,8 +70,8 @@ from .poly_core import (
 )
 
 
-# grid points on which a witness multiplier is checked
-_WITNESS_GRID = 2048
+# the 2048 grid points e^{it} on which a witness multiplier is checked
+_WITNESS_GRID = np.exp(1j * (2 * np.pi * np.arange(2048) / 2048))
 
 
 @dataclasses.dataclass
@@ -170,15 +170,13 @@ def symbol_to_poly(v: CoefVector, half_degree: int) -> ComplexPoly:
     return ComplexPoly(coeffs)
 
 
-def _grid_multiplier(numer: ComplexPoly, denom: ComplexPoly) -> tuple[np.ndarray, np.ndarray]:
+def _grid_multiplier(numer: ComplexPoly, denom: ComplexPoly) -> np.ndarray:
     """Values of numer/denom on the grid points where denom is not tiny."""
-    t = 2 * np.pi * np.arange(_WITNESS_GRID) / _WITNESS_GRID
-    z = np.exp(1j * t)
-    nv = numer.eval_many(z)
-    dv = denom.eval_many(z)
+    nv = numer.eval_many(_WITNESS_GRID)
+    dv = denom.eval_many(_WITNESS_GRID)
     cutoff = 1e-6 * (float(np.max(np.abs(dv))) or 1.0)
     keep = np.abs(dv) > cutoff
-    return t[keep], nv[keep] / dv[keep]
+    return nv[keep] / dv[keep]
 
 
 def _validated_witness(
@@ -197,7 +195,7 @@ def _validated_witness(
     q = Q * cofactor
     if q.is_zero() or not spectrum_in(q, pattern):
         return None
-    _, h = _grid_multiplier(Q, factor)
+    h = _grid_multiplier(Q, factor)
     if len(h) == 0:
         return None
     im_max = float(np.max(np.abs(h.imag)))

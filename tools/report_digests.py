@@ -38,13 +38,36 @@ from pathlib import Path
 MODES = {"exact": {"mode": "exact"}, "float": {"mode": "float"}, "audit": {"mode": "exact", "audit": True}}
 
 
+def load(root: Path):
+    """Import lacuna and the benchmark cases from the source tree ``root``."""
+    sys.path[:0] = [str(root / "src"), str(root)]
+    import lacuna
+    import lacuna.cli_reports
+    from perfbench import cases
+
+    return lacuna, cases
+
+
+def workload_cases(cases, root: Path, seed: int):
+    """(workload, case) for every case of the benchmark workloads at ``seed``,
+    census included."""
+    for workload in cases.WORKLOADS:
+        for case in cases.make_cases(workload, seed, root / "corpus") + cases.make_census(workload, root / "corpus"):
+            yield workload, case
+
+
+def classify_case(lacuna, case, overrides: dict):
+    """The classify report of a case, under its options with ``overrides``."""
+    opts = {**dict(case.options), **overrides}
+    p = lacuna.poly_core.parse_poly(case.source)
+    pattern = lacuna.poly_core.LacunaryPattern(case.N, case.forbidden)
+    return lacuna.classifier.classify(p, pattern, lacuna.classifier.ClassifyOptions(**opts))
+
+
 def _digest(lacuna, case, overrides: dict) -> str:
     """The report's digest and verdicts, or the exception raised instead."""
-    opts = {**dict(case.options), **overrides}
     try:
-        p = lacuna.poly_core.parse_poly(case.source)
-        pattern = lacuna.poly_core.LacunaryPattern(case.N, case.forbidden)
-        rep = lacuna.classifier.classify(p, pattern, lacuna.classifier.ClassifyOptions(**opts))
+        rep = classify_case(lacuna, case, overrides)
         text = json.dumps(lacuna.cli_reports.report_to_dict(rep), indent=2, sort_keys=True) + "\n"
         text += lacuna.cli_reports.render_text(rep)
     except Exception as exc:  # the outcome is part of the behaviour being compared
@@ -72,19 +95,13 @@ def main(argv: list[str]) -> int:
         print("usage: python3 tools/report_digests.py CHECKOUT SEED", file=sys.stderr)
         return 1
     root, seed = Path(argv[0]).resolve(), int(argv[1])
-    sys.path[:0] = [str(root / "src"), str(root)]
-    import lacuna
-    import lacuna.cli_reports
-    from perfbench import cases
-
-    for workload in cases.WORKLOADS:
-        todo = cases.make_cases(workload, seed, root / "corpus") + cases.make_census(workload, root / "corpus")
-        for case in todo:
-            if case.kind == "plusdim":
-                print(workload, case.id, "plusdim", _plusdim_digest(lacuna, case), flush=True)
-                continue
-            for name, overrides in MODES.items():
-                print(workload, case.id, name, _digest(lacuna, case, overrides), flush=True)
+    lacuna, cases = load(root)
+    for workload, case in workload_cases(cases, root, seed):
+        if case.kind == "plusdim":
+            print(workload, case.id, "plusdim", _plusdim_digest(lacuna, case), flush=True)
+            continue
+        for name, overrides in MODES.items():
+            print(workload, case.id, name, _digest(lacuna, case, overrides), flush=True)
     return 0
 
 

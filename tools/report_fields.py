@@ -1,0 +1,115 @@
+"""Compare the classify reports of two checkouts field by field.
+
+Usage::
+
+    python3 tools/report_fields.py PARENT CHANGE SEED
+
+PARENT and CHANGE are lacuna source trees.  Each checkout, in a process of
+its own, classifies every classify case of the benchmark workloads at SEED
+(census included) in the modes of ``tools/report_digests.py``: exact,
+float, and exact with the audit.  A report is its ``lacuna/1`` JSON from
+``report_to_dict``; a raised exception stands in as ``{"error": "<class>:
+<message>"}``.  For each mode, and each JSON path at which at least one
+report differs (list indices written ``[*]``), the script prints::
+
+    <mode> <path> differs in <n>/<reports> max |diff| <largest absolute difference>
+
+where the difference is ``-`` when no number at the path moved.  Every
+non-numeric difference (a string, a flag, a null, a value present on one
+side only) follows on a line of its own::
+
+    <mode> <workload> <case id> <path>: <parent value> -> <change value>
+
+A mode with no difference prints ``<mode> identical in <reports> reports``.
+"""
+
+from __future__ import annotations
+
+import collections
+import json
+import math
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from report_digests import MODES, classify_case, load, workload_cases
+
+
+def _dump(root: Path, seed: int) -> None:
+    """Print one JSON line per (workload, case, mode): the report as a dict."""
+    lacuna, cases = load(root)
+    for workload, case in workload_cases(cases, root, seed):
+        if case.kind != "classify":
+            continue
+        for mode, overrides in MODES.items():
+            try:
+                report = lacuna.cli_reports.report_to_dict(classify_case(lacuna, case, overrides))
+            except Exception as exc:  # the outcome is part of the behaviour being compared
+                report = {"error": f"{type(exc).__name__}: {exc}"}
+            print(json.dumps([workload, case.id, mode, report]), flush=True)
+
+
+def _reports(root: Path, seed: int) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--dump", str(root), str(seed)],
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"{root}: report dump exited {proc.returncode}\n{proc.stderr}")
+    rows = (json.loads(line) for line in proc.stdout.splitlines())
+    return {(workload, case, mode): report for workload, case, mode, report in rows}
+
+
+def _leaves(node, path: str = "") -> dict:
+    """The leaf values of a JSON document by their path, indices included."""
+    if isinstance(node, dict):
+        return {k: v for key, child in node.items() for k, v in _leaves(child, f"{path}.{key}" if path else key).items()}
+    if isinstance(node, list):
+        return {k: v for i, child in enumerate(node) for k, v in _leaves(child, f"{path}[{i}]").items()}
+    return {path: node}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--dump":
+        _dump(Path(argv[1]), int(argv[2]))
+        return 0
+    if len(argv) != 3:
+        print("usage: python3 tools/report_fields.py PARENT CHANGE SEED", file=sys.stderr)
+        return 1
+    parent, change = (_reports(Path(arg).resolve(), int(argv[2])) for arg in argv[:2])
+    if parent.keys() != change.keys():
+        raise SystemExit("the two checkouts classify different cases")
+    for mode in MODES:
+        keys = [key for key in parent if key[2] == mode]
+        counts: collections.Counter = collections.Counter()
+        largest: dict[str, float] = {}
+        listed = []
+        for key in keys:
+            old, new = _leaves(parent[key]), _leaves(change[key])
+            moved = set()
+            for path in sorted(old.keys() | new.keys()):
+                a, b = old.get(path, "<absent>"), new.get(path, "<absent>")
+                if a == b or (_is_number(a) and _is_number(b) and math.isnan(a) and math.isnan(b)):
+                    continue
+                general = re.sub(r"\[\d+\]", "[*]", path)
+                moved.add(general)
+                if _is_number(a) and _is_number(b):
+                    largest[general] = max(largest.get(general, 0.0), abs(a - b))
+                else:
+                    listed.append(f"{mode} {key[0]} {key[1]} {path}: {a!r} -> {b!r}")
+            counts.update(moved)
+        if not counts:
+            print(f"{mode} identical in {len(keys)} reports")
+        for general in sorted(counts):
+            diff = f"{largest[general]:.3g}" if general in largest else "-"
+            print(f"{mode} {general} differs in {counts[general]}/{len(keys)} max |diff| {diff}")
+        for line in listed:
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
