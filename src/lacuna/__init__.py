@@ -7,7 +7,7 @@ reduce to finite linear algebra on a constraint matrix built from the
 cofactor left after removing zeros shared with the conjugate reciprocal.
 """
 
-from .circle_analysis import NormResult, ZeroCluster, find_zeros, l1_norm, normalize
+from .circle_analysis import NormResult, ZeroCluster, find_zeros, l1_norm
 from .classifier import (
     ClassificationReport,
     ClassifyOptions,
@@ -43,7 +43,6 @@ from .factorization import (
 from .matrix_builder import BlockMatrix, KernelBasis, build_matrix, rank_and_kernel
 from .plus_cone import (
     CoefVector,
-    PlusCertificate,
     certify_nonneg_exact,
     fejer_vector,
     find_plus_in_slice,
@@ -84,7 +83,6 @@ __all__ = [
     "NotDivisible",
     "NotHermitianSymmetric",
     "ParseError",
-    "PlusCertificate",
     "QuadratureBudgetExceeded",
     "RankIndeterminate",
     "SolverStalled",
@@ -108,7 +106,6 @@ __all__ = [
     "is_plus",
     "l1_norm",
     "min_on_circle",
-    "normalize",
     "parse_poly",
     "plus_dimension",
     "poly_to_json",

@@ -16,7 +16,7 @@ degree-0 gcd(p, p') modulo a prime certifies that p is square-free (every
 zero simple), and only otherwise does a square-free (Yun) decomposition split
 p and give the multiplicities.  Float mode clusters companion-matrix roots
 by ``cluster_roots``, the one rule that merges numerically split zeros
-(``plus_cone`` groups circle roots and minima by it too), and validates the
+(``plus_cone`` groups circle minima by it too), and validates the
 clustering by rebuilding the polynomial.  One Newton pass polishes a whole
 root array, each step reading p and p' off one table of powers, and gives
 the backward errors; an overflowed residual is NaN and raises
@@ -148,21 +148,6 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
     value = total / (2 * math.pi)
     bound = err / (2 * math.pi) + _ROUNDING_FLOOR * abs(value)
     return NormResult(value=value, abs_error_bound=bound, panels=len(gap))
-
-
-def normalize(p: ComplexPoly, tol: float = 1e-10) -> tuple[ComplexPoly, float]:
-    """Unit-norm representative and the positive multiplier that was applied.
-
-    Float mode returns ``(scale * p, scale)`` with ``scale = 1/||p||_1``.
-    Exact mode leaves the coefficients untouched (they would become
-    irrational) and returns ``(p, scale)``; callers carry the scale as a
-    symbolic positive factor, which no classification criterion sees.
-    """
-    nr = l1_norm(p, tol=tol)
-    scale = 1.0 / nr.value
-    if p.mode == "float":
-        return p * scale, scale
-    return p, scale
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,8 @@ and no odd-multiplicity real root.  Those roots are counted from Sturm
 chains alone, level by level: the chain of P_j ends in gcd(P_j, P_j') =
 P_{j+1}, and with r_j the number of distinct real roots of P_j, the
 alternating sum r_1 - r_2 + r_3 - ... is the number of odd-multiplicity
-ones.  The divisions run on ``poly_core.long_division``.  A positive
-verdict carries a Gram-matrix witness (a PSD matrix Q with
-gamma_k = sum_j Q[j+k, j]) when spectral factorization of tau succeeds;
-nothing else builds one, so ``gram`` is None where it fails, typically at
-circle zeros of order >= 4.
+ones.  The divisions run on ``poly_core.long_division``.  ``is_plus`` is
+the one verdict: exact for rational vectors, the global minimum otherwise.
 
 ``find_plus_in_slice`` looks for a plus vector inside an affine slice of a
 subspace by alternating projections between the PSD cone and the affine
@@ -35,20 +32,18 @@ residual plateaus (weakly infeasible slices have no such certificate).
 and then certifies completeness facially: the span of all plus vectors
 in V equals the set of vectors whose tau vanishes at each circle zero of
 the accumulated interior point to at least its order.
-Those zeros, and the circle roots that the Gram witness halves, are grouped
-by ``circle_analysis.cluster_roots``, the rule for the float zeros of p.
+Those zeros are grouped by ``circle_analysis.cluster_roots``, the rule for
+the float zeros of p.
 Before it searches, ``plus_dimension`` compresses V by its harmonic
 lattice: when every exactly nonzero entry sits at a harmonic in kZ, V is
 a space of functions of kt, and t -> t/k maps it onto degree d // k
 without changing which vectors are plus.
 Every subspace basis comes from one SVD rank cut, ``_row_space``.
 
-Both constructions work on the Hermitian matrix Q: ``_project_psd`` clips
+Only the slice search builds Hermitian matrices Q: ``_project_psd`` clips
 the eigenvalues, and ``_affine_projector`` projects by least squares onto
-{Q : C L Q = f}, where L maps Q to the coefficient vector of tau_Q.  The
-Gram witness is the spectral factor's rank-one Gram matrix projected once
-with C = I and f the coefficients of tau; the slice search alternates both
-steps with C = [complement of the subspace; w] and f = (0, ..., 0, target).
+{Q : C L Q = f}, where L maps Q to the coefficient vector of tau_Q, with
+C = [complement of the subspace; w] and f = (0, ..., 0, target).
 """
 
 from __future__ import annotations
@@ -62,7 +57,7 @@ import numpy as np
 
 from .circle_analysis import cluster_roots
 from .errors import FacialMismatch, SolverStalled
-from .poly_core import is_exact_scalar, linear_product, long_division
+from .poly_core import is_exact_scalar, long_division
 
 # the slice search's alternating projections: convergence test (and the
 # Farkas bound's threshold), plateau detection, stall cap and
@@ -233,7 +228,7 @@ def _polish_minimum(v: CoefVector, t0: float, h: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact nonnegativity certificate for rational vectors
+# the plus verdict: exact certificate for rational vectors
 # ---------------------------------------------------------------------------
 
 
@@ -314,8 +309,20 @@ def certify_nonneg_exact(v: CoefVector) -> tuple[bool, bool]:
     return True, touches
 
 
+def is_plus(v: CoefVector, tol: float = 1e-9) -> bool:
+    """True when tau_v >= 0 on the circle.
+
+    Rational vectors are decided exactly by ``certify_nonneg_exact``, with no
+    float search.  Float vectors are decided by the global minimum: plus
+    when min tau > -tol.
+    """
+    if v.is_exact:
+        return certify_nonneg_exact(v)[0]
+    return min_on_circle(v)[1] > -tol
+
+
 # ---------------------------------------------------------------------------
-# Hermitian Gram matrices: the PSD step and the affine step
+# Hermitian matrices: the PSD step and the affine step
 # ---------------------------------------------------------------------------
 
 
@@ -347,141 +354,19 @@ def _trace_map(n: int) -> tuple[np.ndarray, np.ndarray]:
     return L, L_pinv
 
 
-def _affine_projector(n: int, f: np.ndarray, C: np.ndarray | None = None):
+def _affine_projector(n: int, f: np.ndarray, C: np.ndarray):
     """Orthogonal projection of n x n Hermitian Q onto {Q : C L Q = f}.
 
-    C defaults to the identity, whose pseudo-inverse is cached with L: the
-    projection then spreads each coefficient's deficit evenly along its
-    diagonal.  Any other C costs one pseudo-inverse, so build the projector
-    once per solve.
+    Building it costs one pseudo-inverse, so build it once per solve.
     """
-    M, M_pinv = _trace_map(n)
-    if C is not None:
-        M = C @ M
-        M_pinv = np.linalg.pinv(M, rcond=1e-12)
+    M = C @ _trace_map(n)[0]
+    M_pinv = np.linalg.pinv(M, rcond=1e-12)
 
     def project(Q: np.ndarray) -> np.ndarray:
         q = Q.view(float).ravel()
         return (q - M_pinv @ (M @ q - f)).view(complex).reshape(n, n)
 
     return project
-
-
-# ---------------------------------------------------------------------------
-# Gram certificates
-# ---------------------------------------------------------------------------
-
-
-def gram_diag_sums(Q: np.ndarray) -> np.ndarray:
-    n = Q.shape[0]
-    return np.array([np.trace(Q, offset=-k) for k in range(n)], dtype=complex)
-
-
-def _fejer_riesz_gram(v: CoefVector) -> np.ndarray | None:
-    """Rank-one Gram matrix via spectral factorization of tau, or None."""
-    gamma = v.gamma()
-    n = v.d + 1
-    scale = float(np.max(np.abs(gamma)))
-    deff = v.d
-    while deff > 0 and abs(gamma[deff]) <= 1e-13 * scale:
-        deff -= 1
-    # z^deff * tau(z) has the conjugate-reflected coefficient list
-    laurent = np.concatenate([np.conj(gamma[1 : deff + 1][::-1]), gamma[: deff + 1]])
-    roots = np.roots(laurent[::-1])
-    repair = _affine_projector(n, v.as_array())
-    for band in (1e-7, 1e-5, 1e-3):
-        sel = _select_half_roots(roots, band)
-        if sel is None:
-            continue
-        q = linear_product((-r, 1.0) for r in sel)
-        # scale so the autocorrelation matches gamma
-        auto = np.array(
-            [np.dot(q[k:], np.conj(q[: len(q) - k])) for k in range(len(q))]
-        )
-        k_star = int(np.argmax(np.abs(auto)))
-        if abs(auto[k_star]) == 0:
-            continue
-        sigma = (gamma[k_star] / auto[k_star]).real
-        if sigma <= 0:
-            continue
-        q = math.sqrt(sigma) * np.pad(q, (0, n - len(q)))
-        Q = repair(np.outer(q, q.conj()))
-        if _gram_ok(Q, gamma):
-            return Q
-    return None
-
-
-def _select_half_roots(roots: np.ndarray, band: float) -> list[complex] | None:
-    inside = [complex(r) for r in roots if abs(r) < 1.0 - band]
-    on_circle = [complex(r) for r in roots if abs(abs(r) - 1.0) <= band]
-    outside = [complex(r) for r in roots if abs(r) > 1.0 + band]
-    if len(inside) != len(outside):
-        return None
-    chosen = list(inside)
-    for c, size in cluster_roots(on_circle, max(10 * band, 1e-6)):
-        if size % 2 == 1:
-            return None
-        chosen.extend([c / abs(c)] * (size // 2))
-    return chosen
-
-
-def _gram_ok(Q: np.ndarray, gamma: np.ndarray, tol: float = 1e-8) -> bool:
-    resid = float(np.max(np.abs(gram_diag_sums(Q)[: len(gamma)] - gamma)))
-    if resid > tol:
-        return False
-    eigs = np.linalg.eigvalsh(Q)
-    return bool(eigs[0] >= -tol)
-
-
-@dataclasses.dataclass(frozen=True)
-class PlusCertificate:
-    is_plus: bool
-    boundary: bool
-    min_location: float
-    min_value: float
-    gram: np.ndarray | None
-    gram_residual: float | None
-    negative_point: float | None
-    exact: bool
-
-
-def _plus_verdict(v: CoefVector, tol: float = 1e-9) -> tuple[bool, bool, float, float]:
-    """(plus?, boundary?, argmin, min) of tau, without a Gram certificate.
-
-    Rational vectors are decided exactly.  Float vectors are decided by the
-    global minimum: min tau >= tol is plus, min tau <= -tol is not, and the
-    band in between is reported as plus with the boundary flag set.
-    """
-    t_min, val = min_on_circle(v)
-    if v.is_exact:
-        verdict, boundary = certify_nonneg_exact(v)
-    else:
-        verdict = val > -tol
-        boundary = abs(val) < tol or (verdict and val <= tol)
-    return verdict, boundary, t_min, val
-
-
-def is_plus(v: CoefVector, tol: float = 1e-9) -> PlusCertificate:
-    """Decide membership in the plus cone, with a constructive witness.
-
-    The verdict is ``_plus_verdict``'s; a plus vector also gets a Gram matrix.
-    """
-    verdict, boundary, t_min, val = _plus_verdict(v, tol)
-    if not verdict:
-        return PlusCertificate(
-            False, False, t_min, val, None, None, t_min, v.is_exact
-        )
-    lifted = v
-    if val <= tol:
-        # touching (or dipping within the band): lift tau off the floor a hair
-        # so spectral factorization sees a genuinely nonnegative function
-        shift = max(0.0, -val) + 1e-13 * max(v.scale(), 1.0)
-        x = v.as_array()
-        x[0] += shift / 2
-        lifted = CoefVector.from_array(x)
-    Q = _fejer_riesz_gram(lifted)
-    resid = None if Q is None else float(np.max(np.abs(gram_diag_sums(Q) - v.gamma())))
-    return PlusCertificate(True, boundary, t_min, val, Q, resid, None, v.is_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +394,8 @@ def _slice_mean_bound(Y: np.ndarray, C: np.ndarray, f: np.ndarray) -> float:
 
     Y is an affine step's displacement Q - project_affine(Q), which lies in
     the range of (C L)^T; so Y = L^T z with z = C^T y, and y is read back by
-    least squares.  Any y gives a Farkas-type bound.  Let v = L X be a plus
-    vector of the slice, with X >= 0 its Fejer-Riesz Gram matrix; then
+    least squares.  Any y gives a Farkas-type bound.  Let v be a plus vector
+    of the slice, so v = L X for some X >= 0 (Fejer-Riesz); then
     mu = tr X = 2 alpha_0 is the mean of tau_v, and every entry of v is at
     most mu in size.  With g = <y, f> = y_last * target,
 
@@ -548,14 +433,14 @@ def find_plus_in_slice(
 ) -> CoefVector | None:
     """Plus vector v in span(basis) with <v, w> = target, or None.
 
-    Alternating projections between the PSD cone and the affine set of Gram
-    matrices whose coefficient vector lies in the slice.  ``None`` means one
-    of two things.  Either the Farkas bound of ``_slice_mean_bound``, read
-    from the affine step at iterations 0, 1, 2, 4, 8, ..., shows that every
-    plus vector of the slice has mean(tau) > |target| / (|w| _TOL_FEASIBLE),
-    so its w-component is below the feasibility tolerance of its size (for
-    a unit w and target +-1 the bound exceeds 1 / _TOL_FEASIBLE); or the
-    residual plateaued above ``_PLATEAU_LEVEL`` for ``_PLATEAU_WINDOW``
+    Alternating projections between the PSD cone and the affine set of
+    Hermitian matrices whose coefficient vector lies in the slice.  ``None``
+    means one of two things.  Either the Farkas bound of
+    ``_slice_mean_bound``, read from the affine step at iterations 0, 1, 2,
+    4, 8, ..., shows that every plus vector of the slice has
+    mean(tau) > |target| / (|w| _TOL_FEASIBLE), so its w-component is below
+    the feasibility tolerance of its size (for a unit w and target +-1 the
+    bound exceeds 1 / _TOL_FEASIBLE); or the residual plateaued above ``_PLATEAU_LEVEL`` for ``_PLATEAU_WINDOW``
     iterations, which is the verdict for weakly infeasible slices that have
     no strict certificate.  A run that neither converges nor plateaus within
     ``_ITERATION_CAP`` iterations raises :class:`SolverStalled`.
@@ -583,7 +468,7 @@ def find_plus_in_slice(
         history.append(dist)
         if dist <= _TOL_FEASIBLE * (1.0 + float(np.linalg.norm(Qa))):
             cand = CoefVector.from_array(_trace_map(d + 1)[0] @ Qa.view(float).ravel(), d=d)
-            if _plus_verdict(cand, _RECERT_TOL)[0]:
+            if is_plus(cand, _RECERT_TOL):
                 return cand
             recerts += 1
             if recerts > 50:
@@ -673,9 +558,7 @@ def _search_plus_span(
         resid = arr - VB.T @ (VB @ arr)
         if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(arr)):
             raise ValueError("seed does not lie in the given subspace")
-        # an exact seed's verdict needs no float search for the minimum
-        plus = certify_nonneg_exact(seed)[0] if seed.is_exact else _plus_verdict(seed)[0]
-        if not plus:
+        if not is_plus(seed):
             raise ValueError("seed is not a plus vector")
         found.append(seed)
 

@@ -423,7 +423,7 @@ def _tokenize(text: str):
 class _ExprParser:
     """Recursive-descent parser for product-of-factors polynomial expressions.
 
-    Grammar (implicit multiplication by adjacency is allowed)::
+    Syntax (implicit multiplication by adjacency is allowed)::
 
         expr   := term (('+'|'-') term)*
         term   := unary (('*'|'/') unary | unary)*      # adjacency multiplies
@@ -773,7 +773,8 @@ def gcd_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
     l divides no denominator in p or q, and p's leading coefficient does not
     map to 0: a common factor g over Q(i) then keeps its degree modulo l and
     divides both images, so a degree-0 gcd of the images proves gcd(p, q) = 1.
-    Otherwise, or when the images share a factor, Euclid decides over Q(i).
+    Otherwise, or when the images share a factor, Euclid decides over Q(i);
+    each remainder is made monic, which keeps coefficient growth in check.
     """
     if p.mode != "exact" or q.mode != "exact":
         raise UnsupportedMode("gcd_exact requires exact-mode polynomials")
@@ -781,7 +782,8 @@ def gcd_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
         return ComplexPoly.one()
     a, b = p.coeffs, q.coeffs
     while b:
-        a, b = b, long_division(a, b)[1]
+        r = long_division(a, b)[1]
+        a, b = b, _monic(r).coeffs if r else r
     if not a:
         raise ValueError("gcd of two zero polynomials is undefined")
     return _monic(a)

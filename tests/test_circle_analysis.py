@@ -14,7 +14,6 @@ from lacuna import (
     QuadratureBudgetExceeded,
     find_zeros,
     l1_norm,
-    normalize,
     parse_poly,
 )
 from lacuna.circle_analysis import (
@@ -139,20 +138,6 @@ def test_l1_norm_budget():
     for cap in range(8, 12):
         with pytest.raises(QuadratureBudgetExceeded, match=f"budget {cap}"):
             l1_norm(p, panel_budget=cap)
-
-
-def test_normalize_float_mode():
-    p = parse_poly("1 + z").to_float()
-    q, scale = normalize(p)
-    assert abs(l1_norm(q).value - 1.0) <= 1e-9
-    assert abs(scale - math.pi / 4) <= 1e-9
-
-
-def test_normalize_exact_keeps_coefficients():
-    p = parse_poly("1 + z")
-    q, scale = normalize(p)
-    assert q.coeffs == p.coeffs
-    assert abs(scale - math.pi / 4) <= 1e-9
 
 
 # -- zero clustering -----------------------------------------------------------
@@ -390,8 +375,8 @@ def _kernel_inputs():
 
 def _square_free_factors():
     """The square-free factors of the kernel inputs, read off each input's
-    own factors: Yun on the product takes seconds at degree 48.  A float
-    input (normal coefficients) is square-free as it stands."""
+    own factors.  A float input (normal coefficients) is square-free as it
+    stands."""
     for parts in _kernel_parts():
         for part in parts:
             if part.mode == "float":

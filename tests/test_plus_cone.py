@@ -1,4 +1,4 @@
-"""The nonnegativity cone: exact certificates, Gram factorizations, dim+."""
+"""The nonnegativity cone: exact certificates, the plus verdict, dim+."""
 
 import math
 from fractions import Fraction
@@ -19,7 +19,7 @@ from lacuna import (
     min_on_circle,
     plus_dimension,
 )
-from lacuna.plus_cone import gram_diag_sums, proportional
+from lacuna.plus_cone import proportional
 from lacuna.poly_core import ComplexPoly, GaussianRational
 
 V1_BASIS = np.array([[0.0, 1.0, 0.0]])
@@ -219,122 +219,54 @@ def test_min_on_circle_constant():
     assert val == 7.0  # gamma_0 = 2 alpha_0
 
 
-# -- float certificates ----------------------------------------------------------
+# -- the plus verdict ------------------------------------------------------------
 
 
 def test_is_plus_positive_definite():
-    cert = is_plus(_vec(5 / 8, -1 / 2, 0))
-    assert cert.is_plus and not cert.boundary
-    assert cert.gram is not None and cert.gram_residual <= 1e-8
-    w = np.linalg.eigvalsh(cert.gram)
-    assert w.min() >= -1e-8
+    v = _vec(5 / 8, -1 / 2, 0)
+    assert is_plus(v) is True
+    assert min_on_circle(v)[1] > 0
 
 
 def test_is_plus_negative_has_witness_point():
     v = _vec(0, 1, 0)
-    cert = is_plus(v)
-    assert not cert.is_plus
-    assert cert.negative_point is not None
-    assert v.tau(cert.negative_point) < 0
+    assert is_plus(v) is False
+    assert v.tau(min_on_circle(v)[0]) < 0
 
 
 def test_is_plus_boundary_gram():
-    cert = is_plus(_vec(1, -1, 0))  # touches zero at t=0
-    assert cert.is_plus and cert.boundary
-    assert cert.gram is not None and cert.gram_residual <= 1e-8
+    # touches zero at t=0
+    assert is_plus(_vec(1, -1, 0)) is True
 
 
 def test_is_plus_exact_path():
-    cert = is_plus(_exact_vec(1, -1, 0))
-    assert cert.exact and cert.is_plus and cert.boundary
-    cert2 = is_plus(_exact_vec(0, 1, 0))
-    assert cert2.exact and not cert2.is_plus
+    assert is_plus(_exact_vec(1, -1, 0)) is True
+    assert is_plus(_exact_vec(0, 1, 0)) is False
 
 
-def test_gram_reproduces_autocorrelation(rng):
-    # gamma of |q|^2 for random q: always plus, Gram must reproduce gamma
-    for _ in range(25):
-        d = int(rng.integers(1, 6))
-        q = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
-        gamma = np.array(
-            [np.vdot(q[: d + 1 - k], q[k:]) for k in range(d + 1)]
-        )
-        v = CoefVector.from_array(
-            np.concatenate(
-                [[gamma[0].real / 2.0], gamma[1:].real, gamma[1:].imag]
-            )
-        )
-        cert = is_plus(v)
-        assert cert.is_plus
-        assert cert.gram_residual <= 1e-8
-        back = gram_diag_sums(cert.gram)[: d + 1]
-        assert np.max(np.abs(back - v.gamma())) <= 1e-8 * max(1.0, v.scale())
+def test_is_plus_exact_runs_no_float_search(monkeypatch):
+    import lacuna.plus_cone
+
+    def no_search(v):
+        raise AssertionError("a float minimum search ran")
+
+    monkeypatch.setattr(lacuna.plus_cone, "min_on_circle", no_search)
+    assert is_plus(_exact_vec(1, 0, 0, -1, 0)) is True  # 2 + 2 sin t
+    assert is_plus(_exact_vec(-1, 0, 0)) is False
 
 
-def test_gram_diag_sums_inverse_of_construction(rng):
-    q = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    Q = np.outer(q, q.conj())  # rank-one Gram of |q|^2
-    sums = gram_diag_sums(Q)
-    want = np.array([np.vdot(q[: 4 - k], q[k:]) for k in range(4)])
-    assert np.max(np.abs(sums - want)) <= 1e-12
-
-
-@pytest.mark.parametrize(
-    "entries",
-    [
-        (5 / 8, -1 / 2, 0),  # 5/4 - cos t
-        (1, -1, 0),  # 2 - 2cos t, touching zero
-        (1, 0, -1, 0, 0),  # 2 - 2cos 2t, touching zero twice
-    ],
-)
-def test_is_plus_gram_by_projection(entries):
-    # the spectral factor's Gram matrix, projected once onto the coefficients
-    cert = is_plus(_vec(*entries))
-    assert cert.is_plus
-    assert cert.gram is not None and cert.gram_residual <= 1e-8
-    assert np.linalg.eigvalsh(cert.gram).min() >= -1e-8
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="is_plus builds no Gram certificate at circle zeros of order >= 6: "
-    "spectral factorization of tau fails there and nothing else is tried",
-)
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("power", [3, 4])
-def test_is_plus_gives_a_gram_certificate_at_high_order_circle_zeros(power, exact):
+def test_is_plus_at_high_order_circle_zeros(power, exact):
     # tau = (2 - 2cos t)^power = |(1 - z)^power|^2 touches zero at t = 0 to
     # order 2 power; for power 3, alpha = (10, -15, 6, -1) and beta = 0
     q = [(-1) ** j * math.comb(power, j) for j in range(power + 1)]
     g = [sum(q[j] * q[j + k] for j in range(power + 1 - k)) for k in range(power + 1)]
     num = Fraction if exact else float
     v = CoefVector(power, (num(g[0]) / 2, *map(num, g[1:])), (num(0),) * power)
-    cert = is_plus(v)
-    assert cert.is_plus and cert.boundary
-    assert cert.gram is not None
-
-
-def test_gram_repair_spreads_each_deficit_along_its_diagonal(rng):
-    from lacuna.plus_cone import _affine_projector
-
-    n = 4
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q = A @ A.conj().T
-    target = _vec(*rng.standard_normal(2 * n - 1))
-    # reference: add (gamma_k - current sum) / (n - k) to every entry of
-    # diagonal k, and its conjugate to the mirrored entry
-    want = Q.copy()
-    deficit = target.gamma() - gram_diag_sums(Q)
-    for k in range(n):
-        idx = np.arange(n - k)
-        if k == 0:
-            want[idx, idx] += deficit[0].real / n
-        else:
-            want[idx + k, idx] += deficit[k] / (n - k)
-            want[idx, idx + k] += np.conj(deficit[k]) / (n - k)
-    got = _affine_projector(n, target.as_array())(Q)
-    assert np.max(np.abs(got - want)) <= 1e-12
-    assert np.max(np.abs(gram_diag_sums(got) - target.gamma())) <= 1e-12
+    assert is_plus(v) is True
+    if exact:
+        assert certify_nonneg_exact(v) == (True, True)
 
 
 # -- coefficient vector arithmetic ---------------------------------------------------
@@ -400,7 +332,7 @@ def test_find_plus_in_full_space_slice():
     got = find_plus_in_slice(basis, (w, 1.0))
     assert got is not None
     assert abs(float(np.dot(got.as_array(), w)) - 1.0) <= 1e-7
-    assert is_plus(got, tol=1e-7).is_plus
+    assert is_plus(got, tol=1e-7)
 
 
 def test_find_plus_in_slice_infeasible():
@@ -412,9 +344,9 @@ def test_find_plus_in_slice_stalls_when_recertification_keeps_failing(monkeypatc
     import lacuna.plus_cone
 
     def reject(v, tol=1e-9):
-        return False, False, 0.0, -1.0
+        return False
 
-    monkeypatch.setattr(lacuna.plus_cone, "_plus_verdict", reject)
+    monkeypatch.setattr(lacuna.plus_cone, "is_plus", reject)
     e0 = np.eye(3)[0]
     with pytest.raises(SolverStalled, match="keep failing plus re-certification"):
         find_plus_in_slice(np.eye(3)[[0, 1]], (e0, 1.0))
@@ -481,7 +413,7 @@ def test_find_plus_in_slice_never_rejects_a_slice_through_a_strictly_plus_vector
     got = find_plus_in_slice(basis, (w, target))
     assert got is not None
     assert abs(float(np.dot(got.as_array(), w)) - target) <= 1e-6
-    assert is_plus(got, tol=1e-7).is_plus
+    assert is_plus(got, tol=1e-7)
 
 
 def test_plus_dimension_v1_is_zero():
@@ -535,7 +467,7 @@ def test_plus_dimension_double_zero_kernel(examples):
     stack = np.array([v.as_array() for v in found], dtype=float)
     assert np.linalg.matrix_rank(stack, tol=1e-8) == 3
     for v in found:
-        assert is_plus(v, tol=1e-7).is_plus
+        assert is_plus(v, tol=1e-7)
 
 
 def _dilate(v: CoefVector, k: int) -> CoefVector:
@@ -564,7 +496,7 @@ def test_plus_dimension_runs_on_the_harmonic_lattice(k):
     assert np.linalg.matrix_rank(np.vstack([rows, stack]), tol=1e-8) == 3
     for v in found:
         assert v.d == 2 * k
-        assert is_plus(v, tol=1e-7).is_plus
+        assert is_plus(v, tol=1e-7)
         assert all(a == 0 for i, a in enumerate(v.alpha) if i % k)
         assert all(b == 0 for i, b in enumerate(v.beta, start=1) if i % k)
 

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic against sympy oracles, parser, serialization."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -311,13 +312,7 @@ def test_square_free_input_takes_one_gcd(monkeypatch):
     assert len(calls) == 1
 
 
-def test_square_free_decomposition_oracle():
-    # (1+z)^3 (2-z)^2 (1+z+z^2), multiplicities 3, 2, 1
-    p = parse_poly("(1+z)^3 (2-z)^2 (1+z+z^2)")
-    parts = square_free_decomposition(p)
-    by_mult = {mult: f for f, mult in parts if f.deg > 0}
-    assert sorted(mult for f, mult in parts if f.deg > 0) == [1, 2, 3]
-    assert by_mult[3].deg == 1 and by_mult[2].deg == 1 and by_mult[1].deg == 2
+def _assert_rebuilds(p, parts):
     rebuilt = ComplexPoly.one()
     for f, mult in parts:
         for _ in range(mult):
@@ -332,6 +327,29 @@ def test_square_free_decomposition_oracle():
     assert all(
         p.coefficient(k) == rebuilt.coefficient(k) * ratio for k in range(p.deg + 1)
     )
+
+
+def test_square_free_decomposition_oracle():
+    # (1+z)^3 (2-z)^2 (1+z+z^2), multiplicities 3, 2, 1
+    p = parse_poly("(1+z)^3 (2-z)^2 (1+z+z^2)")
+    parts = square_free_decomposition(p)
+    by_mult = {mult: f for f, mult in parts if f.deg > 0}
+    assert sorted(mult for f, mult in parts if f.deg > 0) == [1, 2, 3]
+    assert by_mult[3].deg == 1 and by_mult[2].deg == 1 and by_mult[1].deg == 2
+    _assert_rebuilds(p, parts)
+
+
+def test_square_free_decomposition_of_a_degree_48_double_zero():
+    # Euclid over Q(i) on an input that is not square-free: a seeded
+    # Gaussian-integer polynomial of degree 46 times (z - 1)^2
+    rng = random.Random(48)
+    base = ComplexPoly([GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(46)]
+                       + [GaussianRational(rng.randint(1, 9), rng.randint(-9, 9))])
+    p = base * parse_poly("(z - 1)^2")
+    parts = square_free_decomposition(p)
+    assert [(f.deg, mult) for f, mult in parts] == [(46, 1), (1, 2)]
+    assert parts[1][0] == parse_poly("z - 1")
+    _assert_rebuilds(p, parts)
 
 
 @given(polys)
