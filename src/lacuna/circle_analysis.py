@@ -11,15 +11,14 @@ Values and gaps are summed by ``math.fsum``, and the target is never finer
 than the rounding floor of the summed value.
 
 Zero finding reports clusters ``(location, multiplicity, region, residual)``.
-Numeric multiplicity is ill-posed, so exact mode decides it exactly: a
-degree-0 gcd(p, p') modulo a prime certifies that p is square-free (every
-zero simple), and only otherwise does a square-free (Yun) decomposition split
-p and give the multiplicities.  Float mode clusters companion-matrix roots
-by ``cluster_roots``, the one rule that merges numerically split zeros
-(``plus_cone`` groups circle minima by it too), and validates the
-clustering by rebuilding the polynomial.  One Newton pass polishes a whole
-root array, each step reading p and p' off one table of powers, and gives
-the backward errors; an overflowed residual is NaN and raises
+Numeric multiplicity is ill-posed, so it is decided exactly, on the exact
+value of the input (a float polynomial is read through
+``ComplexPoly.to_exact``): a degree-0 gcd(p, p') modulo a prime certifies
+that p is square-free (every zero simple), and only otherwise does a
+square-free (Yun) decomposition split p and give the multiplicities.  One
+Newton pass polishes the companion-matrix roots of each square-free part as
+a whole array, each step reading p and p' off one table of powers, and
+gives the backward errors; an overflowed residual is NaN and raises
 :class:`IllConditionedZeros`, as does a zero beyond the float range.
 """
 
@@ -32,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import IllConditionedZeros, QuadratureBudgetExceeded
-from .poly_core import ComplexPoly, linear_product, square_free_decomposition
+from .poly_core import ComplexPoly, square_free_decomposition
 
 _GL_LO = np.polynomial.legendre.leggauss(16)
 _GL_HI = np.polynomial.legendre.leggauss(32)
@@ -221,38 +220,6 @@ def _region(r: complex) -> str:
     return "exterior"
 
 
-def cluster_roots(roots, radius: float) -> list[tuple[complex, int]]:
-    """Greedy single-linkage clustering of complex points into (centroid, size)
-    pairs: the one rule by which numerically split zeros count as one zero."""
-    remaining = list(roots)
-    clusters = []
-    while remaining:
-        seed = remaining.pop()
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            keep = []
-            for r in remaining:
-                if any(abs(r - m) <= radius for m in members):
-                    members.append(r)
-                    changed = True
-                else:
-                    keep.append(r)
-            remaining = keep
-        centroid = complex(np.mean(members))
-        clusters.append((centroid, len(members)))
-    return clusters
-
-
-def _rebuild_score(coeffs: np.ndarray, clusters: list[tuple[complex, int]]) -> float:
-    rebuilt = linear_product((-c, 1.0) for c, mult in clusters for _ in range(mult)) * coeffs[-1]
-    if len(rebuilt) != len(coeffs):
-        return math.inf
-    scale = float(np.max(np.abs(coeffs)))
-    return float(np.max(np.abs(rebuilt - coeffs))) / scale
-
-
 def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
     """All zeros of p as certified clusters, sorted by argument then modulus.
 
@@ -266,36 +233,22 @@ def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
     list of ZeroCluster
         Locations carry a backward-error ``residual``.  A zero whose modulus
         is within ``_EPS_CIRCLE`` (1e-8) of 1 has region "circle"; the rest
-        are "disk" or "exterior".  Exact mode certifies
-        square-free input (all multiplicities 1) by a degree-0 gcd(p, p')
-        modulo a prime and runs the square-free (Yun) decomposition only
-        otherwise; float mode clusters companion-matrix roots (radius 1e-6,
-        with a coarser and a finer fallback) and validates by rebuilding the
-        polynomial.  One Newton pass polishes a whole root array.  Raises
-        :class:`IllConditionedZeros` when no clustering reproduces the
-        coefficients to 1e-6, when an exact-mode backward error is not
+        are "disk" or "exterior".  The zeros are those of p's exact value:
+        a degree-0 gcd(p, p') modulo a prime certifies square-free input
+        (all multiplicities 1), and the square-free (Yun) decomposition runs
+        only otherwise.  One Newton pass polishes each part's root array.
+        Raises :class:`IllConditionedZeros` when a backward error is not
         <= 1e-6 (NaN when it overflowed), or when a zero lies beyond the
         float range.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
+    p = p.to_exact()
     clusters: list[ZeroCluster] = []
     k0 = p.order_at_zero()
     if k0 > 0:
         clusters.append(ZeroCluster(0j, k0, "disk", 0.0))
-    body = ComplexPoly(p.coeffs[k0:], mode=p.mode)
-    if body.deg >= 1:
-        if p.mode == "exact":
-            clusters.extend(_zeros_exact(body))
-        else:
-            clusters.extend(_zeros_float(body))
-    clusters.sort(key=lambda c: _sort_key(c.location))
-    return clusters
-
-
-def _zeros_exact(body: ComplexPoly) -> list[ZeroCluster]:
-    out = []
-    for factor, mult in square_free_decomposition(body):
+    for factor, mult in square_free_decomposition(ComplexPoly(p.coeffs[k0:], mode="exact")):
         fc, roots = _float_roots(factor, f"p's monic factor of multiplicity {mult}")
         roots, residuals = _polish_roots(fc, factor.derivative().float_coeffs(), roots)
         for r, res in zip(roots.tolist(), residuals.tolist()):
@@ -304,37 +257,9 @@ def _zeros_exact(body: ComplexPoly) -> list[ZeroCluster]:
                     f"root {r} of a square-free factor has backward error {res:.2e}",
                     diagnostics={"factor_degree": factor.deg, "residual": res},
                 )
-            out.append(ZeroCluster(r, mult, _region(r), res))
-    return out
-
-
-def _zeros_float(body: ComplexPoly) -> list[ZeroCluster]:
-    coeffs, roots = _float_roots(body, "p over its zeros at the origin")
-    best = None
-    for radius in (1e-6, 1e-8, 1e-4):
-        grouped = cluster_roots(roots, radius)
-        locs = np.array([c for c, _ in grouped])
-        mults = np.array([m for _, m in grouped])
-        dk = body
-        for m in range(1, int(mults.max()) + 1):
-            # centroid of a multiplicity-m scatter is already O(eps) accurate;
-            # polish on the (m-1)th derivative where the zero is simple
-            sel = mults == m
-            locs[sel] = _polish_roots(dk.float_coeffs(), dk.derivative().float_coeffs(), locs[sel])[0]
-            dk = dk.derivative()
-        refined = [(c, int(m)) for c, m in zip(locs.tolist(), mults)]
-        score = _rebuild_score(coeffs, refined)
-        if best is None or score < best[0]:
-            best = (score, refined)
-        if score <= 1e-10:
-            break
-    score, refined = best
-    if score > 1e-6:
-        raise IllConditionedZeros(
-            f"no clustering of the roots reproduces the coefficients (score {score:.2e})",
-            diagnostics={"score": score},
-        )
-    return [ZeroCluster(c, mult, _region(c), score) for c, mult in refined]
+            clusters.append(ZeroCluster(r, mult, _region(r), res))
+    clusters.sort(key=lambda c: _sort_key(c.location))
+    return clusters
 
 
 def match_disk_zeros(

@@ -137,10 +137,12 @@ def infer_pattern(p: ComplexPoly) -> LacunaryPattern:
 
 
 def _resolve_mode(p: ComplexPoly, mode: str) -> ComplexPoly:
+    """The exact polynomial every verdict is decided on: p's exact value, or
+    for ``float`` the exact value of p rounded to doubles."""
     if mode == "auto":
-        return p
+        return p.to_exact()
     if mode == "float":
-        return p.to_float()
+        return p.to_float().to_exact()
     if mode == "exact":
         if p.mode != "exact":
             raise UnsupportedMode(

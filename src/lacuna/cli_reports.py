@@ -40,6 +40,7 @@ from .matrix_builder import BlockMatrix, KernelBasis
 from .plus_cone import CoefVector, plus_dimension
 from .poly_core import (
     LacunaryPattern,
+    exact_decimal,
     json_isinstance,
     parse_poly,
     poly_to_json,
@@ -400,11 +401,12 @@ def _cmd_plusdim(args) -> int:
 
 
 def _number(x) -> float:
-    """A finite JSON number, or a fraction string such as "5/8"."""
+    """A finite JSON number, or a fraction string such as "5/8"; a string is
+    read by ``exact_decimal``, which refuses a huge decimal exponent cheaply."""
     if not (isinstance(x, str) or json_isinstance(x, (int, float))):
         raise ValueError(f"expected a number or a fraction string, got {x!r}")
     try:
-        value = float(Fraction(x)) if isinstance(x, str) else float(x)
+        value = float(exact_decimal(x)) if isinstance(x, str) else float(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
     except OverflowError:

@@ -34,7 +34,7 @@ class QuadratureBudgetExceeded(LacunaError):
 
 
 class IllConditionedZeros(LacunaError):
-    """Zero clustering could not certify locations/multiplicities."""
+    """The zero analysis could not certify locations/multiplicities."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)

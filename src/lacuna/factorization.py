@@ -17,8 +17,14 @@ reconstructed exactly: the float factor built from the clustered zeros is
 rationalized coefficient-by-coefficient (growing denominator bounds) and
 accepted only if exact division succeeds.  Configurations whose factor
 is irrational (possible: the scalar normalization of G need not be rational
-even for rational p) degrade to the float pipeline; verdicts downstream are
-scale-invariant, so only exactness is lost, never correctness.
+even for rational p), or whose rational factor has denominators beyond the
+bounds, fall back to the float factor, accepted when the division leaves a
+remainder within ``_FLOAT_DIVISION_TOL``.  That fallback can lose
+correctness, not only exactness: zeros of p and p* closer than
+``circle_analysis._MATCH_RADIUS`` count as shared though gcd(p, p*) = 1,
+and the tolerant division then accepts a factor that does not divide p, so
+m, mu and the verdicts read from them can be wrong; for example
+(z - 1/2)(1 - (1/2 + 10^-8) z) on pattern 2 is reported with m = 1.
 """
 
 from __future__ import annotations

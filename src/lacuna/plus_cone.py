@@ -32,8 +32,8 @@ residual plateaus (weakly infeasible slices have no such certificate).
 and then certifies completeness facially: the span of all plus vectors
 in V equals the set of vectors whose tau vanishes at each circle zero of
 the accumulated interior point to at least its order.
-Those zeros are grouped by ``circle_analysis.cluster_roots``, the rule for
-the float zeros of p.
+Those zeros are grouped by ``cluster_roots`` (single linkage): the grid
+minima of tau near one zero count as one zero.
 Before it searches, ``plus_dimension`` compresses V by its harmonic
 lattice: when every exactly nonzero entry sits at a harmonic in kZ, V is
 a space of functions of kt, and t -> t/k maps it onto degree d // k
@@ -55,7 +55,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle_analysis import cluster_roots
 from .errors import FacialMismatch, SolverStalled
 from .poly_core import is_exact_scalar, long_division
 
@@ -619,13 +618,37 @@ def _facial_span(found: list[CoefVector], VB: np.ndarray) -> np.ndarray:
     return _row_space(null_coords @ VB)[0]
 
 
+def cluster_roots(roots, radius: float) -> list[complex]:
+    """Centroids of the greedy single-linkage clusters of complex points: a
+    point within ``radius`` of a member joins its cluster, so the grid
+    minima around one zero of tau count as one zero."""
+    remaining = list(roots)
+    clusters = []
+    while remaining:
+        seed = remaining.pop()
+        members = [seed]
+        changed = True
+        while changed:
+            changed = False
+            keep = []
+            for r in remaining:
+                if any(abs(r - m) <= radius for m in members):
+                    members.append(r)
+                    changed = True
+                else:
+                    keep.append(r)
+            remaining = keep
+        clusters.append(complex(np.mean(members)))
+    return clusters
+
+
 def _circle_zeros_of_tau(v: CoefVector) -> list[tuple[float, int]]:
     """Zeros of a nonnegative tau with their (even) vanishing orders."""
     g = v.gamma()
     scale = float(np.sum(np.abs(g)))
     raw = _grid_minima(v, max(64 * v.d + 256, 512), ceiling=1e-8 * max(scale, 1e-30))
     points = np.exp(1j * np.array(raw))
-    zeros = sorted(np.angle([c for c, _ in cluster_roots(points, 1e-6)]) % (2 * math.pi))
+    zeros = sorted(np.angle(cluster_roots(points, 1e-6)) % (2 * math.pi))
     out = []
     for t0 in zeros:
         order = None

@@ -9,7 +9,11 @@ Two numeric modes run through the whole package:
   questions become tolerance questions.
 
 A polynomial never mixes modes.  Binary operations coerce to float as soon as
-one operand is float.
+one operand is float.  Every double is a dyadic rational, so
+``ComplexPoly.to_exact`` gives a float polynomial's exact value; the zero
+analysis and the classifier read float input that way.  The parser reads a
+decimal literal as the rational it names (``0.1`` is 1/10), and JSON
+``coeffs_f`` entries stay floats.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import numpy as np
 from .errors import NotDivisible, ParseError, UnsupportedMode
 
 _EXPONENT_CAP = 512
+# every finite nonzero double is d.ddd * 10^e with -324 <= e <= 308
+_DECIMAL_EXPONENT_CAP = 400
 
 
 class GaussianRational:
@@ -262,6 +268,12 @@ class ComplexPoly:
             return self
         return ComplexPoly([complex(c) for c in self.coeffs], mode="float")
 
+    def to_exact(self) -> "ComplexPoly":
+        """The exact value of every coefficient; a double is a dyadic rational."""
+        if self.mode == "exact":
+            return self
+        return ComplexPoly([GaussianRational(c.real, c.imag) for c in self.coeffs], mode="exact")
+
     def float_coeffs(self):
         return np.array([complex(c) for c in self.coeffs], dtype=complex)
 
@@ -391,6 +403,35 @@ class LacunaryPattern:
 # parsing
 # ---------------------------------------------------------------------------
 
+_DECIMAL_RX = _re.compile(
+    r"\s*[-+]?(?P<int>[\d_]*)(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?\s*"
+)
+
+
+def exact_decimal(text: str, position: int | None = None) -> Fraction:
+    """The exact value ``Fraction(text)`` of a number literal: "0.1" is 1/10.
+
+    A decimal literal is a :class:`ParseError` when the power of ten of its
+    leading digit (its exponent, for a zero mantissa) lies beyond
+    +-``_DECIMAL_EXPONENT_CAP``.  It is refused before ``Fraction`` builds
+    10**exponent, which for "1e999999999" would take hours.  Every literal
+    with a finite nonzero float value passes.
+    """
+    m = _DECIMAL_RX.fullmatch(text)
+    if m and (m["frac"] is not None or m["exp"] is not None):
+        whole = m["int"].replace("_", "")
+        digits = whole + (m["frac"] or "").replace("_", "")
+        power = int(m["exp"].replace("_", "")) if m["exp"] else 0
+        if digits.strip("0"):
+            power += len(whole) - 1 - (len(digits) - len(digits.lstrip("0")))
+        if abs(power) > _DECIMAL_EXPONENT_CAP:
+            raise ParseError(
+                f"the decimal exponent of {text.strip()!r} lies beyond +-{_DECIMAL_EXPONENT_CAP}",
+                position=position,
+            )
+    return Fraction(text)
+
+
 _TOKEN_RX = _re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+)"
     r"|(?P<name>[zi])"
@@ -410,7 +451,7 @@ def _tokenize(text: str):
             if _re.fullmatch(r"\d+", lit):
                 tokens.append(("int", int(lit), m.start()))
             else:
-                tokens.append(("dec", float(lit), m.start()))
+                tokens.append(("dec", exact_decimal(lit, m.start()), m.start()))
         elif m.group("name") is not None:
             tokens.append((m.group("name"), None, m.start()))
         else:
@@ -431,8 +472,8 @@ class _ExprParser:
         power  := atom ('^' integer)?
         atom   := '(' expr ')' | 'z' | 'i' | integer | decimal
 
-    A '/' accepts only a nonzero constant divisor; any decimal literal flips
-    the whole result to float mode.
+    A '/' accepts only a nonzero constant divisor.  A decimal literal is the
+    rational it names (``0.1`` is 1/10), so the result is always exact.
     """
 
     _ATOM_STARTS = {"(", "z", "i", "int", "dec"}
@@ -440,7 +481,6 @@ class _ExprParser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.k = 0
-        self.saw_decimal = False
 
     def peek(self):
         return self.tokens[self.k]
@@ -455,7 +495,7 @@ class _ExprParser:
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input starting with {kind!r}", position=pos)
-        return p.to_float() if self.saw_decimal else p
+        return p
 
     def expr(self) -> ComplexPoly:
         p = self.term()
@@ -527,11 +567,8 @@ class _ExprParser:
             return ComplexPoly.monomial(1)
         if kind == "i":
             return ComplexPoly.constant(GaussianRational(0, 1))
-        if kind == "int":
+        if kind in ("int", "dec"):
             return ComplexPoly.constant(value)
-        if kind == "dec":
-            self.saw_decimal = True
-            return ComplexPoly.constant(complex(value), mode="float")
         raise ParseError(f"expected a value, found {kind!r}", position=pos)
 
 

@@ -510,10 +510,18 @@ def test_criterion_09_scaling_invariance(examples):
                    (rep.extreme, rep.exposed) == (base.extreme, base.exposed),
                    f"{name} x {c}: verdicts changed to "
                    f"({rep.extreme}, {rep.exposed})")
-            _check(problems,
-                   (rep.kernel.rank, rep.kernel_tilde.rank)
-                   == (base.kernel.rank, base.kernel_tilde.rank),
-                   f"{name} x {c}: ranks changed")
+            if base.tilde.mu and q.to_exact() != p * GaussianRational(c.real, c.imag):
+                # a float input is judged by its exact value: where the rounded
+                # product is no longer c p, its multiple circle zero splits
+                # into simple ones, so mu = 0 and only the tilde rank moves
+                _check(problems,
+                       rep.tilde.mu == 0 and rep.kernel.rank == base.kernel.rank,
+                       f"{name} x {c}: mu = {rep.tilde.mu} after rounding")
+            else:
+                _check(problems,
+                       (rep.kernel.rank, rep.kernel_tilde.rank)
+                       == (base.kernel.rank, base.kernel_tilde.rank),
+                       f"{name} x {c}: ranks changed")
             rank_nullity(rep, f"{name} x {c}")
     _finish(9, "scaling invariance and rank-nullity", problems)
 

@@ -169,18 +169,20 @@ def test_find_zeros_origin():
     assert len(origin) == 1 and origin[0].multiplicity == 2
 
 
-def test_find_zeros_float_cluster_recovery():
-    # np.roots splits a true double zero by ~1e-10; clustering must undo that
-    p = parse_poly("(z - 7/10)^2 (z + 3/2)").to_float()
-    zs = find_zeros(p)
-    doubles = [c for c in zs if c.multiplicity == 2]
-    assert len(doubles) == 1
-    assert abs(doubles[0].location - 0.7) < 1e-9
+def test_find_zeros_reads_float_input_at_its_exact_value():
+    # (z - 1/2)^2 (z + 3/2) has dyadic coefficients, so its float image keeps
+    # the double zero; rounding the coefficients of (z - 7/10)^2 (z + 3/2)
+    # makes a polynomial whose zeros near 7/10 are simple
+    for text, mults in (("(z - 1/2)^2 (z + 3/2)", [1, 2]), ("(z - 7/10)^2 (z + 3/2)", [1, 1, 1])):
+        p = parse_poly(text).to_float()
+        zs = find_zeros(p)
+        assert zs == find_zeros(p.to_exact())
+        assert sorted(c.multiplicity for c in zs) == mults
 
 
 def test_find_zeros_prefers_genuinely_split_roots():
     # visible coefficient noise makes a different polynomial with two simple
-    # roots; the rebuild score must keep them separate, not merge them
+    # roots, which must stay separate, not be merged
     base = parse_poly("(z - 7/10)^2 (z + 3/2)").to_float()
     noisy = ComplexPoly(
         [complex(c) + 1e-12 * (1 + 1j) for c in base.coeffs], mode="float"

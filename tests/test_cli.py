@@ -5,7 +5,9 @@ import dataclasses
 import io
 import json
 import re
+import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -184,10 +186,12 @@ def test_config_file(tmp_path, capsys):
         "pattern = 6:3\n"
         "format = json\n"
     )
-    code = main(["classify", "(z - 1/2)(2 - z)(1 + z^4)", "--config", str(cfg)])
+    code = main(["classify", "(z - 1/3)(3 - z)(1 + z^4)", "--config", str(cfg)])
     assert code == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["mode"] == "float"
+    # float mode judges the exact value of the coefficients rounded to doubles
+    re_num, re_den, _, _ = doc["polynomial"]["coeffs"][1]
+    assert Fraction(re_num, re_den) == Fraction(10 / 3) != Fraction(10, 3)
     assert doc["witnesses"] == []
     assert doc["pattern"] == {"N": 6, "forbidden": [3]}
 
@@ -459,6 +463,26 @@ def test_corpus_non_finite_jobs_fail_one_line_each(tmp_path, capsys):
     assert out[3:] == ["0/3 passed"]
 
 
+@pytest.mark.parametrize("literal", ["1e999999999", "0e999999999", "1e-999999999"])
+def test_huge_decimal_exponent_is_refused_before_it_is_expanded(literal, tmp_path, capsys):
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"d": 0, "basis": [[literal]]}))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    job = {"input": "1 + z/2", "pattern": {"N": 1}, "expect": {"matrix": {"rows": [[literal]]}}}
+    (corpus / "job.json").write_text(json.dumps(job))
+    for argv in (
+        ["classify", f"1 + {literal}z", "--pattern", "1"],
+        ["plusdim", f"@{basis}"],
+        ["corpus", str(corpus)],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == EXIT_ERROR
+        assert time.perf_counter() - start < 0.1
+        captured = capsys.readouterr()
+        assert "decimal exponent" in captured.err + captured.out
+
+
 def test_corpus_option_kinds_cover_classify_options():
     fields = {f.name for f in dataclasses.fields(ClassifyOptions)}
     assert set(_OPTION_KINDS) == fields
@@ -528,11 +552,23 @@ def test_malformed_json_input_exits_with_error(argv, stdin, key, capsys, monkeyp
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err
 
 
+# mode is the arithmetic of the report: the float input reaches float
+# arithmetic through exact mode's fallback, since the disk zeros
+# (3 +- sqrt 5)/2 of 1 - 3z + z^2 reflect each other and make the
+# canonical factor irrational
+CONE_WITNESS_INPUTS = {
+    "exact": ("(1 - z^2)^2", "4:1,3"),
+    "float": ("(1 - 3z + z^2)(1 - z)^2(z^2 + z - 3)", "6:4"),
+}
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_classify_text_with_cone_dimension_and_witness(mode, capsys):
-    code = main(["classify", "(1 - z^2)^2", "--pattern", "4:1,3", "--mode", mode])
+    text, pattern = CONE_WITNESS_INPUTS[mode]
+    code = main(["classify", text, "--pattern", pattern, "--mode", "exact"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
+    assert f"mode: {mode}\n" in out
     assert "cone trace dimension: 3" in out
     assert "exposed: no (via plus_dimension)" in out
     assert "multiplier bound inf" in out
@@ -541,4 +577,4 @@ def test_classify_text_with_cone_dimension_and_witness(mode, capsys):
     else:
         assert "witness [non_exposed]: q = " in out
         # float matrix rows print signed entries
-        assert "    [+0  -1  +0" in out
+        assert "    [+5.23607  +7.8541  +0]" in out

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ import lacuna.poly_core
 from lacuna.poly_core import (
     _GCD_IOTA,
     _GCD_PRIME,
+    exact_decimal,
     format_poly,
     gcd_exact,
     long_division,
@@ -423,13 +425,43 @@ def test_parser_table(text, coeffs):
         assert c.real == Fraction(re) and c.imag == Fraction(im)
 
 
-def test_parser_decimal_goes_float():
+def test_parser_decimal_is_exact():
     p = parse_poly("0.5 + z")
-    assert p.mode == "float"
-    assert abs(complex(p.coeffs[0]) - 0.5) < 1e-15
-    # a float divisor takes the same division path as an exact one
-    q = parse_poly("z/4.0")
-    assert q.mode == "float" and q.coeffs == (0j, 0.25 + 0j)
+    assert p.mode == "exact" and p.coeffs[0] == GaussianRational(Fraction(1, 2))
+    # 0.1 is 1/10, not the double nearest to it
+    assert parse_poly("0.1z").coeffs[1] == GaussianRational(Fraction(1, 10))
+    assert parse_poly("1.5e3 + 2.5E-2z + .5z^2") == parse_poly("1500 + z/40 + z^2/2")
+    # a decimal divisor takes the same division path as an integer one
+    assert parse_poly("z/4.0") == parse_poly("z/4")
+
+
+@pytest.mark.parametrize("literal", ["1e999999999", "0e999999999", "1e-999999999"])
+def test_parser_refuses_a_huge_decimal_exponent_before_expanding_it(literal):
+    for text in (literal, f"1 + {literal}z", f"z*{literal}"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="decimal exponent"):
+            parse_poly(text)
+        assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["5e-324", "2.5e-324", "0.0000000005e-314", "1.7976931348623157e308",
+     "17976931348623157e292", "2.2250738585072014e-308", "0.1", "123.456e-7"],
+)
+def test_exact_decimal_keeps_every_finite_nonzero_double(literal):
+    value = exact_decimal(literal)
+    assert value == Fraction(literal) and float(value) == float(literal) != 0
+    assert parse_poly(f"{literal}z").coeffs[1] == GaussianRational(value)
+
+
+def test_to_exact_takes_each_double_at_its_binary_value():
+    p = ComplexPoly([0.1 + 0.5j, -0.0, 3.0], mode="float")
+    q = p.to_exact()
+    assert q.mode == "exact" and q.to_float() == p
+    assert q.coeffs == (GaussianRational(Fraction(0.1), Fraction(1, 2)), GaussianRational(), GaussianRational(3))
+    assert q.coeffs[0] != GaussianRational(Fraction(1, 10), Fraction(1, 2))
+    assert q.to_exact() is q
 
 
 def test_parser_implicit_multiplication():
@@ -460,12 +492,10 @@ def test_parse_json_exact_roundtrip():
 
 
 def test_parse_json_float_roundtrip():
-    p = parse_poly("0.25 - 1.5z")
+    p = parse_poly('{"coeffs_f": [[0.25, 0], [-1.5, 0.1]]}')
+    assert p.mode == "float" and p.coeffs == (0.25 + 0j, -1.5 + 0.1j)
     q = poly_from_json(poly_to_json(p))
-    assert q.mode == "float"
-    assert all(
-        abs(complex(a) - complex(b)) < 1e-15 for a, b in zip(p.coeffs, q.coeffs)
-    )
+    assert q.mode == "float" and q.coeffs == p.coeffs
 
 
 def test_parse_poly_accepts_json_text():

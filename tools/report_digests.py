@@ -16,7 +16,10 @@ where the digest covers the ``lacuna/1`` JSON of ``report_to_dict`` followed
 by ``render_text``, and the verdicts are the report's (``None`` where
 undecided), so a diff shows whether a changed report moved a verdict.  A
 raised exception is printed as its class and message in place of the
-digest and the verdicts.  Each plusdim job of the corpus gets one line::
+digest and the verdicts.  Float mode judges the exact value of the input
+rounded to doubles, so for every input whose float image is lossless (all
+the workload inputs) its line equals the exact line.  Each plusdim job of
+the corpus gets one line::
 
     <workload> <case id> plusdim <sha256> <dim_plus>
 
