@@ -27,7 +27,6 @@ from .errors import (
     NotHermitianSymmetric,
     ParseError,
     QuadratureBudgetExceeded,
-    RankIndeterminate,
     SolverStalled,
     SpectrumViolation,
     UnsupportedMode,
@@ -84,7 +83,6 @@ __all__ = [
     "NotHermitianSymmetric",
     "ParseError",
     "QuadratureBudgetExceeded",
-    "RankIndeterminate",
     "SolverStalled",
     "SpectrumViolation",
     "TildeData",

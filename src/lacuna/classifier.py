@@ -18,10 +18,10 @@ p + t q.  Witnesses are validated before they are returned (spectrum
 membership, grid realness/nonnegativity, nonconstancy) and validation
 failure is an error, never a silent downgrade.
 
-The verdict pair can also be ``None`` when float rank decisions hit the
-indeterminate band, and ``exposed`` alone when the cone solver stalls;
-callers see why in ``diagnostics`` and the CLI maps that state to its own
-exit code.
+Every verdict is decided on exact coefficients: float input is judged at its
+exact value, the factors are exact and so are the ranks.  Only ``exposed``
+can be left ``None``, when the cone solver stalls; callers see why in
+``diagnostics`` and the CLI maps that state to its own exit code.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import (
     IllConditionedZeros,
     NotDivisible,
     NotHermitianSymmetric,
-    RankIndeterminate,
     SolverStalled,
     SpectrumViolation,
     UnsupportedMode,
@@ -63,7 +62,9 @@ from .poly_core import (
     ComplexPoly,
     GaussianRational,
     LacunaryPattern,
+    conjugate_reciprocal,
     divide_exact,
+    gcd_exact,
     parse_poly,
     spectrum,
     spectrum_in,
@@ -96,7 +97,6 @@ class Witness:
 class ClassificationReport:
     pattern: LacunaryPattern
     polynomial: ComplexPoly
-    mode: str
     norm: float
     norm_error_bound: float
     scale: float
@@ -115,6 +115,8 @@ class ClassificationReport:
     fast_path_extreme: str = "rank"
     fast_path_exposed: str = ""
     witnesses: tuple[Witness, ...] = ()
+    # the arithmetic of every verdict (a class constant, not a field)
+    mode = "exact"
 
     @property
     def undecided(self) -> bool:
@@ -233,25 +235,24 @@ def _plus_candidates(
 ) -> Iterator[CoefVector]:
     """Plus vectors of the tilde kernel to try as non-exposed witnesses.
 
-    First the exactly certified vectors of a rational kernel, each certified
+    First the exactly certified vectors of the rational kernel, each certified
     only when the caller asks for the next one: the basis, pairwise sums and
     differences, then basis + seed and basis + 2 seed.  Then the vectors the
     cone search found.  The cone search runs here only when neither source
     offered anything.
     """
     offered = False
-    if kernel.exact:
-        basis = kernel.vectors
-        seeds = (seed, seed + seed) if seed is not None and seed.is_exact else ()
-        pool = itertools.chain(
-            basis,
-            (x for u, w in itertools.combinations(basis, 2) for x in (u + w, u - w)),
-            (b + s for b in basis for s in seeds),
-        )
-        for cand in pool:
-            if certify_nonneg_exact(cand)[0] and any(cand.entries):
-                offered = True
-                yield cand
+    basis = kernel.vectors
+    seeds = (seed, seed + seed) if seed is not None else ()
+    pool = itertools.chain(
+        basis,
+        (x for u, w in itertools.combinations(basis, 2) for x in (u + w, u - w)),
+        (b + s for b in basis for s in seeds),
+    )
+    for cand in pool:
+        if certify_nonneg_exact(cand)[0] and any(cand.entries):
+            offered = True
+            yield cand
     for v in plus_vectors or ():
         offered = True
         yield v
@@ -357,7 +358,6 @@ def classify(
     rep = ClassificationReport(
         pattern=pattern,
         polynomial=p,
-        mode=canonical.mode,
         norm=norm_res.value,
         norm_error_bound=norm_res.abs_error_bound,
         scale=1.0 / norm_res.value,
@@ -366,8 +366,8 @@ def classify(
         matrix=build_matrix(canonical.cofactor, forbidden, canonical.m, kind="plain"),
         matrix_tilde=build_matrix(tilde.reduced_cofactor, forbidden, tilde.m_tilde, kind="tilde"),
         diagnostics={
-            "canonical_mode": canonical.mode,
-            "tilde_mode": tilde.mode,
+            "canonical_mode": "exact",
+            "tilde_mode": "exact",
             "norm_panels": norm_res.panels,
         },
         audit={"performed": opt.audit, "checks": [], "mismatches": []},
@@ -377,16 +377,8 @@ def classify(
     seed = _safe_seed(canonical.disk_factor, canonical.m)
     seed_tilde = _safe_seed(tilde.total_factor, tilde.m_tilde)
 
-    try:
-        rep.kernel = rank_and_kernel(rep.matrix, scale=canonical.cofactor.max_abs_coeff())
-        rep.kernel_tilde = rank_and_kernel(
-            rep.matrix_tilde, scale=tilde.reduced_cofactor.max_abs_coeff()
-        )
-    except RankIndeterminate as exc:
-        diagnostics["undecided_reason"] = str(exc)
-        diagnostics["singular_values"] = list(exc.singular_values or ())
-        return rep
-
+    rep.kernel = rank_and_kernel(rep.matrix)
+    rep.kernel_tilde = rank_and_kernel(rep.matrix_tilde)
     _check_seed_membership(rep.matrix, seed, diagnostics, "plain")
     _check_seed_membership(rep.matrix_tilde, seed_tilde, diagnostics, "tilde")
 
@@ -510,9 +502,10 @@ def classify_full_space(p, N: int | None = None) -> FullSpaceReport:
 
     With no forbidden exponents, extreme means no zero is shared with the
     conjugate-reciprocal inside the disk, and exposed additionally requires
-    every circle zero to be simple.  This route never builds a matrix, and
-    it reads the zeros of p* off p's own by reflection, which makes it an
-    independent cross-check of the rank criterion.
+    every circle zero to be simple.  An exact gcd(p, p*) = 1 proves both (no
+    shared zero, and so no circle zero).  Otherwise this route reads the
+    zeros of p* off p's own by reflection; it never builds a matrix, which
+    makes it a cross-check of the rank criterion.
     """
     if isinstance(p, str):
         p = parse_poly(p)
@@ -522,6 +515,9 @@ def classify_full_space(p, N: int | None = None) -> FullSpaceReport:
         N = p.deg
     if p.deg > N:
         raise ValueError(f"degree {p.deg} exceeds N={N}")
+    exact = p.to_exact()
+    if gcd_exact(exact, conjugate_reciprocal(exact, N)).deg == 0:
+        return FullSpaceReport(True, True, 0, ())
     clusters = find_zeros(p)
     disk = [c for c in clusters if c.region == "disk"]
     _, m = match_disk_zeros(disk, reflected_zeros(clusters, N - p.deg))

@@ -7,13 +7,14 @@ Subcommands:
 * ``corpus``   - run a directory of expectation files and compare,
 * ``norm``     - just the circle L1 norm.
 
-Exit codes: 0 for a decided run, 2 when the classifier reports an undecided
-verdict (float rank on the threshold, or a stalled cone solver), 1 for
-errors and corpus failures.
+Exit codes: 0 for a decided run, 2 when the classifier leaves ``exposed``
+undecided (a stalled cone solver), 1 for errors and corpus failures.
 
 Reports serialize under the schema tag ``lacuna/1``.  Exact rationals are
-encoded as strings ("5/8", "1/2+3/4i"), floats as JSON numbers, so an exact
-run is byte-stable across invocations.
+encoded as strings ("5/8", "1/2+3/4i"), floats as JSON numbers, so a run is
+byte-stable across invocations.  Every verdict is exact, so ``mode``, the
+diagnostics' ``canonical_mode`` and ``tilde_mode`` read "exact" and each
+matrix's ``exact`` reads true.
 """
 
 from __future__ import annotations
@@ -81,16 +82,12 @@ def _matrix_to_json(mat: BlockMatrix, kernel: KernelBasis | None) -> dict:
         "kind": mat.kind,
         "shape": list(mat.shape),
         "rows": [[_scalar_to_json(x) for x in row] for row in mat.rows],
-        "exact": mat.exact,
+        "exact": True,
     }
     if kernel is not None:
         out["rank"] = kernel.rank
         out["kernel_dim"] = kernel.dim
         out["kernel"] = [_vector_to_json(v) for v in kernel.vectors]
-        if kernel.singular_values is not None:
-            out["singular_values"] = list(kernel.singular_values)
-        if kernel.gap is not None:
-            out["gap"] = kernel.gap
     return out
 
 
@@ -182,19 +179,13 @@ def _format_matrix_text(mat: BlockMatrix) -> list[str]:
     if not mat.rows:
         return ["  (no rows: every exponent below the degree is allowed)"]
     lines = []
-    if mat.exact:
-        g = _common_fraction_factor(mat.rows)
-        if g is not None and g != 1:
-            scaled = [[Fraction(x) / g for x in row] for row in mat.rows]
-            lines.append(f"  {g} x")
-            rows = scaled
-        else:
-            rows = [[Fraction(x) for x in row] for row in mat.rows]
-        for row in rows:
-            lines.append("    [" + "  ".join(str(x) for x in row) + "]")
-    else:
-        for row in mat.rows:
-            lines.append("    [" + "  ".join(f"{float(x):+.6g}" for x in row) + "]")
+    g = _common_fraction_factor(mat.rows)
+    rows = [[Fraction(x) for x in row] for row in mat.rows]
+    if g is not None and g != 1:
+        lines.append(f"  {g} x")
+        rows = [[x / g for x in row] for row in rows]
+    for row in rows:
+        lines.append("    [" + "  ".join(str(x) for x in row) + "]")
     return lines
 
 

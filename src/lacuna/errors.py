@@ -34,7 +34,8 @@ class QuadratureBudgetExceeded(LacunaError):
 
 
 class IllConditionedZeros(LacunaError):
-    """The zero analysis could not certify locations/multiplicities."""
+    """The zero analysis could not certify locations/multiplicities, or no
+    exact (Gaussian-rational) factor carries the zeros it found."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
@@ -43,15 +44,6 @@ class IllConditionedZeros(LacunaError):
 
 class NotHermitianSymmetric(LacunaError):
     """Coefficients are not conjugate-symmetric about the given half degree."""
-
-
-class RankIndeterminate(LacunaError):
-    """Float-mode singular value spectrum has no safe gap at the cut."""
-
-    def __init__(self, message: str, gap: float | None = None, singular_values=None):
-        super().__init__(message)
-        self.gap = gap
-        self.singular_values = singular_values
 
 
 class SolverStalled(LacunaError):

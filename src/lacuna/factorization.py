@@ -6,25 +6,28 @@ G = prod (z - a)^m (1 - conj(a) z)^m.  The tilde factorization is the
 canonical one times the circle part: the circle factor C takes
 floor(multiplicity/2) copies of every circle zero of p, reflected the same
 way, and is divided out of R, so p = (G C) R~.  The rank criteria read
-their constraint matrices off the cofactors R and R~.  Both levels
-run through one split, ``_factor_out``, whose one consistency check is that
-the quotient fits the degree budget N - 2m (N - 2m~ for the tilde level);
-with no zeros to split off, an exact input is its own quotient by the
-factor 1, and a float input is divided by the constant 1.0.
+their constraint matrices off the cofactors R and R~.
 
-When the input has Gaussian-rational coefficients the factors are
-reconstructed exactly: the float factor built from the clustered zeros is
-rationalized coefficient-by-coefficient (growing denominator bounds) and
-accepted only if exact division succeeds.  Configurations whose factor
-is irrational (possible: the scalar normalization of G need not be rational
-even for rational p), or whose rational factor has denominators beyond the
-bounds, fall back to the float factor, accepted when the division leaves a
-remainder within ``_FLOAT_DIVISION_TOL``.  That fallback can lose
-correctness, not only exactness: zeros of p and p* closer than
-``circle_analysis._MATCH_RADIUS`` count as shared though gcd(p, p*) = 1,
-and the tolerant division then accepts a factor that does not divide p, so
-m, mu and the verdicts read from them can be wrong; for example
-(z - 1/2)(1 - (1/2 + 10^-8) z) on pattern 2 is reported with m = 1.
+Every factor is exact, read off p's exact value (a float p is read through
+``ComplexPoly.to_exact``).  G divides g = gcd(p, p*): when the modular
+certificate inside ``gcd_exact`` proves g = 1, p shares no zero with p* and
+has no circle zero, so m = 0, G = 1 and R = p with no zero analysis at all.
+Otherwise g is p's circle zeros (with multiplicity) times G, so the monic G
+is g divided by the monic product of the circle zeros, and m = (deg G + order
+of G at 0) / 2.  The displayed disk zeros are the pairs that the match band
+of ``common_disk_zeros`` finds, and their count must be m.  G is scaled to
+make its symbol on the circle real and positive: by the natural scale
+prod(-conj a) when the disk zeros a have a Gaussian-rational monic product,
+else by the Gaussian rational that Hilbert 90 reads off G's coefficients.
+
+A circle factor is found by rationalizing the float product of the circle
+zeros coefficient by coefficient (growing denominator bounds) and is
+accepted only if it divides exactly.  Where none does (an irrational split,
+such as the circle factor of a Salem polynomial, a zero that the band
+counts on the circle but that lies off it, or denominators beyond the
+bounds) the factorization raises :class:`IllConditionedZeros` naming the
+factor; it never falls back to floats.  Which zeros count as circle zeros
+is still read off the band ``circle_analysis._EPS_CIRCLE``.
 """
 
 from __future__ import annotations
@@ -35,10 +38,16 @@ from fractions import Fraction
 from .circle_analysis import ZeroCluster, common_disk_zeros, find_zeros
 from .errors import IllConditionedZeros, NotDivisible, NotHermitianSymmetric
 from .plus_cone import CoefVector
-from .poly_core import ComplexPoly, GaussianRational, conjugate_reciprocal, divide_exact, linear_product
+from .poly_core import (
+    ComplexPoly,
+    GaussianRational,
+    conjugate_reciprocal,
+    divide_exact,
+    gcd_exact,
+    linear_product,
+)
 
 _RATIONALIZE_BOUNDS = (10**4, 10**7, 10**10)
-_FLOAT_DIVISION_TOL = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,7 +60,6 @@ class CanonicalData:
     disk_factor: ComplexPoly
     cofactor: ComplexPoly
     zero_clusters: tuple[ZeroCluster, ...]
-    mode: str  # "exact" if the factorization itself is exact, else "float"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,16 +73,6 @@ class TildeData:
     circle_factor: ComplexPoly
     total_factor: ComplexPoly
     reduced_cofactor: ComplexPoly
-    mode: str
-
-
-def _build_factor_float(items) -> ComplexPoly:
-    """prod (z - a)^m (1 - conj(a) z)^m as a float polynomial."""
-    factors = []
-    for loc, mult in items:
-        a = complex(loc)
-        factors += [(-a, 1.0), (1.0, -a.conjugate())] * mult
-    return ComplexPoly([complex(x) for x in linear_product(factors)])
 
 
 def _rationalize_coefficients(pf: ComplexPoly, bound: int):
@@ -91,35 +89,61 @@ def _rationalize_coefficients(pf: ComplexPoly, bound: int):
     return ComplexPoly(out)
 
 
-def _factor_out(p: ComplexPoly, items, s: int) -> tuple[ComplexPoly, ComplexPoly, str]:
-    """Divide the factor described by (location, multiplicity) items out of p.
+def _factor_out(p: ComplexPoly, factors, s: int, what: str = "factor") -> tuple[ComplexPoly, ComplexPoly]:
+    """Divide the product of the linear factors (c0, c1) = c0 + c1 z out of p.
 
-    The quotient must fit the degree budget s, which also rejects s < 0; a
-    factor of higher degree than p already fails the division.  With no
-    items an exact p is its own quotient, with no division.
+    The factor is the first rationalization of the float product that
+    divides p exactly; when none does, :class:`IllConditionedZeros` names
+    the factor as ``what``.  The quotient must fit the degree budget s,
+    which also rejects s < 0.  With no factors p is its own quotient.
     """
-    factor, quotient, mode = _build_factor_float(items), None, "float"
-    if p.mode == "exact" and not items:
-        factor, quotient, mode = ComplexPoly.one(), p, "exact"
-    elif p.mode == "exact":
+    factor, quotient = ComplexPoly.one(), p
+    if factors:
+        approx = ComplexPoly([complex(x) for x in linear_product(factors)])
         for bound in _RATIONALIZE_BOUNDS:
-            cand = _rationalize_coefficients(factor, bound)
-            if cand is None or cand.deg != factor.deg:
+            cand = _rationalize_coefficients(approx, bound)
+            if cand is None or cand.deg != approx.deg:
                 continue
             try:
-                quotient = divide_exact(p, cand)
+                factor, quotient = cand, divide_exact(p, cand)
+                break
             except NotDivisible:
                 continue
-            factor, mode = cand, "exact"
-            break
-    if quotient is None:
-        quotient = divide_exact(p, factor, tol=_FLOAT_DIVISION_TOL)
+        else:
+            raise IllConditionedZeros(
+                f"no Gaussian-rational {what} with denominators up to "
+                f"{_RATIONALIZE_BOUNDS[-1]:.0e} divides exactly: the split is irrational "
+                "(a Salem factor, say), or a zero within the circle band lies off the circle",
+                diagnostics={"factor": what, "degree": len(factors)},
+            )
     if quotient.deg > s:
         raise IllConditionedZeros(
             "cofactor degree exceeds the degree budget; zero identification is inconsistent",
             diagnostics={"cofactor_degree": quotient.deg, "budget": s},
         )
-    return factor, quotient, mode
+    return factor, quotient
+
+
+def _positive_hermitian_multiple(G: ComplexPoly, disk) -> ComplexPoly:
+    """kappa G for a Gaussian rational kappa whose symbol on the circle is real
+    and positive, G monic with its zeros paired by a -> 1/conj(a).
+
+    The natural scale is kappa = prod(-conj a) = conj(D(0)) over the nonzero
+    disk zeros a, D their monic product (the linear factors ``disk``), and it
+    is kept when D is a Gaussian-rational divisor of G.  Otherwise: the outer
+    coefficients of kappa G are kappa and kappa G_k (k the order of G at 0),
+    a real symbol needs kappa = conj(kappa G_k), that is conj(kappa) eps =
+    kappa with the unimodular eps = conj(G_k), and kappa = 1 + eps solves it
+    (Hilbert 90; i when eps = -1), with the sign that makes the symbol at
+    t = 0, kappa G(1), positive.
+    """
+    try:
+        return G * _factor_out(G, disk, G.deg)[0].coeffs[0].conjugate()
+    except IllConditionedZeros:
+        pass
+    eps = G.coefficient(G.order_at_zero()).conjugate()
+    F = G * (1 + eps if eps != -1 else GaussianRational(0, 1))
+    return -F if sum(F.coeffs).real < 0 else F
 
 
 def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
@@ -128,19 +152,35 @@ def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
         raise ValueError("cannot factor the zero polynomial")
     if p.deg > N:
         raise ValueError(f"degree {p.deg} exceeds the ambient degree {N}")
+    p = p.to_exact()
     pstar = conjugate_reciprocal(p, N)
+    g = gcd_exact(p, pstar)
+    if g.deg == 0:  # no shared zero, and so no circle zero either
+        return CanonicalData((), 0, N, ComplexPoly.one(), p, ())
     clusters = find_zeros(p)
-    shared, m = common_disk_zeros(p, pstar)
-    s = N - 2 * m
-    G, R, mode = _factor_out(p, [(c.location, c.multiplicity) for c in shared], s)
+    circle = [(-c.location, 1.0) for c in clusters if c.region == "circle"
+              for _ in range(c.multiplicity)]
+    G = _factor_out(g, circle, g.deg, "monic product of the circle zeros of p")[1]
+    m, odd = divmod(G.deg + G.order_at_zero(), 2)
+    # the matched zeros are displayed, and give G its natural scale
+    shared, m_band = common_disk_zeros(p, pstar) if m else ((), 0)
+    if odd or m_band != m:
+        raise IllConditionedZeros(
+            f"the exact gcd(p, p*) leaves a shared factor of degree {G.deg}, but the "
+            f"match band pairs {m_band} disk zeros of p and p*",
+            diagnostics={"factor_degree": G.deg, "matched": m_band},
+        )
+    if m:
+        G = _positive_hermitian_multiple(
+            G, [(-c.location, 1.0) for c in shared if c.location for _ in range(c.multiplicity)]
+        )
     return CanonicalData(
         disk_zeros=shared,
         m=m,
-        s=s,
+        s=N - 2 * m,
         disk_factor=G,
-        cofactor=R,
-        zero_clusters=clusters,
-        mode=mode,
+        cofactor=divide_exact(p, G),
+        zero_clusters=tuple(clusters),
     )
 
 
@@ -157,8 +197,10 @@ def tilde_factorization(N: int, canonical: CanonicalData) -> TildeData:
     mu = sum(t[2] for t in triples)
     m_tilde = canonical.m + mu
     s_tilde = N - 2 * m_tilde
-    doubled = [(loc, mu_j) for loc, _lam, mu_j in triples if mu_j >= 1]
-    circle_factor, R_tilde, mode = _factor_out(canonical.cofactor, doubled, s_tilde)
+    doubled = [f for loc, _lam, mu_j in triples for f in [(-loc, 1.0), (1.0, -loc.conjugate())] * mu_j]
+    circle_factor, R_tilde = _factor_out(
+        canonical.cofactor, doubled, s_tilde, "circle factor (half of each multiple circle zero)"
+    )
     return TildeData(
         circle_zeros=triples,
         mu=mu,
@@ -167,7 +209,6 @@ def tilde_factorization(N: int, canonical: CanonicalData) -> TildeData:
         circle_factor=circle_factor,
         total_factor=canonical.disk_factor * circle_factor,
         reduced_cofactor=R_tilde,
-        mode=mode,
     )
 
 
@@ -180,21 +221,11 @@ def real_symbol_on_circle(F: ComplexPoly, half_degree: int) -> CoefVector:
     h = half_degree
     if h < 0 or F.deg > 2 * h:
         raise ValueError("half_degree incompatible with the polynomial degree")
-    scale = F.max_abs_coeff() or 1.0
     for l in range(h + 1):
-        hi = F.coefficient(h + l)
-        lo = F.coefficient(h - l)
-        if F.mode == "exact":
-            if hi != lo.conjugate():
-                raise NotHermitianSymmetric(
-                    f"coefficient {h + l} is not the conjugate of coefficient {h - l}"
-                )
-        else:
-            if abs(complex(hi) - complex(lo).conjugate()) > 1e-9 * scale:
-                raise NotHermitianSymmetric(
-                    f"coefficients {h + l}/{h - l} break Hermitian symmetry "
-                    f"beyond 1e-9 relative"
-                )
+        if F.coefficient(h + l) != F.coefficient(h - l).conjugate():
+            raise NotHermitianSymmetric(
+                f"coefficient {h + l} is not the conjugate of coefficient {h - l}"
+            )
     alpha = [F.coefficient(h).real / 2]
     alpha += [F.coefficient(h + l).real for l in range(1, h + 1)]
     beta = [F.coefficient(h + l).imag for l in range(1, h + 1)]

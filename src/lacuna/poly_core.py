@@ -449,7 +449,13 @@ def _tokenize(text: str):
         if m.group("num") is not None:
             lit = m.group("num")
             if _re.fullmatch(r"\d+", lit):
-                tokens.append(("int", int(lit), m.start()))
+                try:
+                    value = int(lit)
+                except ValueError:  # past Python's limit on integer string conversion
+                    raise ParseError(
+                        f"integer literal of {len(lit)} digits is too long", position=m.start()
+                    ) from None
+                tokens.append(("int", value, m.start()))
             else:
                 tokens.append(("dec", exact_decimal(lit, m.start()), m.start()))
         elif m.group("name") is not None:
@@ -655,7 +661,7 @@ def parse_poly(text: str) -> ComplexPoly:
     if stripped[0] in "[{":
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             raise ParseError(f"invalid JSON: {exc}") from exc
         p = poly_from_json(obj)
     else:

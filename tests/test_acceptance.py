@@ -21,6 +21,7 @@ from lacuna import (
     WitnessValidationFailed,
     classify,
     classify_full_space,
+    conjugate_reciprocal,
     fejer_vector,
     is_plus,
     l1_norm,
@@ -30,6 +31,7 @@ from lacuna import (
     real_symbol_on_circle,
     spectrum_in,
 )
+from lacuna.poly_core import gcd_exact
 
 
 def _finish(num: int, label: str, problems: list[str]) -> None:
@@ -506,22 +508,33 @@ def test_criterion_09_scaling_invariance(examples):
                 c = complex(rng.uniform(0.1, 3.0) * np.exp(2j * math.pi * rng.random()))
                 q = p.to_float() * c
             rep = classify(q, pat, opts)
-            _check(problems,
-                   (rep.extreme, rep.exposed) == (base.extreme, base.exposed),
-                   f"{name} x {c}: verdicts changed to "
-                   f"({rep.extreme}, {rep.exposed})")
-            if base.tilde.mu and q.to_exact() != p * GaussianRational(c.real, c.imag):
-                # a float input is judged by its exact value: where the rounded
-                # product is no longer c p, its multiple circle zero splits
-                # into simple ones, so mu = 0 and only the tilde rank moves
+            want = (base.extreme, base.exposed)
+            x = q.to_exact()
+            if x != p * GaussianRational(c.real, c.imag):
+                # a float input is judged by its exact value x, which rounding
+                # has moved off c p: its shared disk zeros are the zeros of
+                # g = gcd(x, x*) off the circle (the origin's counted once more,
+                # for its reflection at infinity), and its multiple circle zeros
+                # are multiple zeros of g
+                g = gcd_exact(x, conjugate_reciprocal(x, pat.N))
+                off = sum(abs(abs(r) - 1) > 1e-6 for r in np.roots(g.float_coeffs()[::-1]))
+                m = (off + g.order_at_zero()) // 2
+                simple = gcd_exact(g, g.derivative()).deg == 0
+                if m == 0:  # rank 0 = 2m, and exposed iff no multiple circle zero
+                    want = (True, simple)
                 _check(problems,
-                       rep.tilde.mu == 0 and rep.kernel.rank == base.kernel.rank,
-                       f"{name} x {c}: mu = {rep.tilde.mu} after rounding")
+                       rep.canonical.m == m and (rep.tilde.mu == 0) == simple,
+                       f"{name} x {c}: m = {rep.canonical.m}, mu = {rep.tilde.mu} "
+                       f"against gcd(x, x*) = {g}")
             else:
                 _check(problems,
                        (rep.kernel.rank, rep.kernel_tilde.rank)
                        == (base.kernel.rank, base.kernel_tilde.rank),
                        f"{name} x {c}: ranks changed")
+            _check(problems,
+                   (rep.extreme, rep.exposed) == want,
+                   f"{name} x {c}: verdicts ({rep.extreme}, {rep.exposed}), "
+                   f"expected {want}")
             rank_nullity(rep, f"{name} x {c}")
     _finish(9, "scaling invariance and rank-nullity", problems)
 

@@ -14,7 +14,7 @@ from lacuna import (
     GaussianRational,
     IllConditionedZeros,
     LacunaryPattern,
-    RankIndeterminate,
+    SolverStalled,
     SpectrumViolation,
     classify,
     classify_full_space,
@@ -233,17 +233,18 @@ def test_string_input_accepted():
 
 
 def test_undecided_report(examples, monkeypatch):
+    # the ranks are exact, so only a stalled cone solver leaves a verdict open
     import lacuna.classifier as mod
 
     def raising(*args, **kwargs):
-        raise RankIndeterminate("forced", singular_values=(1.0, 1e-10))
+        raise SolverStalled("forced")
 
-    monkeypatch.setattr(mod, "rank_and_kernel", raising)
-    p, pat = examples["clean_gap"]
-    rep = classify(p, pat)
+    monkeypatch.setattr(mod, "plus_dimension", raising)
+    p, pat = examples["double_circle"]
+    rep = classify(p, pat, ClassifyOptions(generate_witnesses=False))
     assert rep.undecided
-    assert rep.extreme is None and rep.exposed is None
-    assert "undecided_reason" in rep.diagnostics
+    assert rep.extreme is True and rep.exposed is None
+    assert rep.diagnostics["undecided_reason"] == "cone solver stalled: forced"
 
 
 def test_non_extreme_witness_norm_identity(examples):
@@ -395,10 +396,10 @@ def test_witness_search_certifies_only_until_the_first_witness(examples, monkeyp
     assert w.vector.alpha == (1, 0, 0) and w.vector.beta == (0, 0)
 
 
-# Float kernels come from exact mode's float fallback: the disk zeros
-# (3 +- sqrt 5)/2 of 1 - 3z + z^2 reflect each other, so the canonical factor
-# is irrational (tests/test_factorization.py::test_irrational_pair_degrades_to_float).
-FLOAT_FALLBACK = {
+# The disk zeros (3 +- sqrt 5)/2 of 1 - 3z + z^2 reflect each other, so the
+# canonical factor has an irrational natural scale; its kernels are exact all
+# the same (tests/test_factorization.py::test_irrational_pair_gets_a_rational_hermitian_factor).
+IRRATIONAL = {
     "irrational_pair": (parse_poly("1 - 3z + z^2"), LacunaryPattern(2, [])),
     # the same pair times a double circle zero at 1: extreme, cone dimension 3
     "irrational_double_circle": (
@@ -408,21 +409,20 @@ FLOAT_FALLBACK = {
 
 
 @pytest.mark.parametrize(
-    "name, mode, reject, runs",
+    "name, reject, runs",
     [
-        ("pair_and_gap", "exact", False, 0),  # the rational pool offers candidates
-        ("irrational_pair", "float", False, 1),  # nothing is offered
-        ("double_circle", "exact", False, 0),  # classify's cone search offers its vectors
-        ("irrational_double_circle", "float", False, 0),
+        ("pair_and_gap", False, 0),  # the rational pool offers candidates
+        ("irrational_pair", False, 0),
+        ("double_circle", False, 0),  # classify's cone search offers its vectors
+        ("irrational_double_circle", False, 0),
         # every candidate fails validation: what was offered decides
-        ("pair_and_gap", "exact", True, 0),
-        ("irrational_pair", "float", True, 1),
+        ("pair_and_gap", True, 0),
+        ("irrational_pair", True, 0),
     ],
 )
 def test_witness_search_runs_the_cone_search_only_when_nothing_was_offered(
-    examples, monkeypatch, name, mode, reject, runs
+    examples, monkeypatch, name, reject, runs
 ):
-    # mode is the arithmetic of the kernels; classify runs in exact mode
     import lacuna.classifier
     from lacuna import WitnessValidationFailed
 
@@ -434,8 +434,8 @@ def test_witness_search_runs_the_cone_search_only_when_nothing_was_offered(
         return original(*args, **kwargs)
 
     monkeypatch.setattr(lacuna.classifier, "plus_dimension", counting)
-    p, pat = {**examples, **FLOAT_FALLBACK}[name]
-    assert classify(p, pat, ClassifyOptions(mode="exact", generate_witnesses=False)).mode == mode
+    p, pat = {**examples, **IRRATIONAL}[name]
+    classify(p, pat, ClassifyOptions(mode="exact", generate_witnesses=False))
     without = len(calls)
     if reject:
         validate = lacuna.classifier._validated_witness
@@ -451,6 +451,25 @@ def test_witness_search_runs_the_cone_search_only_when_nothing_was_offered(
         assert rep.exposed is False
         assert "non_exposed" in [w.kind for w in rep.witnesses]
     assert len(calls) - 2 * without == runs
+
+
+def test_witness_search_falls_back_to_the_cone_search_when_nothing_is_certified(monkeypatch):
+    # a kernel spanned by -3 seed: no basis vector, sum or seed shift is a
+    # nonzero plus vector, so the cone search is asked for its vectors
+    import lacuna.classifier
+    from lacuna.classifier import _plus_candidates
+    from lacuna.matrix_builder import KernelBasis
+    from lacuna.plus_cone import CoefVector
+
+    calls = []
+    original = lacuna.classifier.plus_dimension
+    monkeypatch.setattr(
+        lacuna.classifier, "plus_dimension", lambda *a, **k: calls.append(a) or original(*a, **k)
+    )
+    seed = CoefVector(1, (Fraction(5, 8), Fraction(-1, 2)), (Fraction(0),))
+    kernel = KernelBasis(2, 1, (CoefVector(1, (Fraction(-15, 8), Fraction(3, 2)), (Fraction(0),)),))
+    found = list(_plus_candidates(kernel, seed, None))
+    assert len(calls) == 1 and found
 
 
 def test_cone_solver_decides_without_gram_certificates():
@@ -578,3 +597,58 @@ def test_float_mode_reports_equal_exact_reports_on_lossless_inputs():
         assert flo == exact, label
         checked += 1
     assert checked >= 50
+
+
+# ---------------------------------------------------------------------------
+# m and G come from the exact gcd(p, p*), not from a match band
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("audit", [False, True])
+@pytest.mark.parametrize(
+    "text,N,forbidden",
+    [
+        # zeros 1/2 and 1/(1/2 + 10^-8) of p sit 4e-8 from each other's
+        # reflections, yet gcd(p, p*) = 1
+        ("(z - 1/2)(1 - (1/2 + 1/10^8)z)", 2, []),
+        # the double zeros +-(1 + 10^-9)^(-1/2) lie in the disk, off the circle
+        ("(1 - (1 + 1/10^9)z^2)^2", 4, [1, 3]),
+    ],
+)
+def test_near_coincident_zeros_are_decided_by_the_exact_gcd(text, N, forbidden, audit):
+    rep = classify(text, LacunaryPattern(N, forbidden), ClassifyOptions(mode="exact", audit=audit))
+    assert rep.mode == "exact"
+    assert (rep.canonical.m, rep.tilde.mu) == (0, 0)
+    assert (rep.extreme, rep.exposed) == (True, True) and rep.witnesses == ()
+
+
+def test_lossy_float_product_is_judged_by_its_exact_gcd():
+    # the rounded factor a + bz + az^2 has zeros with r1 r2 = 1 and a non-real
+    # sum, so it shares no zero with its reflection: gcd(x, x*) = 1 + z^4
+    p = parse_poly("(z - 1/2)(2 - z)(1 + z^4)").to_float() * (0.7 + 0.3j)
+    rep = classify(p, LacunaryPattern(6, [3]), ClassifyOptions(mode="float"))
+    assert rep.mode == "exact" and rep.canonical.m == 0 and rep.tilde.mu == 0
+    assert (rep.extreme, rep.exposed) == (True, True)
+
+
+@pytest.mark.parametrize(
+    "text,N,forbidden,verdicts",
+    [
+        ("1 - 3z + z^2", 2, [], (False, False, None)),
+        ("(1 - 3z + z^2)(1 - z)^2(z^2 + z - 3)", 6, [4], (True, False, 3)),
+    ],
+)
+def test_irrational_natural_scale_is_decided_exactly(text, N, forbidden, verdicts):
+    rep = classify(text, LacunaryPattern(N, forbidden), ClassifyOptions(mode="exact"))
+    assert rep.mode == "exact" and rep.canonical.m == 1
+    assert rep.canonical.disk_factor == parse_poly("-2 + 6z - 2z^2")
+    assert (rep.extreme, rep.exposed, rep.dim_plus) == verdicts
+    assert rep.witnesses and all(w.perturbation.mode == "exact" for w in rep.witnesses)
+
+
+def test_salem_circle_split_is_refused_by_name():
+    # Lehmer's polynomial has eight simple circle zeros and two real ones off
+    # the circle; no Gaussian-rational factor carries the circle zeros alone
+    lehmer = "1 + z - z^3 - z^4 - z^5 - z^6 - z^7 + z^9 + z^10"
+    with pytest.raises(IllConditionedZeros, match="monic product of the circle zeros of p"):
+        classify(lehmer, LacunaryPattern(10), ClassifyOptions(mode="exact"))

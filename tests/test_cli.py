@@ -136,18 +136,19 @@ def test_classify_unreadable_file_errors(capsys):
 
 
 def test_classify_undecided_exit(capsys, monkeypatch):
+    # the ranks are exact: a stalled cone solver is the one undecided state
     import lacuna.classifier as mod
-    from lacuna import RankIndeterminate
+    from lacuna import SolverStalled
 
     def raising(*args, **kwargs):
-        raise RankIndeterminate("no safe gap", singular_values=(1.0, 1e-9))
+        raise SolverStalled("no progress")
 
-    monkeypatch.setattr(mod, "rank_and_kernel", raising)
-    code = main(["classify", "(z - 1/2)(8 - z^3)", "--pattern", "4:2"])
+    monkeypatch.setattr(mod, "plus_dimension", raising)
+    code = main(["classify", "(1 - z^2)^2", "--pattern", "4:1,3", "--no-witnesses"])
     out = capsys.readouterr().out
     assert code == EXIT_UNDECIDED
-    assert "UNDECIDED" in out
-    assert "no safe gap" in out
+    assert "exposed: UNDECIDED" in out
+    assert "no progress" in out
 
 
 def test_classify_stalled_cone_solver_exit(capsys):
@@ -531,11 +532,14 @@ def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
         (["classify", "10^400 + z", "--pattern", "1"], "", "coefficient 0"),
         (["classify", "1e400 + z", "--pattern", "1"], "", "coefficient 0"),
         (["classify", '{"coeffs_f": [[1, 0], [NaN, 0]]}', "--pattern", "1"], "", "coefficient 1"),
-        # finite coefficients whose zero, -10^400 or -10^320, has no float value
-        (["classify", "1 + z/10^400", "--pattern", "1"], "", "beyond the float range"),
+        # finite coefficients whose zero, -10^400 or -10^320, has no float value;
+        # the first is shared with p* (with its reflection -10^-400), so the
+        # zero analysis needs it
+        (["classify", "(1 + z/10^400)(z + 1/10^400)", "--pattern", "2"], "", "beyond the float range"),
         (["classify", '{"coeffs_f": [[1,0],[1e-320,0]]}', "--pattern", "1"], "", "beyond the float range"),
-        # a root polished to -10^100 whose backward error overflows
-        (["classify", "(z + 10^100)(z^3 - 2)", "--pattern", "4", "--mode", "exact"], "", "backward error nan"),
+        # a root polished to -10^100, shared with p*, whose backward error overflows
+        (["classify", "(z + 10^100)(1 + 10^100 z)(z^3 - 2)", "--pattern", "5", "--mode", "exact"], "",
+         "backward error nan"),
     ],
     ids=["plusdim-no-d", "plusdim-basis-not-a-list", "plusdim-negative-d", "coeffs-not-a-list", "null-part",
          "plusdim-infinity", "plusdim-overflowing-string", "plusdim-nan",
@@ -552,10 +556,9 @@ def test_malformed_json_input_exits_with_error(argv, stdin, key, capsys, monkeyp
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err
 
 
-# mode is the arithmetic of the report: the float input reaches float
-# arithmetic through exact mode's fallback, since the disk zeros
-# (3 +- sqrt 5)/2 of 1 - 3z + z^2 reflect each other and make the
-# canonical factor irrational
+# the disk zeros (3 +- sqrt 5)/2 of 1 - 3z + z^2 reflect each other, so the
+# canonical factor of the second input has an irrational natural scale; its
+# integer coefficients round losslessly, and float mode judges the same value
 CONE_WITNESS_INPUTS = {
     "exact": ("(1 - z^2)^2", "4:1,3"),
     "float": ("(1 - 3z + z^2)(1 - z)^2(z^2 + z - 3)", "6:4"),
@@ -565,10 +568,10 @@ CONE_WITNESS_INPUTS = {
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_classify_text_with_cone_dimension_and_witness(mode, capsys):
     text, pattern = CONE_WITNESS_INPUTS[mode]
-    code = main(["classify", text, "--pattern", pattern, "--mode", "exact"])
+    code = main(["classify", text, "--pattern", pattern, "--mode", mode])
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert f"mode: {mode}\n" in out
+    assert "mode: exact\n" in out
     assert "cone trace dimension: 3" in out
     assert "exposed: no (via plus_dimension)" in out
     assert "multiplier bound inf" in out
@@ -576,5 +579,21 @@ def test_classify_text_with_cone_dimension_and_witness(mode, capsys):
         assert "witness [non_exposed]: q = (-2)z^2" in out
     else:
         assert "witness [non_exposed]: q = " in out
-        # float matrix rows print signed entries
-        assert "    [+5.23607  +7.8541  +0]" in out
+        # G = -2 + 6z - 2z^2 and the cofactor's rows are exact
+        assert "shared disk zeros: m=1 (s=4); halved circle zeros: mu=1 (m~=2, s~=2)" in out
+
+
+def test_salem_polynomial_exits_with_the_factor_named(capsys):
+    code = main(["classify", "1 + z - z^3 - z^4 - z^5 - z^6 - z^7 + z^9 + z^10", "--pattern", "10"])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert "no Gaussian-rational monic product of the circle zeros of p" in err
+
+
+@pytest.mark.parametrize("audit", [[], ["--audit"]])
+def test_near_reflected_pair_is_decided_exactly(audit, capsys):
+    code = main(["classify", "(z - 1/2)(1 - (1/2 + 1/10^8)z)", "--pattern", "2", "--mode", "exact", *audit])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "mode: exact\nnorm" in out and "shared disk zeros: m=0" in out
+    assert "extreme: yes (via rank)\nexposed: yes (via simple_circle_zeros)\n" in out

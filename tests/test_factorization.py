@@ -38,7 +38,7 @@ G_HALF = [(Fraction(-1, 2), 0), (Fraction(5, 4), 0), (Fraction(-1, 2), 0)]
 def test_canonical_pair_and_gap(examples):
     p, pat = examples["pair_and_gap"]
     can = canonical_factorization(p, pat.N)
-    assert (can.m, can.s, can.mode) == (1, 4, "exact")
+    assert (can.m, can.s) == (1, 4)
     _exact(can.disk_factor, G_HALF)
     _exact(can.cofactor, [(2, 0), (0, 0), (0, 0), (0, 0), (2, 0)])
     assert (can.disk_factor * can.cofactor).coeffs == p.coeffs
@@ -66,7 +66,7 @@ def test_canonical_no_common_zeros(examples):
 def test_canonical_without_shared_zeros_divides_by_one(expr, N):
     p = parse_poly(expr)
     can = canonical_factorization(p, N)
-    assert (can.m, can.s, can.mode) == (0, N, "exact")
+    assert (can.m, can.s) == (0, N)
     assert can.disk_factor == ComplexPoly.one()
     assert can.cofactor == p
 
@@ -133,27 +133,77 @@ def test_reconstruction_all_examples(examples):
         assert (can.disk_factor * can.cofactor).coeffs == p.coeffs
         _close(til.total_factor * til.reduced_cofactor, p, tol=1e-12)
         # exact: the tilde factor is the canonical factor times the circle factor
-        assert til.mode == "exact"
         assert til.total_factor == can.disk_factor * til.circle_factor
         assert til.total_factor * til.reduced_cofactor == p
 
 
 def test_float_parity_with_exact(examples):
+    # a float input is factored at its exact value; this one rounds losslessly
     p, pat = examples["pair_and_gap"]
     exact = canonical_factorization(p, pat.N)
     flo = canonical_factorization(p.to_float(), pat.N)
-    assert flo.m == exact.m and flo.mode == "float"
-    _close(flo.disk_factor, exact.disk_factor, tol=1e-9)
-    _close(flo.cofactor, exact.cofactor, tol=1e-9)
+    assert flo == exact
 
 
-def test_irrational_pair_degrades_to_float():
-    # zeros (3 +- sqrt 5)/2 reflect each other; G is irrational, so the
-    # exact reconstruction must give way to floats without changing m
+def test_irrational_pair_gets_a_rational_hermitian_factor():
+    # zeros (3 +- sqrt 5)/2 reflect each other, so the natural scale -(3 - sqrt 5)/2
+    # of G is irrational; G is the monic gcd(p, p*) times the Gaussian
+    # rational that makes its symbol real and positive: 6 - 4 cos t
     p = parse_poly("1 - 3z + z^2")
     can = canonical_factorization(p, 2)
-    assert can.m == 1 and can.mode == "float"
-    _close(can.disk_factor * can.cofactor, p.to_float(), tol=1e-9)
+    assert can.m == 1
+    _exact(can.disk_factor, [(-2, 0), (6, 0), (-2, 0)])
+    assert can.disk_factor * can.cofactor == p
+    v = real_symbol_on_circle(can.disk_factor, 1)
+    assert v.alpha == (3, -2) and v.beta == (0,)
+
+
+@pytest.mark.parametrize(
+    "expr,N,m,factor",
+    [
+        # the natural scale prod(-conj a) is kept where the disk zeros have a
+        # Gaussian-rational product
+        ("(z - i/2)(1 + i z/2)", 2, 1, "-1/2i + (5/4)z + (1/2i)z^2"),
+        ("(z - (1+i)/2)(1 - (1-i)z/2)", 2, 1, "-1/2-1/2i + (3/2)z + (-1/2+1/2i)z^2"),
+        # the irrational pair of 1 - 3z + z^2 beside the simple circle zeros
+        # of 1 + z^3: the Hilbert 90 scale, whatever the cofactor
+        ("-(1 - 3z + z^2)(1 + z^3)", 5, 1, "-2 + (6)z + (-2)z^2"),
+        # an origin pair, and eps = -1 at the outer coefficients: kappa = i
+        ("z(z^2 - 4i z - 1)", 4, 2, "(-1i)z + (4)z^2 + (1i)z^3"),
+    ],
+)
+def test_canonical_factor_is_hermitian_and_positive(expr, N, m, factor):
+    p = parse_poly(expr)
+    can = canonical_factorization(p, N)
+    assert can.m == m and can.disk_factor * can.cofactor == p
+    assert str(can.disk_factor) == factor
+    v = real_symbol_on_circle(can.disk_factor, m)
+    t = np.linspace(0, 2 * np.pi, 17)
+    assert np.min(v.tau(t)) > 0
+
+
+def test_lehmer_polynomial_is_refused_with_the_factor_named():
+    # a Salem polynomial: eight circle zeros whose monic product is irrational
+    p = parse_poly("1 + z - z^3 - z^4 - z^5 - z^6 - z^7 + z^9 + z^10")
+    with pytest.raises(IllConditionedZeros, match="monic product of the circle zeros of p"):
+        canonical_factorization(p, 10)
+
+
+@pytest.mark.parametrize(
+    "expr,N",
+    [("(z - 1/2)(1 - (1/2 + 1/10^8)z)", 2), ("(1 - (1 + 1/10^9)z^2)^2", 4)],
+)
+def test_coprime_input_skips_the_zero_analysis(expr, N, monkeypatch):
+    # gcd(p, p*) = 1 is certified exactly, however close the zeros of p and p*
+    import lacuna.factorization
+
+    def no_zeros(p):
+        raise AssertionError("find_zeros ran on a coprime input")
+
+    monkeypatch.setattr(lacuna.factorization, "find_zeros", no_zeros)
+    can = canonical_factorization(parse_poly(expr), N)
+    assert (can.m, can.disk_zeros, can.zero_clusters) == (0, (), ())
+    assert can.disk_factor == ComplexPoly.one()
 
 
 def test_cofactor_coefficients_match_fft(examples):
@@ -196,12 +246,13 @@ def test_symbol_requires_hermitian_coefficients():
 
 
 def test_symbol_float_tolerance():
+    # every factor is exact, so the symmetry check has no float tolerance
     g = parse_poly("-1/2 + 5/4z - 1/2z^2").to_float()
     noisy = ComplexPoly(
         [complex(c) + 1e-12j for c in g.coeffs], mode="float"
     )
-    v = real_symbol_on_circle(noisy, 1)
-    assert abs(float(v.alpha[0]) - 5 / 8) < 1e-9
+    with pytest.raises(NotHermitianSymmetric):
+        real_symbol_on_circle(noisy, 1)
 
 
 def test_degree_guard():

@@ -445,6 +445,23 @@ def test_parser_refuses_a_huge_decimal_exponent_before_expanding_it(literal):
 
 
 @pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("1" + "0" * 5000 + " + z", "integer literal of 5001 digits"),
+        ("[[1" + "0" * 5000 + ",0],[1,0]]", "invalid JSON"),
+    ],
+    ids=["expression", "json"],
+)
+def test_parser_refuses_an_integer_literal_past_the_conversion_limit(text, reason):
+    # Python converts at most 4,300 digits of an integer string; a longer
+    # literal is a parse error, not the ValueError int() and json.loads raise
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=reason):
+        parse_poly(text)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
     "literal",
     ["5e-324", "2.5e-324", "0.0000000005e-314", "1.7976931348623157e308",
      "17976931348623157e292", "2.2250738585072014e-308", "0.1", "123.456e-7"],

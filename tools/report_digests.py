@@ -24,9 +24,13 @@ the corpus gets one line::
     <workload> <case id> plusdim <sha256> <dim_plus>
 
 whose digest covers what ``lacuna plusdim`` prints for the job (a nonzero
-exit code is printed with the error message instead).  Run it on two
-checkouts on one machine and diff the outputs to show that a change leaves
-every report byte-identical.
+exit code is printed with the error message instead).  Last come the fixed
+inputs of ``OUTSIDE``, outside both workloads, in the same three modes
+under the workload name ``outside``: near-coincident zeros of p and p*,
+irrational and Salem splits, lossy float products, many shared pairs, and
+zeros beyond the float range.  Run it on two checkouts on one machine and
+diff the outputs to show that a change leaves every report byte-identical,
+or which reports outside the workloads it moved.
 """
 
 from __future__ import annotations
@@ -34,11 +38,33 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
 
 MODES = {"exact": {"mode": "exact"}, "float": {"mode": "float"}, "audit": {"mode": "exact", "audit": True}}
+
+# (id, expression, N, forbidden, scalar): a scalar turns the input into its
+# float coefficients times that double
+OUTSIDE = (
+    ("near-reflected-pair", "(z - 1/2)(1 - (1/2 + 1/10^8)z)", 2, (), None),
+    ("near-circle-double-pair", "(1 - (1 + 1/10^9)z^2)^2", 4, (1, 3), None),
+    ("irrational-pair", "1 - 3z + z^2", 2, (), None),
+    ("irrational-pair-double-circle", "(1 - 3z + z^2)(1 - z)^2(z^2 + z - 3)", 6, (4,), None),
+    ("lehmer", "1 + z - z^3 - z^4 - z^5 - z^6 - z^7 + z^9 + z^10", 10, (), None),
+    ("lossy-pair-and-gap", "(z - 1/2)(2 - z)(1 + z^4)", 6, (3,), 0.7 + 0.3j),
+    ("float-pair-at-a-tenth", "(z - 1/10)(1 - z/10)", 2, (), 1.0),
+    ("six-pairs-at-tenths", "".join(
+        f"(z - ({a}{b:+}i)/10)(1 - ({a}{-b:+}i)z/10)"
+        for a, b in ((1, 2), (3, -1), (-1, 3), (7, 1), (-3, -4), (2, -3))
+    ), 12, (), None),
+    ("coprime-zero-beyond-float-range", "1 + z/10^400", 1, (), None),
+    ("shared-zero-beyond-float-range", "(1 + z/10^400)(z + 1/10^400)", 2, (), None),
+    ("coprime-overflowed-residual", "(z + 10^100)(z^3 - 2)", 4, (), None),
+    ("shared-overflowed-residual", "(z + 10^100)(1 + 10^100 z)(z^3 - 2)", 5, (), None),
+    ("long-integer-literal", "1" + "0" * 5000 + " + z", 1, (), None),
+)
 
 
 def load(root: Path):
@@ -57,6 +83,15 @@ def workload_cases(cases, root: Path, seed: int):
     for workload in cases.WORKLOADS:
         for case in cases.make_cases(workload, seed, root / "corpus") + cases.make_census(workload, root / "corpus"):
             yield workload, case
+
+
+def outside_cases(lacuna, cases):
+    """The inputs of ``OUTSIDE`` as classify cases."""
+    for case_id, text, N, forbidden, scalar in OUTSIDE:
+        if scalar is not None:
+            p = lacuna.poly_core.parse_poly(text).to_float() * scalar
+            text = json.dumps(lacuna.poly_core.poly_to_json(p))
+        yield cases.Case(case_id, "outside", "classify", text, N, forbidden)
 
 
 def classify_case(lacuna, case, overrides: dict):
@@ -99,7 +134,8 @@ def main(argv: list[str]) -> int:
         return 1
     root, seed = Path(argv[0]).resolve(), int(argv[1])
     lacuna, cases = load(root)
-    for workload, case in workload_cases(cases, root, seed):
+    outside = (("outside", case) for case in outside_cases(lacuna, cases))
+    for workload, case in itertools.chain(workload_cases(cases, root, seed), outside):
         if case.kind == "plusdim":
             print(workload, case.id, "plusdim", _plusdim_digest(lacuna, case), flush=True)
             continue
