@@ -2,9 +2,12 @@
 
 The integral mean ``(1/2pi) int |p(e^it)| dt`` is computed by adaptive
 composite Gauss-Legendre quadrature.  |p| is analytic between its circle
-zeros, so panel boundaries are seeded at the arguments of near-circle roots;
-every panel then sees a one-sided algebraic kink at worst and the composite
-rule converges fast.  Refinement runs in rounds: each round splits the
+zeros, so panel boundaries are seeded at the arguments of the circle zeros.
+The classifier passes those it already holds (its exact zero structure,
+empty when gcd(p, p*) = 1), so its norm solves no roots; called without
+them, the norm finds them the same way.  Every panel then
+sees a one-sided algebraic kink at worst and the composite rule converges
+fast.  Refinement runs in rounds: each round splits the
 fewest largest-gap panels whose gaps |I32 - I16| cover the excess over half
 the target, and evaluates all their children in one ``np.polyval`` call.
 Values and gaps are summed by ``math.fsum``, and the target is never finer
@@ -27,11 +30,12 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
 from .errors import IllConditionedZeros, QuadratureBudgetExceeded
-from .poly_core import ComplexPoly, square_free_decomposition
+from .poly_core import ComplexPoly, conjugate_reciprocal, gcd_exact, square_free_decomposition
 
 _GL_LO = np.polynomial.legendre.leggauss(16)
 _GL_HI = np.polynomial.legendre.leggauss(32)
@@ -80,13 +84,25 @@ def _panel_integrals(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[
     return hi, np.abs(hi - lo)
 
 
-def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> NormResult:
+def l1_norm(
+    p: ComplexPoly,
+    circle_zeros: Iterable[ZeroCluster] | None = None,
+    tol: float = 1e-10,
+    panel_budget: int = 20000,
+) -> NormResult:
     """Integral mean of |p| over the unit circle.
 
     Parameters
     ----------
     p : ComplexPoly
         Nonzero polynomial, either mode.
+    circle_zeros : iterable of ZeroCluster, optional
+        The zeros of p on the circle, the only points where |p| is not
+        analytic; their arguments are the first panel breaks, and an empty
+        one starts from 8 equal panels.  Given, no root is solved here.
+        When None, they are found as the classifier finds them: none when
+        gcd(p, p*) = 1 (a modular certificate, no root solve), otherwise
+        the circle clusters of :func:`find_zeros`.
     tol : float
         Target absolute error for the returned value, times the norm below
         unit norm.  Where the rounding floor 32 eps |value| is larger, that
@@ -103,12 +119,10 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no unit-norm representative")
-    coeffs, roots = _float_roots(p, "p")
-    breaks: list[float] = []
-    for r in roots:
-        if abs(abs(r) - 1.0) < 0.1:
-            breaks.append(cmath.phase(complex(r)) % (2 * math.pi))
-    breaks = sorted(set(breaks))
+    coeffs = _float_coeffs(p, "p")
+    if circle_zeros is None:
+        circle_zeros = _circle_clusters(p)
+    breaks = sorted({cmath.phase(c.location) % (2 * math.pi) for c in circle_zeros})
     if not breaks:
         edges = [2 * math.pi * k / 8 for k in range(9)]
     else:
@@ -154,6 +168,27 @@ def l1_norm(p: ComplexPoly, tol: float = 1e-10, panel_budget: int = 20000) -> No
 # ---------------------------------------------------------------------------
 
 
+def _circle_clusters(p: ComplexPoly) -> list[ZeroCluster]:
+    """The circle zeros of p: none when gcd(p, p*) = 1, as every circle zero
+    is shared with p*; otherwise those of :func:`find_zeros`."""
+    p = p.to_exact()
+    if gcd_exact(p, conjugate_reciprocal(p, p.deg)).deg == 0:
+        return []
+    return [c for c in find_zeros(p) if c.region == "circle"]
+
+
+def _float_coeffs(p: ComplexPoly, name: str) -> np.ndarray:
+    """p's coefficients as complex floats; a coefficient with no float value
+    raises :class:`IllConditionedZeros` naming p as ``name``."""
+    coeffs = []
+    for k, c in enumerate(p.coeffs):
+        try:
+            coeffs.append(complex(c))
+        except OverflowError:
+            raise _beyond_float_range(name, k, "has no float value") from None
+    return np.array(coeffs, dtype=complex)
+
+
 def _float_roots(p: ComplexPoly, name: str) -> tuple[np.ndarray, np.ndarray]:
     """p's coefficients as floats and their companion-matrix roots.
 
@@ -162,13 +197,7 @@ def _float_roots(p: ComplexPoly, name: str) -> tuple[np.ndarray, np.ndarray]:
     value, or one whose ratio to the leading coefficient (a companion-matrix
     entry) overflows.
     """
-    coeffs = []
-    for k, c in enumerate(p.coeffs):
-        try:
-            coeffs.append(complex(c))
-        except OverflowError:
-            raise _beyond_float_range(name, k, "has no float value") from None
-    coeffs = np.array(coeffs, dtype=complex)
+    coeffs = _float_coeffs(p, name)
     top = np.trim_zeros(coeffs, "b")
     if top.size >= 2:
         with np.errstate(all="ignore"):

@@ -351,8 +351,8 @@ def classify(
             "polynomial has energy at a forbidden exponent of the pattern"
         )
 
-    norm_res = l1_norm(p)
     canonical = canonical_factorization(p, pattern.N)
+    norm_res = l1_norm(p, [c for c in canonical.zero_clusters if c.region == "circle"])
     tilde = tilde_factorization(pattern.N, canonical)
     forbidden = tuple(pattern.forbidden)
     rep = ClassificationReport(

@@ -13,14 +13,16 @@ vectors) is what ``plus_dimension`` computes.
 Membership is decided by a global minimum scan (grid plus Newton polish on
 the derivative, both on ``CoefVector.tau(t, order)``, the one evaluator of
 tau and its derivatives); for vectors with rational entries the verdict is
-instead certified exactly through the Cayley-transform numerator P:
-tau >= 0 iff P has positive leading coefficient, an even degree deficit,
-and no odd-multiplicity real root.  Those roots are counted from Sturm
-chains alone, level by level: the chain of P_j ends in gcd(P_j, P_j') =
-P_{j+1}, and with r_j the number of distinct real roots of P_j, the
-alternating sum r_1 - r_2 + r_3 - ... is the number of odd-multiplicity
-ones.  The divisions run on ``poly_core.long_division``.  ``is_plus`` is
-the one verdict: exact for rational vectors, the global minimum otherwise.
+instead certified exactly through the Cayley-transform numerator P, taken
+with integer coefficients: tau >= 0 iff P has positive leading
+coefficient, an even degree deficit, and no odd-multiplicity real root.
+Those roots are counted from Sturm chains alone, level by level: the chain
+of P_j ends in gcd(P_j, P_j') = P_{j+1}, and with r_j the number of
+distinct real roots of P_j, the alternating sum r_1 - r_2 + r_3 - ... is
+the number of odd-multiplicity ones.  Each level is one call of
+``poly_core.real_root_count``, a primitive integer remainder sequence with
+no Fraction arithmetic.  ``is_plus`` is the one verdict: exact for
+rational vectors, the global minimum otherwise.
 
 ``find_plus_in_slice`` looks for a plus vector inside an affine slice of a
 subspace by alternating projections between the PSD cone and the affine
@@ -56,7 +58,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FacialMismatch, SolverStalled
-from .poly_core import is_exact_scalar, long_division
+from .poly_core import is_exact_scalar, real_root_count
 
 # the slice search's alternating projections: convergence test (and the
 # Farkas bound's threshold), plateau detection, stall cap and
@@ -231,19 +233,25 @@ def _polish_minimum(v: CoefVector, t0: float, h: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cayley_numerator(v: CoefVector) -> list[Fraction]:
-    """P with tau(2 arctan x) = P(x) / (1+x^2)^d, exact in the rationals.
+def _cayley_numerator(v: CoefVector) -> list[int]:
+    """A positive multiple of P with tau(2 arctan x) = P(x) / (1+x^2)^d, as
+    primitive integer coefficients ([] when tau is zero).
 
     With e^{ikt} = (1+ix)^(2k) / (1+x^2)^k, P = sum_k T_k (1+x^2)^(d-k) where
     T_k = 2 Re(gamma_k (1+ix)^(2k)) (T_0 = gamma_0); the sum is taken by
     Horner in (1+x^2).  The x^j coefficient of T_k is C(2k, j) Re(c_k i^j)
-    with c_k = 2 alpha_k + 2i beta_k.
+    with c_k = 2 alpha_k + 2i beta_k.  The entries are put over one common
+    denominator first, so the sum runs on ints; the factor 2 and the
+    denominator are positive and are dropped with the content.
     """
-    P: list[Fraction] = []
+    entries = [Fraction(x) for x in v.entries]
+    den = math.lcm(*(x.denominator for x in entries))
+    ints = [x.numerator * (den // x.denominator) for x in entries]
+    P: list[int] = []
     for k in range(v.d + 1):
-        a = 2 * Fraction(v.alpha[k])
-        b = 2 * Fraction(v.beta[k - 1]) if k else Fraction(0)
-        re_ci = (a, -b, -a, b)  # Re(c_k i^j) for j mod 4
+        a = ints[k]
+        b = ints[v.d + k] if k else 0
+        re_ci = (a, -b, -a, b)  # Re(c_k i^j) / 2 for j mod 4
         P = [
             (P[j] if j < len(P) else 0)
             + (P[j - 2] if j >= 2 else 0)
@@ -252,28 +260,8 @@ def _cayley_numerator(v: CoefVector) -> list[Fraction]:
         ]
     while P and not P[-1]:
         P.pop()
-    return P
-
-
-def _sturm_level(p: list[Fraction]) -> tuple[int, list[Fraction]]:
-    """Distinct real roots of p (Sturm's theorem) and gcd(p, p'), the chain's end.
-
-    The chain p, p', -rem(p, p'), ... counts distinct real roots whether or
-    not p is square-free: dividing every member by the gcd changes no sign
-    pattern away from the roots of p.
-    """
-    chain = [p, [c * k for k, c in enumerate(p) if k]]
-    while chain[-1]:
-        chain.append([-c for c in long_division(chain[-2], chain[-1])[1]])
-    chain.pop()
-    at_pos_inf = [1 if q[-1] > 0 else -1 for q in chain]
-    at_neg_inf = [s * (-1) ** (len(q) - 1) for s, q in zip(at_pos_inf, chain)]
-
-    def changes(signs: list[int]) -> int:
-        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-
-    g = chain[-1]
-    return changes(at_neg_inf) - changes(at_pos_inf), [c / g[-1] for c in g]
+    content = math.gcd(*P)
+    return [c // content for c in P]
 
 
 def certify_nonneg_exact(v: CoefVector) -> tuple[bool, bool]:
@@ -299,7 +287,7 @@ def certify_nonneg_exact(v: CoefVector) -> tuple[bool, bool]:
     touches = deficit > 0
     odd, sign = 0, 1
     while len(P) > 1:
-        roots, P = _sturm_level(P)
+        roots, P = real_root_count(P)
         odd += sign * roots
         sign = -sign
         touches = touches or roots > 0

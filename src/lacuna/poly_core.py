@@ -542,6 +542,7 @@ class _ExprParser:
         return self.power()
 
     def power(self) -> ComplexPoly:
+        bare_z = self.peek()[0] == "z"
         base = self.atom()
         if self.peek()[0] == "^":
             _, _, pos = self.take()
@@ -550,6 +551,8 @@ class _ExprParser:
                 raise ParseError("exponent must be a nonnegative integer", position=epos)
             if value > _EXPONENT_CAP:
                 raise ParseError(f"exponent {value} exceeds cap {_EXPONENT_CAP}", position=epos)
+            if bare_z:
+                return ComplexPoly.monomial(value)
             # square-and-multiply over the exponent's bits, low bit first
             out = ComplexPoly.one(base.mode)
             while value:
@@ -867,6 +870,72 @@ def square_free_decomposition(p: ComplexPoly) -> list[tuple[ComplexPoly, int]]:
         d = divide_exact(d, f) - c.derivative()
         i += 1
     return out
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    """Integer coefficients divided by their (positive) content."""
+    g = gcd(*coeffs)
+    return coeffs if g == 1 else [c // g for c in coeffs]
+
+
+def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A primitive positive multiple of -rem(a, b), for integer a and b with
+    deg a >= deg b >= 1.
+
+    The division runs against b with a positive leading coefficient
+    (rem(a, -b) = rem(a, b)), and each step clears the top coefficient c of
+    the running remainder r by r <- (lc/g) r - (c/g) z^k b with
+    g = gcd(c, lc).  Every factor lc/g is positive, so the result is a
+    positive multiple of the rational remainder, with no Fraction built.
+    """
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lead, n = b[-1], len(b) - 1
+    r = list(a)
+    for top in range(len(r) - 1, n - 1, -1):
+        c = r[top]
+        if not c:
+            continue
+        g = gcd(c, lead)
+        s, c = lead // g, c // g
+        k = top - n
+        if s != 1:
+            r[:top] = [x * s for x in r[:top]]
+        r[k:top] = [x - c * y for x, y in zip(r[k:top], b)]
+    del r[n:]
+    while r and not r[-1]:
+        r.pop()
+    # negate and divide by the content in one pass
+    g = -gcd(*r)
+    return [x // g for x in r]
+
+
+def real_root_count(P: Sequence[int]) -> tuple[int, list[int]]:
+    """Distinct real roots of an integer polynomial P, and gcd(P, P').
+
+    ``P`` holds ascending integer coefficients, the last one nonzero.  The
+    Sturm chain P, P', -rem(P, P'), ... counts the distinct real roots
+    whether or not P is square-free (dividing every member by the gcd
+    changes no sign pattern away from the roots of P), and its last member
+    is gcd(P, P').  It runs as a primitive pseudo-remainder sequence
+    (G. E. Collins, J. ACM 1967; W. S. Brown and J. F. Traub, J. ACM 1971):
+    every member is a primitive positive multiple of the rational chain's,
+    so the sign counts are the same.  The gcd is returned primitive, with a
+    positive leading coefficient ([1] when P is square-free).
+    """
+    chain = [_primitive(list(P))]
+    nxt = [k * c for k, c in enumerate(chain[0]) if k]
+    while nxt:
+        chain.append(_primitive(nxt))
+        nxt = _negated_remainder(chain[-2], chain[-1]) if len(chain[-1]) > 1 else []
+    at_pos_inf = [1 if q[-1] > 0 else -1 for q in chain]
+    at_neg_inf = [s * (-1) ** (len(q) - 1) for s, q in zip(at_pos_inf, chain)]
+
+    def changes(signs: list[int]) -> int:
+        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+    g = chain[-1]
+    return changes(at_neg_inf) - changes(at_pos_inf), g if g[-1] > 0 else [-c for c in g]
 
 
 def spectrum(p: ComplexPoly, tol: float | None = None) -> tuple[int, ...]:

@@ -105,9 +105,13 @@ def _mp_norm(p):
 
 @pytest.mark.parametrize("name", _accuracy_inputs())
 def test_l1_norm_is_within_its_bound_of_a_30_digit_reference(name):
+    # with the circle zeros as breaks, as the classifier passes them, and
+    # without any, as for a polynomial with no circle zero
     p = _accuracy_inputs()[name]
-    res = l1_norm(p)
-    assert abs(res.value - _mp_norm(p)) <= res.abs_error_bound
+    reference = _mp_norm(p)
+    for circle in ([c for c in find_zeros(p) if c.region == "circle"], ()):
+        res = l1_norm(p, circle)
+        assert abs(res.value - reference) <= res.abs_error_bound
 
 
 def test_l1_norm_scales_homogeneously():
@@ -128,7 +132,7 @@ def test_l1_norm_is_scale_equivariant_below_unit_norm():
 
 
 def test_l1_norm_budget():
-    # root at 0.85 evades the break seeding, so panels must actually split
+    # no circle zero is given for the root at 0.85, so panels must actually split
     with pytest.raises(QuadratureBudgetExceeded):
         l1_norm(parse_poly("z - 17/20"), tol=1e-30, panel_budget=8)
     # one round splits 4 of the 8 first panels: every cap below the 12
@@ -319,10 +323,10 @@ def _ref_panel_integrals(coeffs, a, b):
     return out
 
 
-def _ref_l1_norm(p, tol=1e-10):
+def _ref_l1_norm(p, circle_zeros, tol=1e-10):
     """l1_norm with one scalar quadrature call per panel."""
-    coeffs, roots = _float_roots(p, "p")
-    breaks = sorted({cmath.phase(complex(r)) % (2 * math.pi) for r in roots if abs(abs(r) - 1.0) < 0.1})
+    coeffs = p.float_coeffs()
+    breaks = sorted({cmath.phase(c.location) % (2 * math.pi) for c in circle_zeros})
     if not breaks:
         edges = [2 * math.pi * k / 8 for k in range(9)]
     else:
@@ -412,8 +416,9 @@ def test_polish_roots_keeps_a_root_where_the_derivative_vanishes():
 def test_l1_norm_matches_the_per_panel_quadrature():
     # the rounds split the panels the heap rule splits one at a time
     for p in _kernel_inputs():
-        res = l1_norm(p)
-        value, bound, panels = _ref_l1_norm(p)
+        circle = [c for c in find_zeros(p) if c.region == "circle"]
+        res = l1_norm(p, circle)
+        value, bound, panels = _ref_l1_norm(p, circle)
         assert abs(res.value - value) <= min(res.abs_error_bound, bound), p
         assert res.panels == panels, p
 

@@ -652,3 +652,38 @@ def test_salem_circle_split_is_refused_by_name():
     lehmer = "1 + z - z^3 - z^4 - z^5 - z^6 - z^7 + z^9 + z^10"
     with pytest.raises(IllConditionedZeros, match="monic product of the circle zeros of p"):
         classify(lehmer, LacunaryPattern(10), ClassifyOptions(mode="exact"))
+
+
+def test_coprime_input_solves_no_roots(monkeypatch):
+    # gcd(p, p*) = 1 proves there is no shared and no circle zero, so neither
+    # the factorization nor the norm needs a zero of p
+    import lacuna.circle_analysis
+    import lacuna.classifier
+    import lacuna.factorization
+
+    def no_roots(*args, **kwargs):
+        raise AssertionError("a root solve ran on a coprime input")
+
+    monkeypatch.setattr(np, "roots", no_roots)
+    for module in (lacuna.circle_analysis, lacuna.classifier, lacuna.factorization):
+        monkeypatch.setattr(module, "find_zeros", no_roots)
+    rng = np.random.default_rng(48)
+    parts = rng.integers(-9, 10, size=(49, 2))
+    parts[-1, 0] = parts[-1, 0] or 1
+    p = ComplexPoly([GaussianRational(int(a), int(b)) for a, b in parts])
+    rep = classify(p, LacunaryPattern(50, [49]))
+    assert (rep.canonical.m, rep.tilde.mu) == (0, 0)
+    assert (rep.extreme, rep.exposed) == (True, True)
+    assert rep.diagnostics["norm_panels"] >= 8 and rep.norm > 0
+
+
+@pytest.mark.xfail(
+    raises=IllConditionedZeros,
+    strict=True,
+    reason="the circle band _EPS_CIRCLE = 1e-8 counts the disk pair 1 - 10^-9, "
+    "1/(1 - 10^-9) as circle zeros, so no exact circle factor divides g = p; m is 1",
+)
+def test_disk_pair_inside_the_circle_band_is_decided():
+    rep = classify("(z - (1 - 1/10^9))(1 - (1 - 1/10^9)z)", LacunaryPattern(2))
+    assert rep.canonical.m == 1
+    assert (rep.extreme, rep.exposed) == (False, False)

@@ -274,6 +274,23 @@ def test_norm_subcommand(capsys):
     assert doc["error_bound"] < 1e-9
 
 
+@pytest.mark.parametrize(
+    "expr, pattern",
+    [
+        ("(1 - z)^2 (2 + z)", "3"),  # a double circle zero: gcd(p, p*) = (1 - z)^2
+        ("(1 + z)(z - 1/2)(2 - z)", "3"),  # a circle zero and a shared disk pair
+        ("z - (1 - 1/10^9)", "1"),  # coprime to p*, a zero inside the 1e-8 circle band
+    ],
+)
+def test_norm_subcommand_reports_the_classifier_norm(expr, pattern, capsys):
+    # both find the panel breaks from the same exact zero structure
+    assert main(["norm", expr]) == EXIT_OK
+    norm = json.loads(capsys.readouterr().out)
+    assert main(["classify", expr, "--pattern", pattern, "--format", "json"]) in (EXIT_OK, EXIT_UNDECIDED)
+    doc = json.loads(capsys.readouterr().out)
+    assert (norm["norm"], norm["error_bound"]) == (doc["norm"]["value"], doc["norm"]["error_bound"])
+
+
 def test_plusdim_subcommand(tmp_path, capsys):
     basis = tmp_path / "v2.json"
     basis.write_text(json.dumps({
@@ -532,11 +549,12 @@ def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
         (["classify", "10^400 + z", "--pattern", "1"], "", "coefficient 0"),
         (["classify", "1e400 + z", "--pattern", "1"], "", "coefficient 0"),
         (["classify", '{"coeffs_f": [[1, 0], [NaN, 0]]}', "--pattern", "1"], "", "coefficient 1"),
-        # finite coefficients whose zero, -10^400 or -10^320, has no float value;
-        # the first is shared with p* (with its reflection -10^-400), so the
-        # zero analysis needs it
+        # finite coefficients whose zero, -10^400 or about -10^320, has no float
+        # value; each is shared with p* (with its reflection), so the zero
+        # analysis needs it
         (["classify", "(1 + z/10^400)(z + 1/10^400)", "--pattern", "2"], "", "beyond the float range"),
-        (["classify", '{"coeffs_f": [[1,0],[1e-320,0]]}', "--pattern", "1"], "", "beyond the float range"),
+        (["classify", '{"coeffs_f": [[1e-320,0],[1,0],[1e-320,0]]}', "--pattern", "2"], "",
+         "beyond the float range"),
         # a root polished to -10^100, shared with p*, whose backward error overflows
         (["classify", "(z + 10^100)(1 + 10^100 z)(z^3 - 2)", "--pattern", "5", "--mode", "exact"], "",
          "backward error nan"),

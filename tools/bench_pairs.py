@@ -16,13 +16,18 @@ line per end-to-end metric of ``BENCHMARK.json``::
 
 where a pair counts as won only when the change's value is strictly better
 in the direction the benchmark declares (ties count for neither side), and
-last the failed and attempted operations of each side.  The runs write
-nothing but what the benchmark itself keeps in each checkout.
+the failed and attempted operations of each side.  Last it prints the same
+summary as one JSON object on one line: the workload, seeds, run length,
+CPU count and Python version, and per metric each side's runs in seed order
+with their median and quartiles and the pairs the change won.  The runs
+write nothing but what the benchmark itself keeps in each checkout.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -39,11 +44,22 @@ def _run(checkout: Path, spec: dict, workload: str, seed: str) -> dict:
     return json.loads(lines[-1])
 
 
-def _summary(values: list[float]) -> str:
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3); a single run is all three."""
     if len(values) < 2:
-        return f"{values[0]:.6g}"
+        return values[0], values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4)
-    return f"{statistics.median(values):.6g} [{q1:.6g} {q3:.6g}]"
+    return q1, statistics.median(values), q3
+
+
+def _summary(values: list[float]) -> str:
+    q1, median, q3 = _quartiles(values)
+    return f"{median:.6g}" if len(values) < 2 else f"{median:.6g} [{q1:.6g} {q3:.6g}]"
+
+
+def _side(values: list[float]) -> dict:
+    q1, median, q3 = _quartiles(values)
+    return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
 def main(argv: list[str]) -> int:
@@ -61,6 +77,8 @@ def main(argv: list[str]) -> int:
         first = "parent" if i % 2 == 0 else "change"
         print(f"pair {i + 1}/{len(seeds)} seed {seed} done ({first} first)", file=sys.stderr)
 
+    summary = {"workload": workload, "seeds": seeds, "run_seconds": spec["run_seconds"],
+               "cpus": os.cpu_count(), "python": platform.python_version(), "metrics": {}}
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         old = [r["metrics"][name]["value"] for r in runs[parent]]
@@ -68,10 +86,14 @@ def main(argv: list[str]) -> int:
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         print(f"{name} {metric['unit']} parent {_summary(old)} change {_summary(new)} "
               f"change better in {wins}/{len(seeds)}")
+        summary["metrics"][name] = {"unit": metric["unit"], "better": metric["better"],
+                                    "parent": _side(old), "change": _side(new), "change_better": wins}
     for label, checkout in (("parent", parent), ("change", change)):
         failed = sum(r["failed"] for r in runs[checkout])
         attempted = sum(r["attempted"] for r in runs[checkout])
         print(f"{label} failed {failed} of {attempted} attempted")
+        summary[label] = {"failed": failed, "attempted": attempted}
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 

@@ -6,8 +6,9 @@ Usage::
 
 PARENT and CHANGE are lacuna source trees.  Each checkout, in a process of
 its own, classifies every classify case of the benchmark workloads at SEED
-(census included) in the modes of ``tools/report_digests.py``: exact,
-float, and exact with the audit.  A report is its ``lacuna/1`` JSON from
+(census included) and the fixed ``OUTSIDE`` inputs of
+``tools/report_digests.py``, in its modes: exact, float, and exact with the
+audit.  A report is its ``lacuna/1`` JSON from
 ``report_to_dict``; a raised exception stands in as ``{"error": "<class>:
 <message>"}``.  For each mode, and each JSON path at which at least one
 report differs (list indices written ``[*]``), the script prints::
@@ -26,6 +27,7 @@ A mode with no difference prints ``<mode> identical in <reports> reports``.
 from __future__ import annotations
 
 import collections
+import itertools
 import json
 import math
 import re
@@ -33,13 +35,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from report_digests import MODES, classify_case, load, workload_cases
+from report_digests import MODES, classify_case, load, outside_cases, workload_cases
 
 
 def _dump(root: Path, seed: int) -> None:
     """Print one JSON line per (workload, case, mode): the report as a dict."""
     lacuna, cases = load(root)
-    for workload, case in workload_cases(cases, root, seed):
+    outside = (("outside", case) for case in outside_cases(lacuna, cases))
+    for workload, case in itertools.chain(workload_cases(cases, root, seed), outside):
         if case.kind != "classify":
             continue
         for mode, overrides in MODES.items():
