@@ -100,9 +100,9 @@ def l1_norm(
         The zeros of p on the circle, the only points where |p| is not
         analytic; their arguments are the first panel breaks, and an empty
         one starts from 8 equal panels.  Given, no root is solved here.
-        When None, they are found as the classifier finds them: none when
-        gcd(p, p*) = 1 (a modular certificate, no root solve), otherwise
-        the circle clusters of :func:`find_zeros`.
+        When None, they are found as the classifier finds them, off
+        g = gcd(p, p*): none when g = 1 (a modular certificate, no root
+        solve), otherwise the circle clusters of :func:`find_zeros` (g).
     tol : float
         Target absolute error for the returned value, times the norm below
         unit norm.  Where the rounding floor 32 eps |value| is larger, that
@@ -169,12 +169,12 @@ def l1_norm(
 
 
 def _circle_clusters(p: ComplexPoly) -> list[ZeroCluster]:
-    """The circle zeros of p: none when gcd(p, p*) = 1, as every circle zero
-    is shared with p*; otherwise those of :func:`find_zeros`."""
+    """The circle zeros of p, read off g = gcd(p, p*) as the classifier reads
+    them: a circle zero of p is one of p* of the same multiplicity, so none
+    when g = 1, and otherwise the circle clusters of :func:`find_zeros` (g)."""
     p = p.to_exact()
-    if gcd_exact(p, conjugate_reciprocal(p, p.deg)).deg == 0:
-        return []
-    return [c for c in find_zeros(p) if c.region == "circle"]
+    g = gcd_exact(p, conjugate_reciprocal(p, p.deg))
+    return [c for c in find_zeros(g) if c.region == "circle"] if g.deg else []
 
 
 def _float_coeffs(p: ComplexPoly, name: str) -> np.ndarray:

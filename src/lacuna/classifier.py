@@ -352,7 +352,7 @@ def classify(
         )
 
     canonical = canonical_factorization(p, pattern.N)
-    norm_res = l1_norm(p, [c for c in canonical.zero_clusters if c.region == "circle"])
+    norm_res = l1_norm(p, canonical.zero_clusters)
     tilde = tilde_factorization(pattern.N, canonical)
     forbidden = tuple(pattern.forbidden)
     rep = ClassificationReport(

@@ -12,13 +12,15 @@ Every factor is exact, read off p's exact value (a float p is read through
 ``ComplexPoly.to_exact``).  G divides g = gcd(p, p*): when the modular
 certificate inside ``gcd_exact`` proves g = 1, p shares no zero with p* and
 has no circle zero, so m = 0, G = 1 and R = p with no zero analysis at all.
-Otherwise g is p's circle zeros (with multiplicity) times G, so the monic G
-is g divided by the monic product of the circle zeros, and m = (deg G + order
-of G at 0) / 2.  The displayed disk zeros are the pairs that the match band
-of ``common_disk_zeros`` finds, and their count must be m.  G is scaled to
-make its symbol on the circle real and positive: by the natural scale
-prod(-conj a) when the disk zeros a have a Gaussian-rational monic product,
-else by the Gaussian rational that Hilbert 90 reads off G's coefficients.
+Otherwise g is p's circle zeros (with multiplicity) times G: a circle zero
+of p is one of p* of the same multiplicity, so the circle zeros are read off
+the zeros of g, not of p.  The monic G is g divided by the monic product of
+the circle zeros, and m = (deg G + order of G at 0) / 2.  The displayed
+disk zeros are the pairs that the match band of ``common_disk_zeros``
+finds, and their count must be m.  G is scaled to make its symbol on the
+circle real and positive: by the natural scale prod(-conj a) when the disk
+zeros a have a Gaussian-rational monic product, else by the Gaussian
+rational that Hilbert 90 reads off G's coefficients.
 
 A circle factor is found by rationalizing the float product of the circle
 zeros coefficient by coefficient (growing denominator bounds) and is
@@ -59,7 +61,7 @@ class CanonicalData:
     s: int
     disk_factor: ComplexPoly
     cofactor: ComplexPoly
-    zero_clusters: tuple[ZeroCluster, ...]
+    zero_clusters: tuple[ZeroCluster, ...]  # p's circle zeros, read off gcd(p, p*)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,9 +159,9 @@ def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
     g = gcd_exact(p, pstar)
     if g.deg == 0:  # no shared zero, and so no circle zero either
         return CanonicalData((), 0, N, ComplexPoly.one(), p, ())
-    clusters = find_zeros(p)
-    circle = [(-c.location, 1.0) for c in clusters if c.region == "circle"
-              for _ in range(c.multiplicity)]
+    # a circle zero of p is one of p* of the same multiplicity, and so of g
+    clusters = [c for c in find_zeros(g) if c.region == "circle"]
+    circle = [(-c.location, 1.0) for c in clusters for _ in range(c.multiplicity)]
     G = _factor_out(g, circle, g.deg, "monic product of the circle zeros of p")[1]
     m, odd = divmod(G.deg + G.order_at_zero(), 2)
     # the matched zeros are displayed, and give G its natural scale
@@ -190,9 +192,9 @@ def tilde_factorization(N: int, canonical: CanonicalData) -> TildeData:
     The circle factor is divided out of the canonical cofactor, so the total
     factor is the canonical factor times the circle factor.
     """
-    circle = [c for c in canonical.zero_clusters if c.region == "circle"]
     triples = tuple(
-        (complex(c.location), c.multiplicity, c.multiplicity // 2) for c in circle
+        (complex(c.location), c.multiplicity, c.multiplicity // 2)
+        for c in canonical.zero_clusters
     )
     mu = sum(t[2] for t in triples)
     m_tilde = canonical.m + mu

@@ -4,7 +4,9 @@ Two numeric modes run through the whole package:
 
 * ``exact``  -- coefficients are :class:`GaussianRational`, each one
   reduced integer triple (a + b i)/d; arithmetic is closed and division/gcd
-  are decided exactly, on Python ints.
+  are decided exactly, on Python ints.  The gcd is Brown's modular one
+  (``gcd_exact``): Euclid runs only on images modulo primes below 2^30, and
+  its result is checked by exact division.
 * ``float`` -- coefficients are Python ``complex``; divisibility and spectrum
   questions become tolerance questions.
 
@@ -20,10 +22,11 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import itertools
 import json
 import re as _re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -761,78 +764,225 @@ def divide_exact(p: ComplexPoly, d: ComplexPoly, tol: float = 1e-10) -> ComplexP
     return ComplexPoly(quot, mode=a.mode)
 
 
-# A 62-bit prime l = 1 (mod 4) and a square root of -1 modulo l: a + bi -> a + b*iota
-# maps every Gaussian rational whose denominators l does not divide into F_l.
-_GCD_PRIME = 4611686018427387817
-_GCD_IOTA = 4490822397581186023
+# Brown's gcd runs modulo primes l = 1 (mod 4) below 2^30, so that residues
+# and their products stay small Python ints; they are found on demand.
+_PRIME_LIMIT = 1 << 30
+_PRIMES: list[tuple[int, int]] = []
 
 
-def _image_mod_prime(coeffs: Sequence[GaussianRational]) -> list[int] | None:
-    """Images in F_l of Gaussian rationals, or None when l divides a denominator."""
-    ell = _GCD_PRIME
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 7 and 61, which decide every n < 2^32."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for base in (2, 7, 61):
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _gcd_prime(k: int) -> tuple[int, int]:
+    """The k-th prime l = 1 (mod 4) below 2^30, counting down from the top,
+    and a square root iota of -1 modulo l."""
+    while len(_PRIMES) <= k:
+        ell = _PRIMES[-1][0] - 4 if _PRIMES else _PRIME_LIMIT - 3
+        while not _is_prime(ell):
+            ell -= 4
+        # c^((l-1)/4) squares to -1 for the least quadratic non-residue c
+        c = 2
+        while pow(c, (ell - 1) // 2, ell) != ell - 1:
+            c += 1
+        _PRIMES.append((ell, pow(c, (ell - 1) // 4, ell)))
+    return _PRIMES[k]
+
+
+def _image(coeffs: Sequence[GaussianRational], ell: int, root: int) -> list[int] | None:
+    """Images in F_l of Gaussian rationals under i -> root, or None when l
+    divides a denominator."""
     out = []
     for c in coeffs:
-        # l divides the common denominator d iff it divides a part's denominator
-        image = c._a + c._b * _GCD_IOTA
+        x = c._a + c._b * root
         if c._d != 1:
+            # l divides the common denominator d iff it divides a part's denominator
             if not c._d % ell:
                 return None
-            image *= pow(c._d, -1, ell)
-        out.append(image % ell)
+            x *= pow(c._d, -1, ell)
+        out.append(x % ell)
     return out
 
 
-def _coprime_mod_prime(p: ComplexPoly, q: ComplexPoly) -> bool:
-    """True when the images of p and q in F_l[z] have a gcd of degree 0.
-
-    False when the certificate does not apply: p is zero, l divides a
-    denominator in p or q, or p's leading coefficient maps to 0.
-    """
-    if p.is_zero():
-        return False
-    ell = _GCD_PRIME
-    a, b = _image_mod_prime(p.coeffs), _image_mod_prime(q.coeffs)
-    if a is None or b is None or not a[-1]:
-        return False
+def _gcd_mod(a: list[int], b: list[int], ell: int) -> list[int]:
+    """Monic gcd in F_l[z] of residue lists, a's last entry nonzero (Euclid)."""
     while b and not b[-1]:
         b.pop()
     while b:
-        n = len(b) - 1
-        inv = pow(b[-1], -1, ell)
-        for k in range(len(a) - n - 1, -1, -1):
-            c = a[k + n] * inv % ell
+        n, inv = len(b) - 1, pow(b[-1], -1, ell)
+        for top in range(len(a) - 1, n - 1, -1):
+            c = a[top] * inv % ell
             if c:
-                for j, bj in enumerate(b):
-                    a[k + j] = (a[k + j] - c * bj) % ell
+                k = top - n
+                a[k:top] = [(x - c * y) % ell for x, y in zip(a[k:top], b)]
         del a[n:]
         while a and not a[-1]:
             a.pop()
         a, b = b, a
-    return len(a) == 1
+    if len(a) == 1:
+        return [1]
+    inv = pow(a[-1], -1, ell)
+    return [x * inv % ell for x in a]
+
+
+def _rational(t: int, M: int, bound: int) -> tuple[int, int] | None:
+    """n/d = t (mod M) with |n| <= bound and 0 < d <= bound, by the extended
+    Euclid on (M, t) (rational reconstruction), or None when there is none."""
+    r0, r1, s0, s1 = M, t % M, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if not 0 < abs(s1) <= bound:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _reconstruct(residues: list[int], M: int) -> tuple[list[int], int] | None:
+    """Integers n_k and one denominator D with n_k / D = residues[k] (mod M).
+
+    The denominator grows as the coefficients are read: one whose residue
+    times the running D is already small needs no reconstruction.
+    """
+    half = M >> 1
+    bound = isqrt(half)
+    D, read = 1, []
+    for r in residues:
+        t = r * D % M
+        if t > half:
+            t -= M
+        if abs(t) > bound:
+            frac = _rational(t, M, bound)
+            if frac is None:
+                return None
+            t, e = frac
+            D *= e
+        read.append((t, D))
+    return [t * (D // d) for t, d in read], D
+
+
+def _integer_parts(coeffs: Sequence[GaussianRational]) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts of Gaussian rationals over their common denominator."""
+    L = lcm(*(c._d for c in coeffs))
+    return [c._a * (L // c._d) for c in coeffs], [c._b * (L // c._d) for c in coeffs]
+
+
+def _divides(d: Sequence[GaussianRational], p: Sequence[GaussianRational]) -> bool:
+    """True when d divides p over Q(i), d's last coefficient nonzero.
+
+    A pseudo-division on Gaussian integers: both sides are taken over their
+    common denominators, and d times the conjugate of its leading
+    coefficient h has the integer lead |h|^2.  Each step clears the top
+    coefficient c of the remainder r by r <- (lead/g) r - (c/g) z^k d with
+    g = gcd(c, lead), so the last r is a nonzero multiple of the remainder.
+    """
+    dr, di = _integer_parts(d)
+    hr, hi = dr[-1], di[-1]
+    if hi:
+        dr, di = [a * hr + b * hi for a, b in zip(dr, di)], [b * hr - a * hi for a, b in zip(dr, di)]
+    lead, n = dr[-1], len(dr) - 1
+    rr, ri = _integer_parts(p)
+    for top in range(len(rr) - 1, n - 1, -1):
+        cr, ci = rr[top], ri[top]
+        if not (cr or ci):
+            continue
+        g = gcd(cr, ci, lead)
+        s, cr, ci, k = lead // g, cr // g, ci // g, top - n
+        if s != 1:
+            rr[:top] = [x * s for x in rr[:top]]
+            ri[:top] = [x * s for x in ri[:top]]
+        rr[k:top] = [x - cr * a + ci * b for x, a, b in zip(rr[k:top], dr, di)]
+        ri[k:top] = [x - cr * b - ci * a for x, a, b in zip(ri[k:top], dr, di)]
+    return not any(rr[:n]) and not any(ri[:n])
 
 
 def gcd_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
-    """Monic gcd over Gaussian rationals (Euclid); exact mode only.
+    """Monic gcd over Gaussian rationals; exact mode only.
 
-    A coprime pair is first certified modulo the 62-bit prime l = ``_GCD_PRIME``
-    (W. S. Brown, J. ACM 1971).  The certificate is sound when p is nonzero,
-    l divides no denominator in p or q, and p's leading coefficient does not
-    map to 0: a common factor g over Q(i) then keeps its degree modulo l and
-    divides both images, so a degree-0 gcd of the images proves gcd(p, q) = 1.
-    Otherwise, or when the images share a factor, Euclid decides over Q(i);
-    each remainder is made monic, which keeps coefficient growth in check.
+    Brown's modular gcd (W. S. Brown, J. ACM 18, 1971) over Q(i).  For each
+    prime l = 1 (mod 4) of ``_gcd_prime`` and each square root +-iota of -1
+    modulo l, a + bi -> a + b(+-iota) maps p and q into F_l[z], where Euclid
+    gives a monic gcd; the two images give a coefficient's real and
+    imaginary parts modulo l, and real inputs need only one.  A prime is
+    used when l divides no denominator and p (the input of larger degree)
+    keeps its degree.  A common factor g over Q(i) then keeps its degree
+    modulo l and divides both images, so an image gcd of degree 0 proves
+    gcd(p, q) = 1, and the images of the least degree are those of the
+    monic g but for finitely many primes.  Those images are combined by CRT,
+    the coefficients are read back by rational reconstruction, and a
+    candidate is accepted only when it divides p and q exactly.  An image
+    gcd of q's degree first tries monic q by one exact division.
     """
     if p.mode != "exact" or q.mode != "exact":
         raise UnsupportedMode("gcd_exact requires exact-mode polynomials")
-    if _coprime_mod_prime(p, q):
+    if p.is_zero() or q.is_zero():
+        if p.is_zero() and q.is_zero():
+            raise ValueError("gcd of two zero polynomials is undefined")
+        return _monic((q if p.is_zero() else p).coeffs)
+    if p.deg < q.deg:
+        p, q = q, p
+    if q.deg == 0:
         return ComplexPoly.one()
-    a, b = p.coeffs, q.coeffs
-    while b:
-        r = long_division(a, b)[1]
-        a, b = b, _monic(r).coeffs if r else r
-    if not a:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    return _monic(a)
+    pc, qc = p.coeffs, q.coeffs
+    real = not any(c._b for c in pc) and not any(c._b for c in qc)
+    least, M, acc = q.deg, 1, []
+    for k in itertools.count():
+        ell, iota = _gcd_prime(k)
+        images = []
+        for root in (iota,) if real else (iota, ell - iota):
+            a, b = _image(pc, ell, root), _image(qc, ell, root)
+            if a is None or b is None or not a[-1]:
+                break  # a guard fails: the prime is skipped
+            images.append(_gcd_mod(a, b, ell))
+            if len(images[-1]) == 1:
+                return ComplexPoly.one()
+        else:
+            low, degree = min(map(len, images)) - 1, max(map(len, images)) - 1
+            if low < least:
+                least, M, acc = low, 1, []
+            if degree > least:
+                continue
+            if degree == q.deg:
+                if _divides(qc, pc):
+                    return _monic(qc)
+                least = q.deg - 1
+                continue
+            if real:
+                mod = images[0][:-1]
+            else:
+                # a + b iota and a - b iota give a and b
+                half = (ell + 1) // 2
+                g1, g2 = images
+                mod = [(x + y) * half % ell for x, y in zip(g1[:-1], g2)]
+                mod += [(y - x) * iota * half % ell for x, y in zip(g1[:-1], g2)]
+            if M == 1:
+                acc = mod
+            else:
+                # CRT: x = X (mod M) and x = r (mod l)
+                inv = pow(M, -1, ell)
+                acc = [X + M * ((r - X) * inv % ell) for X, r in zip(acc, mod)]
+            M *= ell
+            read = _reconstruct(acc, M)
+            if read is None:
+                continue
+            nums, D = read
+            im = nums[degree:] if not real else [0] * degree
+            cand = [_gauss(a, b, D) for a, b in zip(nums[:degree], im)] + [_gauss(1, 0, 1)]
+            if _divides(cand, qc) and _divides(cand, pc):
+                return ComplexPoly(cand, mode="exact")
 
 
 def _monic(coeffs: Sequence[GaussianRational]) -> ComplexPoly:

@@ -25,8 +25,9 @@ from lacuna import (
 from lacuna.errors import NotDivisible
 import lacuna.poly_core
 from lacuna.poly_core import (
-    _GCD_IOTA,
-    _GCD_PRIME,
+    _gcd_mod,
+    _gcd_prime,
+    _image,
     exact_decimal,
     format_poly,
     gcd_exact,
@@ -251,28 +252,52 @@ def _euclid_gcd(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
     return ComplexPoly([c / lead for c in a])
 
 
-def test_gcd_prime_constants():
-    assert sympy.isprime(_GCD_PRIME) and _GCD_PRIME.bit_length() == 62
-    assert _GCD_PRIME % 4 == 1
-    assert (_GCD_IOTA * _GCD_IOTA + 1) % _GCD_PRIME == 0
+def test_gcd_primes_descend_and_are_1_mod_4():
+    primes = [_gcd_prime(k) for k in range(8)]
+    for ell, iota in primes:
+        assert sympy.isprime(ell) and ell % 4 == 1 and ell < 2**30
+        assert (iota * iota + 1) % ell == 0
+    assert all(a[0] > b[0] for a, b in zip(primes, primes[1:]))
 
 
-_ELL = GaussianRational(_GCD_PRIME)
-# maps to iota - iota = 0 under a + bi -> a + b*iota
-_VANISHING = GaussianRational(_GCD_IOTA, -1)
+_L, _IOTA = _gcd_prime(0)
+_ELL = GaussianRational(_L)
+
+
+def _vanishing(root: int) -> GaussianRational:
+    """root - i, which maps to 0 under i -> root."""
+    return GaussianRational(root, -1)
+
+
+def _counting_primes(monkeypatch) -> list[int]:
+    """The indices of the primes gcd_exact takes, as it takes them."""
+    used = []
+
+    def counted(k):
+        used.append(k)
+        return _gcd_prime(k)
+
+    monkeypatch.setattr(lacuna.poly_core, "_gcd_prime", counted)
+    return used
 
 
 @pytest.mark.parametrize(
     "p,q,want",
     [
         # p = 0: gcd(0, l z + 1) is z + 1/l, not the 1 of a degree-0 image
-        (ComplexPoly.zero(), ComplexPoly([1, _ELL]), ComplexPoly([Fraction(1, _GCD_PRIME), 1])),
+        (ComplexPoly.zero(), ComplexPoly([1, _ELL]), ComplexPoly([Fraction(1, _L), 1])),
         # p's leading coefficient maps to 0, and so does the common factor's:
         # the images z + 2 and z + 3 are coprime, p and q are not
         (
-            ComplexPoly([1, _VANISHING]) * ComplexPoly([2, 1]),
-            ComplexPoly([1, _VANISHING]) * ComplexPoly([3, 1]),
-            ComplexPoly([1 / _VANISHING, 1]),
+            ComplexPoly([1, _vanishing(_IOTA)]) * ComplexPoly([2, 1]),
+            ComplexPoly([1, _vanishing(_IOTA)]) * ComplexPoly([3, 1]),
+            ComplexPoly([1 / _vanishing(_IOTA), 1]),
+        ),
+        # the same under the second embedding i -> -iota
+        (
+            ComplexPoly([1, _vanishing(_L - _IOTA)]) * ComplexPoly([2, 1]),
+            ComplexPoly([1, _vanishing(_L - _IOTA)]) * ComplexPoly([3, 1]),
+            ComplexPoly([1 / _vanishing(_L - _IOTA), 1]),
         ),
         # a denominator divisible by l has no image
         (
@@ -282,11 +307,105 @@ _VANISHING = GaussianRational(_GCD_IOTA, -1)
         ),
         (ComplexPoly([2, 1]), ComplexPoly([1 / _ELL, 1]), ComplexPoly.one()),
     ],
-    ids=["zero-p", "leading-coefficient-maps-to-0", "common-factor-over-l", "coprime-over-l"],
+    ids=["zero-p", "leading-coefficient-maps-to-0", "leading-coefficient-maps-to-0-under-minus-iota",
+         "common-factor-over-l", "coprime-over-l"],
 )
-def test_gcd_certificate_guards_fall_back_to_euclid(p, q, want):
+def test_gcd_certificate_guards_fall_back_to_euclid(p, q, want, monkeypatch):
     assert _euclid_gcd(p, q) == want
+    used = _counting_primes(monkeypatch)
     assert gcd_exact(p, q) == want
+    # a guard skips the first prime, and a later one decides
+    assert len(used) >= 2 or p.is_zero()
+
+
+def _lin(c) -> ComplexPoly:
+    return ComplexPoly([c, 1])
+
+
+@pytest.mark.parametrize(
+    "p,q",
+    [
+        # coprime, but z + l and z are equal modulo l
+        (_lin(0), _lin(_ELL)),
+        # gcd z + 1; the images share (z + 1)(z + 2), of q's degree
+        (_lin(1) * _lin(2), _lin(1) * _lin(_ELL + 2)),
+        # gcd z + 1; the images share (z + 1)(z + 2), below q's degree
+        (_lin(1) * _lin(2) * _lin(5), _lin(1) * _lin(_ELL + 2) * _lin(7)),
+        # gcd z + 1; (2 - iota) + i maps to 2 under i -> iota only
+        (_lin(1) * _lin(2), _lin(1) * _lin(GaussianRational(2 - _IOTA, 1))),
+    ],
+    ids=["coprime", "q-degree", "below-q-degree", "one-embedding"],
+)
+def test_gcd_skips_an_unlucky_first_prime(p, q, monkeypatch):
+    want = _euclid_gcd(p, q)
+    images = [_gcd_mod(_image(p.coeffs, _L, r), _image(q.coeffs, _L, r), _L) for r in (_IOTA, _L - _IOTA)]
+    assert max(len(g) for g in images) - 1 > want.deg
+    used = _counting_primes(monkeypatch)
+    assert gcd_exact(p, q) == want
+    assert len(used) >= 2
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _lin(Fraction(123457, 3)),
+        _lin(Fraction(1, 99991)),
+        ComplexPoly([5, GaussianRational(Fraction(1, 99991), 1), 1]),
+        ComplexPoly([GaussianRational(7, Fraction(40000, 7)), 0, 1]),
+    ],
+    ids=["numerator", "denominator", "complex-denominator", "complex-numerator"],
+)
+def test_gcd_beyond_one_prime_needs_more_primes(g, monkeypatch):
+    # one prime reads back fractions with parts up to sqrt(l / 2) < 2^15
+    p = g * parse_poly("(1 + 2i) z^3 - z + 4") * parse_poly("z^2 - 3")
+    q = g * parse_poly("z^4 + (2 - i) z - 6")
+    used = _counting_primes(monkeypatch)
+    got = gcd_exact(p, q)
+    assert got == _euclid_gcd(p, q) == g
+    assert len(used) >= 2
+
+
+def test_gcd_of_a_shared_factor_with_100_digit_coefficients():
+    big = 10**100
+    g = ComplexPoly([GaussianRational(big + 7, -3 * big), GaussianRational(Fraction(1, 3), big // 7), 1])
+    p = g * parse_poly("(2 - i) z^2 + z - 1")
+    q = g * parse_poly("z^3 + 5i")
+    assert gcd_exact(p, q) == _euclid_gcd(p, q) == g
+
+
+_wide_gauss = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-4, max_value=4, max_denominator=2**40),
+    st.fractions(min_value=-4, max_value=4, max_denominator=2**40),
+)
+_wide_polys = st.lists(_wide_gauss, min_size=0, max_size=5).map(ComplexPoly)
+
+
+@given(_wide_polys, _wide_polys, _wide_polys)
+def test_gcd_with_denominators_beyond_the_primes_matches_euclid(g, a, b):
+    assume(not g.is_zero())
+    p, q = g * a, g * b
+    assume(not (p.is_zero() and q.is_zero()))
+    assert gcd_exact(p, q) == _euclid_gcd(p, q)
+
+
+def test_planted_degree_96_gcd_is_fast():
+    # (4z - alpha)(4 - conj(alpha) z) r: the reflected pair is gcd(p, p*)
+    rng = random.Random(96)
+    alpha = GaussianRational(1, -2)
+    pair = ComplexPoly([-alpha, 4]) * ComplexPoly([4, -alpha.conjugate()])
+    r = ComplexPoly([GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(94)] + [1])
+    p = pair * r
+    ps = conjugate_reciprocal(p, 96)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        g = gcd_exact(p, ps)
+        times.append(time.perf_counter() - t0)
+    lead = pair.coeffs[-1]
+    assert g == ComplexPoly([c / lead for c in pair.coeffs])
+    # well under 10 ms on a 2-vCPU Xeon; the bound is wide against machine load
+    assert min(times) <= 0.1
 
 
 @given(polys, polys, polys, st.booleans())

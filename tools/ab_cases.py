@@ -1,0 +1,88 @@
+"""Time the benchmark cases on two checkouts in one process, alternating.
+
+Usage::
+
+    python3 tools/ab_cases.py PARENT CHANGE WORKLOAD [--seed S] [--runs N] [--cases K]
+
+PARENT and CHANGE are lacuna source trees.  Each one's ``src/lacuna`` is
+imported as a package of its own name (``lacuna_parent`` and
+``lacuna_change``), so both sides run in one process on the same inputs.
+The cases of WORKLOAD at seed S (the first K of them, if given) come from
+PARENT's ``perfbench/``, which is imported and not written to.  Every case
+runs N times on each side, the sides alternating run by run, and counts
+with its fastest run, as the benchmark counts it.  One line per family, and
+one for all cases, gives each side's decided/s (decided cases over the sum
+of their times) and the median and 80th percentile of case time (Harrell-
+Davis, a failed case counting as the time limit), and how many cases'
+report digests agree between the sides.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+LIMIT = 30.0
+MODULES = ("poly_core", "plus_cone", "classifier", "cli_reports")
+
+
+def load(root: Path, name: str):
+    """The package ``root/src/lacuna`` imported under ``name``."""
+    pkg = root / "src" / "lacuna"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    for sub in MODULES:
+        importlib.import_module(f"{name}.{sub}")
+    return module
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("workload")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--runs", type=int, default=8)
+    ap.add_argument("--cases", type=int, default=None)
+    args = ap.parse_args(argv)
+    # as the benchmark does: one BLAS thread, set before numpy loads
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(args.parent.resolve()))
+    from perfbench import harness
+    from perfbench.cases import make_cases
+
+    sides = {"parent": load(args.parent.resolve(), "lacuna_parent"),
+             "change": load(args.change.resolve(), "lacuna_change")}
+    cases = make_cases(args.workload, args.seed, args.parent / "corpus")[: args.cases]
+    best = {side: [] for side in sides}
+    for case in cases:
+        runs = {side: [] for side in sides}
+        for _ in range(args.runs):
+            for side, lacuna in sides.items():
+                runs[side].append(harness.run_case(case, lacuna, LIMIT))
+        for side in sides:
+            best[side].append(harness.best_of(runs[side]))
+    for family in sorted({c.family for c in cases}) + ["all"]:
+        idx = [i for i, c in enumerate(cases) if family in ("all", c.family)]
+        cols = []
+        for side in sides:
+            res = [best[side][i] for i in idx]
+            samples = harness.latency_samples(res, LIMIT)
+            rate = sum(r.outcome == harness.DECIDED for r in res) / sum(r.seconds for r in res)
+            cols.append(f"{side} {rate:.1f}/s p50 {harness.percentile(samples, 0.5) * 1e3:.2f} ms "
+                        f"p80 {harness.percentile(samples, 0.8) * 1e3:.2f} ms")
+        same = sum(best["parent"][i].digest == best["change"][i].digest for i in idx)
+        print(f"{family:<11} {len(idx):3d} cases  {'  '.join(cols)}  digests agree {same}/{len(idx)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
