@@ -195,7 +195,8 @@ def _float_roots(p: ComplexPoly, name: str) -> tuple[np.ndarray, np.ndarray]:
     A zero beyond the float range raises :class:`IllConditionedZeros` naming
     p as ``name`` and the coefficient that shows the zero: one with no float
     value, or one whose ratio to the leading coefficient (a companion-matrix
-    entry) overflows.
+    entry) overflows.  An eigenvalue solve that does not converge raises
+    :class:`IllConditionedZeros` naming p too.
     """
     coeffs = _float_coeffs(p, name)
     top = np.trim_zeros(coeffs, "b")
@@ -204,7 +205,10 @@ def _float_roots(p: ComplexPoly, name: str) -> tuple[np.ndarray, np.ndarray]:
             bad = np.flatnonzero(~np.isfinite(top[:-1] / top[-1]))
         if bad.size:
             raise _beyond_float_range(name, int(bad[0]), "over the leading one overflows")
-    return coeffs, np.roots(coeffs[::-1])
+    try:
+        return coeffs, np.roots(coeffs[::-1])
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedZeros(f"the zeros of {name} are not found: {exc}") from None
 
 
 def _beyond_float_range(name: str, k: int, what: str) -> IllConditionedZeros:

@@ -14,9 +14,13 @@ Every negative verdict ships a constructive witness.  Non-extreme: a
 perturbation q in the same lacunary class with q/p real, bounded and
 nonconstant on the circle.  Extreme-but-not-exposed: a q with q/p
 additionally nonnegative, so any functional supporting p also supports
-p + t q.  Witnesses are validated before they are returned (spectrum
-membership, grid realness/nonnegativity, nonconstancy) and validation
-failure is an error, never a silent downgrade.
+p + t q.  Each witness comes from an exact vector of a rational kernel,
+and every check on it is exact: spectrum membership, a real symbol for
+the factor, nonconstancy, and for a non-exposed witness a nonnegativity
+certificate.  A float vector of the cone search becomes exact by rounding
+its kernel coordinates, and counts only once certified.  Validation
+failure is an error, never a silent downgrade.  The grid numbers of a
+witness (``checks`` and ``multiplier_bound``) are reported, not decided on.
 
 Every verdict is decided on exact coefficients: float input is judged at its
 exact value, the factors are exact and so are the ranks.  Only ``exposed``
@@ -30,6 +34,7 @@ import dataclasses
 import itertools
 import math
 from collections.abc import Iterator
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,6 +50,7 @@ from .errors import (
     WitnessValidationFailed,
 )
 from .factorization import (
+    _RATIONALIZE_BOUNDS,
     CanonicalData,
     TildeData,
     canonical_factorization,
@@ -52,12 +58,7 @@ from .factorization import (
     tilde_factorization,
 )
 from .matrix_builder import BlockMatrix, KernelBasis, build_matrix, rank_and_kernel
-from .plus_cone import (
-    CoefVector,
-    certify_nonneg_exact,
-    plus_dimension,
-    proportional,
-)
+from .plus_cone import CoefVector, certify_nonneg_exact, plus_dimension
 from .poly_core import (
     ComplexPoly,
     GaussianRational,
@@ -160,15 +161,15 @@ def _resolve_mode(p: ComplexPoly, mode: str) -> ComplexPoly:
 
 
 def symbol_to_poly(v: CoefVector, half_degree: int) -> ComplexPoly:
-    """The polynomial z^h * tau_v(z) whose circle values are e^{iht} tau_v(t)."""
+    """The polynomial z^h * tau_v(z) whose circle values are e^{iht} tau_v(t);
+    its Gaussian-rational coefficients are Hermitian-symmetric about h."""
     h = half_degree
     if v.d > h:
         raise ValueError("vector degree exceeds the requested half degree")
-    scalar = GaussianRational if v.is_exact else complex
-    coeffs = [scalar(0)] * (h + v.d + 1)
-    coeffs[h] = scalar(2 * v.alpha[0])
+    coeffs = [GaussianRational(0)] * (h + v.d + 1)
+    coeffs[h] = GaussianRational(2 * v.alpha[0])
     for l in range(1, v.d + 1):
-        g = scalar(v.alpha[l], v.beta[l - 1])
+        g = GaussianRational(v.alpha[l], v.beta[l - 1])
         coeffs[h + l] = g
         coeffs[h - l] = g.conjugate()
     return ComplexPoly(coeffs)
@@ -183,63 +184,81 @@ def _grid_multiplier(numer: ComplexPoly, denom: ComplexPoly) -> np.ndarray:
     return nv[keep] / dv[keep]
 
 
-def _validated_witness(
-    kind: str,
-    v: CoefVector,
-    Q: ComplexPoly,
-    cofactor: ComplexPoly,
-    factor: ComplexPoly,
-    pattern: LacunaryPattern,
-) -> Witness | None:
-    """The witness q = Q * cofactor for the symbol Q of v, or None if a check fails.
+def _multiple_of(v: CoefVector, seed: CoefVector) -> bool:
+    """True when v = c * seed for a rational c; seed is nonzero."""
+    i = next(i for i, x in enumerate(seed.entries) if x)
+    c = Fraction(v.entries[i]) / Fraction(seed.entries[i])
+    return all(x == c * s for x, s in zip(v.entries, seed.entries, strict=True))
 
-    Checks: q is nonzero and inside the pattern, and Q / factor is real and
-    nonconstant on the grid (and nonnegative for a non-exposed witness).
+
+def _validated_witness(
+    kind: str, v: CoefVector, half_degree: int, cofactor: ComplexPoly, factor: ComplexPoly,
+    seed: CoefVector | None, pattern: LacunaryPattern,
+) -> Witness | None:
+    """The witness q = Q * cofactor for Q = z^h tau_v, or None if a check fails.
+
+    Every check is exact.  q is nonzero and inside the pattern.  Q / factor
+    is real on the circle: Q is Hermitian-symmetric about h, and so is the
+    factor exactly when its symbol, the seed, exists.  Q / factor is
+    nonconstant: v is not a rational multiple of the seed.  A non-exposed
+    candidate is also nonnegative, since ``_plus_candidates`` certifies each
+    one it offers, once.  The grid numbers in ``checks`` and
+    ``multiplier_bound`` are computed afterwards, for the report only.
     """
+    if seed is None:
+        return None
+    Q = symbol_to_poly(v, half_degree)
     q = Q * cofactor
-    if q.is_zero() or not spectrum_in(q, pattern):
+    if q.is_zero() or not spectrum_in(q, pattern) or _multiple_of(v, seed):
         return None
     h = _grid_multiplier(Q, factor)
-    if len(h) == 0:
-        return None
-    im_max = float(np.max(np.abs(h.imag)))
     h_scale = float(np.max(np.abs(h.real)))
-    if im_max > 1e-8 * (1.0 + h_scale):
-        return None
-    spread = float(np.max(h.real) - np.min(h.real))
-    if spread <= 1e-6 * max(1.0, h_scale):
-        return None
     checks = {
         "spectrum_ok": True,
-        "imag_max": im_max,
-        "spread": spread,
+        "imag_max": float(np.max(np.abs(h.imag))),
+        "spread": float(np.max(h.real) - np.min(h.real)),
         "multiplier_max": h_scale,
     }
     if kind == "non_exposed":
-        neg = float(np.min(h.real))
-        if neg < -1e-8 * (1.0 + h_scale):
-            return None
-        checks["min_multiplier"] = neg
-    return Witness(
-        kind=kind,
-        vector=v,
-        perturbation=q,
-        spectrum=tuple(spectrum(q)),
-        multiplier_bound=h_scale,
-        checks=checks,
+        checks["min_multiplier"] = float(np.min(h.real))
+    return Witness(kind, v, q, tuple(spectrum(q)), multiplier_bound=h_scale, checks=checks)
+
+
+def _exact_in_kernel(v: CoefVector, kernel: KernelBasis) -> CoefVector | None:
+    """An exactly certified plus vector of the rational kernel near v, or None.
+
+    Each reduced-echelon basis vector has a 1 at its own free column (its
+    last nonzero entry) and a 0 at the other free columns, so v's entries at
+    those columns are its coordinates.  They are rounded by
+    ``limit_denominator`` over the factorization's bounds, and the first
+    rounding whose image certifies is returned.
+    """
+    basis = kernel.vectors
+    free = [max(i for i, x in enumerate(b.entries) if x) for b in basis]
+    roundings = dict.fromkeys(
+        tuple(Fraction(v.entries[i]).limit_denominator(bound) for i in free)
+        for bound in _RATIONALIZE_BOUNDS
     )
+    for coords in roundings:
+        cand = CoefVector.from_array(
+            [sum(c * b.entries[j] for c, b in zip(coords, basis)) for j in range(2 * v.d + 1)], d=v.d
+        )
+        if any(cand.entries) and certify_nonneg_exact(cand)[0]:
+            return cand
+    return None
 
 
 def _plus_candidates(
     kernel: KernelBasis, seed: CoefVector | None, plus_vectors: list[CoefVector] | None
 ) -> Iterator[CoefVector]:
-    """Plus vectors of the tilde kernel to try as non-exposed witnesses.
+    """Exactly certified plus vectors of the rational tilde kernel, to try as
+    non-exposed witnesses, each certified only when the caller asks for it.
 
-    First the exactly certified vectors of the rational kernel, each certified
-    only when the caller asks for the next one: the basis, pairwise sums and
-    differences, then basis + seed and basis + 2 seed.  Then the vectors the
-    cone search found.  The cone search runs here only when neither source
-    offered anything.
+    First the basis, pairwise sums and differences, then basis + seed and
+    basis + 2 seed.  Then the vectors of the cone search: a float one made
+    exact by ``_exact_in_kernel``, an exact one as it is (the seed, which
+    the search certifies, or a Fejer kernel).  The cone search runs here
+    only when classify did not run it and the pool offered nothing.
     """
     offered = False
     basis = kernel.vectors
@@ -253,11 +272,22 @@ def _plus_candidates(
         if certify_nonneg_exact(cand)[0] and any(cand.entries):
             offered = True
             yield cand
+    if plus_vectors is None and not offered:
+        plus_vectors = plus_dimension(kernel.vectors, seed=seed)[1]
     for v in plus_vectors or ():
-        offered = True
-        yield v
-    if not offered:
-        yield from plus_dimension(kernel.vectors, seed=seed)[1]
+        exact = v if v.is_exact else _exact_in_kernel(v, kernel)
+        if exact is not None:
+            yield exact
+
+
+def _first_witness(kind: str, candidates, *context) -> Witness:
+    """The witness of the first candidate that ``_validated_witness`` accepts,
+    given the rest of its arguments as ``context``."""
+    for v in candidates:
+        w = _validated_witness(kind, v, *context)
+        if w is not None:
+            return w
+    raise WitnessValidationFailed(f"no kernel vector yielded a valid {kind.replace('_', '-')} perturbation")
 
 
 def make_non_extreme_witness(
@@ -268,20 +298,12 @@ def make_non_extreme_witness(
 ) -> Witness:
     """Perturbation q with q/p real and nonconstant, from a kernel vector.
 
-    Candidates are taken in kernel order, skipping anything proportional to
-    the canonical vector (whose perturbation would only rescale p).
+    Candidates are taken in kernel order; a multiple of the canonical vector
+    would only rescale p and is rejected.
     """
-    for v in kernel.vectors:
-        if seed is not None and proportional(v, seed):
-            continue
-        w = _validated_witness(
-            "non_extreme", v, symbol_to_poly(v, canonical.m),
-            canonical.cofactor, canonical.disk_factor, pattern,
-        )
-        if w is not None:
-            return w
-    raise WitnessValidationFailed(
-        "no kernel vector yielded a valid non-extreme perturbation"
+    return _first_witness(
+        "non_extreme", kernel.vectors, canonical.m, canonical.cofactor,
+        canonical.disk_factor, seed, pattern,
     )
 
 
@@ -292,31 +314,19 @@ def make_non_exposed_witness(
     pattern: LacunaryPattern,
     plus_vectors: list[CoefVector] | None = None,
 ) -> Witness:
-    """Perturbation q with q/p real, *nonnegative* and nonconstant.
-
-    Candidates come from ``_plus_candidates``: exactly certified rational
-    kernel vectors first, then the cone search's, all vetted by the same
-    grid validation.
-    """
-    for v in _plus_candidates(kernel_tilde, seed_tilde, plus_vectors):
-        if seed_tilde is not None and proportional(v, seed_tilde):
-            continue
-        Q = symbol_to_poly(v, tilde.m_tilde)
-        w = _validated_witness(
-            "non_exposed", v, Q, tilde.reduced_cofactor, tilde.total_factor, pattern
-        )
-        if w is None:
-            continue
-        # q/p = Q/total_factor has a pole on the circle unless Q takes every
-        # circle zero of the factor; the grid maximum then bounds nothing
-        try:
-            divide_exact(Q, tilde.circle_factor)
-        except NotDivisible:
-            w = dataclasses.replace(w, multiplier_bound=math.inf)
-        return w
-    raise WitnessValidationFailed(
-        "no nonnegative kernel vector yielded a valid non-exposed perturbation"
+    """Perturbation q with q/p real, *nonnegative* and nonconstant, from the
+    exactly certified plus vectors of ``_plus_candidates``."""
+    w = _first_witness(
+        "non_exposed", _plus_candidates(kernel_tilde, seed_tilde, plus_vectors),
+        tilde.m_tilde, tilde.reduced_cofactor, tilde.total_factor, seed_tilde, pattern,
     )
+    # q/p = Q/total_factor has a pole on the circle unless Q takes every
+    # circle zero of the factor; the grid maximum then bounds nothing
+    try:
+        divide_exact(symbol_to_poly(w.vector, tilde.m_tilde), tilde.circle_factor)
+    except NotDivisible:
+        w = dataclasses.replace(w, multiplier_bound=math.inf)
+    return w
 
 
 # ---------------------------------------------------------------------------

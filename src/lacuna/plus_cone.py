@@ -140,22 +140,6 @@ class CoefVector:
         return f"CoefVector(d={self.d}, alpha={self.alpha}, beta={self.beta})"
 
 
-def proportional(u, v, tol: float = 1e-9) -> bool:
-    """True when u and v span the same line (or one of them is ~zero).
-
-    Accepts CoefVectors or plain coefficient arrays.
-    """
-    a = u.as_array() if isinstance(u, CoefVector) else np.asarray(u, dtype=float)
-    b = v.as_array() if isinstance(v, CoefVector) else np.asarray(v, dtype=float)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na <= tol or nb <= tol:
-        return True
-    bhat = b / nb
-    resid = a - np.dot(a, bhat) * bhat
-    return bool(np.linalg.norm(resid) <= tol * na)
-
-
 def fejer_vector(d: int, shift: float = 0.0) -> CoefVector:
     """Coefficients of the (shifted) Fejer kernel: nonnegative by construction."""
     alpha = [Fraction(1, 2)] if shift == 0.0 else [0.5]

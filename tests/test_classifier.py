@@ -166,26 +166,78 @@ def test_seed_outside_the_kernel_is_inconsistent():
 
 
 @pytest.mark.parametrize(
-    "kind,Q,factor,N,forbidden",
+    "kind,entries,factor,N,forbidden",
     [
-        ("non_extreme", "z", "1", 2, [1]),  # q = z sits at a forbidden exponent
-        ("non_extreme", "1", "0", 1, []),  # the factor vanishes on the whole grid
-        ("non_extreme", "i", "1", 1, []),  # the multiplier i is not real
-        ("non_extreme", "2", "1", 1, []),  # the multiplier 2 is constant
-        ("non_exposed", "1 + z^2", "z", 2, []),  # the multiplier 2 cos t dips below 0
+        ("non_extreme", (Fraction(1, 2), Fraction(1, 2), 0), "z", 2, [1]),  # q = (1 + z)^2 / 2 has energy at z
+        ("non_extreme", (0, 1, 0), "0", 2, []),  # the factor vanishes: it has no real symbol
+        ("non_extreme", (0, 1, 0), "i z", 2, []),  # the multiplier 2 cos t / i is not real
+        ("non_extreme", (1, 0, 0), "z", 2, []),  # the multiplier 2 is constant
+        ("non_exposed", (0, 1, 0), "z", 2, []),  # the multiplier 2 cos t dips below 0
     ],
     ids=["outside-pattern", "empty-grid", "non-real", "constant", "negative"],
 )
-def test_validated_witness_rejects_each_failed_check(kind, Q, factor, N, forbidden):
-    from lacuna.classifier import _validated_witness
+def test_validated_witness_rejects_each_failed_check(kind, entries, factor, N, forbidden):
+    from lacuna.classifier import _plus_candidates, _safe_seed, _validated_witness
+    from lacuna.matrix_builder import KernelBasis
     from lacuna.plus_cone import CoefVector
 
-    v, one = CoefVector(0, (1,), ()), parse_poly("1")
-    pattern = LacunaryPattern(N, forbidden)
-    assert _validated_witness(kind, v, parse_poly(Q), one, parse_poly(factor), pattern) is None
+    v, one, F = CoefVector.from_array(entries), parse_poly("1"), parse_poly(factor)
+    seed, pattern = _safe_seed(F, 1), LacunaryPattern(N, forbidden)
+    # a non-exposed candidate is certified nonnegative before it is offered,
+    # and a kernel spanned by v offers none
+    candidates = [v] if kind == "non_extreme" else list(_plus_candidates(KernelBasis(2, 1, (v,)), None, []))
+    assert not any(_validated_witness(kind, c, 1, one, F, seed, pattern) for c in candidates)
     # the multiplier 2 cos t passes every check of a non-extreme witness
-    full = LacunaryPattern(2, [])
-    assert _validated_witness("non_extreme", v, parse_poly("1 + z^2"), one, parse_poly("z"), full)
+    z = parse_poly("z")
+    cos = CoefVector.from_array((0, 1, 0))
+    assert _validated_witness("non_extreme", cos, 1, one, z, _safe_seed(z, 1), LacunaryPattern(2))
+
+
+def test_validated_witness_is_scale_free():
+    # Q = 1 + z^2 over 10^12 z: the multiplier 2 cos t / 10^12 is nonconstant,
+    # though its spread is far below any fixed threshold
+    from lacuna.classifier import _safe_seed, _validated_witness
+    from lacuna.plus_cone import CoefVector
+
+    F = parse_poly("10^12 z")
+    v = CoefVector.from_array((0, 1, 0))
+    w = _validated_witness("non_extreme", v, 1, parse_poly("1"), F, _safe_seed(F, 1), LacunaryPattern(2))
+    assert w is not None and w.perturbation == parse_poly("1 + z^2")
+    assert 0 < w.checks["spread"] < 1e-6
+
+
+def test_cone_vectors_become_exact_certified_witnesses():
+    # no vector of the rational pool is plus here, so the witness is a cone
+    # search vector rounded into the rational tilde kernel
+    from lacuna.plus_cone import certify_nonneg_exact
+
+    rep = classify("(1-z^2)^2*((-1/2-i) + (3+i)z + (-1-2i)z^2)", LacunaryPattern(6, [2]))
+    assert rep.fast_path_exposed == "plus_dimension" and rep.exposed is False
+    (w,) = rep.witnesses
+    assert w.kind == "non_exposed" and w.vector.is_exact
+    assert certify_nonneg_exact(w.vector)[0]
+    assert all(sum(a * x for a, x in zip(row, w.vector.entries)) == 0 for row in rep.matrix_tilde.rows)
+
+
+def test_plus_candidates_round_cone_vectors_into_the_kernel():
+    # b1 = (-2, 1, 0) and b2 = (-3, 0, 1): no basis vector, sum or difference
+    # is plus, but -b1 (tau = 4 - 2 cos t) is
+    from lacuna.classifier import _plus_candidates
+    from lacuna.matrix_builder import KernelBasis
+    from lacuna.plus_cone import CoefVector
+
+    b1, b2 = CoefVector.from_array((-2, 1, 0)), CoefVector.from_array((-3, 0, 1))
+    kernel = KernelBasis(1, 2, (b1, b2))
+    near = CoefVector.from_array(-1.0000001 * b1.as_array() + 1e-9 * b2.as_array())
+    (exact,) = _plus_candidates(kernel, None, [near])
+    assert exact.entries == (2, -1, 0) and exact.is_exact
+    # b1 as floats is not plus, and no rounding of it is
+    assert list(_plus_candidates(kernel, None, [CoefVector.from_array(b1.as_array())])) == []
+
+
+def test_a_companion_solve_that_does_not_converge_names_the_factor():
+    with pytest.raises(IllConditionedZeros, match="zeros of p's monic factor of multiplicity 1 are not found"):
+        classify(parse_poly("(z + 10^20)(1 + 10^20 z)(z^3 - 2)"), LacunaryPattern(5))
 
 
 def test_scaling_invariance(examples):
@@ -293,9 +345,10 @@ def test_symbol_roundtrip_through_factors(examples):
         for factor in (can.disk_factor, can.disk_factor.to_float()):
             v = real_symbol_on_circle(factor, can.m)
             assert v.is_exact is (factor.mode == "exact")
+            # the symbol's polynomial is exact: a float entry gives its exact value
             back = symbol_to_poly(v, can.m)
-            assert back.mode == factor.mode
-            assert back.coeffs == factor.coeffs
+            assert back.mode == "exact"
+            assert back.coeffs == factor.to_exact().coeffs
 
 
 # -- the zero-structure route -----------------------------------------------------

@@ -558,12 +558,15 @@ def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
         # a root polished to -10^100, shared with p*, whose backward error overflows
         (["classify", "(z + 10^100)(1 + 10^100 z)(z^3 - 2)", "--pattern", "5", "--mode", "exact"], "",
          "backward error nan"),
+        # the companion eigenvalue solve on p* does not converge
+        (["classify", "(z + 10^20)(1 + 10^20 z)(z^3 - 2)", "--pattern", "5"], "",
+         "monic factor of multiplicity 1 are not found"),
     ],
     ids=["plusdim-no-d", "plusdim-basis-not-a-list", "plusdim-negative-d", "coeffs-not-a-list", "null-part",
          "plusdim-infinity", "plusdim-overflowing-string", "plusdim-nan",
          "classify-overflowing-integer", "classify-infinite-decimal", "classify-nan",
          "classify-exact-zero-beyond-float-range", "classify-float-zero-beyond-float-range",
-         "classify-overflowed-residual"],
+         "classify-overflowed-residual", "classify-eigenvalues-do-not-converge"],
 )
 def test_malformed_json_input_exits_with_error(argv, stdin, key, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))

@@ -10,7 +10,6 @@ from lacuna import (
     rank_and_kernel,
     tilde_factorization,
 )
-from lacuna.plus_cone import proportional
 from lacuna.poly_core import ComplexPoly, GaussianRational
 
 
@@ -62,9 +61,7 @@ def test_matrix_clean_gap_paper_entries(examples):
     )
     kb = rank_and_kernel(mat)
     assert kb.rank == 2 and kb.dim == 1
-    assert proportional(
-        kb.vectors[0].as_array(), np.array([-5 / 4, 1.0, 0.0]), tol=1e-12
-    )
+    assert kb.vectors[0].entries == (Fraction(-5, 4), 1, 0)
 
 
 def test_matrix_double_circle_tilde_entries(examples):
@@ -89,7 +86,7 @@ def test_matrix_single_double_zero_tilde_entries(examples):
     )
     kb = rank_and_kernel(mat)
     assert kb.rank == 2 and kb.dim == 1
-    assert proportional(kb.vectors[0].as_array(), np.array([1.0, -1.0, 0.0]))
+    assert kb.vectors[0].entries == (-1, 1, 0)
 
 
 def test_entries_match_direct_formula(examples):

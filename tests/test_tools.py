@@ -13,3 +13,12 @@ def test_ab_cases_compares_a_checkout_with_itself():
     lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
     assert lines[-1].startswith("all") and lines[-1].endswith("digests agree 2/2")
     assert all(" parent " in line and " change " in line for line in lines)
+
+
+def test_cone_census_reports_three_draws():
+    cmd = [sys.executable, str(ROOT / "tools" / "cone_census.py"), "1", "3"]
+    lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert lines[0] == "seed 1: 3 inputs"
+    counts = [int(line.rsplit(": ", 1)[1]) for line in lines[1:] if " exposed=" in line]
+    assert sum(counts) == 3
+    assert "witnesses: exact" in "\n".join(lines) and lines[-1] == "exceptions: 0"

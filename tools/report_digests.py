@@ -27,8 +27,9 @@ whose digest covers what ``lacuna plusdim`` prints for the job (a nonzero
 exit code is printed with the error message instead).  Last come the fixed
 inputs of ``OUTSIDE``, outside both workloads, in the same three modes
 under the workload name ``outside``: near-coincident zeros of p and p*,
-irrational and Salem splits, lossy float products, many shared pairs, and
-zeros beyond the float range.  Run it on two checkouts on one machine and
+irrational and Salem splits, lossy float products, many shared pairs,
+zeros beyond the float range, a non-exposed witness that only the cone
+search finds, and a companion eigenvalue solve that does not converge.  Run it on two checkouts on one machine and
 diff the outputs to show that a change leaves every report byte-identical,
 or which reports outside the workloads it moved.
 """
@@ -64,6 +65,8 @@ OUTSIDE = (
     ("coprime-overflowed-residual", "(z + 10^100)(z^3 - 2)", 4, (), None),
     ("shared-overflowed-residual", "(z + 10^100)(1 + 10^100 z)(z^3 - 2)", 5, (), None),
     ("long-integer-literal", "1" + "0" * 5000 + " + z", 1, (), None),
+    ("cone-search-witness", "(1-z^2)^2*((-1/2-i) + (3+i)z + (-1-2i)z^2)", 6, (2,), None),
+    ("shared-pair-at-10^20", "(z + 10^20)(1 + 10^20 z)(z^3 - 2)", 5, (), None),
 )
 
 
