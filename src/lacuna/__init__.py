@@ -29,7 +29,6 @@ from .errors import (
     QuadratureBudgetExceeded,
     SolverStalled,
     SpectrumViolation,
-    UnsupportedMode,
     WitnessValidationFailed,
 )
 from .factorization import (
@@ -86,7 +85,6 @@ __all__ = [
     "SolverStalled",
     "SpectrumViolation",
     "TildeData",
-    "UnsupportedMode",
     "Witness",
     "WitnessValidationFailed",
     "ZeroCluster",

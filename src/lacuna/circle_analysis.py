@@ -14,9 +14,8 @@ Values and gaps are summed by ``math.fsum``, and the target is never finer
 than the rounding floor of the summed value.
 
 Zero finding reports clusters ``(location, multiplicity, region, residual)``.
-Numeric multiplicity is ill-posed, so it is decided exactly, on the exact
-value of the input (a float polynomial is read through
-``ComplexPoly.to_exact``): a degree-0 gcd(p, p') modulo a prime certifies
+Numeric multiplicity is ill-posed, so it is decided exactly, on the
+Gaussian-rational input: a degree-0 gcd(p, p') modulo a prime certifies
 that p is square-free (every zero simple), and only otherwise does a
 square-free (Yun) decomposition split p and give the multiplicities.  One
 Newton pass polishes the companion-matrix roots of each square-free part as
@@ -95,7 +94,7 @@ def l1_norm(
     Parameters
     ----------
     p : ComplexPoly
-        Nonzero polynomial, either mode.
+        Nonzero polynomial.
     circle_zeros : iterable of ZeroCluster, optional
         The zeros of p on the circle, the only points where |p| is not
         analytic; their arguments are the first panel breaks, and an empty
@@ -172,7 +171,6 @@ def _circle_clusters(p: ComplexPoly) -> list[ZeroCluster]:
     """The circle zeros of p, read off g = gcd(p, p*) as the classifier reads
     them: a circle zero of p is one of p* of the same multiplicity, so none
     when g = 1, and otherwise the circle clusters of :func:`find_zeros` (g)."""
-    p = p.to_exact()
     g = gcd_exact(p, conjugate_reciprocal(p, p.deg))
     return [c for c in find_zeros(g) if c.region == "circle"] if g.deg else []
 
@@ -276,12 +274,11 @@ def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    p = p.to_exact()
     clusters: list[ZeroCluster] = []
     k0 = p.order_at_zero()
     if k0 > 0:
         clusters.append(ZeroCluster(0j, k0, "disk", 0.0))
-    for factor, mult in square_free_decomposition(ComplexPoly(p.coeffs[k0:], mode="exact")):
+    for factor, mult in square_free_decomposition(ComplexPoly(p.coeffs[k0:])):
         fc, roots = _float_roots(factor, f"p's monic factor of multiplicity {mult}")
         roots, residuals = _polish_roots(fc, factor.derivative().float_coeffs(), roots)
         for r, res in zip(roots.tolist(), residuals.tolist()):

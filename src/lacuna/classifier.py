@@ -22,10 +22,11 @@ its kernel coordinates, and counts only once certified.  Validation
 failure is an error, never a silent downgrade.  The grid numbers of a
 witness (``checks`` and ``multiplier_bound``) are reported, not decided on.
 
-Every verdict is decided on exact coefficients: float input is judged at its
-exact value, the factors are exact and so are the ranks.  Only ``exposed``
-can be left ``None``, when the cone solver stalls; callers see why in
-``diagnostics`` and the CLI maps that state to its own exit code.
+Every verdict is decided on exact coefficients: a double in the input is
+read at its exact value where it enters, the factors are exact and so are
+the ranks, and the canonical vector's kernel membership is an exact product.
+Only ``exposed`` can be left ``None``, when the cone solver stalls; callers
+see why in ``diagnostics`` and the CLI maps that state to its own exit code.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .errors import (
     NotHermitianSymmetric,
     SolverStalled,
     SpectrumViolation,
-    UnsupportedMode,
     WitnessValidationFailed,
 )
 from .factorization import (
@@ -140,18 +140,12 @@ def infer_pattern(p: ComplexPoly) -> LacunaryPattern:
 
 
 def _resolve_mode(p: ComplexPoly, mode: str) -> ComplexPoly:
-    """The exact polynomial every verdict is decided on: p's exact value, or
-    for ``float`` the exact value of p rounded to doubles."""
-    if mode == "auto":
-        return p.to_exact()
-    if mode == "float":
-        return p.to_float().to_exact()
-    if mode == "exact":
-        if p.mode != "exact":
-            raise UnsupportedMode(
-                "exact mode requested for a polynomial with float coefficients"
-            )
+    """The polynomial every verdict is decided on: p for ``auto`` and
+    ``exact``, and for ``float`` p with each coefficient rounded to doubles."""
+    if mode in ("auto", "exact"):
         return p
+    if mode == "float":
+        return ComplexPoly([complex(c) for c in p.coeffs])
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -449,15 +443,15 @@ def _safe_seed(factor: ComplexPoly, half_degree: int) -> CoefVector | None:
 def _check_seed_membership(
     mat: BlockMatrix, seed: CoefVector | None, diagnostics: dict, label: str
 ) -> None:
-    if seed is None:
+    """Raise unless the exact product of the matrix and the seed is zero; the
+    float residual is recorded in ``diagnostics``, for the report only."""
+    if seed is None or not mat.rows:
         return
     arr = mat.as_array()
-    if arr.size == 0:
-        return
     resid = float(np.max(np.abs(arr @ seed.as_array())))
-    norm = float(np.max(np.abs(arr)))
     diagnostics[f"seed_residual_{label}"] = resid
-    if resid > 1e-8 * max(1.0, norm):
+    entries = seed.entries
+    if any(sum(a * s for a, s in zip(row, entries, strict=True) if a and s) for row in mat.rows):
         raise IllConditionedZeros(
             f"canonical vector fails the kernel equations of the {label} matrix; "
             "zero identification is inconsistent",
@@ -525,8 +519,7 @@ def classify_full_space(p, N: int | None = None) -> FullSpaceReport:
         N = p.deg
     if p.deg > N:
         raise ValueError(f"degree {p.deg} exceeds N={N}")
-    exact = p.to_exact()
-    if gcd_exact(exact, conjugate_reciprocal(exact, N)).deg == 0:
+    if gcd_exact(p, conjugate_reciprocal(p, N)).deg == 0:
         return FullSpaceReport(True, True, 0, ())
     clusters = find_zeros(p)
     disk = [c for c in clusters if c.region == "disk"]

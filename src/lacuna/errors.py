@@ -21,12 +21,8 @@ class ParseError(LacunaError):
         self.position = position
 
 
-class UnsupportedMode(LacunaError):
-    """Operation requested in a numeric mode it does not support."""
-
-
 class NotDivisible(LacunaError):
-    """Polynomial division left a remainder beyond the allowed tolerance."""
+    """Polynomial division left a nonzero remainder."""
 
 
 class QuadratureBudgetExceeded(LacunaError):

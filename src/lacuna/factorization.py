@@ -8,10 +8,10 @@ floor(multiplicity/2) copies of every circle zero of p, reflected the same
 way, and is divided out of R, so p = (G C) R~.  The rank criteria read
 their constraint matrices off the cofactors R and R~.
 
-Every factor is exact, read off p's exact value (a float p is read through
-``ComplexPoly.to_exact``).  G divides g = gcd(p, p*): when the modular
-certificate inside ``gcd_exact`` proves g = 1, p shares no zero with p* and
-has no circle zero, so m = 0, G = 1 and R = p with no zero analysis at all.
+Every factor is exact, read off p's Gaussian-rational coefficients.  G
+divides g = gcd(p, p*): when the modular certificate inside ``gcd_exact``
+proves g = 1, p shares no zero with p* and has no circle zero, so m = 0,
+G = 1 and R = p with no zero analysis at all.
 Otherwise g is p's circle zeros (with multiplicity) times G: a circle zero
 of p is one of p* of the same multiplicity, so the circle zeros are read off
 the zeros of g, not of p.  The monic G is g divided by the monic product of
@@ -77,10 +77,11 @@ class TildeData:
     reduced_cofactor: ComplexPoly
 
 
-def _rationalize_coefficients(pf: ComplexPoly, bound: int):
+def _rationalize_coefficients(approx, bound: int):
+    """The Gaussian rationals with denominators up to bound nearest the float
+    coefficients ``approx``, or None when one is off by more than 1e-9."""
     out = []
-    for c in pf.coeffs:
-        c = complex(c)
+    for c in approx.tolist():
         re = Fraction(c.real).limit_denominator(bound)
         im = Fraction(c.imag).limit_denominator(bound)
         if abs(float(re) - c.real) > 1e-9 * max(1.0, abs(c.real)):
@@ -101,10 +102,10 @@ def _factor_out(p: ComplexPoly, factors, s: int, what: str = "factor") -> tuple[
     """
     factor, quotient = ComplexPoly.one(), p
     if factors:
-        approx = ComplexPoly([complex(x) for x in linear_product(factors)])
+        approx = linear_product(factors)
         for bound in _RATIONALIZE_BOUNDS:
             cand = _rationalize_coefficients(approx, bound)
-            if cand is None or cand.deg != approx.deg:
+            if cand is None or cand.deg != len(approx) - 1:
                 continue
             try:
                 factor, quotient = cand, divide_exact(p, cand)
@@ -154,7 +155,6 @@ def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
         raise ValueError("cannot factor the zero polynomial")
     if p.deg > N:
         raise ValueError(f"degree {p.deg} exceeds the ambient degree {N}")
-    p = p.to_exact()
     pstar = conjugate_reciprocal(p, N)
     g = gcd_exact(p, pstar)
     if g.deg == 0:  # no shared zero, and so no circle zero either

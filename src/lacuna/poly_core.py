@@ -1,21 +1,16 @@
-"""Polynomials over Gaussian rationals or complex floats, plus frequency patterns.
+"""Polynomials over Gaussian rationals, plus frequency patterns.
 
-Two numeric modes run through the whole package:
+There is one scalar type: every coefficient is a :class:`GaussianRational`,
+a reduced integer triple (a + b i)/d.  Arithmetic is closed, and division
+and gcd are decided exactly, on Python ints.  The gcd is Brown's modular
+one (``gcd_exact``): Euclid runs only on images modulo primes below 2^30,
+and its result is checked by exact division.
 
-* ``exact``  -- coefficients are :class:`GaussianRational`, each one
-  reduced integer triple (a + b i)/d; arithmetic is closed and division/gcd
-  are decided exactly, on Python ints.  The gcd is Brown's modular one
-  (``gcd_exact``): Euclid runs only on images modulo primes below 2^30, and
-  its result is checked by exact division.
-* ``float`` -- coefficients are Python ``complex``; divisibility and spectrum
-  questions become tolerance questions.
-
-A polynomial never mixes modes.  Binary operations coerce to float as soon as
-one operand is float.  Every double is a dyadic rational, so
-``ComplexPoly.to_exact`` gives a float polynomial's exact value; the zero
-analysis and the classifier read float input that way.  The parser reads a
-decimal literal as the rational it names (``0.1`` is 1/10), and JSON
-``coeffs_f`` entries stay floats.
+A double is exact wherever it enters: every double is a dyadic rational,
+and :class:`ComplexPoly` takes a float or complex coefficient at that value,
+so ``p * 0.7`` is p times the exact double 0.7, with no rounding.  The
+parser reads a decimal literal as the rational it names (``0.1`` is 1/10),
+and a JSON ``coeffs_f`` entry as the exact value of its doubles.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotDivisible, ParseError, UnsupportedMode
+from .errors import NotDivisible, ParseError
 
 _EXPONENT_CAP = 512
 # every finite nonzero double is d.ddd * 10^e with -324 <= e <= 308
@@ -195,54 +190,47 @@ def json_isinstance(val, kind) -> bool:
 
 
 def is_exact_scalar(x) -> bool:
-    """True for the scalars of exact mode: Gaussian rationals, ints, Fractions."""
+    """True for Gaussian rationals, ints and Fractions, the scalars that are not floats."""
     return isinstance(x, (GaussianRational, int, Fraction))
 
 
 class ComplexPoly:
-    """Immutable dense polynomial; the zero polynomial has an empty tuple.
+    """Immutable dense polynomial over Gaussian rationals; the zero polynomial
+    has an empty tuple.
 
-    ``coeffs[k]`` is the coefficient of ``z^k``.  Trailing coefficients equal
-    to zero (exact zero in both modes) are stripped, so ``deg`` is honest in
-    exact mode and best-effort in float mode.
+    ``coeffs[k]`` is the :class:`GaussianRational` coefficient of ``z^k``.
+    The constructor takes every scalar at its exact value: ints, Fractions,
+    and a float or complex as the dyadic rational its doubles name.
+    Trailing zero coefficients are stripped, so ``deg`` is honest.
     """
 
-    __slots__ = ("coeffs", "mode")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence, mode: str | None = None):
-        items = list(coeffs)
-        if mode is None:
-            mode = "exact" if all(is_exact_scalar(c) for c in items) else "float"
-        if mode == "exact":
-            items = [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in items]
-        elif mode == "float":
-            items = [complex(c) for c in items]
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, coeffs: Sequence):
+        items = [c if type(c) is GaussianRational else _exact_value(c) for c in coeffs]
         while items and not items[-1]:
             items.pop()
         self.coeffs = tuple(items)
-        self.mode = mode
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def zero(mode: str = "exact") -> "ComplexPoly":
-        return ComplexPoly([], mode=mode)
+    def zero() -> "ComplexPoly":
+        return ComplexPoly([])
 
     @staticmethod
-    def one(mode: str = "exact") -> "ComplexPoly":
-        return ComplexPoly([1], mode=mode)
+    def one() -> "ComplexPoly":
+        return ComplexPoly([1])
 
     @staticmethod
-    def constant(c, mode: str | None = None) -> "ComplexPoly":
-        return ComplexPoly([c], mode=mode)
+    def constant(c) -> "ComplexPoly":
+        return ComplexPoly([c])
 
     @staticmethod
-    def monomial(k: int, c=1, mode: str | None = None) -> "ComplexPoly":
+    def monomial(k: int, c=1) -> "ComplexPoly":
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
-        return ComplexPoly([0] * k + [c], mode=mode)
+        return ComplexPoly([0] * k + [c])
 
     # -- basic queries ---------------------------------------------------------
 
@@ -254,11 +242,11 @@ class ComplexPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, k: int):
+    def coefficient(self, k: int) -> GaussianRational:
         """Coefficient of z^k (zero beyond the stored range)."""
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return GaussianRational() if self.mode == "exact" else 0j
+        return GaussianRational()
 
     def order_at_zero(self) -> int:
         """Multiplicity of the zero at the origin (0 for p(0) != 0)."""
@@ -266,41 +254,19 @@ class ComplexPoly:
             raise ValueError("zero polynomial has no vanishing order")
         return next(k for k, c in enumerate(self.coeffs) if c)
 
-    def to_float(self) -> "ComplexPoly":
-        if self.mode == "float":
-            return self
-        return ComplexPoly([complex(c) for c in self.coeffs], mode="float")
-
-    def to_exact(self) -> "ComplexPoly":
-        """The exact value of every coefficient; a double is a dyadic rational."""
-        if self.mode == "exact":
-            return self
-        return ComplexPoly([GaussianRational(c.real, c.imag) for c in self.coeffs], mode="exact")
-
     def float_coeffs(self):
         return np.array([complex(c) for c in self.coeffs], dtype=complex)
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(complex(c)) for c in self.coeffs), default=0.0)
-
     # -- arithmetic -------------------------------------------------------------
-
-    def _pair(self, other: "ComplexPoly"):
-        if self.mode == other.mode:
-            return self, other
-        return self.to_float(), other.to_float()
 
     def __add__(self, other):
         if not isinstance(other, ComplexPoly):
             return NotImplemented
-        a, b = self._pair(other)
-        n = max(len(a.coeffs), len(b.coeffs))
-        return ComplexPoly(
-            [a.coefficient(k) + b.coefficient(k) for k in range(n)], mode=a.mode
-        )
+        n = max(len(self.coeffs), len(other.coeffs))
+        return ComplexPoly([self.coefficient(k) + other.coefficient(k) for k in range(n)])
 
     def __neg__(self):
-        return ComplexPoly([-c for c in self.coeffs], mode=self.mode)
+        return ComplexPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, ComplexPoly):
@@ -309,18 +275,15 @@ class ComplexPoly:
 
     def __mul__(self, other):
         if isinstance(other, ComplexPoly):
-            a, b = self._pair(other)
-            if a.is_zero() or b.is_zero():
-                return ComplexPoly.zero(a.mode)
-            # only nonzero pairs multiply: a float sum starts from the int 0, so it
-            # is never -0.0 and a skipped +-0.0 product would not have changed it
-            out = [0] * (a.deg + b.deg + 1)
-            terms = [(j, cb) for j, cb in enumerate(b.coeffs) if cb]
-            for i, ca in enumerate(a.coeffs):
+            if self.is_zero() or other.is_zero():
+                return ComplexPoly.zero()
+            out = [0] * (self.deg + other.deg + 1)
+            terms = [(j, cb) for j, cb in enumerate(other.coeffs) if cb]
+            for i, ca in enumerate(self.coeffs):
                 if ca:
                     for j, cb in terms:
                         out[i + j] = out[i + j] + ca * cb
-            return ComplexPoly(out, mode=a.mode)
+            return ComplexPoly(out)
         if is_exact_scalar(other) or isinstance(other, (float, complex)):
             return self * ComplexPoly.constant(other)
         return NotImplemented
@@ -328,11 +291,7 @@ class ComplexPoly:
     __rmul__ = __mul__
 
     def derivative(self) -> "ComplexPoly":
-        if self.deg <= 0:
-            return ComplexPoly.zero(self.mode)
-        return ComplexPoly(
-            [self.coeffs[k] * k for k in range(1, len(self.coeffs))], mode=self.mode
-        )
+        return ComplexPoly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
 
     def eval_many(self, zs):
         return np.polyval(self.float_coeffs()[::-1], np.asarray(zs, dtype=complex))
@@ -340,16 +299,23 @@ class ComplexPoly:
     def __eq__(self, other):
         if not isinstance(other, ComplexPoly):
             return NotImplemented
-        return self.mode == other.mode and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.mode, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
-        return f"ComplexPoly({format_poly(self)!r}, mode={self.mode!r})"
+        return f"ComplexPoly({format_poly(self)!r})"
 
     def __str__(self):
         return format_poly(self)
+
+
+def _exact_value(c) -> GaussianRational:
+    """The exact value of a scalar; a float or complex is a pair of dyadic rationals."""
+    if isinstance(c, complex):
+        return GaussianRational(c.real, c.imag)
+    return GaussianRational(c)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -557,7 +523,7 @@ class _ExprParser:
             if bare_z:
                 return ComplexPoly.monomial(value)
             # square-and-multiply over the exponent's bits, low bit first
-            out = ComplexPoly.one(base.mode)
+            out = ComplexPoly.one()
             while value:
                 if value & 1:
                     out = out * base
@@ -608,9 +574,11 @@ def _coeff_from_json_entry(entry):
 def poly_from_json(obj) -> ComplexPoly:
     """Build a polynomial from the JSON schema.
 
-    ``{"coeffs": [[re_num, re_den, im_num, im_den], ...]}`` is exact;
-    ``{"coeffs_f": [[re, im], ...]}`` is float.  A bare list is accepted too,
-    exact iff every component is an integer.
+    ``{"coeffs": [[re_num, re_den, im_num, im_den], ...]}`` takes rationals;
+    ``{"coeffs_f": [[re, im], ...]}`` takes doubles, each at its exact value.
+    A bare list is accepted too, its float entries read the same way.  Every
+    coefficient must have a finite float value: NaN, the infinities and
+    numbers beyond the float range are a :class:`ParseError`.
     """
     if isinstance(obj, dict):
         for key in ("coeffs", "coeffs_f"):
@@ -620,32 +588,41 @@ def poly_from_json(obj) -> ComplexPoly:
             cs = [_coeff_from_json_entry(e) for e in obj["coeffs"]]
             if not all(isinstance(c, GaussianRational) for c in cs):
                 raise ParseError('"coeffs" must be exact; use "coeffs_f" for floats')
-            return ComplexPoly(cs, mode="exact")
-        if "coeffs_f" in obj:
+        elif "coeffs_f" in obj:
             cs = []
             for e in obj["coeffs_f"]:
                 if not isinstance(e, (list, tuple)) or len(e) != 2:
                     raise ParseError('"coeffs_f" entries must be [re, im]')
                 cs.append(complex(_coeff_from_json_entry(e)))
-            return ComplexPoly(cs, mode="float")
-        raise ParseError('polynomial object needs a "coeffs" or "coeffs_f" key')
-    if isinstance(obj, list):
+        else:
+            raise ParseError('polynomial object needs a "coeffs" or "coeffs_f" key')
+    elif isinstance(obj, list):
         cs = [_coeff_from_json_entry(e) for e in obj]
-        if all(isinstance(c, GaussianRational) for c in cs):
-            return ComplexPoly(cs, mode="exact")
-        return ComplexPoly([complex(c) for c in cs], mode="float")
-    raise ParseError(f"cannot build a polynomial from {type(obj).__name__}")
+    else:
+        raise ParseError(f"cannot build a polynomial from {type(obj).__name__}")
+    return ComplexPoly(_finite(cs))
+
+
+def _finite(cs: Sequence) -> Sequence:
+    """cs, once every coefficient has a finite float value; the first that has
+    none is a :class:`ParseError`."""
+    for k, c in enumerate(cs):
+        try:
+            finite = cmath.isfinite(complex(c))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ParseError(f"coefficient {k} (of z^{k}) has no finite float value")
+    return cs
 
 
 def poly_to_json(p: ComplexPoly) -> dict:
-    if p.mode == "exact":
-        # each part in lowest terms, as its Fraction view would give it
-        out = []
-        for c in p.coeffs:
-            g, h = gcd(c._a, c._d), gcd(c._b, c._d)
-            out.append([c._a // g, c._d // g, c._b // h, c._d // h])
-        return {"coeffs": out}
-    return {"coeffs_f": [[c.real, c.imag] for c in p.coeffs]}
+    # each part in lowest terms, as its Fraction view would give it
+    out = []
+    for c in p.coeffs:
+        g, h = gcd(c._a, c._d), gcd(c._b, c._d)
+        out.append([c._a // g, c._d // g, c._b // h, c._d // h])
+    return {"coeffs": out}
 
 
 def parse_poly(text: str) -> ComplexPoly:
@@ -669,16 +646,9 @@ def parse_poly(text: str) -> ComplexPoly:
             obj = json.loads(stripped)
         except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             raise ParseError(f"invalid JSON: {exc}") from exc
-        p = poly_from_json(obj)
-    else:
-        p = _ExprParser(stripped).parse()
-    for k, c in enumerate(p.coeffs):
-        try:
-            finite = cmath.isfinite(complex(c))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ParseError(f"coefficient {k} (of z^{k}) has no finite float value")
+        return poly_from_json(obj)
+    p = _ExprParser(stripped).parse()
+    _finite(p.coeffs)
     return p
 
 
@@ -697,9 +667,7 @@ def conjugate_reciprocal(p: ComplexPoly, N: int) -> ComplexPoly:
         raise ValueError("conjugate reciprocal of the zero polynomial is undefined")
     if p.deg > N:
         raise ValueError(f"deg p = {p.deg} exceeds N = {N}")
-    return ComplexPoly(
-        [p.coefficient(N - k).conjugate() for k in range(N + 1)], mode=p.mode
-    )
+    return ComplexPoly([p.coefficient(N - k).conjugate() for k in range(N + 1)])
 
 
 def linear_product(factors) -> np.ndarray:
@@ -736,32 +704,18 @@ def long_division(num: Sequence, den: Sequence) -> tuple[list, list]:
     return quot, rem
 
 
-def divide_exact(p: ComplexPoly, d: ComplexPoly, tol: float = 1e-10) -> ComplexPoly:
-    """Quotient p/d when the division is (tolerably) exact.
-
-    Exact mode demands a literally zero remainder.  Float mode accepts a
-    remainder of sup-norm <= tol * max(1, max|coeff of p|) and raises
-    :class:`NotDivisible` otherwise.
-    """
+def divide_exact(p: ComplexPoly, d: ComplexPoly) -> ComplexPoly:
+    """Quotient p/d; a nonzero remainder raises :class:`NotDivisible`."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    a, b = p._pair(d)
-    if a.is_zero():
-        return ComplexPoly.zero(a.mode)
-    if a.deg < b.deg:
-        raise NotDivisible(f"degree {a.deg} cannot be divided by degree {b.deg}")
-    quot, rem = long_division(a.coeffs, b.coeffs)
-    if a.mode == "exact":
-        if rem:
-            raise NotDivisible("nonzero remainder in exact division")
-    else:
-        scale = max(1.0, a.max_abs_coeff())
-        worst = max((abs(r) for r in rem), default=0.0)
-        if worst > tol * scale:
-            raise NotDivisible(
-                f"remainder sup-norm {worst:.3e} exceeds {tol:.1e} * {scale:.3e}"
-            )
-    return ComplexPoly(quot, mode=a.mode)
+    if p.is_zero():
+        return ComplexPoly.zero()
+    if p.deg < d.deg:
+        raise NotDivisible(f"degree {p.deg} cannot be divided by degree {d.deg}")
+    quot, rem = long_division(p.coeffs, d.coeffs)
+    if rem:
+        raise NotDivisible("nonzero remainder in exact division")
+    return ComplexPoly(quot)
 
 
 # Brown's gcd runs modulo primes l = 1 (mod 4) below 2^30, so that residues
@@ -910,7 +864,7 @@ def _divides(d: Sequence[GaussianRational], p: Sequence[GaussianRational]) -> bo
 
 
 def gcd_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
-    """Monic gcd over Gaussian rationals; exact mode only.
+    """Monic gcd over Gaussian rationals.
 
     Brown's modular gcd (W. S. Brown, J. ACM 18, 1971) over Q(i).  For each
     prime l = 1 (mod 4) of ``_gcd_prime`` and each square root +-iota of -1
@@ -926,8 +880,6 @@ def gcd_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
     candidate is accepted only when it divides p and q exactly.  An image
     gcd of q's degree first tries monic q by one exact division.
     """
-    if p.mode != "exact" or q.mode != "exact":
-        raise UnsupportedMode("gcd_exact requires exact-mode polynomials")
     if p.is_zero() or q.is_zero():
         if p.is_zero() and q.is_zero():
             raise ValueError("gcd of two zero polynomials is undefined")
@@ -982,23 +934,20 @@ def gcd_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
             im = nums[degree:] if not real else [0] * degree
             cand = [_gauss(a, b, D) for a, b in zip(nums[:degree], im)] + [_gauss(1, 0, 1)]
             if _divides(cand, qc) and _divides(cand, pc):
-                return ComplexPoly(cand, mode="exact")
+                return ComplexPoly(cand)
 
 
 def _monic(coeffs: Sequence[GaussianRational]) -> ComplexPoly:
     inv = 1 / coeffs[-1]
-    return ComplexPoly([c * inv for c in coeffs], mode="exact")
+    return ComplexPoly([c * inv for c in coeffs])
 
 
 def square_free_decomposition(p: ComplexPoly) -> list[tuple[ComplexPoly, int]]:
     """Yun decomposition [(f_i, i)] with p = lead * prod f_i^i, f_i square-free.
 
-    Exact mode only; factors are monic and pairwise coprime, constants are
-    dropped.  When the first gcd(p, p') is 1, p is square-free and the
+    The factors are monic and pairwise coprime, constants are dropped.  When the first gcd(p, p') is 1, p is square-free and the
     result is [(monic p, 1)] without further gcds.
     """
-    if p.mode != "exact":
-        raise UnsupportedMode("square-free decomposition requires exact mode")
     if p.is_zero():
         raise ValueError("zero polynomial has no square-free decomposition")
     if p.deg == 0:
@@ -1088,14 +1037,9 @@ def real_root_count(P: Sequence[int]) -> tuple[int, list[int]]:
     return changes(at_neg_inf) - changes(at_pos_inf), g if g[-1] > 0 else [-c for c in g]
 
 
-def spectrum(p: ComplexPoly, tol: float | None = None) -> tuple[int, ...]:
-    """Indices with nonzero coefficients; float mode zeroes out tiny entries."""
-    if p.is_zero():
-        return ()
-    if p.mode == "exact":
-        return tuple(k for k, c in enumerate(p.coeffs) if c)
-    cutoff = (1e-10 if tol is None else tol) * p.max_abs_coeff()
-    return tuple(k for k, c in enumerate(p.coeffs) if abs(c) > cutoff)
+def spectrum(p: ComplexPoly) -> tuple[int, ...]:
+    """Indices with nonzero coefficients."""
+    return tuple(k for k, c in enumerate(p.coeffs) if c)
 
 
 def spectrum_in(p: ComplexPoly, pattern: LacunaryPattern) -> bool:
@@ -1110,18 +1054,6 @@ def spectrum_in(p: ComplexPoly, pattern: LacunaryPattern) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _format_scalar(c) -> str:
-    if isinstance(c, GaussianRational):
-        return str(c)
-    z = complex(c)
-    if z.imag == 0:
-        return f"{z.real:.12g}"
-    if z.real == 0:
-        return f"{z.imag:.12g}i"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real:.12g}{sign}{abs(z.imag):.12g}i"
-
-
 def format_poly(p: ComplexPoly, var: str = "z") -> str:
     if p.is_zero():
         return "0"
@@ -1129,7 +1061,7 @@ def format_poly(p: ComplexPoly, var: str = "z") -> str:
     for k, c in enumerate(p.coeffs):
         if not c:
             continue
-        s = _format_scalar(c)
+        s = str(c)
         if k == 0:
             parts.append(s)
         else:

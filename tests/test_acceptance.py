@@ -45,6 +45,12 @@ def _check(problems: list[str], ok: bool, msg: str) -> None:
         problems.append(msg)
 
 
+def _rounded(p: ComplexPoly, c: float | complex = 1.0) -> ComplexPoly:
+    """p with each coefficient rounded to a double and times c in float
+    arithmetic, so a float product rounds as float input would."""
+    return ComplexPoly([complex(x) * c for x in p.coeffs])
+
+
 # ---------------------------------------------------------------------------
 # 1. pair-and-gap worked example, exact and float
 # ---------------------------------------------------------------------------
@@ -72,7 +78,7 @@ def test_criterion_01_pair_and_gap_reproduction(examples):
         _check(problems, spectrum_in(wits[0].perturbation, pat),
                "witness leaves the exponent pattern")
 
-    repf = classify(p.to_float(), pat)
+    repf = classify(_rounded(p), pat)
     entry_err = float(np.max(np.abs(repf.matrix.as_array())))
     _check(problems, entry_err <= 1e-9, f"float entries reach {entry_err:.2e}")
     gf = np.array(repf.canonical.disk_factor.float_coeffs())
@@ -92,7 +98,7 @@ def test_criterion_02_clean_gap_matrix(examples):
     problems: list[str] = []
     p, pat = examples["clean_gap"]
     delta = 1.0 / l1_norm(p).value
-    rep = classify(p.to_float() * delta, pat)
+    rep = classify(_rounded(p, delta), pat)
 
     target = np.array([[4.0, 5.0, 0.0], [0.0, 0.0, 3.0]])
     ratio = rep.matrix.as_array() / (2.0 * delta)
@@ -167,7 +173,7 @@ def test_criterion_04_single_double_zero_reproduction(examples):
     problems: list[str] = []
     p, pat = examples["single_double_zero"]
     c = 1.0 / l1_norm(p).value
-    rep = classify(p.to_float() * c, pat)
+    rep = classify(_rounded(p, c), pat)
 
     target = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     ratio = rep.matrix_tilde.as_array() / (-2.0 * c)
@@ -506,17 +512,16 @@ def test_criterion_09_scaling_invariance(examples):
                 q = p * c
             else:
                 c = complex(rng.uniform(0.1, 3.0) * np.exp(2j * math.pi * rng.random()))
-                q = p.to_float() * c
+                q = _rounded(p, c)
             rep = classify(q, pat, opts)
             want = (base.extreme, base.exposed)
-            x = q.to_exact()
-            if x != p * GaussianRational(c.real, c.imag):
-                # a float input is judged by its exact value x, which rounding
+            if q != p * c:
+                # a float input is judged by its exact value q, which rounding
                 # has moved off c p: its shared disk zeros are the zeros of
-                # g = gcd(x, x*) off the circle (the origin's counted once more,
+                # g = gcd(q, q*) off the circle (the origin's counted once more,
                 # for its reflection at infinity), and its multiple circle zeros
                 # are multiple zeros of g
-                g = gcd_exact(x, conjugate_reciprocal(x, pat.N))
+                g = gcd_exact(q, conjugate_reciprocal(q, pat.N))
                 off = sum(abs(abs(r) - 1) > 1e-6 for r in np.roots(g.float_coeffs()[::-1]))
                 m = (off + g.order_at_zero()) // 2
                 simple = gcd_exact(g, g.derivative()).deg == 0
@@ -525,7 +530,7 @@ def test_criterion_09_scaling_invariance(examples):
                 _check(problems,
                        rep.canonical.m == m and (rep.tilde.mu == 0) == simple,
                        f"{name} x {c}: m = {rep.canonical.m}, mu = {rep.tilde.mu} "
-                       f"against gcd(x, x*) = {g}")
+                       f"against gcd(q, q*) = {g}")
             else:
                 _check(problems,
                        (rep.kernel.rank, rep.kernel_tilde.rank)

@@ -123,7 +123,7 @@ def test_l1_norm_scales_homogeneously():
 def test_l1_norm_is_scale_equivariant_below_unit_norm():
     # below unit norm the stop target is relative, so c p is integrated on
     # the same panels at every small c and keeps the relative accuracy of p
-    p = parse_poly("(3+2i) - (1-4i)z + (2+i)z^5 - 7z^8").to_float()
+    p = parse_poly("(3+2i) - (1-4i)z + (2+i)z^5 - 7z^8")
     unit = l1_norm(p).value
     runs = {k: l1_norm(p * 10.0**-k) for k in range(2, 15)}
     for k, res in runs.items():
@@ -178,19 +178,16 @@ def test_find_zeros_reads_float_input_at_its_exact_value():
     # the double zero; rounding the coefficients of (z - 7/10)^2 (z + 3/2)
     # makes a polynomial whose zeros near 7/10 are simple
     for text, mults in (("(z - 1/2)^2 (z + 3/2)", [1, 2]), ("(z - 7/10)^2 (z + 3/2)", [1, 1, 1])):
-        p = parse_poly(text).to_float()
-        zs = find_zeros(p)
-        assert zs == find_zeros(p.to_exact())
+        doubles = [complex(c) for c in parse_poly(text).coeffs]
+        zs = find_zeros(ComplexPoly(doubles))
         assert sorted(c.multiplicity for c in zs) == mults
 
 
 def test_find_zeros_prefers_genuinely_split_roots():
     # visible coefficient noise makes a different polynomial with two simple
     # roots, which must stay separate, not be merged
-    base = parse_poly("(z - 7/10)^2 (z + 3/2)").to_float()
-    noisy = ComplexPoly(
-        [complex(c) + 1e-12 * (1 + 1j) for c in base.coeffs], mode="float"
-    )
+    base = parse_poly("(z - 7/10)^2 (z + 3/2)")
+    noisy = ComplexPoly([complex(c) + 1e-12 * (1 + 1j) for c in base.coeffs])
     zs = find_zeros(noisy)
     assert sorted(c.multiplicity for c in zs) == [1, 1, 1]
 
@@ -255,7 +252,7 @@ def test_reflected_zeros_match_like_the_zeros_of_pstar(mode):
     seen_pair = seen_origin = False
     for _ in range(40):
         p = _planted_product(rng)
-        p = p if mode == "exact" else p.to_float()
+        p = p if mode == "exact" else ComplexPoly([complex(c) for c in p.coeffs])
         N = p.deg + rng.randint(0, 3)
         shared, m = common_disk_zeros(p, conjugate_reciprocal(p, N))
         clusters = find_zeros(p)
@@ -360,8 +357,8 @@ def _ref_l1_norm(p, circle_zeros, tol=1e-10):
 
 def _kernel_parts():
     """Seeded polynomials of degree 1..48, as factor lists: Gaussian-integer
-    ones times multiple and circle zeros, and float ones with normal
-    coefficients."""
+    ones times multiple and circle zeros, and one-factor lists of doubles
+    with normal coefficients."""
     rng = random.Random(20261018)
     extras = ["1", "(z - 1)^2", "(1 + z^2)^3", "(z - 1/2)^2 (2 - z)", "(1 - z^3)(z + 1)^2"]
     out = []
@@ -371,7 +368,7 @@ def _kernel_parts():
         base = ComplexPoly([GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(k)]
                            + [GaussianRational(rng.randint(1, 9), rng.randint(-9, 9))])
         out.append([base, extra])
-        out.append([ComplexPoly([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d + 1)], mode="float")])
+        out.append([ComplexPoly([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d + 1)])])
     return out
 
 
@@ -381,14 +378,14 @@ def _kernel_inputs():
 
 def _square_free_factors():
     """The square-free factors of the kernel inputs, read off each input's
-    own factors.  A float input (normal coefficients) is square-free as it
-    stands."""
+    own factors.  An input of doubles (normal coefficients) is square-free as
+    it stands."""
     for parts in _kernel_parts():
+        if len(parts) == 1:
+            yield parts[0]
+            continue
         for part in parts:
-            if part.mode == "float":
-                yield part
-            else:
-                yield from (f for f, _ in square_free_decomposition(part) if f.deg >= 1)
+            yield from (f for f, _ in square_free_decomposition(part) if f.deg >= 1)
 
 
 def test_polish_roots_matches_the_scalar_loops():

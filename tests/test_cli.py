@@ -618,3 +618,13 @@ def test_near_reflected_pair_is_decided_exactly(audit, capsys):
     assert code == EXIT_OK
     assert "mode: exact\nnorm" in out and "shared disk zeros: m=0" in out
     assert "extreme: yes (via rank)\nexposed: yes (via simple_circle_zeros)\n" in out
+
+
+def test_exact_mode_classifies_float_input_as_auto_does(capsys):
+    text = '{"coeffs_f": [[0.5, 0], [1, 0]]}'
+    outs = []
+    for mode in ([], ["--mode", "exact"]):
+        assert main(["classify", text, "--pattern", "1", "--format", "json", *mode]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[1])["verdicts"]["extreme"] is True

@@ -19,7 +19,6 @@ from lacuna.poly_core import ComplexPoly, GaussianRational
 
 
 def _exact(p, coeffs):
-    assert p.mode == "exact"
     want = [GaussianRational(Fraction(re), Fraction(im)) for re, im in coeffs]
     assert list(p.coeffs) == want
 
@@ -141,7 +140,7 @@ def test_float_parity_with_exact(examples):
     # a float input is factored at its exact value; this one rounds losslessly
     p, pat = examples["pair_and_gap"]
     exact = canonical_factorization(p, pat.N)
-    flo = canonical_factorization(p.to_float(), pat.N)
+    flo = canonical_factorization(ComplexPoly([complex(c) for c in p.coeffs]), pat.N)
     assert flo == exact
 
 
@@ -247,10 +246,8 @@ def test_symbol_requires_hermitian_coefficients():
 
 def test_symbol_float_tolerance():
     # every factor is exact, so the symmetry check has no float tolerance
-    g = parse_poly("-1/2 + 5/4z - 1/2z^2").to_float()
-    noisy = ComplexPoly(
-        [complex(c) + 1e-12j for c in g.coeffs], mode="float"
-    )
+    g = parse_poly("-1/2 + 5/4z - 1/2z^2")
+    noisy = ComplexPoly([complex(c) + 1e-12j for c in g.coeffs])
     with pytest.raises(NotHermitianSymmetric):
         real_symbol_on_circle(noisy, 1)
 

@@ -156,15 +156,11 @@ def _dense_mul(a: ComplexPoly, b: ComplexPoly) -> ComplexPoly:
     for i, ca in enumerate(a.coeffs):
         for j, cb in enumerate(b.coeffs):
             out[i + j] = out[i + j] + ca * cb
-    return ComplexPoly(out, mode=a.mode)
+    return ComplexPoly(out)
 
 
 sparse_polys = st.lists(st.one_of(st.just(GaussianRational(0)), gauss), min_size=1, max_size=9).map(
     ComplexPoly
-)
-float_parts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1e3, max_value=1e3))
-float_polys = st.lists(st.builds(complex, float_parts, float_parts), min_size=1, max_size=9).map(
-    lambda cs: ComplexPoly(cs, mode="float")
 )
 
 
@@ -172,16 +168,6 @@ float_polys = st.lists(st.builds(complex, float_parts, float_parts), min_size=1,
 def test_mul_skipping_zeros_matches_dense_product_exact(p, q):
     assume(not p.is_zero() and not q.is_zero())
     assert (p * q).coeffs == _dense_mul(p, q).coeffs
-
-
-@given(float_polys, float_polys)
-def test_mul_skipping_zeros_is_bitwise_dense_product_float(p, q):
-    assume(not p.is_zero() and not q.is_zero())
-
-    def bits(r):
-        return [(repr(c.real), repr(c.imag)) for c in r.coeffs]
-
-    assert bits(p * q) == bits(_dense_mul(p, q))
 
 
 @given(polys, polys)
@@ -538,7 +524,6 @@ def test_conjugate_reciprocal_reflects_zeros():
 )
 def test_parser_table(text, coeffs):
     p = parse_poly(text)
-    assert p.mode == "exact"
     for k, (re, im) in enumerate(coeffs):
         c = p.coefficient(k)
         assert c.real == Fraction(re) and c.imag == Fraction(im)
@@ -546,7 +531,7 @@ def test_parser_table(text, coeffs):
 
 def test_parser_decimal_is_exact():
     p = parse_poly("0.5 + z")
-    assert p.mode == "exact" and p.coeffs[0] == GaussianRational(Fraction(1, 2))
+    assert p.coeffs[0] == GaussianRational(Fraction(1, 2))
     # 0.1 is 1/10, not the double nearest to it
     assert parse_poly("0.1z").coeffs[1] == GaussianRational(Fraction(1, 10))
     assert parse_poly("1.5e3 + 2.5E-2z + .5z^2") == parse_poly("1500 + z/40 + z^2/2")
@@ -591,13 +576,21 @@ def test_exact_decimal_keeps_every_finite_nonzero_double(literal):
     assert parse_poly(f"{literal}z").coeffs[1] == GaussianRational(value)
 
 
-def test_to_exact_takes_each_double_at_its_binary_value():
-    p = ComplexPoly([0.1 + 0.5j, -0.0, 3.0], mode="float")
-    q = p.to_exact()
-    assert q.mode == "exact" and q.to_float() == p
-    assert q.coeffs == (GaussianRational(Fraction(0.1), Fraction(1, 2)), GaussianRational(), GaussianRational(3))
-    assert q.coeffs[0] != GaussianRational(Fraction(1, 10), Fraction(1, 2))
-    assert q.to_exact() is q
+def test_a_double_enters_at_its_binary_value():
+    p = ComplexPoly([0.1 + 0.5j, -0.0, 3.0])
+    assert p.coeffs == (GaussianRational(Fraction(0.1), Fraction(1, 2)), GaussianRational(), GaussianRational(3))
+    assert p.coeffs[0] != GaussianRational(Fraction(1, 10), Fraction(1, 2))
+    assert [complex(c) for c in p.coeffs] == [0.1 + 0.5j, 0j, 3 + 0j]
+    q = ComplexPoly([0.1, 0.5j])
+    assert q.coeffs == (GaussianRational(Fraction(3602879701896397, 2**55)), GaussianRational(0, Fraction(1, 2)))
+
+
+def test_a_double_times_a_polynomial_is_exact():
+    # p * 0.7 is p times the exact double 0.7, not a rounded float product
+    p = parse_poly("(z - 1/3)(2 + i z)^2")
+    assert p * 0.7 == p * GaussianRational(Fraction(0.7)) == 0.7 * p
+    assert p * (0.7 + 0.3j) == p * GaussianRational(Fraction(0.7), Fraction(0.3))
+    assert p * 0.7 != ComplexPoly([complex(c) * 0.7 for c in p.coeffs])
 
 
 def test_parser_implicit_multiplication():
@@ -624,14 +617,15 @@ def test_parse_json_exact_roundtrip():
     p = parse_poly("(1/3 + 2i)z^2 - 7")
     obj = poly_to_json(p)
     q = poly_from_json(obj)
-    assert q.coeffs == p.coeffs and q.mode == "exact"
+    assert q.coeffs == p.coeffs
 
 
 def test_parse_json_float_roundtrip():
+    # each double is read at its exact value, which the exact schema keeps
     p = parse_poly('{"coeffs_f": [[0.25, 0], [-1.5, 0.1]]}')
-    assert p.mode == "float" and p.coeffs == (0.25 + 0j, -1.5 + 0.1j)
+    assert p.coeffs == (GaussianRational(Fraction(1, 4)), GaussianRational(Fraction(-3, 2), Fraction(0.1)))
     q = poly_from_json(poly_to_json(p))
-    assert q.mode == "float" and q.coeffs == p.coeffs
+    assert q.coeffs == p.coeffs
 
 
 def test_parse_poly_accepts_json_text():
@@ -674,12 +668,8 @@ def test_pattern_json_roundtrip():
 def test_spectrum_exact():
     assert spectrum(parse_poly("1 + z^4")) == (0, 4)
     assert spectrum(parse_poly("z^2")) == (2,)
-
-
-def test_spectrum_float_threshold():
-    p = ComplexPoly([1.0, 1e-14, 1.0])
-    assert spectrum(p) == (0, 2)
-    assert spectrum(p, tol=1e-16) == (0, 1, 2)
+    # a tiny double is a nonzero coefficient: no cutoff applies
+    assert spectrum(ComplexPoly([1.0, 1e-14, 1.0])) == (0, 1, 2)
 
 
 def test_spectrum_in():

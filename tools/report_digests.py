@@ -18,7 +18,9 @@ undecided), so a diff shows whether a changed report moved a verdict.  A
 raised exception is printed as its class and message in place of the
 digest and the verdicts.  Float mode judges the exact value of the input
 rounded to doubles, so for every input whose float image is lossless (all
-the workload inputs) its line equals the exact line.  Each plusdim job of
+the workload inputs) its line equals the exact line.  A float input is read
+at its exact value, so exact mode judges the same number as float mode, and
+for a float input the exact line equals the float line.  Each plusdim job of
 the corpus gets one line::
 
     <workload> <case id> plusdim <sha256> <dim_plus>
@@ -47,7 +49,7 @@ from pathlib import Path
 MODES = {"exact": {"mode": "exact"}, "float": {"mode": "float"}, "audit": {"mode": "exact", "audit": True}}
 
 # (id, expression, N, forbidden, scalar): a scalar turns the input into its
-# float coefficients times that double
+# coefficients rounded to doubles, each times that double in float arithmetic
 OUTSIDE = (
     ("near-reflected-pair", "(z - 1/2)(1 - (1/2 + 1/10^8)z)", 2, (), None),
     ("near-circle-double-pair", "(1 - (1 + 1/10^9)z^2)^2", 4, (1, 3), None),
@@ -92,7 +94,8 @@ def outside_cases(lacuna, cases):
     """The inputs of ``OUTSIDE`` as classify cases."""
     for case_id, text, N, forbidden, scalar in OUTSIDE:
         if scalar is not None:
-            p = lacuna.poly_core.parse_poly(text).to_float() * scalar
+            cs = lacuna.poly_core.parse_poly(text).coeffs
+            p = lacuna.poly_core.ComplexPoly([complex(c) * scalar for c in cs])
             text = json.dumps(lacuna.poly_core.poly_to_json(p))
         yield cases.Case(case_id, "outside", "classify", text, N, forbidden)
 
