@@ -20,7 +20,6 @@ from .classifier import (
 )
 from .errors import (
     AuditMismatch,
-    FacialMismatch,
     IllConditionedZeros,
     LacunaError,
     NotDivisible,
@@ -42,7 +41,6 @@ from .matrix_builder import BlockMatrix, KernelBasis, build_matrix, rank_and_ker
 from .plus_cone import (
     CoefVector,
     certify_nonneg_exact,
-    fejer_vector,
     find_plus_in_slice,
     is_plus,
     min_on_circle,
@@ -70,7 +68,6 @@ __all__ = [
     "ClassifyOptions",
     "CoefVector",
     "ComplexPoly",
-    "FacialMismatch",
     "FullSpaceReport",
     "GaussianRational",
     "IllConditionedZeros",
@@ -95,7 +92,6 @@ __all__ = [
     "classify_full_space",
     "conjugate_reciprocal",
     "divide_exact",
-    "fejer_vector",
     "find_plus_in_slice",
     "find_zeros",
     "infer_pattern",

@@ -17,16 +17,17 @@ additionally nonnegative, so any functional supporting p also supports
 p + t q.  Each witness comes from an exact vector of a rational kernel,
 and every check on it is exact: spectrum membership, a real symbol for
 the factor, nonconstancy, and for a non-exposed witness a nonnegativity
-certificate.  A float vector of the cone search becomes exact by rounding
-its kernel coordinates, and counts only once certified.  Validation
-failure is an error, never a silent downgrade.  The grid numbers of a
-witness (``checks`` and ``multiplier_bound``) are reported, not decided on.
+certificate.  Validation failure is an error, never a silent downgrade.
+The grid numbers of a witness (``checks`` and ``multiplier_bound``) are
+reported, not decided on.
 
 Every verdict is decided on exact coefficients: a double in the input is
 read at its exact value where it enters, the factors are exact and so are
-the ranks, and the canonical vector's kernel membership is an exact product.
-Only ``exposed`` can be left ``None``, when the cone solver stalls; callers
-see why in ``diagnostics`` and the CLI maps that state to its own exit code.
+the ranks, the canonical vector's kernel membership and the cone dimension.
+Only ``exposed`` can be left ``None``, when ``plus_dimension`` cannot
+complete its certificate (a face that must vanish at an irrational circle
+point); callers see why in ``diagnostics`` and the CLI maps that state to
+its own exit code.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .errors import (
     WitnessValidationFailed,
 )
 from .factorization import (
-    _RATIONALIZE_BOUNDS,
     CanonicalData,
     TildeData,
     canonical_factorization,
@@ -218,30 +218,6 @@ def _validated_witness(
     return Witness(kind, v, q, tuple(spectrum(q)), multiplier_bound=h_scale, checks=checks)
 
 
-def _exact_in_kernel(v: CoefVector, kernel: KernelBasis) -> CoefVector | None:
-    """An exactly certified plus vector of the rational kernel near v, or None.
-
-    Each reduced-echelon basis vector has a 1 at its own free column (its
-    last nonzero entry) and a 0 at the other free columns, so v's entries at
-    those columns are its coordinates.  They are rounded by
-    ``limit_denominator`` over the factorization's bounds, and the first
-    rounding whose image certifies is returned.
-    """
-    basis = kernel.vectors
-    free = [max(i for i, x in enumerate(b.entries) if x) for b in basis]
-    roundings = dict.fromkeys(
-        tuple(Fraction(v.entries[i]).limit_denominator(bound) for i in free)
-        for bound in _RATIONALIZE_BOUNDS
-    )
-    for coords in roundings:
-        cand = CoefVector.from_array(
-            [sum(c * b.entries[j] for c, b in zip(coords, basis)) for j in range(2 * v.d + 1)], d=v.d
-        )
-        if any(cand.entries) and certify_nonneg_exact(cand)[0]:
-            return cand
-    return None
-
-
 def _plus_candidates(
     kernel: KernelBasis, seed: CoefVector | None, plus_vectors: list[CoefVector] | None
 ) -> Iterator[CoefVector]:
@@ -249,10 +225,9 @@ def _plus_candidates(
     non-exposed witnesses, each certified only when the caller asks for it.
 
     First the basis, pairwise sums and differences, then basis + seed and
-    basis + 2 seed.  Then the vectors of the cone search: a float one made
-    exact by ``_exact_in_kernel``, an exact one as it is (the seed, which
-    the search certifies, or a Fejer kernel).  The cone search runs here
-    only when classify did not run it and the pool offered nothing.
+    basis + 2 seed, then the exact certified vectors of ``plus_dimension``,
+    which runs here only when classify did not run it and the pool offered
+    nothing.
     """
     offered = False
     basis = kernel.vectors
@@ -268,10 +243,7 @@ def _plus_candidates(
             yield cand
     if plus_vectors is None and not offered:
         plus_vectors = plus_dimension(kernel.vectors, seed=seed)[1]
-    for v in plus_vectors or ():
-        exact = v if v.is_exact else _exact_in_kernel(v, kernel)
-        if exact is not None:
-            yield exact
+    yield from plus_vectors or ()
 
 
 def _first_witness(kind: str, candidates, *context) -> Witness:

@@ -8,7 +8,7 @@ Subcommands:
 * ``norm``     - just the circle L1 norm.
 
 Exit codes: 0 for a decided run, 2 when the classifier leaves ``exposed``
-undecided (a stalled cone solver), 1 for errors and corpus failures.
+undecided (an incomplete cone certificate), 1 for errors and corpus failures.
 
 Reports serialize under the schema tag ``lacuna/1``.  Exact rationals are
 encoded as strings ("5/8", "1/2+3/4i"), floats as JSON numbers, so a run is
@@ -368,10 +368,8 @@ def _run_plusdim_file(data) -> tuple[int, list[CoefVector]]:
     if d < 0:
         raise ValueError(f"key 'd' takes a nonnegative integer, got {d}")
     rows = [_coef_list(row, d) for row in _field(data, "basis", list)]
-    seed = None
-    if data.get("seed") is not None:
-        seed = CoefVector.from_array(np.array(_coef_list(data["seed"], d)), d=d)
-    return plus_dimension(np.array(rows, dtype=float).reshape(-1, 2 * d + 1), seed=seed)
+    seed = None if data.get("seed") is None else CoefVector.from_array(_coef_list(data["seed"], d), d=d)
+    return plus_dimension(rows, seed=seed)
 
 
 def _cmd_plusdim(args) -> int:
@@ -391,23 +389,23 @@ def _cmd_plusdim(args) -> int:
     return EXIT_OK
 
 
-def _number(x) -> float:
-    """A finite JSON number, or a fraction string such as "5/8"; a string is
-    read by ``exact_decimal``, which refuses a huge decimal exponent cheaply."""
+def _number(x) -> Fraction:
+    """The exact value of a finite JSON number, or of a fraction string such as
+    "5/8", with a finite float value; a string is read by ``exact_decimal``,
+    which refuses a huge decimal exponent cheaply."""
     if not (isinstance(x, str) or json_isinstance(x, (int, float))):
         raise ValueError(f"expected a number or a fraction string, got {x!r}")
     try:
-        value = float(exact_decimal(x)) if isinstance(x, str) else float(x)
+        value = exact_decimal(x) if isinstance(x, str) else Fraction(x)
+        float(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {x!r}")
+    except (OverflowError, ValueError):
+        raise ValueError(f"expected a finite number, got {x!r}") from None
     return value
 
 
-def _coef_list(row, d: int) -> list[float]:
+def _coef_list(row, d: int) -> list[Fraction]:
     if not isinstance(row, list) or len(row) != 2 * d + 1:
         raise ValueError(f"basis rows must be lists of length {2 * d + 1}, got {row!r}")
     return [_number(x) for x in row]

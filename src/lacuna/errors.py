@@ -43,15 +43,9 @@ class NotHermitianSymmetric(LacunaError):
 
 
 class SolverStalled(LacunaError):
-    """Alternating projections neither converged nor certifiably plateaued."""
-
-
-class FacialMismatch(LacunaError):
-    """Greedy cone search disagrees with the facial certificate; solver failure."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """The cone certificate could not be completed: a face that may vanish at
+    an irrational circle point, no certified vector within the halvings, or
+    a slice search that neither converged nor certifiably plateaued."""
 
 
 class WitnessValidationFailed(LacunaError):

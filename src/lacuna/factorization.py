@@ -41,6 +41,7 @@ from .circle_analysis import ZeroCluster, common_disk_zeros, find_zeros
 from .errors import IllConditionedZeros, NotDivisible, NotHermitianSymmetric
 from .plus_cone import CoefVector
 from .poly_core import (
+    _RATIONALIZE_BOUNDS,
     ComplexPoly,
     GaussianRational,
     conjugate_reciprocal,
@@ -48,8 +49,6 @@ from .poly_core import (
     gcd_exact,
     linear_product,
 )
-
-_RATIONALIZE_BOUNDS = (10**4, 10**7, 10**10)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,12 +20,10 @@ exactly, by Gauss-Jordan elimination over the rationals.
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
-
 import numpy as np
 
 from .plus_cone import CoefVector
-from .poly_core import ComplexPoly
+from .poly_core import ComplexPoly, _rref_kernel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,40 +74,6 @@ def build_matrix(cofactor: ComplexPoly, forbidden, half_degree: int, kind: str =
 # ---------------------------------------------------------------------------
 # rank and kernel
 # ---------------------------------------------------------------------------
-
-
-def _rref_kernel(rows: list[list[Fraction]], ncols: int) -> tuple[int, list[list[Fraction]]]:
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    kernel = []
-    for c in free:
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -work[row_idx][c]
-        kernel.append(v)
-    return len(pivots), kernel
 
 
 def rank_and_kernel(mat: BlockMatrix) -> KernelBasis:

@@ -6,23 +6,31 @@ trigonometric polynomial
     tau(t) = 2 * (alpha_0 + sum_k alpha_k cos kt - beta_k sin kt)
            = sum_{|k|<=d} gamma_k e^{ikt},   gamma_k = alpha_k + i beta_k,
 
-and the vector is called *plus* when tau >= 0 on the whole circle.  The
-dimension of a subspace's trace on the plus cone (the span of its plus
-vectors) is what ``plus_dimension`` computes.
+and the vector is called *plus* when tau >= 0 on the whole circle.
+``is_plus`` is the one verdict: exact for rational vectors, through the
+Cayley numerator P, tau(2 arctan x) = P(x) / (1+x^2)^d, with integer
+coefficients and Sturm chains (``certify_nonneg_exact``), and a global
+minimum scan for the float iterates of the slice search.
 
-Membership is decided by a global minimum scan (grid plus Newton polish on
-the derivative, both on ``CoefVector.tau(t, order)``, the one evaluator of
-tau and its derivatives); for vectors with rational entries the verdict is
-instead certified exactly through the Cayley-transform numerator P, taken
-with integer coefficients: tau >= 0 iff P has positive leading
-coefficient, an even degree deficit, and no odd-multiplicity real root.
-Those roots are counted from Sturm chains alone, level by level: the chain
-of P_j ends in gcd(P_j, P_j') = P_{j+1}, and with r_j the number of
-distinct real roots of P_j, the alternating sum r_1 - r_2 + r_3 - ... is
-the number of odd-multiplicity ones.  Each level is one call of
-``poly_core.real_root_count``, a primitive integer remainder sequence with
-no Fraction arithmetic.  ``is_plus`` is the one verdict: exact for
-rational vectors, the global minimum otherwise.
+``plus_dimension`` computes the dimension of a subspace V's trace on the
+plus cone (the span of its plus vectors), with exact plus vectors that
+realize it, by facial reduction (Borwein-Wolkowicz 1981; Permenter-Parrilo,
+Math. Prog. 2018) over the circle zeros t_j, of orders m_j, of one plus
+vector s of V.  V_o holds the vectors of V that vanish to even orders o_j
+at the t_j; every plus vector lies in V_o for o = 0.  At the active points
+(o_j < m_j) Gordan's alternative, an exact simplex, gives either weights
+w >= 0, not all zero, with sum_j w_j tau_v^(o_j)(t_j) = 0 on V_o, so that
+every plus vector vanishes to order o_j + 2 on the support of w, or a v in
+V_o with tau_v^(o_j)(t_j) > 0 at each active point, so that s + eps v is
+interior and the dimension is dim V_o (1, with s, once V_o is s's line).
+In Cayley coordinates an order at a rational x_j is read off the Taylor
+coefficients of P there, at t = pi (x = infinity) off its top ones;
+irrational zeros enter only the last alternative, at the binary value of a
+float root.  The interior vector is verified exactly, and each realizing
+vector is certified.  A V that holds the constant needs none of this.  s is
+the caller's seed; without one, a V whose vectors all have alpha_0 = 0
+holds only tau = 0, and otherwise one probe of ``find_plus_in_slice``
+finds s.
 
 ``find_plus_in_slice`` looks for a plus vector inside an affine slice of a
 subspace by alternating projections between the PSD cone and the affine
@@ -30,21 +38,8 @@ constraint set.  It reports a slice empty when the affine step's
 displacement, read as a Farkas certificate, puts the mean of tau of every
 plus vector of the slice beyond the solver's tolerance, or else when the
 residual plateaus (weakly infeasible slices have no such certificate).
-``plus_dimension`` grows a basis of plus vectors greedily with such probes
-and then certifies completeness facially: the span of all plus vectors
-in V equals the set of vectors whose tau vanishes at each circle zero of
-the accumulated interior point to at least its order.
-Those zeros are grouped by ``cluster_roots`` (single linkage): the grid
-minima of tau near one zero count as one zero.
-Before it searches, ``plus_dimension`` compresses V by its harmonic
-lattice: when every exactly nonzero entry sits at a harmonic in kZ, V is
-a space of functions of kt, and t -> t/k maps it onto degree d // k
-without changing which vectors are plus.
-Every subspace basis comes from one SVD rank cut, ``_row_space``.
-
-Only the slice search builds Hermitian matrices Q: ``_project_psd`` clips
-the eigenvalues, and ``_affine_projector`` projects by least squares onto
-{Q : C L Q = f}, where L maps Q to the coefficient vector of tau_Q, with
+``_affine_projector`` projects by least squares onto {Q : C L Q = f}, where
+L maps Hermitian Q to the coefficient vector of tau_Q, with
 C = [complement of the subspace; w] and f = (0, ..., 0, target).
 """
 
@@ -57,8 +52,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FacialMismatch, SolverStalled
-from .poly_core import is_exact_scalar, real_root_count
+from .errors import SolverStalled
+from .poly_core import _RATIONALIZE_BOUNDS, _primitive, _rref_kernel, is_exact_scalar, long_division, real_root_count
 
 # the slice search's alternating projections: convergence test (and the
 # Farkas bound's threshold), plateau detection, stall cap and
@@ -68,6 +63,9 @@ _ITERATION_CAP = 20000
 _PLATEAU_WINDOW = 500
 _PLATEAU_LEVEL = 1e-7
 _RECERT_TOL = 1e-7
+# how often plus_dimension halves a step toward a vector before it gives up
+_HALVINGS = 64
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,24 +134,6 @@ class CoefVector:
     def scale(self) -> float:
         return float(np.max(np.abs(self.gamma()))) if self.d >= 0 else 0.0
 
-    def __str__(self):
-        return f"CoefVector(d={self.d}, alpha={self.alpha}, beta={self.beta})"
-
-
-def fejer_vector(d: int, shift: float = 0.0) -> CoefVector:
-    """Coefficients of the (shifted) Fejer kernel: nonnegative by construction."""
-    alpha = [Fraction(1, 2)] if shift == 0.0 else [0.5]
-    beta = []
-    for k in range(1, d + 1):
-        if shift == 0.0:
-            alpha.append(Fraction(d + 1 - k, d + 1))
-            beta.append(Fraction(0))
-        else:
-            gk = (1.0 - k / (d + 1.0)) * np.exp(-1j * k * shift)
-            alpha.append(float(gk.real))
-            beta.append(float(gk.imag))
-    return CoefVector(d, tuple(alpha), tuple(beta))
-
 
 # ---------------------------------------------------------------------------
 # global minimum on the circle
@@ -169,22 +149,14 @@ def min_on_circle(v: CoefVector) -> tuple[float, float]:
     g = v.gamma()
     if v.d == 0 or np.max(np.abs(g[1:])) == 0:
         return 0.0, float(g[0].real)
-    ts = np.array(_grid_minima(v, 8 * v.d + 64))
+    n = 8 * v.d + 64
+    t = 2 * math.pi * np.arange(n) / n
+    vals = v.tau(t)
+    local = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
+    ts = np.array([_polish_minimum(v, t[i], 2 * math.pi / n) for i in np.flatnonzero(local)])
     vals = v.tau(ts)
     i = int(np.argmin(vals))
     return float(ts[i] % (2 * math.pi)), float(vals[i])
-
-
-def _grid_minima(v: CoefVector, n: int, ceiling: float = math.inf) -> list[float]:
-    """Polished local minima of tau seeded from an n-point grid, in grid order.
-
-    A grid point seeds a polish when its value is at most both neighbours'
-    and at most ``ceiling``.
-    """
-    t = 2 * math.pi * np.arange(n) / n
-    vals = v.tau(t)
-    local = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)) & (vals <= ceiling)
-    return [_polish_minimum(v, t[i], 2 * math.pi / n) for i in np.flatnonzero(local)]
 
 
 def _polish_minimum(v: CoefVector, t0: float, h: float) -> float:
@@ -217,35 +189,41 @@ def _polish_minimum(v: CoefVector, t0: float, h: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cayley_numerator(v: CoefVector) -> list[int]:
-    """A positive multiple of P with tau(2 arctan x) = P(x) / (1+x^2)^d, as
-    primitive integer coefficients ([] when tau is zero).
+def _ints(xs) -> list[int]:
+    """The positive multiple of xs with coprime integer entries (zeros stay)."""
+    fr = [Fraction(x) for x in xs]
+    den = math.lcm(*(x.denominator for x in fr))
+    out = [x.numerator * (den // x.denominator) for x in fr]
+    return _primitive(out) if any(out) else out
 
-    With e^{ikt} = (1+ix)^(2k) / (1+x^2)^k, P = sum_k T_k (1+x^2)^(d-k) where
-    T_k = 2 Re(gamma_k (1+ix)^(2k)) (T_0 = gamma_0); the sum is taken by
-    Horner in (1+x^2).  The x^j coefficient of T_k is C(2k, j) Re(c_k i^j)
-    with c_k = 2 alpha_k + 2i beta_k.  The entries are put over one common
-    denominator first, so the sum runs on ints; the factor 2 and the
-    denominator are positive and are dropped with the content.
-    """
-    entries = [Fraction(x) for x in v.entries]
-    den = math.lcm(*(x.denominator for x in entries))
-    ints = [x.numerator * (den // x.denominator) for x in entries]
-    P: list[int] = []
-    for k in range(v.d + 1):
-        a = ints[k]
-        b = ints[v.d + k] if k else 0
-        re_ci = (a, -b, -a, b)  # Re(c_k i^j) / 2 for j mod 4
+
+def _cayley_poly(entries, d: int) -> list:
+    """Half of P with tau(2 arctan x) = P(x) / (1+x^2)^d, as 2d+1 ascending
+    coefficients, linear in the entries and in their scalar type.  With
+    e^{ikt} = (1+ix)^(2k) / (1+x^2)^k, P = sum_k T_k (1+x^2)^(d-k), summed by
+    Horner in (1+x^2), where the x^j coefficient of T_k / 2 is
+    C(2k, j) Re(g_k i^j) with g_k = alpha_k + i beta_k (T_0 = gamma_0)."""
+    P: list = []
+    for k in range(d + 1):
+        a = entries[k]
+        b = entries[d + k] if k else 0
+        re_gi = (a, -b, -a, b)  # Re(g_k i^j) for j mod 4
         P = [
             (P[j] if j < len(P) else 0)
             + (P[j - 2] if j >= 2 else 0)
-            + math.comb(2 * k, j) * re_ci[j % 4]
+            + math.comb(2 * k, j) * re_gi[j % 4]
             for j in range(2 * k + 1)
         ]
+    return P
+
+
+def _cayley_numerator(v: CoefVector) -> list[int]:
+    """P as primitive integer coefficients, trailing zeros dropped ([] when tau
+    is zero), summed on the entries' primitive integer multiple."""
+    P = _cayley_poly(_ints(v.entries), v.d)
     while P and not P[-1]:
         P.pop()
-    content = math.gcd(*P)
-    return [c // content for c in P]
+    return _primitive(P) if P else []
 
 
 def certify_nonneg_exact(v: CoefVector) -> tuple[bool, bool]:
@@ -345,21 +323,6 @@ def _affine_projector(n: int, f: np.ndarray, C: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _row_space(
-    rows: np.ndarray, tol: float = 1e-10, floor: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the row space of ``rows`` and of its complement.
-
-    One full SVD; singular values at most ``tol * max(s_max, floor)`` are
-    cut.  ``floor`` sets an absolute singular-value scale: pass 1.0 when the
-    rows are residuals of unit vectors, so that pure cancellation noise is
-    not mistaken for a direction.
-    """
-    _, s, vh = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.count_nonzero(s > tol * max(s[0] if s.size else 0.0, floor)))
-    return vh[:rank], vh[rank:]
-
-
 def _slice_mean_bound(Y: np.ndarray, C: np.ndarray, f: np.ndarray) -> float:
     """Lower bound on mean(tau_v) over the plus vectors v of {v : C v = f}.
 
@@ -402,25 +365,23 @@ def find_plus_in_slice(
     basis: np.ndarray,
     slice_constraint: tuple[np.ndarray, float],
 ) -> CoefVector | None:
-    """Plus vector v in span(basis) with <v, w> = target, or None.
-
-    Alternating projections between the PSD cone and the affine set of
+    """Plus vector v in span(basis) with <v, w> = target, or None, by
+    alternating projections between the PSD cone and the affine set of
     Hermitian matrices whose coefficient vector lies in the slice.  ``None``
-    means one of two things.  Either the Farkas bound of
-    ``_slice_mean_bound``, read from the affine step at iterations 0, 1, 2,
-    4, 8, ..., shows that every plus vector of the slice has
-    mean(tau) > |target| / (|w| _TOL_FEASIBLE), so its w-component is below
-    the feasibility tolerance of its size (for a unit w and target +-1 the
-    bound exceeds 1 / _TOL_FEASIBLE); or the residual plateaued above ``_PLATEAU_LEVEL`` for ``_PLATEAU_WINDOW``
-    iterations, which is the verdict for weakly infeasible slices that have
-    no strict certificate.  A run that neither converges nor plateaus within
-    ``_ITERATION_CAP`` iterations raises :class:`SolverStalled`.
+    means either that the Farkas bound of ``_slice_mean_bound``, read from the
+    affine step at iterations 0, 1, 2, 4, 8, ..., puts mean(tau) of every plus
+    vector of the slice above |target| / (|w| _TOL_FEASIBLE), or that the
+    residual plateaued above ``_PLATEAU_LEVEL`` for ``_PLATEAU_WINDOW``
+    iterations (weakly infeasible slices have no strict certificate).  A run
+    that does neither within ``_ITERATION_CAP`` raises :class:`SolverStalled`.
     """
     w, target = slice_constraint
     w = np.asarray(w, dtype=float)
     nx = len(w)
     d = (nx - 1) // 2
-    VB, comp = _row_space(np.asarray(basis, dtype=float).reshape(-1, nx))
+    _, sv, vh = np.linalg.svd(np.asarray(basis, dtype=float).reshape(-1, nx), full_matrices=True)
+    rank = int(np.count_nonzero(sv > 1e-10 * (sv[0] if sv.size else 0.0)))
+    VB, comp = vh[:rank], vh[rank:]
     w_in = VB.T @ (VB @ w)
     if np.linalg.norm(w_in) <= 1e-12 * max(1.0, np.linalg.norm(w)):
         return None
@@ -464,175 +425,252 @@ def find_plus_in_slice(
 # ---------------------------------------------------------------------------
 
 
-def plus_dimension(
-    basis,
-    seed: CoefVector | None = None,
-) -> tuple[int, list[CoefVector]]:
-    """Dimension of span(plus vectors in span(basis)), with realizing vectors.
-
-    First the input is compressed by its harmonic lattice: k is the gcd of
-    the harmonics l >= 1 at which a basis row or the seed has an exactly
-    nonzero entry.  For k > 1 every vector of V is a function of kt, so the
-    search runs on the columns (alpha_0, alpha_k, ..., beta_k, beta_2k, ...)
-    at degree d // k, and each found vector is spread back to degree d with
-    tau_spread(t) = tau(kt).  As tau(kt) >= 0 iff tau >= 0 and spreading is a
-    linear bijection onto V, the dimension and the facial certificate carry
-    over unchanged; the seed comes back as the caller's own object.
-
-    Phase 1 grows the span greedily: for each direction w of an orthonormal
-    complement basis (in index order, + target before -), probe the slice
-    {v in V : <v, w> = +-1} for a plus vector; every hit enlarges the span
-    and the complement is rebuilt.  When V is the full coefficient space the
-    shifted Fejer kernels realize the answer directly and no probing is
-    needed.
-
-    Phase 2 certifies completeness: with x the sum of the (normalized) found
-    vectors, every plus vector of V must vanish at each circle zero of tau_x
-    to at least its (even) order, so the span of the found vectors must equal
-    the subspace W of V cut out by those vanishing conditions.  Disagreement
-    raises :class:`FacialMismatch`; nothing is silently repaired.
+def plus_dimension(basis, seed: CoefVector | None = None) -> tuple[int, list[CoefVector]]:
+    """Dimension of span(plus vectors in span(basis)), with exact plus vectors
+    that realize it; the basis rows (``CoefVector``s or arrays) are read at
+    their exact value, a float at its binary value.  When every nonzero entry
+    of the rows and the seed sits at a harmonic in kZ, k > 1, V is a space of
+    functions of kt: the search runs at degree d // k on the columns
+    (alpha_0, alpha_k, ..., beta_k, ...), and each found vector is spread
+    back by tau(t) -> tau(kt), which keeps plus vectors plus; the seed comes
+    back as the caller's own object.  A seed outside V or not plus is a
+    ValueError; an unfinished certificate raises :class:`SolverStalled`.
     """
-    entries = [b.entries if isinstance(b, CoefVector) else b for b in basis]
-    # a 2-D array keeps its column count, also with no rows
-    rows = np.array(basis if isinstance(basis, np.ndarray) else entries, dtype=float)
-    d = (rows.shape[1] - 1) // 2
-    if seed is not None:
-        entries.append(seed.entries)
-    k = math.gcd(*{i if i <= d else i - d for row in entries for i, x in enumerate(row) if x != 0})
+    rows = [b.entries if isinstance(b, CoefVector) else b for b in basis]
+    n = len(rows[0]) if rows else 2 * seed.d + 1 if seed else 1
+    rows = [_sparse(b) for b in rows]
+    d = (n - 1) // 2
+    support = {i for row in rows for i in row} | {i for i, x in enumerate(seed.entries if seed else ()) if x}
+    k = math.gcd(*{i if i <= d else i - d for i in support})
     if k <= 1:
-        return _search_plus_span(rows, seed)
-    cols = [*range(0, d + 1, k), *range(d + k, 2 * d + 1, k)]
+        return _plus_span(rows, seed, d)
     small = None if seed is None else CoefVector(d // k, seed.alpha[::k], seed.beta[k - 1 :: k])
-    dim, found = _search_plus_span(rows[:, cols], small)
+    at = {i: i // k if i <= d else d // k + (i - d) // k for i in support}
+    dim, found = _plus_span([{at[i]: x for i, x in row.items()} for row in rows], small, d // k)
     return dim, [seed if v is small else _spread(v, k, d) for v in found]
+
+
+def _sparse(xs) -> dict:
+    """The nonzero entries of a vector by index, at their exact value."""
+    return {i: x if isinstance(x, Fraction) else Fraction(x) for i, x in enumerate(xs) if x}
+
+
+def _dense(row: dict, n: int) -> list[Fraction]:
+    return [row.get(j, _ZERO) for j in range(n)]
 
 
 def _spread(v: CoefVector, k: int, d: int) -> CoefVector:
     """The degree-d vector whose tau is t -> tau_v(kt)."""
-    zero = Fraction(0) if v.is_exact else 0.0
-    alpha, beta = [zero] * (d + 1), [zero] * d
+    alpha, beta = [_ZERO] * (d + 1), [_ZERO] * d
     alpha[::k] = v.alpha
     beta[k - 1 :: k] = v.beta
     return CoefVector(d, tuple(alpha), tuple(beta))
 
 
-def _search_plus_span(
-    rows: np.ndarray, seed: CoefVector | None
-) -> tuple[int, list[CoefVector]]:
-    """``plus_dimension`` on float basis rows, without the lattice step."""
-    nx = rows.shape[1]
-    d = (nx - 1) // 2
-    VB, _ = _row_space(rows)
-    found: list[CoefVector] = []
+def _combine(coords, rows: list[dict]) -> dict:
+    """sum_i coords[i] rows[i], by index."""
+    out: dict = {}
+    for c, row in zip(coords, rows):
+        if c:
+            for j, x in row.items():
+                out[j] = out.get(j, 0) + c * x
+    return {j: x for j, x in out.items() if x}
+
+
+def _echelon(rows: list[dict], n: int) -> list[dict]:
+    """A basis of span(rows) in which each vector has a 1 at its own column
+    (its last nonzero entry) and every other one a 0, so that a vector's
+    coordinates are its entries there; kernels of ``rank_and_kernel`` are,
+    and are kept (two eliminations would cost exact_circle 4% of its rate)."""
+    cols = {max(row) for row in rows if row}
+    if len(cols) == len(rows) and all(row[max(row)] == 1 and len(cols.intersection(row)) == 1 for row in rows):
+        return rows
+    complement = _rref_kernel([_dense(row, n) for row in rows], n)[1]
+    return [_sparse(v) for v in _rref_kernel(complement, n)[1]]
+
+
+def _plus_span(rows: list[dict], seed: CoefVector | None, d: int) -> tuple[int, list[CoefVector]]:
+    """``plus_dimension`` on sparse exact rows, without the lattice step."""
+    basis = _echelon(rows, 2 * d + 1)
+    cols = [max(b) for b in basis]
     if seed is not None:
-        arr = seed.as_array()
-        resid = arr - VB.T @ (VB @ arr)
-        if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(arr)):
+        if _combine([seed.entries[c] for c in cols], basis) != _sparse(seed.entries):
             raise ValueError("seed does not lie in the given subspace")
         if not is_plus(seed):
             raise ValueError("seed is not a plus vector")
-        found.append(seed)
-
-    r = VB.shape[0]
-    if r == 0:
-        return 0, []
-    if r == nx:
-        vecs = [fejer_vector(d, shift=2 * math.pi * j / (2 * d + 1)) for j in range(nx)]
-        return nx, vecs
-
-    while True:
-        S, _ = _row_space(np.array([v.as_array() for v in found]).reshape(-1, nx))
-        comp, _ = _row_space(VB - (VB @ S.T) @ S, floor=1.0)
-        if comp.shape[0] == 0:
-            break
-        probes = (find_plus_in_slice(VB, (w, target)) for w in comp for target in (1.0, -1.0))
-        hit = next((cand for cand in probes if cand is not None), None)
-        if hit is None:
-            break
-        found.append(hit)
-
-    if not found:
-        return 0, []
-
-    W = _facial_span(found, VB)
-    dim_w = W.shape[0]
-    if dim_w != len(found):
-        raise FacialMismatch(
-            f"greedy search found {len(found)} plus vectors but the facial "
-            f"certificate spans dimension {dim_w}",
-            diagnostics={"found": len(found), "facial_dim": dim_w},
-        )
-    for v in found:
-        arr = v.as_array()
-        resid = arr - W.T @ (W @ arr)
-        if np.linalg.norm(resid) > 1e-6 * max(1.0, np.linalg.norm(arr)):
-            raise FacialMismatch(
-                "a found plus vector falls outside the facial certificate span",
-                diagnostics={"residual": float(np.linalg.norm(resid))},
-            )
-    return dim_w, found
+    if 0 in cols:
+        return len(basis), _constant_span(basis, cols, seed, d)
+    if seed is None or not any(seed.entries):
+        seed = _probe(basis, cols, d) if any(0 in b for b in basis) else None
+        if seed is None:
+            return 0, []
+    return _facial_reduction(basis, cols, seed, d)
 
 
-def _facial_span(found: list[CoefVector], VB: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {y in V : tau_y vanishes at the zeros of tau_x}."""
-    nx = VB.shape[1]
-    d = (nx - 1) // 2
-    xs = sum(v.as_array() / np.linalg.norm(v.as_array()) for v in found)
-    x_hat = CoefVector.from_array(xs, d=d)
-    zeros = _circle_zeros_of_tau(x_hat)
-    if not zeros:
-        return VB
-    basis_vecs = [CoefVector.from_array(row, d=d) for row in VB]
-    rows = [
-        [float(b.tau(t0, k)) for b in basis_vecs] for t0, order in zeros for k in range(order)
-    ]
-    _, null_coords = _row_space(np.array(rows, dtype=float), tol=1e-8, floor=1.0)
-    return _row_space(null_coords @ VB)[0]
-
-
-def cluster_roots(roots, radius: float) -> list[complex]:
-    """Centroids of the greedy single-linkage clusters of complex points: a
-    point within ``radius`` of a member joins its cluster, so the grid
-    minima around one zero of tau count as one zero."""
-    remaining = list(roots)
-    clusters = []
-    while remaining:
-        seed = remaining.pop()
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            keep = []
-            for r in remaining:
-                if any(abs(r - m) <= radius for m in members):
-                    members.append(r)
-                    changed = True
-                else:
-                    keep.append(r)
-            remaining = keep
-        clusters.append(complex(np.mean(members)))
-    return clusters
-
-
-def _circle_zeros_of_tau(v: CoefVector) -> list[tuple[float, int]]:
-    """Zeros of a nonnegative tau with their (even) vanishing orders."""
-    g = v.gamma()
-    scale = float(np.sum(np.abs(g)))
-    raw = _grid_minima(v, max(64 * v.d + 256, 512), ceiling=1e-8 * max(scale, 1e-30))
-    points = np.exp(1j * np.array(raw))
-    zeros = sorted(np.angle(cluster_roots(points, 1e-6)) % (2 * math.pi))
+def _constant_span(basis, cols, seed, d: int) -> list[CoefVector]:
+    """1 and the 1 + u / |u|_1 for the other basis vectors u, whose taus are at
+    least 2 - 2 = 0, and which span V.  A seed comes first, in place of one
+    of them on which its coefficient is nonzero (facial reduction from 1 would
+    cost exact_circle a third of its rate, in halving steps toward each u)."""
     out = []
-    for t0 in zeros:
-        order = None
-        for k in range(1, 2 * v.d + 1):
-            bound = 2.0 * float(np.sum(np.abs(g[1:]) * (np.arange(1, v.d + 1) ** k)))
-            if abs(float(v.tau(t0, k))) > 1e-6 * max(bound, 1e-30):
-                order = k
-                break
-        if order is None or order % 2 == 1:
-            raise FacialMismatch(
-                "could not determine an even vanishing order at a circle zero",
-                diagnostics={"t0": t0, "order": order},
-            )
-        out.append((t0, order))
+    for u in basis:  # the one with column 0 is e_0: its last nonzero entry is its first
+        norm = sum(map(abs, u.values())) if max(u) else 1
+        out.append(CoefVector.from_array(_dense({0: _ONE, **{j: x / norm for j, x in u.items()}}, 2 * d + 1), d=d))
+    if seed is not None:
+        out.insert(0, out.pop(next((i for i, c in enumerate(cols) if c and seed.entries[c]), cols.index(0))))
+        out[0] = seed
     return out
+
+
+def _probe(basis, cols, d: int) -> CoefVector | None:
+    """A plus vector of V with alpha_0 = 1 from one slice probe, read back in
+    V's coordinates and certified; None when the probe finds the slice empty."""
+    n = 2 * d + 1
+    found = find_plus_in_slice(np.array([_dense(b, n) for b in basis], dtype=float), (np.eye(n)[0], 1.0))
+    if found is None:
+        return None
+    for bound in _RATIONALIZE_BOUNDS:
+        coords = [Fraction(found.entries[c]).limit_denominator(bound) for c in cols]
+        s = CoefVector.from_array(_dense(_combine(coords, basis), n), d=d)
+        if any(s.entries) and certify_nonneg_exact(s)[0]:
+            return s
+    raise SolverStalled("the slice search's plus vector rounds to no certified plus vector of the subspace")
+
+
+def _facial_reduction(basis, cols, s: CoefVector, d: int) -> tuple[int, list[CoefVector]]:
+    """``plus_dimension`` by facial reduction over the circle zeros of the plus
+    vector s of V (module docstring).  The LP leaves the direction of s out
+    of V_o: tau_s vanishes at every active point, at an irrational one up to
+    the rounding of the point, which the LP would otherwise exploit."""
+    n, r = 2 * d + 1, len(basis)
+    sigma = [s.entries[c] for c in cols]
+    exact, approx = _circle_zeros(s)
+    polys = [_cayley_poly(_dense(b, n), d) for b in basis]
+    # tables[j][k][i]: the k-th Taylor coefficient of P_{basis[i]} at the j-th point
+    tables = [list(zip(*(_taylor(p[::-1] if x is None else p, x or 0, m)[0] for p in polys))) for x, m in exact]
+    orders = [0] * len(exact)
+    while True:
+        K = [_sparse(u) for u in _rref_kernel([t[k] for t, o in zip(tables, orders) for k in range(o)], r)[1]]
+        drop = next(l for l, u in enumerate(K) if sigma[max(u)])
+        free = K[:drop] + K[drop + 1 :]
+        if not free:  # V_o = span(s)
+            return 1, [s]
+        active = [j for j, (o, (_, m)) in enumerate(zip(orders, exact)) if o < m]
+        G = [[_dot(tables[j][orders[j]], u) for u in free] for j in active]
+        w, c = _gordan(G, len(free))
+        if w is None:
+            break
+        for j, wj in zip(active, w):
+            orders[j] += 2 if wj else 0
+    if approx:  # rows at float roots give c long denominators: round it, keeping G c above their noise
+        G += [[_dot([_taylor(p, x, 1)[0][0] for p in polys], u) for u in free] for x in approx]
+        w, c = _gordan(G, len(free))
+        top = max(map(abs, c or [1])) or 1
+        tries = ([(x / top).limit_denominator(b) for x in c] for b in _RATIONALIZE_BOUNDS) if c else ()
+        noise = [1e-9 * sum(map(abs, g)) for g in G]  # c is scaled to largest entry 1
+        c = next((c for c in tries if all(_dot(g, c) > e for g, e in zip(G, noise))), None)
+        if c is None:
+            raise SolverStalled("the face of the plus cone may force a zero at an irrational point")
+    v = _dense(_combine(_dense(_combine(c, free), r), basis), n)
+    x = _toward(_ints(s.entries), _ints(v), d, lambda y: _interior(y, exact, orders))
+    keep = next(l for l, u in enumerate(K) if x.entries[cols[max(u)]])
+    us = (_ints(_dense(_combine(_dense(u, r), basis), n)) for l, u in enumerate(K) if l != keep)
+    return len(K), [x] + [_toward(_ints(x.entries), u, d, lambda y: certify_nonneg_exact(y)[0]) for u in us]
+
+
+def _dot(f, u) -> Fraction:
+    """<f, u> for a dense f and a dense or sparse u."""
+    pairs = u.items() if isinstance(u, dict) else enumerate(u)
+    return sum((f[i] * x for i, x in pairs if x), _ZERO)
+
+
+def _toward(a: list[int], b: list[int], d: int, accept) -> CoefVector:
+    """The first of 2^k |b| a + |a| b, k = 0, 1, ..., that ``accept`` takes,
+    with |.| the largest entry in size: a positive multiple of a plus
+    2^-k b scaled to a's size."""
+    ma, mb = max(map(abs, a)), max(map(abs, b)) or 1
+    for k in range(_HALVINGS):
+        y = CoefVector.from_array([Fraction((x * mb << k) + ma * y) for x, y in zip(a, b)], d=d)
+        if accept(y):
+            return y
+    raise SolverStalled(f"no certified plus vector within {_HALVINGS} halvings")
+
+
+def _interior(x: CoefVector, exact, orders) -> bool:
+    """True when tau_x >= 0 vanishes at the points of ``exact`` to exactly the
+    given orders and nowhere else: P_x over the expected zero factors (at
+    x = infinity, its degree deficit) has no real root."""
+    P = _cayley_numerator(x)
+    Q, deficit = [Fraction(c) for c in P], 2 * x.d - (len(P) - 1)
+    for (pt, _), o in zip(exact, orders):
+        if pt is None:
+            deficit -= o
+        else:
+            taylor, Q = _taylor(Q, pt, o)
+            if any(taylor):
+                return False
+    return bool(P) and P[-1] > 0 and deficit == 0 and real_root_count(_ints(Q))[0] == 0
+
+
+def _circle_zeros(s: CoefVector) -> tuple[list, list[Fraction]]:
+    """The circle zeros of a plus vector in Cayley coordinates x = tan(t/2):
+    (x, order) at each rational x, None standing for t = pi, and the binary
+    value of a float root at each irrational one.  P's distinct real roots
+    are counted exactly, and as many roots of its square-free part with the
+    least imaginary parts are taken from ``np.roots``; a rational one has a
+    denominator dividing the part's leading coefficient."""
+    P = _cayley_numerator(s)
+    deficit = 2 * s.d - (len(P) - 1)
+    exact: list = [(None, deficit)] if deficit else []
+    approx = []
+    count, g = real_root_count(P)
+    sf = _ints(long_division([Fraction(c) for c in P], g)[0])
+    roots = np.roots([c / max(map(abs, sf)) for c in reversed(sf)]) if count else []
+    for z in sorted(roots, key=lambda z: abs(z.imag))[:count]:
+        a = Fraction(z.real).limit_denominator(abs(sf[-1]))
+        taylor = _taylor(P, a, len(P))[0]
+        if taylor[0]:
+            approx.append(Fraction(z.real))
+        else:
+            exact.append((a, next(k for k, c in enumerate(taylor) if c)))
+    return exact, approx
+
+
+def _taylor(P, a, count: int) -> tuple[list, list]:
+    """The first ``count`` Taylor coefficients of P at a and the quotient of P
+    by (x - a)^count (ascending coefficients), by synthetic division."""
+    out = []
+    for _ in range(count):
+        acc, quot = 0, []
+        for c in reversed(P):
+            acc = acc * a + c
+            quot.append(acc)
+        out.append(quot.pop())
+        P = quot[::-1]
+    return out, P
+
+
+def _gordan(F: list[list], n: int) -> tuple[list | None, list | None]:
+    """Gordan's alternative for an m x n matrix F: (w, None) with w >= 0,
+    sum w = 1 and w F = 0, or (None, c) with F c > 0, by phase 1 of the
+    simplex method (exact, Bland's rule) on {w >= 0 : F^T w = 0, sum w = 1}.
+    A positive optimum has duals y, read off the artificial columns' reduced
+    costs 1 - y_i, with F y[:n] + y[n] <= 0 < y[n]: c = -y[:n]."""
+    m = len(F)
+    if not m:
+        return None, [Fraction(0)] * n
+    A = [[row[i] for row in F] for i in range(n)] + [[Fraction(1)] * m]
+    T = [a + [Fraction(int(k == i)) for k in range(n + 1)] + [Fraction(int(i == n))] for i, a in enumerate(A)]
+    cost = [int(m <= k < m + n + 1) - sum(col) for k, col in enumerate(zip(*T))]
+    basic = list(range(m, m + n + 1))
+    while (j := next((k for k in range(m + n + 1) if cost[k] < 0), None)) is not None:
+        i = min((i for i in range(n + 1) if T[i][j] > 0), key=lambda i: (T[i][-1] / T[i][j], basic[i]))
+        T[i] = [x / T[i][j] for x in T[i]]
+        for row in T[:i] + T[i + 1 :] + [cost]:
+            if f := row[j]:
+                row[:] = [x - f * y for x, y in zip(row, T[i])]
+        basic[i] = j
+    if cost[-1]:
+        return None, [cost[m + i] - 1 for i in range(n)]
+    w = {b: row[-1] for b, row in zip(basic, T)}
+    return [w.get(i, _ZERO) for i in range(m)], None

@@ -29,6 +29,8 @@ import numpy as np
 from .errors import NotDivisible, ParseError
 
 _EXPONENT_CAP = 512
+# the denominator bounds, tried in turn, when a float is read back as a rational
+_RATIONALIZE_BOUNDS = (10**4, 10**7, 10**10)
 # every finite nonzero double is d.ddd * 10^e with -324 <= e <= 308
 _DECIMAL_EXPONENT_CAP = 400
 
@@ -473,12 +475,18 @@ class _ExprParser:
         return p
 
     def expr(self) -> ComplexPoly:
-        p = self.term()
+        """The terms are summed once, over their nonzero coefficients."""
+        terms = [(True, self.term())]
         while self.peek()[0] in ("+", "-"):
-            op, _, _ = self.take()
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
+            terms.append((self.take()[0] == "+", self.term()))
+        if len(terms) == 1:
+            return terms[0][1]
+        out = [0] * max(len(q.coeffs) for _, q in terms)
+        for plus, q in terms:
+            for k, c in enumerate(q.coeffs):
+                if c:
+                    out[k] = out[k] + (c if plus else -c)
+        return ComplexPoly(out)
 
     def term(self) -> ComplexPoly:
         p = self.unary()
@@ -702,6 +710,36 @@ def long_division(num: Sequence, den: Sequence) -> tuple[list, list]:
     while rem and not rem[-1]:
         rem.pop()
     return quot, rem
+
+
+def _rref_kernel(rows: list[list[Fraction]], ncols: int) -> tuple[int, list[list[Fraction]]]:
+    """Rank of a rational matrix and a basis of its kernel, by Gauss-Jordan
+    elimination: one vector per free column c, with a 1 at c (its last
+    nonzero entry) and a 0 at every other free column."""
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if i is None:
+            continue
+        work[r], work[i] = work[i], work[r]
+        inv = work[r][c]
+        work[r] = [x / inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    kernel = []
+    for c in range(ncols):
+        if c not in pivots:
+            v = [Fraction(0)] * ncols
+            v[c] = Fraction(1)
+            for row, pc in zip(work, pivots):
+                v[pc] = -row[c]
+            kernel.append(v)
+    return len(pivots), kernel
 
 
 def divide_exact(p: ComplexPoly, d: ComplexPoly) -> ComplexPoly:

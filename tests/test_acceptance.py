@@ -19,10 +19,10 @@ from lacuna import (
     GaussianRational,
     LacunaryPattern,
     WitnessValidationFailed,
+    certify_nonneg_exact,
     classify,
     classify_full_space,
     conjugate_reciprocal,
-    fejer_vector,
     is_plus,
     l1_norm,
     min_on_circle,
@@ -140,9 +140,7 @@ def test_criterion_03_double_circle_reproduction(examples):
     _check(problems, rep.dim_plus == 3, f"dim_plus {rep.dim_plus}")
 
     seed = real_symbol_on_circle(rep.tilde.total_factor, rep.tilde.m_tilde)
-    dim, found = plus_dimension(
-        [v.as_array() for v in rep.kernel_tilde.vectors], seed=seed
-    )
+    dim, found = plus_dimension(rep.kernel_tilde.vectors, seed=seed)
     _check(problems, dim == 3, f"recomputed dim_plus {dim}")
     stack = np.stack([f.as_array() for f in found])
     _check(problems, np.linalg.matrix_rank(stack, tol=1e-8) == 3,
@@ -190,7 +188,7 @@ def test_criterion_04_single_double_zero_reproduction(examples):
     _check(problems, float(np.max(np.abs(v - ref))) <= 1e-9,
            f"kernel direction {v}")
 
-    dim, _found = plus_dimension([rep.kernel_tilde.vectors[0].as_array()])
+    dim, _found = plus_dimension([rep.kernel_tilde.vectors[0]])
     _check(problems, dim == 1, f"dim_plus {dim}")
     _check(problems, rep.exposed is True, f"exposed={rep.exposed}")
     _check(problems, rep.fast_path_exposed == "tilde_full_rank",
@@ -225,14 +223,14 @@ def test_criterion_05_plus_dimension_unit_cases():
         n = 2 * d + 1
         dim, found = plus_dimension(np.eye(n))
         _check(problems, dim == n, f"full space d={d}: dim {dim}")
-        # independent oracle: rotated Fejer kernels span the whole space
-        shifts = [2 * math.pi * j / n for j in range(n)]
-        oracle = np.stack([fejer_vector(d, s).as_array() for s in shifts])
-        _check(problems, np.linalg.matrix_rank(oracle, tol=1e-10) == n,
+        # independent oracle: 1, 1 +- cos kt and 1 +- sin kt span the whole space
+        unit = np.eye(n, dtype=int)
+        oracle = [unit[0]] + [unit[0] + sign * unit[i] for i in range(1, n) for sign in (1, -1)]
+        _check(problems, np.linalg.matrix_rank(np.array(oracle, dtype=float), tol=1e-10) == n,
                f"oracle rank deficient at d={d}")
-        for s in shifts:
-            _check(problems, min_on_circle(fejer_vector(d, s))[1] >= -1e-12,
-                   "oracle kernel dips negative")
+        for row in oracle:
+            _check(problems, certify_nonneg_exact(CoefVector.from_array(row.tolist()))[0],
+                   "oracle vector dips negative")
     _finish(5, "plus-dimension unit cases", problems)
 
 

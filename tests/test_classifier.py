@@ -208,9 +208,9 @@ def test_validated_witness_is_scale_free():
 
 
 def test_cone_vectors_become_exact_certified_witnesses():
-    # no vector of the rational pool is plus here, so the witness is a cone
-    # search vector rounded into the rational tilde kernel
-    from lacuna.plus_cone import certify_nonneg_exact
+    # no vector of the rational pool is plus here, so the witness is the
+    # interior vector of the facial reduction, small and exact
+    from lacuna.plus_cone import _cayley_numerator, certify_nonneg_exact
 
     rep = classify("(1-z^2)^2*((-1/2-i) + (3+i)z + (-1-2i)z^2)", LacunaryPattern(6, [2]))
     assert rep.fast_path_exposed == "plus_dimension" and rep.exposed is False
@@ -218,22 +218,31 @@ def test_cone_vectors_become_exact_certified_witnesses():
     assert w.kind == "non_exposed" and w.vector.is_exact
     assert certify_nonneg_exact(w.vector)[0]
     assert all(sum(a * x for a, x in zip(row, w.vector.entries)) == 0 for row in rep.matrix_tilde.rows)
+    assert max(map(abs, _cayley_numerator(w.vector))) <= 1000
 
 
-def test_plus_candidates_round_cone_vectors_into_the_kernel():
-    # b1 = (-2, 1, 0) and b2 = (-3, 0, 1): no basis vector, sum or difference
-    # is plus, but -b1 (tau = 4 - 2 cos t) is
-    from lacuna.classifier import _plus_candidates
-    from lacuna.matrix_builder import KernelBasis
-    from lacuna.plus_cone import CoefVector
+# inputs whose cone the slice search left undecided (the first three) or
+# whose facial check could not finish; the seed's zeros sit at +-1 for the
+# first three, at the cube roots of unity (irrational in Cayley coordinates)
+# for the last two
+FACIAL_CASES = [
+    ("(1-z^2)^2*((1+i)-(2+2i)z+(2+2i)z^2)", 7, [2], 2),
+    ("(1-z^2)^2*(3-z-z^2-2z^3)", 8, [3], 2),
+    ("(1-z^2)^2*((1+i)+z+(2+2i)z^2)", 6, [2], 3),
+    ("(1+z+z^2)^2*((-3+3i/2) - 3iz + (3+3i)z^2)", 7, [3], 3),
+    ("(1-z+z^2)^2*(-1 + (-3+i)z + (-3+2i)z^2)", 6, [2], 3),
+]
 
-    b1, b2 = CoefVector.from_array((-2, 1, 0)), CoefVector.from_array((-3, 0, 1))
-    kernel = KernelBasis(1, 2, (b1, b2))
-    near = CoefVector.from_array(-1.0000001 * b1.as_array() + 1e-9 * b2.as_array())
-    (exact,) = _plus_candidates(kernel, None, [near])
-    assert exact.entries == (2, -1, 0) and exact.is_exact
-    # b1 as floats is not plus, and no rounding of it is
-    assert list(_plus_candidates(kernel, None, [CoefVector.from_array(b1.as_array())])) == []
+
+@pytest.mark.parametrize("text,N,forbidden,dim", FACIAL_CASES)
+def test_facial_reduction_decides_the_cone(text, N, forbidden, dim):
+    from lacuna.plus_cone import certify_nonneg_exact
+
+    rep = classify(text, LacunaryPattern(N, forbidden))
+    assert rep.fast_path_exposed == "plus_dimension"
+    assert rep.extreme is True and rep.exposed is False and rep.dim_plus == dim
+    (w,) = rep.witnesses
+    assert w.kind == "non_exposed" and w.vector.is_exact and certify_nonneg_exact(w.vector)[0]
 
 
 def test_a_companion_solve_that_does_not_converge_names_the_factor():

@@ -152,17 +152,33 @@ def test_classify_undecided_exit(capsys, monkeypatch):
 
 
 def test_classify_stalled_cone_solver_exit(capsys):
-    # no harmonic lattice compresses this tilde kernel, and the cone solver
-    # neither converges nor plateaus on it
-    code = main(
-        ["classify", "(1-z^2)^2*(3-z-z^2-2z^3)", "--pattern", "8:3", "--mode", "exact"]
-    )
+    # the seed vanishes at t = +-pi/3, x = +-1/sqrt 3 in Cayley coordinates,
+    # and the last alternative's rows there are opposite in sign on every
+    # direction but the seed's: the face may force a zero at an irrational
+    # point, which the rational certificate cannot show
+    text = "(1-z+z^2)^2*((2-2i) + (3-7i/3)z + (1-i)z^2 + (-3+i)z^3)"
+    code = main(["classify", text, "--pattern", "8:3", "--mode", "exact"])
     out = capsys.readouterr().out
     assert code == EXIT_UNDECIDED
     assert "extreme: yes" in out
     assert "exposed: UNDECIDED" in out
     assert "undecided: cone solver stalled" in out
     assert "witness" not in out
+
+
+def test_classify_decides_a_cone_the_slice_solver_stalled_on(capsys):
+    # no harmonic lattice compresses this tilde kernel, and the slice solver
+    # neither converged nor plateaued on it; facial reduction over the seed's
+    # circle zeros decides it
+    code = main(
+        ["classify", "(1-z^2)^2*(3-z-z^2-2z^3)", "--pattern", "8:3", "--mode", "exact"]
+    )
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "extreme: yes" in out
+    assert "exposed: no (via plus_dimension)" in out
+    assert "cone trace dimension: 2" in out
+    assert "witness [non_exposed]" in out
 
 
 def test_classify_decides_a_cone_on_the_harmonic_lattice(capsys):
@@ -342,6 +358,18 @@ def test_corpus_runs_an_empty_basis_job_next_to_a_good_one(tmp_path, capsys):
     code = main(["corpus", str(tmp_path)])
     assert code == EXIT_OK
     assert capsys.readouterr().out.splitlines() == ["PASS a_empty: ok", "PASS b_good: ok", "2/2 passed"]
+
+
+def test_plusdim_reads_and_prints_exact_values(capsys):
+    # the JSON numbers 0.5 are read at their exact value, so the seed 1 + cos t
+    # is plus and comes back first, as fraction strings
+    basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    code = main(["plusdim", json.dumps({"d": 1, "basis": basis, "seed": [0.5, 0.5, 0]})])
+    assert code == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dim_plus"] == 3 and len(doc["vectors"]) == 3
+    assert doc["vectors"][0] == {"d": 1, "alpha": ["1/2", "1/2"], "beta": ["0"]}
+    assert all(isinstance(x, str) for v in doc["vectors"] for x in v["alpha"] + v["beta"])
 
 
 def test_plusdim_stalled_exit(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,6 @@ from lacuna import (
     CoefVector,
     SolverStalled,
     certify_nonneg_exact,
-    fejer_vector,
     find_plus_in_slice,
     is_plus,
     min_on_circle,
@@ -436,35 +435,6 @@ def test_coef_vector_sums_keep_fractions_exact():
     assert (u + w).entries == (u + w).alpha + (u + w).beta == (1, Fraction(-1, 7), 4, 0, Fraction(3, 11))
 
 
-# -- Fejer kernels ----------------------------------------------------------------
-
-
-def test_fejer_vector_exact_and_nonneg():
-    v = fejer_vector(3)
-    assert v.is_exact
-    assert v.alpha[0] == Fraction(1, 2)
-    assert v.alpha[1] == Fraction(3, 4)
-    nonneg, touches = certify_nonneg_exact(v)
-    assert nonneg
-    _, val = min_on_circle(v)
-    assert val >= -1e-12
-
-
-def test_fejer_shift_is_rotation():
-    d, theta = 3, 1.1
-    base, shifted = fejer_vector(d), fejer_vector(d, shift=theta)
-    t = np.linspace(0, 2 * np.pi, 17)
-    assert np.allclose(shifted.tau(t), base.tau(t - theta), atol=1e-12)
-
-
-def test_fejer_shift_coefficient_formula():
-    d, theta = 4, 0.7
-    g = fejer_vector(d, shift=theta).gamma()
-    for k in range(d + 1):
-        want = (1 - k / (d + 1)) * np.exp(-1j * k * theta)
-        assert abs(complex(g[k]) - want) <= 1e-12
-
-
 # -- slices and dimension -----------------------------------------------------------
 
 
@@ -535,14 +505,14 @@ def test_infeasible_corpus_probes_end_at_the_farkas_bound(monkeypatch, basis, w,
     )
 )
 def test_find_plus_in_slice_never_rejects_a_slice_through_a_strictly_plus_vector(drawn):
-    # v0 = Fejer kernel lifted by 1 (tau >= 1) plus a perturbation whose tau
-    # is at most 1/2 in size: tau_v0 >= 1/2, so the slice <v, w> = sign
+    # v0 = the constant tau = 1 lifted by 1 plus a perturbation whose tau is
+    # at most 1/2 in size: tau_v0 >= 3/2, so the slice <v, w> = sign
     # <v0, w> holds the plus vector v0 / |<v0, w>| and no certificate may fire
     perturb, extra_rows, w = drawn
     d = (len(w) - 1) // 2
-    fejer = fejer_vector(d).entries
+    constant = [Fraction(1, 2)] + [Fraction(0)] * (2 * d)
     v0 = np.array(
-        [float(x + Fraction(p, 400 * (2 * d + 1))) for x, p in zip(fejer, perturb)]
+        [float(x + Fraction(p, 400 * (2 * d + 1))) for x, p in zip(constant, perturb)]
     )
     v0[0] += 0.5  # the lift: tau += 1
     w = np.array(w)
@@ -584,11 +554,13 @@ def test_plus_dimension_full_space(d):
 
 
 def test_plus_dimension_seed_counts():
-    # seed inside the cone is honored as the first found vector
-    seed = fejer_vector(1)
+    # a plus seed inside the whole space: every found vector is exact and
+    # certified, and together they span it
+    seed = _exact_vec(Fraction(1, 2), Fraction(1, 2), 0)  # 1 + cos t
     dim, found = plus_dimension(np.eye(3), seed=seed)
-    assert dim == 3
-    assert found[0] == seed
+    assert dim == 3 and len(found) == 3
+    assert all(v.is_exact and certify_nonneg_exact(v)[0] for v in found)
+    assert sympy.Matrix([v.entries for v in found]).rank() == 3
 
 
 def test_plus_dimension_double_zero_kernel(examples):
@@ -606,12 +578,79 @@ def test_plus_dimension_double_zero_kernel(examples):
     til = tilde_factorization(pat.N, can)
     mat = build_matrix(til.reduced_cofactor, pat.forbidden, til.m_tilde, kind="tilde")
     kb = rank_and_kernel(mat)
-    dim, found = plus_dimension([v.as_array() for v in kb.vectors])
+    dim, found = plus_dimension(kb.vectors)
     assert dim == 3 and len(found) == 3
     stack = np.array([v.as_array() for v in found], dtype=float)
     assert np.linalg.matrix_rank(stack, tol=1e-8) == 3
     for v in found:
         assert is_plus(v, tol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "F,feasible",
+    [([[1], [-2]], True), ([[1], [2]], False)],
+    ids=["weights", "interior"],
+)
+def test_gordan_alternative_on_two_points(F, feasible):
+    from lacuna.plus_cone import _gordan
+
+    F = [[Fraction(x) for x in row] for row in F]
+    w, c = _gordan(F, 1)
+    if feasible:  # 2 F_0 + F_1 = 0: weights (2/3, 1/3)
+        assert c is None and w == [Fraction(2, 3), Fraction(1, 3)]
+    else:
+        assert w is None and all(sum(a * x for a, x in zip(row, c)) > 0 for row in F)
+
+
+def test_seeded_sine_square_plane_forces_zeros_at_zero_and_pi(monkeypatch):
+    # V = span(1 - cos 2t, cos t) with the seed 4 sin^2 t, which vanishes to
+    # order 2 at t = pi (x = infinity) and t = 0 (x = 0); tau_v(0) and
+    # tau_v(pi) have opposite signs on cos t, so one Gordan step raises both,
+    # and the face left is the seed's line
+    import lacuna.plus_cone as pc
+
+    calls = []
+    gordan = pc._gordan
+    monkeypatch.setattr(pc, "_gordan", lambda F, n: calls.append(F) or gordan(F, n))
+    seed = _exact_vec(1, 0, -1, 0, 0)
+    assert pc._circle_zeros(seed) == ([(None, 2), (0, 2)], [])
+    dim, found = plus_dimension(V2_BASIS, seed=seed)
+    assert dim == 1 and len(calls) == 1 and found == [seed]
+    w, _ = gordan(calls[0], 1)
+    assert len(w) == 2 and all(w)
+    assert all(v.is_exact and certify_nonneg_exact(v)[0] for v in found)
+    assert sympy.Matrix([v.entries for v in found]).rank() == dim
+
+
+# sin^2 t (1/2 + cos t)^2 up to a factor: zeros of order 2 at t = 0 and
+# t = pi, and at t = +-2 pi / 3, where x = +-sqrt 3 is irrational
+SINE_CUBE_ROOT = (2, 2, -1, -2, -1, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "rows,seeded",
+    [
+        ([(Fraction(3, 4), 1, Fraction(1, 2), 0, 0)], False),  # 2 (1/2 + cos t)^2
+        ([(Fraction(3, 4), 1, Fraction(1, 2), 0, 0)], True),
+        ([SINE_CUBE_ROOT, (0, 1, 0, 0, 0, 0, 0, 0, 0)], False),
+        ([SINE_CUBE_ROOT, (0, 1, 0, 0, 0, 0, 0, 0, 0)], True),
+    ],
+    ids=["line", "line-seeded", "plane", "plane-seeded"],
+)
+def test_a_face_spanned_by_the_seed_needs_no_irrational_point(rows, seeded):
+    # the exact steps leave V_o = span(s), where s also vanishes at irrational
+    # Cayley points; no last alternative is needed, and s spans the face
+    from lacuna.plus_cone import _circle_zeros
+
+    s = _exact_vec(*rows[0])
+    assert _circle_zeros(s)[1]
+    dim, found = plus_dimension([_exact_vec(*r) for r in rows], seed=s if seeded else None)
+    assert dim == 1 and len(found) == 1
+    (v,) = found
+    assert v.is_exact and certify_nonneg_exact(v)[0]
+    assert sympy.Matrix([v.entries, s.entries]).rank() == 1
+    if seeded:
+        assert v is s
 
 
 def _dilate(v: CoefVector, k: int) -> CoefVector:
@@ -625,8 +664,8 @@ def _dilate(v: CoefVector, k: int) -> CoefVector:
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_plus_dimension_runs_on_the_harmonic_lattice(k):
-    # V holds a positive constant, so dim+ = dim V = 3; at degree 2 V is a
-    # proper subspace and the slice search runs there
+    # V holds a positive constant, so dim+ = dim V = 3, answered at degree 2
+    # with the seed first
     small = [_exact_vec(1, 0, 0, 0, 0), _exact_vec(1, 0, -1, 0, 0), _exact_vec(0, 1, 0, 0, 0)]
     small_seed = _exact_vec(1, 0, -1, 0, 0)  # 4 sin^2 t
     basis = [_dilate(v, k) for v in small]

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -22,3 +24,10 @@ def test_cone_census_reports_three_draws():
     counts = [int(line.rsplit(": ", 1)[1]) for line in lines[1:] if " exposed=" in line]
     assert sum(counts) == 3
     assert "witnesses: exact" in "\n".join(lines) and lines[-1] == "exceptions: 0"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cone_census_leaves_nothing_undecided(seed):
+    cmd = [sys.executable, str(ROOT / "tools" / "cone_census.py"), str(seed), "100"]
+    lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert "undecided: 0" in lines and lines[-1] == "exceptions: 0"

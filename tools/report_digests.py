@@ -31,7 +31,9 @@ inputs of ``OUTSIDE``, outside both workloads, in the same three modes
 under the workload name ``outside``: near-coincident zeros of p and p*,
 irrational and Salem splits, lossy float products, many shared pairs,
 zeros beyond the float range, a non-exposed witness that only the cone
-search finds, and a companion eigenvalue solve that does not converge.  Run it on two checkouts on one machine and
+search finds, a companion eigenvalue solve that does not converge, and
+cones decided by facial reduction over circle zeros at +-1 and at the cube
+roots of unity.  Run it on two checkouts on one machine and
 diff the outputs to show that a change leaves every report byte-identical,
 or which reports outside the workloads it moved.
 """
@@ -69,6 +71,12 @@ OUTSIDE = (
     ("long-integer-literal", "1" + "0" * 5000 + " + z", 1, (), None),
     ("cone-search-witness", "(1-z^2)^2*((-1/2-i) + (3+i)z + (-1-2i)z^2)", 6, (2,), None),
     ("shared-pair-at-10^20", "(z + 10^20)(1 + 10^20 z)(z^3 - 2)", 5, (), None),
+    ("facial-step-7:2", "(1-z^2)^2*((1+i)-(2+2i)z+(2+2i)z^2)", 7, (2,), None),
+    ("facial-step-8:3", "(1-z^2)^2*(3-z-z^2-2z^3)", 8, (3,), None),
+    ("facial-step-6:2", "(1-z^2)^2*((1+i)+z+(2+2i)z^2)", 6, (2,), None),
+    ("cube-root-zeros-7:3", "(1+z+z^2)^2*((-3+3i/2) - 3iz + (3+3i)z^2)", 7, (3,), None),
+    ("cube-root-zeros-6:2", "(1-z+z^2)^2*(-1 + (-3+i)z + (-3+2i)z^2)", 6, (2,), None),
+    ("cube-root-zeros-8:3", "(1+z+z^2)^2*((-1+3i) + (1-10i/3)z + iz^2 + (-1+2i)z^3)", 8, (3,), None),
 )
 
 
