@@ -43,7 +43,6 @@ from .plus_cone import (
     certify_nonneg_exact,
     find_plus_in_slice,
     is_plus,
-    min_on_circle,
     plus_dimension,
 )
 from .poly_core import (
@@ -97,7 +96,6 @@ __all__ = [
     "infer_pattern",
     "is_plus",
     "l1_norm",
-    "min_on_circle",
     "parse_poly",
     "plus_dimension",
     "poly_to_json",

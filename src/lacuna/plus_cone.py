@@ -7,10 +7,10 @@ trigonometric polynomial
            = sum_{|k|<=d} gamma_k e^{ikt},   gamma_k = alpha_k + i beta_k,
 
 and the vector is called *plus* when tau >= 0 on the whole circle.
-``is_plus`` is the one verdict: exact for rational vectors, through the
-Cayley numerator P, tau(2 arctan x) = P(x) / (1+x^2)^d, with integer
-coefficients and Sturm chains (``certify_nonneg_exact``), and a global
-minimum scan for the float iterates of the slice search.
+``is_plus`` is the one verdict, exact at the entries' value (a float at its
+binary value): through the Cayley numerator P, tau(2 arctan x) =
+P(x) / (1+x^2)^d, with integer coefficients and Sturm chains
+(``certify_nonneg_exact``).
 
 ``plus_dimension`` computes the dimension of a subspace V's trace on the
 plus cone (the span of its plus vectors), with exact plus vectors that
@@ -28,25 +28,27 @@ coefficients of P there, at t = pi (x = infinity) off its top ones;
 irrational zeros enter only the last alternative, at the binary value of a
 float root.  The interior vector is verified exactly, and each realizing
 vector is certified.  A V that holds the constant needs none of this.  s is
-the caller's seed; without one, a V whose vectors all have alpha_0 = 0
-holds only tau = 0, and otherwise one probe of ``find_plus_in_slice``
-finds s.
+the caller's seed; without one, ``find_plus_in_slice`` finds s.
 
-``find_plus_in_slice`` looks for a plus vector inside an affine slice of a
-subspace by alternating projections between the PSD cone and the affine
-constraint set.  It reports a slice empty when the affine step's
-displacement, read as a Farkas certificate, puts the mean of tau of every
-plus vector of the slice beyond the solver's tolerance, or else when the
-residual plateaus (weakly infeasible slices have no such certificate).
-``_affine_projector`` projects by least squares onto {Q : C L Q = f}, where
-L maps Hermitian Q to the coefficient vector of tau_Q, with
-C = [complement of the subspace; w] and f = (0, ..., 0, target).
+``find_plus_in_slice`` runs the same Gordan steps at fixed rational points,
+every one active: infinity and tan(pi (k / (4d + 4) - 1/2)), k = 1..4d+3,
+rounded to denominators of at most 64 (0 and +-1 among them).  Weights
+raise orders as above.  A direction c is scaled to largest entry 1, rounded
+to short fractions that keep G c > 0 exactly, and v = sum c_i u_i is
+certified.  Each point's row of G is scaled to largest entry 1, so that the
+simplex's c, with G c >= 1, keeps a margin from every point's hyperplane,
+not only from those whose rows happen to be large; with primitive integer
+rows the candidates crowd into a corner of the cone and the search stalls.
+When v is not plus, its rational zeros and short rationals where P_v < 0
+join the points (the float roots of P_v propose them, exact evaluation
+decides).  Once alpha_0 vanishes on all of V_o, V holds no nonzero plus
+vector (the mean of tau, 2 alpha_0, is positive on one): a proved
+dimension 0.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from fractions import Fraction
 
@@ -55,14 +57,11 @@ import numpy as np
 from .errors import SolverStalled
 from .poly_core import _RATIONALIZE_BOUNDS, _primitive, _rref_kernel, is_exact_scalar, long_division, real_root_count
 
-# the slice search's alternating projections: convergence test (and the
-# Farkas bound's threshold), plateau detection, stall cap and
-# re-certification band
-_TOL_FEASIBLE = 1e-9
-_ITERATION_CAP = 20000
-_PLATEAU_WINDOW = 500
-_PLATEAU_LEVEL = 1e-7
-_RECERT_TOL = 1e-7
+# find_plus_in_slice: the largest denominator of its starting points, and how
+# many times it adds points where a candidate is negative or zero before it
+# gives up
+_POINT_DENOMINATOR = 64
+_CUT_ROUNDS = 32
 # how often plus_dimension halves a step toward a vector before it gives up
 _HALVINGS = 64
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -111,81 +110,9 @@ class CoefVector:
     def __sub__(self, other: "CoefVector") -> "CoefVector":
         return CoefVector.from_array([x - y for x, y in zip(self.entries, other.entries, strict=True)])
 
-    def gamma(self) -> np.ndarray:
-        """Analytic-side Fourier coefficients gamma_0..gamma_d (gamma_0 = 2 alpha_0)."""
-        g = np.zeros(self.d + 1, dtype=complex)
-        g[0] = 2.0 * float(self.alpha[0])
-        for k in range(1, self.d + 1):
-            g[k] = float(self.alpha[k]) + 1j * float(self.beta[k - 1])
-        return g
-
-    def tau(self, t, order: int = 0) -> np.ndarray:
-        """tau, or its derivative of the given order, at t (scalar or array).
-
-        One sum over the harmonics: the m-th derivative is
-        2 Re sum_k (ik)^m gamma_k e^{ikt}, plus gamma_0 when m = 0.
-        """
-        g = self.gamma()
-        k = np.arange(1, self.d + 1)
-        waves = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), k))
-        out = 2.0 * (waves @ ((1j * k) ** order * g[1:])).real
-        return out + g[0].real if order == 0 else out
-
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.gamma()))) if self.d >= 0 else 0.0
-
 
 # ---------------------------------------------------------------------------
-# global minimum on the circle
-# ---------------------------------------------------------------------------
-
-
-def min_on_circle(v: CoefVector) -> tuple[float, float]:
-    """Location and value of the global minimum of tau over the circle.
-
-    Dense grid of 8d+64 points, then Newton polish on tau' around every local
-    grid minimum (guarded by bisection when curvature misbehaves).
-    """
-    g = v.gamma()
-    if v.d == 0 or np.max(np.abs(g[1:])) == 0:
-        return 0.0, float(g[0].real)
-    n = 8 * v.d + 64
-    t = 2 * math.pi * np.arange(n) / n
-    vals = v.tau(t)
-    local = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
-    ts = np.array([_polish_minimum(v, t[i], 2 * math.pi / n) for i in np.flatnonzero(local)])
-    vals = v.tau(ts)
-    i = int(np.argmin(vals))
-    return float(ts[i] % (2 * math.pi)), float(vals[i])
-
-
-def _polish_minimum(v: CoefVector, t0: float, h: float) -> float:
-    t = t0
-    for _ in range(40):
-        d1, d2 = float(v.tau(t, 1)), float(v.tau(t, 2))
-        if d2 <= 0:
-            break
-        step = d1 / d2
-        if not math.isfinite(step) or abs(step) > h:
-            break
-        t -= step
-        if abs(step) < 1e-15:
-            return t
-    # fall back to sign bisection of tau' on the bracket
-    a, b = t0 - h, t0 + h
-    if v.tau(a, 1) < 0 < v.tau(b, 1):
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            if v.tau(m, 1) < 0:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-    return t
-
-
-# ---------------------------------------------------------------------------
-# the plus verdict: exact certificate for rational vectors
+# the plus verdict: one exact certificate
 # ---------------------------------------------------------------------------
 
 
@@ -227,7 +154,8 @@ def _cayley_numerator(v: CoefVector) -> list[int]:
 
 
 def certify_nonneg_exact(v: CoefVector) -> tuple[bool, bool]:
-    """Exact (nonnegative?, touches zero?) for a rational coefficient vector.
+    """Exact (nonnegative?, touches zero?) for a coefficient vector, read at
+    its exact value (a float at its binary value).
 
     tau >= 0 on the circle iff its Cayley numerator P has a positive leading
     coefficient, an even degree deficit 2d - deg P, and no real root of odd
@@ -236,8 +164,6 @@ def certify_nonneg_exact(v: CoefVector) -> tuple[bool, bool]:
     of multiplicity m is a root of P_1..P_m, so if r_j counts the distinct
     real roots of P_j, r_1 - r_2 + r_3 - ... counts the odd-multiplicity ones.
     """
-    if not v.is_exact:
-        raise ValueError("exact certification needs rational entries")
     P = _cayley_numerator(v)
     if not P:
         return True, True  # tau is identically zero
@@ -258,166 +184,10 @@ def certify_nonneg_exact(v: CoefVector) -> tuple[bool, bool]:
     return True, touches
 
 
-def is_plus(v: CoefVector, tol: float = 1e-9) -> bool:
-    """True when tau_v >= 0 on the circle.
-
-    Rational vectors are decided exactly by ``certify_nonneg_exact``, with no
-    float search.  Float vectors are decided by the global minimum: plus
-    when min tau > -tol.
-    """
-    if v.is_exact:
-        return certify_nonneg_exact(v)[0]
-    return min_on_circle(v)[1] > -tol
-
-
-# ---------------------------------------------------------------------------
-# Hermitian matrices: the PSD step and the affine step
-# ---------------------------------------------------------------------------
-
-
-def _project_psd(Q: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix in the Frobenius norm: clip the eigenvalues at zero."""
-    w, V = np.linalg.eigh(Q)
-    return (V * np.clip(w, 0.0, None)) @ V.conj().T
-
-
-@functools.cache
-def _trace_map(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The map L from an n x n complex Q to the coefficient vector of tau_Q,
-    and its pseudo-inverse.
-
-    L acts on the 2n^2 floats ``Q.view(float).ravel()`` and reads the upper
-    and lower triangles with weight 1/2 each, so it vanishes on skew-Hermitian
-    matrices and its adjoint writes Hermitian matrices.  On Hermitian Q the
-    Euclidean norm of those floats is the Frobenius norm.
-    """
-    i, j = np.indices((n, n))
-    k = np.abs(i - j)
-    off = k > 0
-    L = np.zeros((2 * n - 1, n, n, 2))
-    L[k, i, j, 0] = 0.5  # alpha_k: real parts of diagonal k
-    L[(n - 1 + k)[off], i[off], j[off], 1] = 0.5 * np.sign(i - j)[off]  # beta_k
-    L = L.reshape(2 * n - 1, 2 * n * n)
-    L_pinv = np.linalg.pinv(L)
-    L.flags.writeable = L_pinv.flags.writeable = False
-    return L, L_pinv
-
-
-def _affine_projector(n: int, f: np.ndarray, C: np.ndarray):
-    """Orthogonal projection of n x n Hermitian Q onto {Q : C L Q = f}.
-
-    Building it costs one pseudo-inverse, so build it once per solve.
-    """
-    M = C @ _trace_map(n)[0]
-    M_pinv = np.linalg.pinv(M, rcond=1e-12)
-
-    def project(Q: np.ndarray) -> np.ndarray:
-        q = Q.view(float).ravel()
-        return (q - M_pinv @ (M @ q - f)).view(complex).reshape(n, n)
-
-    return project
-
-
-# ---------------------------------------------------------------------------
-# affine slices of the PSD-representable cone
-# ---------------------------------------------------------------------------
-
-
-def _slice_mean_bound(Y: np.ndarray, C: np.ndarray, f: np.ndarray) -> float:
-    """Lower bound on mean(tau_v) over the plus vectors v of {v : C v = f}.
-
-    Y is an affine step's displacement Q - project_affine(Q), which lies in
-    the range of (C L)^T; so Y = L^T z with z = C^T y, and y is read back by
-    least squares.  Any y gives a Farkas-type bound.  Let v be a plus vector
-    of the slice, so v = L X for some X >= 0 (Fejer-Riesz); then
-    mu = tr X = 2 alpha_0 is the mean of tau_v, and every entry of v is at
-    most mu in size.  With g = <y, f> = y_last * target,
-
-        g = <y, C L X> = <L^T z, X> >= lambda_min(L^T z) * mu,
-
-    so for g < 0 every plus vector of the slice has mu >= -g / s with
-    s = max(-lambda_min, 0), and there is none at all when s = 0.
-
-    Rounding allowance, with u the unit roundoff, m the rows of C and n the
-    size of Q: z' = fl(C^T y) differs from z by at most e = 2 m u |C|^T |y|
-    entrywise, which moves <z, v> by at most ||e||_1 mu; T = L^T z' is
-    exact (every entry is 0 or +-z'_k / 2); a backward-stable eigensolver
-    returns lambda_min(T) within p(n) u ||T||_2, taken generously as
-    n^2 u ||T||_F; and fl(y_last * target) is within a factor 1 +- u of g.
-    So s is taken as max(-lambda, 0) + n^2 u ||T||_F + ||e||_1, and the
-    bound as -fl(g) (1 - u) / s (infinite for s = 0).  It is 0 when g >= 0.
-    """
-    u = np.finfo(float).eps / 2
-    n = Y.shape[0]
-    L, L_pinv = _trace_map(n)
-    y = np.linalg.lstsq(C.T, L_pinv.T @ Y.view(float).ravel(), rcond=None)[0]
-    g = float(y[-1] * f[-1])
-    if g >= 0.0:
-        return 0.0
-    T = (L.T @ (C.T @ y)).view(complex).reshape(n, n)
-    lam = float(np.linalg.eigvalsh(T)[0])
-    e = 2 * C.shape[0] * u * (np.abs(C).T @ np.abs(y))
-    s = max(-lam, 0.0) + n * n * u * float(np.linalg.norm(T)) + float(np.sum(e))
-    return math.inf if s == 0.0 else -g * (1 - u) / s
-
-
-def find_plus_in_slice(
-    basis: np.ndarray,
-    slice_constraint: tuple[np.ndarray, float],
-) -> CoefVector | None:
-    """Plus vector v in span(basis) with <v, w> = target, or None, by
-    alternating projections between the PSD cone and the affine set of
-    Hermitian matrices whose coefficient vector lies in the slice.  ``None``
-    means either that the Farkas bound of ``_slice_mean_bound``, read from the
-    affine step at iterations 0, 1, 2, 4, 8, ..., puts mean(tau) of every plus
-    vector of the slice above |target| / (|w| _TOL_FEASIBLE), or that the
-    residual plateaued above ``_PLATEAU_LEVEL`` for ``_PLATEAU_WINDOW``
-    iterations (weakly infeasible slices have no strict certificate).  A run
-    that does neither within ``_ITERATION_CAP`` raises :class:`SolverStalled`.
-    """
-    w, target = slice_constraint
-    w = np.asarray(w, dtype=float)
-    nx = len(w)
-    d = (nx - 1) // 2
-    _, sv, vh = np.linalg.svd(np.asarray(basis, dtype=float).reshape(-1, nx), full_matrices=True)
-    rank = int(np.count_nonzero(sv > 1e-10 * (sv[0] if sv.size else 0.0)))
-    VB, comp = vh[:rank], vh[rank:]
-    w_in = VB.T @ (VB @ w)
-    if np.linalg.norm(w_in) <= 1e-12 * max(1.0, np.linalg.norm(w)):
-        return None
-    C = np.vstack([comp, w])
-    f = np.zeros(C.shape[0])
-    f[-1] = target
-    mean_cap = abs(target) / (float(np.linalg.norm(w)) * _TOL_FEASIBLE)
-    project_affine = _affine_projector(d + 1, f, C)
-    Q = project_affine(np.eye(d + 1, dtype=complex))
-    history: list[float] = []
-    recerts = 0
-    for i in range(_ITERATION_CAP):
-        Qp = _project_psd(Q)
-        Qa = project_affine(Qp)
-        dist = float(np.linalg.norm(Qa - Qp))
-        history.append(dist)
-        if dist <= _TOL_FEASIBLE * (1.0 + float(np.linalg.norm(Qa))):
-            cand = CoefVector.from_array(_trace_map(d + 1)[0] @ Qa.view(float).ravel(), d=d)
-            if is_plus(cand, _RECERT_TOL):
-                return cand
-            recerts += 1
-            if recerts > 50:
-                raise SolverStalled(
-                    "converged iterates keep failing plus re-certification"
-                )
-        elif i & (i - 1) == 0 and _slice_mean_bound(Qp - Qa, C, f) > mean_cap:
-            return None
-        if len(history) > _PLATEAU_WINDOW:
-            old = history[-_PLATEAU_WINDOW - 1]
-            if dist > _PLATEAU_LEVEL and old - dist <= 0.01 * old:
-                return None
-        Q = Qa
-    raise SolverStalled(
-        f"no convergence or plateau within {_ITERATION_CAP} iterations "
-        f"(last residual {history[-1]:.3e})"
-    )
+def is_plus(v: CoefVector) -> bool:
+    """True when tau_v >= 0 on the circle, decided by ``certify_nonneg_exact``
+    at the entries' exact value."""
+    return certify_nonneg_exact(v)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +271,7 @@ def _plus_span(rows: list[dict], seed: CoefVector | None, d: int) -> tuple[int, 
     if 0 in cols:
         return len(basis), _constant_span(basis, cols, seed, d)
     if seed is None or not any(seed.entries):
-        seed = _probe(basis, cols, d) if any(0 in b for b in basis) else None
+        seed = find_plus_in_slice([_dense(b, 2 * d + 1) for b in basis])
         if seed is None:
             return 0, []
     return _facial_reduction(basis, cols, seed, d)
@@ -520,21 +290,6 @@ def _constant_span(basis, cols, seed, d: int) -> list[CoefVector]:
         out.insert(0, out.pop(next((i for i, c in enumerate(cols) if c and seed.entries[c]), cols.index(0))))
         out[0] = seed
     return out
-
-
-def _probe(basis, cols, d: int) -> CoefVector | None:
-    """A plus vector of V with alpha_0 = 1 from one slice probe, read back in
-    V's coordinates and certified; None when the probe finds the slice empty."""
-    n = 2 * d + 1
-    found = find_plus_in_slice(np.array([_dense(b, n) for b in basis], dtype=float), (np.eye(n)[0], 1.0))
-    if found is None:
-        return None
-    for bound in _RATIONALIZE_BOUNDS:
-        coords = [Fraction(found.entries[c]).limit_denominator(bound) for c in cols]
-        s = CoefVector.from_array(_dense(_combine(coords, basis), n), d=d)
-        if any(s.entries) and certify_nonneg_exact(s)[0]:
-            return s
-    raise SolverStalled("the slice search's plus vector rounds to no certified plus vector of the subspace")
 
 
 def _facial_reduction(basis, cols, s: CoefVector, d: int) -> tuple[int, list[CoefVector]]:
@@ -576,6 +331,83 @@ def _facial_reduction(basis, cols, s: CoefVector, d: int) -> tuple[int, list[Coe
     keep = next(l for l, u in enumerate(K) if x.entries[cols[max(u)]])
     us = (_ints(_dense(_combine(_dense(u, r), basis), n)) for l, u in enumerate(K) if l != keep)
     return len(K), [x] + [_toward(_ints(x.entries), u, d, lambda y: certify_nonneg_exact(y)[0]) for u in us]
+
+
+def find_plus_in_slice(basis) -> CoefVector | None:
+    """A plus vector of V = span(basis) with alpha_0 = 1, exact and
+    certified, or None when V holds no nonzero plus vector, which is then
+    proved (module docstring).  The rows (``CoefVector``s or arrays) are read
+    at their exact value.  Raises :class:`SolverStalled` when a candidate that
+    is not plus gives no new point, or after ``_CUT_ROUNDS`` rounds."""
+    rows = [b.entries if isinstance(b, CoefVector) else b for b in basis]
+    if not rows:
+        return None
+    n = len(rows[0])
+    d, basis = (n - 1) // 2, _echelon([_sparse(b) for b in rows], n)
+    r, mean = len(basis), [b.get(0, _ZERO) for b in basis]
+    if not any(mean):
+        return None
+    polys = [_cayley_poly(_dense(b, n), d) for b in basis]
+    turns = (k / (4 * d + 4) - 0.5 for k in range(1, 4 * d + 4))
+    points = [None, *sorted({Fraction(math.tan(math.pi * a)).limit_denominator(_POINT_DENOMINATOR) for a in turns})]
+    orders = dict.fromkeys(points, 0)
+    tables: dict = {}  # x -> [the k-th Taylor coefficients of the P_u at x, for k = 0, 1, ...]
+
+    def row(x, k: int) -> tuple:
+        if len(tables.get(x, ())) <= k:
+            tables[x] = list(zip(*(_taylor(p[::-1] if x is None else p, x or 0, k + 1)[0] for p in polys)))
+        return tables[x][k]
+
+    for _ in range(_CUT_ROUNDS):
+        while True:
+            K = [_sparse(u) for u in _rref_kernel([row(x, k) for x, o in orders.items() for k in range(o)], r)[1]]
+            if not any(_dot(mean, u) for u in K):
+                return None
+            G = [_unit([_dot(row(x, o), u) for u in K]) for x, o in orders.items()]
+            w, c = _gordan(G, len(K))
+            if w is None:
+                break
+            for x, wj in zip(list(orders), w):
+                orders[x] += 2 if wj else 0
+        c = _unit(c)
+        tries = ([x.limit_denominator(1 << b) for x in c] for b in range(64))
+        c = next((y for y in tries if all(_dot(g, y) > 0 for g in G)), c)
+        v = CoefVector.from_array(_dense(_combine(_dense(_combine(c, K), r), basis), n), d=d)
+        if certify_nonneg_exact(v)[0]:
+            return CoefVector.from_array([x / v.alpha[0] for x in v.entries], d=d)
+        cuts = [x for x in _cuts(v) if x not in orders]
+        if not cuts:
+            raise SolverStalled("no new point where the slice search's candidate is negative or zero was found")
+        orders.update(dict.fromkeys(cuts, 0))
+    raise SolverStalled(f"no certified plus vector of the subspace within {_CUT_ROUNDS} cutting rounds")
+
+
+def _unit(xs) -> list[Fraction]:
+    """xs over its largest entry in size (zeros stay)."""
+    top = max(map(abs, xs))
+    return [x / top for x in xs] if top else xs
+
+
+def _cuts(v: CoefVector) -> list[Fraction]:
+    """The rational zeros of P_v, and in each gap between consecutive real
+    zeros (from ``_circle_zeros``) whose middle P_v is negative at, the first
+    of the middle's best approximations with denominators 1, 2, 4, ... where
+    P_v is negative."""
+    P = _cayley_numerator(v)
+    exact, approx = _circle_zeros(v)
+    out = [x for x, _ in exact if x is not None]
+    zeros = sorted(out + approx)
+    for a, b in zip(zeros, zeros[1:]):
+        mid = (a + b) / 2
+        if _value(P, mid) < 0:
+            tries = (mid.limit_denominator(1 << k) for k in range(64))
+            out.append(next((x for x in tries if _value(P, x) < 0), mid))
+    return out
+
+
+def _value(P, x) -> Fraction:
+    """P(x), by Horner."""
+    return _taylor(P, x, 1)[0][0]
 
 
 def _dot(f, u) -> Fraction:

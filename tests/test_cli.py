@@ -320,6 +320,15 @@ def test_plusdim_subcommand(tmp_path, capsys):
     assert len(doc["vectors"]) == 1
 
 
+def test_plusdim_finds_the_plus_vector_of_an_unseeded_line(capsys):
+    # tau = 2 + 2cos t = |1 + z|^2 touches zero at t = pi
+    code = main(["plusdim", json.dumps({"d": 2, "basis": [["1", "1", "0", "0", "0"]]})])
+    assert code == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dim_plus"] == 1
+    assert doc["vectors"] == [{"d": 2, "alpha": ["1", "1", "0"], "beta": ["0", "0"]}]
+
+
 def test_plusdim_zero_dimension(tmp_path, capsys):
     basis = tmp_path / "v1.json"
     basis.write_text(json.dumps({"d": 1, "basis": [["0", "1", "0"]]}))

@@ -10,6 +10,7 @@ from lacuna import (
     LacunaryPattern,
     NotHermitianSymmetric,
     canonical_factorization,
+    certify_nonneg_exact,
     parse_poly,
     real_symbol_on_circle,
     tilde_factorization,
@@ -177,8 +178,7 @@ def test_canonical_factor_is_hermitian_and_positive(expr, N, m, factor):
     assert can.m == m and can.disk_factor * can.cofactor == p
     assert str(can.disk_factor) == factor
     v = real_symbol_on_circle(can.disk_factor, m)
-    t = np.linspace(0, 2 * np.pi, 17)
-    assert np.min(v.tau(t)) > 0
+    assert certify_nonneg_exact(v) == (True, False)  # positive on the whole circle
 
 
 def test_lehmer_polynomial_is_refused_with_the_factor_named():
@@ -227,16 +227,14 @@ def test_symbol_of_shared_factor():
     assert v.alpha == (Fraction(5, 8), Fraction(-1, 2))
     assert v.beta == (Fraction(0),)
     # tau(t) = 5/4 - cos t, strictly positive
-    t = np.linspace(0, 2 * np.pi, 7)
-    assert np.allclose(v.tau(t), 5 / 4 - np.cos(t))
+    assert certify_nonneg_exact(v) == (True, False)
 
 
 def test_symbol_of_double_zero_factor():
     g = parse_poly("-1 + 2z - z^2")  # -(1-z)^2, whose symbol is 4 sin^2(t/2)
     v = real_symbol_on_circle(g, 1)
     assert v.alpha == (Fraction(1), Fraction(-1)) and v.beta == (Fraction(0),)
-    t = np.linspace(0, 2 * np.pi, 9)
-    assert np.allclose(v.tau(t), 2 - 2 * np.cos(t))
+    assert certify_nonneg_exact(v) == (True, True)  # 2 - 2cos t touches zero at t = 0
 
 
 def test_symbol_requires_hermitian_coefficients():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna import (
@@ -17,10 +17,9 @@ from lacuna import (
     certify_nonneg_exact,
     find_plus_in_slice,
     is_plus,
-    min_on_circle,
     plus_dimension,
 )
-from lacuna.plus_cone import _cayley_numerator
+from lacuna.plus_cone import _cayley_numerator, _cayley_poly, _circle_zeros, _taylor
 from lacuna.poly_core import ComplexPoly, GaussianRational, long_division, real_root_count
 
 V1_BASIS = np.array([[0.0, 1.0, 0.0]])
@@ -35,6 +34,21 @@ def _vec(*entries):
 
 def _exact_vec(*entries):
     return CoefVector.from_array([Fraction(e) for e in entries])
+
+
+def _tau(v: CoefVector, t) -> np.ndarray:
+    """Reference: tau_v at t (scalar or array) by its exponential sum,
+    gamma_0 + 2 Re sum_k gamma_k e^{ikt}, in floats."""
+    t = np.asarray(t, dtype=float)
+    out = np.full_like(t, 2 * float(v.alpha[0]))
+    for k, (a, b) in enumerate(zip(v.alpha[1:], v.beta), start=1):
+        out += 2 * (complex(float(a), float(b)) * np.exp(1j * k * t)).real
+    return out
+
+
+def _lowered(v: CoefVector, m) -> CoefVector:
+    """The vector of tau_v - m: alpha_0 - m / 2."""
+    return CoefVector(v.d, (Fraction(v.alpha[0]) - Fraction(m) / 2, *v.alpha[1:]), v.beta)
 
 
 # -- exact certification ---------------------------------------------------------
@@ -79,11 +93,14 @@ def test_certify_off_axis_touch_location():
     ).filter(lambda xs: len(xs) % 2 == 1)
 )
 def test_certify_agrees_with_grid_minimum(entries):
+    # the grid minimum is above the true one by at most max|tau''| h^2 / 8
     v = CoefVector.from_array([Fraction(e) for e in entries])
     nonneg, _ = certify_nonneg_exact(v)
-    _, val = min_on_circle(v)
-    band = 1e-7 * max(1.0, v.scale())
-    if val > band:
+    n = 2048
+    val = float(np.min(_tau(v, 2 * np.pi * np.arange(n) / n)))
+    curvature = 2 * sum(k * k * (abs(a) + abs(b)) for k, (a, b) in enumerate(zip(v.alpha[1:], v.beta), start=1))
+    band = 1e-9
+    if val - float(curvature) * (2 * np.pi / n) ** 2 / 8 > band:
         assert nonneg
     elif val < -band:
         assert not nonneg
@@ -332,7 +349,7 @@ def test_certify_is_fast_on_a_degree_32_square():
     assert best <= 2.0, best
 
 
-# -- numeric minimum -------------------------------------------------------------
+# -- the minimum, checked exactly: tau - m is plus and touches zero ---------------
 
 
 @pytest.mark.parametrize(
@@ -345,19 +362,22 @@ def test_certify_is_fast_on_a_degree_32_square():
     ],
 )
 def test_min_on_circle_values(entries, want_val):
-    _, val = min_on_circle(_vec(*entries))
-    assert abs(val - want_val) <= 1e-9
+    v = _vec(*entries)
+    assert certify_nonneg_exact(_lowered(v, want_val)) == (True, True)
+    assert not is_plus(_lowered(v, want_val + 2**-20))
 
 
 def test_min_on_circle_location():
-    t, val = min_on_circle(_vec(0, 1, 0))  # 2cos t, min at pi
-    assert abs(val + 2.0) <= 1e-12
-    assert abs((t % (2 * np.pi)) - np.pi) <= 1e-7
+    # 2cos t + 2 = |1 + z|^2 vanishes only at t = pi (x = infinity), to order 2
+    v = _lowered(_vec(0, 1, 0), -2)
+    assert certify_nonneg_exact(v) == (True, True)
+    assert _circle_zeros(v) == ([(None, 2)], [])
 
 
 def test_min_on_circle_constant():
-    t, val = min_on_circle(_vec(3.5))
-    assert val == 7.0  # gamma_0 = 2 alpha_0
+    v = _vec(3.5)
+    assert certify_nonneg_exact(v) == (True, False)
+    assert _cayley_numerator(_lowered(v, 7)) == []  # tau = gamma_0 = 2 alpha_0 = 7
 
 
 # -- the plus verdict ------------------------------------------------------------
@@ -366,13 +386,13 @@ def test_min_on_circle_constant():
 def test_is_plus_positive_definite():
     v = _vec(5 / 8, -1 / 2, 0)
     assert is_plus(v) is True
-    assert min_on_circle(v)[1] > 0
+    assert certify_nonneg_exact(v) == (True, False)
 
 
 def test_is_plus_negative_has_witness_point():
     v = _vec(0, 1, 0)
     assert is_plus(v) is False
-    assert v.tau(min_on_circle(v)[0]) < 0
+    assert _tau(v, np.pi) == -2.0
 
 
 def test_is_plus_boundary_gram():
@@ -386,14 +406,17 @@ def test_is_plus_exact_path():
 
 
 def test_is_plus_exact_runs_no_float_search(monkeypatch):
+    # rational and float vectors alike are certified without numpy
     import lacuna.plus_cone
 
-    def no_search(v):
-        raise AssertionError("a float minimum search ran")
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} was used")
 
-    monkeypatch.setattr(lacuna.plus_cone, "min_on_circle", no_search)
+    monkeypatch.setattr(lacuna.plus_cone, "np", NoNumpy())
     assert is_plus(_exact_vec(1, 0, 0, -1, 0)) is True  # 2 + 2 sin t
     assert is_plus(_exact_vec(-1, 0, 0)) is False
+    assert is_plus(CoefVector(1, (1.0, -1.0), (0.0,))) is True  # 2 - 2cos t
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
@@ -439,29 +462,25 @@ def test_coef_vector_sums_keep_fractions_exact():
 
 
 def test_find_plus_in_full_space_slice():
-    basis = np.eye(3)
-    w = np.array([1.0, 0.0, 0.0])
-    got = find_plus_in_slice(basis, (w, 1.0))
-    assert got is not None
-    assert abs(float(np.dot(got.as_array(), w)) - 1.0) <= 1e-7
-    assert is_plus(got, tol=1e-7)
+    got = find_plus_in_slice(np.eye(3))
+    assert got is not None and got.alpha[0] == 1
+    assert all(isinstance(x, Fraction) for x in got.entries)
+    assert certify_nonneg_exact(got)[0]
 
 
 def test_find_plus_in_slice_infeasible():
-    got = find_plus_in_slice(V1_BASIS, (np.array([0.0, 1.0, 0.0]), 1.0))
-    assert got is None
+    # cos t has alpha_0 = 0; 2 + 4cos t is 6 at x = 0 and -2 at x = infinity,
+    # so one Gordan step forces both zeros and leaves V_o = {0}
+    assert find_plus_in_slice(V1_BASIS) is None
+    assert find_plus_in_slice([[1, 2, 0]]) is None
 
 
 def test_find_plus_in_slice_stalls_when_recertification_keeps_failing(monkeypatch):
     import lacuna.plus_cone
 
-    def reject(v, tol=1e-9):
-        return False
-
-    monkeypatch.setattr(lacuna.plus_cone, "is_plus", reject)
-    e0 = np.eye(3)[0]
-    with pytest.raises(SolverStalled, match="keep failing plus re-certification"):
-        find_plus_in_slice(np.eye(3)[[0, 1]], (e0, 1.0))
+    monkeypatch.setattr(lacuna.plus_cone, "certify_nonneg_exact", lambda v: (False, False))
+    with pytest.raises(SolverStalled, match="slice search's candidate"):
+        find_plus_in_slice(np.eye(3)[[0, 1]])
 
 
 @pytest.mark.parametrize("target", [1.0, -1.0])
@@ -474,18 +493,24 @@ def test_find_plus_in_slice_stalls_when_recertification_keeps_failing(monkeypatc
     ids=["cosine_line", "sine_square_plane"],
 )
 def test_infeasible_corpus_probes_end_at_the_farkas_bound(monkeypatch, basis, w, target):
+    # the slice <v, w> = target holds no plus vector: the plus vectors that
+    # span the trace are exact, certified and orthogonal to w.  Gordan's
+    # alternative is the Farkas lemma the proof rests on: cos t needs no step
+    # (alpha_0 vanishes on it), and on span(4 sin^2 t, cos t) the first step's
+    # weights force the zeros at x = infinity and x = 0
     import lacuna.plus_cone
 
     calls = []
-    project_psd = lacuna.plus_cone._project_psd
-
-    def counting(Q):
-        calls.append(Q.shape)
-        return project_psd(Q)
-
-    monkeypatch.setattr(lacuna.plus_cone, "_project_psd", counting)
-    assert find_plus_in_slice(basis, (np.array(w), target)) is None
-    assert 1 <= len(calls) <= 2
+    gordan = lacuna.plus_cone._gordan
+    monkeypatch.setattr(lacuna.plus_cone, "_gordan", lambda F, n: calls.append(gordan(F, n)) or calls[-1])
+    dim, found = plus_dimension(target * basis)
+    assert dim == len(found) == len(basis) - 1
+    assert all(certify_nonneg_exact(v)[0] and np.dot(v.as_array(), w) == 0 for v in found)
+    if dim:
+        weights, _ = calls[0]
+        assert weights is not None and sum(map(bool, weights)) == 2
+    else:
+        assert calls == []
 
 
 @given(
@@ -496,36 +521,26 @@ def test_infeasible_corpus_probes_end_at_the_farkas_bound(monkeypatch, basis, w,
                 st.lists(st.integers(-3, 3), min_size=2 * d + 1, max_size=2 * d + 1),
                 max_size=2,
             ),
-            st.lists(
-                st.floats(min_value=-1, max_value=1, allow_nan=False),
-                min_size=2 * d + 1,
-                max_size=2 * d + 1,
-            ),
         )
     )
 )
 def test_find_plus_in_slice_never_rejects_a_slice_through_a_strictly_plus_vector(drawn):
     # v0 = the constant tau = 1 lifted by 1 plus a perturbation whose tau is
-    # at most 1/2 in size: tau_v0 >= 3/2, so the slice <v, w> = sign
-    # <v0, w> holds the plus vector v0 / |<v0, w>| and no certificate may fire
-    perturb, extra_rows, w = drawn
-    d = (len(w) - 1) // 2
+    # at most 1/2 in size: tau_v0 >= 3/2, so V holds a plus vector with
+    # alpha_0 = 1, and the search finds one, exact, certified and in V
+    perturb, extra_rows = drawn
+    d = (len(perturb) - 1) // 2
     constant = [Fraction(1, 2)] + [Fraction(0)] * (2 * d)
     v0 = np.array(
         [float(x + Fraction(p, 400 * (2 * d + 1))) for x, p in zip(constant, perturb)]
     )
     v0[0] += 0.5  # the lift: tau += 1
-    w = np.array(w)
-    assume(np.linalg.norm(w) > 0.1)
-    w /= np.linalg.norm(w)
-    reach = float(np.dot(v0, w))
-    assume(abs(reach) >= 0.1)
     basis = np.array([v0, *extra_rows], dtype=float)
-    target = math.copysign(1.0, reach)
-    got = find_plus_in_slice(basis, (w, target))
-    assert got is not None
-    assert abs(float(np.dot(got.as_array(), w)) - target) <= 1e-6
-    assert is_plus(got, tol=1e-7)
+    got = find_plus_in_slice(basis)
+    assert got is not None and got.alpha[0] == 1
+    assert certify_nonneg_exact(got)[0]
+    rows = sympy.Matrix([[Fraction(x) for x in row] for row in basis])
+    assert rows.col_join(sympy.Matrix([got.entries])).rank() == rows.rank()
 
 
 def test_plus_dimension_v1_is_zero():
@@ -548,9 +563,7 @@ def test_plus_dimension_full_space(d):
     assert dim == n and len(found) == n
     stack = np.array([v.as_array() for v in found], dtype=float)
     assert np.linalg.matrix_rank(stack, tol=1e-8) == n
-    for v in found:
-        _, val = min_on_circle(v)
-        assert val >= -1e-9
+    assert all(v.is_exact and certify_nonneg_exact(v)[0] for v in found)
 
 
 def test_plus_dimension_seed_counts():
@@ -583,7 +596,60 @@ def test_plus_dimension_double_zero_kernel(examples):
     stack = np.array([v.as_array() for v in found], dtype=float)
     assert np.linalg.matrix_rank(stack, tol=1e-8) == 3
     for v in found:
-        assert is_plus(v, tol=1e-7)
+        assert is_plus(v)
+
+
+def test_a_float_seed_is_judged_at_its_exact_value():
+    # tau = 1 - (1 + 2^-39) cos t is -2^-39 at t = 0, far inside a 1e-9 band
+    seed = CoefVector.from_array([0.5, -(0.5 + 2**-40), 0.0])
+    with pytest.raises(ValueError, match="seed is not a plus vector"):
+        plus_dimension(np.eye(3), seed=seed)
+
+
+def _unseeded_family(seed: int, count: int) -> list[list[list[Fraction]]]:
+    """Bases at d <= 4 whose first row is |h|^2 for a Gaussian-integer h (half
+    of them with a circle zero forced at +-1) or 1 plus a small perturbation,
+    with 0-2 random integer rows, each also mixed into the first."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        n = 2 * d + 1
+        if rng.random() < 0.6:
+            zero = rng.choice([None, None, 1, -1])
+            h = ComplexPoly([GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d + (zero is None))])
+            if h.is_zero():
+                h = ComplexPoly([1])
+            if zero is not None:
+                h = h * ComplexPoly([-zero, 1])
+            sq = _square_vector(h)
+            e = (len(sq) - 1) // 2
+            first = sq[: e + 1] + [Fraction(0)] * (d - e) + sq[e + 1 :] + [Fraction(0)] * (d - e)
+        else:
+            first = [Fraction(1)] + [Fraction(rng.randint(-3, 3), 8 * n) for _ in range(n - 1)]
+        extras = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        for e in extras:
+            c = rng.randint(-1, 1)
+            first = [x + c * y for x, y in zip(first, e)]
+        out.append([first] + extras)
+    return out
+
+
+# the dims the float slice probe gave the family, None where it stalled
+_SLICE_PROBE_DIMS = [3, 1, 3, 2, 1, 2, 2, 2, 1, None, 3, 1, 3, None, 3, None, 3, 2, 2, None,
+                     3, 3, 1, None, 3, 2, 3, None, 3, 2, 3, 1, 3, 1, 1, None, 1, 3, 2, 3]
+
+
+def test_unseeded_bases_are_decided_with_certified_vectors():
+    for rows, want in zip(_unseeded_family(1, 40), _SLICE_PROBE_DIMS, strict=True):
+        dim, found = plus_dimension([CoefVector.from_array(r) for r in rows])
+        assert all(all(isinstance(x, Fraction) for x in v.entries) and certify_nonneg_exact(v)[0] for v in found)
+        V = sympy.Matrix(rows)
+        assert len(found) == dim and (not found or sympy.Matrix([v.entries for v in found]).rank() == dim)
+        assert not found or V.col_join(sympy.Matrix([v.entries for v in found])).rank() == V.rank()
+        if dim:
+            assert plus_dimension([CoefVector.from_array(r) for r in rows], seed=found[0])[0] == dim
+        assert want is None or dim == want
 
 
 @pytest.mark.parametrize(
@@ -679,7 +745,7 @@ def test_plus_dimension_runs_on_the_harmonic_lattice(k):
     assert np.linalg.matrix_rank(np.vstack([rows, stack]), tol=1e-8) == 3
     for v in found:
         assert v.d == 2 * k
-        assert is_plus(v, tol=1e-7)
+        assert is_plus(v)
         assert all(a == 0 for i, a in enumerate(v.alpha) if i % k)
         assert all(b == 0 for i, b in enumerate(v.beta, start=1) if i % k)
 
@@ -695,10 +761,11 @@ def test_coef_vector_roundtrip():
 
 
 def test_coef_vector_gamma_convention():
+    # gamma_0 = 2 alpha_0 = 1 and gamma_1 = 3 + 4i: tau = 1 + 6cos t - 8sin t,
+    # whose Cayley numerator is tau(2 arctan x)(1 + x^2) = 7 - 16x - 5x^2
     v = _vec(0.5, 3.0, 4.0)
-    g = v.gamma()
-    assert g[0] == 1.0  # gamma_0 = 2 alpha_0
-    assert g[1] == 3.0 + 4.0j
+    assert [2 * c for c in _cayley_poly(v.entries, 1)] == [7, -16, -5]
+    assert np.allclose(_tau(v, [0, np.pi / 2, np.pi]), [7, -7, -5])
 
 
 @given(
@@ -709,19 +776,28 @@ def test_coef_vector_gamma_convention():
     ).filter(lambda xs: len(xs) % 2 == 1)
 )
 def test_tau_matches_exponential_sum(entries):
+    # the Cayley numerator that every verdict reads is tau(2 arctan x)(1 + x^2)^d
     v = CoefVector.from_array(np.array(entries))
-    g = v.gamma()
-    t = np.linspace(0, 2 * np.pi, 13)
-    direct = np.full_like(t, float(g[0].real))
-    for k in range(1, v.d + 1):
-        direct += 2 * np.real(complex(g[k]) * np.exp(1j * k * t))
-    assert np.allclose(v.tau(t), direct, atol=1e-10)
+    t = np.linspace(-3, 3, 13)
+    x = np.tan(t / 2)
+    P = [2 * float(c) for c in _cayley_poly([Fraction(e) for e in v.entries], v.d)]
+    assert np.allclose(np.polyval(P[::-1], x) / (1 + x * x) ** v.d, _tau(v, t), atol=1e-10)
 
 
 def test_tau_derivative_matches_difference_quotient():
+    # the Taylor coefficients of P at a = tan(t0 / 2), which the Gordan steps
+    # read, carry tau's derivatives at t0: tau(t) = f(x) with f = P g,
+    # g = (1 + x^2)^-d and x = tan(t/2), so x' = (1 + x^2) / 2 and x'' = x x'
     v = _vec(0.3, 1.0, -0.5, 0.2, 0.7)
-    t, h = 0.9, 1e-6
-    num = (v.tau(t + h) - v.tau(t - h)) / (2 * h)
-    assert abs(v.tau(t, 1) - num) <= 1e-5
-    num2 = (v.tau(t + h) - 2 * v.tau(t) + v.tau(t - h)) / h**2
-    assert abs(v.tau(t, order=2) - num2) <= 1e-3
+    a, d = Fraction(1, 2), v.d
+    p0, p1, p2 = (2 * c for c in _taylor(_cayley_poly([Fraction(e) for e in v.entries], d), a, 3)[0])
+    s = 1 + a * a
+    g0, g1 = s**-d, -2 * d * a * s ** (-d - 1)
+    g2 = -2 * d * s ** (-d - 1) + 4 * d * (d + 1) * a * a * s ** (-d - 2)
+    f1, f2 = p1 * g0 + p0 * g1, 2 * p2 * g0 + 2 * p1 * g1 + p0 * g2
+    x1 = s / 2
+    t, h = 2 * math.atan(0.5), 1e-6
+    num = (_tau(v, t + h) - _tau(v, t - h)) / (2 * h)
+    assert abs(float(f1 * x1) - num) <= 1e-5
+    num2 = (_tau(v, t + h) - 2 * _tau(v, t) + _tau(v, t - h)) / h**2
+    assert abs(float(f2 * x1 * x1 + f1 * a * x1) - num2) <= 1e-3

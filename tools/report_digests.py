@@ -33,7 +33,9 @@ irrational and Salem splits, lossy float products, many shared pairs,
 zeros beyond the float range, a non-exposed witness that only the cone
 search finds, a companion eigenvalue solve that does not converge, and
 cones decided by facial reduction over circle zeros at +-1 and at the cube
-roots of unity.  Run it on two checkouts on one machine and
+roots of unity.  Then each basis of ``OUTSIDE_PLUSDIM``, a ``lacuna
+plusdim`` job without a seed, gets one plusdim line under ``outside``.
+Run it on two checkouts on one machine and
 diff the outputs to show that a change leaves every report byte-identical,
 or which reports outside the workloads it moved.
 """
@@ -79,6 +81,22 @@ OUTSIDE = (
     ("cube-root-zeros-8:3", "(1+z+z^2)^2*((-1+3i) + (1-10i/3)z + iz^2 + (-1+2i)z^3)", 8, (3,), None),
 )
 
+# (id, basis file): plusdim jobs without a seed, so that the search for the
+# first plus vector runs
+OUTSIDE_PLUSDIM = (
+    ("unseeded-plus-line", {"d": 2, "basis": [["1", "1", "0", "0", "0"]]}),  # 2 + 2cos t
+    ("unseeded-line-without-plus-vector", {"d": 1, "basis": [["1", "2", "0"]]}),  # 2 + 4cos t
+    # every plus vector vanishes at t = pi/2
+    ("unseeded-zero-at-a-rational-point", {"d": 4, "basis": [
+        ["24", "-13", "-4", "-13", "6", "23", "9", "-11", "-2"], ["0", "1", "-2", "-1", "-2", "0", "0", "0", "-2"]]}),
+    # strictly plus vectors span all three dimensions
+    ("unseeded-interior-space", {"d": 2, "basis": [
+        ["1599/100", "21", "5", "2", "-1"], ["1", "1", "0", "2", "-1"], ["1", "0", "-1", "0", "1"]]}),
+    # one plus line, touching zero, in a plane
+    ("unseeded-touching-line-in-a-plane", {"d": 3, "basis": [
+        ["15", "-7", "-10", "2", "-3", "-11", "8"], ["-1", "2", "1", "-2", "0", "-2", "1"]]}),
+)
+
 
 def load(root: Path):
     """Import lacuna and the benchmark cases from the source tree ``root``."""
@@ -99,13 +117,16 @@ def workload_cases(cases, root: Path, seed: int):
 
 
 def outside_cases(lacuna, cases):
-    """The inputs of ``OUTSIDE`` as classify cases."""
+    """The inputs of ``OUTSIDE`` as classify cases, then those of
+    ``OUTSIDE_PLUSDIM`` as plusdim cases."""
     for case_id, text, N, forbidden, scalar in OUTSIDE:
         if scalar is not None:
             cs = lacuna.poly_core.parse_poly(text).coeffs
             p = lacuna.poly_core.ComplexPoly([complex(c) * scalar for c in cs])
             text = json.dumps(lacuna.poly_core.poly_to_json(p))
         yield cases.Case(case_id, "outside", "classify", text, N, forbidden)
+    for case_id, data in OUTSIDE_PLUSDIM:
+        yield cases.Case(case_id, "outside", "plusdim", data)
 
 
 def classify_case(lacuna, case, overrides: dict):
