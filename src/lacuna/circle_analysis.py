@@ -42,7 +42,8 @@ _GL_HI = np.polynomial.legendre.leggauss(32)
 _GL_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
 # distance under which a zero of p and a zero of p* count as one shared zero
 _MATCH_RADIUS = 1e-6
-# half-width of the annulus |1 - |r|| <= _EPS_CIRCLE whose zeros are "on the circle"
+# half-width of the annulus |1 - |r|| <= _EPS_CIRCLE whose zeros find_zeros labels
+# "circle"; only the match-band routes read the label, never the circle split
 _EPS_CIRCLE = 1e-8
 # relative rounding error of the summed quadrature value
 _ROUNDING_FLOOR = 32 * np.finfo(float).eps
@@ -99,9 +100,10 @@ def l1_norm(
         The zeros of p on the circle, the only points where |p| is not
         analytic; their arguments are the first panel breaks, and an empty
         one starts from 8 equal panels.  Given, no root is solved here.
-        When None, they are found as the classifier finds them, off
-        g = gcd(p, p*): none when g = 1 (a modular certificate, no root
-        solve), otherwise the circle clusters of :func:`find_zeros` (g).
+        When None, they are split off g = gcd(p, p*) as the classifier
+        splits them: none when g = 1 (a modular certificate, no root
+        solve), otherwise the exactly counted circle zeros of each part of
+        g's square-free decomposition (``factorization.circle_parts``).
     tol : float
         Target absolute error for the returned value, times the norm below
         unit norm.  Where the rounding floor 32 eps |value| is larger, that
@@ -119,8 +121,11 @@ def l1_norm(
     if p.is_zero():
         raise ValueError("the zero polynomial has no unit-norm representative")
     coeffs = _float_coeffs(p, "p")
-    if circle_zeros is None:
-        circle_zeros = _circle_clusters(p)
+    if circle_zeros is None:  # split off g = gcd(p, p*) as the classifier splits it
+        from .factorization import circle_parts  # factorization imports this module
+
+        g = gcd_exact(p, conjugate_reciprocal(p, p.deg))
+        circle_zeros = [z for *_, zeros in circle_parts(g) for z in zeros]
     breaks = sorted({cmath.phase(c.location) % (2 * math.pi) for c in circle_zeros})
     if not breaks:
         edges = [2 * math.pi * k / 8 for k in range(9)]
@@ -165,14 +170,6 @@ def l1_norm(
 # ---------------------------------------------------------------------------
 # zeros
 # ---------------------------------------------------------------------------
-
-
-def _circle_clusters(p: ComplexPoly) -> list[ZeroCluster]:
-    """The circle zeros of p, read off g = gcd(p, p*) as the classifier reads
-    them: a circle zero of p is one of p* of the same multiplicity, so none
-    when g = 1, and otherwise the circle clusters of :func:`find_zeros` (g)."""
-    g = gcd_exact(p, conjugate_reciprocal(p, p.deg))
-    return [c for c in find_zeros(g) if c.region == "circle"] if g.deg else []
 
 
 def _float_coeffs(p: ComplexPoly, name: str) -> np.ndarray:
@@ -264,13 +261,13 @@ def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
     list of ZeroCluster
         Locations carry a backward-error ``residual``.  A zero whose modulus
         is within ``_EPS_CIRCLE`` (1e-8) of 1 has region "circle"; the rest
-        are "disk" or "exterior".  The zeros are those of p's exact value:
-        a degree-0 gcd(p, p') modulo a prime certifies square-free input
-        (all multiplicities 1), and the square-free (Yun) decomposition runs
-        only otherwise.  One Newton pass polishes each part's root array.
-        Raises :class:`IllConditionedZeros` when a backward error is not
-        <= 1e-6 (NaN when it overflowed), or when a zero lies beyond the
-        float range.
+        are "disk" or "exterior"; only the match-band routes read the label.
+        The zeros are those of p's exact value: a degree-0 gcd(p, p') modulo
+        a prime certifies square-free input (all multiplicities 1), and the
+        square-free (Yun) decomposition runs only otherwise.  One Newton
+        pass polishes each part's root array.  Raises
+        :class:`IllConditionedZeros` when a backward error is not <= 1e-6
+        (NaN when it overflowed), or when a zero lies beyond the float range.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")

@@ -11,25 +11,22 @@ their constraint matrices off the cofactors R and R~.
 Every factor is exact, read off p's Gaussian-rational coefficients.  G
 divides g = gcd(p, p*): when the modular certificate inside ``gcd_exact``
 proves g = 1, p shares no zero with p* and has no circle zero, so m = 0,
-G = 1 and R = p with no zero analysis at all.
-Otherwise g is p's circle zeros (with multiplicity) times G: a circle zero
-of p is one of p* of the same multiplicity, so the circle zeros are read off
-the zeros of g, not of p.  The monic G is g divided by the monic product of
-the circle zeros, and m = (deg G + order of G at 0) / 2.  The displayed
-disk zeros are the pairs that the match band of ``common_disk_zeros``
-finds, and their count must be m.  G is scaled to make its symbol on the
-circle real and positive: by the natural scale prod(-conj a) when the disk
-zeros a have a Gaussian-rational monic product, else by the Gaussian
+G = 1 and R = p with no zero analysis at all.  Otherwise p's circle zeros
+are read off g, since a circle zero of p is one of p* of the same
+multiplicity.  Without its zeros at the origin g is self-inversive, and so
+is each part f_j of multiplicity j of its square-free (Yun) decomposition
+(A. Cohn, Math. Z. 14, 1922), whose number c_j of circle zeros Sturm's
+theorem counts exactly on a Cayley numerator.  Its circle factor C_j is 1
+when c_j = 0 (no root is solved), f_j when c_j = deg f_j, and otherwise the
+rationalized float product of the c_j zeros of f_j nearest the circle,
+accepted only when it divides f_j and has c_j circle zeros; an irrational
+split (a Salem polynomial, say) raises :class:`IllConditionedZeros` with
+the counts.  The monic G is g / prod C_j^j, m = (deg G + order of G at 0)
+/ 2, and the displayed disk zeros are the pairs that the match band of
+``common_disk_zeros`` finds, m of them.  G is scaled to make its symbol on
+the circle real and positive: by the natural scale prod(-conj a) when the
+disk zeros a have a Gaussian-rational monic product, else by the Gaussian
 rational that Hilbert 90 reads off G's coefficients.
-
-A circle factor is found by rationalizing the float product of the circle
-zeros coefficient by coefficient (growing denominator bounds) and is
-accepted only if it divides exactly.  Where none does (an irrational split,
-such as the circle factor of a Salem polynomial, a zero that the band
-counts on the circle but that lies off it, or denominators beyond the
-bounds) the factorization raises :class:`IllConditionedZeros` naming the
-factor; it never falls back to floats.  Which zeros count as circle zeros
-is still read off the band ``circle_analysis._EPS_CIRCLE``.
 """
 
 from __future__ import annotations
@@ -37,17 +34,20 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from .circle_analysis import ZeroCluster, common_disk_zeros, find_zeros
-from .errors import IllConditionedZeros, NotDivisible, NotHermitianSymmetric
-from .plus_cone import CoefVector
+from .circle_analysis import ZeroCluster, _sort_key, common_disk_zeros, find_zeros
+from .errors import IllConditionedZeros, NotHermitianSymmetric
+from .plus_cone import CoefVector, _cayley_numerator
 from .poly_core import (
     _RATIONALIZE_BOUNDS,
     ComplexPoly,
     GaussianRational,
+    _divides,
     conjugate_reciprocal,
     divide_exact,
     gcd_exact,
     linear_product,
+    real_root_count,
+    square_free_decomposition,
 )
 
 
@@ -61,6 +61,7 @@ class CanonicalData:
     disk_factor: ComplexPoly
     cofactor: ComplexPoly
     zero_clusters: tuple[ZeroCluster, ...]  # p's circle zeros, read off gcd(p, p*)
+    circle_factors: tuple[tuple[ComplexPoly, int], ...]  # (C_j, j): prod C_j^j divides gcd(p, p*)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,76 +77,74 @@ class TildeData:
     reduced_cofactor: ComplexPoly
 
 
-def _rationalize_coefficients(approx, bound: int):
-    """The Gaussian rationals with denominators up to bound nearest the float
-    coefficients ``approx``, or None when one is off by more than 1e-9."""
-    out = []
-    for c in approx.tolist():
-        re = Fraction(c.real).limit_denominator(bound)
-        im = Fraction(c.imag).limit_denominator(bound)
-        if abs(float(re) - c.real) > 1e-9 * max(1.0, abs(c.real)):
-            return None
-        if abs(float(im) - c.imag) > 1e-9 * max(1.0, abs(c.imag)):
-            return None
-        out.append(GaussianRational(re, im))
-    return ComplexPoly(out)
+def _factor_out(p: ComplexPoly, factors) -> ComplexPoly | None:
+    """The first Gaussian-rational reading, with denominators up to a bound of
+    ``_RATIONALIZE_BOUNDS`` and within 1e-9 relative, of the float product
+    of the linear factors (c0, c1) = c0 + c1 z that divides p exactly, or
+    None when none does."""
+    approx = [(c.real, c.imag) for c in linear_product(factors).tolist()]
+    for bound in _RATIONALIZE_BOUNDS:
+        cand = [[Fraction(x).limit_denominator(bound) for x in c] for c in approx]
+        if all(abs(float(r) - x) <= 1e-9 * max(1.0, abs(x)) for c, rc in zip(approx, cand) for x, r in zip(c, rc)):
+            D = ComplexPoly([GaussianRational(*c) for c in cand])
+            if D.deg == len(factors) and _divides(D.coeffs, p.coeffs):
+                return D
+    return None
 
 
-def _factor_out(p: ComplexPoly, factors, s: int, what: str = "factor") -> tuple[ComplexPoly, ComplexPoly]:
-    """Divide the product of the linear factors (c0, c1) = c0 + c1 z out of p.
-
-    The factor is the first rationalization of the float product that
-    divides p exactly; when none does, :class:`IllConditionedZeros` names
-    the factor as ``what``.  The quotient must fit the degree budget s,
-    which also rejects s < 0.  With no factors p is its own quotient.
-    """
-    factor, quotient = ComplexPoly.one(), p
-    if factors:
-        approx = linear_product(factors)
-        for bound in _RATIONALIZE_BOUNDS:
-            cand = _rationalize_coefficients(approx, bound)
-            if cand is None or cand.deg != len(approx) - 1:
-                continue
-            try:
-                factor, quotient = cand, divide_exact(p, cand)
-                break
-            except NotDivisible:
-                continue
-        else:
-            raise IllConditionedZeros(
-                f"no Gaussian-rational {what} with denominators up to "
-                f"{_RATIONALIZE_BOUNDS[-1]:.0e} divides exactly: the split is irrational "
-                "(a Salem factor, say), or a zero within the circle band lies off the circle",
-                diagnostics={"factor": what, "degree": len(factors)},
-            )
-    if quotient.deg > s:
-        raise IllConditionedZeros(
-            "cofactor degree exceeds the degree budget; zero identification is inconsistent",
-            diagnostics={"cofactor_degree": quotient.deg, "budget": s},
-        )
-    return factor, quotient
+def _hermitian(F: ComplexPoly) -> ComplexPoly:
+    """kappa F with a real symbol on the circle, F monic with its zeros paired
+    by a -> 1/conj(a): the outer coefficients kappa and kappa F_k (k the order
+    of F at 0) must be conjugate, that is conj(kappa) eps = kappa with the
+    unimodular eps = conj(F_k), and kappa = 1 + eps solves it (Hilbert 90; i
+    when eps = -1)."""
+    eps = F.coefficient(F.order_at_zero()).conjugate()
+    return F * (1 + eps if eps != -1 else GaussianRational(0, 1))
 
 
 def _positive_hermitian_multiple(G: ComplexPoly, disk) -> ComplexPoly:
-    """kappa G for a Gaussian rational kappa whose symbol on the circle is real
-    and positive, G monic with its zeros paired by a -> 1/conj(a).
-
-    The natural scale is kappa = prod(-conj a) = conj(D(0)) over the nonzero
-    disk zeros a, D their monic product (the linear factors ``disk``), and it
-    is kept when D is a Gaussian-rational divisor of G.  Otherwise: the outer
-    coefficients of kappa G are kappa and kappa G_k (k the order of G at 0),
-    a real symbol needs kappa = conj(kappa G_k), that is conj(kappa) eps =
-    kappa with the unimodular eps = conj(G_k), and kappa = 1 + eps solves it
-    (Hilbert 90; i when eps = -1), with the sign that makes the symbol at
-    t = 0, kappa G(1), positive.
-    """
-    try:
-        return G * _factor_out(G, disk, G.deg)[0].coeffs[0].conjugate()
-    except IllConditionedZeros:
-        pass
-    eps = G.coefficient(G.order_at_zero()).conjugate()
-    F = G * (1 + eps if eps != -1 else GaussianRational(0, 1))
+    """kappa G with a real and positive symbol on the circle: kappa is the
+    natural scale prod(-conj a) = conj(D(0)) when the monic product D of the
+    nonzero disk zeros a (the linear factors ``disk``) is a Gaussian-rational
+    divisor of G, and otherwise the Hilbert 90 scale of ``_hermitian``, with
+    the sign that makes the symbol at t = 0, kappa G(1), positive."""
+    D = _factor_out(G, disk)
+    if D is not None:
+        return G * D.coeffs[0].conjugate()
+    F = _hermitian(G)
     return -F if sum(F.coeffs).real < 0 else F
+
+
+def _circle_count(f: ComplexPoly) -> int | None:
+    """The exact number of circle zeros of a monic square-free f with
+    f(0) != 0, or None when f is not self-inversive.
+
+    F = f, times 1 + z when deg f is odd, has the real symbol
+    tau(t) = e^{-iht} kappa F(e^{it}), h = deg F / 2, and tau(2 arctan x) =
+    P(x) / (1+x^2)^h with the Cayley numerator P.  Each circle zero e^{it}
+    of F but -1 is a simple real root x = tan(t/2) of P, and a zero of
+    order k at -1 lowers deg P by k.
+    """
+    F = f * ComplexPoly([1, 1]) if f.deg % 2 else f
+    try:
+        v = real_symbol_on_circle(_hermitian(F), F.deg // 2)
+    except NotHermitianSymmetric:
+        return None
+    P = _cayley_numerator(v)
+    return real_root_count(P)[0] + F.deg - (len(P) - 1) - f.deg % 2
+
+
+def circle_parts(g: ComplexPoly) -> list[tuple[ComplexPoly, int, int, list[ZeroCluster]]]:
+    """(f, j, c, zeros) for each part f of multiplicity j of the square-free
+    decomposition of g = gcd(p, p*), origin dropped, with c > 0 circle zeros
+    (``_circle_count``); ``zeros`` are the c float zeros of f nearest the
+    circle, as circle zeros of multiplicity j."""
+    parts = []
+    for f, j in square_free_decomposition(ComplexPoly(g.coeffs[g.order_at_zero():])):
+        if c := _circle_count(f):
+            near = sorted(find_zeros(f), key=lambda z: abs(1 - abs(z.location)))[:c]
+            parts.append((f, j, c, [dataclasses.replace(z, multiplicity=j, region="circle") for z in near]))
+    return parts
 
 
 def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
@@ -157,15 +156,26 @@ def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
     pstar = conjugate_reciprocal(p, N)
     g = gcd_exact(p, pstar)
     if g.deg == 0:  # no shared zero, and so no circle zero either
-        return CanonicalData((), 0, N, ComplexPoly.one(), p, ())
-    # a circle zero of p is one of p* of the same multiplicity, and so of g
-    clusters = [c for c in find_zeros(g) if c.region == "circle"]
-    circle = [(-c.location, 1.0) for c in clusters for _ in range(c.multiplicity)]
-    G = _factor_out(g, circle, g.deg, "monic product of the circle zeros of p")[1]
-    m, odd = divmod(G.deg + G.order_at_zero(), 2)
+        return CanonicalData((), 0, N, ComplexPoly.one(), p, (), ())
+    G, clusters, circle = g, [], []
+    for f, j, c, zeros in circle_parts(g):
+        C = f if c == f.deg else _factor_out(f, [(-z.location, 1.0) for z in zeros])
+        if c < f.deg and (C is None or _circle_count(C) != c):
+            raise IllConditionedZeros(
+                "no Gaussian-rational monic product of the circle zeros of p with denominators "
+                f"up to {_RATIONALIZE_BOUNDS[-1]:.0e} divides the part of multiplicity {j} of "
+                f"gcd(p, p*): {c} of its {f.deg} zeros lie on the circle, and the split is "
+                "irrational (a Salem factor, say)",
+                diagnostics={"multiplicity": j, "circle_zeros": c, "degree": f.deg},
+            )
+        clusters += zeros
+        circle.append((C, j))
+        for _ in range(j):
+            G = divide_exact(G, C)
+    m = (G.deg + G.order_at_zero()) // 2
     # the matched zeros are displayed, and give G its natural scale
     shared, m_band = common_disk_zeros(p, pstar) if m else ((), 0)
-    if odd or m_band != m:
+    if m_band != m:
         raise IllConditionedZeros(
             f"the exact gcd(p, p*) leaves a shared factor of degree {G.deg}, but the "
             f"match band pairs {m_band} disk zeros of p and p*",
@@ -181,35 +191,36 @@ def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
         s=N - 2 * m,
         disk_factor=G,
         cofactor=divide_exact(p, G),
-        zero_clusters=tuple(clusters),
+        zero_clusters=tuple(sorted(clusters, key=lambda c: _sort_key(c.location))),
+        circle_factors=tuple(circle),
     )
 
 
 def tilde_factorization(N: int, canonical: CanonicalData) -> TildeData:
     """Extend the canonical factor by half of every multiple circle zero.
 
-    The circle factor is divided out of the canonical cofactor, so the total
-    factor is the canonical factor times the circle factor.
+    As (z - a)(1 - conj(a) z) = -conj(a) (z - a)^2 for |a| = 1, the circle
+    factor is prod_j (conj(C_j(0)) C_j^2)^floor(j/2) over the canonical
+    circle factors C_j.  It is divided out of the canonical cofactor, so
+    the total factor is the canonical factor times the circle factor.
     """
     triples = tuple(
         (complex(c.location), c.multiplicity, c.multiplicity // 2)
         for c in canonical.zero_clusters
     )
     mu = sum(t[2] for t in triples)
-    m_tilde = canonical.m + mu
-    s_tilde = N - 2 * m_tilde
-    doubled = [f for loc, _lam, mu_j in triples for f in [(-loc, 1.0), (1.0, -loc.conjugate())] * mu_j]
-    circle_factor, R_tilde = _factor_out(
-        canonical.cofactor, doubled, s_tilde, "circle factor (half of each multiple circle zero)"
-    )
+    circle_factor = ComplexPoly.one()
+    for C, j in canonical.circle_factors:
+        for _ in range(j // 2):
+            circle_factor = circle_factor * C * C * C.coeffs[0].conjugate()
     return TildeData(
         circle_zeros=triples,
         mu=mu,
-        m_tilde=m_tilde,
-        s_tilde=s_tilde,
+        m_tilde=canonical.m + mu,
+        s_tilde=N - 2 * (canonical.m + mu),
         circle_factor=circle_factor,
         total_factor=canonical.disk_factor * circle_factor,
-        reduced_cofactor=R_tilde,
+        reduced_cofactor=divide_exact(canonical.cofactor, circle_factor),
     )
 
 

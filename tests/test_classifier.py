@@ -754,8 +754,8 @@ def test_coprime_input_solves_no_roots(monkeypatch):
 @pytest.mark.xfail(
     raises=IllConditionedZeros,
     strict=True,
-    reason="the circle band _EPS_CIRCLE = 1e-8 counts the disk pair 1 - 10^-9, "
-    "1/(1 - 10^-9) as circle zeros, so no exact circle factor divides g = p; m is 1",
+    reason="m = 1 is exact (no zero of g = p lies on the circle), but the float zeros "
+    "of p land at |z| = 1, so the match band of common_disk_zeros pairs no disk zero",
 )
 def test_disk_pair_inside_the_circle_band_is_decided():
     rep = classify("(z - (1 - 1/10^9))(1 - (1 - 1/10^9)z)", LacunaryPattern(2))
@@ -770,24 +770,18 @@ def _rounded_circle_power(text: str) -> ComplexPoly:
     return ComplexPoly([complex(c) * 0.7 for c in parse_poly(text).coeffs])
 
 
-@pytest.mark.xfail(
-    raises=IllConditionedZeros,
-    strict=True,
-    reason="g = gcd(p, p*) is square-free of degree 6 with every zero within 2e-6 of "
-    "the circle, so m is 3; the float zeros of p and p* are too inexact for the "
-    "1e-6 match band, which pairs only 4 disk zeros",
-)
 def test_rounded_cube_of_a_circle_pair_is_decided():
+    # g = gcd(p, p*) is square-free of degree 6 with all six zeros on the circle
     rep = classify(_rounded_circle_power("(1 - z^2)^3"), LacunaryPattern(6))
-    assert not rep.undecided
+    assert (rep.canonical.m, rep.tilde.mu) == (0, 0)
+    assert (rep.extreme, rep.exposed) == (True, True)
 
 
 @pytest.mark.xfail(
     raises=IllConditionedZeros,
     strict=True,
-    reason="the circle band _EPS_CIRCLE = 1e-8 counts 3 float zeros of g = gcd(p, p*) "
-    "as circle zeros, an odd count for the self-reciprocal g, and no Gaussian-rational "
-    "circle factor divides g",
+    reason="an irrational split: g = gcd(p, p*) is square-free with 4 of its 8 zeros "
+    "on the circle, and no Gaussian-rational circle factor divides it",
 )
 def test_rounded_fourth_power_of_a_circle_pair_is_decided():
     rep = classify(_rounded_circle_power("(1 - z^2)^4"), LacunaryPattern(8))

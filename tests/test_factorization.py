@@ -11,12 +11,13 @@ from lacuna import (
     NotHermitianSymmetric,
     canonical_factorization,
     certify_nonneg_exact,
+    conjugate_reciprocal,
     parse_poly,
     real_symbol_on_circle,
     tilde_factorization,
 )
-from lacuna.factorization import _factor_out
-from lacuna.poly_core import ComplexPoly, GaussianRational
+from lacuna.factorization import _circle_count
+from lacuna.poly_core import ComplexPoly, GaussianRational, gcd_exact, square_free_decomposition
 
 
 def _exact(p, coeffs):
@@ -69,13 +70,6 @@ def test_canonical_without_shared_zeros_divides_by_one(expr, N):
     assert (can.m, can.s) == (0, N)
     assert can.disk_factor == ComplexPoly.one()
     assert can.cofactor == p
-
-
-@pytest.mark.parametrize("s", [0, -1])
-def test_split_rejects_a_quotient_over_the_degree_budget(s):
-    # no zeros to split off: the quotient is p itself, of degree 1 > s
-    with pytest.raises(IllConditionedZeros):
-        _factor_out(parse_poly("1 + z/2"), [], s)
 
 
 def test_canonical_origin_pair():
@@ -184,8 +178,47 @@ def test_canonical_factor_is_hermitian_and_positive(expr, N, m, factor):
 def test_lehmer_polynomial_is_refused_with_the_factor_named():
     # a Salem polynomial: eight circle zeros whose monic product is irrational
     p = parse_poly("1 + z - z^3 - z^4 - z^5 - z^6 - z^7 + z^9 + z^10")
-    with pytest.raises(IllConditionedZeros, match="monic product of the circle zeros of p"):
+    with pytest.raises(
+        IllConditionedZeros,
+        match=r"monic product of the circle zeros of p .*: 8 of its 10 zeros lie on the circle",
+    ):
         canonical_factorization(p, 10)
+
+
+def _rounded(text):
+    """text's coefficients rounded to doubles, each times 0.7 in float arithmetic."""
+    return ComplexPoly([complex(c) * 0.7 for c in parse_poly(text).coeffs])
+
+
+@pytest.mark.parametrize(
+    "p,N,circle,degree",
+    [
+        (parse_poly("1 + z - z^3 - z^4 - z^5 - z^6 - z^7 + z^9 + z^10"), 10, 8, 10),
+        (_rounded("(1 - z^2)^4"), 8, 4, 8),
+        (_rounded("(1 - z^2)^3"), 6, 6, 6),
+        (parse_poly("(z - (1 - 1/10^9))(1 - (1 - 1/10^9)z)"), 2, 0, 2),
+        (parse_poly("(1 + z^5)^3"), 15, 5, 5),
+        (parse_poly("(z - 1/2)(1 - z/2)(1 + z^3)"), 5, 3, 5),
+    ],
+    ids=["lehmer", "rounded-fourth-power", "rounded-cube", "disk-pair", "(1+z^5)^3", "planted"],
+)
+def test_each_part_of_the_gcd_counts_its_circle_zeros_exactly(p, N, circle, degree):
+    g = gcd_exact(p, conjugate_reciprocal(p, N))
+    ((f, _j),) = square_free_decomposition(g)
+    assert (_circle_count(f), f.deg) == (circle, degree)
+
+
+def test_a_gcd_without_circle_zeros_solves_no_root(monkeypatch):
+    # the only part of g = (z - 1/2)(z - 2) has no circle zero: C = 1, G = g
+    import lacuna.factorization
+
+    def no_zeros(p):
+        raise AssertionError("find_zeros ran on g")
+
+    monkeypatch.setattr(lacuna.factorization, "find_zeros", no_zeros)
+    can = canonical_factorization(parse_poly("(z - 1/2)(1 - z/2)"), 2)
+    assert (can.m, can.zero_clusters, can.circle_factors) == (1, (), ())
+    _exact(can.disk_factor, G_HALF)
 
 
 @pytest.mark.parametrize(

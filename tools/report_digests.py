@@ -33,7 +33,8 @@ irrational and Salem splits, lossy float products, many shared pairs,
 zeros beyond the float range, a non-exposed witness that only the cone
 search finds, a companion eigenvalue solve that does not converge, and
 cones decided by facial reduction over circle zeros at +-1 and at the cube
-roots of unity.  Then each basis of ``OUTSIDE_PLUSDIM``, a ``lacuna
+roots of unity, rounded powers of 1 - z^2 whose zeros split near the
+circle, and a shared disk pair within 1e-9 of it.  Then each basis of ``OUTSIDE_PLUSDIM``, a ``lacuna
 plusdim`` job without a seed, gets one plusdim line under ``outside``.
 Run it on two checkouts on one machine and
 diff the outputs to show that a change leaves every report byte-identical,
@@ -79,6 +80,9 @@ OUTSIDE = (
     ("cube-root-zeros-7:3", "(1+z+z^2)^2*((-3+3i/2) - 3iz + (3+3i)z^2)", 7, (3,), None),
     ("cube-root-zeros-6:2", "(1-z+z^2)^2*(-1 + (-3+i)z + (-3+2i)z^2)", 6, (2,), None),
     ("cube-root-zeros-8:3", "(1+z+z^2)^2*((-1+3i) + (1-10i/3)z + iz^2 + (-1+2i)z^3)", 8, (3,), None),
+    ("rounded-cube", "(1 - z^2)^3", 6, (), 0.7),
+    ("rounded-fourth-power", "(1 - z^2)^4", 8, (), 0.7),
+    ("disk-pair-in-band", "(z - (1 - 1/10^9))(1 - (1 - 1/10^9)z)", 2, (), None),
 )
 
 # (id, basis file): plusdim jobs without a seed, so that the search for the
