@@ -21,7 +21,10 @@ square-free (Yun) decomposition split p and give the multiplicities.  One
 Newton pass polishes the companion-matrix roots of each square-free part as
 a whole array, each step reading p and p' off one table of powers, and
 gives the backward errors; an overflowed residual is NaN and raises
-:class:`IllConditionedZeros`, as does a zero beyond the float range.
+:class:`IllConditionedZeros`, as does a zero beyond the float range.  A
+cluster's region comes from a 1e-8 band about the circle and decides no
+count: only ``common_disk_zeros`` reads it, to pair the disk zeros of p
+and p* that a report displays.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ _GL_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
 # distance under which a zero of p and a zero of p* count as one shared zero
 _MATCH_RADIUS = 1e-6
 # half-width of the annulus |1 - |r|| <= _EPS_CIRCLE whose zeros find_zeros labels
-# "circle"; only the match-band routes read the label, never the circle split
+# "circle"; only the match band of common_disk_zeros reads the label, no count
 _EPS_CIRCLE = 1e-8
 # relative rounding error of the summed quadrature value
 _ROUNDING_FLOOR = 32 * np.finfo(float).eps
@@ -261,7 +264,7 @@ def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
     list of ZeroCluster
         Locations carry a backward-error ``residual``.  A zero whose modulus
         is within ``_EPS_CIRCLE`` (1e-8) of 1 has region "circle"; the rest
-        are "disk" or "exterior"; only the match-band routes read the label.
+        are "disk" or "exterior"; only ``common_disk_zeros`` reads the label.
         The zeros are those of p's exact value: a degree-0 gcd(p, p') modulo
         a prime certifies square-free input (all multiplicities 1), and the
         square-free (Yun) decomposition runs only otherwise.  One Newton
@@ -289,14 +292,18 @@ def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
     return clusters
 
 
-def match_disk_zeros(
-    zp: list[ZeroCluster], zs: list[ZeroCluster]
+def common_disk_zeros(
+    p: ComplexPoly, pstar: ComplexPoly
 ) -> tuple[tuple[ZeroCluster, ...], int]:
-    """Pair each zero of zp with the first zero of zs within ``_MATCH_RADIUS``.
+    """Zeros shared by p and its conjugate reciprocal inside the open disk.
 
-    Returns the matched clusters at zp's locations, with the shared
-    multiplicity ``min`` of the two sides, and their total multiplicity.
+    Each disk zero of p is paired with the first disk zero of ``pstar``
+    within ``_MATCH_RADIUS``.  Returns the clusters at p's locations (with
+    the shared multiplicity ``min`` of the two sides) and their total
+    multiplicity.  The origin participates through the order of ``pstar`` at
+    zero, i.e. through ``N - deg p``.
     """
+    zp, zs = ([c for c in find_zeros(q) if c.region == "disk"] for q in (p, pstar))
     shared = []
     for a in zp:
         b = next((b for b in zs if abs(a.location - b.location) <= _MATCH_RADIUS), None)
@@ -305,25 +312,3 @@ def match_disk_zeros(
             shared.append(ZeroCluster(a.location, mult, "disk", max(a.residual, b.residual)))
     shared.sort(key=lambda c: _sort_key(c.location))
     return tuple(shared), sum(c.multiplicity for c in shared)
-
-
-def reflected_zeros(clusters: list[ZeroCluster], origin_order: int) -> list[ZeroCluster]:
-    """Disk zeros of p* read off p's zeros: 1/conj(a) for each exterior zero a,
-    and the origin to order ``origin_order`` = N - deg p."""
-    out = [ZeroCluster(1 / c.location.conjugate(), c.multiplicity, "disk", c.residual)
-           for c in clusters if c.region == "exterior"]
-    return out + [ZeroCluster(0j, origin_order, "disk", 0.0)] if origin_order else out
-
-
-def common_disk_zeros(
-    p: ComplexPoly, pstar: ComplexPoly
-) -> tuple[tuple[ZeroCluster, ...], int]:
-    """Zeros shared by p and its conjugate reciprocal inside the open disk.
-
-    Returns the clusters (with the shared multiplicity ``min`` of the two
-    sides) and their total multiplicity.  The origin participates through the
-    order of ``pstar`` at zero, i.e. through ``N - deg p``.
-    """
-    zp = [c for c in find_zeros(p) if c.region == "disk"]
-    zs = [c for c in find_zeros(pstar) if c.region == "disk"]
-    return match_disk_zeros(zp, zs)

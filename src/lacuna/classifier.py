@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle_analysis import find_zeros, l1_norm, match_disk_zeros, reflected_zeros
+from .circle_analysis import l1_norm
 from .errors import (
     AuditMismatch,
     IllConditionedZeros,
@@ -63,9 +63,7 @@ from .poly_core import (
     ComplexPoly,
     GaussianRational,
     LacunaryPattern,
-    conjugate_reciprocal,
     divide_exact,
-    gcd_exact,
     parse_poly,
     spectrum,
     spectrum_in,
@@ -116,8 +114,6 @@ class ClassificationReport:
     fast_path_extreme: str = "rank"
     fast_path_exposed: str = ""
     witnesses: tuple[Witness, ...] = ()
-    # the arithmetic of every verdict (a class constant, not a field)
-    mode = "exact"
 
     @property
     def undecided(self) -> bool:
@@ -208,7 +204,6 @@ def _validated_witness(
     h = _grid_multiplier(Q, factor)
     h_scale = float(np.max(np.abs(h.real)))
     checks = {
-        "spectrum_ok": True,
         "imag_max": float(np.max(np.abs(h.imag))),
         "spread": float(np.max(h.real) - np.min(h.real)),
         "multiplier_max": h_scale,
@@ -341,11 +336,7 @@ def classify(
         tilde=tilde,
         matrix=build_matrix(canonical.cofactor, forbidden, canonical.m, kind="plain"),
         matrix_tilde=build_matrix(tilde.reduced_cofactor, forbidden, tilde.m_tilde, kind="tilde"),
-        diagnostics={
-            "canonical_mode": "exact",
-            "tilde_mode": "exact",
-            "norm_panels": norm_res.panels,
-        },
+        diagnostics={"norm_panels": norm_res.panels},
         audit={"performed": opt.audit, "checks": [], "mismatches": []},
     )
     diagnostics = rep.diagnostics
@@ -355,8 +346,8 @@ def classify(
 
     rep.kernel = rank_and_kernel(rep.matrix)
     rep.kernel_tilde = rank_and_kernel(rep.matrix_tilde)
-    _check_seed_membership(rep.matrix, seed, diagnostics, "plain")
-    _check_seed_membership(rep.matrix_tilde, seed_tilde, diagnostics, "tilde")
+    _check_seed_membership(rep.matrix, seed, "plain")
+    _check_seed_membership(rep.matrix_tilde, seed_tilde, "tilde")
 
     if pattern.M < canonical.m:  # 2M rows have rank < 2m: the rank test agrees
         rep.fast_path_extreme = "row_deficit"
@@ -412,22 +403,16 @@ def _safe_seed(factor: ComplexPoly, half_degree: int) -> CoefVector | None:
         return None
 
 
-def _check_seed_membership(
-    mat: BlockMatrix, seed: CoefVector | None, diagnostics: dict, label: str
-) -> None:
-    """Raise unless the exact product of the matrix and the seed is zero; the
-    float residual is recorded in ``diagnostics``, for the report only."""
-    if seed is None or not mat.rows:
+def _check_seed_membership(mat: BlockMatrix, seed: CoefVector | None, label: str) -> None:
+    """Raise unless the exact product of the matrix and the seed is zero."""
+    if seed is None:
         return
-    arr = mat.as_array()
-    resid = float(np.max(np.abs(arr @ seed.as_array())))
-    diagnostics[f"seed_residual_{label}"] = resid
     entries = seed.entries
     if any(sum(a * s for a, s in zip(row, entries, strict=True) if a and s) for row in mat.rows):
         raise IllConditionedZeros(
             f"canonical vector fails the kernel equations of the {label} matrix; "
             "zero identification is inconsistent",
-            diagnostics={"residual": resid, "matrix": label},
+            diagnostics={"matrix": label},
         )
 
 
@@ -478,10 +463,10 @@ def classify_full_space(p, N: int | None = None) -> FullSpaceReport:
 
     With no forbidden exponents, extreme means no zero is shared with the
     conjugate-reciprocal inside the disk, and exposed additionally requires
-    every circle zero to be simple.  An exact gcd(p, p*) = 1 proves both (no
-    shared zero, and so no circle zero).  Otherwise this route reads the
-    zeros of p* off p's own by reflection; it never builds a matrix, which
-    makes it a cross-check of the rank criterion.
+    every circle zero to be simple.  Both counts are read off the exact
+    ``canonical_factorization(p, N)``, so this route refuses exactly what
+    ``classify`` refuses; it never builds a matrix, which makes it a
+    cross-check of the rank criterion.
     """
     if isinstance(p, str):
         p = parse_poly(p)
@@ -491,14 +476,8 @@ def classify_full_space(p, N: int | None = None) -> FullSpaceReport:
         N = p.deg
     if p.deg > N:
         raise ValueError(f"degree {p.deg} exceeds N={N}")
-    if gcd_exact(p, conjugate_reciprocal(p, N)).deg == 0:
-        return FullSpaceReport(True, True, 0, ())
-    clusters = find_zeros(p)
-    disk = [c for c in clusters if c.region == "disk"]
-    _, m = match_disk_zeros(disk, reflected_zeros(clusters, N - p.deg))
-    circle_mults = tuple(
-        c.multiplicity for c in clusters if c.region == "circle"
-    )
-    extreme = m == 0
+    can = canonical_factorization(p, N)
+    circle_mults = tuple(c.multiplicity for c in can.zero_clusters)
+    extreme = can.m == 0
     exposed = extreme and all(lam <= 1 for lam in circle_mults)
-    return FullSpaceReport(extreme, exposed, m, circle_mults)
+    return FullSpaceReport(extreme, exposed, can.m, circle_mults)

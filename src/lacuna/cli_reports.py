@@ -12,9 +12,8 @@ undecided (an incomplete cone certificate), 1 for errors and corpus failures.
 
 Reports serialize under the schema tag ``lacuna/1``.  Exact rationals are
 encoded as strings ("5/8", "1/2+3/4i"), floats as JSON numbers, so a run is
-byte-stable across invocations.  Every verdict is exact, so ``mode``, the
-diagnostics' ``canonical_mode`` and ``tilde_mode`` read "exact" and each
-matrix's ``exact`` reads true.
+byte-stable across invocations.  Every verdict is exact, so a report names
+no arithmetic mode.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .circle_analysis import l1_norm
@@ -82,7 +79,6 @@ def _matrix_to_json(mat: BlockMatrix, kernel: KernelBasis | None) -> dict:
         "kind": mat.kind,
         "shape": list(mat.shape),
         "rows": [[_scalar_to_json(x) for x in row] for row in mat.rows],
-        "exact": True,
     }
     if kernel is not None:
         out["rank"] = kernel.rank
@@ -115,7 +111,6 @@ def report_to_dict(rep: ClassificationReport) -> dict:
         "version": __version__,
         "pattern": rep.pattern.to_json(),
         "polynomial": poly_to_json(rep.polynomial),
-        "mode": rep.mode,
         "norm": {"value": rep.norm, "error_bound": rep.norm_error_bound},
         "scale": rep.scale,
         "factorization": {
@@ -193,7 +188,6 @@ def render_text(rep: ClassificationReport) -> str:
     lines = []
     pat = rep.pattern
     lines.append(f"pattern: N={pat.N} forbidden={list(pat.forbidden)}")
-    lines.append(f"mode: {rep.mode}")
     lines.append(f"norm: {rep.norm:.15g} (error bound {rep.norm_error_bound:.3g})")
     lines.append(f"unit-sphere scale: {rep.scale:.15g}")
     can, til = rep.canonical, rep.tilde
@@ -424,18 +418,17 @@ def _cmd_norm(args) -> int:
     return EXIT_OK
 
 
-def _matrix_matches_up_to_scale(actual: BlockMatrix, expected_rows, tol=1e-9) -> bool:
+def _matrix_matches_up_to_scale(actual: BlockMatrix, expected_rows) -> bool:
+    """True when the matrix's exact rows are c times the expected ones for a
+    rational c, nonzero unless both are zero, compared exactly."""
     if not all(isinstance(row, list) for row in expected_rows):
         raise ValueError(f"expected matrix rows must be lists, got {expected_rows!r}")
-    act = actual.as_array()
-    exp = np.array([[_number(x) for x in row] for row in expected_rows], dtype=float)
-    if act.shape != exp.shape:
+    exp = [[_number(x) for x in row] for row in expected_rows]
+    if list(map(len, exp)) != list(map(len, actual.rows)):
         return False
-    idx = np.unravel_index(np.argmax(np.abs(exp)), exp.shape)
-    if exp[idx] == 0:
-        return bool(np.max(np.abs(act)) <= tol)
-    ratio = act[idx] / exp[idx]
-    return bool(np.max(np.abs(act - ratio * exp)) <= tol * max(1.0, np.max(np.abs(act))))
+    pairs = [(a, e) for row, want in zip(actual.rows, exp) for a, e in zip(row, want)]
+    a0, e0 = next(((a, e) for a, e in pairs if a or e), (0, 0))
+    return bool(a0) == bool(e0) and all(a * e0 == e * a0 for a, e in pairs)
 
 
 def _run_job(path: Path) -> tuple[str, bool, str]:

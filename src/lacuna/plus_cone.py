@@ -55,15 +55,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SolverStalled
-from .poly_core import _RATIONALIZE_BOUNDS, _primitive, _rref_kernel, is_exact_scalar, long_division, real_root_count
+from .poly_core import _RATIONALIZE_BOUNDS, _primitive, _rref_kernel, long_division, real_root_count
 
 # find_plus_in_slice: the largest denominator of its starting points, and how
 # many times it adds points where a candidate is negative or zero before it
 # gives up
 _POINT_DENOMINATOR = 64
 _CUT_ROUNDS = 32
-# how often plus_dimension halves a step toward a vector before it gives up
-_HALVINGS = 64
+# how often plus_dimension may halve a step toward a vector before it gives up
+_HALVINGS = 1024
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -83,10 +83,6 @@ class CoefVector:
     def entries(self) -> tuple:
         """(alpha_0..alpha_d, beta_1..beta_d), the order of ``as_array``."""
         return (*self.alpha, *self.beta)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact_scalar(x) for x in self.entries)
 
     @staticmethod
     def from_array(x, d: int | None = None) -> "CoefVector":
@@ -419,13 +415,24 @@ def _dot(f, u) -> Fraction:
 def _toward(a: list[int], b: list[int], d: int, accept) -> CoefVector:
     """The first of 2^k |b| a + |a| b, k = 0, 1, ..., that ``accept`` takes,
     with |.| the largest entry in size: a positive multiple of a plus
-    2^-k b scaled to a's size."""
+    2^-k b scaled to a's size.  Acceptance is monotone in k: the vector at
+    k is a convex combination of a and the one at any smaller k, and both
+    tests keep such a combination of a with a vector they accept.  So k is
+    found by doubling and then by bisection, up to ``_HALVINGS``."""
     ma, mb = max(map(abs, a)), max(map(abs, b)) or 1
-    for k in range(_HALVINGS):
-        y = CoefVector.from_array([Fraction((x * mb << k) + ma * y) for x, y in zip(a, b)], d=d)
-        if accept(y):
-            return y
-    raise SolverStalled(f"no certified plus vector within {_HALVINGS} halvings")
+
+    def at(k: int) -> CoefVector:
+        return CoefVector.from_array([Fraction((x * mb << k) + ma * y) for x, y in zip(a, b)], d=d)
+
+    lo, hi = -1, 0  # accept fails at lo (-1: untried) and is tried at hi
+    while not accept(y := at(hi)):
+        if hi == _HALVINGS:
+            raise SolverStalled(f"no certified plus vector within {_HALVINGS} halvings")
+        lo, hi = hi, min(2 * hi or 1, _HALVINGS)
+    while hi - lo > 1:  # y = at(hi) is accepted
+        mid = (lo + hi) // 2
+        lo, hi, y = (lo, mid, z) if accept(z := at(mid)) else (mid, hi, y)
+    return y
 
 
 def _interior(x: CoefVector, exact, orders) -> bool:

@@ -191,11 +191,6 @@ def json_isinstance(val, kind) -> bool:
     return isinstance(val, kind) and isinstance(val, bool) == (kind is bool)
 
 
-def is_exact_scalar(x) -> bool:
-    """True for Gaussian rationals, ints and Fractions, the scalars that are not floats."""
-    return isinstance(x, (GaussianRational, int, Fraction))
-
-
 class ComplexPoly:
     """Immutable dense polynomial over Gaussian rationals; the zero polynomial
     has an empty tuple.
@@ -286,7 +281,7 @@ class ComplexPoly:
                     for j, cb in terms:
                         out[i + j] = out[i + j] + ca * cb
             return ComplexPoly(out)
-        if is_exact_scalar(other) or isinstance(other, (float, complex)):
+        if isinstance(other, (GaussianRational, int, Fraction, float, complex)):
             return self * ComplexPoly.constant(other)
         return NotImplemented
 

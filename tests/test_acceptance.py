@@ -145,7 +145,7 @@ def test_criterion_03_double_circle_reproduction(examples):
     _check(problems, np.linalg.matrix_rank(stack, tol=1e-8) == 3,
            "recovered plus-vectors are not independent")
     for f in found:
-        _check(problems, f.is_exact and certify_nonneg_exact(f)[0],
+        _check(problems, all(isinstance(x, Fraction) for x in f.entries) and certify_nonneg_exact(f)[0],
                f"recovered vector {f.entries} is not certified plus")
 
     _check(problems, rep.extreme is True and rep.exposed is False,

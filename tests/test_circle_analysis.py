@@ -12,6 +12,7 @@ import pytest
 from lacuna import (
     IllConditionedZeros,
     QuadratureBudgetExceeded,
+    classify_full_space,
     find_zeros,
     l1_norm,
     parse_poly,
@@ -22,8 +23,6 @@ from lacuna.circle_analysis import (
     _float_roots,
     _polish_roots,
     common_disk_zeros,
-    match_disk_zeros,
-    reflected_zeros,
 )
 from lacuna.poly_core import (
     ComplexPoly,
@@ -246,22 +245,14 @@ def _planted_product(rng: random.Random) -> ComplexPoly:
     return p * ComplexPoly.monomial(rng.randint(0, 2))
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_reflected_zeros_match_like_the_zeros_of_pstar(mode):
+def test_full_space_route_counts_the_zeros_the_match_band_pairs():
     rng = random.Random(11)
     seen_pair = seen_origin = False
     for _ in range(40):
         p = _planted_product(rng)
-        p = p if mode == "exact" else ComplexPoly([complex(c) for c in p.coeffs])
         N = p.deg + rng.randint(0, 3)
         shared, m = common_disk_zeros(p, conjugate_reciprocal(p, N))
-        clusters = find_zeros(p)
-        disk = [c for c in clusters if c.region == "disk"]
-        shared_r, m_r = match_disk_zeros(disk, reflected_zeros(clusters, N - p.deg))
-        assert m_r == m
-        assert [(c.location, c.multiplicity) for c in shared_r] == [
-            (c.location, c.multiplicity) for c in shared
-        ]
+        assert classify_full_space(p, N).shared_disk_multiplicity == m
         seen_pair |= any(c.location != 0 for c in shared)
         seen_origin |= any(c.location == 0 for c in shared)
     assert seen_pair and seen_origin

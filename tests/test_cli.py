@@ -215,14 +215,14 @@ def test_config_file(tmp_path, capsys):
 
 def test_cli_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "lacuna.cfg"
-    cfg.write_text("mode = float\nformat = json\n")
+    cfg.write_text("mode = float\nformat = text\n")
     code = main(
-        ["classify", "1 + z/2", "--pattern", "1", "--config", str(cfg),
-         "--mode", "exact", "--format", "text"]
+        ["classify", "1 + z/3", "--pattern", "1", "--config", str(cfg),
+         "--mode", "exact", "--format", "json"]
     )
-    out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert "mode: exact" in out
+    # [real num, real den, imag num, imag den]; float mode would hold the double nearest 1/3
+    assert json.loads(capsys.readouterr().out)["polynomial"]["coeffs"] == [[1, 1, 0, 1], [1, 3, 0, 1]]
 
 
 def test_bad_config_line_errors(tmp_path, capsys):
@@ -434,6 +434,26 @@ def test_corpus_detects_wrong_expectation(tmp_path, capsys):
     assert "1/2 passed" in out
 
 
+@pytest.mark.parametrize(
+    "rows,ok",
+    [
+        ([["4", "5", "0"], ["0", "0", "3"]], True),
+        ([["4/3", "5/3", 0], [0, 0, 1]], True),  # a rational scale, strings or numbers
+        ([["-8", "-10", "0"], ["0", "0", "-6"]], True),
+        ([["4", "5", "0"], ["0", "0", "3.000000000001"]], False),  # within 1e-9, not a multiple
+        ([["4", "5", "0"], ["0", "0", "-3"]], False),
+        ([["0", "0", "0"], ["0", "0", "0"]], False),  # only a zero matrix matches a zero one
+        ([["4", "5", "0"]], False),
+        ([["4", "5"], ["0", "0", "3"]], False),
+    ],
+)
+def test_corpus_compares_matrices_exactly_up_to_a_rational_scale(rows, ok, tmp_path, capsys):
+    job = {"input": "(z - 1/2)(8 - z^3)", "pattern": {"N": 4, "forbidden": [2]}, "expect": {"matrix": {"rows": rows}}}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    assert main(["corpus", str(tmp_path)]) == (EXIT_OK if ok else EXIT_ERROR)
+    assert ("mismatch beyond scalar multiple" in capsys.readouterr().out) != ok
+
+
 def test_corpus_empty_dir_warns(tmp_path, capsys):
     code = main(["corpus", str(tmp_path)])
     captured = capsys.readouterr()
@@ -629,7 +649,7 @@ def test_classify_text_with_cone_dimension_and_witness(mode, capsys):
     code = main(["classify", text, "--pattern", pattern, "--mode", mode])
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert "mode: exact\n" in out
+    assert out.splitlines()[1].startswith("norm: ")  # no mode line
     assert "cone trace dimension: 3" in out
     assert "exposed: no (via plus_dimension)" in out
     assert "multiplier bound inf" in out
@@ -653,7 +673,7 @@ def test_near_reflected_pair_is_decided_exactly(audit, capsys):
     code = main(["classify", "(z - 1/2)(1 - (1/2 + 1/10^8)z)", "--pattern", "2", "--mode", "exact", *audit])
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert "mode: exact\nnorm" in out and "shared disk zeros: m=0" in out
+    assert out.splitlines()[1].startswith("norm: ") and "shared disk zeros: m=0" in out
     assert "extreme: yes (via rank)\nexposed: yes (via simple_circle_zeros)\n" in out
 
 

@@ -451,7 +451,7 @@ def test_coef_vector_sums_keep_fractions_exact():
     u = _exact_vec(Fraction(1, 3), Fraction(-2, 7), 5, Fraction(1, 6), 0)
     w = _exact_vec(Fraction(2, 3), Fraction(1, 7), -1, Fraction(-1, 6), Fraction(3, 11))
     for got, op in ((u + w, Fraction.__add__), (u - w, Fraction.__sub__)):
-        assert got.is_exact and all(isinstance(x, Fraction) for x in got.entries)
+        assert all(isinstance(x, Fraction) for x in got.entries)
         assert got.entries == tuple(op(x, y) for x, y in zip(u.entries, w.entries))
         assert np.allclose(got.as_array(), [float(op(x, y)) for x, y in zip(u.entries, w.entries)])
     assert (u - w) + w == u
@@ -563,7 +563,7 @@ def test_plus_dimension_full_space(d):
     assert dim == n and len(found) == n
     stack = np.array([v.as_array() for v in found], dtype=float)
     assert np.linalg.matrix_rank(stack, tol=1e-8) == n
-    assert all(v.is_exact and certify_nonneg_exact(v)[0] for v in found)
+    assert all(certify_nonneg_exact(v)[0] and all(isinstance(x, Fraction) for x in v.entries) for v in found)
 
 
 def test_plus_dimension_seed_counts():
@@ -572,7 +572,7 @@ def test_plus_dimension_seed_counts():
     seed = _exact_vec(Fraction(1, 2), Fraction(1, 2), 0)  # 1 + cos t
     dim, found = plus_dimension(np.eye(3), seed=seed)
     assert dim == 3 and len(found) == 3
-    assert all(v.is_exact and certify_nonneg_exact(v)[0] for v in found)
+    assert all(certify_nonneg_exact(v)[0] and all(isinstance(x, Fraction) for x in v.entries) for v in found)
     assert sympy.Matrix([v.entries for v in found]).rank() == 3
 
 
@@ -684,7 +684,7 @@ def test_seeded_sine_square_plane_forces_zeros_at_zero_and_pi(monkeypatch):
     assert dim == 1 and len(calls) == 1 and found == [seed]
     w, _ = gordan(calls[0], 1)
     assert len(w) == 2 and all(w)
-    assert all(v.is_exact and certify_nonneg_exact(v)[0] for v in found)
+    assert all(certify_nonneg_exact(v)[0] and all(isinstance(x, Fraction) for x in v.entries) for v in found)
     assert sympy.Matrix([v.entries for v in found]).rank() == dim
 
 
@@ -713,10 +713,21 @@ def test_a_face_spanned_by_the_seed_needs_no_irrational_point(rows, seeded):
     dim, found = plus_dimension([_exact_vec(*r) for r in rows], seed=s if seeded else None)
     assert dim == 1 and len(found) == 1
     (v,) = found
-    assert v.is_exact and certify_nonneg_exact(v)[0]
+    assert all(isinstance(x, Fraction) for x in v.entries) and certify_nonneg_exact(v)[0]
     assert sympy.Matrix([v.entries, s.entries]).rank() == 1
     if seeded:
         assert v is s
+
+
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
+def test_a_seed_with_a_tiny_margin_is_reached_by_bisection(seeded):
+    # tau_s = 2 + 2(1 - 2^-140) cos t > 0 has a margin of 2^-139: the step
+    # toward sin t needs about 70 halvings, more than 64 tried one by one
+    s = _exact_vec(1, 1 - Fraction(1, 2**140), 0)
+    dim, found = plus_dimension([s, _exact_vec(0, 0, 1)], seed=s if seeded else None)
+    assert dim == 2 and found[0].entries == tuple(x * 2**140 for x in s.entries)
+    assert all(certify_nonneg_exact(v)[0] for v in found)
+    assert sympy.Matrix([v.entries for v in found]).rank() == 2
 
 
 def _dilate(v: CoefVector, k: int) -> CoefVector:

@@ -31,3 +31,9 @@ def test_cone_census_leaves_nothing_undecided(seed):
     cmd = [sys.executable, str(ROOT / "tools" / "cone_census.py"), str(seed), "100"]
     lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
     assert "undecided: 0" in lines and lines[-1] == "exceptions: 0"
+
+
+def test_report_fields_finds_a_checkout_identical_to_itself():
+    cmd = [sys.executable, str(ROOT / "tools" / "report_fields.py"), str(ROOT), str(ROOT), "1"]
+    lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [[mode, "identical"] for mode in ("exact", "float", "audit")]

@@ -82,7 +82,7 @@ def main(argv: list[str]) -> int:
             continue
         paths[rep.fast_path_exposed, rep.exposed] += 1
         for w in rep.witnesses:
-            arithmetic["exact" if w.vector.is_exact else "float"] += 1
+            arithmetic["float" if any(isinstance(x, float) for x in w.vector.entries) else "exact"] += 1
     print(f"seed {seed}: {count} inputs")
     for (path, exposed), n in sorted(paths.items(), key=str):
         print(f"{path} exposed={exposed}: {n}")
