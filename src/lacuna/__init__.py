@@ -19,7 +19,6 @@ from .classifier import (
     symbol_to_poly,
 )
 from .errors import (
-    AuditMismatch,
     IllConditionedZeros,
     LacunaError,
     NotDivisible,
@@ -60,7 +59,6 @@ from .poly_core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditMismatch",
     "BlockMatrix",
     "CanonicalData",
     "ClassificationReport",

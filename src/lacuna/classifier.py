@@ -42,7 +42,6 @@ import numpy as np
 
 from .circle_analysis import l1_norm
 from .errors import (
-    AuditMismatch,
     IllConditionedZeros,
     NotDivisible,
     NotHermitianSymmetric,
@@ -77,7 +76,6 @@ _WITNESS_GRID = np.exp(1j * (2 * np.pi * np.arange(2048) / 2048))
 @dataclasses.dataclass
 class ClassifyOptions:
     mode: str = "auto"  # auto | exact | float
-    audit: bool = False
     infer_pattern: bool = False
     generate_witnesses: bool = True
 
@@ -104,7 +102,6 @@ class ClassificationReport:
     matrix: BlockMatrix
     matrix_tilde: BlockMatrix
     diagnostics: dict
-    audit: dict
     # set by the later stages of ``classify``
     kernel: KernelBasis | None = None
     kernel_tilde: KernelBasis | None = None
@@ -337,7 +334,6 @@ def classify(
         matrix=build_matrix(canonical.cofactor, forbidden, canonical.m, kind="plain"),
         matrix_tilde=build_matrix(tilde.reduced_cofactor, forbidden, tilde.m_tilde, kind="tilde"),
         diagnostics={"norm_panels": norm_res.panels},
-        audit={"performed": opt.audit, "checks": [], "mismatches": []},
     )
     diagnostics = rep.diagnostics
 
@@ -376,9 +372,6 @@ def classify(
             rep.exposed = rep.dim_plus == 1
             diagnostics["plus_vectors_found"] = len(found_plus)
 
-    if opt.audit:
-        _run_audit(rep, seed_tilde)
-
     if opt.generate_witnesses:
         if rep.extreme is False:
             rep.witnesses += (
@@ -416,37 +409,8 @@ def _check_seed_membership(mat: BlockMatrix, seed: CoefVector | None, label: str
         )
 
 
-def _run_audit(rep: ClassificationReport, seed_tilde: CoefVector | None) -> None:
-    """Cross-check the verdicts in rep by independent routes; log into rep.audit."""
-    audit_log = rep.audit
-    extreme, exposed, fast_exposed = rep.extreme, rep.exposed, rep.fast_path_exposed
-    if rep.pattern.M == 0:
-        audit_log["checks"].append("full_space_route")
-        fs = classify_full_space(rep.polynomial, N=rep.pattern.N)
-        if fs.extreme != extreme or (exposed is not None and fs.exposed != exposed):
-            audit_log["mismatches"].append("full_space_route")
-            raise AuditMismatch(
-                f"zero-structure route says extreme={fs.extreme} exposed={fs.exposed}, "
-                f"matrix route says extreme={extreme} exposed={exposed}"
-            )
-    if exposed is not None and fast_exposed in (
-        "simple_circle_zeros", "tilde_full_rank", "not_extreme",
-    ):
-        audit_log["checks"].append("plus_dimension_cross_check")
-        dp, _ = plus_dimension(rep.kernel_tilde.vectors, seed=seed_tilde)
-        audit_log["dim_plus_audit"] = dp
-        if (dp == 1) != exposed:
-            audit_log["mismatches"].append("plus_dimension_cross_check")
-            raise AuditMismatch(
-                f"shortcut {fast_exposed} says exposed={exposed} but the cone "
-                f"dimension is {dp}"
-            )
-    else:
-        audit_log["dim_plus_audit"] = rep.dim_plus
-
-
 # ---------------------------------------------------------------------------
-# independent route for the no-gap case
+# the no-gap criterion by zero structure
 # ---------------------------------------------------------------------------
 
 
@@ -463,10 +427,10 @@ def classify_full_space(p, N: int | None = None) -> FullSpaceReport:
 
     With no forbidden exponents, extreme means no zero is shared with the
     conjugate-reciprocal inside the disk, and exposed additionally requires
-    every circle zero to be simple.  Both counts are read off the exact
+    every circle zero to be simple (the matrices of ``classify`` then have
+    no rows, so its rank test is m = 0).  Both counts are read off the exact
     ``canonical_factorization(p, N)``, so this route refuses exactly what
-    ``classify`` refuses; it never builds a matrix, which makes it a
-    cross-check of the rank criterion.
+    ``classify`` refuses; it builds no matrix.
     """
     if isinstance(p, str):
         p = parse_poly(p)

@@ -143,7 +143,6 @@ def report_to_dict(rep: ClassificationReport) -> dict:
         },
         "witnesses": [_witness_to_json(w) for w in rep.witnesses],
         "diagnostics": rep.diagnostics,
-        "audit": rep.audit,
     }
 
 
@@ -248,7 +247,7 @@ def _parse_pattern_arg(text: str) -> LacunaryPattern:
     return LacunaryPattern(N, forbidden)
 
 
-_CONFIG_KEYS = ("mode", "audit", "witnesses", "pattern", "format")
+_CONFIG_KEYS = ("mode", "witnesses", "pattern", "format")
 
 
 def _load_config(path: str) -> dict:
@@ -284,14 +283,10 @@ def _options_from(args, config: dict) -> ClassifyOptions:
     opt = ClassifyOptions()
     if "mode" in config:
         opt.mode = config["mode"]
-    if "audit" in config:
-        opt.audit = _as_bool(config["audit"], "audit")
     if "witnesses" in config:
         opt.generate_witnesses = _as_bool(config["witnesses"], "witnesses")
     if args.mode:
         opt.mode = args.mode
-    if args.audit:
-        opt.audit = True
     if args.no_witnesses:
         opt.generate_witnesses = False
     if args.infer_pattern:
@@ -339,7 +334,7 @@ _JSON_KINDS = {
 }
 # the JSON type of each ClassifyOptions field a corpus job may set
 _OPTION_KINDS = {
-    "mode": str, "audit": bool, "infer_pattern": bool, "generate_witnesses": bool,
+    "mode": str, "infer_pattern": bool, "generate_witnesses": bool,
 }
 
 
@@ -448,13 +443,15 @@ def _run_job(path: Path) -> tuple[str, bool, str]:
         return name, True, "ok"
     raw = _field(data, "input", (str, list, dict))
     poly = parse_poly(raw if isinstance(raw, str) else json.dumps(raw))
-    pattern = LacunaryPattern.from_json(data.get("pattern"))
     opt = ClassifyOptions()
     options = _field(data, "options", dict, {})
     for key in options:
         if key not in _OPTION_KINDS:
             raise ValueError(f"{path.name}: unknown option {key!r}")
         setattr(opt, key, _field(options, key, _OPTION_KINDS[key]))
+    pattern = data.get("pattern")
+    if pattern is not None or not opt.infer_pattern:  # else classify infers it
+        pattern = LacunaryPattern.from_json(pattern)
     try:
         rep = classify(poly, pattern, opt)
     except LacunaError as exc:
@@ -525,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="treat every vanishing interior coefficient as forbidden",
     )
     c.add_argument("--mode", choices=["auto", "exact", "float"])
-    c.add_argument("--audit", action="store_true", help="cross-check shortcuts")
     c.add_argument("--no-witnesses", action="store_true", dest="no_witnesses")
     c.add_argument("--format", choices=["text", "json"])
     c.add_argument("--out", help="write the report to a file")

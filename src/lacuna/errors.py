@@ -45,7 +45,7 @@ class NotHermitianSymmetric(LacunaError):
 class SolverStalled(LacunaError):
     """The cone certificate could not be completed: a face that may vanish at
     an irrational circle point, no certified vector within the halvings, or
-    a slice search that neither converged nor certifiably plateaued."""
+    a slice search that found no new cut point or ran out of cutting rounds."""
 
 
 class WitnessValidationFailed(LacunaError):
@@ -54,7 +54,3 @@ class WitnessValidationFailed(LacunaError):
 
 class SpectrumViolation(LacunaError):
     """Input polynomial has energy on a forbidden frequency."""
-
-
-class AuditMismatch(LacunaError):
-    """A shortcut verdict disagrees with the full criterion; internal bug."""

@@ -199,8 +199,9 @@ def plus_dimension(basis, seed: CoefVector | None = None) -> tuple[int, list[Coe
     functions of kt: the search runs at degree d // k on the columns
     (alpha_0, alpha_k, ..., beta_k, ...), and each found vector is spread
     back by tau(t) -> tau(kt), which keeps plus vectors plus; the seed comes
-    back as the caller's own object.  A seed outside V or not plus is a
-    ValueError; an unfinished certificate raises :class:`SolverStalled`.
+    back as the caller's own object.  A zero seed counts as none; a seed
+    outside V or not plus is a ValueError; an unfinished certificate raises
+    :class:`SolverStalled`.
     """
     rows = [b.entries if isinstance(b, CoefVector) else b for b in basis]
     n = len(rows[0]) if rows else 2 * seed.d + 1 if seed else 1
@@ -259,6 +260,8 @@ def _plus_span(rows: list[dict], seed: CoefVector | None, d: int) -> tuple[int, 
     """``plus_dimension`` on sparse exact rows, without the lattice step."""
     basis = _echelon(rows, 2 * d + 1)
     cols = [max(b) for b in basis]
+    if seed is not None and not any(seed.entries):
+        seed = None
     if seed is not None:
         if _combine([seed.entries[c] for c in cols], basis) != _sparse(seed.entries):
             raise ValueError("seed does not lie in the given subspace")
@@ -266,7 +269,7 @@ def _plus_span(rows: list[dict], seed: CoefVector | None, d: int) -> tuple[int, 
             raise ValueError("seed is not a plus vector")
     if 0 in cols:
         return len(basis), _constant_span(basis, cols, seed, d)
-    if seed is None or not any(seed.entries):
+    if seed is None:
         seed = find_plus_in_slice([_dense(b, 2 * d + 1) for b in basis])
         if seed is None:
             return 0, []

@@ -20,6 +20,7 @@ from lacuna import (
     classify_full_space,
     infer_pattern,
     parse_poly,
+    plus_dimension,
     real_symbol_on_circle,
     spectrum,
     spectrum_in,
@@ -103,19 +104,6 @@ def test_float_mode_matches_exact(examples):
         assert flo.kernel_tilde.rank == exact.kernel_tilde.rank
 
 
-def test_audit_mode_all_examples(examples):
-    # the cone dimension the cross-check must find: the zero matrix of the
-    # first example leaves the whole degree-1 space (dimension 3); the
-    # double circle zero leaves a 3-dimensional cone slice; the two
-    # shortcut-exposed examples have a single positive kernel line
-    expected_dim = {"pair_and_gap": 3, "double_circle": 3}
-    for name, (p, pat) in examples.items():
-        rep = classify(p, pat, ClassifyOptions(audit=True))
-        assert rep.audit["performed"] is True
-        assert rep.audit["mismatches"] == [], name
-        assert rep.audit["dim_plus_audit"] == expected_dim.get(name, 1), name
-
-
 # the last is (1 - z^2)^3 rounded, times 0.7: g = gcd(p, p*) is square-free
 # with six circle zeros, which find_zeros places about 1e-6 off the circle
 ROUNDED_CUBE = (
@@ -125,39 +113,50 @@ ROUNDED_CUBE = (
 FULL_PATTERN_CASES = [("(1 - z^2)^2", 4), ("(z - 1/2)(1 - z/2)", 2), ("1 + z/2", 1), (ROUNDED_CUBE, 6)]
 
 
+def _shortcut_reports(examples):
+    """(label, report) for the worked examples, the full-pattern cases in both
+    modes and the planted draws of acceptance criterion 06."""
+    from test_acceptance import _plant
+
+    opts = ClassifyOptions(generate_witnesses=False)
+    for name, (p, pat) in examples.items():
+        yield name, classify(p, pat, opts)
+    for text, N in FULL_PATTERN_CASES:
+        for mode in ("exact", "float"):
+            rep = classify(text, LacunaryPattern(N, []), ClassifyOptions(mode=mode, generate_witnesses=False))
+            yield f"{text} {mode}", rep
+    rng = np.random.default_rng(2026_06)
+    for i in range(300):
+        p = _plant(rng)[0]
+        yield f"planted {i}", classify(p, LacunaryPattern(p.deg, []), opts)
+
+
+def test_shortcut_verdicts_agree_with_the_cone_dimension(examples):
+    # exposed means a one-dimensional cone trace; each shortcut decides it
+    # without computing the dimension, so compute it here.  The zero matrix
+    # of pair_and_gap leaves the whole degree-1 space (dimension 3), the
+    # double circle zero a 3-dimensional cone slice, and the other examples
+    # a single positive kernel line
+    expected_dim = {"pair_and_gap": 3, "double_circle": 3, "clean_gap": 1, "single_double_zero": 1}
+    seen = set()
+    for label, rep in _shortcut_reports(examples):
+        dim = rep.dim_plus
+        if rep.fast_path_exposed != "plus_dimension":
+            seen.add(rep.fast_path_exposed)
+            seed = real_symbol_on_circle(rep.tilde.total_factor, rep.tilde.m_tilde)
+            dim, _ = plus_dimension(rep.kernel_tilde.vectors, seed=seed)
+            assert (dim == 1) == rep.exposed, label
+        if label in expected_dim:
+            assert dim == expected_dim[label], label
+    assert seen == {"not_extreme", "simple_circle_zeros", "tilde_full_rank"}
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("text,N", FULL_PATTERN_CASES)
-def test_audit_runs_the_full_space_route_on_full_patterns(text, N, mode):
-    rep = classify(text, LacunaryPattern(N, []), ClassifyOptions(mode=mode, audit=True))
-    assert "full_space_route" in rep.audit["checks"]
-    assert rep.audit["mismatches"] == []
-
-
-def test_audit_raises_when_the_full_space_route_disagrees(monkeypatch):
-    import dataclasses
-
-    import lacuna.classifier
-    from lacuna import AuditMismatch
-
-    original = lacuna.classifier.classify_full_space
-
-    def flipped(*args, **kwargs):
-        fs = original(*args, **kwargs)
-        return dataclasses.replace(fs, extreme=not fs.extreme)
-
-    monkeypatch.setattr(lacuna.classifier, "classify_full_space", flipped)
-    with pytest.raises(AuditMismatch, match="zero-structure route"):
-        classify("(1 - z^2)^2", LacunaryPattern(4, []), ClassifyOptions(audit=True))
-
-
-def test_audit_raises_when_the_cone_dimension_disagrees_with_a_shortcut(monkeypatch):
-    import lacuna.classifier
-    from lacuna import AuditMismatch
-
-    # exposed by simple_circle_zeros; a cone dimension of 2 contradicts it
-    monkeypatch.setattr(lacuna.classifier, "plus_dimension", lambda *args, **kwargs: (2, []))
-    with pytest.raises(AuditMismatch, match="simple_circle_zeros says exposed=True"):
-        classify("(z - 1/2)(8 - z^3)", LacunaryPattern(4, [2]), ClassifyOptions(audit=True))
+def test_classify_agrees_with_full_space_on_full_patterns(text, N, mode):
+    rep = classify(text, LacunaryPattern(N, []), ClassifyOptions(mode=mode))
+    fs = classify_full_space(rep.polynomial, N=N)
+    assert (rep.extreme, rep.exposed) == (fs.extreme, fs.exposed)
 
 
 def test_seed_outside_the_kernel_is_inconsistent():
@@ -677,7 +676,6 @@ def test_float_mode_reports_equal_exact_reports_on_lossless_inputs():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("audit", [False, True])
 @pytest.mark.parametrize(
     "text,N,forbidden",
     [
@@ -688,8 +686,8 @@ def test_float_mode_reports_equal_exact_reports_on_lossless_inputs():
         ("(1 - (1 + 1/10^9)z^2)^2", 4, [1, 3]),
     ],
 )
-def test_near_coincident_zeros_are_decided_by_the_exact_gcd(text, N, forbidden, audit):
-    rep = classify(text, LacunaryPattern(N, forbidden), ClassifyOptions(mode="exact", audit=audit))
+def test_near_coincident_zeros_are_decided_by_the_exact_gcd(text, N, forbidden):
+    rep = classify(text, LacunaryPattern(N, forbidden), ClassifyOptions(mode="exact"))
     assert (rep.canonical.m, rep.tilde.mu) == (0, 0)
     assert (rep.extreme, rep.exposed) == (True, True) and rep.witnesses == ()
 

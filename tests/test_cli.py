@@ -227,14 +227,15 @@ def test_cli_flags_override_config(tmp_path, capsys):
 
 def test_bad_config_line_errors(tmp_path, capsys):
     cfg = tmp_path / "lacuna.cfg"
-    # a malformed line, a misspelled key, the retired rank_gap, eps_circle and tol keys,
-    # and a format that is neither text nor json
+    # a malformed line, a misspelled key, the retired rank_gap, eps_circle, tol
+    # and audit keys, and a format that is neither text nor json
     for text, named in (
         ("this is not a key value pair\n", "key=value"),
         ("witnesess = off\n", "'witnesess'"),
         ("rank_gap = 10\n", "'rank_gap'"),
         ("eps_circle = 1e-8\n", "'eps_circle'"),
         ("tol = 1e-10\n", "'tol'"),
+        ("audit = true\n", "'audit'"),
         # format takes text or json only
         ("format = xml\n", "'xml'"),
         ("format = JSON\n", "'JSON'"),
@@ -521,6 +522,25 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
     assert out[10] == "2/10 passed"
 
 
+def test_corpus_infer_pattern_option_infers_a_missing_pattern(tmp_path, capsys):
+    # with a pattern the option changes nothing: the job's pattern is used
+    jobs = {
+        "a_inferred": {"input": "(z - 1/2)(2 - z)(1 + z^4)", "options": {"infer_pattern": True},
+                       "expect": {"extreme": False, "exposed": False}},
+        "b_given": {"input": "(z - 1/2)(2 - z)(1 + z^4)", "pattern": {"N": 7},
+                    "options": {"infer_pattern": True}, "expect": {"matrix": {"rows": []}}},
+        "c_not_inferred": {"input": "1 + z/2", "expect": {}},
+    }
+    for name, job in jobs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(job))
+    code = main(["corpus", str(tmp_path)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == EXIT_ERROR
+    assert out[:2] == ["PASS a_inferred: ok", "PASS b_given: ok"]
+    assert out[2].startswith("FAIL c_not_inferred:") and 'a pattern needs an integer "N"' in out[2]
+    assert out[3:] == ["2/3 passed"]
+
+
 def test_corpus_non_finite_jobs_fail_one_line_each(tmp_path, capsys):
     jobs = {
         "a_basis": {"d": 1, "basis": [["1e999", 0, 0]]},
@@ -668,9 +688,8 @@ def test_salem_polynomial_exits_with_the_factor_named(capsys):
     assert "no Gaussian-rational monic product of the circle zeros of p" in err
 
 
-@pytest.mark.parametrize("audit", [[], ["--audit"]])
-def test_near_reflected_pair_is_decided_exactly(audit, capsys):
-    code = main(["classify", "(z - 1/2)(1 - (1/2 + 1/10^8)z)", "--pattern", "2", "--mode", "exact", *audit])
+def test_near_reflected_pair_is_decided_exactly(capsys):
+    code = main(["classify", "(z - 1/2)(1 - (1/2 + 1/10^8)z)", "--pattern", "2", "--mode", "exact"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.splitlines()[1].startswith("norm: ") and "shared disk zeros: m=0" in out

@@ -576,6 +576,14 @@ def test_plus_dimension_seed_counts():
     assert sympy.Matrix([v.entries for v in found]).rank() == 3
 
 
+@pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]], [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]]], ids=["d1", "lattice"])
+def test_a_zero_seed_counts_as_none(rows):
+    # V holds the constant, whose place among the found vectors a zero seed
+    # must not take: they would then span a line
+    zero = CoefVector.from_array([0] * len(rows[0]))
+    assert plus_dimension(rows, seed=zero) == plus_dimension(rows)
+
+
 def test_plus_dimension_double_zero_kernel(examples):
     # the tilde kernel of the double-circle-zero example: dim 3, and all
     # three independent plus vectors are reachable

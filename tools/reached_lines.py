@@ -7,7 +7,7 @@ Usage::
 CHECKOUT is a lacuna source tree.  The script runs the traffic of
 ``tools/report_digests.py`` on it under ``sys.settrace``: every classify
 case of the exact_generic and exact_circle workloads at SEED, census
-included, in exact, float and audit modes with the report rendered as JSON
+included, in exact and float modes with the report rendered as JSON
 and text, and every plusdim job of the corpus.  It then prints one line per
 statement inside a function of ``CHECKOUT/src/lacuna`` that no line event
 reached::

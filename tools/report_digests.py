@@ -7,10 +7,10 @@ Usage::
 CHECKOUT is a lacuna source tree (its ``src/`` and ``perfbench/`` are
 imported; nothing is written there).  For every classify case of the
 exact_generic and exact_circle workloads at SEED, census included, the
-script classifies the input in exact mode, in float mode and in exact mode
-with the audit, and prints one line per report::
+script classifies the input in exact mode and in float mode, and prints
+one line per report::
 
-    <workload> <case id> <exact|float|audit> <sha256> <extreme> <exposed> <dim_plus>
+    <workload> <case id> <exact|float> <sha256> <extreme> <exposed> <dim_plus>
 
 where the digest covers the ``lacuna/1`` JSON of ``report_to_dict`` followed
 by ``render_text``, and the verdicts are the report's (``None`` where
@@ -27,7 +27,7 @@ the corpus gets one line::
 
 whose digest covers what ``lacuna plusdim`` prints for the job (a nonzero
 exit code is printed with the error message instead).  Last come the fixed
-inputs of ``OUTSIDE``, outside both workloads, in the same three modes
+inputs of ``OUTSIDE``, outside both workloads, in the same two modes
 under the workload name ``outside``: near-coincident zeros of p and p*,
 irrational and Salem splits, lossy float products, many shared pairs,
 zeros beyond the float range, a non-exposed witness that only the cone
@@ -51,7 +51,7 @@ import json
 import sys
 from pathlib import Path
 
-MODES = {"exact": {"mode": "exact"}, "float": {"mode": "float"}, "audit": {"mode": "exact", "audit": True}}
+MODES = {"exact": {"mode": "exact"}, "float": {"mode": "float"}}
 
 # (id, expression, N, forbidden, scalar): a scalar turns the input into its
 # coefficients rounded to doubles, each times that double in float arithmetic
