@@ -44,7 +44,6 @@ from .circle_analysis import l1_norm
 from .errors import (
     IllConditionedZeros,
     NotDivisible,
-    NotHermitianSymmetric,
     SolverStalled,
     SpectrumViolation,
     WitnessValidationFailed,
@@ -75,7 +74,7 @@ _WITNESS_GRID = np.exp(1j * (2 * np.pi * np.arange(2048) / 2048))
 
 @dataclasses.dataclass
 class ClassifyOptions:
-    mode: str = "auto"  # auto | exact | float
+    mode: str = "auto"  # auto | exact, one exact path; the benchmark harness sets it
     infer_pattern: bool = False
     generate_witnesses: bool = True
 
@@ -132,16 +131,6 @@ def infer_pattern(p: ComplexPoly) -> LacunaryPattern:
     return LacunaryPattern(p.deg, forbidden)
 
 
-def _resolve_mode(p: ComplexPoly, mode: str) -> ComplexPoly:
-    """The polynomial every verdict is decided on: p for ``auto`` and
-    ``exact``, and for ``float`` p with each coefficient rounded to doubles."""
-    if mode in ("auto", "exact"):
-        return p
-    if mode == "float":
-        return ComplexPoly([complex(c) for c in p.coeffs])
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # witness machinery
 # ---------------------------------------------------------------------------
@@ -180,20 +169,18 @@ def _multiple_of(v: CoefVector, seed: CoefVector) -> bool:
 
 def _validated_witness(
     kind: str, v: CoefVector, half_degree: int, cofactor: ComplexPoly, factor: ComplexPoly,
-    seed: CoefVector | None, pattern: LacunaryPattern,
+    seed: CoefVector, pattern: LacunaryPattern,
 ) -> Witness | None:
     """The witness q = Q * cofactor for Q = z^h tau_v, or None if a check fails.
 
     Every check is exact.  q is nonzero and inside the pattern.  Q / factor
     is real on the circle: Q is Hermitian-symmetric about h, and so is the
-    factor exactly when its symbol, the seed, exists.  Q / factor is
+    factor, whose symbol is the seed.  Q / factor is
     nonconstant: v is not a rational multiple of the seed.  A non-exposed
     candidate is also nonnegative, since ``_plus_candidates`` certifies each
     one it offers, once.  The grid numbers in ``checks`` and
     ``multiplier_bound`` are computed afterwards, for the report only.
     """
-    if seed is None:
-        return None
     Q = symbol_to_poly(v, half_degree)
     q = Q * cofactor
     if q.is_zero() or not spectrum_in(q, pattern) or _multiple_of(v, seed):
@@ -211,7 +198,7 @@ def _validated_witness(
 
 
 def _plus_candidates(
-    kernel: KernelBasis, seed: CoefVector | None, plus_vectors: list[CoefVector] | None
+    kernel: KernelBasis, seed: CoefVector, plus_vectors: list[CoefVector] | None
 ) -> Iterator[CoefVector]:
     """Exactly certified plus vectors of the rational tilde kernel, to try as
     non-exposed witnesses, each certified only when the caller asks for it.
@@ -223,7 +210,7 @@ def _plus_candidates(
     """
     offered = False
     basis = kernel.vectors
-    seeds = (seed, seed + seed) if seed is not None else ()
+    seeds = (seed, seed + seed)
     pool = itertools.chain(
         basis,
         (x for u, w in itertools.combinations(basis, 2) for x in (u + w, u - w)),
@@ -251,7 +238,7 @@ def _first_witness(kind: str, candidates, *context) -> Witness:
 def make_non_extreme_witness(
     canonical: CanonicalData,
     kernel: KernelBasis,
-    seed: CoefVector | None,
+    seed: CoefVector,
     pattern: LacunaryPattern,
 ) -> Witness:
     """Perturbation q with q/p real and nonconstant, from a kernel vector.
@@ -268,7 +255,7 @@ def make_non_extreme_witness(
 def make_non_exposed_witness(
     tilde: TildeData,
     kernel_tilde: KernelBasis,
-    seed_tilde: CoefVector | None,
+    seed_tilde: CoefVector,
     pattern: LacunaryPattern,
     plus_vectors: list[CoefVector] | None = None,
 ) -> Witness:
@@ -299,9 +286,15 @@ def classify(
 ) -> ClassificationReport:
     """Classify p as an extreme / exposed point of the unit ball of its class."""
     opt = options or ClassifyOptions()
+    if opt.mode == "float":
+        raise ValueError(
+            "float mode is retired: it only rounded the input to doubles; "
+            "give the rounded coefficients as coeffs_f"
+        )
+    if opt.mode not in ("auto", "exact"):
+        raise ValueError(f"unknown mode {opt.mode!r}")
     if isinstance(p, str):
         p = parse_poly(p)
-    p = _resolve_mode(p, opt.mode)
     if p.deg < 0:
         raise ValueError("the zero polynomial is not in the unit sphere")
     if pattern is None:
@@ -337,8 +330,9 @@ def classify(
     )
     diagnostics = rep.diagnostics
 
-    seed = _safe_seed(canonical.disk_factor, canonical.m)
-    seed_tilde = _safe_seed(tilde.total_factor, tilde.m_tilde)
+    # both factors are Hermitian by construction; one that is not raises
+    seed = real_symbol_on_circle(canonical.disk_factor, canonical.m)
+    seed_tilde = real_symbol_on_circle(tilde.total_factor, tilde.m_tilde)
 
     rep.kernel = rank_and_kernel(rep.matrix)
     rep.kernel_tilde = rank_and_kernel(rep.matrix_tilde)
@@ -387,19 +381,8 @@ def classify(
     return rep
 
 
-def _safe_seed(factor: ComplexPoly, half_degree: int) -> CoefVector | None:
-    if factor.deg < 0:
-        return None
-    try:
-        return real_symbol_on_circle(factor, half_degree)
-    except (NotHermitianSymmetric, ValueError):
-        return None
-
-
-def _check_seed_membership(mat: BlockMatrix, seed: CoefVector | None, label: str) -> None:
+def _check_seed_membership(mat: BlockMatrix, seed: CoefVector, label: str) -> None:
     """Raise unless the exact product of the matrix and the seed is zero."""
-    if seed is None:
-        return
     entries = seed.entries
     if any(sum(a * s for a, s in zip(row, entries, strict=True) if a and s) for row in mat.rows):
         raise IllConditionedZeros(

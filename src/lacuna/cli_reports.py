@@ -247,53 +247,6 @@ def _parse_pattern_arg(text: str) -> LacunaryPattern:
     return LacunaryPattern(N, forbidden)
 
 
-_CONFIG_KEYS = ("mode", "witnesses", "pattern", "format")
-
-
-def _load_config(path: str) -> dict:
-    """key=value per line; '#' comments; later keys win; unknown keys fail."""
-    out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line (expected key=value): {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        out[key] = val
-    return out
-
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _as_bool(val: str, key: str) -> bool:
-    low = val.lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ValueError(f"config key {key} expects a boolean, got {val!r}")
-
-
-def _options_from(args, config: dict) -> ClassifyOptions:
-    opt = ClassifyOptions()
-    if "mode" in config:
-        opt.mode = config["mode"]
-    if "witnesses" in config:
-        opt.generate_witnesses = _as_bool(config["witnesses"], "witnesses")
-    if args.mode:
-        opt.mode = args.mode
-    if args.no_witnesses:
-        opt.generate_witnesses = False
-    if args.infer_pattern:
-        opt.infer_pattern = True
-    return opt
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_text(text)
@@ -307,19 +260,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_classify(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    opt = _options_from(args, config)
-    fmt = args.format or config.get("format", "text")
-    if fmt not in ("text", "json"):
-        raise ValueError(f"config key format expects 'text' or 'json', got {fmt!r}")
-    pattern = None
-    if args.pattern:
-        pattern = _parse_pattern_arg(args.pattern)
-    elif "pattern" in config:
-        pattern = _parse_pattern_arg(config["pattern"])
-    text = _read_input(args.input)
-    rep = classify(text, pattern, opt)
-    if fmt == "json":
+    opt = ClassifyOptions(infer_pattern=args.infer_pattern, generate_witnesses=not args.no_witnesses)
+    pattern = _parse_pattern_arg(args.pattern) if args.pattern else None
+    rep = classify(_read_input(args.input), pattern, opt)
+    if args.format == "json":
         payload = json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n"
     else:
         payload = render_text(rep)
@@ -329,13 +273,11 @@ def _cmd_classify(args) -> int:
 
 _MISSING = object()
 _JSON_KINDS = {
-    bool: "a boolean", int: "an integer", str: "a string",
-    list: "a list", dict: "an object", (str, list, dict): "a string, a list or an object",
+    bool: "a boolean", int: "an integer", list: "a list", dict: "an object",
+    (str, list, dict): "a string, a list or an object",
 }
 # the JSON type of each ClassifyOptions field a corpus job may set
-_OPTION_KINDS = {
-    "mode": str, "infer_pattern": bool, "generate_witnesses": bool,
-}
+_OPTION_KINDS = {"infer_pattern": bool, "generate_witnesses": bool}
 
 
 def _field(obj: dict, key: str, kind, default=_MISSING):
@@ -521,11 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat every vanishing interior coefficient as forbidden",
     )
-    c.add_argument("--mode", choices=["auto", "exact", "float"])
     c.add_argument("--no-witnesses", action="store_true", dest="no_witnesses")
-    c.add_argument("--format", choices=["text", "json"])
+    c.add_argument("--format", choices=["text", "json"], default="text")
     c.add_argument("--out", help="write the report to a file")
-    c.add_argument("--config", help="key=value config file")
     c.set_defaults(func=_cmd_classify)
 
     b = sub.add_parser("plusdim", help="cone trace dimension of a subspace")

@@ -81,7 +81,7 @@ class CoefVector:
 
     @property
     def entries(self) -> tuple:
-        """(alpha_0..alpha_d, beta_1..beta_d), the order of ``as_array``."""
+        """(alpha_0..alpha_d, beta_1..beta_d), the order of ``from_array``."""
         return (*self.alpha, *self.beta)
 
     @staticmethod
@@ -96,9 +96,6 @@ class CoefVector:
         alpha = tuple(xs[: d + 1])
         beta = tuple(xs[d + 1 :])
         return CoefVector(d, alpha, beta)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(x) for x in self.entries], dtype=float)
 
     def __add__(self, other: "CoefVector") -> "CoefVector":
         return CoefVector.from_array([x + y for x, y in zip(self.entries, other.entries, strict=True)])

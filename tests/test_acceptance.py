@@ -141,7 +141,7 @@ def test_criterion_03_double_circle_reproduction(examples):
     seed = real_symbol_on_circle(rep.tilde.total_factor, rep.tilde.m_tilde)
     dim, found = plus_dimension(rep.kernel_tilde.vectors, seed=seed)
     _check(problems, dim == 3, f"recomputed dim_plus {dim}")
-    stack = np.stack([f.as_array() for f in found])
+    stack = np.array([f.entries for f in found], dtype=float)
     _check(problems, np.linalg.matrix_rank(stack, tol=1e-8) == 3,
            "recovered plus-vectors are not independent")
     for f in found:
@@ -176,7 +176,7 @@ def test_criterion_04_single_double_zero_reproduction(examples):
 
     _check(problems, rep.kernel_tilde.dim == 1,
            f"kernel dim {rep.kernel_tilde.dim}")
-    v = rep.kernel_tilde.vectors[0].as_array()
+    v = np.array(rep.kernel_tilde.vectors[0].entries, dtype=float)
     ref = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
     v = v / np.linalg.norm(v)
     if v[0] < 0:

@@ -62,8 +62,8 @@ def test_clean_gap_report(examples):
     assert abs(rep.norm - NORM_CLEAN_GAP) <= 1e-9
     assert rep.kernel.rank == 2 and rep.kernel.dim == 1
     assert rep.witnesses == ()
-    v = rep.kernel.vectors[0].as_array()
-    assert np.allclose(v / v[1], [-5 / 4, 1.0, 0.0])
+    v = rep.kernel.vectors[0].entries
+    assert [x / v[1] for x in v] == [Fraction(-5, 4), 1, 0]
 
 
 def test_double_circle_report(examples):
@@ -87,8 +87,8 @@ def test_single_double_zero_report(examples):
     assert rep.extreme is True and rep.exposed is True
     assert rep.fast_path_exposed == "tilde_full_rank"
     assert rep.kernel_tilde.dim == 1
-    v = rep.kernel_tilde.vectors[0].as_array()
-    assert np.allclose(v / v[0], [1.0, -1.0, 0.0])
+    v = rep.kernel_tilde.vectors[0].entries
+    assert [x / v[0] for x in v] == [1, -1, 0]
 
 
 def test_float_mode_matches_exact(examples):
@@ -113,18 +113,28 @@ ROUNDED_CUBE = (
 FULL_PATTERN_CASES = [("(1 - z^2)^2", 4), ("(z - 1/2)(1 - z/2)", 2), ("1 + z/2", 1), (ROUNDED_CUBE, 6)]
 
 
+def _rounded(p) -> ComplexPoly:
+    """p (a ComplexPoly or its text) with each coefficient rounded to doubles,
+    the polynomial its JSON ``coeffs_f`` gives."""
+    p = parse_poly(p) if isinstance(p, str) else p
+    return ComplexPoly([complex(c) for c in p.coeffs])
+
+
+def _given(text, form):
+    """The input as written (``exact``) or rounded to doubles (``float``)."""
+    return text if form == "exact" else _rounded(text)
+
+
 def _shortcut_reports(examples):
-    """(label, report) for the worked examples, the full-pattern cases in both
-    modes and the planted draws of acceptance criterion 06."""
+    """(label, report) for the worked examples, the full-pattern cases and the
+    planted draws of acceptance criterion 06."""
     from test_acceptance import _plant
 
     opts = ClassifyOptions(generate_witnesses=False)
     for name, (p, pat) in examples.items():
         yield name, classify(p, pat, opts)
     for text, N in FULL_PATTERN_CASES:
-        for mode in ("exact", "float"):
-            rep = classify(text, LacunaryPattern(N, []), ClassifyOptions(mode=mode, generate_witnesses=False))
-            yield f"{text} {mode}", rep
+        yield text, classify(text, LacunaryPattern(N, []), opts)
     rng = np.random.default_rng(2026_06)
     for i in range(300):
         p = _plant(rng)[0]
@@ -151,10 +161,10 @@ def test_shortcut_verdicts_agree_with_the_cone_dimension(examples):
     assert seen == {"not_extreme", "simple_circle_zeros", "tilde_full_rank"}
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("form", ["exact", "float"])
 @pytest.mark.parametrize("text,N", FULL_PATTERN_CASES)
-def test_classify_agrees_with_full_space_on_full_patterns(text, N, mode):
-    rep = classify(text, LacunaryPattern(N, []), ClassifyOptions(mode=mode))
+def test_classify_agrees_with_full_space_on_full_patterns(text, N, form):
+    rep = classify(_given(text, form), LacunaryPattern(N, []))
     fs = classify_full_space(rep.polynomial, N=N)
     assert (rep.extreme, rep.exposed) == (fs.extreme, fs.exposed)
 
@@ -173,39 +183,63 @@ def test_seed_outside_the_kernel_is_inconsistent():
     "kind,entries,factor,N,forbidden",
     [
         ("non_extreme", (Fraction(1, 2), Fraction(1, 2), 0), "z", 2, [1]),  # q = (1 + z)^2 / 2 has energy at z
-        ("non_extreme", (0, 1, 0), "0", 2, []),  # the factor vanishes: it has no real symbol
-        ("non_extreme", (0, 1, 0), "i z", 2, []),  # the multiplier 2 cos t / i is not real
         ("non_extreme", (1, 0, 0), "z", 2, []),  # the multiplier 2 is constant
         ("non_exposed", (0, 1, 0), "z", 2, []),  # the multiplier 2 cos t dips below 0
     ],
-    ids=["outside-pattern", "empty-grid", "non-real", "constant", "negative"],
+    ids=["outside-pattern", "constant", "negative"],
 )
 def test_validated_witness_rejects_each_failed_check(kind, entries, factor, N, forbidden):
-    from lacuna.classifier import _plus_candidates, _safe_seed, _validated_witness
+    from lacuna.classifier import _plus_candidates, _validated_witness
     from lacuna.matrix_builder import KernelBasis
     from lacuna.plus_cone import CoefVector
 
     v, one, F = CoefVector.from_array(entries), parse_poly("1"), parse_poly(factor)
-    seed, pattern = _safe_seed(F, 1), LacunaryPattern(N, forbidden)
-    # a non-exposed candidate is certified nonnegative before it is offered,
-    # and a kernel spanned by v offers none
-    candidates = [v] if kind == "non_extreme" else list(_plus_candidates(KernelBasis(2, 1, (v,)), None, []))
-    assert not any(_validated_witness(kind, c, 1, one, F, seed, pattern) for c in candidates)
+    seed, pattern = real_symbol_on_circle(F, 1), LacunaryPattern(N, forbidden)
+    if kind == "non_extreme":
+        assert _validated_witness(kind, v, 1, one, F, seed, pattern) is None
+    else:
+        # a non-exposed candidate is certified nonnegative before it is
+        # offered: a kernel spanned by v offers only its shifts by the seed
+        assert v not in list(_plus_candidates(KernelBasis(2, 1, (v,)), seed, []))
     # the multiplier 2 cos t passes every check of a non-extreme witness
     z = parse_poly("z")
     cos = CoefVector.from_array((0, 1, 0))
-    assert _validated_witness("non_extreme", cos, 1, one, z, _safe_seed(z, 1), LacunaryPattern(2))
+    assert _validated_witness("non_extreme", cos, 1, one, z, real_symbol_on_circle(z, 1), LacunaryPattern(2))
+
+
+def test_a_factor_without_a_real_symbol_is_refused(monkeypatch, capsys):
+    # both factors are Hermitian by construction; were one not, classify
+    # raises rather than run without its seed
+    import dataclasses
+
+    import lacuna.classifier
+    from lacuna import NotHermitianSymmetric
+    from lacuna.cli_reports import EXIT_ERROR, main
+
+    with pytest.raises(NotHermitianSymmetric):
+        real_symbol_on_circle(parse_poly("i z"), 1)
+    original = lacuna.classifier.canonical_factorization
+
+    def rotated(p, N):
+        can = original(p, N)
+        return dataclasses.replace(can, disk_factor=can.disk_factor * GaussianRational(0, 1))
+
+    monkeypatch.setattr(lacuna.classifier, "canonical_factorization", rotated)
+    with pytest.raises(NotHermitianSymmetric):
+        classify("(z - 1/2)(8 - z^3)", LacunaryPattern(4, [2]))
+    assert main(["classify", "(z - 1/2)(8 - z^3)", "--pattern", "4:2"]) == EXIT_ERROR
+    assert "is not the conjugate" in capsys.readouterr().err
 
 
 def test_validated_witness_is_scale_free():
     # Q = 1 + z^2 over 10^12 z: the multiplier 2 cos t / 10^12 is nonconstant,
     # though its spread is far below any fixed threshold
-    from lacuna.classifier import _safe_seed, _validated_witness
+    from lacuna.classifier import _validated_witness
     from lacuna.plus_cone import CoefVector
 
     F = parse_poly("10^12 z")
     v = CoefVector.from_array((0, 1, 0))
-    w = _validated_witness("non_extreme", v, 1, parse_poly("1"), F, _safe_seed(F, 1), LacunaryPattern(2))
+    w = _validated_witness("non_extreme", v, 1, parse_poly("1"), F, real_symbol_on_circle(F, 1), LacunaryPattern(2))
     assert w is not None and w.perturbation == parse_poly("1 + z^2")
     assert 0 < w.checks["spread"] < 1e-6
 
@@ -577,10 +611,10 @@ GAPPED_CIRCLE = [
 ]
 
 
-def _classify_gapped(text, k, j, mode):
+def _classify_gapped(text, k, j, form):
     N = k * j
     pattern = LacunaryPattern(N, [e for e in range(1, N) if e % k])
-    return classify(text, pattern, ClassifyOptions(mode=mode))
+    return classify(_given(text, form), pattern)
 
 
 @pytest.mark.parametrize("text,k,j", GAPPED_CIRCLE)
@@ -596,6 +630,7 @@ def test_gapped_circle_powers_are_decided_on_the_harmonic_lattice(text, k, j):
 
 @pytest.mark.parametrize("text,k,j", GAPPED_CIRCLE)
 def test_gapped_circle_powers_agree_across_modes(text, k, j):
+    # the text and its coefficients given as doubles: integers, read exactly
     exact = _classify_gapped(text, k, j, "exact")
     flo = _classify_gapped(text, k, j, "float")
     assert (flo.extreme, flo.exposed, flo.dim_plus) == (exact.extreme, exact.exposed, exact.dim_plus)
@@ -613,8 +648,8 @@ def test_gapped_circle_powers_agree_across_modes(text, k, j):
 )
 def test_float_mode_decides_zeros_of_multiplicity_four_and_more(text, N, forbidden):
     pattern = LacunaryPattern(N, forbidden)
-    exact = classify(text, pattern, ClassifyOptions(mode="exact"))
-    flo = classify(text, pattern, ClassifyOptions(mode="float"))
+    exact = classify(text, pattern)
+    flo = classify(_rounded(text), pattern)
     assert not flo.undecided
     assert (flo.extreme, flo.exposed, flo.dim_plus) == (exact.extreme, exact.exposed, exact.dim_plus)
 
@@ -625,12 +660,12 @@ def test_float_mode_decides_generic_inputs_of_high_degree(degree):
     coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
     p = ComplexPoly(coeffs.tolist())
     pattern = LacunaryPattern(degree + 2, [degree + 1])
-    rep = classify(p, pattern, ClassifyOptions(mode="float", generate_witnesses=False))
+    rep = classify(p, pattern, ClassifyOptions(generate_witnesses=False))
     assert (rep.extreme, rep.exposed) == (True, True)
 
 
 def _parity_inputs():
-    """(label, p, pattern) for every input of the mode-parity check: the
+    """(label, p, pattern) for every input of the float-input parity check: the
     worked examples, the corpus classify jobs, (1 +- z^k)^j and seeded
     Gaussian-integer polynomials."""
     from conftest import EXAMPLES
@@ -662,10 +697,11 @@ def test_float_mode_reports_equal_exact_reports_on_lossless_inputs():
 
     checked = 0
     for label, p, pattern in _parity_inputs():
-        if ComplexPoly([complex(c) for c in p.coeffs]) != p:
+        doubles = _rounded(p)
+        if doubles != p:
             continue
-        exact = report_to_dict(classify(p, pattern, ClassifyOptions(mode="exact")))
-        flo = report_to_dict(classify(p, pattern, ClassifyOptions(mode="float")))
+        exact = report_to_dict(classify(p, pattern))
+        flo = report_to_dict(classify(doubles, pattern))
         assert flo == exact, label
         checked += 1
     assert checked >= 50
@@ -703,11 +739,30 @@ def test_exact_mode_judges_float_input_as_auto_does():
     assert report_to_dict(classify(text, pattern, ClassifyOptions(mode="exact"))) == report_to_dict(auto)
 
 
+def test_rounding_a_tenth_removes_the_double_circle_zeros():
+    # (1 - z^2/10)^2 (1 + z^2)^2 has double circle zeros at +-i, but with its
+    # coefficients rounded to doubles the shared factor is square-free
+    text, pattern = "(1-0.1z^2)^2*(1+z^2)^2", LacunaryPattern(8, [1, 3, 5, 7])
+    exact, rounded = classify(text, pattern), classify(_rounded(text), pattern)
+    assert (exact.tilde.mu, exact.extreme, exact.exposed) == (2, True, False)
+    assert (rounded.tilde.mu, rounded.extreme, rounded.exposed) == (0, True, True)
+
+
+def test_float_mode_is_retired_and_auto_and_exact_decide_alike(examples):
+    p, pat = examples["double_circle"]
+    with pytest.raises(ValueError, match="float mode is retired.*coeffs_f"):
+        classify(p, pat, ClassifyOptions(mode="float"))
+    with pytest.raises(ValueError, match="unknown mode 'fast'"):
+        classify(p, pat, ClassifyOptions(mode="fast"))
+    auto, exact = (classify(p, pat, ClassifyOptions(mode=mode)) for mode in ("auto", "exact"))
+    assert (auto.extreme, auto.exposed, auto.dim_plus) == (exact.extreme, exact.exposed, exact.dim_plus) == (True, False, 3)
+
+
 def test_lossy_float_product_is_judged_by_its_exact_gcd():
     # the rounded factor a + bz + az^2 has zeros with r1 r2 = 1 and a non-real
     # sum, so it shares no zero with its reflection: gcd(x, x*) = 1 + z^4
     p = ComplexPoly([complex(x) * (0.7 + 0.3j) for x in parse_poly("(z - 1/2)(2 - z)(1 + z^4)").coeffs])
-    rep = classify(p, LacunaryPattern(6, [3]), ClassifyOptions(mode="float"))
+    rep = classify(p, LacunaryPattern(6, [3]))
     assert rep.canonical.m == 0 and rep.tilde.mu == 0
     assert (rep.extreme, rep.exposed) == (True, True)
 

@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, formats, corpus runner, config handling."""
+"""CLI behaviour: exit codes, formats, corpus runner, option handling."""
 
 import argparse
 import dataclasses
@@ -7,14 +7,12 @@ import json
 import re
 import time
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from lacuna.classifier import ClassifyOptions
 from lacuna.cli_reports import (
-    _CONFIG_KEYS,
     _OPTION_KINDS,
     EXIT_ERROR,
     EXIT_OK,
@@ -157,7 +155,7 @@ def test_classify_stalled_cone_solver_exit(capsys):
     # direction but the seed's: the face may force a zero at an irrational
     # point, which the rational certificate cannot show
     text = "(1-z+z^2)^2*((2-2i) + (3-7i/3)z + (1-i)z^2 + (-3+i)z^3)"
-    code = main(["classify", text, "--pattern", "8:3", "--mode", "exact"])
+    code = main(["classify", text, "--pattern", "8:3"])
     out = capsys.readouterr().out
     assert code == EXIT_UNDECIDED
     assert "extreme: yes" in out
@@ -171,7 +169,7 @@ def test_classify_decides_a_cone_the_slice_solver_stalled_on(capsys):
     # neither converged nor plateaued on it; facial reduction over the seed's
     # circle zeros decides it
     code = main(
-        ["classify", "(1-z^2)^2*(3-z-z^2-2z^3)", "--pattern", "8:3", "--mode", "exact"]
+        ["classify", "(1-z^2)^2*(3-z-z^2-2z^3)", "--pattern", "8:3"]
     )
     out = capsys.readouterr().out
     assert code == EXIT_OK
@@ -185,66 +183,13 @@ def test_classify_decides_a_cone_on_the_harmonic_lattice(capsys):
     # every tilde kernel vector lives on harmonics 0, 3, 6: the cone search
     # runs at degree 2, where the kernel is the whole space
     code = main(
-        ["classify", "(1 - z^3)^4", "--pattern", "12:1,2,4,5,7,8,10,11", "--mode", "exact"]
+        ["classify", "(1 - z^3)^4", "--pattern", "12:1,2,4,5,7,8,10,11"]
     )
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "extreme: yes" in out
     assert "exposed: no (via plus_dimension)" in out
     assert "cone trace dimension: 5" in out
-
-
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "lacuna.cfg"
-    cfg.write_text(
-        "# defaults for this project\n"
-        "mode = float\n"
-        "witnesses = off\n"
-        "pattern = 6:3\n"
-        "format = json\n"
-    )
-    code = main(["classify", "(z - 1/3)(3 - z)(1 + z^4)", "--config", str(cfg)])
-    assert code == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
-    # float mode judges the exact value of the coefficients rounded to doubles
-    re_num, re_den, _, _ = doc["polynomial"]["coeffs"][1]
-    assert Fraction(re_num, re_den) == Fraction(10 / 3) != Fraction(10, 3)
-    assert doc["witnesses"] == []
-    assert doc["pattern"] == {"N": 6, "forbidden": [3]}
-
-
-def test_cli_flags_override_config(tmp_path, capsys):
-    cfg = tmp_path / "lacuna.cfg"
-    cfg.write_text("mode = float\nformat = text\n")
-    code = main(
-        ["classify", "1 + z/3", "--pattern", "1", "--config", str(cfg),
-         "--mode", "exact", "--format", "json"]
-    )
-    assert code == EXIT_OK
-    # [real num, real den, imag num, imag den]; float mode would hold the double nearest 1/3
-    assert json.loads(capsys.readouterr().out)["polynomial"]["coeffs"] == [[1, 1, 0, 1], [1, 3, 0, 1]]
-
-
-def test_bad_config_line_errors(tmp_path, capsys):
-    cfg = tmp_path / "lacuna.cfg"
-    # a malformed line, a misspelled key, the retired rank_gap, eps_circle, tol
-    # and audit keys, and a format that is neither text nor json
-    for text, named in (
-        ("this is not a key value pair\n", "key=value"),
-        ("witnesess = off\n", "'witnesess'"),
-        ("rank_gap = 10\n", "'rank_gap'"),
-        ("eps_circle = 1e-8\n", "'eps_circle'"),
-        ("tol = 1e-10\n", "'tol'"),
-        ("audit = true\n", "'audit'"),
-        # format takes text or json only
-        ("format = xml\n", "'xml'"),
-        ("format = JSON\n", "'JSON'"),
-    ):
-        cfg.write_text(text)
-        code = main(["classify", "1 + z/2", "--pattern", "1", "--config", str(cfg)])
-        assert code == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert named in captured.err and captured.out == ""
 
 
 def test_pattern_arg_parsing():
@@ -264,7 +209,7 @@ def test_pattern_arg_parsing():
     "argv,named",
     [
         (["classify", "z", "--pattern", "1", "--bogus"], "unrecognized arguments: --bogus"),
-        (["classify", "z", "--pattern", "1", "--mode", "fast"], "invalid choice: 'fast'"),
+        (["classify", "z", "--pattern", "1", "--format", "xml"], "invalid choice: 'xml'"),
         (["classify"], "required: input"),
         ([], "required: command"),
         # the retired circle band and support cutoff flags
@@ -272,9 +217,13 @@ def test_pattern_arg_parsing():
          "unrecognized arguments: --eps-circle nan"),
         (["classify", "1.0 + 0.5z + z^2", "--pattern", "2:1", "--tol", "1e-6"],
          "unrecognized arguments: --tol 1e-6"),
+        # the retired float mode and config file
+        (["classify", "1 + z/2", "--pattern", "1", "--mode", "exact"], "unrecognized arguments: --mode exact"),
+        (["classify", "1 + z/2", "--pattern", "1", "--config", "lacuna.cfg"],
+         "unrecognized arguments: --config lacuna.cfg"),
     ],
     ids=["unknown-flag", "bad-choice", "missing-input", "missing-command",
-         "eps-circle", "tol"],
+         "eps-circle", "tol", "mode", "config"],
 )
 def test_usage_errors_exit_with_error(argv, named, capsys):
     # argparse's own exit code 2 would read as "undecided"
@@ -495,14 +444,15 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
         json.dumps(ZERO_DENOMINATOR_BASIS)
     )
     # option values of the wrong JSON type (a truthy string, a number for a
-    # string), and the retired eps_circle option
+    # boolean), and the retired eps_circle and mode options
     for name, option in (("g_string_bool", {"generate_witnesses": "false"}),
-                         ("h_string_number", {"mode": 1}),
-                         ("i_retired_option", {"eps_circle": 1e-8})):
+                         ("h_number_bool", {"infer_pattern": 1}),
+                         ("i_retired_option", {"eps_circle": 1e-8}),
+                         ("j_retired_mode", {"mode": "auto"})):
         job = {"input": "(1 - z)^2", "pattern": {"N": 2}, "options": option,
                "expect": {"witness_kinds": []}}
         (tmp_path / f"{name}.json").write_text(json.dumps(job))
-    (tmp_path / "j_good_again.json").write_text(json.dumps(good))
+    (tmp_path / "k_good_again.json").write_text(json.dumps(good))
     code = main(["corpus", str(tmp_path)])
     out = capsys.readouterr().out.splitlines()
     assert code == EXIT_ERROR
@@ -514,12 +464,14 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
     assert out[5].startswith("FAIL f_basis_zero_denominator:") and "'1/0'" in out[5]
     assert out[6].startswith("FAIL g_string_bool:")
     assert "'generate_witnesses' takes a boolean" in out[6]
-    assert out[7].startswith("FAIL h_string_number:")
-    assert "'mode' takes a string" in out[7]
+    assert out[7].startswith("FAIL h_number_bool:")
+    assert "'infer_pattern' takes a boolean" in out[7]
     assert out[8].startswith("FAIL i_retired_option:")
     assert "unknown option 'eps_circle'" in out[8]
-    assert out[9] == "PASS j_good_again: ok"
-    assert out[10] == "2/10 passed"
+    assert out[9].startswith("FAIL j_retired_mode:")
+    assert "unknown option 'mode'" in out[9]
+    assert out[10] == "PASS k_good_again: ok"
+    assert out[11] == "2/11 passed"
 
 
 def test_corpus_infer_pattern_option_infers_a_missing_pattern(tmp_path, capsys):
@@ -579,8 +531,9 @@ def test_huge_decimal_exponent_is_refused_before_it_is_expanded(literal, tmp_pat
 
 
 def test_corpus_option_kinds_cover_classify_options():
+    # mode stays a field only for the benchmark harness; a job cannot set it
     fields = {f.name for f in dataclasses.fields(ClassifyOptions)}
-    assert set(_OPTION_KINDS) == fields
+    assert set(_OPTION_KINDS) == fields - {"mode"}
 
 
 def _readme_section(start: str, end: str) -> str:
@@ -594,8 +547,6 @@ def test_readme_lists_the_option_surface():
     flags = {s for a in sub.choices["classify"]._actions for s in a.option_strings}
     table = _readme_section("Flags for `classify`:", "Exit codes:")
     assert set(re.findall(r"`(--[a-z-]+)", table)) == flags - {"-h", "--help"}
-    keys = _readme_section("### Config file", "any other key")
-    assert re.findall(r"`([a-z_]+)`", keys) == list(_CONFIG_KEYS)
     options = _readme_section("take JSON types:", "(")
     assert set(re.findall(r"`([a-z_]+)`", options)) == set(_OPTION_KINDS)
 
@@ -633,7 +584,7 @@ def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
         (["classify", '{"coeffs_f": [[1e-320,0],[1,0],[1e-320,0]]}', "--pattern", "2"], "",
          "beyond the float range"),
         # a root polished to -10^100, shared with p*, whose backward error overflows
-        (["classify", "(z + 10^100)(1 + 10^100 z)(z^3 - 2)", "--pattern", "5", "--mode", "exact"], "",
+        (["classify", "(z + 10^100)(1 + 10^100 z)(z^3 - 2)", "--pattern", "5"], "",
          "backward error nan"),
         # the companion eigenvalue solve on p* does not converge
         (["classify", "(z + 10^20)(1 + 10^20 z)(z^3 - 2)", "--pattern", "5"], "",
@@ -655,25 +606,26 @@ def test_malformed_json_input_exits_with_error(argv, stdin, key, capsys, monkeyp
 
 
 # the disk zeros (3 +- sqrt 5)/2 of 1 - 3z + z^2 reflect each other, so the
-# canonical factor of the second input has an irrational natural scale; its
-# integer coefficients round losslessly, and float mode judges the same value
+# canonical factor of the second input has an irrational natural scale; it is
+# given as doubles, (1 - 3z + z^2)(1 - z)^2(z^2 + z - 3), read at its exact value
 CONE_WITNESS_INPUTS = {
     "exact": ("(1 - z^2)^2", "4:1,3"),
-    "float": ("(1 - 3z + z^2)(1 - z)^2(z^2 + z - 3)", "6:4"),
+    "float": ('{"coeffs_f": [[-3.0, 0.0], [16.0, 0.0], [-28.0, 0.0], [18.0, 0.0], [0.0, 0.0], [-4.0, 0.0], '
+              '[1.0, 0.0]]}', "6:4"),
 }
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_classify_text_with_cone_dimension_and_witness(mode, capsys):
-    text, pattern = CONE_WITNESS_INPUTS[mode]
-    code = main(["classify", text, "--pattern", pattern, "--mode", mode])
+@pytest.mark.parametrize("form", ["exact", "float"])
+def test_classify_text_with_cone_dimension_and_witness(form, capsys):
+    text, pattern = CONE_WITNESS_INPUTS[form]
+    code = main(["classify", text, "--pattern", pattern])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.splitlines()[1].startswith("norm: ")  # no mode line
     assert "cone trace dimension: 3" in out
     assert "exposed: no (via plus_dimension)" in out
     assert "multiplier bound inf" in out
-    if mode == "exact":
+    if form == "exact":
         assert "witness [non_exposed]: q = (-2)z^2" in out
     else:
         assert "witness [non_exposed]: q = " in out
@@ -689,18 +641,10 @@ def test_salem_polynomial_exits_with_the_factor_named(capsys):
 
 
 def test_near_reflected_pair_is_decided_exactly(capsys):
-    code = main(["classify", "(z - 1/2)(1 - (1/2 + 1/10^8)z)", "--pattern", "2", "--mode", "exact"])
+    code = main(["classify", "(z - 1/2)(1 - (1/2 + 1/10^8)z)", "--pattern", "2"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.splitlines()[1].startswith("norm: ") and "shared disk zeros: m=0" in out
     assert "extreme: yes (via rank)\nexposed: yes (via simple_circle_zeros)\n" in out
 
 
-def test_exact_mode_classifies_float_input_as_auto_does(capsys):
-    text = '{"coeffs_f": [[0.5, 0], [1, 0]]}'
-    outs = []
-    for mode in ([], ["--mode", "exact"]):
-        assert main(["classify", text, "--pattern", "1", "--format", "json", *mode]) == EXIT_OK
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[1])["verdicts"]["extreme"] is True

@@ -116,9 +116,8 @@ def test_kernel_vectors_annihilate(examples):
         for kind in ("plain", "tilde"):
             mat, _ = _example_matrix(examples, name, kind=kind)
             kb = rank_and_kernel(mat)
-            arr = mat.as_array()
             for v in kb.vectors:
-                assert np.max(np.abs(arr @ v.as_array())) <= 1e-12
+                assert all(sum(a * x for a, x in zip(row, v.entries)) == 0 for row in mat.rows)
             assert kb.rank + kb.dim == mat.shape[1]
 
 
@@ -153,8 +152,7 @@ def test_empty_matrix_identity_kernel():
     mat = build_matrix(ComplexPoly.one(), (), 2, kind="plain")
     kb = rank_and_kernel(mat)
     assert kb.rank == 0 and kb.dim == 5
-    arrs = np.array([v.as_array() for v in kb.vectors], dtype=float)
-    assert np.allclose(arrs, np.eye(5))
+    assert [v.entries for v in kb.vectors] == [tuple(int(i == j) for j in range(5)) for i in range(5)]
 
 
 def test_exact_kernel_spans_float_kernel(examples):

@@ -36,4 +36,4 @@ def test_cone_census_leaves_nothing_undecided(seed):
 def test_report_fields_finds_a_checkout_identical_to_itself():
     cmd = [sys.executable, str(ROOT / "tools" / "report_fields.py"), str(ROOT), str(ROOT), "1"]
     lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
-    assert [line.split()[:2] for line in lines] == [[mode, "identical"] for mode in ("exact", "float")]
+    assert [line.split()[:2] for line in lines] == [["exact", "identical"]]

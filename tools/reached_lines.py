@@ -7,10 +7,9 @@ Usage::
 CHECKOUT is a lacuna source tree.  The script runs the traffic of
 ``tools/report_digests.py`` on it under ``sys.settrace``: every classify
 case of the exact_generic and exact_circle workloads at SEED, census
-included, in exact and float modes with the report rendered as JSON
-and text, and every plusdim job of the corpus.  It then prints one line per
-statement inside a function of ``CHECKOUT/src/lacuna`` that no line event
-reached::
+included, with the report rendered as JSON and text, and every plusdim job
+of the corpus.  It then prints one line per statement inside a function of
+``CHECKOUT/src/lacuna`` that no line event reached::
 
     <file>:<line>: <function>: <first line of the statement>
 

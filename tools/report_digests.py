@@ -7,36 +7,32 @@ Usage::
 CHECKOUT is a lacuna source tree (its ``src/`` and ``perfbench/`` are
 imported; nothing is written there).  For every classify case of the
 exact_generic and exact_circle workloads at SEED, census included, the
-script classifies the input in exact mode and in float mode, and prints
-one line per report::
+script classifies the input and prints one line per report::
 
-    <workload> <case id> <exact|float> <sha256> <extreme> <exposed> <dim_plus>
+    <workload> <case id> exact <sha256> <extreme> <exposed> <dim_plus>
 
 where the digest covers the ``lacuna/1`` JSON of ``report_to_dict`` followed
 by ``render_text``, and the verdicts are the report's (``None`` where
 undecided), so a diff shows whether a changed report moved a verdict.  A
 raised exception is printed as its class and message in place of the
-digest and the verdicts.  Float mode judges the exact value of the input
-rounded to doubles, so for every input whose float image is lossless (all
-the workload inputs) its line equals the exact line.  A float input is read
-at its exact value, so exact mode judges the same number as float mode, and
-for a float input the exact line equals the float line.  Each plusdim job of
-the corpus gets one line::
+digest and the verdicts.  Each plusdim job of the corpus gets one line::
 
     <workload> <case id> plusdim <sha256> <dim_plus>
 
 whose digest covers what ``lacuna plusdim`` prints for the job (a nonzero
 exit code is printed with the error message instead).  Last come the fixed
-inputs of ``OUTSIDE``, outside both workloads, in the same two modes
-under the workload name ``outside``: near-coincident zeros of p and p*,
+inputs of ``OUTSIDE``, outside both workloads, under the workload name
+``outside``: near-coincident zeros of p and p*,
 irrational and Salem splits, lossy float products, many shared pairs,
 zeros beyond the float range, a non-exposed witness that only the cone
 search finds, a companion eigenvalue solve that does not converge, and
 cones decided by facial reduction over circle zeros at +-1 and at the cube
 roots of unity, rounded powers of 1 - z^2 whose zeros split near the
-circle, and a shared disk pair within 1e-9 of it.  Then each basis of ``OUTSIDE_PLUSDIM``, a ``lacuna
-plusdim`` job without a seed, gets one plusdim line under ``outside``.
-Run it on two checkouts on one machine and
+circle, and a shared disk pair within 1e-9 of it.  Each of these inputs
+whose report moves when its coefficients are rounded to doubles also comes
+as a ``<id>-rounded`` twin, so rounded.  Then each basis of
+``OUTSIDE_PLUSDIM``, a ``lacuna plusdim`` job without a seed, gets one
+plusdim line under ``outside``.  Run it on two checkouts on one machine and
 diff the outputs to show that a change leaves every report byte-identical,
 or which reports outside the workloads it moved.
 """
@@ -51,7 +47,7 @@ import json
 import sys
 from pathlib import Path
 
-MODES = {"exact": {"mode": "exact"}, "float": {"mode": "float"}}
+MODES = {"exact": {"mode": "exact"}}
 
 # (id, expression, N, forbidden, scalar): a scalar turns the input into its
 # coefficients rounded to doubles, each times that double in float arithmetic
@@ -83,6 +79,17 @@ OUTSIDE = (
     ("rounded-cube", "(1 - z^2)^3", 6, (), 0.7),
     ("rounded-fourth-power", "(1 - z^2)^4", 8, (), 0.7),
     ("disk-pair-in-band", "(z - (1 - 1/10^9))(1 - (1 - 1/10^9)z)", 2, (), None),
+)
+# the inputs above whose report moves when their coefficients are rounded to
+# doubles, so rounded
+OUTSIDE += tuple(
+    (f"{case_id}-rounded", text, N, forbidden, 1.0)
+    for case_id, text, N, forbidden, _ in OUTSIDE
+    if case_id in (
+        "near-reflected-pair", "near-circle-double-pair", "six-pairs-at-tenths",
+        "coprime-zero-beyond-float-range", "shared-zero-beyond-float-range",
+        "coprime-overflowed-residual", "cube-root-zeros-8:3", "disk-pair-in-band",
+    )
 )
 
 # (id, basis file): plusdim jobs without a seed, so that the search for the

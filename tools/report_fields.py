@@ -7,7 +7,7 @@ Usage::
 PARENT and CHANGE are lacuna source trees.  Each checkout, in a process of
 its own, classifies every classify case of the benchmark workloads at SEED
 (census included) and the fixed ``OUTSIDE`` inputs of
-``tools/report_digests.py``, in its modes: exact and float.  A report is
+``tools/report_digests.py``, in its one mode: exact.  A report is
 its ``lacuna/1`` JSON from
 ``report_to_dict``; a raised exception stands in as ``{"error": "<class>:
 <message>"}``.  For each mode, and each JSON path at which at least one
