@@ -14,10 +14,14 @@ Every negative verdict ships a constructive witness.  Non-extreme: a
 perturbation q in the same lacunary class with q/p real, bounded and
 nonconstant on the circle.  Extreme-but-not-exposed: a q with q/p
 additionally nonnegative, so any functional supporting p also supports
-p + t q.  Each witness comes from an exact vector of a rational kernel,
-and every check on it is exact: spectrum membership, a real symbol for
-the factor, nonconstancy, and for a non-exposed witness a nonnegativity
-certificate.  Validation failure is an error, never a silent downgrade.
+p + t q.  A non-extreme witness is the first accepted vector of the plain
+kernel; a non-exposed one is the first accepted of the certified plus
+vectors that ``plus_dimension`` returns for the tilde kernel.  That cone
+search runs on every verdict but the two exposed shortcuts, so ``dim_plus``
+is reported there whether or not witnesses are asked for.  Every check on a
+witness is exact: spectrum membership, a real symbol for the factor,
+nonconstancy, and for a non-exposed witness a nonnegativity certificate.
+Validation failure is an error, never a silent downgrade.
 The grid numbers of a witness (``checks`` and ``multiplier_bound``) are
 reported, not decided on.
 
@@ -33,9 +37,7 @@ its own exit code.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
-from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -56,7 +58,7 @@ from .factorization import (
     tilde_factorization,
 )
 from .matrix_builder import BlockMatrix, KernelBasis, build_matrix, rank_and_kernel
-from .plus_cone import CoefVector, certify_nonneg_exact, plus_dimension
+from .plus_cone import CoefVector, plus_dimension
 from .poly_core import (
     ComplexPoly,
     GaussianRational,
@@ -173,17 +175,20 @@ def _validated_witness(
 ) -> Witness | None:
     """The witness q = Q * cofactor for Q = z^h tau_v, or None if a check fails.
 
-    Every check is exact.  q is nonzero and inside the pattern.  Q / factor
-    is real on the circle: Q is Hermitian-symmetric about h, and so is the
-    factor, whose symbol is the seed.  Q / factor is
-    nonconstant: v is not a rational multiple of the seed.  A non-exposed
-    candidate is also nonnegative, since ``_plus_candidates`` certifies each
-    one it offers, once.  The grid numbers in ``checks`` and
-    ``multiplier_bound`` are computed afterwards, for the report only.
+    Every check is exact.  Q / factor is nonconstant: v is not a rational
+    multiple of the seed (tested first, since the cone search returns the
+    seed first).  q is nonzero and inside the pattern.  Q / factor is real on
+    the circle: Q is Hermitian-symmetric about h, and so is the factor, whose
+    symbol is the seed.  A non-exposed candidate is also nonnegative, since
+    ``plus_dimension`` certifies each vector it returns.  The grid numbers in
+    ``checks`` and ``multiplier_bound`` are computed afterwards, for the
+    report only.
     """
+    if _multiple_of(v, seed):
+        return None
     Q = symbol_to_poly(v, half_degree)
     q = Q * cofactor
-    if q.is_zero() or not spectrum_in(q, pattern) or _multiple_of(v, seed):
+    if q.is_zero() or not spectrum_in(q, pattern):
         return None
     h = _grid_multiplier(Q, factor)
     h_scale = float(np.max(np.abs(h.real)))
@@ -195,34 +200,6 @@ def _validated_witness(
     if kind == "non_exposed":
         checks["min_multiplier"] = float(np.min(h.real))
     return Witness(kind, v, q, tuple(spectrum(q)), multiplier_bound=h_scale, checks=checks)
-
-
-def _plus_candidates(
-    kernel: KernelBasis, seed: CoefVector, plus_vectors: list[CoefVector] | None
-) -> Iterator[CoefVector]:
-    """Exactly certified plus vectors of the rational tilde kernel, to try as
-    non-exposed witnesses, each certified only when the caller asks for it.
-
-    First the basis, pairwise sums and differences, then basis + seed and
-    basis + 2 seed, then the exact certified vectors of ``plus_dimension``,
-    which runs here only when classify did not run it and the pool offered
-    nothing.
-    """
-    offered = False
-    basis = kernel.vectors
-    seeds = (seed, seed + seed)
-    pool = itertools.chain(
-        basis,
-        (x for u, w in itertools.combinations(basis, 2) for x in (u + w, u - w)),
-        (b + s for b in basis for s in seeds),
-    )
-    for cand in pool:
-        if certify_nonneg_exact(cand)[0] and any(cand.entries):
-            offered = True
-            yield cand
-    if plus_vectors is None and not offered:
-        plus_vectors = plus_dimension(kernel.vectors, seed=seed)[1]
-    yield from plus_vectors or ()
 
 
 def _first_witness(kind: str, candidates, *context) -> Witness:
@@ -254,15 +231,15 @@ def make_non_extreme_witness(
 
 def make_non_exposed_witness(
     tilde: TildeData,
-    kernel_tilde: KernelBasis,
+    plus_vectors: list[CoefVector],
     seed_tilde: CoefVector,
     pattern: LacunaryPattern,
-    plus_vectors: list[CoefVector] | None = None,
 ) -> Witness:
     """Perturbation q with q/p real, *nonnegative* and nonconstant, from the
-    exactly certified plus vectors of ``_plus_candidates``."""
+    first accepted of the exactly certified plus vectors of ``plus_dimension``
+    on the tilde kernel."""
     w = _first_witness(
-        "non_exposed", _plus_candidates(kernel_tilde, seed_tilde, plus_vectors),
+        "non_exposed", plus_vectors,
         tilde.m_tilde, tilde.reduced_cofactor, tilde.total_factor, seed_tilde, pattern,
     )
     # q/p = Q/total_factor has a pole on the circle unless Q takes every
@@ -352,10 +329,13 @@ def classify(
     elif rep.kernel_tilde.rank == 2 * tilde.m_tilde:
         rep.exposed = True
         rep.fast_path_exposed = "tilde_full_rank"
-
-    found_plus: list[CoefVector] | None = None
-    if rep.exposed is None:
+    else:
         rep.fast_path_exposed = "plus_dimension"
+
+    # the cone dimension and the non-exposed witness's vectors, unless a
+    # shortcut proved p exposed
+    found_plus: list[CoefVector] = []
+    if rep.exposed is not True:
         try:
             rep.dim_plus, found_plus = plus_dimension(
                 rep.kernel_tilde.vectors, seed=seed_tilde
@@ -363,7 +343,8 @@ def classify(
         except SolverStalled as exc:
             diagnostics["undecided_reason"] = f"cone solver stalled: {exc}"
         else:
-            rep.exposed = rep.dim_plus == 1
+            if rep.exposed is None:
+                rep.exposed = rep.dim_plus == 1
             diagnostics["plus_vectors_found"] = len(found_plus)
 
     if opt.generate_witnesses:
@@ -373,10 +354,7 @@ def classify(
             )
         if rep.exposed is False:
             rep.witnesses += (
-                make_non_exposed_witness(
-                    tilde, rep.kernel_tilde, seed_tilde, pattern,
-                    plus_vectors=found_plus,
-                ),
+                make_non_exposed_witness(tilde, found_plus, seed_tilde, pattern),
             )
     return rep
 

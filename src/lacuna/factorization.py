@@ -106,10 +106,11 @@ def _positive_hermitian_multiple(G: ComplexPoly, disk) -> ComplexPoly:
     """kappa G with a real and positive symbol on the circle: kappa is the
     natural scale prod(-conj a) = conj(D(0)) when the monic product D of the
     nonzero disk zeros a (the linear factors ``disk``) is a Gaussian-rational
-    divisor of G, and otherwise the Hilbert 90 scale of ``_hermitian``, with
-    the sign that makes the symbol at t = 0, kappa G(1), positive."""
+    divisor of G with D(0) != 0, and otherwise the Hilbert 90 scale of
+    ``_hermitian``, with the sign that makes the symbol at t = 0, kappa G(1),
+    positive."""
     D = _factor_out(G, disk)
-    if D is not None:
+    if D is not None and D.coeffs[0]:  # a disk zero read as 0 gives no scale
         return G * D.coeffs[0].conjugate()
     F = _hermitian(G)
     return -F if sum(F.coeffs).real < 0 else F

@@ -142,8 +142,10 @@ def _shortcut_reports(examples):
 
 
 def test_shortcut_verdicts_agree_with_the_cone_dimension(examples):
-    # exposed means a one-dimensional cone trace; each shortcut decides it
-    # without computing the dimension, so compute it here.  The zero matrix
+    # exposed means a one-dimensional cone trace.  The two exposed shortcuts
+    # decide it without computing the dimension, so compute it here; a
+    # not-extreme report carries it, and it is at least 2, as a non-extreme
+    # p lies inside an exposed face of dimension at least 1.  The zero matrix
     # of pair_and_gap leaves the whole degree-1 space (dimension 3), the
     # double circle zero a 3-dimensional cone slice, and the other examples
     # a single positive kernel line
@@ -151,8 +153,12 @@ def test_shortcut_verdicts_agree_with_the_cone_dimension(examples):
     seen = set()
     for label, rep in _shortcut_reports(examples):
         dim = rep.dim_plus
-        if rep.fast_path_exposed != "plus_dimension":
+        if rep.fast_path_exposed == "not_extreme":
             seen.add(rep.fast_path_exposed)
+            assert dim >= 2, label
+        elif rep.fast_path_exposed != "plus_dimension":
+            seen.add(rep.fast_path_exposed)
+            assert dim is None, label
             seed = real_symbol_on_circle(rep.tilde.total_factor, rep.tilde.m_tilde)
             dim, _ = plus_dimension(rep.kernel_tilde.vectors, seed=seed)
             assert (dim == 1) == rep.exposed, label
@@ -189,18 +195,17 @@ def test_seed_outside_the_kernel_is_inconsistent():
     ids=["outside-pattern", "constant", "negative"],
 )
 def test_validated_witness_rejects_each_failed_check(kind, entries, factor, N, forbidden):
-    from lacuna.classifier import _plus_candidates, _validated_witness
-    from lacuna.matrix_builder import KernelBasis
-    from lacuna.plus_cone import CoefVector
+    from lacuna.classifier import _validated_witness
+    from lacuna.plus_cone import CoefVector, certify_nonneg_exact
 
     v, one, F = CoefVector.from_array(entries), parse_poly("1"), parse_poly(factor)
     seed, pattern = real_symbol_on_circle(F, 1), LacunaryPattern(N, forbidden)
     if kind == "non_extreme":
         assert _validated_witness(kind, v, 1, one, F, seed, pattern) is None
     else:
-        # a non-exposed candidate is certified nonnegative before it is
-        # offered: a kernel spanned by v offers only its shifts by the seed
-        assert v not in list(_plus_candidates(KernelBasis(2, 1, (v,)), seed, []))
+        # a non-exposed candidate is a vector plus_dimension returned, each
+        # certified nonnegative; the certificate refuses 2 cos t
+        assert certify_nonneg_exact(v)[0] is False
     # the multiplier 2 cos t passes every check of a non-extreme witness
     z = parse_poly("z")
     cos = CoefVector.from_array((0, 1, 0))
@@ -245,8 +250,7 @@ def test_validated_witness_is_scale_free():
 
 
 def test_cone_vectors_become_exact_certified_witnesses():
-    # no vector of the rational pool is plus here, so the witness is the
-    # interior vector of the facial reduction, small and exact
+    # the witness is a vector of the facial reduction, small and exact
     from lacuna.plus_cone import _cayley_numerator, certify_nonneg_exact
 
     rep = classify("(1-z^2)^2*((-1/2-i) + (3+i)z + (-1-2i)z^2)", LacunaryPattern(6, [2]))
@@ -477,8 +481,8 @@ def test_spectrum_helpers_on_witnesses(examples):
 
 
 def test_witness_search_certifies_only_until_the_first_witness(examples, monkeypatch):
-    # the candidate pool of (1 - z^2)^2 holds 14 rational vectors; only the
-    # cone solver's seed check and the first pool vector need a certificate
+    # the witness search certifies nothing of its own: only the cone
+    # solver's certificates run on (1 - z^2)^2
     import sys
 
     import lacuna.plus_cone
@@ -518,11 +522,13 @@ IRRATIONAL = {
 @pytest.mark.parametrize(
     "name, reject, runs",
     [
-        ("pair_and_gap", False, 0),  # the rational pool offers candidates
+        # classify's one cone search gives the witness search its vectors,
+        # with or without witnesses, and the witness search runs none
+        ("pair_and_gap", False, 0),
         ("irrational_pair", False, 0),
-        ("double_circle", False, 0),  # classify's cone search offers its vectors
+        ("double_circle", False, 0),
         ("irrational_double_circle", False, 0),
-        # every candidate fails validation: what was offered decides
+        # every candidate fails validation: no second search is run
         ("pair_and_gap", True, 0),
         ("irrational_pair", True, 0),
     ],
@@ -560,23 +566,28 @@ def test_witness_search_runs_the_cone_search_only_when_nothing_was_offered(
     assert len(calls) - 2 * without == runs
 
 
-def test_witness_search_falls_back_to_the_cone_search_when_nothing_is_certified(monkeypatch):
-    # a kernel spanned by -3 seed: no basis vector, sum or seed shift is a
-    # nonzero plus vector, so the cone search is asked for its vectors
-    import lacuna.classifier
-    from lacuna.classifier import _plus_candidates
-    from lacuna.matrix_builder import KernelBasis
-    from lacuna.plus_cone import CoefVector
+@pytest.mark.parametrize("text", ["z^2 (1 + 2z)", "(-3+3i)z^2 + (-2-3i)z^3"])
+def test_non_exposed_witness_of_a_seed_line_kernel_comes_from_the_cone(text):
+    # G = z^2, so the tilde seed is the constant, which no witness may be;
+    # the cone of the tilde kernel has dimension 3, and a vector of its
+    # certificate other than the seed is the witness
+    rep = classify(text, LacunaryPattern(5, [4]))
+    assert (rep.extreme, rep.exposed) == (False, False)
+    assert rep.canonical.m == 2 and rep.dim_plus == 3
+    assert [w.kind for w in rep.witnesses] == ["non_extreme", "non_exposed"]
 
-    calls = []
-    original = lacuna.classifier.plus_dimension
-    monkeypatch.setattr(
-        lacuna.classifier, "plus_dimension", lambda *a, **k: calls.append(a) or original(*a, **k)
-    )
-    seed = CoefVector(1, (Fraction(5, 8), Fraction(-1, 2)), (Fraction(0),))
-    kernel = KernelBasis(2, 1, (CoefVector(1, (Fraction(-15, 8), Fraction(3, 2)), (Fraction(0),)),))
-    found = list(_plus_candidates(kernel, seed, None))
-    assert len(calls) == 1 and found
+
+def test_a_disk_zero_read_as_zero_gives_the_hilbert_90_scale():
+    # the disk zero -10^-10 rationalizes to 0, so the product of the nonzero
+    # disk zeros reads as D = z: it divides G, but conj(D(0)) = 0 is no scale
+    from lacuna.plus_cone import certify_nonneg_exact
+
+    p = parse_poly("z (z + 10^10)(1 + 10^10 z)")
+    rep = classify(p, LacunaryPattern(4))
+    assert rep.canonical.m == 2 and rep.canonical.disk_factor * rep.canonical.cofactor == p
+    assert certify_nonneg_exact(real_symbol_on_circle(rep.canonical.disk_factor, 2)) == (True, False)
+    assert (rep.extreme, rep.exposed) == (False, False)
+    assert [w.kind for w in rep.witnesses] == ["non_extreme", "non_exposed"]
 
 
 def test_cone_solver_decides_without_gram_certificates():
@@ -770,7 +781,7 @@ def test_lossy_float_product_is_judged_by_its_exact_gcd():
 @pytest.mark.parametrize(
     "text,N,forbidden,verdicts",
     [
-        ("1 - 3z + z^2", 2, [], (False, False, None)),
+        ("1 - 3z + z^2", 2, [], (False, False, 3)),
         ("(1 - 3z + z^2)(1 - z)^2(z^2 + z - 3)", 6, [4], (True, False, 3)),
     ],
 )

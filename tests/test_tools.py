@@ -37,3 +37,21 @@ def test_report_fields_finds_a_checkout_identical_to_itself():
     cmd = [sys.executable, str(ROOT / "tools" / "report_fields.py"), str(ROOT), str(ROOT), "1"]
     lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [["exact", "identical"]]
+
+
+def test_fuzz_raises_only_lacuna_errors_and_witnesses_every_non_extreme_verdict():
+    import importlib.util
+
+    from lacuna import LacunaError
+
+    spec = importlib.util.spec_from_file_location("fuzz_classify", ROOT / "tools" / "fuzz_classify.py")
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    families = set()
+    for family, text, pattern, out in fuzz.outcomes(1, 300):
+        families.add(family)
+        if isinstance(out, Exception):
+            assert isinstance(out, LacunaError), (text, pattern.N, pattern.forbidden, out)
+        elif out.extreme is False:
+            assert sorted(w.kind for w in out.witnesses) == ["non_exposed", "non_extreme"], text
+    assert families == set(fuzz.FAMILIES)
