@@ -13,8 +13,9 @@ l = 1..d.  Its kernel, read in the (alpha, beta) coordinates of
 :class:`~lacuna.plus_cone.CoefVector`, is the space of perturbation symbols
 that keep the perturbed polynomial inside the lacunary class.
 
-The cofactor is exact, so every entry is rational and the rank is decided
-exactly, by Gauss-Jordan elimination over the rationals.
+The cofactor is exact, so every entry is rational.  The rank is decided by
+Gauss-Jordan elimination over the rationals on the rows' nonzero entries,
+and the kernel basis is the unique reduced echelon form.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import numpy as np
 
-from .plus_cone import CoefVector
+from .plus_cone import CoefVector, _dense, _sparse
 from .poly_core import ComplexPoly, _rref_kernel
 
 
@@ -79,11 +80,12 @@ def build_matrix(cofactor: ComplexPoly, forbidden, half_degree: int, kind: str =
 def rank_and_kernel(mat: BlockMatrix) -> KernelBasis:
     """Rank of the constraint matrix and a basis of its kernel.
 
-    Decided by Gauss-Jordan elimination over the rationals; the kernel comes
-    out in reduced-echelon form (one vector per free column, in column
-    order), and a matrix with no rows has the unit vectors as its kernel.
+    Decided by Gauss-Jordan elimination over the rationals on the rows'
+    nonzero entries; the kernel comes out in the unique reduced-echelon form
+    (one vector per free column, in column order), and a matrix with no rows
+    has the unit vectors as its kernel.
     """
     ncols = mat.shape[1]
-    rank, kernel = _rref_kernel([list(r) for r in mat.rows], ncols)
-    vectors = tuple(CoefVector.from_array(v, d=mat.half_degree) for v in kernel)
+    rank, kernel = _rref_kernel([_sparse(r) for r in mat.rows], ncols)
+    vectors = tuple(CoefVector.from_array(_dense(v, ncols), d=mat.half_degree) for v in kernel)
     return KernelBasis(rank, ncols - rank, vectors)

@@ -244,13 +244,8 @@ def _combine(coords, rows: list[dict]) -> dict:
 def _echelon(rows: list[dict], n: int) -> list[dict]:
     """A basis of span(rows) in which each vector has a 1 at its own column
     (its last nonzero entry) and every other one a 0, so that a vector's
-    coordinates are its entries there; kernels of ``rank_and_kernel`` are,
-    and are kept (two eliminations would cost exact_circle 4% of its rate)."""
-    cols = {max(row) for row in rows if row}
-    if len(cols) == len(rows) and all(row[max(row)] == 1 and len(cols.intersection(row)) == 1 for row in rows):
-        return rows
-    complement = _rref_kernel([_dense(row, n) for row in rows], n)[1]
-    return [_sparse(v) for v in _rref_kernel(complement, n)[1]]
+    coordinates are its entries there: the kernel of the kernel."""
+    return _rref_kernel(_rref_kernel(rows, n)[1], n)[1]
 
 
 def _plus_span(rows: list[dict], seed: CoefVector | None, d: int) -> tuple[int, list[CoefVector]]:
@@ -301,7 +296,7 @@ def _facial_reduction(basis, cols, s: CoefVector, d: int) -> tuple[int, list[Coe
     tables = [list(zip(*(_taylor(p[::-1] if x is None else p, x or 0, m)[0] for p in polys))) for x, m in exact]
     orders = [0] * len(exact)
     while True:
-        K = [_sparse(u) for u in _rref_kernel([t[k] for t, o in zip(tables, orders) for k in range(o)], r)[1]]
+        K = _rref_kernel([_sparse(t[k]) for t, o in zip(tables, orders) for k in range(o)], r)[1]
         drop = next(l for l, u in enumerate(K) if sigma[max(u)])
         free = K[:drop] + K[drop + 1 :]
         if not free:  # V_o = span(s)
@@ -356,7 +351,7 @@ def find_plus_in_slice(basis) -> CoefVector | None:
 
     for _ in range(_CUT_ROUNDS):
         while True:
-            K = [_sparse(u) for u in _rref_kernel([row(x, k) for x, o in orders.items() for k in range(o)], r)[1]]
+            K = _rref_kernel([_sparse(row(x, k)) for x, o in orders.items() for k in range(o)], r)[1]
             if not any(_dot(mean, u) for u in K):
                 return None
             G = [_unit([_dot(row(x, o), u) for u in K]) for x, o in orders.items()]

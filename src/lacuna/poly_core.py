@@ -175,6 +175,9 @@ class GaussianRational:
         return f"{re}{sign}{abs(im)}i"
 
 
+_ZERO = GaussianRational()  # shared: a GaussianRational is never changed once made
+
+
 def _gauss(a: int, b: int, d: int) -> GaussianRational:
     """(a + b i) / d from ints with d > 0, reduced to gcd(a, b, d) = 1."""
     if d != 1:
@@ -227,7 +230,7 @@ class ComplexPoly:
     def monomial(k: int, c=1) -> "ComplexPoly":
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
-        return ComplexPoly([0] * k + [c])
+        return ComplexPoly([_ZERO] * k + [c])
 
     # -- basic queries ---------------------------------------------------------
 
@@ -243,7 +246,7 @@ class ComplexPoly:
         """Coefficient of z^k (zero beyond the stored range)."""
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return GaussianRational()
+        return _ZERO
 
     def order_at_zero(self) -> int:
         """Multiplicity of the zero at the origin (0 for p(0) != 0)."""
@@ -274,7 +277,7 @@ class ComplexPoly:
         if isinstance(other, ComplexPoly):
             if self.is_zero() or other.is_zero():
                 return ComplexPoly.zero()
-            out = [0] * (self.deg + other.deg + 1)
+            out = [_ZERO] * (self.deg + other.deg + 1)
             terms = [(j, cb) for j, cb in enumerate(other.coeffs) if cb]
             for i, ca in enumerate(self.coeffs):
                 if ca:
@@ -476,7 +479,7 @@ class _ExprParser:
             terms.append((self.take()[0] == "+", self.term()))
         if len(terms) == 1:
             return terms[0][1]
-        out = [0] * max(len(q.coeffs) for _, q in terms)
+        out = [_ZERO] * max(len(q.coeffs) for _, q in terms)
         for plus, q in terms:
             for k, c in enumerate(q.coeffs):
                 if c:
@@ -707,33 +710,31 @@ def long_division(num: Sequence, den: Sequence) -> tuple[list, list]:
     return quot, rem
 
 
-def _rref_kernel(rows: list[list[Fraction]], ncols: int) -> tuple[int, list[list[Fraction]]]:
+def _rref_kernel(rows: list[dict], ncols: int) -> tuple[int, list[dict]]:
     """Rank of a rational matrix and a basis of its kernel, by Gauss-Jordan
-    elimination: one vector per free column c, with a 1 at c (its last
-    nonzero entry) and a 0 at every other free column."""
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
+    elimination on sparse rows: ``{column: Fraction}`` maps with no zero
+    entries, as the kernel vectors are, one per free column c, with a 1 at c
+    (its last nonzero entry) and a 0 at every other free column.  The reduced
+    echelon form is unique, so a column's pivot may be any row that holds it:
+    the shortest, which adds the fewest entries to the others."""
+    pending = [dict(row) for row in rows if row]
+    pivots: dict[int, dict] = {}
     for c in range(ncols):
-        r = len(pivots)
-        i = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        i = min((i for i, row in enumerate(pending) if c in row), key=lambda i: len(pending[i]), default=None)
         if i is None:
             continue
-        work[r], work[i] = work[i], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-    kernel = []
-    for c in range(ncols):
-        if c not in pivots:
-            v = [Fraction(0)] * ncols
-            v[c] = Fraction(1)
-            for row, pc in zip(work, pivots):
-                v[pc] = -row[c]
-            kernel.append(v)
+        r = pending.pop(i)
+        top = {j: x / r[c] for j, x in r.items()}
+        for row in itertools.chain(pending, pivots.values()):
+            f = row.get(c)
+            if f:
+                for j, x in top.items():
+                    row[j] = row.get(j, 0) - f * x
+                    if not row[j]:
+                        del row[j]
+        pivots[c] = top
+    kernel = [{**{pc: -row[c] for pc, row in pivots.items() if c in row}, c: Fraction(1)}
+              for c in range(ncols) if c not in pivots]
     return len(pivots), kernel
 
 

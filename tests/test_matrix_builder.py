@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lacuna import (
     build_matrix,
@@ -10,7 +12,7 @@ from lacuna import (
     rank_and_kernel,
     tilde_factorization,
 )
-from lacuna.poly_core import ComplexPoly, GaussianRational
+from lacuna.poly_core import ComplexPoly, GaussianRational, _rref_kernel
 
 
 def _entry_oracle(coeffs, forbidden, d):
@@ -167,3 +169,64 @@ def test_exact_kernel_spans_float_kernel(examples):
     flo = tilde_factorization(pat.N, canonical_factorization(doubles, pat.N))
     mf = build_matrix(flo.reduced_cofactor, pat.forbidden, flo.m_tilde, kind="tilde")
     assert rank_and_kernel(mf) == exact_kb
+
+
+def _dense_rref_kernel(rows, ncols):
+    """Reference: Gauss-Jordan on dense Fraction lists, pivoting on the first
+    row that holds the column; kernel vectors as dense lists."""
+    work = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if i is None:
+            continue
+        work[r], work[i] = work[i], work[r]
+        inv = work[r][c]
+        work[r] = [x / inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    kernel = []
+    for c in range(ncols):
+        if c not in pivots:
+            v = [Fraction(0)] * ncols
+            v[c] = Fraction(1)
+            for row, pc in zip(work, pivots):
+                v[pc] = -row[c]
+            kernel.append(v)
+    return len(pivots), kernel
+
+
+_ENTRY = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_MOSTLY_ZERO = st.integers(0, 4).flatmap(lambda k: _ENTRY if k == 0 else st.just(Fraction(0)))
+
+
+@st.composite
+def _matrices(draw):
+    """Rational matrices up to 8 x 9: dense, mostly zero, with zero rows,
+    with repeated rows, or with no rows."""
+    ncols = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["dense", "mostly zero", "zero rows", "repeated rows", "no rows"]))
+    entry = _MOSTLY_ZERO if kind == "mostly zero" else _ENTRY
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=0 if kind == "no rows" else 8))
+    if rows and kind == "zero rows":
+        rows = [[Fraction(0)] * ncols if draw(st.booleans()) else row for row in rows]
+    if rows and kind == "repeated rows":
+        rows += draw(st.lists(st.sampled_from(rows), max_size=8 - len(rows)))
+    return rows, ncols
+
+
+@given(_matrices(), st.randoms(use_true_random=False))
+def test_sparse_elimination_matches_the_dense_reference(matrix, rnd):
+    rows, ncols = matrix
+    rank, kernel = _dense_rref_kernel(rows, ncols)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    got = _rref_kernel(sparse, ncols)
+    assert got[0] == rank
+    assert [[v.get(j, 0) for j in range(ncols)] for v in got[1]] == kernel
+    assert all(x for v in got[1] for x in v.values())
+    rnd.shuffle(sparse)
+    assert _rref_kernel(sparse, ncols) == got

@@ -7,11 +7,11 @@ one lacunary class onto another, and keeps Gaussian rationals exact:
 * c p, for a nonzero scalar c (a double scales at its exact value);
 * p(iz) and conj(p(conj z)), on the same pattern;
 * p* = z^N conj(p(1/conj z)), onto N - Lambda;
-* q(w) = p(w^2), onto 2 Lambda: each zero of p splits into two, so m and mu
-  double.
+* q(w) = p(w^k), onto k Lambda, for k = 2 and 5: each zero of p splits
+  into k, so m and mu scale by k.
 
 Every map keeps ``extreme``, ``exposed`` and ``dim_plus``, and m and mu (up
-to the doubling).
+to the scaling by k).
 """
 
 from fractions import Fraction
@@ -63,10 +63,13 @@ def _reflected(p, pat):
     return conjugate_reciprocal(p, pat.N), LacunaryPattern(pat.N, forbidden), 1
 
 
-def _dilated(p, pat):
-    q = ComplexPoly([x for c in p.coeffs for x in (c, 0)])
-    forbidden = sorted({2 * k for k in pat.forbidden} | set(range(1, 2 * pat.N, 2)))
-    return q, LacunaryPattern(2 * pat.N, forbidden), 2
+def _dilated(k):
+    def move(p, pat):
+        q = ComplexPoly([x for c in p.coeffs for x in (c, *[0] * (k - 1))])
+        forbidden = sorted({k * e for e in pat.forbidden} | {e for e in range(1, k * pat.N) if e % k})
+        return q, LacunaryPattern(k * pat.N, forbidden), k
+
+    return move
 
 
 MAPS = {
@@ -76,7 +79,8 @@ MAPS = {
     "p(iz)": _rotated,
     "conj p(conj z)": _conjugated,
     "p* on N - Lambda": _reflected,
-    "p(w^2) on 2 Lambda": _dilated,
+    "p(w^2) on 2 Lambda": _dilated(2),
+    "p(w^5) on 5 Lambda": _dilated(5),
 }
 
 

@@ -764,6 +764,15 @@ def test_plus_dimension_runs_on_the_harmonic_lattice(k):
         assert all(b == 0 for i, b in enumerate(v.beta, start=1) if i % k)
 
 
+def test_unseeded_plus_dimension_of_a_dilated_plane_needs_the_lattice_step():
+    # the corpus plane span(4 sin^2 t, cos t), whose plus cone is the ray of
+    # 4 sin^2 t, dilated by 4; searched at degree 8 instead of 2, the slice
+    # search stalls
+    basis = [_dilate(_exact_vec(1, 0, -1, 0, 0), 4), _dilate(_exact_vec(0, 1, 0, 0, 0), 4)]
+    dim, found = plus_dimension(basis)
+    assert dim == 1 and len(found) == 1 and found[0].d == 8 and is_plus(found[0])
+
+
 # -- CoefVector plumbing ---------------------------------------------------------
 
 

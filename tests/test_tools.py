@@ -55,3 +55,11 @@ def test_fuzz_raises_only_lacuna_errors_and_witnesses_every_non_extreme_verdict(
         elif out.extreme is False:
             assert sorted(w.kind for w in out.witnesses) == ["non_exposed", "non_extreme"], text
     assert families == set(fuzz.FAMILIES)
+
+
+def test_ab_cases_builds_the_lacunary_family():
+    cmd = [sys.executable, str(ROOT / "tools" / "ab_cases.py"), str(ROOT), str(ROOT),
+           "lacunary", "--runs", "1", "--cases", "2"]
+    lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["k=2", "k=3", "all"]
+    assert lines[-1].endswith("digests agree 2/2") and " 0.0/s" not in lines[-1]

@@ -8,7 +8,12 @@ PARENT and CHANGE are lacuna source trees.  Each one's ``src/lacuna`` is
 imported as a package of its own name (``lacuna_parent`` and
 ``lacuna_change``), so both sides run in one process on the same inputs.
 The cases of WORKLOAD at seed S (the first K of them, if given) come from
-PARENT's ``perfbench/``, which is imported and not written to.  Every case
+PARENT's ``perfbench/``, which is imported and not written to.  WORKLOAD
+``lacunary`` is built here instead, with no seed: q(z^k) on k Lambda for
+each k in ``LACUNARY_K``, one family per k, where q(w) is ``LACUNARY_Q``
+and Lambda is its full pattern of degree 7.  q(w) -> q(w^k) is an isometry of
+L1 from P(Lambda) onto P(k Lambda), so each case expects the verdicts and
+``dim_plus`` that PARENT gives q on Lambda.  Every case
 runs N times on each side, the sides alternating run by run, and counts
 with its fastest run, as the benchmark counts it.  One line per family, and
 one for all cases, gives each side's decided/s (decided cases over the sum
@@ -28,6 +33,8 @@ from pathlib import Path
 
 LIMIT = 30.0
 MODULES = ("poly_core", "plus_cone", "classifier", "cli_reports")
+LACUNARY_Q = "((w - 1/2)(1 - w/2))^2 (3 + (1+2i)w - w^2 + (2-i)w^3)"
+LACUNARY_K = (2, 3, 4, 6, 8, 12, 16, 24)
 
 
 def load(root: Path, name: str):
@@ -41,6 +48,17 @@ def load(root: Path, name: str):
     for sub in MODULES:
         importlib.import_module(f"{name}.{sub}")
     return module
+
+
+def lacunary_cases(lacuna, Case) -> list:
+    """q(z^k) on k Lambda for each k in ``LACUNARY_K``, expecting q's
+    verdicts on Lambda as ``lacuna`` decides them."""
+    q = lacuna.poly_core.parse_poly(LACUNARY_Q.replace("w", "z"))
+    rep = lacuna.classifier.classify(q, lacuna.poly_core.LacunaryPattern(q.deg), lacuna.classifier.ClassifyOptions())
+    expect = {"extreme": rep.extreme, "exposed": rep.exposed, "dim_plus": rep.dim_plus}
+    return [Case(f"lacunary-{k}", f"k={k}", "classify", LACUNARY_Q.replace("w", f"(z^{k})"),
+                 q.deg * k, tuple(e for e in range(1, q.deg * k) if e % k), expect=expect)
+            for k in LACUNARY_K]
 
 
 def main(argv=None) -> int:
@@ -57,11 +75,14 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     sys.path.insert(0, str(args.parent.resolve()))
     from perfbench import harness
-    from perfbench.cases import make_cases
+    from perfbench.cases import Case, make_cases
 
     sides = {"parent": load(args.parent.resolve(), "lacuna_parent"),
              "change": load(args.change.resolve(), "lacuna_change")}
-    cases = make_cases(args.workload, args.seed, args.parent / "corpus")[: args.cases]
+    if args.workload == "lacunary":
+        cases = lacunary_cases(sides["parent"], Case)[: args.cases]
+    else:
+        cases = make_cases(args.workload, args.seed, args.parent / "corpus")[: args.cases]
     best = {side: [] for side in sides}
     for case in cases:
         runs = {side: [] for side in sides}
@@ -70,7 +91,7 @@ def main(argv=None) -> int:
                 runs[side].append(harness.run_case(case, lacuna, LIMIT))
         for side in sides:
             best[side].append(harness.best_of(runs[side]))
-    for family in sorted({c.family for c in cases}) + ["all"]:
+    for family in list(dict.fromkeys(c.family for c in cases)) + ["all"]:
         idx = [i for i, c in enumerate(cases) if family in ("all", c.family)]
         cols = []
         for side in sides:
