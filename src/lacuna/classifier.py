@@ -102,10 +102,10 @@ class ClassificationReport:
     tilde: TildeData
     matrix: BlockMatrix
     matrix_tilde: BlockMatrix
+    kernel: KernelBasis
+    kernel_tilde: KernelBasis
     diagnostics: dict
     # set by the later stages of ``classify``
-    kernel: KernelBasis | None = None
-    kernel_tilde: KernelBasis | None = None
     dim_plus: int | None = None
     extreme: bool | None = None
     exposed: bool | None = None
@@ -293,6 +293,18 @@ def classify(
     norm_res = l1_norm(p, canonical.zero_clusters)
     tilde = tilde_factorization(pattern.N, canonical)
     forbidden = tuple(pattern.forbidden)
+    # both factors are Hermitian by construction; one that is not raises
+    matrix = build_matrix(canonical.cofactor, forbidden, canonical.m, kind="plain")
+    seed = real_symbol_on_circle(canonical.disk_factor, canonical.m)
+    kernel = rank_and_kernel(matrix)
+    _check_seed_membership(matrix, seed, "plain")
+    if tilde.mu:
+        matrix_tilde = build_matrix(tilde.reduced_cofactor, forbidden, tilde.m_tilde, kind="tilde")
+        seed_tilde = real_symbol_on_circle(tilde.total_factor, tilde.m_tilde)
+        kernel_tilde = rank_and_kernel(matrix_tilde)
+        _check_seed_membership(matrix_tilde, seed_tilde, "tilde")
+    else:  # no circle zero is halved: the tilde level is the plain one
+        matrix_tilde, kernel_tilde, seed_tilde = dataclasses.replace(matrix, kind="tilde"), kernel, seed
     rep = ClassificationReport(
         pattern=pattern,
         polynomial=p,
@@ -301,20 +313,13 @@ def classify(
         scale=1.0 / norm_res.value,
         canonical=canonical,
         tilde=tilde,
-        matrix=build_matrix(canonical.cofactor, forbidden, canonical.m, kind="plain"),
-        matrix_tilde=build_matrix(tilde.reduced_cofactor, forbidden, tilde.m_tilde, kind="tilde"),
+        matrix=matrix,
+        matrix_tilde=matrix_tilde,
+        kernel=kernel,
+        kernel_tilde=kernel_tilde,
         diagnostics={"norm_panels": norm_res.panels},
     )
     diagnostics = rep.diagnostics
-
-    # both factors are Hermitian by construction; one that is not raises
-    seed = real_symbol_on_circle(canonical.disk_factor, canonical.m)
-    seed_tilde = real_symbol_on_circle(tilde.total_factor, tilde.m_tilde)
-
-    rep.kernel = rank_and_kernel(rep.matrix)
-    rep.kernel_tilde = rank_and_kernel(rep.matrix_tilde)
-    _check_seed_membership(rep.matrix, seed, "plain")
-    _check_seed_membership(rep.matrix_tilde, seed_tilde, "tilde")
 
     if pattern.M < canonical.m:  # 2M rows have rank < 2m: the rank test agrees
         rep.fast_path_extreme = "row_deficit"

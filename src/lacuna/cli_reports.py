@@ -74,17 +74,15 @@ def _vector_to_json(v: CoefVector) -> dict:
     }
 
 
-def _matrix_to_json(mat: BlockMatrix, kernel: KernelBasis | None) -> dict:
-    out = {
+def _matrix_to_json(mat: BlockMatrix, kernel: KernelBasis) -> dict:
+    return {
         "kind": mat.kind,
         "shape": list(mat.shape),
         "rows": [[_scalar_to_json(x) for x in row] for row in mat.rows],
+        "rank": kernel.rank,
+        "kernel_dim": kernel.dim,
+        "kernel": [_vector_to_json(v) for v in kernel.vectors],
     }
-    if kernel is not None:
-        out["rank"] = kernel.rank
-        out["kernel_dim"] = kernel.dim
-        out["kernel"] = [_vector_to_json(v) for v in kernel.vectors]
-    return out
 
 
 def _zero_to_json(location, multiplicity) -> dict:
@@ -196,14 +194,10 @@ def render_text(rep: ClassificationReport) -> str:
     )
     lines.append("constraint matrix:")
     lines.extend(_format_matrix_text(rep.matrix))
-    if rep.kernel is not None:
-        lines.append(f"  rank {rep.kernel.rank}, kernel dimension {rep.kernel.dim}")
+    lines.append(f"  rank {rep.kernel.rank}, kernel dimension {rep.kernel.dim}")
     lines.append("tilde matrix:")
     lines.extend(_format_matrix_text(rep.matrix_tilde))
-    if rep.kernel_tilde is not None:
-        lines.append(
-            f"  rank {rep.kernel_tilde.rank}, kernel dimension {rep.kernel_tilde.dim}"
-        )
+    lines.append(f"  rank {rep.kernel_tilde.rank}, kernel dimension {rep.kernel_tilde.dim}")
     if rep.dim_plus is not None:
         lines.append(f"cone trace dimension: {rep.dim_plus}")
     for name, verdict, path in (

@@ -203,7 +203,8 @@ def tilde_factorization(N: int, canonical: CanonicalData) -> TildeData:
     As (z - a)(1 - conj(a) z) = -conj(a) (z - a)^2 for |a| = 1, the circle
     factor is prod_j (conj(C_j(0)) C_j^2)^floor(j/2) over the canonical
     circle factors C_j.  It is divided out of the canonical cofactor, so
-    the total factor is the canonical factor times the circle factor.
+    the total factor is the canonical factor times the circle factor; with
+    no circle zero halved (mu = 0) both are the canonical ones.
     """
     triples = tuple(
         (complex(c.location), c.multiplicity, c.multiplicity // 2)
@@ -211,6 +212,8 @@ def tilde_factorization(N: int, canonical: CanonicalData) -> TildeData:
     )
     mu = sum(t[2] for t in triples)
     circle_factor = ComplexPoly.one()
+    if not mu:
+        return TildeData(triples, 0, canonical.m, canonical.s, circle_factor, canonical.disk_factor, canonical.cofactor)
     for C, j in canonical.circle_factors:
         for _ in range(j // 2):
             circle_factor = circle_factor * C * C * C.coeffs[0].conjugate()

@@ -55,7 +55,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SolverStalled
-from .poly_core import _RATIONALIZE_BOUNDS, _primitive, _rref_kernel, long_division, real_root_count
+from .poly_core import _RATIONALIZE_BOUNDS, _primitive, _pseudo_divide, _rref_kernel, real_root_count
 
 # find_plus_in_slice: the largest denominator of its starting points, and how
 # many times it adds points where a candidate is negative or zero before it
@@ -111,7 +111,7 @@ class CoefVector:
 
 def _ints(xs) -> list[int]:
     """The positive multiple of xs with coprime integer entries (zeros stay)."""
-    fr = [Fraction(x) for x in xs]
+    fr = [x if type(x) in (int, Fraction) else Fraction(x) for x in xs]
     den = math.lcm(*(x.denominator for x in fr))
     out = [x.numerator * (den // x.denominator) for x in fr]
     return _primitive(out) if any(out) else out
@@ -458,7 +458,7 @@ def _circle_zeros(s: CoefVector) -> tuple[list, list[Fraction]]:
     exact: list = [(None, deficit)] if deficit else []
     approx = []
     count, g = real_root_count(P)
-    sf = _ints(long_division([Fraction(c) for c in P], g)[0])
+    sf = _ints(_pseudo_divide((P, None), (g, None))[0][0])
     roots = np.roots([c / max(map(abs, sf)) for c in reversed(sf)]) if count else []
     for z in sorted(roots, key=lambda z: abs(z.imag))[:count]:
         a = Fraction(z.real).limit_denominator(abs(sf[-1]))

@@ -2,9 +2,12 @@
 
 There is one scalar type: every coefficient is a :class:`GaussianRational`,
 a reduced integer triple (a + b i)/d.  Arithmetic is closed, and division
-and gcd are decided exactly, on Python ints.  The gcd is Brown's modular
-one (``gcd_exact``): Euclid runs only on images modulo primes below 2^30,
-and its result is checked by exact division.
+and gcd are decided exactly, on Python ints.  Every exact division (the
+quotients of ``divide_exact``, the gcd's divisibility check, the Sturm
+chain's remainders) is one pseudo-division on Gaussian integers,
+``_pseudo_divide``.  The gcd is Brown's modular one (``gcd_exact``):
+Euclid runs only on images modulo primes below 2^30, and its result is
+checked by that division.
 
 A double is exact wherever it enters: every double is a dyadic rational,
 and :class:`ComplexPoly` takes a float or complex coefficient at that value,
@@ -685,31 +688,6 @@ def linear_product(factors) -> np.ndarray:
     return out
 
 
-def long_division(num: Sequence, den: Sequence) -> tuple[list, list]:
-    """Quotient and remainder of num / den over ascending coefficient lists.
-
-    Generic in the scalar type (``Fraction``, :class:`GaussianRational`,
-    ``complex``); zero is tested by truthiness.  ``den`` must end in a nonzero
-    coefficient.  Trailing zeros are stripped from the remainder, so an empty
-    remainder means the division is exact.
-    """
-    rem = list(num)
-    n = len(den) - 1
-    lead = den[-1]
-    quot = []
-    for k in range(len(rem) - n - 1, -1, -1):
-        c = rem[k + n] / lead
-        quot.append(c)
-        if c:
-            for j, dj in enumerate(den):
-                rem[k + j] = rem[k + j] - c * dj
-    quot.reverse()
-    del rem[n:]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
-
-
 def _rref_kernel(rows: list[dict], ncols: int) -> tuple[int, list[dict]]:
     """Rank of a rational matrix and a basis of its kernel, by Gauss-Jordan
     elimination on sparse rows: ``{column: Fraction}`` maps with no zero
@@ -738,18 +716,79 @@ def _rref_kernel(rows: list[dict], ncols: int) -> tuple[int, list[dict]]:
     return len(pivots), kernel
 
 
+def _integer_parts(coeffs: Sequence[GaussianRational]) -> tuple[int, list[int], list[int] | None]:
+    """The common denominator D of Gaussian rationals, and their real and
+    imaginary parts times D; the imaginary parts are None when all are 0."""
+    D = lcm(*(c._d for c in coeffs))
+    re = [c._a * (D // c._d) for c in coeffs]
+    return D, re, [c._b * (D // c._d) for c in coeffs] if any(c._b for c in coeffs) else None
+
+
+def _pseudo_divide(a, b) -> tuple[tuple, tuple, int]:
+    """(q, r, S) with S a = q b + r, S a positive integer and deg r < deg b.
+
+    a and b are Gaussian-integer polynomials given as (real parts,
+    imaginary parts or None) of ascending ints, as ``_integer_parts`` gives
+    them, b's last coefficient h nonzero; q and r come back in that form,
+    r with at most deg b entries.  b is first multiplied by u = conj(h), or
+    by -1 when h is a negative integer, so its lead is a positive integer L.
+    Each step clears the top coefficient c of the remainder r by
+    r <- (L/g) r - (c/g) z^k u b with g = gcd(c, L) (W. S. Brown and
+    J. F. Traub, J. ACM 18, 1971), so every scale L/g is positive and no
+    Fraction is built.
+    """
+    (rr, ri), (br, bi) = a, b
+    hr, hi = br[-1], bi[-1] if bi else 0
+    if hi:
+        br, bi = [x * hr + y * hi for x, y in zip(br, bi)], [y * hr - x * hi for x, y in zip(br, bi)]
+    elif hr < 0:
+        br, bi = [-x for x in br], None if bi is None else [-y for y in bi]
+    rr, cx = list(rr), ri is not None or bi is not None
+    if cx:  # a real side gets zero imaginary parts
+        ri = [0] * len(rr) if ri is None else list(ri)
+        bi = [0] * len(br) if bi is None else bi
+    L, n = br[-1], len(br) - 1
+    qr, qi, S = [], [], 1  # q from its top coefficient down, scaled as r is
+    for top in range(len(rr) - 1, n - 1, -1):
+        cr, ci = rr[top], ri[top] if cx else 0
+        g = gcd(cr, ci, L)  # L when c = 0: a step of scale 1
+        s, cr, ci, k = L // g, cr // g, ci // g, top - n
+        if s != 1:
+            S *= s
+            rr[:top], qr = [x * s for x in rr[:top]], [x * s for x in qr]
+            if cx:
+                ri[:top], qi = [x * s for x in ri[:top]], [x * s for x in qi]
+        qr.append(cr)
+        qi.append(ci)
+        if cx and (cr or ci):
+            rr[k:top] = [x - cr * y + ci * w for x, y, w in zip(rr[k:top], br, bi)]
+            ri[k:top] = [x - cr * w - ci * y for x, y, w in zip(ri[k:top], br, bi)]
+        elif cr:
+            rr[k:top] = [x - cr * y for x, y in zip(rr[k:top], br)]
+    if hi:  # S a = q' (u b) + r, so q = u q'
+        qr, qi = [x * hr + y * hi for x, y in zip(qr, qi)], [y * hr - x * hi for x, y in zip(qr, qi)]
+    elif hr < 0:
+        qr, qi = [-x for x in qr], [-y for y in qi]
+    return (qr[::-1], qi[::-1] if cx else None), (rr[:n], ri[:n] if cx else None), S
+
+
 def divide_exact(p: ComplexPoly, d: ComplexPoly) -> ComplexPoly:
-    """Quotient p/d; a nonzero remainder raises :class:`NotDivisible`."""
+    """Quotient p/d; a nonzero remainder raises :class:`NotDivisible`.
+
+    A constant d is a scalar (p itself when d = 1); any other d is divided
+    by ``_pseudo_divide`` on the integer parts of p and d."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return ComplexPoly.zero()
-    if p.deg < d.deg:
-        raise NotDivisible(f"degree {p.deg} cannot be divided by degree {d.deg}")
-    quot, rem = long_division(p.coeffs, d.coeffs)
-    if rem:
+    if d.deg == 0:
+        c = d.coeffs[0]
+        return p if c == 1 else ComplexPoly([x / c for x in p.coeffs])
+    Dp, *a = _integer_parts(p.coeffs)
+    Dd, *b = _integer_parts(d.coeffs)
+    (qr, qi), (rr, ri), S = _pseudo_divide(a, b)
+    if any(rr) or any(ri or ()):
         raise NotDivisible("nonzero remainder in exact division")
-    return ComplexPoly(quot)
+    # S Dp p = q Dd d
+    return ComplexPoly([_gauss(x * Dd, y * Dd, S * Dp) for x, y in zip(qr, qi or itertools.repeat(0))])
 
 
 # Brown's gcd runs modulo primes l = 1 (mod 4) below 2^30, so that residues
@@ -862,39 +901,10 @@ def _reconstruct(residues: list[int], M: int) -> tuple[list[int], int] | None:
     return [t * (D // d) for t, d in read], D
 
 
-def _integer_parts(coeffs: Sequence[GaussianRational]) -> tuple[list[int], list[int]]:
-    """Real and imaginary parts of Gaussian rationals over their common denominator."""
-    L = lcm(*(c._d for c in coeffs))
-    return [c._a * (L // c._d) for c in coeffs], [c._b * (L // c._d) for c in coeffs]
-
-
 def _divides(d: Sequence[GaussianRational], p: Sequence[GaussianRational]) -> bool:
-    """True when d divides p over Q(i), d's last coefficient nonzero.
-
-    A pseudo-division on Gaussian integers: both sides are taken over their
-    common denominators, and d times the conjugate of its leading
-    coefficient h has the integer lead |h|^2.  Each step clears the top
-    coefficient c of the remainder r by r <- (lead/g) r - (c/g) z^k d with
-    g = gcd(c, lead), so the last r is a nonzero multiple of the remainder.
-    """
-    dr, di = _integer_parts(d)
-    hr, hi = dr[-1], di[-1]
-    if hi:
-        dr, di = [a * hr + b * hi for a, b in zip(dr, di)], [b * hr - a * hi for a, b in zip(dr, di)]
-    lead, n = dr[-1], len(dr) - 1
-    rr, ri = _integer_parts(p)
-    for top in range(len(rr) - 1, n - 1, -1):
-        cr, ci = rr[top], ri[top]
-        if not (cr or ci):
-            continue
-        g = gcd(cr, ci, lead)
-        s, cr, ci, k = lead // g, cr // g, ci // g, top - n
-        if s != 1:
-            rr[:top] = [x * s for x in rr[:top]]
-            ri[:top] = [x * s for x in ri[:top]]
-        rr[k:top] = [x - cr * a + ci * b for x, a, b in zip(rr[k:top], dr, di)]
-        ri[k:top] = [x - cr * b - ci * a for x, a, b in zip(ri[k:top], dr, di)]
-    return not any(rr[:n]) and not any(ri[:n])
+    """True when d divides p over Q(i), d's last coefficient nonzero."""
+    rr, ri = _pseudo_divide(_integer_parts(p)[1:], _integer_parts(d)[1:])[1]
+    return not any(rr) and not any(ri or ())
 
 
 def gcd_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
@@ -1013,29 +1023,9 @@ def _primitive(coeffs: list[int]) -> list[int]:
 
 def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
     """A primitive positive multiple of -rem(a, b), for integer a and b with
-    deg a >= deg b >= 1.
-
-    The division runs against b with a positive leading coefficient
-    (rem(a, -b) = rem(a, b)), and each step clears the top coefficient c of
-    the running remainder r by r <- (lc/g) r - (c/g) z^k b with
-    g = gcd(c, lc).  Every factor lc/g is positive, so the result is a
-    positive multiple of the rational remainder, with no Fraction built.
-    """
-    if b[-1] < 0:
-        b = [-c for c in b]
-    lead, n = b[-1], len(b) - 1
-    r = list(a)
-    for top in range(len(r) - 1, n - 1, -1):
-        c = r[top]
-        if not c:
-            continue
-        g = gcd(c, lead)
-        s, c = lead // g, c // g
-        k = top - n
-        if s != 1:
-            r[:top] = [x * s for x in r[:top]]
-        r[k:top] = [x - c * y for x, y in zip(r[k:top], b)]
-    del r[n:]
+    deg a >= deg b >= 1: the pseudo-remainder is a positive multiple of
+    rem(a, b)."""
+    r = _pseudo_divide((a, None), (b, None))[1][0]
     while r and not r[-1]:
         r.pop()
     # negate and divide by the content in one pass
@@ -1057,10 +1047,10 @@ def real_root_count(P: Sequence[int]) -> tuple[int, list[int]]:
     positive leading coefficient ([1] when P is square-free).
     """
     chain = [_primitive(list(P))]
-    nxt = [k * c for k, c in enumerate(chain[0]) if k]
-    while nxt:
-        chain.append(_primitive(nxt))
-        nxt = _negated_remainder(chain[-2], chain[-1]) if len(chain[-1]) > 1 else []
+    nxt = _primitive([k * c for k, c in enumerate(chain[0]) if k])
+    while nxt:  # each remainder comes primitive
+        chain.append(nxt)
+        nxt = _negated_remainder(chain[-2], nxt) if len(nxt) > 1 else []
     at_pos_inf = [1 if q[-1] > 0 else -1 for q in chain]
     at_neg_inf = [s * (-1) ** (len(q) - 1) for s, q in zip(at_pos_inf, chain)]
 

@@ -8,6 +8,33 @@ from lacuna import (
     parse_poly,
 )
 
+
+def long_division(num, den) -> tuple[list, list]:
+    """Quotient and remainder of num / den over ascending coefficient lists,
+    the reference for ``poly_core._pseudo_divide``.
+
+    Generic in the scalar type (``Fraction``, ``GaussianRational``,
+    ``complex``); zero is tested by truthiness.  ``den`` must end in a nonzero
+    coefficient.  Trailing zeros are stripped from the remainder, so an empty
+    remainder means the division is exact.
+    """
+    rem = list(num)
+    n = len(den) - 1
+    lead = den[-1]
+    quot = []
+    for k in range(len(rem) - n - 1, -1, -1):
+        c = rem[k + n] / lead
+        quot.append(c)
+        if c:
+            for j, dj in enumerate(den):
+                rem[k + j] = rem[k + j] - c * dj
+    quot.reverse()
+    del rem[n:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 

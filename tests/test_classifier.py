@@ -779,6 +779,33 @@ def test_lossy_float_product_is_judged_by_its_exact_gcd():
 
 
 @pytest.mark.parametrize(
+    "text,N,forbidden,mu,calls",
+    [
+        ("(z - 1/2)(2 - z)(1 + z^4)", 6, [3], 0, 1),  # extreme, simple circle zeros
+        ("1 - 3z + z^2", 2, [], 0, 1),  # not extreme: the cone runs on the plain level
+        ("(1 - z^2)^2", 4, [1, 3], 2, 2),
+    ],
+)
+def test_mu_zero_reuses_the_plain_level(monkeypatch, text, N, forbidden, mu, calls):
+    import lacuna.classifier
+
+    counts = {"build_matrix": 0, "rank_and_kernel": 0}
+    for name in counts:
+        def counted(*args, _f=getattr(lacuna.classifier, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(lacuna.classifier, name, counted)
+    rep = classify(text, LacunaryPattern(N, forbidden))
+    assert rep.tilde.mu == mu and counts == {"build_matrix": calls, "rank_and_kernel": calls}
+    assert rep.matrix_tilde.kind == "tilde"
+    if not mu:
+        assert rep.matrix_tilde.rows == rep.matrix.rows and rep.kernel_tilde == rep.kernel
+        assert rep.tilde.total_factor == rep.canonical.disk_factor
+        assert rep.tilde.reduced_cofactor == rep.canonical.cofactor
+
+
+@pytest.mark.parametrize(
     "text,N,forbidden,verdicts",
     [
         ("1 - 3z + z^2", 2, [], (False, False, 3)),

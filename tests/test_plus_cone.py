@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import long_division
 from lacuna import (
     CoefVector,
     SolverStalled,
@@ -20,7 +21,7 @@ from lacuna import (
     plus_dimension,
 )
 from lacuna.plus_cone import _cayley_numerator, _cayley_poly, _circle_zeros, _taylor
-from lacuna.poly_core import ComplexPoly, GaussianRational, long_division, real_root_count
+from lacuna.poly_core import ComplexPoly, GaussianRational, real_root_count
 
 V1_BASIS = np.array([[0.0, 1.0, 0.0]])
 V2_BASIS = np.array(

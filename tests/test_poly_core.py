@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from conftest import long_division
 from lacuna import (
     ComplexPoly,
     GaussianRational,
@@ -24,14 +25,18 @@ from lacuna import (
 )
 from lacuna.errors import NotDivisible
 import lacuna.poly_core
+from lacuna.plus_cone import _ints
 from lacuna.poly_core import (
+    _divides,
     _gcd_mod,
     _gcd_prime,
     _image,
+    _integer_parts,
+    _negated_remainder,
+    _pseudo_divide,
     exact_decimal,
     format_poly,
     gcd_exact,
-    long_division,
     poly_from_json,
     square_free_decomposition,
 )
@@ -200,21 +205,73 @@ def test_divide_exact_rejects_nondivisor():
         divide_exact(p, q)
 
 
-@pytest.mark.parametrize(
-    "num,den,quot,rem",
-    [
-        # x^3 - 2x + 5 = (2x - 1)(x^2/2 + x/4 - 7/8) + 33/8
-        ([5, -2, 0, 1], [-1, 2], [Fraction(-7, 8), Fraction(1, 4), Fraction(1, 2)], [Fraction(33, 8)]),
-        # (x^2 - 1) / (x + 1): exact, so the remainder list is empty
-        ([Fraction(-1), 0, 1], [1, 1], [-1, 1], []),
-        # lower degree than the divisor: quotient empty, remainder is num
-        ([3, 1], [0, 0, 2], [], [3, 1]),
-        ([2j, 0j, 1 + 0j], [1j, 1 + 0j], [-1j, 1], [-1 + 2j]),  # complex floats
-    ],
-)
+# (num, den, quotient, remainder) by hand
+_DIVISIONS = [
+    # x^3 - 2x + 5 = (2x - 1)(x^2/2 + x/4 - 7/8) + 33/8
+    ([5, -2, 0, 1], [-1, 2], [Fraction(-7, 8), Fraction(1, 4), Fraction(1, 2)], [Fraction(33, 8)]),
+    # (x^2 - 1) / (x + 1): exact, so the remainder list is empty
+    ([Fraction(-1), 0, 1], [1, 1], [-1, 1], []),
+    # lower degree than the divisor: quotient empty, remainder is num
+    ([3, 1], [0, 0, 2], [], [3, 1]),
+    ([2j, 0j, 1 + 0j], [1j, 1 + 0j], [-1j, 1], [-1 + 2j]),  # complex floats
+]
+
+
+@pytest.mark.parametrize("num,den,quot,rem", _DIVISIONS)
 def test_long_division_is_generic_in_the_scalar(num, den, quot, rem):
     got_q, got_r = long_division(num, den)
     assert got_q == quot and got_r == rem
+
+
+@st.composite
+def _division_pairs(draw):
+    """(a, b): b's lead complex, a negative integer, 1, or b a constant, and
+    b dividing a by construction or not."""
+    lead = draw(st.sampled_from([GaussianRational(2, -3), GaussianRational(-5), GaussianRational(1)]) | gauss)
+    assume(lead)
+    b = ComplexPoly(draw(st.lists(gauss, max_size=0 if draw(st.booleans()) else 4)) + [lead])
+    a = draw(polys)
+    return (a * b if draw(st.booleans()) else a), b
+
+
+def _from_parts(re: list[int], im: list[int] | None) -> ComplexPoly:
+    return ComplexPoly([GaussianRational(x, y) for x, y in zip(re, im or [0] * len(re))])
+
+
+def _with_examples(test):
+    """The divisions of ``_DIVISIONS`` as explicit examples."""
+    for num, den, _, _ in _DIVISIONS:
+        test = example((ComplexPoly(num), ComplexPoly(den)))(test)
+    return test
+
+
+@given(_division_pairs())
+@_with_examples
+def test_pseudo_division_matches_long_division(ab):
+    a, b = ab
+    quot, rem = long_division(a.coeffs, b.coeffs)
+    # S Da a = q Db b + r on the integer parts Da a and Db b
+    (Da, *ap), (Db, *bp) = _integer_parts(a.coeffs), _integer_parts(b.coeffs)
+    (qr, qi), (rr, ri), S = _pseudo_divide(ap, bp)
+    assert S > 0 and len(rr) <= b.deg
+    assert _from_parts(qr, qi) == ComplexPoly(quot) * Fraction(S * Da, Db)
+    assert _from_parts(rr, ri) == ComplexPoly(rem) * (S * Da)
+    assert _divides(b.coeffs, a.coeffs) == (not rem)
+    if rem:
+        with pytest.raises(NotDivisible):
+            divide_exact(a, b)
+    else:
+        assert divide_exact(a, b) == ComplexPoly(quot)
+
+
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=9), st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+       st.integers(-6, 6).filter(bool), st.booleans())
+def test_negated_remainder_is_the_primitive_negated_reference(a, b, lead, divisible):
+    b = b + [lead]
+    a = [int(c.real) for c in (ComplexPoly(a) * ComplexPoly(b)).coeffs] if divisible else a
+    assume(a and a[-1] and len(a) >= len(b))
+    rem = long_division([Fraction(c) for c in a], [Fraction(c) for c in b])[1]
+    assert _negated_remainder(a, b) == (_ints([-c for c in rem]) if rem else [])
 
 
 @given(polys, polys)

@@ -63,3 +63,37 @@ def test_ab_cases_builds_the_lacunary_family():
     lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["k=2", "k=3", "all"]
     assert lines[-1].endswith("digests agree 2/2") and " 0.0/s" not in lines[-1]
+
+
+def _bench_pairs():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_PARENT = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+
+
+@pytest.mark.parametrize(
+    "old,new,better,want",
+    [
+        (_PARENT, [x + 10 for x in _PARENT], "higher", "claim met"),
+        # 9 of 10 pairs won is enough; 8 is not
+        (_PARENT, [x + 10 for x in _PARENT[:9]] + [90.0], "higher", "claim met"),
+        (_PARENT, [x + 10 for x in _PARENT[:8]] + [90.0, 90.0], "higher", "flat"),
+        # every pair won, but by less than the parent's interquartile range
+        (_PARENT, [x + 0.5 for x in _PARENT], "higher", "flat"),
+        (_PARENT, [x * 0.7 for x in _PARENT], "higher", "worse"),
+        (_PARENT, [x * 1.2 for x in _PARENT], "lower", "flat"),
+        (_PARENT, [x * 1.3 for x in _PARENT], "lower", "worse"),
+        (_PARENT, [x * 0.9 for x in _PARENT], "lower", "claim met"),
+        # the parent spreads wider than the bound: no claim can be read
+        ([50.0, 150.0, 60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 90.0, 110.0],
+         [60.0, 160.0, 70.0, 150.0, 80.0, 140.0, 90.0, 130.0, 100.0, 120.0], "higher", "unresolved"),
+    ],
+)
+def test_bench_pairs_verdict_reads_runs_as_the_benchmark_check_does(old, new, better, want):
+    assert _bench_pairs().verdict(old, new, better, 0.24) == want

@@ -12,15 +12,17 @@ alternates from pair to pair; after each pair a progress line on standard
 error says whether the parent or the change ran first.  It then prints one
 line per end-to-end metric of ``BENCHMARK.json``::
 
-    <metric> <unit> parent <median> [<q1> <q3>] change <median> [<q1> <q3>] change better in <w>/<pairs>
+    <metric> <unit> parent <median> [<q1> <q3>] change <median> [<q1> <q3>] change better in <w>/<pairs>: <verdict>
 
 where a pair counts as won only when the change's value is strictly better
 in the direction the benchmark declares (ties count for neither side), and
-the failed and attempted operations of each side.  Last it prints the same
-summary as one JSON object on one line: the workload, seeds, run length,
-CPU count and Python version, and per metric each side's runs in seed order
-with their median and quartiles and the pairs the change won.  The runs
-write nothing but what the benchmark itself keeps in each checkout.
+the verdict is ``verdict``'s reading of the runs against the metric's
+``bound``; then the failed and attempted operations of each side.  Last it
+prints the same summary as one JSON object on one line: the workload,
+seeds, run length, CPU count and Python version, and per metric each side's
+runs in seed order with their median and quartiles, the pairs the change
+won and the verdict.  The runs write nothing but what the benchmark itself
+keeps in each checkout.
 """
 
 from __future__ import annotations
@@ -62,6 +64,29 @@ def _side(values: list[float]) -> dict:
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
+def verdict(old: list[float], new: list[float], better: str, bound: float) -> str:
+    """How a benchmark check reads one metric over the pairs (old[i], new[i]).
+
+    ``worse``: the change's median is worse than the parent's by more than
+    ``bound`` times the parent's median.  ``unresolved``: otherwise, when the
+    parent's own interquartile range is wider than that.  ``claim met``: the
+    change won at least 9 in 10 pairs and its median is better than the
+    parent's by more than the parent's interquartile range.  ``flat``:
+    anything else.
+    """
+    sign = 1 if better == "higher" else -1
+    q1, median, q3 = _quartiles(old)
+    gain = sign * (_quartiles(new)[1] - median)
+    if gain < -bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median):
+        return "unresolved"
+    wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+    if 10 * wins >= 9 * len(old) and gain > q3 - q1:
+        return "claim met"
+    return "flat"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 4:
         print("usage: python3 tools/bench_pairs.py PARENT CHANGE WORKLOAD SEED...", file=sys.stderr)
@@ -84,10 +109,12 @@ def main(argv: list[str]) -> int:
         old = [r["metrics"][name]["value"] for r in runs[parent]]
         new = [r["metrics"][name]["value"] for r in runs[change]]
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        reading = verdict(old, new, metric["better"], metric["bound"])
         print(f"{name} {metric['unit']} parent {_summary(old)} change {_summary(new)} "
-              f"change better in {wins}/{len(seeds)}")
+              f"change better in {wins}/{len(seeds)}: {reading}")
         summary["metrics"][name] = {"unit": metric["unit"], "better": metric["better"],
-                                    "parent": _side(old), "change": _side(new), "change_better": wins}
+                                    "parent": _side(old), "change": _side(new), "change_better": wins,
+                                    "verdict": reading}
     for label, checkout in (("parent", parent), ("change", change)):
         failed = sum(r["failed"] for r in runs[checkout])
         attempted = sum(r["attempted"] for r in runs[checkout])
