@@ -13,7 +13,7 @@ the target, and evaluates all their children in one ``np.polyval`` call.
 Values and gaps are summed by ``math.fsum``, and the target is never finer
 than the rounding floor of the summed value.
 
-Zero finding reports clusters ``(location, multiplicity, region, residual)``.
+Zero finding reports clusters ``(location, multiplicity, residual)``.
 Numeric multiplicity is ill-posed, so it is decided exactly, on the
 Gaussian-rational input: a degree-0 gcd(p, p') modulo a prime certifies
 that p is square-free (every zero simple), and only otherwise does a
@@ -21,10 +21,9 @@ square-free (Yun) decomposition split p and give the multiplicities.  One
 Newton pass polishes the companion-matrix roots of each square-free part as
 a whole array, each step reading p and p' off one table of powers, and
 gives the backward errors; an overflowed residual is NaN and raises
-:class:`IllConditionedZeros`, as does a zero beyond the float range.  A
-cluster's region comes from a 1e-8 band about the circle and decides no
-count: only ``common_disk_zeros`` reads it, to pair the disk zeros of p
-and p* that a report displays.
+:class:`IllConditionedZeros`, as does a zero beyond the float range.  No
+float zero decides a count: ``common_disk_zeros`` is given the exact number
+of shared disk zeros and only locates them.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ _GL_HI = np.polynomial.legendre.leggauss(32)
 _GL_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
 # distance under which a zero of p and a zero of p* count as one shared zero
 _MATCH_RADIUS = 1e-6
-# half-width of the annulus |1 - |r|| <= _EPS_CIRCLE whose zeros find_zeros labels
-# "circle"; only the match band of common_disk_zeros reads the label, no count
-_EPS_CIRCLE = 1e-8
 # relative rounding error of the summed quadrature value
 _ROUNDING_FLOOR = 32 * np.finfo(float).eps
 
@@ -63,7 +59,6 @@ class NormResult:
 class ZeroCluster:
     location: complex
     multiplicity: int
-    region: str  # "disk" | "circle" | "exterior"
     residual: float
 
 
@@ -242,15 +237,6 @@ def _polish_roots(coeffs: np.ndarray, dcoeffs: np.ndarray, roots) -> tuple[np.nd
     return r, res
 
 
-def _region(r: complex) -> str:
-    d = abs(r)
-    if d < 1.0 - _EPS_CIRCLE:
-        return "disk"
-    if d <= 1.0 + _EPS_CIRCLE:
-        return "circle"
-    return "exterior"
-
-
 def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
     """All zeros of p as certified clusters, sorted by argument then modulus.
 
@@ -262,22 +248,20 @@ def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
     Returns
     -------
     list of ZeroCluster
-        Locations carry a backward-error ``residual``.  A zero whose modulus
-        is within ``_EPS_CIRCLE`` (1e-8) of 1 has region "circle"; the rest
-        are "disk" or "exterior"; only ``common_disk_zeros`` reads the label.
-        The zeros are those of p's exact value: a degree-0 gcd(p, p') modulo
-        a prime certifies square-free input (all multiplicities 1), and the
-        square-free (Yun) decomposition runs only otherwise.  One Newton
-        pass polishes each part's root array.  Raises
-        :class:`IllConditionedZeros` when a backward error is not <= 1e-6
-        (NaN when it overflowed), or when a zero lies beyond the float range.
+        Locations carry a backward-error ``residual``.  The zeros are those
+        of p's exact value: a degree-0 gcd(p, p') modulo a prime certifies
+        square-free input (all multiplicities 1), and the square-free (Yun)
+        decomposition runs only otherwise.  One Newton pass polishes each
+        part's root array.  Raises :class:`IllConditionedZeros` when a
+        backward error is not <= 1e-6 (NaN when it overflowed), or when a
+        zero lies beyond the float range.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     clusters: list[ZeroCluster] = []
     k0 = p.order_at_zero()
     if k0 > 0:
-        clusters.append(ZeroCluster(0j, k0, "disk", 0.0))
+        clusters.append(ZeroCluster(0j, k0, 0.0))
     for factor, mult in square_free_decomposition(ComplexPoly(p.coeffs[k0:])):
         fc, roots = _float_roots(factor, f"p's monic factor of multiplicity {mult}")
         roots, residuals = _polish_roots(fc, factor.derivative().float_coeffs(), roots)
@@ -287,28 +271,40 @@ def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
                     f"root {r} of a square-free factor has backward error {res:.2e}",
                     diagnostics={"factor_degree": factor.deg, "residual": res},
                 )
-            clusters.append(ZeroCluster(r, mult, _region(r), res))
+            clusters.append(ZeroCluster(r, mult, res))
     clusters.sort(key=lambda c: _sort_key(c.location))
     return clusters
 
 
-def common_disk_zeros(
-    p: ComplexPoly, pstar: ComplexPoly
-) -> tuple[tuple[ZeroCluster, ...], int]:
-    """Zeros shared by p and its conjugate reciprocal inside the open disk.
+def common_disk_zeros(p: ComplexPoly, pstar: ComplexPoly, m: int, origin: int) -> tuple[ZeroCluster, ...]:
+    """The m zeros, counted with multiplicity, that p shares with its
+    conjugate reciprocal ``pstar`` inside the open disk, as clusters at p's
+    locations sorted by argument then modulus.
 
-    Each disk zero of p is paired with the first disk zero of ``pstar``
-    within ``_MATCH_RADIUS``.  Returns the clusters at p's locations (with
-    the shared multiplicity ``min`` of the two sides) and their total
-    multiplicity.  The origin participates through the order of ``pstar`` at
-    zero, i.e. through ``N - deg p``.
+    m and ``origin``, the number of them at 0, are exact (read off
+    gcd(p, p*)); the float zeros only locate the other m - origin.  A shared
+    disk zero a lies nearer 0 than every other shared zero, the circle zeros
+    and 1/conj(a), so p's nonzero zeros are taken in order of increasing
+    modulus, each paired with the first nonzero zero of ``pstar`` within
+    ``_MATCH_RADIUS`` at the shared multiplicity (the ``min`` of the two
+    sides), until the pairs add up to m - origin.  When they do not add up
+    to it exactly, raises :class:`IllConditionedZeros` naming both counts.
     """
-    zp, zs = ([c for c in find_zeros(q) if c.region == "disk"] for q in (p, pstar))
-    shared = []
-    for a in zp:
+    zp, zs = ([c for c in find_zeros(q) if c.location] for q in (p, pstar))
+    shared = [ZeroCluster(0j, origin, 0.0)] if origin else []
+    paired = 0
+    for a in sorted(zp, key=lambda c: abs(c.location)):
+        if paired >= m - origin:
+            break
         b = next((b for b in zs if abs(a.location - b.location) <= _MATCH_RADIUS), None)
         if b is not None:
             mult = min(a.multiplicity, b.multiplicity)
-            shared.append(ZeroCluster(a.location, mult, "disk", max(a.residual, b.residual)))
-    shared.sort(key=lambda c: _sort_key(c.location))
-    return tuple(shared), sum(c.multiplicity for c in shared)
+            shared.append(ZeroCluster(a.location, mult, max(a.residual, b.residual)))
+            paired += mult
+    if paired != m - origin:
+        raise IllConditionedZeros(
+            f"the exact gcd(p, p*) has {m - origin} shared disk zeros off the origin, but the "
+            f"float zeros of p and p* pair {paired} of them",
+            diagnostics={"shared": m - origin, "paired": paired},
+        )
+    return tuple(sorted(shared, key=lambda c: _sort_key(c.location)))

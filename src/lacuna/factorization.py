@@ -21,9 +21,10 @@ when c_j = 0 (no root is solved), f_j when c_j = deg f_j, and otherwise the
 rationalized float product of the c_j zeros of f_j nearest the circle,
 accepted only when it divides f_j and has c_j circle zeros; an irrational
 split (a Salem polynomial, say) raises :class:`IllConditionedZeros` with
-the counts.  The monic G is g / prod C_j^j, m = (deg G + order of G at 0)
-/ 2, and the displayed disk zeros are the pairs that the match band of
-``common_disk_zeros`` finds, m of them.  G is scaled to make its symbol on
+the counts.  The monic G is g / prod C_j^j and m = (deg G + order of G at
+0) / 2: only the exact g decides a count.  The float zeros of p and p*
+locate the m displayed disk zeros (``common_disk_zeros``, told m and the
+order at 0), or the input is refused.  G is scaled to make its symbol on
 the circle real and positive: by the natural scale prod(-conj a) when the
 disk zeros a have a Gaussian-rational monic product, else by the Gaussian
 rational that Hilbert 90 reads off G's coefficients.
@@ -144,7 +145,7 @@ def circle_parts(g: ComplexPoly) -> list[tuple[ComplexPoly, int, int, list[ZeroC
     for f, j in square_free_decomposition(ComplexPoly(g.coeffs[g.order_at_zero():])):
         if c := _circle_count(f):
             near = sorted(find_zeros(f), key=lambda z: abs(1 - abs(z.location)))[:c]
-            parts.append((f, j, c, [dataclasses.replace(z, multiplicity=j, region="circle") for z in near]))
+            parts.append((f, j, c, [dataclasses.replace(z, multiplicity=j) for z in near]))
     return parts
 
 
@@ -173,16 +174,10 @@ def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
         circle.append((C, j))
         for _ in range(j):
             G = divide_exact(G, C)
-    m = (G.deg + G.order_at_zero()) // 2
-    # the matched zeros are displayed, and give G its natural scale
-    shared, m_band = common_disk_zeros(p, pstar) if m else ((), 0)
-    if m_band != m:
-        raise IllConditionedZeros(
-            f"the exact gcd(p, p*) leaves a shared factor of degree {G.deg}, but the "
-            f"match band pairs {m_band} disk zeros of p and p*",
-            diagnostics={"factor_degree": G.deg, "matched": m_band},
-        )
-    if m:
+    origin = G.order_at_zero()
+    m, shared = (G.deg + origin) // 2, ()
+    if m:  # the located zeros are displayed, and give G its natural scale
+        shared = common_disk_zeros(p, pstar, m, origin)
         G = _positive_hermitian_multiple(
             G, [(-c.location, 1.0) for c in shared if c.location for _ in range(c.multiplicity)]
         )

@@ -328,13 +328,14 @@ def find_plus_in_slice(basis) -> CoefVector | None:
     """A plus vector of V = span(basis) with alpha_0 = 1, exact and
     certified, or None when V holds no nonzero plus vector, which is then
     proved (module docstring).  The rows (``CoefVector``s or arrays) are read
-    at their exact value.  Raises :class:`SolverStalled` when a candidate that
-    is not plus gives no new point, or after ``_CUT_ROUNDS`` rounds."""
+    at their exact value and need not be independent.  Raises
+    :class:`SolverStalled` when a candidate that is not plus gives no new
+    point, or after ``_CUT_ROUNDS`` rounds."""
     rows = [b.entries if isinstance(b, CoefVector) else b for b in basis]
     if not rows:
         return None
     n = len(rows[0])
-    d, basis = (n - 1) // 2, _echelon([_sparse(b) for b in rows], n)
+    d, basis = (n - 1) // 2, [_sparse(b) for b in rows]
     r, mean = len(basis), [b.get(0, _ZERO) for b in basis]
     if not any(mean):
         return None

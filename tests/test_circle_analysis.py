@@ -24,6 +24,7 @@ from lacuna.circle_analysis import (
     _polish_roots,
     common_disk_zeros,
 )
+from lacuna.factorization import canonical_factorization
 from lacuna.poly_core import (
     ComplexPoly,
     GaussianRational,
@@ -108,7 +109,7 @@ def test_l1_norm_is_within_its_bound_of_a_30_digit_reference(name):
     # without any, as for a polynomial with no circle zero
     p = _accuracy_inputs()[name]
     reference = _mp_norm(p)
-    for circle in ([c for c in find_zeros(p) if c.region == "circle"], ()):
+    for circle in (_near_circle(find_zeros(p)), ()):
         res = l1_norm(p, circle)
         assert abs(res.value - reference) <= res.abs_error_bound
 
@@ -146,21 +147,23 @@ def test_l1_norm_budget():
 # -- zero clustering -----------------------------------------------------------
 
 
+def _near_circle(zs):
+    """The clusters whose modulus is within 1e-8 of 1."""
+    return [c for c in zs if abs(abs(c.location) - 1) <= 1e-8]
+
+
 def test_find_zeros_exact_structure():
     p = parse_poly("(z - 1/2)^2 (z + 2)")
     zs = find_zeros(p)
-    by_region = {}
-    for c in zs:
-        by_region.setdefault(c.region, []).append(c)
-    (inner,) = by_region["disk"]
-    (outer,) = by_region["exterior"]
+    (inner,) = [c for c in zs if abs(c.location) < 1]
+    (outer,) = [c for c in zs if abs(c.location) > 1]
     assert inner.multiplicity == 2 and abs(inner.location - 0.5) < 1e-12
     assert outer.multiplicity == 1 and abs(outer.location + 2.0) < 1e-12
 
 
 def test_find_zeros_circle_multiplicity():
     zs = find_zeros(parse_poly("(z - 1)^3 (1 + z^4)"))
-    circle = [c for c in zs if c.region == "circle"]
+    circle = _near_circle(zs)
     assert sum(c.multiplicity for c in circle) == 7
     triple = [c for c in circle if c.multiplicity == 3]
     assert len(triple) == 1 and abs(triple[0].location - 1.0) < 1e-10
@@ -203,33 +206,54 @@ def test_find_zeros_residual_bound():
 def test_common_disk_zeros_detects_pair():
     p = parse_poly("(z - 1/2)(2 - z)(1 + z^4)")
     ps = conjugate_reciprocal(p, 6)
-    shared, m = common_disk_zeros(p, ps)
-    assert m == 1
-    assert len(shared) == 1 and abs(shared[0].location - 0.5) < 1e-10
+    (shared,) = common_disk_zeros(p, ps, 1, 0)
+    assert shared.multiplicity == 1 and abs(shared.location - 0.5) < 1e-10
 
 
 def test_common_disk_zeros_reflected_zero_of_p():
     # 1/2 and 2 are both zeros of p itself, so p* vanishes at 1/2 as well
     p = parse_poly("(z - 1/2)(8 - z^3)")
     ps = conjugate_reciprocal(p, 4)
-    shared, m = common_disk_zeros(p, ps)
-    assert m == 1 and abs(shared[0].location - 0.5) < 1e-10
+    (shared,) = common_disk_zeros(p, ps, 1, 0)
+    assert shared.multiplicity == 1 and abs(shared.location - 0.5) < 1e-10
 
 
 def test_common_disk_zeros_none():
     p = parse_poly("1 + z/2")
     ps = conjugate_reciprocal(p, 1)
-    shared, m = common_disk_zeros(p, ps)
-    assert m == 0 and shared == ()
+    assert common_disk_zeros(p, ps, 0, 0) == ()
 
 
 def test_common_disk_zeros_multiplicity_is_min():
     # p has (z-1/3)^2, p* only one copy reflected in: shared multiplicity 1
     p = parse_poly("(z - 1/3)^2 (z - 3)")
     ps = conjugate_reciprocal(p, 3)
-    shared, m = common_disk_zeros(p, ps)
-    assert m == 1
-    assert abs(shared[0].location - 1 / 3) < 1e-10
+    (shared,) = common_disk_zeros(p, ps, 1, 0)
+    assert shared.multiplicity == 1 and abs(shared.location - 1 / 3) < 1e-10
+
+
+def test_common_disk_zeros_takes_the_origin_from_the_count():
+    # p's zero at 0 is shared with the zero of p* that N - deg p = 1 puts
+    # there; the float zero -10^-20 of p* beside it pairs only p's own
+    p = parse_poly("z (z + 10^20)(1 + 10^20 z)")
+    for N, origin in ((3, 0), (4, 1)):
+        shared = common_disk_zeros(p, conjugate_reciprocal(p, N), 1 + origin, origin)
+        assert [c.multiplicity for c in shared] == [1] * (1 + origin)
+        assert [c.location for c in shared[:origin]] == [0j] * origin and abs(shared[-1].location + 1e-20) <= 1e-35
+
+
+@pytest.mark.parametrize(
+    "text,N,m,paired",
+    [
+        ("1 + z/2", 1, 1, 0),  # p's zero -2 is not one of p*'s
+        ("(z - 1/3)^2 (1 - z/3)^2", 4, 1, 2),  # the double pair overshoots one
+    ],
+)
+def test_common_disk_zeros_refuses_a_count_the_zeros_do_not_pair(text, N, m, paired):
+    p = parse_poly(text)
+    with pytest.raises(IllConditionedZeros, match=f"has {m} shared disk zeros off the origin, but the float zeros of p and p\\* pair {paired} of them") as err:
+        common_disk_zeros(p, conjugate_reciprocal(p, N), m, 0)
+    assert err.value.diagnostics == {"shared": m, "paired": paired}
 
 
 def _planted_product(rng: random.Random) -> ComplexPoly:
@@ -245,14 +269,20 @@ def _planted_product(rng: random.Random) -> ComplexPoly:
     return p * ComplexPoly.monomial(rng.randint(0, 2))
 
 
-def test_full_space_route_counts_the_zeros_the_match_band_pairs():
+def test_full_space_route_counts_the_located_shared_zeros():
+    # the exact count is the full-space route's, and each zero located for
+    # it off the origin is a disk zero of both p and p*
     rng = random.Random(11)
     seen_pair = seen_origin = False
     for _ in range(40):
         p = _planted_product(rng)
         N = p.deg + rng.randint(0, 3)
-        shared, m = common_disk_zeros(p, conjugate_reciprocal(p, N))
-        assert classify_full_space(p, N).shared_disk_multiplicity == m
+        ps, can = conjugate_reciprocal(p, N), canonical_factorization(p, N)
+        shared = common_disk_zeros(p, ps, can.m, can.disk_factor.order_at_zero())
+        assert classify_full_space(p, N).shared_disk_multiplicity == can.m == sum(c.multiplicity for c in shared)
+        for c in shared:
+            assert abs(c.location) < 1
+            assert all(abs(q.eval_many([c.location])[0]) <= 1e-9 * sum(map(abs, q.float_coeffs())) for q in (p, ps))
         seen_pair |= any(c.location != 0 for c in shared)
         seen_origin |= any(c.location == 0 for c in shared)
     assert seen_pair and seen_origin
@@ -404,7 +434,7 @@ def test_polish_roots_keeps_a_root_where_the_derivative_vanishes():
 def test_l1_norm_matches_the_per_panel_quadrature():
     # the rounds split the panels the heap rule splits one at a time
     for p in _kernel_inputs():
-        circle = [c for c in find_zeros(p) if c.region == "circle"]
+        circle = _near_circle(find_zeros(p))
         res = l1_norm(p, circle)
         value, bound, panels = _ref_l1_norm(p, circle)
         assert abs(res.value - value) <= min(res.abs_error_bound, bound), p

@@ -436,11 +436,10 @@ def test_full_space_origin_padding():
     assert rep.shared_disk_multiplicity == 1
 
 
-def test_full_space_refuses_the_disk_pair_that_classify_refuses():
-    # m = 1 is exact, but the float zeros of p land at |z| = 1 and the match
-    # band pairs none: the route no longer answers extreme=True
-    with pytest.raises(IllConditionedZeros, match="match band pairs 0 disk zeros"):
-        classify_full_space("(z - (1 - 1/10^9))(1 - (1 - 1/10^9)z)", 2)
+def test_full_space_decides_the_disk_pair_that_classify_decides():
+    # m = 1 is exact, though the float zeros of p land at |z| = 1
+    rep = classify_full_space("(z - (1 - 1/10^9))(1 - (1 - 1/10^9)z)", 2)
+    assert (rep.extreme, rep.shared_disk_multiplicity) == (False, 1)
 
 
 def test_full_space_agrees_with_matrix_route(rng):
@@ -850,16 +849,23 @@ def test_coprime_input_solves_no_roots(monkeypatch):
     assert rep.diagnostics["norm_panels"] >= 8 and rep.norm > 0
 
 
-@pytest.mark.xfail(
-    raises=IllConditionedZeros,
-    strict=True,
-    reason="m = 1 is exact (no zero of g = p lies on the circle), but the float zeros "
-    "of p land at |z| = 1, so the match band of common_disk_zeros pairs no disk zero",
-)
 def test_disk_pair_inside_the_circle_band_is_decided():
+    # m = 1 is exact (no zero of g = p lies on the circle), though the float
+    # zeros of p land at |z| = 1
     rep = classify("(z - (1 - 1/10^9))(1 - (1 - 1/10^9)z)", LacunaryPattern(2))
     assert rep.canonical.m == 1
     assert (rep.extreme, rep.exposed) == (False, False)
+
+
+def test_a_shared_pair_beside_the_origin_is_decided():
+    # g = (z + 10^20)(1 + 10^20 z) gives m = 1 with no shared zero at 0: p's
+    # own zero at 0 lies 10^-20 from the shared one but is not counted
+    rep = classify("z (z + 10^20)(1 + 10^20 z)", LacunaryPattern(3))
+    assert rep.canonical.m == 1 and rep.canonical.disk_factor.order_at_zero() == 0
+    ((a, mult),) = [(c.location, c.multiplicity) for c in rep.canonical.disk_zeros]
+    assert mult == 1 and abs(a + 1e-20) <= 1e-35
+    assert (rep.extreme, rep.exposed) == (False, False)
+    assert [w.kind for w in rep.witnesses] == ["non_extreme", "non_exposed"]
 
 
 def _rounded_circle_power(text: str) -> ComplexPoly:

@@ -245,7 +245,7 @@ def test_norm_subcommand(capsys):
     [
         ("(1 - z)^2 (2 + z)", "3"),  # a double circle zero: gcd(p, p*) = (1 - z)^2
         ("(1 + z)(z - 1/2)(2 - z)", "3"),  # a circle zero and a shared disk pair
-        ("z - (1 - 1/10^9)", "1"),  # coprime to p*, a zero inside the 1e-8 circle band
+        ("z - (1 - 1/10^9)", "1"),  # coprime to p*, a zero 1e-9 inside the circle
     ],
 )
 def test_norm_subcommand_reports_the_classifier_norm(expr, pattern, capsys):

@@ -28,7 +28,8 @@ zeros beyond the float range, a non-exposed witness that only the cone
 search finds, a companion eigenvalue solve that does not converge, and
 cones decided by facial reduction over circle zeros at +-1 and at the cube
 roots of unity, rounded powers of 1 - z^2 whose zeros split near the
-circle, and a shared disk pair within 1e-9 of it.  Each of these inputs
+circle, a shared disk pair within 1e-9 of it, and a shared disk zero 10^-20
+beside a zero of p at the origin that p* does not share.  Each of these inputs
 whose report moves when its coefficients are rounded to doubles also comes
 as a ``<id>-rounded`` twin, so rounded.  Then each basis of
 ``OUTSIDE_PLUSDIM``, a ``lacuna plusdim`` job without a seed, gets one
@@ -79,6 +80,7 @@ OUTSIDE = (
     ("rounded-cube", "(1 - z^2)^3", 6, (), 0.7),
     ("rounded-fourth-power", "(1 - z^2)^4", 8, (), 0.7),
     ("disk-pair-in-band", "(z - (1 - 1/10^9))(1 - (1 - 1/10^9)z)", 2, (), None),
+    ("shared-pair-beside-the-origin", "z (z + 10^20)(1 + 10^20 z)", 3, (), None),
 )
 # the inputs above whose report moves when their coefficients are rounded to
 # doubles, so rounded
@@ -89,6 +91,7 @@ OUTSIDE += tuple(
         "near-reflected-pair", "near-circle-double-pair", "six-pairs-at-tenths",
         "coprime-zero-beyond-float-range", "shared-zero-beyond-float-range",
         "coprime-overflowed-residual", "cube-root-zeros-8:3", "disk-pair-in-band",
+        "shared-pair-beside-the-origin",
     )
 )
 
