@@ -21,9 +21,11 @@ search runs on every verdict but the two exposed shortcuts, so ``dim_plus``
 is reported there whether or not witnesses are asked for.  Every check on a
 witness is exact: spectrum membership, a real symbol for the factor,
 nonconstancy, and for a non-exposed witness a nonnegativity certificate.
-Validation failure is an error, never a silent downgrade.
-The grid numbers of a witness (``checks`` and ``multiplier_bound``) are
-reported, not decided on.
+Validation failure is an error, never a silent downgrade.  A non-extreme
+witness carries the exact step t of ``chord_step``: with s the factor's
+symbol and v the witness vector, tau_s +- t tau_v are certified
+nonnegative, so p +- t q stay in p's face and p is their midpoint.  A non-exposed witness is a ray, p + t q for every t >= 0, and
+carries no step.
 
 Every verdict is decided on exact coefficients: a double in the input is
 read at its exact value where it enters, the factors are exact and so are
@@ -37,15 +39,11 @@ its own exit code.
 from __future__ import annotations
 
 import dataclasses
-import math
 from fractions import Fraction
-
-import numpy as np
 
 from .circle_analysis import l1_norm
 from .errors import (
     IllConditionedZeros,
-    NotDivisible,
     SolverStalled,
     SpectrumViolation,
     WitnessValidationFailed,
@@ -58,20 +56,15 @@ from .factorization import (
     tilde_factorization,
 )
 from .matrix_builder import BlockMatrix, KernelBasis, build_matrix, rank_and_kernel
-from .plus_cone import CoefVector, plus_dimension
+from .plus_cone import CoefVector, chord_step, plus_dimension
 from .poly_core import (
     ComplexPoly,
     GaussianRational,
     LacunaryPattern,
-    divide_exact,
     parse_poly,
     spectrum,
     spectrum_in,
 )
-
-
-# the 2048 grid points e^{it} on which a witness multiplier is checked
-_WITNESS_GRID = np.exp(1j * (2 * np.pi * np.arange(2048) / 2048))
 
 
 @dataclasses.dataclass
@@ -87,8 +80,7 @@ class Witness:
     vector: CoefVector
     perturbation: ComplexPoly
     spectrum: tuple[int, ...]
-    multiplier_bound: float
-    checks: dict
+    step: Fraction | None  # p +- step q is a chord of p's face; None on a ray
 
 
 @dataclasses.dataclass
@@ -153,15 +145,6 @@ def symbol_to_poly(v: CoefVector, half_degree: int) -> ComplexPoly:
     return ComplexPoly(coeffs)
 
 
-def _grid_multiplier(numer: ComplexPoly, denom: ComplexPoly) -> np.ndarray:
-    """Values of numer/denom on the grid points where denom is not tiny."""
-    nv = numer.eval_many(_WITNESS_GRID)
-    dv = denom.eval_many(_WITNESS_GRID)
-    cutoff = 1e-6 * (float(np.max(np.abs(dv))) or 1.0)
-    keep = np.abs(dv) > cutoff
-    return nv[keep] / dv[keep]
-
-
 def _multiple_of(v: CoefVector, seed: CoefVector) -> bool:
     """True when v = c * seed for a rational c; seed is nonzero."""
     i = next(i for i, x in enumerate(seed.entries) if x)
@@ -170,8 +153,7 @@ def _multiple_of(v: CoefVector, seed: CoefVector) -> bool:
 
 
 def _validated_witness(
-    kind: str, v: CoefVector, half_degree: int, cofactor: ComplexPoly, factor: ComplexPoly,
-    seed: CoefVector, pattern: LacunaryPattern,
+    kind: str, v: CoefVector, Q: ComplexPoly, cofactor: ComplexPoly, seed: CoefVector, pattern: LacunaryPattern,
 ) -> Witness | None:
     """The witness q = Q * cofactor for Q = z^h tau_v, or None if a check fails.
 
@@ -180,36 +162,16 @@ def _validated_witness(
     seed first).  q is nonzero and inside the pattern.  Q / factor is real on
     the circle: Q is Hermitian-symmetric about h, and so is the factor, whose
     symbol is the seed.  A non-exposed candidate is also nonnegative, since
-    ``plus_dimension`` certifies each vector it returns.  The grid numbers in
-    ``checks`` and ``multiplier_bound`` are computed afterwards, for the
-    report only.
+    ``plus_dimension`` certifies each vector it returns.  A non-extreme
+    witness gets its ``chord_step`` from the seed.
     """
     if _multiple_of(v, seed):
         return None
-    Q = symbol_to_poly(v, half_degree)
     q = Q * cofactor
     if q.is_zero() or not spectrum_in(q, pattern):
         return None
-    h = _grid_multiplier(Q, factor)
-    h_scale = float(np.max(np.abs(h.real)))
-    checks = {
-        "imag_max": float(np.max(np.abs(h.imag))),
-        "spread": float(np.max(h.real) - np.min(h.real)),
-        "multiplier_max": h_scale,
-    }
-    if kind == "non_exposed":
-        checks["min_multiplier"] = float(np.min(h.real))
-    return Witness(kind, v, q, tuple(spectrum(q)), multiplier_bound=h_scale, checks=checks)
-
-
-def _first_witness(kind: str, candidates, *context) -> Witness:
-    """The witness of the first candidate that ``_validated_witness`` accepts,
-    given the rest of its arguments as ``context``."""
-    for v in candidates:
-        w = _validated_witness(kind, v, *context)
-        if w is not None:
-            return w
-    raise WitnessValidationFailed(f"no kernel vector yielded a valid {kind.replace('_', '-')} perturbation")
+    step = chord_step(seed, v) if kind == "non_extreme" else None
+    return Witness(kind, v, q, tuple(spectrum(q)), step)
 
 
 def make_non_extreme_witness(
@@ -223,10 +185,13 @@ def make_non_extreme_witness(
     Candidates are taken in kernel order; a multiple of the canonical vector
     would only rescale p and is rejected.
     """
-    return _first_witness(
-        "non_extreme", kernel.vectors, canonical.m, canonical.cofactor,
-        canonical.disk_factor, seed, pattern,
-    )
+    for v in kernel.vectors:
+        w = _validated_witness(
+            "non_extreme", v, symbol_to_poly(v, canonical.m), canonical.cofactor, seed, pattern
+        )
+        if w is not None:
+            return w
+    raise WitnessValidationFailed("no kernel vector yielded a valid non-extreme perturbation")
 
 
 def make_non_exposed_witness(
@@ -238,17 +203,13 @@ def make_non_exposed_witness(
     """Perturbation q with q/p real, *nonnegative* and nonconstant, from the
     first accepted of the exactly certified plus vectors of ``plus_dimension``
     on the tilde kernel."""
-    w = _first_witness(
-        "non_exposed", plus_vectors,
-        tilde.m_tilde, tilde.reduced_cofactor, tilde.total_factor, seed_tilde, pattern,
-    )
-    # q/p = Q/total_factor has a pole on the circle unless Q takes every
-    # circle zero of the factor; the grid maximum then bounds nothing
-    try:
-        divide_exact(symbol_to_poly(w.vector, tilde.m_tilde), tilde.circle_factor)
-    except NotDivisible:
-        w = dataclasses.replace(w, multiplier_bound=math.inf)
-    return w
+    for v in plus_vectors:
+        w = _validated_witness(
+            "non_exposed", v, symbol_to_poly(v, tilde.m_tilde), tilde.reduced_cofactor, seed_tilde, pattern
+        )
+        if w is not None:
+            return w
+    raise WitnessValidationFailed("no kernel vector yielded a valid non-exposed perturbation")
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,7 @@ def _witness_to_json(w: Witness) -> dict:
         "vector": _vector_to_json(w.vector),
         "perturbation": poly_to_json(w.perturbation),
         "spectrum": list(w.spectrum),
-        # an unbounded multiplier is null: lacuna/1 is strict JSON
-        "multiplier_bound": w.multiplier_bound if math.isfinite(w.multiplier_bound) else None,
-        "checks": w.checks,
+        "step": None if w.step is None else str(w.step),
     }
 
 
@@ -209,9 +207,8 @@ def render_text(rep: ClassificationReport) -> str:
         lines.append(f"{name}: {shown}{via}")
     for w in rep.witnesses:
         lines.append(f"witness [{w.kind}]: q = {w.perturbation}")
-        lines.append(
-            f"  spectrum {list(w.spectrum)}, multiplier bound {w.multiplier_bound:.6g}"
-        )
+        step = "" if w.step is None else f", step {w.step}"
+        lines.append(f"  spectrum {list(w.spectrum)}{step}")
     if "undecided_reason" in rep.diagnostics:
         lines.append(f"undecided: {rep.diagnostics['undecided_reason']}")
     return "\n".join(lines) + "\n"

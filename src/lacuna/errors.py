@@ -49,7 +49,7 @@ class SolverStalled(LacunaError):
 
 
 class WitnessValidationFailed(LacunaError):
-    """An emitted witness failed one of its mandatory checks; internal bug."""
+    """No candidate vector passed the exact witness validation; internal bug."""
 
 
 class SpectrumViolation(LacunaError):

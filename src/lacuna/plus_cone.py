@@ -44,6 +44,10 @@ join the points (the float roots of P_v propose them, exact evaluation
 decides).  Once alpha_0 vanishes on all of V_o, V holds no nonzero plus
 vector (the mean of tau, 2 alpha_0, is positive on one): a proved
 dimension 0.
+
+``chord_step`` finds how far a plus vector s can move along a direction v
+both ways and stay plus, by the halving search that moves the realizing
+vectors toward s.
 """
 
 from __future__ import annotations
@@ -408,27 +412,50 @@ def _dot(f, u) -> Fraction:
     return sum((f[i] * x for i, x in pairs if x), _ZERO)
 
 
+def _least_halving(accept) -> int:
+    """The least k >= 0 that ``accept`` takes, for an ``accept`` monotone in
+    k (it takes every k above one it takes): by doubling and then by
+    bisection, up to ``_HALVINGS``."""
+    lo, hi = -1, 0  # accept fails at lo (-1: untried) and is tried at hi
+    while not accept(hi):
+        if hi == _HALVINGS:
+            raise SolverStalled(f"no certified plus vector within {_HALVINGS} halvings")
+        lo, hi = hi, min(2 * hi or 1, _HALVINGS)
+    while hi - lo > 1:  # accept takes hi
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if accept(mid) else (mid, hi)
+    return hi
+
+
 def _toward(a: list[int], b: list[int], d: int, accept) -> CoefVector:
     """The first of 2^k |b| a + |a| b, k = 0, 1, ..., that ``accept`` takes,
     with |.| the largest entry in size: a positive multiple of a plus
     2^-k b scaled to a's size.  Acceptance is monotone in k: the vector at
     k is a convex combination of a and the one at any smaller k, and both
-    tests keep such a combination of a with a vector they accept.  So k is
-    found by doubling and then by bisection, up to ``_HALVINGS``."""
+    tests keep such a combination of a with a vector they accept."""
     ma, mb = max(map(abs, a)), max(map(abs, b)) or 1
 
     def at(k: int) -> CoefVector:
         return CoefVector.from_array([Fraction((x * mb << k) + ma * y) for x, y in zip(a, b)], d=d)
 
-    lo, hi = -1, 0  # accept fails at lo (-1: untried) and is tried at hi
-    while not accept(y := at(hi)):
-        if hi == _HALVINGS:
-            raise SolverStalled(f"no certified plus vector within {_HALVINGS} halvings")
-        lo, hi = hi, min(2 * hi or 1, _HALVINGS)
-    while hi - lo > 1:  # y = at(hi) is accepted
-        mid = (lo + hi) // 2
-        lo, hi, y = (lo, mid, z) if accept(z := at(mid)) else (mid, hi, y)
-    return y
+    return at(_least_halving(lambda k: accept(at(k))))
+
+
+def chord_step(s: CoefVector, v: CoefVector) -> Fraction:
+    """The largest t = 2^-k |s| / |v|, k = 0, 1, ..., with tau_s + t tau_v and
+    tau_s - t tau_v both plus, for a plus s and a nonzero v of the same
+    degree (|.| the largest entry in size).  Acceptance is monotone in k, as
+    in ``_toward``, on both sides; a t exists when tau_s > 0 on the circle."""
+    a, b = _ints(s.entries), _ints(v.entries)
+    ma, mb = max(map(abs, a)), max(map(abs, b))
+
+    def chord(k: int) -> bool:
+        return all(
+            is_plus(CoefVector.from_array([(x * mb << k) + sign * ma * y for x, y in zip(a, b)], d=s.d))
+            for sign in (1, -1)
+        )
+
+    return Fraction(max(map(abs, s.entries)), max(map(abs, v.entries))) / (1 << _least_halving(chord))
 
 
 def _interior(x: CoefVector, exact, orders) -> bool:

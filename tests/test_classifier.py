@@ -19,6 +19,7 @@ from lacuna import (
     classify,
     classify_full_space,
     infer_pattern,
+    is_plus,
     parse_poly,
     plus_dimension,
     real_symbol_on_circle,
@@ -76,9 +77,8 @@ def test_double_circle_report(examples):
     (w,) = rep.witnesses
     assert w.kind == "non_exposed"
     assert [complex(c) for c in w.perturbation.coeffs] == [0, 0, -2]
-    assert w.checks["min_multiplier"] >= -1e-8
-    # multiplier h = 1/(2 sin^2 t) is unbounded; only its sign is constrained
-    assert w.multiplier_bound > 100
+    # the multiplier h = 1/(2 sin^2 t) is unbounded; only its sign is constrained
+    assert is_plus(w.vector)
 
 
 def test_single_double_zero_report(examples):
@@ -201,7 +201,7 @@ def test_validated_witness_rejects_each_failed_check(kind, entries, factor, N, f
     v, one, F = CoefVector.from_array(entries), parse_poly("1"), parse_poly(factor)
     seed, pattern = real_symbol_on_circle(F, 1), LacunaryPattern(N, forbidden)
     if kind == "non_extreme":
-        assert _validated_witness(kind, v, 1, one, F, seed, pattern) is None
+        assert _validated_witness(kind, v, symbol_to_poly(v, 1), one, seed, pattern) is None
     else:
         # a non-exposed candidate is a vector plus_dimension returned, each
         # certified nonnegative; the certificate refuses 2 cos t
@@ -209,7 +209,7 @@ def test_validated_witness_rejects_each_failed_check(kind, entries, factor, N, f
     # the multiplier 2 cos t passes every check of a non-extreme witness
     z = parse_poly("z")
     cos = CoefVector.from_array((0, 1, 0))
-    assert _validated_witness("non_extreme", cos, 1, one, z, real_symbol_on_circle(z, 1), LacunaryPattern(2))
+    assert _validated_witness("non_extreme", cos, symbol_to_poly(cos, 1), one, real_symbol_on_circle(z, 1), LacunaryPattern(2))
 
 
 def test_a_factor_without_a_real_symbol_is_refused(monkeypatch, capsys):
@@ -239,14 +239,14 @@ def test_a_factor_without_a_real_symbol_is_refused(monkeypatch, capsys):
 def test_validated_witness_is_scale_free():
     # Q = 1 + z^2 over 10^12 z: the multiplier 2 cos t / 10^12 is nonconstant,
     # though its spread is far below any fixed threshold
-    from lacuna.classifier import _validated_witness
+    from lacuna.classifier import _multiple_of, _validated_witness
     from lacuna.plus_cone import CoefVector
 
     F = parse_poly("10^12 z")
-    v = CoefVector.from_array((0, 1, 0))
-    w = _validated_witness("non_extreme", v, 1, parse_poly("1"), F, real_symbol_on_circle(F, 1), LacunaryPattern(2))
+    v, seed = CoefVector.from_array((0, 1, 0)), real_symbol_on_circle(F, 1)
+    w = _validated_witness("non_extreme", v, symbol_to_poly(v, 1), parse_poly("1"), seed, LacunaryPattern(2))
     assert w is not None and w.perturbation == parse_poly("1 + z^2")
-    assert 0 < w.checks["spread"] < 1e-6
+    assert not _multiple_of(w.vector, seed)
 
 
 def test_cone_vectors_become_exact_certified_witnesses():
@@ -353,9 +353,9 @@ def test_undecided_report(examples, monkeypatch):
 
 
 def test_non_extreme_witness_norm_identity(examples):
-    # with h = q/p real and |t h| <= 1/2 on the circle,
-    # |1 + t h| + |1 - t h| = 2 pointwise, so the two perturbed norms
-    # average back to ||p|| exactly: p is a midpoint of a sphere chord
+    # with h = q/p real and 1 +- t h >= 0 on the circle, as the step
+    # certifies, |1 + t h| + |1 - t h| = 2 pointwise, so the two perturbed
+    # norms average back to ||p|| exactly: p is a midpoint of a sphere chord
     # (after rescaling the endpoints)
     from lacuna import l1_norm
 
@@ -363,11 +363,38 @@ def test_non_extreme_witness_norm_identity(examples):
     rep = classify(p, pat)
     base = l1_norm(p).value
     w = next(w for w in rep.witnesses if w.kind == "non_extreme")
-    t = Fraction(1, 2) / Fraction(w.multiplier_bound).limit_denominator(10**6)
+    t = w.step
     plus = l1_norm(p + w.perturbation * t).value
     minus = l1_norm(p + w.perturbation * (-t)).value
     assert abs((plus + minus) / 2 - base) <= 1e-9 * base
     assert abs(plus - minus) > 1e-3 * base  # the chord is not degenerate
+
+
+def _chord_ends(s, v, t):
+    """tau_s + t tau_v and tau_s - t tau_v, as exact coefficient vectors."""
+    from lacuna.plus_cone import CoefVector
+
+    return [CoefVector.from_array([x + sign * t * y for x, y in zip(s.entries, v.entries)], d=s.d) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize(
+    "text, pattern",
+    [("(z - 1/2)(1 - z/2)(1 + z^3)", LacunaryPattern(5)), ("z^2 (1 + 2z)", LacunaryPattern(5, [4]))],
+    ids=["planted-pair", "seed-line"],
+)
+def test_chord_step_is_certified_and_largest(text, pattern):
+    # both ends of the chord are certified nonnegative; the step is
+    # |s| / |v| / 2^k, and for k > 0 twice the step leaves the face
+    rep = classify(text, pattern)
+    seed = real_symbol_on_circle(rep.canonical.disk_factor, rep.canonical.m)
+    chords = [w for w in rep.witnesses if w.kind == "non_extreme"]
+    assert chords
+    for w in chords:
+        assert all(is_plus(x) for x in _chord_ends(seed, w.vector, w.step))
+        ratio = Fraction(max(map(abs, seed.entries)), max(map(abs, w.vector.entries))) / w.step
+        assert ratio >= 1 and ratio.denominator == 1 and ratio.numerator & (ratio.numerator - 1) == 0
+        if ratio > 1:
+            assert not all(is_plus(x) for x in _chord_ends(seed, w.vector, 2 * w.step))
 
 
 def test_non_exposed_witness_norm_linearity(examples):
@@ -595,25 +622,24 @@ def test_cone_solver_decides_without_gram_certificates():
     assert [w.kind for w in rep.witnesses] == ["non_exposed"]
 
 
-def test_non_exposed_multiplier_with_a_pole_is_unbounded(examples):
+def test_non_exposed_witness_is_a_ray_without_a_step(examples):
     import json
 
     from lacuna.cli_reports import report_to_dict
 
+    # q/p = 1/(2 sin^2 t) has poles at t = 0 and pi, yet p + t q stays on
+    # the exposed face for every t >= 0: the witness carries no step
     p, pat = examples["double_circle"]
     rep = classify(p, pat)
     (w,) = rep.witnesses
-    # q/p = 1/(2 sin^2 t) has poles at t = 0 and pi: the grid maximum
-    # stays a check, but no finite bound holds
-    assert w.multiplier_bound == math.inf
-    assert math.isfinite(w.checks["multiplier_max"])
+    assert w.step is None
     report = report_to_dict(rep)
-    assert report["witnesses"][0]["multiplier_bound"] is None
+    assert report["witnesses"][0]["step"] is None
     assert "Infinity" not in json.dumps(report)
-    # no multiple circle zero, so no pole: the grid maximum is the bound
+    # both witnesses of a non-extreme input: only the chord has a step
     p, pat = examples["pair_and_gap"]
-    (w,) = [w for w in classify(p, pat).witnesses if w.kind == "non_exposed"]
-    assert w.multiplier_bound == w.checks["multiplier_max"] < math.inf
+    report = report_to_dict(classify(p, pat))
+    assert [(w["kind"], w["step"]) for w in report["witnesses"]] == [("non_extreme", "5/64"), ("non_exposed", None)]
 
 
 GAPPED_CIRCLE = [

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import re
+import shlex
 import time
 import warnings
 from pathlib import Path
@@ -551,6 +552,18 @@ def test_readme_lists_the_option_surface():
     assert set(re.findall(r"`([a-z_]+)`", options)) == set(_OPTION_KINDS)
 
 
+def test_readme_classify_examples_match_the_output(capsys):
+    # each "$ lacuna classify" block of the README is the real output, with
+    # "..." standing for elided lines
+    blocks = re.findall(r"```text\n\$ lacuna (classify .*)\n((?:.*\n)*?)```", README.read_text())
+    assert len(blocks) == 2
+    for command, shown in blocks:
+        assert main(shlex.split(command)) == EXIT_OK
+        out = capsys.readouterr().out
+        want = "\n".join("(?s:.*)" if line == "..." else re.escape(line) for line in shown.splitlines())
+        assert re.fullmatch(want, out.rstrip("\n")), command
+
+
 def test_zero_denominator_input_exits_with_error(tmp_path, capsys):
     basis = tmp_path / "basis.json"
     basis.write_text(json.dumps(ZERO_DENOMINATOR_BASIS))
@@ -624,7 +637,10 @@ def test_classify_text_with_cone_dimension_and_witness(form, capsys):
     assert out.splitlines()[1].startswith("norm: ")  # no mode line
     assert "cone trace dimension: 3" in out
     assert "exposed: no (via plus_dimension)" in out
-    assert "multiplier bound inf" in out
+    # the non-exposed witness is a ray: its spectrum line has no step
+    lines = out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("witness [non_exposed]"))
+    assert re.fullmatch(r"  spectrum \[[0-9, ]+\]", lines[at + 1])
     if form == "exact":
         assert "witness [non_exposed]: q = (-2)z^2" in out
     else:

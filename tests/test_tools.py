@@ -54,6 +54,7 @@ def test_fuzz_raises_only_lacuna_errors_and_witnesses_every_non_extreme_verdict(
             assert isinstance(out, LacunaError), (text, pattern.N, pattern.forbidden, out)
         elif out.extreme is False:
             assert sorted(w.kind for w in out.witnesses) == ["non_exposed", "non_extreme"], text
+            assert fuzz.uncertified_steps(out) == 0, text
     assert families == set(fuzz.FAMILIES)
 
 

@@ -30,8 +30,10 @@ p is built as text, each factor in its own parentheses (``(1 - z)^2^2``
 does not parse, and ``1/10^20z`` would be ambiguous), and read by
 ``parse_poly``.  The script prints the count of each (family, verdict)
 pair, the verdict as ``extreme=<..> exposed=<..>`` or the class of the
-exception raised, and then, for each exception class, its first input and
-message.
+exception raised, then, for each exception class, its first input and
+message, and last the number of non-extreme witnesses whose chord step is
+not certified again: with s the canonical factor's symbol, v the witness
+vector and t its step, tau_s + t tau_v or tau_s - t tau_v is not plus.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lacuna import LacunaryPattern, classify, parse_poly  # noqa: E402
+from lacuna import CoefVector, LacunaryPattern, classify, is_plus, parse_poly, real_symbol_on_circle  # noqa: E402
 
 FAMILIES = ("pair", "circle", "wide", "mixed")
 MIXED = ("1 - z + z^2", "1 + z^2", "(1 - z)^2", "z^4 - 3z^2 + 1", "1 - z^3", "z - 1/3")
@@ -96,6 +98,18 @@ def outcomes(seed: int, count: int):
             yield family, text, pattern, exc
 
 
+def uncertified_steps(rep) -> int:
+    """How many non-extreme witnesses of ``rep`` have a chord step that
+    ``is_plus`` does not certify on both sides."""
+    s = real_symbol_on_circle(rep.canonical.disk_factor, rep.canonical.m)
+    failed = 0
+    for w in rep.witnesses:
+        if w.kind == "non_extreme":
+            ends = [[x + sign * w.step * y for x, y in zip(s.entries, w.vector.entries)] for sign in (1, -1)]
+            failed += not all(is_plus(CoefVector.from_array(e, d=s.d)) for e in ends)
+    return failed
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/fuzz_classify.py SEED COUNT", file=sys.stderr)
@@ -103,6 +117,7 @@ def main(argv: list[str]) -> int:
     seed, count = int(argv[0]), int(argv[1])
     tally: collections.Counter = collections.Counter()
     first: dict[str, str] = {}
+    uncertified = 0
     for family, text, pattern, out in outcomes(seed, count):
         if isinstance(out, Exception):
             label = type(out).__name__
@@ -110,12 +125,14 @@ def main(argv: list[str]) -> int:
             first.setdefault(label, f"{text} on {pattern.N}{':' * bool(forbidden)}{forbidden}: {out}")
         else:
             label = f"extreme={out.extreme} exposed={out.exposed}"
+            uncertified += uncertified_steps(out)
         tally[family, label] += 1
     print(f"seed {seed}: {count} draws")
     for (family, label), n in sorted(tally.items()):
         print(f"{family} {label}: {n}")
     for label, line in sorted(first.items()):
         print(f"first {label}: {line}")
+    print(f"uncertified steps: {uncertified}")
     return 0
 
 
