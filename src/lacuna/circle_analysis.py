@@ -7,9 +7,11 @@ The classifier passes those it already holds (its exact zero structure,
 empty when gcd(p, p*) = 1), so its norm solves no roots; called without
 them, the norm finds them the same way.  Every panel then
 sees a one-sided algebraic kink at worst and the composite rule converges
-fast.  Refinement runs in rounds: each round splits the
-fewest largest-gap panels whose gaps |I32 - I16| cover the excess over half
-the target, and evaluates all their children in one ``np.polyval`` call.
+fast.  With no circle zero the panels start as max(48, deg p) equal ones,
+so a generic input needs few rounds.  Refinement runs in rounds: each round
+splits the fewest largest-gap panels whose gaps |I32 - I16| cover the
+excess over half the target, and evaluates all their children in one
+in-place Horner loop.
 Values and gaps are summed by ``math.fsum``, and the target is never finer
 than the rounding floor of the summed value.
 
@@ -72,11 +74,17 @@ def _sort_key(z: complex):
 
 def _panel_integrals(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """32-point integrals of |p| over the panels (a[i], b[i]) and their gaps
-    |I32 - I16| to the 16-point ones.  All nodes go through one evaluation,
-    and each rule is one matrix-vector product."""
+    |I32 - I16| to the 16-point ones.  All nodes go through one in-place
+    Horner loop, which does ``np.polyval``'s operations in its order, and
+    each rule is one matrix-vector product."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    vals = np.abs(np.polyval(coeffs[::-1], np.exp(1j * (mid[:, None] + half[:, None] * _GL_NODES))))
+    z = np.exp(1j * (mid[:, None] + half[:, None] * _GL_NODES))
+    vals = np.full(z.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        vals *= z
+        vals += c
+    vals = np.abs(vals)
     n = len(_GL_LO[0])
     lo, hi = half * (vals[:, :n] @ _GL_LO[1]), half * (vals[:, n:] @ _GL_HI[1])
     return hi, np.abs(hi - lo)
@@ -97,7 +105,8 @@ def l1_norm(
     circle_zeros : iterable of ZeroCluster, optional
         The zeros of p on the circle, the only points where |p| is not
         analytic; their arguments are the first panel breaks, and an empty
-        one starts from 8 equal panels.  Given, no root is solved here.
+        one starts from max(48, deg p) equal panels (at most
+        ``panel_budget``).  Given, no root is solved here.
         When None, they are split off g = gcd(p, p*) as the classifier
         splits them: none when g = 1 (a modular certificate, no root
         solve), otherwise the exactly counted circle zeros of each part of
@@ -126,7 +135,8 @@ def l1_norm(
         circle_zeros = [z for *_, zeros in circle_parts(g) for z in zeros]
     breaks = sorted({cmath.phase(c.location) % (2 * math.pi) for c in circle_zeros})
     if not breaks:
-        edges = [2 * math.pi * k / 8 for k in range(9)]
+        n = min(max(48, p.deg), panel_budget)
+        edges = [2 * math.pi * k / n for k in range(n + 1)]
     else:
         edges = breaks + [breaks[0] + 2 * math.pi]
         # keep panels from starting absurdly wide
@@ -282,16 +292,18 @@ def common_disk_zeros(p: ComplexPoly, pstar: ComplexPoly, m: int, origin: int) -
     locations sorted by argument then modulus.
 
     m and ``origin``, the number of them at 0, are exact (read off
-    gcd(p, p*)); the float zeros only locate the other m - origin.  A shared
-    disk zero a lies nearer 0 than every other shared zero, the circle zeros
-    and 1/conj(a), so p's nonzero zeros are taken in order of increasing
-    modulus, each paired with the first nonzero zero of ``pstar`` within
-    ``_MATCH_RADIUS`` at the shared multiplicity (the ``min`` of the two
-    sides), until the pairs add up to m - origin.  When they do not add up
-    to it exactly, raises :class:`IllConditionedZeros` naming both counts.
+    gcd(p, p*)); the float zeros only locate the other m - origin, if any.
+    A shared disk zero a lies nearer 0 than every other shared zero, the
+    circle zeros and 1/conj(a), so p's nonzero zeros are taken in order of
+    increasing modulus, each paired with the first nonzero zero of ``pstar``
+    within ``_MATCH_RADIUS`` at the shared multiplicity (the ``min`` of the
+    two sides), until the pairs add up to m - origin.  When they do not add
+    up to it exactly, raises :class:`IllConditionedZeros` naming both counts.
     """
-    zp, zs = ([c for c in find_zeros(q) if c.location] for q in (p, pstar))
     shared = [ZeroCluster(0j, origin, 0.0)] if origin else []
+    if m == origin:  # nothing to locate: no root is solved
+        return tuple(shared)
+    zp, zs = ([c for c in find_zeros(q) if c.location] for q in (p, pstar))
     paired = 0
     for a in sorted(zp, key=lambda c: abs(c.location)):
         if paired >= m - origin:

@@ -10,10 +10,11 @@ Subcommands:
 Exit codes: 0 for a decided run, 2 when the classifier leaves ``exposed``
 undecided (an incomplete cone certificate), 1 for errors and corpus failures.
 
-Reports serialize under the schema tag ``lacuna/1``.  Exact rationals are
+Reports serialize under the schema tag ``lacuna/2``.  Exact rationals are
 encoded as strings ("5/8", "1/2+3/4i"), floats as JSON numbers, so a run is
 byte-stable across invocations.  Every verdict is exact, so a report names
-no arithmetic mode.
+no arithmetic mode.  A classify report leaves out what an exact product or
+quotient of written facts rebuilds (``report_to_dict``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .poly_core import (
     poly_to_json,
 )
 
-SCHEMA = "lacuna/1"
+SCHEMA = "lacuna/2"
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -90,17 +91,23 @@ def _zero_to_json(location, multiplicity) -> dict:
     return {"location": [loc.real, loc.imag], "multiplicity": multiplicity}
 
 
-def _witness_to_json(w: Witness) -> dict:
-    return {
-        "kind": w.kind,
-        "vector": _vector_to_json(w.vector),
-        "perturbation": poly_to_json(w.perturbation),
-        "spectrum": list(w.spectrum),
-        "step": None if w.step is None else str(w.step),
-    }
+def _witnesses_to_json(witnesses) -> list[dict]:
+    """Each witness's kind and step, and its vector, perturbation and spectrum
+    unless an earlier witness has the same three: then ``same_as`` its index."""
+    out, bodies = [], []
+    for w in witnesses:
+        body = {"vector": _vector_to_json(w.vector), "perturbation": poly_to_json(w.perturbation),
+                "spectrum": list(w.spectrum)}
+        same = {"same_as": bodies.index(body)} if body in bodies else body
+        out.append({"kind": w.kind, "step": None if w.step is None else str(w.step), **same})
+        bodies.append(body)
+    return out
 
 
 def report_to_dict(rep: ClassificationReport) -> dict:
+    """The ``lacuna/2`` document of a classify report: no cofactor (p / G), no
+    tilde total factor (G C) or reduced cofactor (cofactor / C), no tilde
+    matrix when mu = 0 (it is ``matrix``), and no repeated witness body."""
     can, til = rep.canonical, rep.tilde
     return {
         "schema": SCHEMA,
@@ -116,7 +123,6 @@ def report_to_dict(rep: ClassificationReport) -> dict:
                 _zero_to_json(c.location, c.multiplicity) for c in can.disk_zeros
             ],
             "disk_factor": poly_to_json(can.disk_factor),
-            "cofactor": poly_to_json(can.cofactor),
         },
         "tilde": {
             "mu": til.mu,
@@ -126,18 +132,18 @@ def report_to_dict(rep: ClassificationReport) -> dict:
                 {**_zero_to_json(loc, lam), "halved": mu} for loc, lam, mu in til.circle_zeros
             ],
             "circle_factor": poly_to_json(til.circle_factor),
-            "total_factor": poly_to_json(til.total_factor),
-            "reduced_cofactor": poly_to_json(til.reduced_cofactor),
         },
         "matrix": _matrix_to_json(rep.matrix, rep.kernel),
-        "matrix_tilde": _matrix_to_json(rep.matrix_tilde, rep.kernel_tilde),
+        "matrix_tilde": (
+            _matrix_to_json(rep.matrix_tilde, rep.kernel_tilde) if til.mu else {"same_as": "matrix"}
+        ),
         "dim_plus": rep.dim_plus,
         "verdicts": {"extreme": rep.extreme, "exposed": rep.exposed},
         "fast_paths": {
             "extreme": rep.fast_path_extreme,
             "exposed": rep.fast_path_exposed,
         },
-        "witnesses": [_witness_to_json(w) for w in rep.witnesses],
+        "witnesses": _witnesses_to_json(rep.witnesses),
         "diagnostics": rep.diagnostics,
     }
 

@@ -296,9 +296,6 @@ class ComplexPoly:
     def derivative(self) -> "ComplexPoly":
         return ComplexPoly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
 
-    def eval_many(self, zs):
-        return np.polyval(self.float_coeffs()[::-1], np.asarray(zs, dtype=complex))
-
     def __eq__(self, other):
         if not isinstance(other, ComplexPoly):
             return NotImplemented

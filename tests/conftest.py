@@ -35,6 +35,11 @@ def long_division(num, den) -> tuple[list, list]:
     return quot, rem
 
 
+def eval_many(p, zs) -> np.ndarray:
+    """p at the points zs, by ``np.polyval`` on p's float coefficients."""
+    return np.polyval(p.float_coeffs()[::-1], np.asarray(zs, dtype=complex))
+
+
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import eval_many
 from lacuna import (
     ClassifyOptions,
     CoefVector,
@@ -49,6 +50,14 @@ def _rounded(p: ComplexPoly, c: float | complex = 1.0) -> ComplexPoly:
     """p with each coefficient rounded to a double and times c in float
     arithmetic, so a float product rounds as float input would."""
     return ComplexPoly([complex(x) * c for x in p.coeffs])
+
+
+def _dyadic_inverse(x: float) -> float:
+    """1/x rounded to a multiple of 2^-40.  For x > 1 it has at most 40
+    significant bits, so a small integer times it is an exact double: the
+    rounded input keeps the exact zero structure of p, whatever the last
+    bits of x."""
+    return round(2**40 / x) / 2**40
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +107,7 @@ def test_criterion_01_pair_and_gap_reproduction(examples):
 def test_criterion_02_clean_gap_matrix(examples):
     problems: list[str] = []
     p, pat = examples["clean_gap"]
-    delta = 1.0 / l1_norm(p).value
+    delta = _dyadic_inverse(l1_norm(p).value)
     rep = classify(_rounded(p, delta), pat)
 
     target = np.array([[4.0, 5.0, 0.0], [0.0, 0.0, 3.0]])
@@ -167,7 +176,7 @@ def test_criterion_03_double_circle_reproduction(examples):
 def test_criterion_04_single_double_zero_reproduction(examples):
     problems: list[str] = []
     p, pat = examples["single_double_zero"]
-    c = 1.0 / l1_norm(p).value
+    c = _dyadic_inverse(l1_norm(p).value)
     rep = classify(_rounded(p, c), pat)
 
     target = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -420,8 +429,8 @@ def test_criterion_07_gap_patterns_no_shared_zeros():
 
 def _witness_grid_check(problems, p, pattern, w, label):
     z = np.exp(2j * math.pi * np.arange(2048) / 2048)
-    pv = p.eval_many(z)
-    qv = w.perturbation.eval_many(z)
+    pv = eval_many(p, z)
+    qv = eval_many(w.perturbation, z)
     mask = np.abs(pv) > 1e-6 * np.max(np.abs(pv))
     h = qv[mask] / pv[mask]
     scale = float(np.max(np.abs(h.real)))

@@ -4,14 +4,19 @@ import cmath
 import heapq
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from conftest import eval_many
 from lacuna import (
     IllConditionedZeros,
+    LacunaryPattern,
     QuadratureBudgetExceeded,
+    ZeroCluster,
+    classify,
     classify_full_space,
     find_zeros,
     l1_norm,
@@ -45,7 +50,7 @@ NORM_SINGLE_DOUBLE = 3.2864901286332104  # (1-z)^2 (2+z)
 
 def _trapezoid_norm(p, n=1 << 17):
     t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    vals = np.abs(p.eval_many(np.exp(1j * t)))
+    vals = np.abs(eval_many(p, np.exp(1j * t)))
     return float(np.mean(vals))
 
 
@@ -135,11 +140,12 @@ def test_l1_norm_budget():
     # no circle zero is given for the root at 0.85, so panels must actually split
     with pytest.raises(QuadratureBudgetExceeded):
         l1_norm(parse_poly("z - 17/20"), tol=1e-30, panel_budget=8)
-    # one round splits 4 of the 8 first panels: every cap below the 12
-    # panels that round makes raises, rather than return more than the cap
-    p = parse_poly("3 - z^2 + z^5")
-    assert l1_norm(p, panel_budget=12).panels == 12
-    for cap in range(8, 12):
+    # two rounds split 2 of the 48 first panels, then 2 of their children:
+    # every cap below the 52 panels they make raises, rather than return
+    # more than the cap, and a cap below 48 also caps the first panels
+    p = parse_poly("2 + z^3 - z^7")
+    assert l1_norm(p, panel_budget=52).panels == 52
+    for cap in range(8, 52):
         with pytest.raises(QuadratureBudgetExceeded, match=f"budget {cap}"):
             l1_norm(p, panel_budget=cap)
 
@@ -242,6 +248,20 @@ def test_common_disk_zeros_takes_the_origin_from_the_count():
         assert [c.location for c in shared[:origin]] == [0j] * origin and abs(shared[-1].location + 1e-20) <= 1e-35
 
 
+def test_common_disk_zeros_solves_no_root_when_every_shared_zero_is_at_the_origin(monkeypatch):
+    # gcd(p, p*) = z^2 on 5:4: both shared disk zeros are at 0, so nothing
+    # is left to locate
+    calls = []
+    for module in ("circle_analysis", "factorization"):
+        monkeypatch.setattr(f"lacuna.{module}.find_zeros", lambda p: calls.append(p) or find_zeros(p))
+    rep = classify("z^2 (1 + 2z)", LacunaryPattern(5, [4]))
+    assert calls == []
+    assert rep.canonical.disk_zeros == (ZeroCluster(0j, 2, 0.0),)
+    assert (rep.canonical.m, rep.canonical.disk_factor) == (2, parse_poly("z^2"))
+    assert (rep.extreme, rep.exposed) == (False, False)
+    assert [(w.kind, w.step) for w in rep.witnesses] == [("non_extreme", Fraction(1, 4)), ("non_exposed", None)]
+
+
 @pytest.mark.parametrize(
     "text,N,m,paired",
     [
@@ -282,7 +302,7 @@ def test_full_space_route_counts_the_located_shared_zeros():
         assert classify_full_space(p, N).shared_disk_multiplicity == can.m == sum(c.multiplicity for c in shared)
         for c in shared:
             assert abs(c.location) < 1
-            assert all(abs(q.eval_many([c.location])[0]) <= 1e-9 * sum(map(abs, q.float_coeffs())) for q in (p, ps))
+            assert all(abs(eval_many(q, [c.location])[0]) <= 1e-9 * sum(map(abs, q.float_coeffs())) for q in (p, ps))
         seen_pair |= any(c.location != 0 for c in shared)
         seen_origin |= any(c.location == 0 for c in shared)
     assert seen_pair and seen_origin
@@ -346,7 +366,8 @@ def _ref_l1_norm(p, circle_zeros, tol=1e-10):
     coeffs = p.float_coeffs()
     breaks = sorted({cmath.phase(c.location) % (2 * math.pi) for c in circle_zeros})
     if not breaks:
-        edges = [2 * math.pi * k / 8 for k in range(9)]
+        n = max(48, p.deg)
+        edges = [2 * math.pi * k / n for k in range(n + 1)]
     else:
         wide = breaks + [breaks[0] + 2 * math.pi]
         edges = []

@@ -636,10 +636,13 @@ def test_non_exposed_witness_is_a_ray_without_a_step(examples):
     report = report_to_dict(rep)
     assert report["witnesses"][0]["step"] is None
     assert "Infinity" not in json.dumps(report)
-    # both witnesses of a non-extreme input: only the chord has a step
+    # both witnesses of a non-extreme input: only the chord has a step, and
+    # the ray, on the same vector, refers to the chord for it
     p, pat = examples["pair_and_gap"]
     report = report_to_dict(classify(p, pat))
-    assert [(w["kind"], w["step"]) for w in report["witnesses"]] == [("non_extreme", "5/64"), ("non_exposed", None)]
+    assert [(w["kind"], w["step"], w.get("same_as")) for w in report["witnesses"]] == [
+        ("non_extreme", "5/64", None), ("non_exposed", None, 0)]
+    assert set(report["witnesses"][1]) == {"kind", "step", "same_as"}
 
 
 GAPPED_CIRCLE = [

@@ -54,7 +54,7 @@ def test_classify_json(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == "lacuna/1"
+    assert doc["schema"] == "lacuna/2"
     assert doc["verdicts"] == {"extreme": False, "exposed": False}
     assert doc["fast_paths"]["exposed"] == "not_extreme"
     assert doc["matrix"]["rows"] == [["0", "0", "0"], ["0", "0", "0"]]

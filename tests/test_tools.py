@@ -1,5 +1,7 @@
 """Smoke tests of the development tools under tools/."""
 
+import contextlib
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -98,3 +100,66 @@ _PARENT = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
 )
 def test_bench_pairs_verdict_reads_runs_as_the_benchmark_check_does(old, new, better, want):
     assert _bench_pairs().verdict(old, new, better, 0.24) == want
+
+
+def _lacuna1(rep) -> dict:
+    """The lacuna/1 document of a classify report, every fact written from
+    the report's own objects."""
+    from lacuna.cli_reports import _matrix_to_json, _vector_to_json, report_to_dict
+    from lacuna.poly_core import poly_to_json
+
+    doc = report_to_dict(rep)
+    doc["schema"] = "lacuna/1"
+    doc["factorization"]["cofactor"] = poly_to_json(rep.canonical.cofactor)
+    doc["tilde"]["total_factor"] = poly_to_json(rep.tilde.total_factor)
+    doc["tilde"]["reduced_cofactor"] = poly_to_json(rep.tilde.reduced_cofactor)
+    doc["matrix_tilde"] = _matrix_to_json(rep.matrix_tilde, rep.kernel_tilde)
+    doc["witnesses"] = [
+        {"kind": w.kind, "vector": _vector_to_json(w.vector), "perturbation": poly_to_json(w.perturbation),
+         "spectrum": list(w.spectrum), "step": None if w.step is None else str(w.step)}
+        for w in rep.witnesses
+    ]
+    return doc
+
+
+def test_to_lacuna1_rebuilds_every_report_byte_for_byte(monkeypatch):
+    # the seed-1 reports of both workloads, census and corpus included, and
+    # the OUTSIDE inputs of tools/report_digests.py
+    import itertools
+    import json
+
+    import lacuna
+    from lacuna.cli_reports import main, report_to_dict
+
+    monkeypatch.syspath_prepend(str(ROOT))
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import report_digests
+    from perfbench import cases
+    from to_lacuna1 import to_lacuna1
+
+    def dump(doc):
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    outside = (("outside", case) for case in report_digests.outside_cases(lacuna, cases))
+    seen = {"reports": 0, "matrix_tilde": 0, "witness": 0, "plusdim": 0}
+    for _, case in itertools.chain(report_digests.workload_cases(cases, ROOT, 1), outside):
+        if case.kind == "plusdim":
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["plusdim", json.dumps(case.source)]) == 0
+            doc = json.loads(out.getvalue())
+            assert to_lacuna1(doc) == {**doc, "schema": "lacuna/1"}
+            seen["plusdim"] += 1
+            continue
+        try:
+            rep = report_digests.classify_case(lacuna, case, {})
+        except lacuna.LacunaError:
+            continue
+        doc = report_to_dict(rep)
+        assert dump(to_lacuna1(doc)) == dump(_lacuna1(rep)), case.id
+        assert to_lacuna1(to_lacuna1(doc)) == to_lacuna1(doc)
+        seen["reports"] += 1
+        seen["matrix_tilde"] += doc["matrix_tilde"] == {"same_as": "matrix"}
+        seen["witness"] += any("same_as" in w for w in doc["witnesses"])
+    # both shortened forms occur, and so do the full ones
+    assert seen["reports"] > seen["matrix_tilde"] > 0 and seen["witness"] > 0 and seen["plusdim"] > 0, seen

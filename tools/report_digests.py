@@ -11,15 +11,17 @@ script classifies the input and prints one line per report::
 
     <workload> <case id> exact <sha256> <extreme> <exposed> <dim_plus>
 
-where the digest covers the ``lacuna/1`` JSON of ``report_to_dict`` followed
-by ``render_text``, and the verdicts are the report's (``None`` where
+where the digest covers the JSON of ``report_to_dict`` in its ``lacuna/1``
+form (``tools/to_lacuna1.py`` rebuilds it from ``lacuna/2``) followed by
+``render_text``, and the verdicts are the report's (``None`` where
 undecided), so a diff shows whether a changed report moved a verdict.  A
 raised exception is printed as its class and message in place of the
 digest and the verdicts.  Each plusdim job of the corpus gets one line::
 
     <workload> <case id> plusdim <sha256> <dim_plus>
 
-whose digest covers what ``lacuna plusdim`` prints for the job (a nonzero
+whose digest covers what ``lacuna plusdim`` prints for the job, in its
+``lacuna/1`` form (a nonzero
 exit code is printed with the error message instead).  Last come the fixed
 inputs of ``OUTSIDE``, outside both workloads, under the workload name
 ``outside``: near-coincident zeros of p and p*,
@@ -47,6 +49,8 @@ import itertools
 import json
 import sys
 from pathlib import Path
+
+from to_lacuna1 import to_lacuna1
 
 MODES = {"exact": {"mode": "exact"}}
 
@@ -155,7 +159,7 @@ def _digest(lacuna, case, overrides: dict) -> str:
     """The report's digest and verdicts, or the exception raised instead."""
     try:
         rep = classify_case(lacuna, case, overrides)
-        text = json.dumps(lacuna.cli_reports.report_to_dict(rep), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(to_lacuna1(lacuna.cli_reports.report_to_dict(rep)), indent=2, sort_keys=True) + "\n"
         text += lacuna.cli_reports.render_text(rep)
     except Exception as exc:  # the outcome is part of the behaviour being compared
         return f"{type(exc).__name__}: {exc}"
@@ -173,8 +177,9 @@ def _plusdim_digest(lacuna, case) -> str:
         return f"{type(exc).__name__}: {exc}"
     if code != 0:
         return f"exit {code}: {err.getvalue().strip()}"
-    text = out.getvalue()
-    return f"{hashlib.sha256(text.encode()).hexdigest()} {json.loads(text)['dim_plus']}"
+    doc = to_lacuna1(json.loads(out.getvalue()))
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return f"{hashlib.sha256(text.encode()).hexdigest()} {doc['dim_plus']}"
 
 
 def main(argv: list[str]) -> int:

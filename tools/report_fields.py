@@ -7,11 +7,12 @@ Usage::
 PARENT and CHANGE are lacuna source trees.  Each checkout, in a process of
 its own, classifies every classify case of the benchmark workloads at SEED
 (census included) and the fixed ``OUTSIDE`` inputs of
-``tools/report_digests.py``, in its one mode: exact.  A report is
-its ``lacuna/1`` JSON from
-``report_to_dict``; a raised exception stands in as ``{"error": "<class>:
-<message>"}``.  For each mode, and each JSON path at which at least one
-report differs (list indices written ``[*]``), the script prints::
+``tools/report_digests.py``, in its one mode: exact.  A report is the JSON
+of ``report_to_dict`` in its ``lacuna/1`` form (``tools/to_lacuna1.py``
+rebuilds it from ``lacuna/2``); a raised exception stands in as
+``{"error": "<class>: <message>"}``.  For each mode, and each JSON path at
+which at least one report differs (list indices written ``[*]``), the
+script prints::
 
     <mode> <path> differs in <n>/<reports> max |diff| <largest absolute difference>
 
@@ -36,6 +37,7 @@ import sys
 from pathlib import Path
 
 from report_digests import MODES, classify_case, load, outside_cases, workload_cases
+from to_lacuna1 import to_lacuna1
 
 
 def _dump(root: Path, seed: int) -> None:
@@ -47,7 +49,7 @@ def _dump(root: Path, seed: int) -> None:
             continue
         for mode, overrides in MODES.items():
             try:
-                report = lacuna.cli_reports.report_to_dict(classify_case(lacuna, case, overrides))
+                report = to_lacuna1(lacuna.cli_reports.report_to_dict(classify_case(lacuna, case, overrides)))
             except Exception as exc:  # the outcome is part of the behaviour being compared
                 report = {"error": f"{type(exc).__name__}: {exc}"}
             print(json.dumps([workload, case.id, mode, report]), flush=True)
