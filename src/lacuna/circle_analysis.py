@@ -48,6 +48,9 @@ _GL_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
 _MATCH_RADIUS = 1e-6
 # relative rounding error of the summed quadrature value
 _ROUNDING_FLOOR = 32 * np.finfo(float).eps
+# l1_norm's target absolute error (times the norm below unit norm) and panel cap
+_TOL = 1e-10
+_PANEL_BUDGET = 20000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,12 +93,7 @@ def _panel_integrals(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[
     return hi, np.abs(hi - lo)
 
 
-def l1_norm(
-    p: ComplexPoly,
-    circle_zeros: Iterable[ZeroCluster] | None = None,
-    tol: float = 1e-10,
-    panel_budget: int = 20000,
-) -> NormResult:
+def l1_norm(p: ComplexPoly, circle_zeros: Iterable[ZeroCluster] | None = None) -> NormResult:
     """Integral mean of |p| over the unit circle.
 
     Parameters
@@ -106,18 +104,17 @@ def l1_norm(
         The zeros of p on the circle, the only points where |p| is not
         analytic; their arguments are the first panel breaks, and an empty
         one starts from max(48, deg p) equal panels (at most
-        ``panel_budget``).  Given, no root is solved here.
+        ``_PANEL_BUDGET``).  Given, no root is solved here.
         When None, they are split off g = gcd(p, p*) as the classifier
         splits them: none when g = 1 (a modular certificate, no root
         solve), otherwise the exactly counted circle zeros of each part of
         g's square-free decomposition (``factorization.circle_parts``).
-    tol : float
-        Target absolute error for the returned value, times the norm below
-        unit norm.  Where the rounding floor 32 eps |value| is larger, that
-        floor is the target, so the result does not depend on the scale of p.
-    panel_budget : int
-        Hard cap on the number of quadrature panels: a round of splits that
-        would exceed it raises :class:`QuadratureBudgetExceeded`.
+
+    The target absolute error is ``_TOL`` times the norm below unit norm;
+    where the rounding floor 32 eps |value| is larger, that floor is the
+    target, so the result does not depend on the scale of p.  A round of
+    splits that would take the panels past ``_PANEL_BUDGET`` raises
+    :class:`QuadratureBudgetExceeded`.
 
     Returns
     -------
@@ -135,7 +132,7 @@ def l1_norm(
         circle_zeros = [z for *_, zeros in circle_parts(g) for z in zeros]
     breaks = sorted({cmath.phase(c.location) % (2 * math.pi) for c in circle_zeros})
     if not breaks:
-        n = min(max(48, p.deg), panel_budget)
+        n = min(max(48, p.deg), _PANEL_BUDGET)
         edges = [2 * math.pi * k / n for k in range(n + 1)]
     else:
         edges = breaks + [breaks[0] + 2 * math.pi]
@@ -153,15 +150,15 @@ def l1_norm(
         total, err = math.fsum(hi), math.fsum(gap)
         # relative below unit norm, and never finer than the rounding floor
         norm = abs(total) / (2 * math.pi)
-        target = max(tol * min(1.0, norm), _ROUNDING_FLOOR * norm)
+        target = max(_TOL * min(1.0, norm), _ROUNDING_FLOOR * norm)
         if err <= 0.5 * target:
             break
         # split the fewest largest-gap panels whose gaps cover the excess
         order = np.argsort(-gap, kind="stable")
         k = min(int(np.searchsorted(np.cumsum(gap[order]), err - 0.5 * target)) + 1, len(gap))
-        if len(gap) + k > panel_budget:
+        if len(gap) + k > _PANEL_BUDGET:
             raise QuadratureBudgetExceeded(
-                f"{len(gap) + k} panels needed (budget {panel_budget}) with error estimate "
+                f"{len(gap) + k} panels needed (budget {_PANEL_BUDGET}) with error estimate "
                 f"{err:.3e} > {target:.1e}"
             )
         split, keep = order[:k], order[k:]
@@ -284,6 +281,15 @@ def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
             clusters.append(ZeroCluster(r, mult, res))
     clusters.sort(key=lambda c: _sort_key(c.location))
     return clusters
+
+
+def linear_product(factors) -> np.ndarray:
+    """Float coefficients (ascending) of the product of the linear factors
+    ``(c0, c1)`` = c0 + c1 z, multiplied in the order given."""
+    out = np.array([1.0 + 0j])
+    for f in factors:
+        out = np.convolve(out, np.array(f, dtype=complex))
+    return out
 
 
 def common_disk_zeros(p: ComplexPoly, pstar: ComplexPoly, m: int, origin: int) -> tuple[ZeroCluster, ...]:

@@ -154,21 +154,14 @@ def report_to_dict(rep: ClassificationReport) -> dict:
 
 
 def _common_fraction_factor(rows) -> Fraction | None:
-    """gcd-style scalar pulled out of an exact matrix for compact display."""
-    entries = [x for row in rows for x in row if x != 0]
+    """gcd-style scalar pulled out of an exact matrix for compact display: the
+    gcd of the numerators over the lcm of the denominators, with the sign of
+    the first nonzero entry (None when there is none)."""
+    entries = [Fraction(x) for row in rows for x in row if x]
     if not entries:
         return None
-    num = 0
-    den = 1
-    for x in entries:
-        f = Fraction(x)
-        num = math.gcd(num, abs(f.numerator))
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    g = Fraction(num, den)
-    first = next(x for row in rows for x in row if x != 0)
-    if first < 0:
-        g = -g
-    return g if g != 0 else None
+    g = Fraction(math.gcd(*(x.numerator for x in entries)), math.lcm(*(x.denominator for x in entries)))
+    return -g if entries[0] < 0 else g
 
 
 def _format_matrix_text(mat: BlockMatrix) -> list[str]:
@@ -296,7 +289,7 @@ def _run_plusdim_file(data) -> tuple[int, list[CoefVector]]:
     if d < 0:
         raise ValueError(f"key 'd' takes a nonnegative integer, got {d}")
     rows = [_coef_list(row, d) for row in _field(data, "basis", list)]
-    seed = None if data.get("seed") is None else CoefVector.from_array(_coef_list(data["seed"], d), d=d)
+    seed = None if data.get("seed") is None else CoefVector.from_array(_coef_list(data["seed"], d))
     return plus_dimension(rows, seed=seed)
 
 
@@ -307,12 +300,7 @@ def _cmd_plusdim(args) -> int:
     except SolverStalled as exc:
         sys.stderr.write(f"undecided: {exc}\n")
         return EXIT_UNDECIDED
-    out = {
-        "schema": SCHEMA,
-        "d": data["d"],
-        "dim_plus": dim,
-        "vectors": [_vector_to_json(v) for v in found],
-    }
+    out = {"schema": SCHEMA, "d": data["d"], "dim_plus": dim, "vectors": [_vector_to_json(v) for v in found]}
     _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
@@ -342,12 +330,7 @@ def _coef_list(row, d: int) -> list[Fraction]:
 def _cmd_norm(args) -> int:
     p = parse_poly(_read_input(args.input))
     res = l1_norm(p)
-    out = {
-        "schema": SCHEMA,
-        "norm": res.value,
-        "error_bound": res.abs_error_bound,
-        "panels": res.panels,
-    }
+    out = {"schema": SCHEMA, "norm": res.value, "error_bound": res.abs_error_bound, "panels": res.panels}
     _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from .circle_analysis import ZeroCluster, _sort_key, common_disk_zeros, find_zeros
+from .circle_analysis import ZeroCluster, _sort_key, common_disk_zeros, find_zeros, linear_product
 from .errors import IllConditionedZeros, NotHermitianSymmetric
 from .plus_cone import CoefVector, _cayley_numerator
 from .poly_core import (
@@ -46,7 +46,6 @@ from .poly_core import (
     conjugate_reciprocal,
     divide_exact,
     gcd_exact,
-    linear_product,
     real_root_count,
     square_free_decomposition,
 )

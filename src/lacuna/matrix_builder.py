@@ -64,12 +64,7 @@ def build_matrix(cofactor: ComplexPoly, forbidden, half_degree: int, kind: str =
         minus = [c(kj + l - d) - c(kj - l - d) for l in range(1, d + 1)]
         top.append(tuple(x.real for x in plus) + tuple(x.imag for x in minus))
         bottom.append(tuple(x.imag for x in plus) + tuple(-x.real for x in minus))
-    return BlockMatrix(
-        rows=tuple(top + bottom),
-        half_degree=half_degree,
-        forbidden=tuple(forbidden),
-        kind=kind,
-    )
+    return BlockMatrix(rows=tuple(top + bottom), half_degree=half_degree, forbidden=tuple(forbidden), kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -87,5 +82,5 @@ def rank_and_kernel(mat: BlockMatrix) -> KernelBasis:
     """
     ncols = mat.shape[1]
     rank, kernel = _rref_kernel([_sparse(r) for r in mat.rows], ncols)
-    vectors = tuple(CoefVector.from_array(_dense(v, ncols), d=mat.half_degree) for v in kernel)
+    vectors = tuple(CoefVector.from_array(_dense(v, ncols)) for v in kernel)
     return KernelBasis(rank, ncols - rank, vectors)

@@ -23,12 +23,13 @@ w >= 0, not all zero, with sum_j w_j tau_v^(o_j)(t_j) = 0 on V_o, so that
 every plus vector vanishes to order o_j + 2 on the support of w, or a v in
 V_o with tau_v^(o_j)(t_j) > 0 at each active point, so that s + eps v is
 interior and the dimension is dim V_o (1, with s, once V_o is s's line).
-In Cayley coordinates an order at a rational x_j is read off the Taylor
-coefficients of P there, at t = pi (x = infinity) off its top ones;
-irrational zeros enter only the last alternative, at the binary value of a
-float root.  The interior vector is verified exactly, and each realizing
-vector is certified.  A V that holds the constant needs none of this.  s is
-the caller's seed; without one, ``find_plus_in_slice`` finds s.
+The t_j are the real roots of P, isolated on the Sturm chain that counts
+them (``poly_core.real_roots``); an order at a rational one is read off
+P's Taylor coefficients, at t = pi (x = infinity) off its top ones, and an
+irrational one enters only the last alternative, to a double's precision.
+The interior vector is verified exactly, and each realizing vector is
+certified.  A V that holds the constant needs none of this.  s is the
+caller's seed; without one, ``find_plus_in_slice`` finds s.
 
 ``find_plus_in_slice`` runs the same Gordan steps at fixed rational points,
 every one active: infinity and tan(pi (k / (4d + 4) - 1/2)), k = 1..4d+3,
@@ -40,7 +41,7 @@ simplex's c, with G c >= 1, keeps a margin from every point's hyperplane,
 not only from those whose rows happen to be large; with primitive integer
 rows the candidates crowd into a corner of the cone and the search stalls.
 When v is not plus, its rational zeros and short rationals where P_v < 0
-join the points (the float roots of P_v propose them, exact evaluation
+join the points (between consecutive real roots of P_v, exact evaluation
 decides).  Once alpha_0 vanishes on all of V_o, V holds no nonzero plus
 vector (the mean of tau, 2 alpha_0, is positive on one): a proved
 dimension 0.
@@ -56,10 +57,8 @@ import dataclasses
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import SolverStalled
-from .poly_core import _RATIONALIZE_BOUNDS, _primitive, _pseudo_divide, _rref_kernel, real_root_count
+from .poly_core import _RATIONALIZE_BOUNDS, _primitive, _rref_kernel, real_root_count, real_roots, sign_at
 
 # find_plus_in_slice: the largest denominator of its starting points, and how
 # many times it adds points where a candidate is negative or zero before it
@@ -89,23 +88,10 @@ class CoefVector:
         return (*self.alpha, *self.beta)
 
     @staticmethod
-    def from_array(x, d: int | None = None) -> "CoefVector":
+    def from_array(x) -> "CoefVector":
         xs = list(x)
-        if d is None:
-            if len(xs) % 2 == 0:
-                raise ValueError("coefficient array must have odd length 2d+1")
-            d = (len(xs) - 1) // 2
-        if len(xs) != 2 * d + 1:
-            raise ValueError(f"expected {2 * d + 1} entries, got {len(xs)}")
-        alpha = tuple(xs[: d + 1])
-        beta = tuple(xs[d + 1 :])
-        return CoefVector(d, alpha, beta)
-
-    def __add__(self, other: "CoefVector") -> "CoefVector":
-        return CoefVector.from_array([x + y for x, y in zip(self.entries, other.entries, strict=True)])
-
-    def __sub__(self, other: "CoefVector") -> "CoefVector":
-        return CoefVector.from_array([x - y for x, y in zip(self.entries, other.entries, strict=True)])
+        d = len(xs) // 2  # an even length fails the entry count check
+        return CoefVector(d, tuple(xs[: d + 1]), tuple(xs[d + 1 :]))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +266,7 @@ def _constant_span(basis, cols, seed, d: int) -> list[CoefVector]:
     out = []
     for u in basis:  # the one with column 0 is e_0: its last nonzero entry is its first
         norm = sum(map(abs, u.values())) if max(u) else 1
-        out.append(CoefVector.from_array(_dense({0: _ONE, **{j: x / norm for j, x in u.items()}}, 2 * d + 1), d=d))
+        out.append(CoefVector.from_array(_dense({0: _ONE, **{j: x / norm for j, x in u.items()}}, 2 * d + 1)))
     if seed is not None:
         out.insert(0, out.pop(next((i for i, c in enumerate(cols) if c and seed.entries[c]), cols.index(0))))
         out[0] = seed
@@ -312,7 +298,7 @@ def _facial_reduction(basis, cols, s: CoefVector, d: int) -> tuple[int, list[Coe
             break
         for j, wj in zip(active, w):
             orders[j] += 2 if wj else 0
-    if approx:  # rows at float roots give c long denominators: round it, keeping G c above their noise
+    if approx:  # rows at irrational zeros give c long denominators: round it, keeping G c above their noise
         G += [[_dot([_taylor(p, x, 1)[0][0] for p in polys], u) for u in free] for x in approx]
         w, c = _gordan(G, len(free))
         top = max(map(abs, c or [1])) or 1
@@ -322,10 +308,10 @@ def _facial_reduction(basis, cols, s: CoefVector, d: int) -> tuple[int, list[Coe
         if c is None:
             raise SolverStalled("the face of the plus cone may force a zero at an irrational point")
     v = _dense(_combine(_dense(_combine(c, free), r), basis), n)
-    x = _toward(_ints(s.entries), _ints(v), d, lambda y: _interior(y, exact, orders))
+    x = _toward(_ints(s.entries), _ints(v), lambda y: _interior(y, exact, orders))
     keep = next(l for l, u in enumerate(K) if x.entries[cols[max(u)]])
     us = (_ints(_dense(_combine(_dense(u, r), basis), n)) for l, u in enumerate(K) if l != keep)
-    return len(K), [x] + [_toward(_ints(x.entries), u, d, lambda y: certify_nonneg_exact(y)[0]) for u in us]
+    return len(K), [x] + [_toward(_ints(x.entries), u, lambda y: certify_nonneg_exact(y)[0]) for u in us]
 
 
 def find_plus_in_slice(basis) -> CoefVector | None:
@@ -368,9 +354,9 @@ def find_plus_in_slice(basis) -> CoefVector | None:
         c = _unit(c)
         tries = ([x.limit_denominator(1 << b) for x in c] for b in range(64))
         c = next((y for y in tries if all(_dot(g, y) > 0 for g in G)), c)
-        v = CoefVector.from_array(_dense(_combine(_dense(_combine(c, K), r), basis), n), d=d)
+        v = CoefVector.from_array(_dense(_combine(_dense(_combine(c, K), r), basis), n))
         if certify_nonneg_exact(v)[0]:
-            return CoefVector.from_array([x / v.alpha[0] for x in v.entries], d=d)
+            return CoefVector.from_array([x / v.alpha[0] for x in v.entries])
         cuts = [x for x in _cuts(v) if x not in orders]
         if not cuts:
             raise SolverStalled("no new point where the slice search's candidate is negative or zero was found")
@@ -395,15 +381,10 @@ def _cuts(v: CoefVector) -> list[Fraction]:
     zeros = sorted(out + approx)
     for a, b in zip(zeros, zeros[1:]):
         mid = (a + b) / 2
-        if _value(P, mid) < 0:
+        if sign_at(P, mid) < 0:
             tries = (mid.limit_denominator(1 << k) for k in range(64))
-            out.append(next((x for x in tries if _value(P, x) < 0), mid))
+            out.append(next((x for x in tries if sign_at(P, x) < 0), mid))
     return out
-
-
-def _value(P, x) -> Fraction:
-    """P(x), by Horner."""
-    return _taylor(P, x, 1)[0][0]
 
 
 def _dot(f, u) -> Fraction:
@@ -427,7 +408,7 @@ def _least_halving(accept) -> int:
     return hi
 
 
-def _toward(a: list[int], b: list[int], d: int, accept) -> CoefVector:
+def _toward(a: list[int], b: list[int], accept) -> CoefVector:
     """The first of 2^k |b| a + |a| b, k = 0, 1, ..., that ``accept`` takes,
     with |.| the largest entry in size: a positive multiple of a plus
     2^-k b scaled to a's size.  Acceptance is monotone in k: the vector at
@@ -436,7 +417,7 @@ def _toward(a: list[int], b: list[int], d: int, accept) -> CoefVector:
     ma, mb = max(map(abs, a)), max(map(abs, b)) or 1
 
     def at(k: int) -> CoefVector:
-        return CoefVector.from_array([Fraction((x * mb << k) + ma * y) for x, y in zip(a, b)], d=d)
+        return CoefVector.from_array([Fraction((x * mb << k) + ma * y) for x, y in zip(a, b)])
 
     return at(_least_halving(lambda k: accept(at(k))))
 
@@ -451,7 +432,7 @@ def chord_step(s: CoefVector, v: CoefVector) -> Fraction:
 
     def chord(k: int) -> bool:
         return all(
-            is_plus(CoefVector.from_array([(x * mb << k) + sign * ma * y for x, y in zip(a, b)], d=s.d))
+            is_plus(CoefVector.from_array([(x * mb << k) + sign * ma * y for x, y in zip(a, b)]))
             for sign in (1, -1)
         )
 
@@ -476,25 +457,25 @@ def _interior(x: CoefVector, exact, orders) -> bool:
 
 def _circle_zeros(s: CoefVector) -> tuple[list, list[Fraction]]:
     """The circle zeros of a plus vector in Cayley coordinates x = tan(t/2):
-    (x, order) at each rational x, None standing for t = pi, and the binary
-    value of a float root at each irrational one.  P's distinct real roots
-    are counted exactly, and as many roots of its square-free part with the
-    least imaginary parts are taken from ``np.roots``; a rational one has a
-    denominator dividing the part's leading coefficient."""
+    (x, order) at each rational x, None standing for t = pi, and at each
+    irrational one the midpoint of its interval from ``real_roots``, halved
+    on the sign of P's square-free part S to a width of
+    2^-53 max(|a|, |b|, 1), the precision of a double."""
     P = _cayley_numerator(s)
     deficit = 2 * s.d - (len(P) - 1)
+    rational, intervals, S = real_roots(P)
     exact: list = [(None, deficit)] if deficit else []
+    exact += [(a, next(k for k, c in enumerate(_taylor(P, a, len(P))[0]) if c)) for a in rational]
     approx = []
-    count, g = real_root_count(P)
-    sf = _ints(_pseudo_divide((P, None), (g, None))[0][0])
-    roots = np.roots([c / max(map(abs, sf)) for c in reversed(sf)]) if count else []
-    for z in sorted(roots, key=lambda z: abs(z.imag))[:count]:
-        a = Fraction(z.real).limit_denominator(abs(sf[-1]))
-        taylor = _taylor(P, a, len(P))[0]
-        if taylor[0]:
-            approx.append(Fraction(z.real))
-        else:
-            exact.append((a, next(k for k, c in enumerate(taylor) if c)))
+    for a, b in intervals:  # on integers: (a, b] = (lo, hi] / den
+        den = math.lcm(a.denominator, b.denominator)
+        lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        right = sign_at(S, b)  # the sign of S between the root and b
+        while (hi - lo) << 53 > max(abs(lo), abs(hi), den):
+            lo, hi, den = 2 * lo, 2 * hi, 2 * den
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if sign_at(S, Fraction(mid, den)) == right else (mid, hi)
+        approx.append(Fraction(lo + hi, 2 * den))
     return exact, approx
 
 

@@ -24,10 +24,8 @@ import itertools
 import json
 import re as _re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import NotDivisible, ParseError
 
@@ -257,8 +255,8 @@ class ComplexPoly:
             raise ValueError("zero polynomial has no vanishing order")
         return next(k for k, c in enumerate(self.coeffs) if c)
 
-    def float_coeffs(self):
-        return np.array([complex(c) for c in self.coeffs], dtype=complex)
+    def float_coeffs(self) -> tuple[complex, ...]:
+        return tuple(complex(c) for c in self.coeffs)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -676,15 +674,6 @@ def conjugate_reciprocal(p: ComplexPoly, N: int) -> ComplexPoly:
     return ComplexPoly([p.coefficient(N - k).conjugate() for k in range(N + 1)])
 
 
-def linear_product(factors) -> np.ndarray:
-    """Float coefficients (ascending) of the product of the linear factors
-    ``(c0, c1)`` = c0 + c1 z, multiplied in the order given."""
-    out = np.array([1.0 + 0j])
-    for f in factors:
-        out = np.convolve(out, np.array(f, dtype=complex))
-    return out
-
-
 def _rref_kernel(rows: list[dict], ncols: int) -> tuple[int, list[dict]]:
     """Rank of a rational matrix and a basis of its kernel, by Gauss-Jordan
     elimination on sparse rows: ``{column: Fraction}`` maps with no zero
@@ -1030,32 +1019,78 @@ def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
     return [x // g for x in r]
 
 
-def real_root_count(P: Sequence[int]) -> tuple[int, list[int]]:
-    """Distinct real roots of an integer polynomial P, and gcd(P, P').
-
-    ``P`` holds ascending integer coefficients, the last one nonzero.  The
-    Sturm chain P, P', -rem(P, P'), ... counts the distinct real roots
-    whether or not P is square-free (dividing every member by the gcd
-    changes no sign pattern away from the roots of P), and its last member
-    is gcd(P, P').  It runs as a primitive pseudo-remainder sequence
-    (G. E. Collins, J. ACM 1967; W. S. Brown and J. F. Traub, J. ACM 1971):
-    every member is a primitive positive multiple of the rational chain's,
-    so the sign counts are the same.  The gcd is returned primitive, with a
-    positive leading coefficient ([1] when P is square-free).
-    """
+def _sturm_chain(P: Sequence[int]) -> list[list[int]]:
+    """The Sturm chain P, P', -rem(P, P'), ..., gcd(P, P') of an integer P
+    (ascending, the last coefficient nonzero) as a primitive pseudo-remainder
+    sequence (G. E. Collins, J. ACM 1967; W. S. Brown and J. F. Traub, J. ACM
+    1971): each member is a primitive positive multiple of the rational one."""
     chain = [_primitive(list(P))]
     nxt = _primitive([k * c for k, c in enumerate(chain[0]) if k])
     while nxt:  # each remainder comes primitive
         chain.append(nxt)
         nxt = _negated_remainder(chain[-2], nxt) if len(nxt) > 1 else []
-    at_pos_inf = [1 if q[-1] > 0 else -1 for q in chain]
-    at_neg_inf = [s * (-1) ** (len(q) - 1) for s, q in zip(at_pos_inf, chain)]
+    return chain
 
-    def changes(signs: list[int]) -> int:
-        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
-    g = chain[-1]
-    return changes(at_neg_inf) - changes(at_pos_inf), g if g[-1] > 0 else [-c for c in g]
+def _changes(values) -> int:
+    """Sign changes in a sequence of numbers, zeros dropped."""
+    signs = [x > 0 for x in values if x]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def sign_at(P: Sequence[int], x: Fraction) -> int:
+    """The sign of the integer polynomial P at x = a/b, read off the integer
+    b^deg P(a/b) by Horner."""
+    acc, scale = 0, 1
+    for c in reversed(P):
+        acc, scale = acc * x.numerator + c * scale, scale * x.denominator
+    return (acc > 0) - (acc < 0)
+
+
+def real_root_count(P: Sequence[int]) -> tuple[int, list[int]]:
+    """Distinct real roots of an integer polynomial P (``_sturm_chain``'s
+    input), by the chain's signs at -infinity and +infinity, and gcd(P, P'),
+    primitive with a positive lead ([1] when P is square-free).  P need not
+    be square-free: dividing the chain by the gcd changes no sign pattern
+    away from P's roots."""
+    chain = _sturm_chain(P)
+    count = _changes(q[-1] * (-1) ** (len(q) - 1) for q in chain) - _changes(q[-1] for q in chain)
+    return count, chain[-1] if chain[-1][-1] > 0 else [-c for c in chain[-1]]
+
+
+def real_roots(P: Sequence[int]) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]], list[int]]:
+    """The distinct real roots of an integer polynomial P (``_sturm_chain``'s
+    input), in increasing order: the rational ones, and intervals (a, b] that
+    each hold one irrational one; with P's primitive square-free part S.
+
+    V(a) - V(b), the drop in sign changes on S's chain, counts S's roots in
+    (a, b].  (-B, B], B a power of two above the Cauchy bound, is halved
+    until each interval holds one root and is shorter than 1 / |lead S|: a
+    rational root's denominator divides lead S, so the one multiple of
+    1 / |lead S| there is its only candidate, decided exactly."""
+    chain = _sturm_chain(P)
+    if len(chain[-1]) > 1:
+        chain = _sturm_chain(_pseudo_divide((chain[0], None), (chain[-1], None))[0][0])
+    S, L = chain[0], abs(chain[0][-1])
+    B = Fraction(1 << (max(map(abs, S[:-1]), default=0) // L + 1).bit_length())
+
+    def V(x: Fraction) -> int:
+        return _changes(sign_at(q, x) for q in chain)
+
+    todo, rational, irrational = [(-B, B, V(-B), V(B))], [], []
+    while todo:  # the left half goes on top, so the roots come in order
+        a, b, va, vb = todo.pop()
+        if va - vb == 1 and (b - a) * L < 1:
+            c = Fraction(floor(b * L), L)
+            if c > a and not sign_at(S, c):
+                rational.append(c)
+            else:
+                irrational.append((a, b))
+        elif va > vb:
+            m = (a + b) / 2
+            vm = V(m)
+            todo += [(m, b, vm, vb), (a, m, va, vm)]
+    return rational, irrational, S
 
 
 def spectrum(p: ComplexPoly) -> tuple[int, ...]:

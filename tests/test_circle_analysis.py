@@ -28,13 +28,13 @@ from lacuna.circle_analysis import (
     _float_roots,
     _polish_roots,
     common_disk_zeros,
+    linear_product,
 )
 from lacuna.factorization import canonical_factorization
 from lacuna.poly_core import (
     ComplexPoly,
     GaussianRational,
     conjugate_reciprocal,
-    linear_product,
     square_free_decomposition,
 )
 
@@ -136,18 +136,25 @@ def test_l1_norm_is_scale_equivariant_below_unit_norm():
     assert len({res.panels for res in runs.values()}) == 1
 
 
-def test_l1_norm_budget():
+def test_l1_norm_budget(monkeypatch):
+    import lacuna.circle_analysis as ca
+
     # no circle zero is given for the root at 0.85, so panels must actually split
-    with pytest.raises(QuadratureBudgetExceeded):
-        l1_norm(parse_poly("z - 17/20"), tol=1e-30, panel_budget=8)
+    with monkeypatch.context() as m:
+        m.setattr(ca, "_TOL", 1e-30)
+        m.setattr(ca, "_PANEL_BUDGET", 8)
+        with pytest.raises(QuadratureBudgetExceeded):
+            l1_norm(parse_poly("z - 17/20"))
     # two rounds split 2 of the 48 first panels, then 2 of their children:
     # every cap below the 52 panels they make raises, rather than return
     # more than the cap, and a cap below 48 also caps the first panels
     p = parse_poly("2 + z^3 - z^7")
-    assert l1_norm(p, panel_budget=52).panels == 52
+    monkeypatch.setattr(ca, "_PANEL_BUDGET", 52)
+    assert l1_norm(p).panels == 52
     for cap in range(8, 52):
+        monkeypatch.setattr(ca, "_PANEL_BUDGET", cap)
         with pytest.raises(QuadratureBudgetExceeded, match=f"budget {cap}"):
-            l1_norm(p, panel_budget=cap)
+            l1_norm(p)
 
 
 # -- zero clustering -----------------------------------------------------------

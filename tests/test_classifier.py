@@ -374,7 +374,7 @@ def _chord_ends(s, v, t):
     """tau_s + t tau_v and tau_s - t tau_v, as exact coefficient vectors."""
     from lacuna.plus_cone import CoefVector
 
-    return [CoefVector.from_array([x + sign * t * y for x, y in zip(s.entries, v.entries)], d=s.d) for sign in (1, -1)]
+    return [CoefVector.from_array([x + sign * t * y for x, y in zip(s.entries, v.entries)]) for sign in (1, -1)]
 
 
 @pytest.mark.parametrize(

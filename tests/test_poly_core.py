@@ -38,6 +38,9 @@ from lacuna.poly_core import (
     format_poly,
     gcd_exact,
     poly_from_json,
+    real_root_count,
+    real_roots,
+    sign_at,
     square_free_decomposition,
 )
 
@@ -525,6 +528,72 @@ def test_square_free_parts_are_square_free(p):
             continue
         sp = _to_sympy(f)
         assert sympy.gcd(sp, sp.diff(_z)).degree() == 0
+
+
+# -- real roots ---------------------------------------------------------------
+
+
+def _real_roots_inputs(count: int):
+    """Seeded integer polynomials: products of rational linear factors
+    (denominators up to 6) and of quadratics with and without real roots,
+    each to a power of 1 to 3."""
+    rng = random.Random(43)
+    for _ in range(count):
+        expr = sympy.Integer(rng.choice([-3, -1, 1, 2]))
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                factor = rng.randint(1, 6) * _z - rng.randint(-12, 12)
+            else:
+                factor = rng.randint(1, 3) * _z**2 + rng.randint(-5, 5) * _z + rng.randint(-5, 5)
+            expr *= factor ** rng.randint(1, 3)
+        yield [int(c) for c in reversed(sympy.Poly(expr, _z).all_coeffs())]
+
+
+def test_real_roots_match_sympy():
+    seen = {"rational": 0, "irrational": 0}
+    for P in _real_roots_inputs(200):
+        rational, intervals, S = real_roots(P)
+        want = list(dict.fromkeys(sympy.real_roots(sympy.Poly(list(reversed(P)), _z))))
+        assert [sympy.Rational(x.numerator, x.denominator) for x in rational] == [r for r in want if r.is_rational], P
+        irrational = [r for r in want if not r.is_rational]
+        assert len(intervals) == len(irrational), P
+        for (a, b), r in zip(intervals, irrational):
+            assert sympy.Rational(a.numerator, a.denominator) < r <= sympy.Rational(b.numerator, b.denominator), P
+        assert all(b <= a for (_, b), (a, _) in zip(intervals, intervals[1:])), P
+        assert len(rational) + len(intervals) == real_root_count(P)[0]
+        # S is P's primitive square-free part, up to sign
+        sf = [int(c) for c in reversed(sympy.Poly(list(reversed(P)), _z).sqf_part().all_coeffs())]
+        assert S in (_ints(sf), [-c for c in _ints(sf)]), P
+        seen["rational"] += len(rational)
+        seen["irrational"] += len(intervals)
+    assert seen["rational"] > 100 and seen["irrational"] > 100, seen
+
+
+@pytest.mark.parametrize(
+    "P,rational,intervals",
+    [
+        ([5], [], 0),  # a constant
+        ([1, 0, 1], [], 0),  # x^2 + 1: no real root
+        ([-1, 3], [Fraction(1, 3)], 0),  # 3x - 1: the denominator is the lead
+        ([1, -2, 1], [1], 0),  # (x - 1)^2
+        # x (2x - 1)(2x + 1)(x - 1)(x + 1): roots at bisection points
+        ([0, 1, 0, -5, 0, 4], [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1], 0),
+        ([-2, 0, 1], [], 2),  # x^2 - 2
+        ([0, -2, 0, 1], [0], 2),  # x (x^2 - 2): a rational root between two others
+    ],
+)
+def test_real_roots_edge_cases(P, rational, intervals):
+    got, isolated, S = real_roots(P)
+    assert got == rational and len(isolated) == intervals
+    assert all(sign_at(S, x) == 0 for x in got)
+    # each interval is shorter than 1 / |lead S| and ends where S is nonzero
+    assert all((b - a) * abs(S[-1]) < 1 and sign_at(S, b) for a, b in isolated)
+
+
+def test_sign_at_reads_the_exact_value():
+    P = [-1, 3]  # 3x - 1
+    assert [sign_at(P, Fraction(x)) for x in ("0", "1/3", "1/2", "-7/5")] == [-1, 0, 1, -1]
+    assert sign_at([0, 0, 1], Fraction(-1, 2**80)) == 1
 
 
 # -- conjugate reciprocal ----------------------------------------------------

@@ -28,6 +28,21 @@ def test_cone_census_reports_three_draws():
     assert "witnesses: exact" in "\n".join(lines) and lines[-1] == "exceptions: 0"
 
 
+def test_cone_census_draws_on_the_cube_root_bases(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from cone_census import BASES, draws
+
+    from lacuna.poly_core import _divides, parse_poly
+
+    p, _ = next(draws(1, BASES["cube"]))
+    assert any(_divides(parse_poly(b).coeffs, p.coeffs) for b in BASES["cube"])
+    cmd = [sys.executable, str(ROOT / "tools" / "cone_census.py"), "1", "1", "cube"]
+    lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert lines[0] == "seed 1: 1 inputs"
+    assert sum(int(line.rsplit(": ", 1)[1]) for line in lines[1:] if " exposed=" in line) == 1
+    assert lines[-1] == "exceptions: 0"
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_cone_census_leaves_nothing_undecided(seed):
     cmd = [sys.executable, str(ROOT / "tools" / "cone_census.py"), str(seed), "100"]
@@ -39,6 +54,23 @@ def test_report_fields_finds_a_checkout_identical_to_itself():
     cmd = [sys.executable, str(ROOT / "tools" / "report_fields.py"), str(ROOT), str(ROOT), "1"]
     lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [["exact", "identical"]]
+
+
+def test_report_fields_reads_a_norm_move_against_its_bound(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from report_fields import compare
+
+    def report(value, dim):
+        return {"norm": {"value": value, "error_bound": 1e-12}, "dim_plus": dim}
+
+    parent = {("w", "a", "exact"): report(1.0, 1), ("w", "b", "exact"): report(2.0, 1)}
+    # a moves within its bound, b by 1e-9 > 1e-12, and b's dim_plus doubles
+    change = {("w", "a", "exact"): report(1.0 + 1e-13, 1), ("w", "b", "exact"): report(2.0 + 1e-9, 2)}
+    assert compare(parent, change) == [
+        "exact dim_plus differs in 1/2 max |diff| 1 max rel 0.5",
+        "exact norm.value differs in 2/2 max |diff| 1e-09 max rel 5e-10 beyond bound 1",
+    ]
+    assert compare(parent, parent) == ["exact identical in 2 reports"]
 
 
 def test_fuzz_raises_only_lacuna_errors_and_witnesses_every_non_extreme_verdict():

@@ -2,13 +2,16 @@
 
 Usage::
 
-    python3 tools/cone_census.py SEED [COUNT]
+    python3 tools/cone_census.py SEED [COUNT] [BASES]
 
 Draws COUNT inputs (default 200) from ``random.Random(SEED)`` and
 classifies each with the default options of the ``lacuna`` tree this
-script sits in.  One draw, in this order:
+script sits in.  BASES names a list of ``BASES``: ``standard`` (the
+default), with double zeros at 1, -1 or -i, or ``cube``, with double zeros
+at the primitive cube or sixth roots of unity, whose Cayley roots
+tan(t/2) are irrational.  One draw, in this order:
 
-* a base b by ``choice`` over ``BASES``, in their listed order;
+* a base b by ``choice`` over the named bases, in their listed order;
 * dq = ``randint(2, 4)``, then dq + 1 Gaussian integers q_0..q_dq, each as
   ``randint(-3, 3)`` for the real part and then the imaginary part, with a
   zero lead q_dq set to 1;
@@ -38,14 +41,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from lacuna import ComplexPoly, GaussianRational, LacunaryPattern, classify, parse_poly  # noqa: E402
 from lacuna.poly_core import format_poly  # noqa: E402
 
-BASES = ("(1-z)^2", "(1+z)^2", "(1-z^2)^2", "(1-z)^2(1+z)", "(1-z)^4", "(1-z)^2(1-iz)^2")
+BASES = {
+    "standard": ("(1-z)^2", "(1+z)^2", "(1-z^2)^2", "(1-z)^2(1+z)", "(1-z)^4", "(1-z)^2(1-iz)^2"),
+    "cube": ("(1-z+z^2)^2", "(1+z+z^2)^2", "(1+z^2)(1+z+z^2)^2", "(1-z)^2(1+z+z^2)^2"),
+}
 
 
-def draws(seed: int):
-    """The census inputs (p, pattern) of ``seed``, in draw order, without end."""
+def draws(seed: int, bases: tuple[str, ...]):
+    """The census inputs (p, pattern) of ``seed`` on ``bases``, in draw
+    order, without end."""
     rng = random.Random(seed)
     while True:
-        b = parse_poly(rng.choice(BASES))
+        b = parse_poly(rng.choice(bases))
         dq = rng.randint(2, 4)
         q = [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(dq + 1)]
         if not q[dq]:
@@ -63,15 +70,16 @@ def draws(seed: int):
 
 
 def main(argv: list[str]) -> int:
+    bases = argv.pop() if len(argv) > 1 and argv[-1] in BASES else "standard"
     if len(argv) not in (1, 2):
-        print("usage: python3 tools/cone_census.py SEED [COUNT]", file=sys.stderr)
+        print(f"usage: python3 tools/cone_census.py SEED [COUNT] [{'|'.join(BASES)}]", file=sys.stderr)
         return 1
     seed = int(argv[0])
     count = int(argv[1]) if len(argv) == 2 else 200
     paths: collections.Counter = collections.Counter()
     arithmetic: collections.Counter = collections.Counter()
     exceptions = []
-    inputs = draws(seed)
+    inputs = draws(seed, BASES[bases])
     for _ in range(count):
         p, pattern = next(inputs)
         try:

@@ -106,7 +106,7 @@ def uncertified_steps(rep) -> int:
     for w in rep.witnesses:
         if w.kind == "non_extreme":
             ends = [[x + sign * w.step * y for x, y in zip(s.entries, w.vector.entries)] for sign in (1, -1)]
-            failed += not all(is_plus(CoefVector.from_array(e, d=s.d)) for e in ends)
+            failed += not all(is_plus(CoefVector.from_array(e)) for e in ends)
     return failed
 
 

@@ -14,9 +14,13 @@ rebuilds it from ``lacuna/2``); a raised exception stands in as
 which at least one report differs (list indices written ``[*]``), the
 script prints::
 
-    <mode> <path> differs in <n>/<reports> max |diff| <largest absolute difference>
+    <mode> <path> differs in <n>/<reports> max |diff| <absolute> max rel <relative>
 
-where the difference is ``-`` when no number at the path moved.  Every
+with the largest absolute difference |a - b| and the largest relative one
+|a - b| / max(|a|, |b|) over the reports, both ``-`` when no number at the
+path moved.  The ``norm.value`` line ends with ``beyond bound <k>``: how
+many reports moved their norm by more than the smaller of the two sides'
+``norm.error_bound``.  Every
 non-numeric difference (a string, a flag, a null, a value present on one
 side only) follows on a line of its own::
 
@@ -77,20 +81,14 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) == 3 and argv[0] == "--dump":
-        _dump(Path(argv[1]), int(argv[2]))
-        return 0
-    if len(argv) != 3:
-        print("usage: python3 tools/report_fields.py PARENT CHANGE SEED", file=sys.stderr)
-        return 1
-    parent, change = (_reports(Path(arg).resolve(), int(argv[2])) for arg in argv[:2])
-    if parent.keys() != change.keys():
-        raise SystemExit("the two checkouts classify different cases")
+def compare(parent: dict, change: dict) -> list[str]:
+    """The lines that compare two report sets keyed by (workload, case, mode)."""
+    out = []
     for mode in MODES:
         keys = [key for key in parent if key[2] == mode]
         counts: collections.Counter = collections.Counter()
-        largest: dict[str, float] = {}
+        largest: dict[str, list[float]] = {}  # path -> [absolute, relative]
+        beyond = 0
         listed = []
         for key in keys:
             old, new = _leaves(parent[key]), _leaves(change[key])
@@ -102,17 +100,36 @@ def main(argv: list[str]) -> int:
                 general = re.sub(r"\[\d+\]", "[*]", path)
                 moved.add(general)
                 if _is_number(a) and _is_number(b):
-                    largest[general] = max(largest.get(general, 0.0), abs(a - b))
+                    diff = abs(a - b)
+                    top = largest.setdefault(general, [0.0, 0.0])
+                    top[:] = max(top[0], diff), max(top[1], diff / max(abs(a), abs(b)))
+                    if path == "norm.value":
+                        beyond += diff > min(old["norm.error_bound"], new["norm.error_bound"])
                 else:
                     listed.append(f"{mode} {key[0]} {key[1]} {path}: {a!r} -> {b!r}")
             counts.update(moved)
         if not counts:
-            print(f"{mode} identical in {len(keys)} reports")
+            out.append(f"{mode} identical in {len(keys)} reports")
         for general in sorted(counts):
-            diff = f"{largest[general]:.3g}" if general in largest else "-"
-            print(f"{mode} {general} differs in {counts[general]}/{len(keys)} max |diff| {diff}")
-        for line in listed:
-            print(line)
+            diff, rel = (f"{x:.3g}" for x in largest[general]) if general in largest else ("-", "-")
+            line = f"{mode} {general} differs in {counts[general]}/{len(keys)} max |diff| {diff} max rel {rel}"
+            out.append(line + (f" beyond bound {beyond}" if general == "norm.value" else ""))
+        out += listed
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--dump":
+        _dump(Path(argv[1]), int(argv[2]))
+        return 0
+    if len(argv) != 3:
+        print("usage: python3 tools/report_fields.py PARENT CHANGE SEED", file=sys.stderr)
+        return 1
+    parent, change = (_reports(Path(arg).resolve(), int(argv[2])) for arg in argv[:2])
+    if parent.keys() != change.keys():
+        raise SystemExit("the two checkouts classify different cases")
+    for line in compare(parent, change):
+        print(line)
     return 0
 
 
