@@ -18,7 +18,7 @@ p + t q.  A non-extreme witness is the first accepted vector of the plain
 kernel; a non-exposed one is the first accepted of the certified plus
 vectors that ``plus_dimension`` returns for the tilde kernel.  That cone
 search runs on every verdict but the two exposed shortcuts, so ``dim_plus``
-is reported there whether or not witnesses are asked for.  Every check on a
+is reported there.  Every check on a
 witness is exact: spectrum membership, a real symbol for the factor,
 nonconstancy, and for a non-exposed witness a nonnegativity certificate.
 Validation failure is an error, never a silent downgrade.  A non-extreme
@@ -26,6 +26,9 @@ witness carries the exact step t of ``chord_step``: with s the factor's
 symbol and v the witness vector, tau_s +- t tau_v are certified
 nonnegative, so p +- t q stay in p's face and p is their midpoint.  A non-exposed witness is a ray, p + t q for every t >= 0, and
 carries no step.
+
+A missing pattern is an error: callers pass ``infer_pattern(p)``, the
+largest pattern consistent with p, as the CLI and the corpus runner do.
 
 Every verdict is decided on exact coefficients: a double in the input is
 read at its exact value where it enters, the factors are exact and so are
@@ -70,8 +73,6 @@ from .poly_core import (
 @dataclasses.dataclass
 class ClassifyOptions:
     mode: str = "auto"  # auto | exact, one exact path; the benchmark harness sets it
-    infer_pattern: bool = False
-    generate_witnesses: bool = True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -236,11 +237,7 @@ def classify(
     if p.deg < 0:
         raise ValueError("the zero polynomial is not in the unit sphere")
     if pattern is None:
-        if not opt.infer_pattern:
-            raise ValueError(
-                "no pattern given; pass one or enable infer_pattern explicitly"
-            )
-        pattern = infer_pattern(p)
+        raise ValueError("no pattern given; pass one, or infer_pattern(p)")
     if p.deg > pattern.N:
         raise SpectrumViolation(
             f"degree {p.deg} exceeds the pattern bound {pattern.N}"
@@ -313,15 +310,10 @@ def classify(
                 rep.exposed = rep.dim_plus == 1
             diagnostics["plus_vectors_found"] = len(found_plus)
 
-    if opt.generate_witnesses:
-        if rep.extreme is False:
-            rep.witnesses += (
-                make_non_extreme_witness(canonical, rep.kernel, seed, pattern),
-            )
-        if rep.exposed is False:
-            rep.witnesses += (
-                make_non_exposed_witness(tilde, found_plus, seed_tilde, pattern),
-            )
+    if rep.extreme is False:
+        rep.witnesses += (make_non_extreme_witness(canonical, rep.kernel, seed, pattern),)
+    if rep.exposed is False:
+        rep.witnesses += (make_non_exposed_witness(tilde, found_plus, seed_tilde, pattern),)
     return rep
 
 

@@ -7,6 +7,10 @@ Subcommands:
 * ``corpus``   - run a directory of expectation files and compare,
 * ``norm``     - just the circle L1 norm.
 
+Pattern inference is edge work: ``classify --infer-pattern`` and a corpus
+job's one option, ``infer_pattern``, pass ``infer_pattern(p)`` to the
+classifier when no pattern is given.  Witnesses have no switch.
+
 Exit codes: 0 for a decided run, 2 when the classifier leaves ``exposed``
 undecided (an incomplete cone certificate), 1 for errors and corpus failures.
 
@@ -28,12 +32,7 @@ from pathlib import Path
 
 from . import __version__
 from .circle_analysis import l1_norm
-from .classifier import (
-    ClassificationReport,
-    ClassifyOptions,
-    Witness,
-    classify,
-)
+from .classifier import ClassificationReport, classify, infer_pattern
 from .errors import LacunaError, SolverStalled
 from .matrix_builder import BlockMatrix, KernelBasis
 from .plus_cone import CoefVector, plus_dimension
@@ -250,9 +249,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_classify(args) -> int:
-    opt = ClassifyOptions(infer_pattern=args.infer_pattern, generate_witnesses=not args.no_witnesses)
     pattern = _parse_pattern_arg(args.pattern) if args.pattern else None
-    rep = classify(_read_input(args.input), pattern, opt)
+    p = parse_poly(_read_input(args.input))
+    if pattern is None and args.infer_pattern:
+        pattern = infer_pattern(p)
+    rep = classify(p, pattern)
     if args.format == "json":
         payload = json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n"
     else:
@@ -266,8 +267,8 @@ _JSON_KINDS = {
     bool: "a boolean", int: "an integer", list: "a list", dict: "an object",
     (str, list, dict): "a string, a list or an object",
 }
-# the JSON type of each ClassifyOptions field a corpus job may set
-_OPTION_KINDS = {"infer_pattern": bool, "generate_witnesses": bool}
+# the JSON type of each option a corpus job may set
+_OPTION_KINDS = {"infer_pattern": bool}
 
 
 def _field(obj: dict, key: str, kind, default=_MISSING):
@@ -365,17 +366,17 @@ def _run_job(path: Path) -> tuple[str, bool, str]:
         return name, True, "ok"
     raw = _field(data, "input", (str, list, dict))
     poly = parse_poly(raw if isinstance(raw, str) else json.dumps(raw))
-    opt = ClassifyOptions()
     options = _field(data, "options", dict, {})
     for key in options:
         if key not in _OPTION_KINDS:
             raise ValueError(f"{path.name}: unknown option {key!r}")
-        setattr(opt, key, _field(options, key, _OPTION_KINDS[key]))
     pattern = data.get("pattern")
-    if pattern is not None or not opt.infer_pattern:  # else classify infers it
+    if _field(options, "infer_pattern", bool, False) and pattern is None:
+        pattern = infer_pattern(poly)
+    else:
         pattern = LacunaryPattern.from_json(pattern)
     try:
-        rep = classify(poly, pattern, opt)
+        rep = classify(poly, pattern)
     except LacunaError as exc:
         return name, False, f"error: {exc}"
     problems = []
@@ -443,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat every vanishing interior coefficient as forbidden",
     )
-    c.add_argument("--no-witnesses", action="store_true", dest="no_witnesses")
     c.add_argument("--format", choices=["text", "json"], default="text")
     c.add_argument("--out", help="write the report to a file")
     c.set_defaults(func=_cmd_classify)

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from lacuna import (
-    ClassifyOptions,
-    LacunaryPattern,
-    parse_poly,
-)
+from lacuna import LacunaryPattern, parse_poly
 
 
 def long_division(num, den) -> tuple[list, list]:
@@ -65,8 +61,3 @@ def examples():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
-
-
-@pytest.fixture
-def quiet_options():
-    return ClassifyOptions(generate_witnesses=False)

@@ -14,7 +14,6 @@ import pytest
 
 from conftest import eval_many
 from lacuna import (
-    ClassifyOptions,
     CoefVector,
     ComplexPoly,
     GaussianRational,
@@ -378,7 +377,6 @@ def test_criterion_06_zero_structure_consistency():
 def test_criterion_07_gap_patterns_no_shared_zeros():
     problems: list[str] = []
     rng = np.random.default_rng(2026_07)
-    opts = ClassifyOptions(generate_witnesses=False)
     failures = 0
     for i in range(100):
         N = int(rng.integers(3, 13))
@@ -403,7 +401,7 @@ def test_criterion_07_gap_patterns_no_shared_zeros():
         # conjugate-reciprocal's zeros sit at the reciprocal modulus, so the
         # two zero sets are disjoint and m = 0 by construction
         p = ComplexPoly([a] + [0] * (N - 1) + [b])
-        rep = classify(p, pat, opts)
+        rep = classify(p, pat)
         ok = (
             rep.extreme is True
             and rep.exposed is True
@@ -489,7 +487,6 @@ def test_criterion_08_witness_soundness_sweep(examples):
 def test_criterion_09_scaling_invariance(examples):
     problems: list[str] = []
     rng = np.random.default_rng(2026_09)
-    opts = ClassifyOptions(generate_witnesses=False)
     items = [(p, pat, name) for name, (p, pat) in examples.items()]
     items.append((parse_poly("z + z^2"), LacunaryPattern(4, [3]), "origin"))
     items.append((parse_poly("3 + z^5"), LacunaryPattern(5, [2, 3]), "binomial"))
@@ -503,7 +500,7 @@ def test_criterion_09_scaling_invariance(examples):
                    f"{label}: rank-nullity fails on the {tag} matrix")
 
     for p, pat, name in items:
-        base = classify(p, pat, opts)
+        base = classify(p, pat)
         rank_nullity(base, name)
         for j in range(20):
             if j < 10:
@@ -517,7 +514,7 @@ def test_criterion_09_scaling_invariance(examples):
             else:
                 c = complex(rng.uniform(0.1, 3.0) * np.exp(2j * math.pi * rng.random()))
                 q = _rounded(p, c)
-            rep = classify(q, pat, opts)
+            rep = classify(q, pat)
             want = (base.extreme, base.exposed)
             if q != p * c:
                 # a float input is judged by its exact value q, which rounding

@@ -95,9 +95,9 @@ def test_float_mode_matches_exact(examples):
     # a float input is judged by its exact value, which these integer
     # examples keep: the factorization runs exactly on the same polynomial
     for name, (p, pat) in examples.items():
-        exact = classify(p, pat, ClassifyOptions(generate_witnesses=False))
+        exact = classify(p, pat)
         doubles = ComplexPoly([complex(c) for c in p.coeffs])
-        flo = classify(doubles, pat, ClassifyOptions(generate_witnesses=False))
+        flo = classify(doubles, pat)
         assert flo.polynomial == p, name
         assert (flo.extreme, flo.exposed) == (exact.extreme, exact.exposed), name
         assert flo.kernel.rank == exact.kernel.rank
@@ -130,15 +130,14 @@ def _shortcut_reports(examples):
     planted draws of acceptance criterion 06."""
     from test_acceptance import _plant
 
-    opts = ClassifyOptions(generate_witnesses=False)
     for name, (p, pat) in examples.items():
-        yield name, classify(p, pat, opts)
+        yield name, classify(p, pat)
     for text, N in FULL_PATTERN_CASES:
-        yield text, classify(text, LacunaryPattern(N, []), opts)
+        yield text, classify(text, LacunaryPattern(N, []))
     rng = np.random.default_rng(2026_06)
     for i in range(300):
         p = _plant(rng)[0]
-        yield f"planted {i}", classify(p, LacunaryPattern(p.deg, []), opts)
+        yield f"planted {i}", classify(p, LacunaryPattern(p.deg, []))
 
 
 def test_shortcut_verdicts_agree_with_the_cone_dimension(examples):
@@ -293,13 +292,13 @@ def test_a_companion_solve_that_does_not_converge_names_the_factor():
 
 def test_scaling_invariance(examples):
     p, pat = examples["single_double_zero"]
-    base = classify(p, pat, ClassifyOptions(generate_witnesses=False))
+    base = classify(p, pat)
     assert base.tilde.mu == 1
     for c in (2, Fraction(1, 3), 0.7, -1.5, 2.0 + 1.0j, 10**8, 10**9):
         # a double scales in float arithmetic, so its product rounds
         lossy = isinstance(c, (float, complex))
         scaled = ComplexPoly([complex(x) * c for x in p.coeffs]) if lossy else p * c
-        rep = classify(scaled, pat, ClassifyOptions(generate_witnesses=False))
+        rep = classify(scaled, pat)
         assert (rep.extreme, rep.exposed) == (base.extreme, base.exposed)
         assert rep.kernel.rank == base.kernel.rank
         if scaled == p * c:
@@ -314,10 +313,10 @@ def test_scaling_invariance(examples):
 def test_infer_pattern(examples):
     p, pat = examples["pair_and_gap"]
     assert infer_pattern(p) == pat
-    rep = classify(p, options=ClassifyOptions(infer_pattern=True))
+    rep = classify(p, infer_pattern(p))
     assert rep.pattern == pat
-    with pytest.raises(ValueError):
-        classify(p)  # no pattern and inference not enabled
+    with pytest.raises(ValueError, match=r"infer_pattern\(p\)"):
+        classify(p)  # no pattern: the caller infers one
 
 
 def test_spectrum_violations():
@@ -346,7 +345,7 @@ def test_undecided_report(examples, monkeypatch):
 
     monkeypatch.setattr(mod, "plus_dimension", raising)
     p, pat = examples["double_circle"]
-    rep = classify(p, pat, ClassifyOptions(generate_witnesses=False))
+    rep = classify(p, pat)
     assert rep.undecided
     assert rep.extreme is True and rep.exposed is None
     assert rep.diagnostics["undecided_reason"] == "cone solver stalled: forced"
@@ -472,7 +471,6 @@ def test_full_space_decides_the_disk_pair_that_classify_decides():
 def test_full_space_agrees_with_matrix_route(rng):
     # random products of linear factors, full pattern: the rank criterion
     # must reproduce the zero-structure verdicts
-    opts = ClassifyOptions(generate_witnesses=False)
     for _ in range(50):
         deg = int(rng.integers(1, 7))
         factors = []
@@ -487,7 +485,7 @@ def test_full_space_agrees_with_matrix_route(rng):
         for a in factors:
             p = p * parse_poly(f"z - ({a})")
         fs = classify_full_space(p)
-        rep = classify(p, LacunaryPattern(p.deg, []), opts)
+        rep = classify(p, LacunaryPattern(p.deg, []))
         assert rep.extreme == fs.extreme
         assert rep.exposed == fs.exposed
 
@@ -549,7 +547,7 @@ IRRATIONAL = {
     "name, reject, runs",
     [
         # classify's one cone search gives the witness search its vectors,
-        # with or without witnesses, and the witness search runs none
+        # and the witness search runs none
         ("pair_and_gap", False, 0),
         ("irrational_pair", False, 0),
         ("double_circle", False, 0),
@@ -574,8 +572,8 @@ def test_witness_search_runs_the_cone_search_only_when_nothing_was_offered(
 
     monkeypatch.setattr(lacuna.classifier, "plus_dimension", counting)
     p, pat = {**examples, **IRRATIONAL}[name]
-    classify(p, pat, ClassifyOptions(mode="exact", generate_witnesses=False))
-    without = len(calls)
+    classify(p, pat, ClassifyOptions(mode="exact"))
+    assert len(calls) == 1
     if reject:
         validate = lacuna.classifier._validated_witness
 
@@ -589,7 +587,7 @@ def test_witness_search_runs_the_cone_search_only_when_nothing_was_offered(
         rep = classify(p, pat, ClassifyOptions(mode="exact"))
         assert rep.exposed is False
         assert "non_exposed" in [w.kind for w in rep.witnesses]
-    assert len(calls) - 2 * without == runs
+    assert len(calls) == 2 + runs
 
 
 @pytest.mark.parametrize("text", ["z^2 (1 + 2z)", "(-3+3i)z^2 + (-2-3i)z^3"])
@@ -699,7 +697,7 @@ def test_float_mode_decides_generic_inputs_of_high_degree(degree):
     coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
     p = ComplexPoly(coeffs.tolist())
     pattern = LacunaryPattern(degree + 2, [degree + 1])
-    rep = classify(p, pattern, ClassifyOptions(generate_witnesses=False))
+    rep = classify(p, pattern)
     assert (rep.extreme, rep.exposed) == (True, True)
 
 

@@ -104,16 +104,6 @@ def test_classify_infer_pattern(capsys):
     assert doc["pattern"] == {"N": 6, "forbidden": [3]}
 
 
-def test_classify_no_witnesses(capsys):
-    code = main(
-        ["classify", "(z - 1/2)(2 - z)(1 + z^4)", "--pattern", "6:3",
-         "--no-witnesses", "--format", "json"]
-    )
-    assert code == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["witnesses"] == []
-
-
 def test_classify_missing_pattern_errors(capsys):
     code = main(["classify", "1 + z/2"])
     err = capsys.readouterr().err
@@ -143,7 +133,7 @@ def test_classify_undecided_exit(capsys, monkeypatch):
         raise SolverStalled("no progress")
 
     monkeypatch.setattr(mod, "plus_dimension", raising)
-    code = main(["classify", "(1 - z^2)^2", "--pattern", "4:1,3", "--no-witnesses"])
+    code = main(["classify", "(1 - z^2)^2", "--pattern", "4:1,3"])
     out = capsys.readouterr().out
     assert code == EXIT_UNDECIDED
     assert "exposed: UNDECIDED" in out
@@ -222,9 +212,12 @@ def test_pattern_arg_parsing():
         (["classify", "1 + z/2", "--pattern", "1", "--mode", "exact"], "unrecognized arguments: --mode exact"),
         (["classify", "1 + z/2", "--pattern", "1", "--config", "lacuna.cfg"],
          "unrecognized arguments: --config lacuna.cfg"),
+        # every negative verdict carries its witnesses: there is no switch
+        (["classify", "(z - 1/2)(2 - z)(1 + z^4)", "--pattern", "6:3", "--no-witnesses"],
+         "unrecognized arguments: --no-witnesses"),
     ],
     ids=["unknown-flag", "bad-choice", "missing-input", "missing-command",
-         "eps-circle", "tol", "mode", "config"],
+         "eps-circle", "tol", "mode", "config", "no-witnesses"],
 )
 def test_usage_errors_exit_with_error(argv, named, capsys):
     # argparse's own exit code 2 would read as "undecided"
@@ -446,7 +439,7 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
     )
     # option values of the wrong JSON type (a truthy string, a number for a
     # boolean), and the retired eps_circle and mode options
-    for name, option in (("g_string_bool", {"generate_witnesses": "false"}),
+    for name, option in (("g_string_bool", {"infer_pattern": "false"}),
                          ("h_number_bool", {"infer_pattern": 1}),
                          ("i_retired_option", {"eps_circle": 1e-8}),
                          ("j_retired_mode", {"mode": "auto"})):
@@ -464,7 +457,7 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
     assert out[4].startswith("FAIL e_zero_denominator:") and "ParseError" in out[4]
     assert out[5].startswith("FAIL f_basis_zero_denominator:") and "'1/0'" in out[5]
     assert out[6].startswith("FAIL g_string_bool:")
-    assert "'generate_witnesses' takes a boolean" in out[6]
+    assert "'infer_pattern' takes a boolean" in out[6]
     assert out[7].startswith("FAIL h_number_bool:")
     assert "'infer_pattern' takes a boolean" in out[7]
     assert out[8].startswith("FAIL i_retired_option:")
@@ -532,9 +525,10 @@ def test_huge_decimal_exponent_is_refused_before_it_is_expanded(literal, tmp_pat
 
 
 def test_corpus_option_kinds_cover_classify_options():
-    # mode stays a field only for the benchmark harness; a job cannot set it
-    fields = {f.name for f in dataclasses.fields(ClassifyOptions)}
-    assert set(_OPTION_KINDS) == fields - {"mode"}
+    # mode stays a field only for the benchmark harness; a job cannot set it,
+    # and the one corpus option, infer_pattern, is read by the corpus runner
+    assert {f.name for f in dataclasses.fields(ClassifyOptions)} == {"mode"}
+    assert set(_OPTION_KINDS) == {"infer_pattern"}
 
 
 def _readme_section(start: str, end: str) -> str:

@@ -10,8 +10,9 @@ one lacunary class onto another, and keeps Gaussian rationals exact:
 * q(w) = p(w^k), onto k Lambda, for k = 2 and 5: each zero of p splits
   into k, so m and mu scale by k.
 
-Every map keeps ``extreme``, ``exposed`` and ``dim_plus``, and m and mu (up
-to the scaling by k).
+Every map keeps ``extreme``, ``exposed``, ``dim_plus`` and the kinds of the
+witnesses, which every image builds and validates, and m and mu (up to the
+scaling by k).
 """
 
 from fractions import Fraction
@@ -20,7 +21,6 @@ import pytest
 
 from conftest import EXAMPLES
 from lacuna import (
-    ClassifyOptions,
     ComplexPoly,
     GaussianRational,
     LacunaryPattern,
@@ -85,14 +85,14 @@ MAPS = {
 
 
 def _signature(rep):
-    return rep.extreme, rep.exposed, rep.dim_plus, rep.canonical.m, rep.tilde.mu
+    kinds = sorted(w.kind for w in rep.witnesses)
+    return rep.extreme, rep.exposed, rep.dim_plus, rep.canonical.m, rep.tilde.mu, kinds
 
 
 @pytest.mark.parametrize("text,pattern", _inputs())
 def test_verdicts_are_invariant_under_the_class_isometries(text, pattern):
-    opts = ClassifyOptions(generate_witnesses=False)
     p = parse_poly(text)
-    extreme, exposed, dim_plus, m, mu = _signature(classify(p, pattern, opts))
+    extreme, exposed, dim_plus, m, mu, kinds = _signature(classify(p, pattern))
     for name, move in MAPS.items():
         q, qpat, k = move(p, pattern)
-        assert _signature(classify(q, qpat, opts)) == (extreme, exposed, dim_plus, k * m, k * mu), name
+        assert _signature(classify(q, qpat)) == (extreme, exposed, dim_plus, k * m, k * mu, kinds), name
