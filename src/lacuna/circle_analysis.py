@@ -15,14 +15,14 @@ in-place Horner loop.
 Values and gaps are summed by ``math.fsum``, and the target is never finer
 than the rounding floor of the summed value.
 
-Zero finding reports clusters ``(location, multiplicity, residual)``.
-Numeric multiplicity is ill-posed, so it is decided exactly, on the
+Zero finding reports clusters ``(location, multiplicity)``.  Numeric
+multiplicity is ill-posed, so it is decided exactly, on the
 Gaussian-rational input: a degree-0 gcd(p, p') modulo a prime certifies
 that p is square-free (every zero simple), and only otherwise does a
 square-free (Yun) decomposition split p and give the multiplicities.  One
 Newton pass polishes the companion-matrix roots of each square-free part as
 a whole array, each step reading p and p' off one table of powers, and
-gives the backward errors; an overflowed residual is NaN and raises
+checks their backward errors: one above 1e-6, or overflowed (NaN), raises
 :class:`IllConditionedZeros`, as does a zero beyond the float range.  No
 float zero decides a count: ``common_disk_zeros`` is given the exact number
 of shared disk zeros and only locates them.
@@ -64,7 +64,6 @@ class NormResult:
 class ZeroCluster:
     location: complex
     multiplicity: int
-    residual: float
 
 
 def _sort_key(z: complex):
@@ -255,20 +254,19 @@ def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
     Returns
     -------
     list of ZeroCluster
-        Locations carry a backward-error ``residual``.  The zeros are those
-        of p's exact value: a degree-0 gcd(p, p') modulo a prime certifies
-        square-free input (all multiplicities 1), and the square-free (Yun)
-        decomposition runs only otherwise.  One Newton pass polishes each
-        part's root array.  Raises :class:`IllConditionedZeros` when a
-        backward error is not <= 1e-6 (NaN when it overflowed), or when a
-        zero lies beyond the float range.
+        The zeros are those of p's exact value: a degree-0 gcd(p, p')
+        modulo a prime certifies square-free input (all multiplicities 1),
+        and the square-free (Yun) decomposition runs only otherwise.  One
+        Newton pass polishes each part's root array.  Raises
+        :class:`IllConditionedZeros` when a backward error is not <= 1e-6
+        (NaN when it overflowed), or when a zero lies beyond the float range.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     clusters: list[ZeroCluster] = []
     k0 = p.order_at_zero()
     if k0 > 0:
-        clusters.append(ZeroCluster(0j, k0, 0.0))
+        clusters.append(ZeroCluster(0j, k0))
     for factor, mult in square_free_decomposition(ComplexPoly(p.coeffs[k0:])):
         fc, roots = _float_roots(factor, f"p's monic factor of multiplicity {mult}")
         roots, residuals = _polish_roots(fc, factor.derivative().float_coeffs(), roots)
@@ -278,7 +276,7 @@ def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
                     f"root {r} of a square-free factor has backward error {res:.2e}",
                     diagnostics={"factor_degree": factor.deg, "residual": res},
                 )
-            clusters.append(ZeroCluster(r, mult, res))
+            clusters.append(ZeroCluster(r, mult))
     clusters.sort(key=lambda c: _sort_key(c.location))
     return clusters
 
@@ -306,7 +304,7 @@ def common_disk_zeros(p: ComplexPoly, pstar: ComplexPoly, m: int, origin: int) -
     two sides), until the pairs add up to m - origin.  When they do not add
     up to it exactly, raises :class:`IllConditionedZeros` naming both counts.
     """
-    shared = [ZeroCluster(0j, origin, 0.0)] if origin else []
+    shared = [ZeroCluster(0j, origin)] if origin else []
     if m == origin:  # nothing to locate: no root is solved
         return tuple(shared)
     zp, zs = ([c for c in find_zeros(q) if c.location] for q in (p, pstar))
@@ -317,7 +315,7 @@ def common_disk_zeros(p: ComplexPoly, pstar: ComplexPoly, m: int, origin: int) -
         b = next((b for b in zs if abs(a.location - b.location) <= _MATCH_RADIUS), None)
         if b is not None:
             mult = min(a.multiplicity, b.multiplicity)
-            shared.append(ZeroCluster(a.location, mult, max(a.residual, b.residual)))
+            shared.append(ZeroCluster(a.location, mult))
             paired += mult
     if paired != m - origin:
         raise IllConditionedZeros(

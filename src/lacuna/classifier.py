@@ -28,7 +28,7 @@ nonnegative, so p +- t q stay in p's face and p is their midpoint.  A non-expose
 carries no step.
 
 A missing pattern is an error: callers pass ``infer_pattern(p)``, the
-largest pattern consistent with p, as the CLI and the corpus runner do.
+largest pattern consistent with p, as ``classify --infer-pattern`` does.
 
 Every verdict is decided on exact coefficients: a double in the input is
 read at its exact value where it enters, the factors are exact and so are
@@ -252,17 +252,17 @@ def classify(
     tilde = tilde_factorization(pattern.N, canonical)
     forbidden = tuple(pattern.forbidden)
     # both factors are Hermitian by construction; one that is not raises
-    matrix = build_matrix(canonical.cofactor, forbidden, canonical.m, kind="plain")
+    matrix = build_matrix(canonical.cofactor, forbidden, canonical.m)
     seed = real_symbol_on_circle(canonical.disk_factor, canonical.m)
     kernel = rank_and_kernel(matrix)
     _check_seed_membership(matrix, seed, "plain")
     if tilde.mu:
-        matrix_tilde = build_matrix(tilde.reduced_cofactor, forbidden, tilde.m_tilde, kind="tilde")
+        matrix_tilde = build_matrix(tilde.reduced_cofactor, forbidden, tilde.m_tilde)
         seed_tilde = real_symbol_on_circle(tilde.total_factor, tilde.m_tilde)
         kernel_tilde = rank_and_kernel(matrix_tilde)
         _check_seed_membership(matrix_tilde, seed_tilde, "tilde")
     else:  # no circle zero is halved: the tilde level is the plain one
-        matrix_tilde, kernel_tilde, seed_tilde = dataclasses.replace(matrix, kind="tilde"), kernel, seed
+        matrix_tilde, kernel_tilde, seed_tilde = matrix, kernel, seed
     rep = ClassificationReport(
         pattern=pattern,
         polynomial=p,

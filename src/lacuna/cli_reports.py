@@ -7,9 +7,9 @@ Subcommands:
 * ``corpus``   - run a directory of expectation files and compare,
 * ``norm``     - just the circle L1 norm.
 
-Pattern inference is edge work: ``classify --infer-pattern`` and a corpus
-job's one option, ``infer_pattern``, pass ``infer_pattern(p)`` to the
-classifier when no pattern is given.  Witnesses have no switch.
+Pattern inference is edge work: ``classify --infer-pattern`` passes
+``infer_pattern(p)`` to the classifier when no pattern is given.  A corpus
+job names its pattern and takes no options.  Witnesses have no switch.
 
 Exit codes: 0 for a decided run, 2 when the classifier leaves ``exposed``
 undecided (an incomplete cone certificate), 1 for errors and corpus failures.
@@ -58,27 +58,19 @@ _INPUT_ERRORS = (LacunaError, ValueError, OSError)
 # ---------------------------------------------------------------------------
 
 
-def _scalar_to_json(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (int, float)):
-        return float(x)
-    return str(x)
-
-
 def _vector_to_json(v: CoefVector) -> dict:
     return {
         "d": v.d,
-        "alpha": [_scalar_to_json(a) for a in v.alpha],
-        "beta": [_scalar_to_json(b) for b in v.beta],
+        "alpha": [str(a) for a in v.alpha],
+        "beta": [str(b) for b in v.beta],
     }
 
 
-def _matrix_to_json(mat: BlockMatrix, kernel: KernelBasis) -> dict:
+def _matrix_to_json(mat: BlockMatrix, kernel: KernelBasis, kind: str) -> dict:
     return {
-        "kind": mat.kind,
+        "kind": kind,
         "shape": list(mat.shape),
-        "rows": [[_scalar_to_json(x) for x in row] for row in mat.rows],
+        "rows": [[str(x) for x in row] for row in mat.rows],
         "rank": kernel.rank,
         "kernel_dim": kernel.dim,
         "kernel": [_vector_to_json(v) for v in kernel.vectors],
@@ -128,13 +120,14 @@ def report_to_dict(rep: ClassificationReport) -> dict:
             "m_tilde": til.m_tilde,
             "s_tilde": til.s_tilde,
             "circle_zeros": [
-                {**_zero_to_json(loc, lam), "halved": mu} for loc, lam, mu in til.circle_zeros
+                {**_zero_to_json(c.location, c.multiplicity), "halved": c.multiplicity // 2}
+                for c in can.zero_clusters
             ],
             "circle_factor": poly_to_json(til.circle_factor),
         },
-        "matrix": _matrix_to_json(rep.matrix, rep.kernel),
+        "matrix": _matrix_to_json(rep.matrix, rep.kernel, "plain"),
         "matrix_tilde": (
-            _matrix_to_json(rep.matrix_tilde, rep.kernel_tilde) if til.mu else {"same_as": "matrix"}
+            _matrix_to_json(rep.matrix_tilde, rep.kernel_tilde, "tilde") if til.mu else {"same_as": "matrix"}
         ),
         "dim_plus": rep.dim_plus,
         "verdicts": {"extreme": rep.extreme, "exposed": rep.exposed},
@@ -264,11 +257,9 @@ def _cmd_classify(args) -> int:
 
 _MISSING = object()
 _JSON_KINDS = {
-    bool: "a boolean", int: "an integer", list: "a list", dict: "an object",
+    int: "an integer", list: "a list", dict: "an object",
     (str, list, dict): "a string, a list or an object",
 }
-# the JSON type of each option a corpus job may set
-_OPTION_KINDS = {"infer_pattern": bool}
 
 
 def _field(obj: dict, key: str, kind, default=_MISSING):
@@ -354,6 +345,8 @@ def _run_job(path: Path) -> tuple[str, bool, str]:
     if not isinstance(data, dict):
         raise ValueError("a job file holds one JSON object")
     name = data.get("name", path.stem)
+    if "options" in data:
+        raise ValueError("corpus jobs take no options")
     expect = _field(data, "expect", dict, {})
     if "basis" in data:
         try:
@@ -366,15 +359,7 @@ def _run_job(path: Path) -> tuple[str, bool, str]:
         return name, True, "ok"
     raw = _field(data, "input", (str, list, dict))
     poly = parse_poly(raw if isinstance(raw, str) else json.dumps(raw))
-    options = _field(data, "options", dict, {})
-    for key in options:
-        if key not in _OPTION_KINDS:
-            raise ValueError(f"{path.name}: unknown option {key!r}")
-    pattern = data.get("pattern")
-    if _field(options, "infer_pattern", bool, False) and pattern is None:
-        pattern = infer_pattern(poly)
-    else:
-        pattern = LacunaryPattern.from_json(pattern)
+    pattern = LacunaryPattern.from_json(data.get("pattern"))
     try:
         rep = classify(poly, pattern)
     except LacunaError as exc:

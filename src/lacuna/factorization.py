@@ -68,8 +68,7 @@ class CanonicalData:
 class TildeData:
     """p = total_factor * reduced_cofactor, circle zeros half-absorbed."""
 
-    circle_zeros: tuple[tuple[complex, int, int], ...]  # (location, lam, mu)
-    mu: int
+    mu: int  # sum of floor(lam / 2) over the canonical zero clusters
     m_tilde: int
     s_tilde: int
     circle_factor: ComplexPoly
@@ -198,21 +197,14 @@ def tilde_factorization(N: int, canonical: CanonicalData) -> TildeData:
     factor is prod_j (conj(C_j(0)) C_j^2)^floor(j/2) over the canonical
     circle factors C_j.  It is divided out of the canonical cofactor, so
     the total factor is the canonical factor times the circle factor; with
-    no circle zero halved (mu = 0) both are the canonical ones.
+    no circle zero halved (mu = 0) the circle factor is 1.
     """
-    triples = tuple(
-        (complex(c.location), c.multiplicity, c.multiplicity // 2)
-        for c in canonical.zero_clusters
-    )
-    mu = sum(t[2] for t in triples)
+    mu = sum(c.multiplicity // 2 for c in canonical.zero_clusters)
     circle_factor = ComplexPoly.one()
-    if not mu:
-        return TildeData(triples, 0, canonical.m, canonical.s, circle_factor, canonical.disk_factor, canonical.cofactor)
     for C, j in canonical.circle_factors:
         for _ in range(j // 2):
             circle_factor = circle_factor * C * C * C.coeffs[0].conjugate()
     return TildeData(
-        circle_zeros=triples,
         mu=mu,
         m_tilde=canonical.m + mu,
         s_tilde=N - 2 * (canonical.m + mu),

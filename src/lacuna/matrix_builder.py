@@ -13,9 +13,11 @@ l = 1..d.  Its kernel, read in the (alpha, beta) coordinates of
 :class:`~lacuna.plus_cone.CoefVector`, is the space of perturbation symbols
 that keep the perturbed polynomial inside the lacunary class.
 
-The cofactor is exact, so every entry is rational.  The rank is decided by
-Gauss-Jordan elimination over the rationals on the rows' nonzero entries,
-and the kernel basis is the unique reduced echelon form.
+The cofactor is exact, so every entry is rational.  A :class:`BlockMatrix`
+is its rows and d; the exponents and the level (plain or tilde) are the
+caller's.  The rank is decided by Gauss-Jordan elimination over the
+rationals on the rows' nonzero entries, and the kernel basis is the unique
+reduced echelon form.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .poly_core import ComplexPoly, _rref_kernel
 class BlockMatrix:
     rows: tuple  # 2M tuples of length 2d+1, Fraction entries
     half_degree: int
-    forbidden: tuple[int, ...]
-    kind: str  # "plain" or "tilde", labeling only
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -51,7 +51,7 @@ class KernelBasis:
     vectors: tuple[CoefVector, ...]
 
 
-def build_matrix(cofactor: ComplexPoly, forbidden, half_degree: int, kind: str = "plain") -> BlockMatrix:
+def build_matrix(cofactor: ComplexPoly, forbidden, half_degree: int) -> BlockMatrix:
     """Constraint matrix straight from the cofactor's coefficients."""
     d = half_degree
     c = cofactor.coefficient
@@ -64,7 +64,7 @@ def build_matrix(cofactor: ComplexPoly, forbidden, half_degree: int, kind: str =
         minus = [c(kj + l - d) - c(kj - l - d) for l in range(1, d + 1)]
         top.append(tuple(x.real for x in plus) + tuple(x.imag for x in minus))
         bottom.append(tuple(x.imag for x in plus) + tuple(-x.real for x in minus))
-    return BlockMatrix(rows=tuple(top + bottom), half_degree=half_degree, forbidden=tuple(forbidden), kind=kind)
+    return BlockMatrix(tuple(top + bottom), half_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,7 @@ def _facial_reduction(basis, cols, s: CoefVector, d: int) -> tuple[int, list[Coe
     exact, approx = _circle_zeros(s)
     polys = [_cayley_poly(_dense(b, n), d) for b in basis]
     # tables[j][k][i]: the k-th Taylor coefficient of P_{basis[i]} at the j-th point
-    tables = [list(zip(*(_taylor(p[::-1] if x is None else p, x or 0, m)[0] for p in polys))) for x, m in exact]
+    tables = [_taylor_table(polys, x, m) for x, m in exact]
     orders = [0] * len(exact)
     while True:
         K = _rref_kernel([_sparse(t[k]) for t, o in zip(tables, orders) for k in range(o)], r)[1]
@@ -311,7 +311,7 @@ def _facial_reduction(basis, cols, s: CoefVector, d: int) -> tuple[int, list[Coe
     x = _toward(_ints(s.entries), _ints(v), lambda y: _interior(y, exact, orders))
     keep = next(l for l, u in enumerate(K) if x.entries[cols[max(u)]])
     us = (_ints(_dense(_combine(_dense(u, r), basis), n)) for l, u in enumerate(K) if l != keep)
-    return len(K), [x] + [_toward(_ints(x.entries), u, lambda y: certify_nonneg_exact(y)[0]) for u in us]
+    return len(K), [x] + [_toward(_ints(x.entries), u, is_plus) for u in us]
 
 
 def find_plus_in_slice(basis) -> CoefVector | None:
@@ -337,7 +337,7 @@ def find_plus_in_slice(basis) -> CoefVector | None:
 
     def row(x, k: int) -> tuple:
         if len(tables.get(x, ())) <= k:
-            tables[x] = list(zip(*(_taylor(p[::-1] if x is None else p, x or 0, k + 1)[0] for p in polys)))
+            tables[x] = _taylor_table(polys, x, k + 1)
         return tables[x][k]
 
     for _ in range(_CUT_ROUNDS):
@@ -355,7 +355,7 @@ def find_plus_in_slice(basis) -> CoefVector | None:
         tries = ([x.limit_denominator(1 << b) for x in c] for b in range(64))
         c = next((y for y in tries if all(_dot(g, y) > 0 for g in G)), c)
         v = CoefVector.from_array(_dense(_combine(_dense(_combine(c, K), r), basis), n))
-        if certify_nonneg_exact(v)[0]:
+        if is_plus(v):
             return CoefVector.from_array([x / v.alpha[0] for x in v.entries])
         cuts = [x for x in _cuts(v) if x not in orders]
         if not cuts:
@@ -491,6 +491,12 @@ def _taylor(P, a, count: int) -> tuple[list, list]:
         out.append(quot.pop())
         P = quot[::-1]
     return out, P
+
+
+def _taylor_table(polys, x, count: int) -> list[tuple]:
+    """[the k-th Taylor coefficients of the P in ``polys`` at x, k < count];
+    x = None is the point at infinity: those of the reversed P at 0."""
+    return list(zip(*(_taylor(p[::-1] if x is None else p, x or 0, count)[0] for p in polys)))
 
 
 def _gordan(F: list[list], n: int) -> tuple[list | None, list | None]:

@@ -157,11 +157,8 @@ class GaussianRational:
         return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        # the hash of the Fraction pair, so sets and dicts order as they did;
-        # an int hashes like the Fraction of the same value
-        if self._d == 1:
-            return hash((self._a, self._b))
-        return hash((self.real, self.imag))
+        # equal values hash equal: a real value like the int or Fraction it equals
+        return hash((self._a, self._b, self._d)) if self._b else hash(self.real)
 
     def __repr__(self):
         return f"GaussianRational({self.real!r}, {self.imag!r})"
@@ -228,10 +225,10 @@ class ComplexPoly:
         return ComplexPoly([c])
 
     @staticmethod
-    def monomial(k: int, c=1) -> "ComplexPoly":
+    def monomial(k: int) -> "ComplexPoly":
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
-        return ComplexPoly([_ZERO] * k + [c])
+        return ComplexPoly([_ZERO] * k + [1])
 
     # -- basic queries ---------------------------------------------------------
 
@@ -1110,7 +1107,7 @@ def spectrum_in(p: ComplexPoly, pattern: LacunaryPattern) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def format_poly(p: ComplexPoly, var: str = "z") -> str:
+def format_poly(p: ComplexPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
@@ -1121,6 +1118,6 @@ def format_poly(p: ComplexPoly, var: str = "z") -> str:
         if k == 0:
             parts.append(s)
         else:
-            zs = var if k == 1 else f"{var}^{k}"
+            zs = "z" if k == 1 else f"z^{k}"
             parts.append(zs if s == "1" else f"({s}){zs}")
     return " + ".join(parts)

@@ -263,7 +263,7 @@ def test_common_disk_zeros_solves_no_root_when_every_shared_zero_is_at_the_origi
         monkeypatch.setattr(f"lacuna.{module}.find_zeros", lambda p: calls.append(p) or find_zeros(p))
     rep = classify("z^2 (1 + 2z)", LacunaryPattern(5, [4]))
     assert calls == []
-    assert rep.canonical.disk_zeros == (ZeroCluster(0j, 2, 0.0),)
+    assert rep.canonical.disk_zeros == (ZeroCluster(0j, 2),)
     assert (rep.canonical.m, rep.canonical.disk_factor) == (2, parse_poly("z^2"))
     assert (rep.extreme, rep.exposed) == (False, False)
     assert [(w.kind, w.step) for w in rep.witnesses] == [("non_extreme", Fraction(1, 4)), ("non_exposed", None)]

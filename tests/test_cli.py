@@ -14,7 +14,6 @@ import pytest
 
 from lacuna.classifier import ClassifyOptions
 from lacuna.cli_reports import (
-    _OPTION_KINDS,
     EXIT_ERROR,
     EXIT_OK,
     EXIT_UNDECIDED,
@@ -437,8 +436,8 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
     (tmp_path / "f_basis_zero_denominator.json").write_text(
         json.dumps(ZERO_DENOMINATOR_BASIS)
     )
-    # option values of the wrong JSON type (a truthy string, a number for a
-    # boolean), and the retired eps_circle and mode options
+    # corpus jobs take no options: not the retired infer_pattern (whatever
+    # its value), eps_circle or mode
     for name, option in (("g_string_bool", {"infer_pattern": "false"}),
                          ("h_number_bool", {"infer_pattern": 1}),
                          ("i_retired_option", {"eps_circle": 1e-8}),
@@ -446,7 +445,8 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
         job = {"input": "(1 - z)^2", "pattern": {"N": 2}, "options": option,
                "expect": {"witness_kinds": []}}
         (tmp_path / f"{name}.json").write_text(json.dumps(job))
-    (tmp_path / "k_good_again.json").write_text(json.dumps(good))
+    (tmp_path / "k_no_pattern.json").write_text(json.dumps({"input": "1 + z/2", "expect": {}}))
+    (tmp_path / "l_good_again.json").write_text(json.dumps(good))
     code = main(["corpus", str(tmp_path)])
     out = capsys.readouterr().out.splitlines()
     assert code == EXIT_ERROR
@@ -456,35 +456,11 @@ def test_corpus_bad_jobs_fail_without_stopping_the_run(tmp_path, capsys):
     assert out[3].startswith("FAIL d_zero_polynomial:") and "zero polynomial" in out[3]
     assert out[4].startswith("FAIL e_zero_denominator:") and "ParseError" in out[4]
     assert out[5].startswith("FAIL f_basis_zero_denominator:") and "'1/0'" in out[5]
-    assert out[6].startswith("FAIL g_string_bool:")
-    assert "'infer_pattern' takes a boolean" in out[6]
-    assert out[7].startswith("FAIL h_number_bool:")
-    assert "'infer_pattern' takes a boolean" in out[7]
-    assert out[8].startswith("FAIL i_retired_option:")
-    assert "unknown option 'eps_circle'" in out[8]
-    assert out[9].startswith("FAIL j_retired_mode:")
-    assert "unknown option 'mode'" in out[9]
-    assert out[10] == "PASS k_good_again: ok"
-    assert out[11] == "2/11 passed"
-
-
-def test_corpus_infer_pattern_option_infers_a_missing_pattern(tmp_path, capsys):
-    # with a pattern the option changes nothing: the job's pattern is used
-    jobs = {
-        "a_inferred": {"input": "(z - 1/2)(2 - z)(1 + z^4)", "options": {"infer_pattern": True},
-                       "expect": {"extreme": False, "exposed": False}},
-        "b_given": {"input": "(z - 1/2)(2 - z)(1 + z^4)", "pattern": {"N": 7},
-                    "options": {"infer_pattern": True}, "expect": {"matrix": {"rows": []}}},
-        "c_not_inferred": {"input": "1 + z/2", "expect": {}},
-    }
-    for name, job in jobs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(job))
-    code = main(["corpus", str(tmp_path)])
-    out = capsys.readouterr().out.splitlines()
-    assert code == EXIT_ERROR
-    assert out[:2] == ["PASS a_inferred: ok", "PASS b_given: ok"]
-    assert out[2].startswith("FAIL c_not_inferred:") and 'a pattern needs an integer "N"' in out[2]
-    assert out[3:] == ["2/3 passed"]
+    for line, name in zip(out[6:10], ("g_string_bool", "h_number_bool", "i_retired_option", "j_retired_mode")):
+        assert line.startswith(f"FAIL {name}:") and "corpus jobs take no options" in line
+    assert out[10].startswith("FAIL k_no_pattern:") and 'a pattern needs an integer "N"' in out[10]
+    assert out[11] == "PASS l_good_again: ok"
+    assert out[12] == "2/12 passed"
 
 
 def test_corpus_non_finite_jobs_fail_one_line_each(tmp_path, capsys):
@@ -524,11 +500,17 @@ def test_huge_decimal_exponent_is_refused_before_it_is_expanded(literal, tmp_pat
         assert "decimal exponent" in captured.err + captured.out
 
 
-def test_corpus_option_kinds_cover_classify_options():
+def test_corpus_option_kinds_cover_classify_options(tmp_path, capsys):
     # mode stays a field only for the benchmark harness; a job cannot set it,
-    # and the one corpus option, infer_pattern, is read by the corpus runner
+    # nor any other option, and an empty options object is refused too
     assert {f.name for f in dataclasses.fields(ClassifyOptions)} == {"mode"}
-    assert set(_OPTION_KINDS) == {"infer_pattern"}
+    for name, options in (("a_empty", {}), ("b_mode", {"mode": "exact"})):
+        job = {"input": "1 + z/2", "pattern": {"N": 1}, "options": options}
+        (tmp_path / f"{name}.json").write_text(json.dumps(job))
+    assert main(["corpus", str(tmp_path)]) == EXIT_ERROR
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[:2]] == ["FAIL a_empty", "FAIL b_mode"]
+    assert all("corpus jobs take no options" in line for line in out[:2]) and out[2:] == ["0/2 passed"]
 
 
 def _readme_section(start: str, end: str) -> str:
@@ -542,8 +524,8 @@ def test_readme_lists_the_option_surface():
     flags = {s for a in sub.choices["classify"]._actions for s in a.option_strings}
     table = _readme_section("Flags for `classify`:", "Exit codes:")
     assert set(re.findall(r"`(--[a-z-]+)", table)) == flags - {"-h", "--help"}
-    options = _readme_section("take JSON types:", "(")
-    assert set(re.findall(r"`([a-z_]+)`", options)) == set(_OPTION_KINDS)
+    corpus = _readme_section("### Corpus files", "## Library")
+    assert "Corpus jobs take no options" in corpus
 
 
 def test_readme_classify_examples_match_the_output(capsys):

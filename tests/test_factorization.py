@@ -95,9 +95,7 @@ def test_tilde_double_circle(examples):
     assert (til.mu, til.m_tilde, til.s_tilde) == (2, 2, 0)
     _exact(til.total_factor, [(-1, 0), (0, 0), (2, 0), (0, 0), (-1, 0)])
     _exact(til.reduced_cofactor, [(-1, 0)])
-    mults = sorted(lam for _loc, lam, _mu in til.circle_zeros)
-    assert mults == [2, 2]
-    assert all(mu == 1 for _loc, lam, mu in til.circle_zeros)
+    assert [c.multiplicity for c in can.zero_clusters] == [2, 2]
 
 
 def test_tilde_single_double_zero(examples):

@@ -42,9 +42,9 @@ def _example_matrix(examples, name, kind="plain"):
     p, pat = examples[name]
     can = canonical_factorization(p, pat.N)
     if kind == "plain":
-        return build_matrix(can.cofactor, pat.forbidden, can.m, kind="plain"), can
+        return build_matrix(can.cofactor, pat.forbidden, can.m), can
     til = tilde_factorization(pat.N, can)
-    return build_matrix(til.reduced_cofactor, pat.forbidden, til.m_tilde, kind="tilde"), til
+    return build_matrix(til.reduced_cofactor, pat.forbidden, til.m_tilde), til
 
 
 def test_matrix_pair_and_gap_is_zero(examples):
@@ -95,7 +95,7 @@ def test_entries_match_direct_formula(examples):
     for name in examples:
         p, pat = examples[name]
         can = canonical_factorization(p, pat.N)
-        mat = build_matrix(can.cofactor, pat.forbidden, can.m, kind="plain")
+        mat = build_matrix(can.cofactor, pat.forbidden, can.m)
         want = _entry_oracle(can.cofactor.coeffs, pat.forbidden, can.m)
         assert np.allclose(mat.as_array(), want, atol=0)
 
@@ -108,7 +108,7 @@ def test_entries_match_direct_formula_random(rng):
         for _ in range(s + 1)
     ]
     forbidden = (2, 4, 6)
-    mat = build_matrix(ComplexPoly(coeffs), forbidden, d, kind="plain")
+    mat = build_matrix(ComplexPoly(coeffs), forbidden, d)
     assert mat.shape == (6, 7)
     assert np.allclose(mat.as_array(), _entry_oracle(coeffs, forbidden, d), atol=0)
 
@@ -129,8 +129,8 @@ def test_rank_agrees_between_modes(examples):
         p, pat = examples[name]
         exact_can = canonical_factorization(p, pat.N)
         float_can = canonical_factorization(ComplexPoly([complex(c) for c in p.coeffs]), pat.N)
-        me = build_matrix(exact_can.cofactor, pat.forbidden, exact_can.m, kind="plain")
-        mf = build_matrix(float_can.cofactor, pat.forbidden, float_can.m, kind="plain")
+        me = build_matrix(exact_can.cofactor, pat.forbidden, exact_can.m)
+        mf = build_matrix(float_can.cofactor, pat.forbidden, float_can.m)
         assert mf == me and rank_and_kernel(mf).rank == rank_and_kernel(me).rank
 
 
@@ -140,18 +140,18 @@ def test_rank_invariant_under_phase(examples):
     p, pat = examples["clean_gap"]
     can = canonical_factorization(p, pat.N)
     base = rank_and_kernel(
-        build_matrix(can.cofactor, pat.forbidden, can.m, kind="plain")
+        build_matrix(can.cofactor, pat.forbidden, can.m)
     ).rank
     rot = GaussianRational(Fraction(3, 5), Fraction(4, 5))
     rotated = can.cofactor
     for _ in range(4):
         rotated = rotated * rot
-        mat = build_matrix(rotated, pat.forbidden, can.m, kind="plain")
+        mat = build_matrix(rotated, pat.forbidden, can.m)
         assert rank_and_kernel(mat).rank == base
 
 
 def test_empty_matrix_identity_kernel():
-    mat = build_matrix(ComplexPoly.one(), (), 2, kind="plain")
+    mat = build_matrix(ComplexPoly.one(), (), 2)
     kb = rank_and_kernel(mat)
     assert kb.rank == 0 and kb.dim == 5
     assert [v.entries for v in kb.vectors] == [tuple(int(i == j) for j in range(5)) for i in range(5)]
@@ -162,12 +162,12 @@ def test_exact_kernel_spans_float_kernel(examples):
     p, pat = examples["double_circle"]
     can = canonical_factorization(p, pat.N)
     til = tilde_factorization(pat.N, can)
-    me = build_matrix(til.reduced_cofactor, pat.forbidden, til.m_tilde, kind="tilde")
+    me = build_matrix(til.reduced_cofactor, pat.forbidden, til.m_tilde)
     exact_kb = rank_and_kernel(me)
 
     doubles = ComplexPoly([complex(c) for c in p.coeffs])
     flo = tilde_factorization(pat.N, canonical_factorization(doubles, pat.N))
-    mf = build_matrix(flo.reduced_cofactor, pat.forbidden, flo.m_tilde, kind="tilde")
+    mf = build_matrix(flo.reduced_cofactor, pat.forbidden, flo.m_tilde)
     assert rank_and_kernel(mf) == exact_kb
 
 

@@ -129,7 +129,7 @@ def test_gaussian_rational_unary_views_match_fraction_pairs(ri):
     _assert_normalized(x.conjugate(), re, -im)
     _assert_normalized(-x, -re, -im)
     assert type(x.abs2()) is Fraction and x.abs2() == re * re + im * im
-    assert hash(x) == hash((re, im))
+    assert hash(x) == hash(GaussianRational(re, im)) and (im or hash(x) == hash(re))
     assert str(x) == _reference_str(re, im)
     assert repr(x) == f"GaussianRational({re!r}, {im!r})"
     assert bool(x) == bool(re or im)
@@ -138,6 +138,14 @@ def test_gaussian_rational_unary_views_match_fraction_pairs(ri):
         assert poly_to_json(ComplexPoly([x])) == {"coeffs": [parts]}
     z, want = complex(x), complex(float(re), float(im))
     assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+@pytest.mark.parametrize("value", [0, 1, -7, True, Fraction(1, 2), Fraction(-10**30, 3)])
+def test_gaussian_rational_hashes_like_the_int_or_fraction_it_equals(value):
+    x = GaussianRational(value)
+    assert x == value and hash(x) == hash(value)
+    assert len({x, value}) == 1
+    assert x in {value: "x"} and value in {x: "x"}
 
 
 def test_gaussian_rational_constructor_takes_what_fraction_takes():

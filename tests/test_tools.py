@@ -145,7 +145,7 @@ def _lacuna1(rep) -> dict:
     doc["factorization"]["cofactor"] = poly_to_json(rep.canonical.cofactor)
     doc["tilde"]["total_factor"] = poly_to_json(rep.tilde.total_factor)
     doc["tilde"]["reduced_cofactor"] = poly_to_json(rep.tilde.reduced_cofactor)
-    doc["matrix_tilde"] = _matrix_to_json(rep.matrix_tilde, rep.kernel_tilde)
+    doc["matrix_tilde"] = _matrix_to_json(rep.matrix_tilde, rep.kernel_tilde, "tilde")
     doc["witnesses"] = [
         {"kind": w.kind, "vector": _vector_to_json(w.vector), "perturbation": poly_to_json(w.perturbation),
          "spectrum": list(w.spectrum), "step": None if w.step is None else str(w.step)}
