@@ -10,7 +10,10 @@ and the vector is called *plus* when tau >= 0 on the whole circle.
 ``is_plus`` is the one verdict, exact at the entries' value (a float at its
 binary value): through the Cayley numerator P, tau(2 arctan x) =
 P(x) / (1+x^2)^d, with integer coefficients and Sturm chains
-(``certify_nonneg_exact``).
+(``certify_nonneg_exact``).  The one degree reduction is the harmonic
+lattice: when every harmonic of v lies in kZ, k > 1, tau_v(t) = sigma(kt)
+for a sigma of degree d // k (so the cone questions of q(z^k) on k Lambda are
+q's on Lambda), and the certificate and ``plus_dimension`` work on sigma.
 
 ``plus_dimension`` computes the dimension of a subspace V's trace on the
 plus cone (the span of its plus vectors), with exact plus vectors that
@@ -47,8 +50,8 @@ vector (the mean of tau, 2 alpha_0, is positive on one): a proved
 dimension 0.
 
 ``chord_step`` finds how far a plus vector s can move along a direction v
-both ways and stay plus, by the halving search that moves the realizing
-vectors toward s.
+both ways and stay plus, on the halving walk (``_halving``) that moves the
+realizing vectors toward s.
 """
 
 from __future__ import annotations
@@ -146,7 +149,9 @@ def certify_nonneg_exact(v: CoefVector) -> tuple[bool, bool]:
     degree deficit.  With P_1 = P and P_{j+1} = gcd(P_j, P_j'), a real root
     of multiplicity m is a root of P_1..P_m, so if r_j counts the distinct
     real roots of P_j, r_1 - r_2 + r_3 - ... counts the odd-multiplicity ones.
+    On a harmonic lattice P is sigma's, plus and touching zero when tau_v is.
     """
+    v = _on_lattice(v, math.gcd(*(i if i <= v.d else i - v.d for i, x in enumerate(v.entries) if x)))
     P = _cayley_numerator(v)
     if not P:
         return True, True  # tau is identically zero
@@ -168,8 +173,7 @@ def certify_nonneg_exact(v: CoefVector) -> tuple[bool, bool]:
 
 
 def is_plus(v: CoefVector) -> bool:
-    """True when tau_v >= 0 on the circle, decided by ``certify_nonneg_exact``
-    at the entries' exact value."""
+    """True when tau_v >= 0 on the circle, by ``certify_nonneg_exact``."""
     return certify_nonneg_exact(v)[0]
 
 
@@ -181,27 +185,30 @@ def is_plus(v: CoefVector) -> bool:
 def plus_dimension(basis, seed: CoefVector | None = None) -> tuple[int, list[CoefVector]]:
     """Dimension of span(plus vectors in span(basis)), with exact plus vectors
     that realize it; the basis rows (``CoefVector``s or arrays) are read at
-    their exact value, a float at its binary value.  When every nonzero entry
-    of the rows and the seed sits at a harmonic in kZ, k > 1, V is a space of
-    functions of kt: the search runs at degree d // k on the columns
-    (alpha_0, alpha_k, ..., beta_k, ...), and each found vector is spread
-    back by tau(t) -> tau(kt), which keeps plus vectors plus; the seed comes
-    back as the caller's own object.  A zero seed counts as none; a seed
-    outside V or not plus is a ValueError; an unfinished certificate raises
-    :class:`SolverStalled`.
+    their exact value, a float at its binary value.  On the harmonic lattice
+    of the rows and the seed the search runs on sigma (module docstring), and
+    each found vector is spread back by tau(t) -> tau(kt), which keeps plus
+    vectors plus; the seed comes back as the caller's own object.  A zero
+    seed counts as none; a seed outside V or not plus is a ValueError; an
+    unfinished certificate raises :class:`SolverStalled`.
     """
     rows = [b.entries if isinstance(b, CoefVector) else b for b in basis]
-    n = len(rows[0]) if rows else 2 * seed.d + 1 if seed else 1
+    d = (len(rows[0]) - 1) // 2 if rows else seed.d if seed else 0
     rows = [_sparse(b) for b in rows]
-    d = (n - 1) // 2
     support = {i for row in rows for i in row} | {i for i, x in enumerate(seed.entries if seed else ()) if x}
     k = math.gcd(*{i if i <= d else i - d for i in support})
     if k <= 1:
         return _plus_span(rows, seed, d)
-    small = None if seed is None else CoefVector(d // k, seed.alpha[::k], seed.beta[k - 1 :: k])
+    small = None if seed is None else _on_lattice(seed, k)
     at = {i: i // k if i <= d else d // k + (i - d) // k for i in support}
     dim, found = _plus_span([{at[i]: x for i, x in row.items()} for row in rows], small, d // k)
     return dim, [seed if v is small else _spread(v, k, d) for v in found]
+
+
+def _on_lattice(v: CoefVector, k: int) -> CoefVector:
+    """sigma of degree d // k with tau_v(t) = sigma(kt), for v on harmonics kZ
+    (v itself for k <= 1)."""
+    return CoefVector(v.d // k, v.alpha[::k], v.beta[k - 1 :: k]) if k > 1 else v
 
 
 def _sparse(xs) -> dict:
@@ -215,10 +222,8 @@ def _dense(row: dict, n: int) -> list[Fraction]:
 
 def _spread(v: CoefVector, k: int, d: int) -> CoefVector:
     """The degree-d vector whose tau is t -> tau_v(kt)."""
-    alpha, beta = [_ZERO] * (d + 1), [_ZERO] * d
-    alpha[::k] = v.alpha
-    beta[k - 1 :: k] = v.beta
-    return CoefVector(d, tuple(alpha), tuple(beta))
+    at = dict(zip(range(0, d + 1, k), v.alpha)) | dict(zip(range(d + k, 2 * d + 1, k), v.beta))
+    return CoefVector.from_array(_dense(at, 2 * d + 1))
 
 
 def _combine(coords, rows: list[dict]) -> dict:
@@ -408,35 +413,30 @@ def _least_halving(accept) -> int:
     return hi
 
 
-def _toward(a: list[int], b: list[int], accept) -> CoefVector:
-    """The first of 2^k |b| a + |a| b, k = 0, 1, ..., that ``accept`` takes,
-    with |.| the largest entry in size: a positive multiple of a plus
-    2^-k b scaled to a's size.  Acceptance is monotone in k: the vector at
-    k is a convex combination of a and the one at any smaller k, and both
-    tests keep such a combination of a with a vector they accept."""
+def _halving(a: list[int], b: list[int]):
+    """k, sign -> the integer vector 2^k |b| a + sign |a| b (|.| the largest
+    entry in size), a positive multiple of a + sign 2^-k b |a| / |b|.  A test
+    that keeps every convex combination of a with a vector it takes is
+    monotone in k: the vector at k is one of a and the one at any smaller k."""
     ma, mb = max(map(abs, a)), max(map(abs, b)) or 1
+    return lambda k, sign=1: CoefVector.from_array([(x * mb << k) + sign * ma * y for x, y in zip(a, b)])
 
-    def at(k: int) -> CoefVector:
-        return CoefVector.from_array([Fraction((x * mb << k) + ma * y) for x, y in zip(a, b)])
 
-    return at(_least_halving(lambda k: accept(at(k))))
+def _toward(a: list[int], b: list[int], accept) -> CoefVector:
+    """The first vector of ``_halving(a, b)`` that ``accept`` takes, in
+    Fractions; ``is_plus`` and ``_interior`` are monotone tests."""
+    at = _halving(a, b)
+    return CoefVector.from_array(map(Fraction, at(_least_halving(lambda k: accept(at(k)))).entries))
 
 
 def chord_step(s: CoefVector, v: CoefVector) -> Fraction:
     """The largest t = 2^-k |s| / |v|, k = 0, 1, ..., with tau_s + t tau_v and
     tau_s - t tau_v both plus, for a plus s and a nonzero v of the same
-    degree (|.| the largest entry in size).  Acceptance is monotone in k, as
-    in ``_toward``, on both sides; a t exists when tau_s > 0 on the circle."""
-    a, b = _ints(s.entries), _ints(v.entries)
-    ma, mb = max(map(abs, a)), max(map(abs, b))
-
-    def chord(k: int) -> bool:
-        return all(
-            is_plus(CoefVector.from_array([(x * mb << k) + sign * ma * y for x, y in zip(a, b)]))
-            for sign in (1, -1)
-        )
-
-    return Fraction(max(map(abs, s.entries)), max(map(abs, v.entries))) / (1 << _least_halving(chord))
+    degree (|.| the largest entry in size): the first k at which both of
+    ``_halving``'s sides are plus.  A t exists when tau_s > 0 on the circle."""
+    at = _halving(_ints(s.entries), _ints(v.entries))
+    k = _least_halving(lambda k: is_plus(at(k)) and is_plus(at(k, -1)))
+    return Fraction(max(map(abs, s.entries)), max(map(abs, v.entries))) / (1 << k)
 
 
 def _interior(x: CoefVector, exact, orders) -> bool:

@@ -1,0 +1,103 @@
+"""Scaling contracts: upper bounds on the work ``classify`` does, not on time.
+
+A work count is deterministic where a wall clock on a shared machine is not.
+Each counter wraps a function of ``lacuna`` at every module name that binds
+it, as perfbench's tracer does, and each bound is an upper bound, so a change
+that does less work passes.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from lacuna import ComplexPoly, LacunaryPattern, classify, parse_poly
+from lacuna import circle_analysis, plus_cone, poly_core
+
+ROOT = Path(__file__).resolve().parent.parent
+# the norm's panels on the dense input below, where the bound was set
+PANELS_1024 = 2350
+
+
+def _wrap(monkeypatch, module, name: str, make):
+    """Replace ``module.name`` by ``make(original)`` at every name a lacuna
+    module binds it to."""
+    original = getattr(module, name)
+    wrapper = make(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "lacuna" or mod_name.startswith("lacuna."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+def _certificate_chains(monkeypatch) -> list[int]:
+    """The degrees of the Sturm chains built while ``certify_nonneg_exact``
+    is on the call stack, appended as they are built."""
+    depth, degrees = [0], []
+
+    def chain(original):
+        def counted(P):
+            if depth[0]:
+                degrees.append(len(P) - 1)
+            return original(P)
+
+        return counted
+
+    def certificate(original):
+        def counted(v):
+            depth[0] += 1
+            try:
+                return original(v)
+            finally:
+                depth[0] -= 1
+
+        return counted
+
+    _wrap(monkeypatch, poly_core, "_sturm_chain", chain)
+    _wrap(monkeypatch, plus_cone, "certify_nonneg_exact", certificate)
+    return degrees
+
+
+@pytest.mark.parametrize("k", [1, 6, 24, 48])
+def test_the_plus_certificate_of_a_dilated_input_works_at_the_reduced_degree(monkeypatch, k):
+    # q(w) -> q(w^k) maps P(Lambda) isometrically onto P(k Lambda), so q(z^k)
+    # has q's verdicts, and every cone question can be asked of q's degree
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from ab_cases import LACUNARY_Q
+
+    p = parse_poly(LACUNARY_Q.replace("w", f"(z^{k})"))
+    degrees = _certificate_chains(monkeypatch)
+    rep = classify(p, LacunaryPattern(p.deg, tuple(e for e in range(1, p.deg) if e % k)))
+    assert (rep.extreme, rep.exposed, rep.dim_plus) == (False, False, 5)
+    assert degrees and max(degrees) <= 4  # the largest chain at k = 1
+
+
+def test_a_planted_pair_of_degree_96_solves_at_most_two_companions_of_degree_96(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.cases import planted_pair
+
+    solves = []
+
+    def counted(original):
+        def solve(p, name):
+            solves.append(p.deg)
+            return original(p, name)
+
+        return solve
+
+    _, text = planted_pair(random.Random(1), 96)
+    p = parse_poly(text)
+    _wrap(monkeypatch, circle_analysis, "_float_roots", counted)
+    rep = classify(p, LacunaryPattern(p.deg))
+    assert (rep.extreme, rep.exposed) == (False, False)
+    assert len(solves) <= 2 and max(solves, default=0) <= 96
+
+
+def test_the_norm_of_a_dense_input_of_degree_1024_needs_at_most_its_panels():
+    rng = random.Random(1)
+    coeffs = [complex(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(1024)] + [1 + 1j]
+    rep = classify(ComplexPoly(coeffs), LacunaryPattern(1024))
+    assert rep.extreme and rep.exposed
+    assert rep.diagnostics["norm_panels"] <= PANELS_1024

@@ -720,6 +720,34 @@ def _dilate(v: CoefVector, k: int) -> CoefVector:
     return CoefVector(d, tuple(alpha), tuple(beta))
 
 
+def _padded(v: CoefVector) -> CoefVector:
+    """v at degree d + 1, with a zero top harmonic."""
+    return CoefVector(v.d + 1, (*v.alpha, 0), (*v.beta, 0))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize(
+    "entries,pad",
+    [
+        ((1, 0, 0), False),  # constant 2: the harmonic gcd is 0
+        ((1, -1, 0), False),  # 2 - 2cos t, alpha only
+        ((0, 0, 1), False),  # -2 sin t, beta only, not plus
+        ((1, 0, 0, 0, 1), False),  # 2 - 2 sin 2t, beta beside the constant
+        ((1, 0, -1, 0, 0), False),  # 4 sin^2 t, plus and touching zero
+        ((Fraction(5, 8), Fraction(-1, 2), 0), False),  # 5/4 - cos t, plus and positive
+        ((0, 1, 0), False),  # 2cos t, not plus
+        ((1, 0, -1, 0, 0), True),  # 4 sin^2 t on a degree off the lattice
+        ((Fraction(5, 8), Fraction(-1, 2), 0), True),
+        ((0, 1, 0), True),
+    ],
+)
+def test_certify_nonneg_exact_is_blind_to_a_dilation(k, entries, pad):
+    # tau_v(kt) is plus, and touches zero, exactly when tau_v does
+    v = _exact_vec(*entries)
+    dilated = _padded(_dilate(v, k)) if pad else _dilate(v, k)
+    assert certify_nonneg_exact(dilated) == certify_nonneg_exact(v)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_plus_dimension_runs_on_the_harmonic_lattice(k):
     # V holds a positive constant, so dim+ = dim V = 3, answered at degree 2

@@ -30,8 +30,10 @@ zeros beyond the float range, a non-exposed witness that only the cone
 search finds, a companion eigenvalue solve that does not converge, and
 cones decided by facial reduction over circle zeros at +-1 and at the cube
 roots of unity, rounded powers of 1 - z^2 whose zeros split near the
-circle, a shared disk pair within 1e-9 of it, and a shared disk zero 10^-20
-beside a zero of p at the origin that p* does not share.  Each of these inputs
+circle, a shared disk pair within 1e-9 of it, a shared disk zero 10^-20
+beside a zero of p at the origin that p* does not share, and
+``tools/ab_cases.py``'s q(z^12) on 12 Lambda, whose witness step is
+certified on a dilated input.  Each of these inputs
 whose report moves when its coefficients are rounded to doubles also comes
 as a ``<id>-rounded`` twin, so rounded.  Then each basis of
 ``OUTSIDE_PLUSDIM``, a ``lacuna plusdim`` job without a seed, gets one
@@ -50,6 +52,7 @@ import json
 import sys
 from pathlib import Path
 
+from ab_cases import LACUNARY_Q
 from to_lacuna1 import to_lacuna1
 
 MODES = {"exact": {"mode": "exact"}}
@@ -85,6 +88,7 @@ OUTSIDE = (
     ("rounded-fourth-power", "(1 - z^2)^4", 8, (), 0.7),
     ("disk-pair-in-band", "(z - (1 - 1/10^9))(1 - (1 - 1/10^9)z)", 2, (), None),
     ("shared-pair-beside-the-origin", "z (z + 10^20)(1 + 10^20 z)", 3, (), None),
+    ("lacunary-q-at-12", LACUNARY_Q.replace("w", "(z^12)"), 84, tuple(e for e in range(1, 84) if e % 12), None),
 )
 # the inputs above whose report moves when their coefficients are rounded to
 # doubles, so rounded
