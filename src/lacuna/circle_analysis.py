@@ -46,6 +46,8 @@ _GL_HI = np.polynomial.legendre.leggauss(32)
 _GL_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
 # distance under which a zero of p and a zero of p* count as one shared zero
 _MATCH_RADIUS = 1e-6
+# the largest backward error |p(r)| / sum |c_k| |r|^k at which r is a zero of p
+_BACKWARD_ERROR = 1e-6
 # relative rounding error of the summed quadrature value
 _ROUNDING_FLOOR = 32 * np.finfo(float).eps
 # l1_norm's target absolute error (times the norm below unit norm) and panel cap
@@ -271,7 +273,7 @@ def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
         fc, roots = _float_roots(factor, f"p's monic factor of multiplicity {mult}")
         roots, residuals = _polish_roots(fc, factor.derivative().float_coeffs(), roots)
         for r, res in zip(roots.tolist(), residuals.tolist()):
-            if not res <= 1e-6:
+            if not res <= _BACKWARD_ERROR:
                 raise IllConditionedZeros(
                     f"root {r} of a square-free factor has backward error {res:.2e}",
                     diagnostics={"factor_degree": factor.deg, "residual": res},

@@ -15,27 +15,42 @@ G = 1 and R = p with no zero analysis at all.  Otherwise p's circle zeros
 are read off g, since a circle zero of p is one of p* of the same
 multiplicity.  Without its zeros at the origin g is self-inversive, and so
 is each part f_j of multiplicity j of its square-free (Yun) decomposition
-(A. Cohn, Math. Z. 14, 1922), whose number c_j of circle zeros Sturm's
-theorem counts exactly on a Cayley numerator.  Its circle factor C_j is 1
-when c_j = 0 (no root is solved), f_j when c_j = deg f_j, and otherwise the
-rationalized float product of the c_j zeros of f_j nearest the circle,
-accepted only when it divides f_j and has c_j circle zeros; an irrational
-split (a Salem polynomial, say) raises :class:`IllConditionedZeros` with
-the counts.  The monic G is g / prod C_j^j and m = (deg G + order of G at
-0) / 2: only the exact g decides a count.  The float zeros of p and p*
-locate the m displayed disk zeros (``common_disk_zeros``, told m and the
-order at 0), or the input is refused.  G is scaled to make its symbol on
-the circle real and positive: by the natural scale prod(-conj a) when the
-disk zeros a have a Gaussian-rational monic product, else by the Gaussian
-rational that Hilbert 90 reads off G's coefficients.
+(A. Cohn, Math. Z. 14, 1922).  A part over Z[i] with a unit constant term
+and |f_k| <= C(deg f_j, k) is first tried as a divisor of z^n - 1: when
+z^n = 1 modulo f_j for some n <= 4 deg f_j + 8, each zero of f_j is an
+n-th root of unity (by Kronecker, 1857, these are all the parts over Z[i]
+with every zero on the circle, up to the bound), so c_j = deg f_j,
+C_j = f_j, and its zeros are read off the n-th roots of unity with no
+root solve.  Every other part has its number c_j of circle zeros counted
+exactly by Sturm's theorem on a Cayley numerator.  Its circle factor C_j
+is 1 when c_j = 0 (no root is solved), f_j when c_j = deg f_j, and
+otherwise the rationalized float product of the c_j zeros of f_j nearest
+the circle, accepted only when it divides f_j and has c_j circle zeros; an
+irrational split (a Salem polynomial, say) raises
+:class:`IllConditionedZeros` with the counts.  The monic G is
+g / prod C_j^j and m = (deg G + order of G at 0) / 2: only the exact g
+decides a count.  The float zeros of p and p* locate the m displayed disk
+zeros (``common_disk_zeros``, told m and the order at 0), or the input is
+refused.  G is scaled to make its symbol on the circle real and positive:
+by the natural scale prod(-conj a) when the disk zeros a have a
+Gaussian-rational monic product, else by the Gaussian rational that
+Hilbert 90 reads off G's coefficients.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
-from .circle_analysis import ZeroCluster, _sort_key, common_disk_zeros, find_zeros, linear_product
+from .circle_analysis import (
+    _BACKWARD_ERROR,
+    ZeroCluster,
+    _sort_key,
+    common_disk_zeros,
+    find_zeros,
+    linear_product,
+)
 from .errors import IllConditionedZeros, NotHermitianSymmetric
 from .plus_cone import CoefVector, _cayley_numerator
 from .poly_core import (
@@ -43,6 +58,7 @@ from .poly_core import (
     ComplexPoly,
     GaussianRational,
     _divides,
+    _integer_parts,
     conjugate_reciprocal,
     divide_exact,
     gcd_exact,
@@ -134,16 +150,81 @@ def _circle_count(f: ComplexPoly) -> int | None:
     return real_root_count(P)[0] + F.deg - (len(P) - 1) - f.deg % 2
 
 
+def _unity_order(f: ComplexPoly) -> int | None:
+    """The least n <= 4 d + 8, d = deg f, with z^n = 1 modulo the monic f, so
+    that f divides the square-free z^n - 1; None when there is none.
+
+    Only an f over Z[i] with a unit f(0) and |f_k| <= C(d, k), the bounds a
+    monic f with every zero on the circle meets, is tried; any other f gives
+    None at once.  Each step r <- z r mod f is a shift and a subtraction of
+    the shifted-out entry times f's nonzero lower terms, on Gaussian
+    integers.  The bound covers the orders k, 2k and 4k of the parts of
+    (1 +- z^k)^j and (1 +- iz^k)^j, and keeps a part the test leaves at
+    O(d) steps, each O(d): fewer than its Sturm chain and root solve cost.
+    """
+    d = f.deg
+    D, re, im = _integer_parts(f.coeffs)
+    im = im or [0] * (d + 1)
+    if D != 1 or re[0] ** 2 + im[0] ** 2 != 1:
+        return None
+    if any(a * a + b * b > math.comb(d, k) ** 2 for k, (a, b) in enumerate(zip(re, im))):
+        return None
+    terms = [(k, a, b) for k, (a, b) in enumerate(zip(re[:d], im[:d])) if a or b]
+    one, zero = [1] + [0] * (d - 1), [0] * d
+    rr, ri = list(one), list(zero)
+    for n in range(1, 4 * d + 9):
+        tr, ti = rr.pop(), ri.pop()
+        rr.insert(0, 0)
+        ri.insert(0, 0)
+        if tr or ti:
+            for k, a, b in terms:
+                rr[k] -= tr * a - ti * b
+                ri[k] -= tr * b + ti * a
+        if rr == one and ri == zero:
+            return n
+    return None
+
+
+def _unity_point(k: int, n: int) -> complex:
+    """e^{2 pi i k / n} as i^q e^{i pi r / (2n)}, 4k = q n + r with 0 <= r < n:
+    a quarter turn swaps the parts, so 1, i, -1 and -i are exact."""
+    q, r = divmod(4 * k, n)
+    t = math.pi * r / (2 * n)
+    w = complex(math.cos(t), math.sin(t))
+    for _ in range(q):
+        w = complex(0.0 - w.imag, w.real)  # times i, with +0.0 for -0.0
+    return w
+
+
+def _unity_zeros(f: ComplexPoly, n: int) -> list[complex] | None:
+    """The zeros of f, a divisor of z^n - 1: the n-th roots of unity w_k at
+    which f's float value has a backward error of at most ``_BACKWARD_ERROR``
+    (``find_zeros``' bound), or None when they are not deg f many.  A power
+    of w_k is w_{jk mod n}, so f(w_k) sums f's nonzero terms off the table."""
+    points = [_unity_point(k, n) for k in range(n)]
+    terms = [(j, complex(c)) for j, c in enumerate(f.coeffs) if c]
+    bound = _BACKWARD_ERROR * sum(abs(c) for _, c in terms)
+    zeros = [w for k, w in enumerate(points) if abs(sum(c * points[j * k % n] for j, c in terms)) <= bound]
+    return zeros if len(zeros) == f.deg else None
+
+
 def circle_parts(g: ComplexPoly) -> list[tuple[ComplexPoly, int, int, list[ZeroCluster]]]:
     """(f, j, c, zeros) for each part f of multiplicity j of the square-free
-    decomposition of g = gcd(p, p*), origin dropped, with c > 0 circle zeros
-    (``_circle_count``); ``zeros`` are the c float zeros of f nearest the
-    circle, as circle zeros of multiplicity j."""
+    decomposition of g = gcd(p, p*), origin dropped, with c > 0 circle zeros,
+    each one of ``zeros`` at multiplicity j.  A part that divides z^n - 1
+    (``_unity_order``) has c = deg f, and its zeros are the n-th roots of
+    unity it vanishes at (``_unity_zeros``).  Any other part, or one whose
+    roots of unity are not read unambiguously, has c counted exactly
+    (``_circle_count``), and its zeros are the c float zeros of f nearest
+    the circle."""
     parts = []
     for f, j in square_free_decomposition(ComplexPoly(g.coeffs[g.order_at_zero():])):
-        if c := _circle_count(f):
-            near = sorted(find_zeros(f), key=lambda z: abs(1 - abs(z.location)))[:c]
-            parts.append((f, j, c, [dataclasses.replace(z, multiplicity=j) for z in near]))
+        n = _unity_order(f)
+        zeros = _unity_zeros(f, n) if n else None
+        if zeros is None and (c := _circle_count(f)):
+            zeros = [z.location for z in sorted(find_zeros(f), key=lambda z: abs(1 - abs(z.location)))[:c]]
+        if zeros:
+            parts.append((f, j, len(zeros), [ZeroCluster(z, j) for z in zeros]))
     return parts
 
 

@@ -239,7 +239,12 @@ def _combine(coords, rows: list[dict]) -> dict:
 def _echelon(rows: list[dict], n: int) -> list[dict]:
     """A basis of span(rows) in which each vector has a 1 at its own column
     (its last nonzero entry) and every other one a 0, so that a vector's
-    coordinates are its entries there: the kernel of the kernel."""
+    coordinates are its entries there: the kernel of the kernel.  Rows
+    already in that form (as ``rank_and_kernel`` gives a kernel) are that
+    basis, which is unique, and come back in column order unreduced."""
+    cols = [max(row, default=None) for row in rows]
+    if None not in cols and all(row[c] == 1 and sum(c in other for other in rows) == 1 for row, c in zip(rows, cols)):
+        return sorted(rows, key=max)
     return _rref_kernel(_rref_kernel(rows, n)[1], n)[1]
 
 

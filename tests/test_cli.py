@@ -272,6 +272,25 @@ def test_plusdim_finds_the_plus_vector_of_an_unseeded_line(capsys):
     assert doc["vectors"] == [{"d": 2, "alpha": ["1", "1", "0"], "beta": ["0", "0"]}]
 
 
+@pytest.mark.parametrize(
+    "job,vectors",
+    [
+        # e_0 shares its column with the second row, which must lose it
+        ({"basis": [[1, 0, 0, 0, 0], [1, 1, 0, 0, 0]]}, [["1", "0", "0"], ["1", "1", "0"]]),
+        # the last nonzero entry is 2, not 1: the seed's coordinate there is 1/2
+        ({"basis": [[2, 2, 0, 0, 0]], "seed": [1, 1, 0, 0, 0]}, [["1", "1", "0"]]),
+    ],
+    ids=["shared-column", "non-unit-lead"],
+)
+def test_plusdim_reduces_a_basis_that_is_not_in_echelon_form(job, vectors, capsys):
+    code = main(["plusdim", json.dumps({"d": 2, **job})])
+    assert code == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dim_plus"] == len(vectors)
+    assert [v["alpha"] for v in doc["vectors"]] == vectors
+    assert all(v["beta"] == ["0", "0"] for v in doc["vectors"])
+
+
 def test_plusdim_zero_dimension(tmp_path, capsys):
     basis = tmp_path / "v1.json"
     basis.write_text(json.dumps({"d": 1, "basis": [["0", "1", "0"]]}))

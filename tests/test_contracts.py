@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from lacuna import ComplexPoly, LacunaryPattern, classify, parse_poly
-from lacuna import circle_analysis, plus_cone, poly_core
+from lacuna import circle_analysis, factorization, plus_cone, poly_core
 
 ROOT = Path(__file__).resolve().parent.parent
 # the norm's panels on the dense input below, where the bound was set
@@ -32,9 +32,9 @@ def _wrap(monkeypatch, module, name: str, make):
                     monkeypatch.setattr(mod, attr, wrapper)
 
 
-def _certificate_chains(monkeypatch) -> list[int]:
-    """The degrees of the Sturm chains built while ``certify_nonneg_exact``
-    is on the call stack, appended as they are built."""
+def _chains_under(monkeypatch, module, caller: str) -> list[int]:
+    """The degrees of the Sturm chains built while ``module.caller`` is on
+    the call stack, appended as they are built."""
     depth, degrees = [0], []
 
     def chain(original):
@@ -45,7 +45,7 @@ def _certificate_chains(monkeypatch) -> list[int]:
 
         return counted
 
-    def certificate(original):
+    def outer(original):
         def counted(v):
             depth[0] += 1
             try:
@@ -56,7 +56,22 @@ def _certificate_chains(monkeypatch) -> list[int]:
         return counted
 
     _wrap(monkeypatch, poly_core, "_sturm_chain", chain)
-    _wrap(monkeypatch, plus_cone, "certify_nonneg_exact", certificate)
+    _wrap(monkeypatch, module, caller, outer)
+    return degrees
+
+
+def _companion_solves(monkeypatch) -> list[int]:
+    """The degrees of the companion-matrix root solves, in call order."""
+    degrees = []
+
+    def counted(original):
+        def solve(p, name):
+            degrees.append(p.deg)
+            return original(p, name)
+
+        return solve
+
+    _wrap(monkeypatch, circle_analysis, "_float_roots", counted)
     return degrees
 
 
@@ -68,7 +83,7 @@ def test_the_plus_certificate_of_a_dilated_input_works_at_the_reduced_degree(mon
     from ab_cases import LACUNARY_Q
 
     p = parse_poly(LACUNARY_Q.replace("w", f"(z^{k})"))
-    degrees = _certificate_chains(monkeypatch)
+    degrees = _chains_under(monkeypatch, plus_cone, "certify_nonneg_exact")
     rep = classify(p, LacunaryPattern(p.deg, tuple(e for e in range(1, p.deg) if e % k)))
     assert (rep.extreme, rep.exposed, rep.dim_plus) == (False, False, 5)
     assert degrees and max(degrees) <= 4  # the largest chain at k = 1
@@ -78,18 +93,9 @@ def test_a_planted_pair_of_degree_96_solves_at_most_two_companions_of_degree_96(
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench.cases import planted_pair
 
-    solves = []
-
-    def counted(original):
-        def solve(p, name):
-            solves.append(p.deg)
-            return original(p, name)
-
-        return solve
-
     _, text = planted_pair(random.Random(1), 96)
     p = parse_poly(text)
-    _wrap(monkeypatch, circle_analysis, "_float_roots", counted)
+    solves = _companion_solves(monkeypatch)
     rep = classify(p, LacunaryPattern(p.deg))
     assert (rep.extreme, rep.exposed) == (False, False)
     assert len(solves) <= 2 and max(solves, default=0) <= 96
@@ -101,3 +107,33 @@ def test_the_norm_of_a_dense_input_of_degree_1024_needs_at_most_its_panels():
     rep = classify(ComplexPoly(coeffs), LacunaryPattern(1024))
     assert rep.extreme and rep.exposed
     assert rep.diagnostics["norm_panels"] <= PANELS_1024
+
+
+@pytest.mark.parametrize(
+    "text,N,forbidden",
+    [
+        ("(1 + z^48)^2", 96, ()),
+        ("(1 + z^3)^4", 12, ()),
+        ("(1 + i z)^3", 3, ()),
+        ("(1 - z^2)^5", 10, (1, 3, 5, 7, 9)),
+    ],
+)
+def test_a_circle_part_dividing_z_n_minus_1_is_read_without_a_count_or_a_solve(monkeypatch, text, N, forbidden):
+    # each Yun part of gcd(p, p*) is monic over Z[i] and divides z^n - 1, so
+    # its zeros are n-th roots of unity: no Sturm count, no companion solve
+    chains = _chains_under(monkeypatch, factorization, "_circle_count")
+    solves = _companion_solves(monkeypatch)
+    rep = classify(parse_poly(text), LacunaryPattern(N, forbidden))
+    assert rep.canonical.zero_clusters
+    assert (chains, solves) == ([], [])
+
+
+def test_a_mixed_circle_part_keeps_its_count_and_its_solves(monkeypatch):
+    # the part (z - 1/2)(z - 2)(1 + z^3) has coefficients of 1/2: its three
+    # circle zeros are counted (chain of degree 4), their product checked
+    # (chain of degree 2), and the part, p and p* are solved
+    chains = _chains_under(monkeypatch, factorization, "_circle_count")
+    solves = _companion_solves(monkeypatch)
+    rep = classify(parse_poly("(z - 1/2)(1 - z/2)(1 + z^3)"), LacunaryPattern(5))
+    assert rep.canonical.m == 1 and len(rep.canonical.zero_clusters) == 3
+    assert (chains, solves) == ([4, 2], [5, 5, 5])

@@ -1,5 +1,7 @@
 """Canonical and tilde factorizations on the worked examples, plus symbols."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +14,14 @@ from lacuna import (
     NotHermitianSymmetric,
     canonical_factorization,
     certify_nonneg_exact,
+    classify,
     conjugate_reciprocal,
     parse_poly,
     real_symbol_on_circle,
     tilde_factorization,
 )
-from lacuna.factorization import _circle_count
+from lacuna import factorization
+from lacuna.factorization import _circle_count, _unity_order, circle_parts
 from lacuna.poly_core import ComplexPoly, GaussianRational, gcd_exact, square_free_decomposition
 
 
@@ -235,6 +239,74 @@ def test_coprime_input_skips_the_zero_analysis(expr, N, monkeypatch):
     can = canonical_factorization(parse_poly(expr), N)
     assert (can.m, can.disk_zeros, can.zero_clusters) == (0, (), ())
     assert can.disk_factor == ComplexPoly.one()
+
+
+# Gaussian-integer cyclotomic factors: (1 +- z^a), (1 +- i z^b), Phi_3, Phi_8,
+# Phi_12, Phi_5 and Phi_7
+CYCLOTOMIC = ["1 + z^{}", "1 - z^{}", "1 + i z^{}", "1 - i z^{}", "z^2 + z + 1", "z^4 + 1",
+              "z^4 - z^2 + 1", "1 + z + z^2 + z^3 + z^4", "1 + z + z^2 + z^3 + z^4 + z^5 + z^6"]
+DISK_PAIR = "(z - (1 + i)/3)(1 - (1 - i)z/3)"
+
+
+def _cyclotomic_product(rng: random.Random) -> tuple[str, LacunaryPattern]:
+    """One or two factors of ``CYCLOTOMIC`` to powers 1-4, a third of the
+    time times ``DISK_PAIR``, on a pattern that forbids some of its zero
+    coefficients."""
+    terms = []
+    for form in rng.sample(CYCLOTOMIC, rng.choice([1, 2])):
+        terms.append(f"({form.format(rng.randint(1, 3))})^{rng.randint(1, 4)}")
+    if rng.random() < 1 / 3:
+        terms.append(DISK_PAIR)
+    text = " ".join(terms)
+    p = parse_poly(text)
+    gaps = [k for k in range(1, p.deg) if not p.coefficient(k)]
+    return text, LacunaryPattern(p.deg, tuple(sorted(rng.sample(gaps, len(gaps) // 2))))
+
+
+def _equal_up_to_locations(a, b):
+    """The same report but for circle-zero locations, which agree to 4 ulp
+    of their modulus 1 (the norm, its panel breaks, moves with them)."""
+    x, y = a.canonical, b.canonical
+    assert (x.m, x.disk_zeros, x.disk_factor, x.circle_factors) == (y.m, y.disk_zeros, y.disk_factor, y.circle_factors)
+    assert (a.tilde.mu, a.tilde.circle_factor) == (b.tilde.mu, b.tilde.circle_factor)
+    za, zb = a.canonical.zero_clusters, b.canonical.zero_clusters
+    assert [z.multiplicity for z in za] == [z.multiplicity for z in zb]
+    assert all(abs(u.location - v.location) <= 4 * math.ulp(1.0) for u, v in zip(za, zb))
+    assert (a.kernel, a.kernel_tilde) == (b.kernel, b.kernel_tilde)
+    assert (a.extreme, a.exposed, a.dim_plus) == (b.extreme, b.exposed, b.dim_plus)
+    assert a.witnesses == b.witnesses
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_roots_of_unity_read_exactly_give_the_counted_route_report(seed, monkeypatch):
+    text, pattern = _cyclotomic_product(random.Random(seed))
+    p = parse_poly(text)
+    read = classify(p, pattern)
+    monkeypatch.setattr(factorization, "_unity_order", lambda f: None)
+    counted = classify(p, pattern)
+    _equal_up_to_locations(read, counted)
+
+
+@pytest.mark.parametrize(
+    "text,parts",
+    [
+        ("z^2 - 3z + 1", []),  # a coefficient over its binomial, no circle zero
+        ("z^4 - z^3 - z^2 - z + 1", [(4, 1, 2)]),  # a Salem quartic: no n up to the bound
+        ("(z^4 - z^3 - z^2 - z + 1)(1 + z^3)", [(7, 1, 5)]),
+    ],
+    ids=["quadratic", "salem-quartic", "salem-times-cyclotomic"],
+)
+def test_a_gaussian_integer_part_off_the_circle_keeps_the_counted_route(text, parts, monkeypatch):
+    # each g here is its own one Yun part, self-inversive over Z with zeros off
+    # the circle: it divides no z^n - 1, and its circle zeros are counted
+    g = parse_poly(text)
+    ((f, _j),) = square_free_decomposition(g)
+    assert _unity_order(f) is None
+    read = circle_parts(g)
+    monkeypatch.setattr(factorization, "_unity_order", lambda f: None)
+    counted = circle_parts(g)
+    assert [(f.deg, j, c) for f, j, c, _ in read] == parts
+    assert read == counted
 
 
 def test_cofactor_coefficients_match_fft(examples):

@@ -100,6 +100,14 @@ def test_ab_cases_builds_the_lacunary_family():
     assert lines[-1].endswith("digests agree 2/2") and " 0.0/s" not in lines[-1]
 
 
+def test_ab_cases_builds_the_cyclotomic_family():
+    cmd = [sys.executable, str(ROOT / "tools" / "ab_cases.py"), str(ROOT), str(ROOT),
+           "cyclotomic", "--runs", "1", "--cases", "2"]
+    lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["k=3", "all"]
+    assert lines[-1].endswith("digests agree 2/2") and " 0.0/s" not in lines[-1]
+
+
 def _bench_pairs():
     import importlib.util
 

@@ -13,7 +13,11 @@ PARENT's ``perfbench/``, which is imported and not written to.  WORKLOAD
 each k in ``LACUNARY_K``, one family per k, where q(w) is ``LACUNARY_Q``
 and Lambda is its full pattern of degree 7.  q(w) -> q(w^k) is an isometry of
 L1 from P(Lambda) onto P(k Lambda), so each case expects the verdicts and
-``dim_plus`` that PARENT gives q on Lambda.  Every case
+``dim_plus`` that PARENT gives q on Lambda.  WORKLOAD ``cyclotomic`` is
+built here too, with no seed: (1 +- z^k)^j and (1 +- iz^k)^j for each k in
+``CYCLOTOMIC_K`` and j in ``CYCLOTOMIC_J``, one family per k, each on its
+full pattern and on the pattern that forbids every exponent off kZ; each
+case expects the verdicts and ``dim_plus`` that PARENT gives it.  Every case
 runs N times on each side, the sides alternating run by run, and counts
 with its fastest run, as the benchmark counts it.  One line per family, and
 one for all cases, gives each side's decided/s (decided cases over the sum
@@ -35,6 +39,9 @@ LIMIT = 30.0
 MODULES = ("poly_core", "plus_cone", "classifier", "cli_reports")
 LACUNARY_Q = "((w - 1/2)(1 - w/2))^2 (3 + (1+2i)w - w^2 + (2-i)w^3)"
 LACUNARY_K = (2, 3, 4, 6, 8, 12, 16, 24)
+CYCLOTOMIC_FORMS = ("(1 + z^{k})^{j}", "(1 - z^{k})^{j}", "(1 + iz^{k})^{j}", "(1 - iz^{k})^{j}")
+CYCLOTOMIC_K = (3, 6, 12, 24, 48)
+CYCLOTOMIC_J = (2, 3)
 
 
 def load(root: Path, name: str):
@@ -50,15 +57,37 @@ def load(root: Path, name: str):
     return module
 
 
+def _expect(lacuna, text: str, N: int, forbidden: tuple[int, ...]) -> dict:
+    """The verdicts and ``dim_plus`` that ``lacuna`` gives text on (N, forbidden)."""
+    pattern = lacuna.poly_core.LacunaryPattern(N, forbidden)
+    rep = lacuna.classifier.classify(lacuna.poly_core.parse_poly(text), pattern, lacuna.classifier.ClassifyOptions())
+    return {"extreme": rep.extreme, "exposed": rep.exposed, "dim_plus": rep.dim_plus}
+
+
 def lacunary_cases(lacuna, Case) -> list:
     """q(z^k) on k Lambda for each k in ``LACUNARY_K``, expecting q's
     verdicts on Lambda as ``lacuna`` decides them."""
-    q = lacuna.poly_core.parse_poly(LACUNARY_Q.replace("w", "z"))
-    rep = lacuna.classifier.classify(q, lacuna.poly_core.LacunaryPattern(q.deg), lacuna.classifier.ClassifyOptions())
-    expect = {"extreme": rep.extreme, "exposed": rep.exposed, "dim_plus": rep.dim_plus}
+    q = LACUNARY_Q.replace("w", "z")
+    deg = lacuna.poly_core.parse_poly(q).deg
+    expect = _expect(lacuna, q, deg, ())
     return [Case(f"lacunary-{k}", f"k={k}", "classify", LACUNARY_Q.replace("w", f"(z^{k})"),
-                 q.deg * k, tuple(e for e in range(1, q.deg * k) if e % k), expect=expect)
+                 deg * k, tuple(e for e in range(1, deg * k) if e % k), expect=expect)
             for k in LACUNARY_K]
+
+
+def cyclotomic_cases(lacuna, Case) -> list:
+    """Each form of ``CYCLOTOMIC_FORMS`` for k in ``CYCLOTOMIC_K`` and j in
+    ``CYCLOTOMIC_J``, on its full pattern and on the one that forbids every
+    exponent off kZ, expecting the verdicts ``lacuna`` gives it."""
+    cases = []
+    for k in CYCLOTOMIC_K:
+        for j in CYCLOTOMIC_J:
+            for n, form in enumerate(CYCLOTOMIC_FORMS):
+                text = form.format(k=k, j=j)
+                for name, forbidden in (("full", ()), ("gapped", tuple(e for e in range(1, j * k) if e % k))):
+                    cases.append(Case(f"cyclotomic-{k}-{j}-{n}-{name}", f"k={k}", "classify", text, j * k,
+                                      forbidden, expect=_expect(lacuna, text, j * k, forbidden)))
+    return cases
 
 
 def main(argv=None) -> int:
@@ -81,6 +110,8 @@ def main(argv=None) -> int:
              "change": load(args.change.resolve(), "lacuna_change")}
     if args.workload == "lacunary":
         cases = lacunary_cases(sides["parent"], Case)[: args.cases]
+    elif args.workload == "cyclotomic":
+        cases = cyclotomic_cases(sides["parent"], Case)[: args.cases]
     else:
         cases = make_cases(args.workload, args.seed, args.parent / "corpus")[: args.cases]
     best = {side: [] for side in sides}
