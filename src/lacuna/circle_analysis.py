@@ -25,7 +25,8 @@ a whole array, each step reading p and p' off one table of powers, and
 checks their backward errors: one above 1e-6, or overflowed (NaN), raises
 :class:`IllConditionedZeros`, as does a zero beyond the float range.  No
 float zero decides a count: ``common_disk_zeros`` is given the exact number
-of shared disk zeros and only locates them.
+of shared disk zeros and only locates them, and ``factorization`` reads
+its exact factors off the located zeros.
 """
 
 from __future__ import annotations
@@ -281,15 +282,6 @@ def find_zeros(p: ComplexPoly) -> list[ZeroCluster]:
             clusters.append(ZeroCluster(r, mult))
     clusters.sort(key=lambda c: _sort_key(c.location))
     return clusters
-
-
-def linear_product(factors) -> np.ndarray:
-    """Float coefficients (ascending) of the product of the linear factors
-    ``(c0, c1)`` = c0 + c1 z, multiplied in the order given."""
-    out = np.array([1.0 + 0j])
-    for f in factors:
-        out = np.convolve(out, np.array(f, dtype=complex))
-    return out
 
 
 def common_disk_zeros(p: ComplexPoly, pstar: ComplexPoly, m: int, origin: int) -> tuple[ZeroCluster, ...]:

@@ -249,7 +249,7 @@ def classify(
 
     canonical = canonical_factorization(p, pattern.N)
     norm_res = l1_norm(p, canonical.zero_clusters)
-    tilde = tilde_factorization(pattern.N, canonical)
+    tilde = tilde_factorization(canonical)
     forbidden = tuple(pattern.forbidden)
     # both factors are Hermitian by construction; one that is not raises
     matrix = build_matrix(canonical.cofactor, forbidden, canonical.m)
@@ -258,7 +258,7 @@ def classify(
     _check_seed_membership(matrix, seed, "plain")
     if tilde.mu:
         matrix_tilde = build_matrix(tilde.reduced_cofactor, forbidden, tilde.m_tilde)
-        seed_tilde = real_symbol_on_circle(tilde.total_factor, tilde.m_tilde)
+        seed_tilde = real_symbol_on_circle(canonical.disk_factor * tilde.circle_factor, tilde.m_tilde)
         kernel_tilde = rank_and_kernel(matrix_tilde)
         _check_seed_membership(matrix_tilde, seed_tilde, "tilde")
     else:  # no circle zero is halved: the tilde level is the plain one
@@ -308,7 +308,6 @@ def classify(
         else:
             if rep.exposed is None:
                 rep.exposed = rep.dim_plus == 1
-            diagnostics["plus_vectors_found"] = len(found_plus)
 
     if rep.extreme is False:
         rep.witnesses += (make_non_extreme_witness(canonical, rep.kernel, seed, pattern),)

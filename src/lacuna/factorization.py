@@ -6,7 +6,8 @@ G = prod (z - a)^m (1 - conj(a) z)^m.  The tilde factorization is the
 canonical one times the circle part: the circle factor C takes
 floor(multiplicity/2) copies of every circle zero of p, reflected the same
 way, and is divided out of R, so p = (G C) R~.  The rank criteria read
-their constraint matrices off the cofactors R and R~.
+their constraint matrices off the cofactors R and R~; the tilde factor
+G C is not kept, and the classifier forms it for its tilde seed.
 
 Every factor is exact, read off p's Gaussian-rational coefficients.  G
 divides g = gcd(p, p*): when the modular certificate inside ``gcd_exact``
@@ -24,12 +25,12 @@ C_j = f_j, and its zeros are read off the n-th roots of unity with no
 root solve.  Every other part has its number c_j of circle zeros counted
 exactly by Sturm's theorem on a Cayley numerator.  Its circle factor C_j
 is 1 when c_j = 0 (no root is solved), f_j when c_j = deg f_j, and
-otherwise the rationalized float product of the c_j zeros of f_j nearest
-the circle, accepted only when it divides f_j and has c_j circle zeros; an
-irrational split (a Salem polynomial, say) raises
-:class:`IllConditionedZeros` with the counts.  The monic G is
-g / prod C_j^j and m = (deg G + order of G at 0) / 2: only the exact g
-decides a count.  The float zeros of p and p* locate the m displayed disk
+otherwise the rationalized float product prod (z - a) of the c_j zeros a
+of f_j nearest the circle, multiplied in their order, accepted only when
+it divides f_j and has c_j circle zeros; an irrational split (a Salem
+polynomial, say) raises :class:`IllConditionedZeros` with the counts.
+The monic G is g / prod C_j^j and m = (deg G + order of G at 0) / 2: only
+the exact g decides a count.  The float zeros of p and p* locate the m displayed disk
 zeros (``common_disk_zeros``, told m and the order at 0), or the input is
 refused.  G is scaled to make its symbol on the circle real and positive:
 by the natural scale prod(-conj a) when the disk zeros a have a
@@ -49,7 +50,6 @@ from .circle_analysis import (
     _sort_key,
     common_disk_zeros,
     find_zeros,
-    linear_product,
 )
 from .errors import IllConditionedZeros, NotHermitianSymmetric
 from .plus_cone import CoefVector, _cayley_numerator
@@ -82,27 +82,29 @@ class CanonicalData:
 
 @dataclasses.dataclass(frozen=True)
 class TildeData:
-    """p = total_factor * reduced_cofactor, circle zeros half-absorbed."""
+    """p = disk_factor * circle_factor * reduced_cofactor."""
 
     mu: int  # sum of floor(lam / 2) over the canonical zero clusters
     m_tilde: int
     s_tilde: int
     circle_factor: ComplexPoly
-    total_factor: ComplexPoly
     reduced_cofactor: ComplexPoly
 
 
-def _factor_out(p: ComplexPoly, factors) -> ComplexPoly | None:
+def _factor_out(p: ComplexPoly, zeros) -> ComplexPoly | None:
     """The first Gaussian-rational reading, with denominators up to a bound of
     ``_RATIONALIZE_BOUNDS`` and within 1e-9 relative, of the float product
-    of the linear factors (c0, c1) = c0 + c1 z that divides p exactly, or
-    None when none does."""
-    approx = [(c.real, c.imag) for c in linear_product(factors).tolist()]
+    prod (z - a) over the float ``zeros`` a, multiplied in the order given,
+    that divides p exactly, or None when none does."""
+    prod = [1 + 0j]
+    for a in zeros:  # times z - a
+        prod = [x - a * y for x, y in zip([0j, *prod], [*prod, 0j])]
+    approx = [(c.real, c.imag) for c in prod]
     for bound in _RATIONALIZE_BOUNDS:
         cand = [[Fraction(x).limit_denominator(bound) for x in c] for c in approx]
         if all(abs(float(r) - x) <= 1e-9 * max(1.0, abs(x)) for c, rc in zip(approx, cand) for x, r in zip(c, rc)):
             D = ComplexPoly([GaussianRational(*c) for c in cand])
-            if D.deg == len(factors) and _divides(D.coeffs, p.coeffs):
+            if D.deg == len(zeros) and _divides(D.coeffs, p.coeffs):
                 return D
     return None
 
@@ -120,10 +122,10 @@ def _hermitian(F: ComplexPoly) -> ComplexPoly:
 def _positive_hermitian_multiple(G: ComplexPoly, disk) -> ComplexPoly:
     """kappa G with a real and positive symbol on the circle: kappa is the
     natural scale prod(-conj a) = conj(D(0)) when the monic product D of the
-    nonzero disk zeros a (the linear factors ``disk``) is a Gaussian-rational
-    divisor of G with D(0) != 0, and otherwise the Hilbert 90 scale of
-    ``_hermitian``, with the sign that makes the symbol at t = 0, kappa G(1),
-    positive."""
+    nonzero disk zeros a (``disk``, each as often as its multiplicity) is
+    a Gaussian-rational divisor of G with D(0) != 0, and otherwise the
+    Hilbert 90 scale of ``_hermitian``, with the sign that makes the symbol
+    at t = 0, kappa G(1), positive."""
     D = _factor_out(G, disk)
     if D is not None and D.coeffs[0]:  # a disk zero read as 0 gives no scale
         return G * D.coeffs[0].conjugate()
@@ -208,15 +210,15 @@ def _unity_zeros(f: ComplexPoly, n: int) -> list[complex] | None:
     return zeros if len(zeros) == f.deg else None
 
 
-def circle_parts(g: ComplexPoly) -> list[tuple[ComplexPoly, int, int, list[ZeroCluster]]]:
-    """(f, j, c, zeros) for each part f of multiplicity j of the square-free
-    decomposition of g = gcd(p, p*), origin dropped, with c > 0 circle zeros,
-    each one of ``zeros`` at multiplicity j.  A part that divides z^n - 1
-    (``_unity_order``) has c = deg f, and its zeros are the n-th roots of
-    unity it vanishes at (``_unity_zeros``).  Any other part, or one whose
-    roots of unity are not read unambiguously, has c counted exactly
-    (``_circle_count``), and its zeros are the c float zeros of f nearest
-    the circle."""
+def circle_parts(g: ComplexPoly) -> list[tuple[ComplexPoly, int, list[ZeroCluster]]]:
+    """(f, j, zeros) for each part f of multiplicity j of the square-free
+    decomposition of g = gcd(p, p*), origin dropped, with circle zeros, each
+    one of ``zeros`` at multiplicity j.  A part that divides z^n - 1
+    (``_unity_order``) has deg f of them, the n-th roots of unity it
+    vanishes at (``_unity_zeros``).  Any other part, or one whose roots of
+    unity are not read unambiguously, has their number c counted exactly
+    (``_circle_count``), and they are the c float zeros of f nearest the
+    circle."""
     parts = []
     for f, j in square_free_decomposition(ComplexPoly(g.coeffs[g.order_at_zero():])):
         n = _unity_order(f)
@@ -224,7 +226,7 @@ def circle_parts(g: ComplexPoly) -> list[tuple[ComplexPoly, int, int, list[ZeroC
         if zeros is None and (c := _circle_count(f)):
             zeros = [z.location for z in sorted(find_zeros(f), key=lambda z: abs(1 - abs(z.location)))[:c]]
         if zeros:
-            parts.append((f, j, len(zeros), [ZeroCluster(z, j) for z in zeros]))
+            parts.append((f, j, [ZeroCluster(z, j) for z in zeros]))
     return parts
 
 
@@ -239,8 +241,9 @@ def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
     if g.deg == 0:  # no shared zero, and so no circle zero either
         return CanonicalData((), 0, N, ComplexPoly.one(), p, (), ())
     G, clusters, circle = g, [], []
-    for f, j, c, zeros in circle_parts(g):
-        C = f if c == f.deg else _factor_out(f, [(-z.location, 1.0) for z in zeros])
+    for f, j, zeros in circle_parts(g):
+        c = len(zeros)
+        C = f if c == f.deg else _factor_out(f, [z.location for z in zeros])
         if c < f.deg and (C is None or _circle_count(C) != c):
             raise IllConditionedZeros(
                 "no Gaussian-rational monic product of the circle zeros of p with denominators "
@@ -258,7 +261,7 @@ def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
     if m:  # the located zeros are displayed, and give G its natural scale
         shared = common_disk_zeros(p, pstar, m, origin)
         G = _positive_hermitian_multiple(
-            G, [(-c.location, 1.0) for c in shared if c.location for _ in range(c.multiplicity)]
+            G, [c.location for c in shared if c.location for _ in range(c.multiplicity)]
         )
     return CanonicalData(
         disk_zeros=shared,
@@ -271,14 +274,14 @@ def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
     )
 
 
-def tilde_factorization(N: int, canonical: CanonicalData) -> TildeData:
+def tilde_factorization(canonical: CanonicalData) -> TildeData:
     """Extend the canonical factor by half of every multiple circle zero.
 
     As (z - a)(1 - conj(a) z) = -conj(a) (z - a)^2 for |a| = 1, the circle
     factor is prod_j (conj(C_j(0)) C_j^2)^floor(j/2) over the canonical
     circle factors C_j.  It is divided out of the canonical cofactor, so
-    the total factor is the canonical factor times the circle factor; with
-    no circle zero halved (mu = 0) the circle factor is 1.
+    the tilde factor G C is the canonical factor G times the circle factor
+    C, and s~ = s - 2 mu; with no circle zero halved (mu = 0), C = 1.
     """
     mu = sum(c.multiplicity // 2 for c in canonical.zero_clusters)
     circle_factor = ComplexPoly.one()
@@ -288,9 +291,8 @@ def tilde_factorization(N: int, canonical: CanonicalData) -> TildeData:
     return TildeData(
         mu=mu,
         m_tilde=canonical.m + mu,
-        s_tilde=N - 2 * (canonical.m + mu),
+        s_tilde=canonical.s - 2 * mu,
         circle_factor=circle_factor,
-        total_factor=canonical.disk_factor * circle_factor,
         reduced_cofactor=divide_exact(canonical.cofactor, circle_factor),
     )
 

@@ -70,10 +70,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _gauss(self._a, -self._b, self._d)
 
-    def abs2(self) -> Fraction:
-        """|x|^2, exactly."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     def __bool__(self):
         return bool(self._a or self._b)
 

@@ -148,7 +148,7 @@ def test_criterion_03_double_circle_reproduction(examples):
     _check(problems, rep.kernel_tilde.dim == 3, f"kernel dim {rep.kernel_tilde.dim}")
     _check(problems, rep.dim_plus == 3, f"dim_plus {rep.dim_plus}")
 
-    seed = real_symbol_on_circle(rep.tilde.total_factor, rep.tilde.m_tilde)
+    seed = real_symbol_on_circle(rep.canonical.disk_factor * rep.tilde.circle_factor, rep.tilde.m_tilde)
     dim, found = plus_dimension(rep.kernel_tilde.vectors, seed=seed)
     _check(problems, dim == 3, f"recomputed dim_plus {dim}")
     stack = np.array([f.entries for f in found], dtype=float)
@@ -395,7 +395,7 @@ def test_criterion_07_gap_patterns_no_shared_zeros():
         while not a:
             a = coef()
         b = coef()
-        while not b or b.abs2() == a.abs2():
+        while not b or b.real ** 2 + b.imag ** 2 == a.real ** 2 + a.imag ** 2:
             b = coef()
         # a + b z^N: all zeros share the modulus |a/b|^(1/N) != 1, and the
         # conjugate-reciprocal's zeros sit at the reciprocal modulus, so the

@@ -28,7 +28,6 @@ from lacuna.circle_analysis import (
     _float_roots,
     _polish_roots,
     common_disk_zeros,
-    linear_product,
 )
 from lacuna.factorization import canonical_factorization
 from lacuna.poly_core import (
@@ -468,13 +467,3 @@ def test_l1_norm_matches_the_per_panel_quadrature():
         assert abs(res.value - value) <= min(res.abs_error_bound, bound), p
         assert res.panels == panels, p
 
-
-def test_linear_product_matches_the_convolution_loop():
-    rng = random.Random(5)
-    for n in (0, 1, 2, 7, 30):
-        factors = [(complex(rng.gauss(0, 1), rng.gauss(0, 1)), complex(rng.gauss(0, 1), rng.gauss(0, 1)))
-                   for _ in range(n)]
-        want = np.array([1.0 + 0j])
-        for c0, c1 in factors:
-            want = np.convolve(want, np.array([c0, c1]))
-        assert linear_product(factors).tolist() == want.tolist()

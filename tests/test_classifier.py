@@ -158,7 +158,7 @@ def test_shortcut_verdicts_agree_with_the_cone_dimension(examples):
         elif rep.fast_path_exposed != "plus_dimension":
             seen.add(rep.fast_path_exposed)
             assert dim is None, label
-            seed = real_symbol_on_circle(rep.tilde.total_factor, rep.tilde.m_tilde)
+            seed = real_symbol_on_circle(rep.canonical.disk_factor * rep.tilde.circle_factor, rep.tilde.m_tilde)
             dim, _ = plus_dimension(rep.kernel_tilde.vectors, seed=seed)
             assert (dim == 1) == rep.exposed, label
         if label in expected_dim:
@@ -826,7 +826,7 @@ def test_mu_zero_reuses_the_plain_level(monkeypatch, text, N, forbidden, mu, cal
     assert rep.tilde.mu == mu and counts == {"build_matrix": calls, "rank_and_kernel": calls}
     if not mu:
         assert rep.matrix_tilde is rep.matrix and rep.kernel_tilde == rep.kernel
-        assert rep.tilde.total_factor == rep.canonical.disk_factor
+        assert rep.canonical.disk_factor * rep.tilde.circle_factor == rep.canonical.disk_factor
         assert rep.tilde.reduced_cofactor == rep.canonical.cofactor
     else:
         from lacuna.cli_reports import report_to_dict

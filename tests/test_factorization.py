@@ -16,12 +16,13 @@ from lacuna import (
     certify_nonneg_exact,
     classify,
     conjugate_reciprocal,
+    find_zeros,
     parse_poly,
     real_symbol_on_circle,
     tilde_factorization,
 )
 from lacuna import factorization
-from lacuna.factorization import _circle_count, _unity_order, circle_parts
+from lacuna.factorization import _circle_count, _factor_out, _unity_order, circle_parts
 from lacuna.poly_core import ComplexPoly, GaussianRational, gcd_exact, square_free_decomposition
 
 
@@ -95,9 +96,9 @@ def test_canonical_degree_bound_via_origin():
 def test_tilde_double_circle(examples):
     p, pat = examples["double_circle"]
     can = canonical_factorization(p, pat.N)
-    til = tilde_factorization(pat.N, can)
+    til = tilde_factorization(can)
     assert (til.mu, til.m_tilde, til.s_tilde) == (2, 2, 0)
-    _exact(til.total_factor, [(-1, 0), (0, 0), (2, 0), (0, 0), (-1, 0)])
+    _exact(can.disk_factor * til.circle_factor, [(-1, 0), (0, 0), (2, 0), (0, 0), (-1, 0)])
     _exact(til.reduced_cofactor, [(-1, 0)])
     assert [c.multiplicity for c in can.zero_clusters] == [2, 2]
 
@@ -105,19 +106,19 @@ def test_tilde_double_circle(examples):
 def test_tilde_single_double_zero(examples):
     p, pat = examples["single_double_zero"]
     can = canonical_factorization(p, pat.N)
-    til = tilde_factorization(pat.N, can)
+    til = tilde_factorization(can)
     assert (til.mu, til.m_tilde, til.s_tilde) == (1, 1, 1)
-    _exact(til.total_factor, [(-1, 0), (2, 0), (-1, 0)])
+    _exact(can.disk_factor * til.circle_factor, [(-1, 0), (2, 0), (-1, 0)])
     _exact(til.reduced_cofactor, [(-2, 0), (-1, 0)])
 
 
 def test_tilde_trivial_when_circle_zeros_simple(examples):
     p, pat = examples["pair_and_gap"]
     can = canonical_factorization(p, pat.N)
-    til = tilde_factorization(pat.N, can)
+    til = tilde_factorization(can)
     # four simple circle zeros: nothing to absorb
     assert til.mu == 0 and til.m_tilde == can.m
-    assert til.total_factor.coeffs == can.disk_factor.coeffs
+    assert (can.disk_factor * til.circle_factor).coeffs == can.disk_factor.coeffs
     assert til.reduced_cofactor.coeffs == can.cofactor.coeffs
 
 
@@ -126,12 +127,13 @@ def test_reconstruction_all_examples(examples):
     both = (parse_poly("(z - 1/2)(2 - z)(1 - z)^2"), LacunaryPattern(4))
     for p, pat in [*examples.values(), both]:
         can = canonical_factorization(p, pat.N)
-        til = tilde_factorization(pat.N, can)
+        til = tilde_factorization(can)
         assert (can.disk_factor * can.cofactor).coeffs == p.coeffs
-        _close(til.total_factor * til.reduced_cofactor, p, tol=1e-12)
         # exact: the tilde factor is the canonical factor times the circle factor
-        assert til.total_factor == can.disk_factor * til.circle_factor
-        assert til.total_factor * til.reduced_cofactor == p
+        total = can.disk_factor * til.circle_factor
+        _close(total * til.reduced_cofactor, p, tol=1e-12)
+        assert total * til.reduced_cofactor == p
+        assert til.s_tilde == pat.N - 2 * til.m_tilde
 
 
 def test_float_parity_with_exact(examples):
@@ -305,8 +307,19 @@ def test_a_gaussian_integer_part_off_the_circle_keeps_the_counted_route(text, pa
     read = circle_parts(g)
     monkeypatch.setattr(factorization, "_unity_order", lambda f: None)
     counted = circle_parts(g)
-    assert [(f.deg, j, c) for f, j, c, _ in read] == parts
+    assert [(f.deg, j, len(zeros)) for f, j, zeros in read] == parts
     assert read == counted
+
+
+def test_factor_out_reads_a_gaussian_rational_factor_off_its_float_zeros():
+    D = parse_poly("(z - (1/2 + i/3))(z + 3/4)(z - 2i)")
+    p = D * parse_poly("z^2 - 5z + 1/7")
+    zeros = [c.location for c in find_zeros(D)]
+    # the float product of the zeros, in either order, reads back as D
+    assert _factor_out(p, zeros) == D and _factor_out(p, zeros[::-1]) == D
+    assert _factor_out(p, []) == ComplexPoly.one()
+    # (z - 2i) swapped for (z + 2i): the product does not divide p
+    assert _factor_out(p, [z if abs(z - 2j) > 1e-9 else -2j for z in zeros]) is None
 
 
 def test_cofactor_coefficients_match_fft(examples):

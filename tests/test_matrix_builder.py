@@ -43,7 +43,7 @@ def _example_matrix(examples, name, kind="plain"):
     can = canonical_factorization(p, pat.N)
     if kind == "plain":
         return build_matrix(can.cofactor, pat.forbidden, can.m), can
-    til = tilde_factorization(pat.N, can)
+    til = tilde_factorization(can)
     return build_matrix(til.reduced_cofactor, pat.forbidden, til.m_tilde), til
 
 
@@ -161,12 +161,12 @@ def test_exact_kernel_spans_float_kernel(examples):
     # the tilde kernel of a float input is the exact kernel of its value
     p, pat = examples["double_circle"]
     can = canonical_factorization(p, pat.N)
-    til = tilde_factorization(pat.N, can)
+    til = tilde_factorization(can)
     me = build_matrix(til.reduced_cofactor, pat.forbidden, til.m_tilde)
     exact_kb = rank_and_kernel(me)
 
     doubles = ComplexPoly([complex(c) for c in p.coeffs])
-    flo = tilde_factorization(pat.N, canonical_factorization(doubles, pat.N))
+    flo = tilde_factorization(canonical_factorization(doubles, pat.N))
     mf = build_matrix(flo.reduced_cofactor, pat.forbidden, flo.m_tilde)
     assert rank_and_kernel(mf) == exact_kb
 

@@ -570,7 +570,7 @@ def test_plus_dimension_double_zero_kernel(examples):
 
     p, pat = examples["double_circle"]
     can = canonical_factorization(p, pat.N)
-    til = tilde_factorization(pat.N, can)
+    til = tilde_factorization(can)
     mat = build_matrix(til.reduced_cofactor, pat.forbidden, til.m_tilde)
     kb = rank_and_kernel(mat)
     dim, found = plus_dimension(kb.vectors)

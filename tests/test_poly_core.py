@@ -128,7 +128,6 @@ def test_gaussian_rational_unary_views_match_fraction_pairs(ri):
     _assert_normalized(x, re, im)
     _assert_normalized(x.conjugate(), re, -im)
     _assert_normalized(-x, -re, -im)
-    assert type(x.abs2()) is Fraction and x.abs2() == re * re + im * im
     assert hash(x) == hash(GaussianRational(re, im)) and (im or hash(x) == hash(re))
     assert str(x) == _reference_str(re, im)
     assert repr(x) == f"GaussianRational({re!r}, {im!r})"

@@ -23,3 +23,27 @@ def test_no_module_imports_a_name_it_never_reads():
     # __init__ imports to re-export; every other module reads what it imports
     found = {path.name: unused_imports(path) for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unread_definitions(paths: list[Path]) -> list[str]:
+    """The top-level functions and classes of ``paths``, as ``module.name``,
+    that no module of ``paths`` imports or reads by name."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in used
+    )
+
+
+def test_every_top_level_definition_has_a_reader_in_the_package():
+    # a re-export from __init__ counts as a reader
+    assert unread_definitions(sorted(SRC.glob("*.py"))) == []

@@ -25,7 +25,7 @@ def test_cone_census_reports_three_draws():
     assert lines[0] == "seed 1: 3 inputs"
     counts = [int(line.rsplit(": ", 1)[1]) for line in lines[1:] if " exposed=" in line]
     assert sum(counts) == 3
-    assert "witnesses: exact" in "\n".join(lines) and lines[-1] == "exceptions: 0"
+    assert any(line.startswith("witnesses: ") for line in lines) and lines[-1] == "exceptions: 0"
 
 
 def test_cone_census_draws_on_the_cube_root_bases(monkeypatch):
@@ -53,7 +53,7 @@ def test_cone_census_leaves_nothing_undecided(seed):
 def test_report_fields_finds_a_checkout_identical_to_itself():
     cmd = [sys.executable, str(ROOT / "tools" / "report_fields.py"), str(ROOT), str(ROOT), "1"]
     lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
-    assert [line.split()[:2] for line in lines] == [["exact", "identical"]]
+    assert [line.split()[0] for line in lines] == ["identical"]
 
 
 def test_report_fields_reads_a_norm_move_against_its_bound(monkeypatch):
@@ -63,14 +63,14 @@ def test_report_fields_reads_a_norm_move_against_its_bound(monkeypatch):
     def report(value, dim):
         return {"norm": {"value": value, "error_bound": 1e-12}, "dim_plus": dim}
 
-    parent = {("w", "a", "exact"): report(1.0, 1), ("w", "b", "exact"): report(2.0, 1)}
+    parent = {("w", "a"): report(1.0, 1), ("w", "b"): report(2.0, 1)}
     # a moves within its bound, b by 1e-9 > 1e-12, and b's dim_plus doubles
-    change = {("w", "a", "exact"): report(1.0 + 1e-13, 1), ("w", "b", "exact"): report(2.0 + 1e-9, 2)}
+    change = {("w", "a"): report(1.0 + 1e-13, 1), ("w", "b"): report(2.0 + 1e-9, 2)}
     assert compare(parent, change) == [
-        "exact dim_plus differs in 1/2 max |diff| 1 max rel 0.5",
-        "exact norm.value differs in 2/2 max |diff| 1e-09 max rel 5e-10 beyond bound 1",
+        "dim_plus differs in 1/2 max |diff| 1 max rel 0.5",
+        "norm.value differs in 2/2 max |diff| 1e-09 max rel 5e-10 beyond bound 1",
     ]
-    assert compare(parent, parent) == ["exact identical in 2 reports"]
+    assert compare(parent, parent) == ["identical in 2 reports"]
 
 
 def test_fuzz_raises_only_lacuna_errors_and_witnesses_every_non_extreme_verdict():
@@ -151,9 +151,11 @@ def _lacuna1(rep) -> dict:
     doc = report_to_dict(rep)
     doc["schema"] = "lacuna/1"
     doc["factorization"]["cofactor"] = poly_to_json(rep.canonical.cofactor)
-    doc["tilde"]["total_factor"] = poly_to_json(rep.tilde.total_factor)
+    doc["tilde"]["total_factor"] = poly_to_json(rep.canonical.disk_factor * rep.tilde.circle_factor)
     doc["tilde"]["reduced_cofactor"] = poly_to_json(rep.tilde.reduced_cofactor)
     doc["matrix_tilde"] = _matrix_to_json(rep.matrix_tilde, rep.kernel_tilde, "tilde")
+    if rep.dim_plus is not None:  # plus_dimension returns dim_plus plus vectors
+        doc["diagnostics"] = {**doc["diagnostics"], "plus_vectors_found": rep.dim_plus}
     doc["witnesses"] = [
         {"kind": w.kind, "vector": _vector_to_json(w.vector), "perturbation": poly_to_json(w.perturbation),
          "spectrum": list(w.spectrum), "step": None if w.step is None else str(w.step)}
@@ -192,12 +194,15 @@ def test_to_lacuna1_rebuilds_every_report_byte_for_byte(monkeypatch):
             seen["plusdim"] += 1
             continue
         try:
-            rep = report_digests.classify_case(lacuna, case, {})
+            rep = report_digests.classify_case(lacuna, case)
         except lacuna.LacunaError:
             continue
         doc = report_to_dict(rep)
         assert dump(to_lacuna1(doc)) == dump(_lacuna1(rep)), case.id
         assert to_lacuna1(to_lacuna1(doc)) == to_lacuna1(doc)
+        if doc["dim_plus"] is not None:  # an older lacuna/2 document still wrote the count
+            older = {**doc, "diagnostics": {**doc["diagnostics"], "plus_vectors_found": doc["dim_plus"]}}
+            assert to_lacuna1(older) == to_lacuna1(doc)
         seen["reports"] += 1
         seen["matrix_tilde"] += doc["matrix_tilde"] == {"same_as": "matrix"}
         seen["witness"] += any("same_as" in w for w in doc["witnesses"])

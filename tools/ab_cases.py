@@ -60,34 +60,31 @@ def load(root: Path, name: str):
 def _expect(lacuna, text: str, N: int, forbidden: tuple[int, ...]) -> dict:
     """The verdicts and ``dim_plus`` that ``lacuna`` gives text on (N, forbidden)."""
     pattern = lacuna.poly_core.LacunaryPattern(N, forbidden)
-    rep = lacuna.classifier.classify(lacuna.poly_core.parse_poly(text), pattern, lacuna.classifier.ClassifyOptions())
+    rep = lacuna.classifier.classify(lacuna.poly_core.parse_poly(text), pattern)
     return {"extreme": rep.extreme, "exposed": rep.exposed, "dim_plus": rep.dim_plus}
 
 
-def lacunary_cases(lacuna, Case) -> list:
-    """q(z^k) on k Lambda for each k in ``LACUNARY_K``, expecting q's
-    verdicts on Lambda as ``lacuna`` decides them."""
+def lacunary_cases(lacuna, Case, count: int | None = None) -> list:
+    """q(z^k) on k Lambda for the first ``count`` k in ``LACUNARY_K`` (all
+    when None), expecting q's verdicts on Lambda as ``lacuna`` decides them."""
     q = LACUNARY_Q.replace("w", "z")
     deg = lacuna.poly_core.parse_poly(q).deg
     expect = _expect(lacuna, q, deg, ())
     return [Case(f"lacunary-{k}", f"k={k}", "classify", LACUNARY_Q.replace("w", f"(z^{k})"),
                  deg * k, tuple(e for e in range(1, deg * k) if e % k), expect=expect)
-            for k in LACUNARY_K]
+            for k in LACUNARY_K[:count]]
 
 
-def cyclotomic_cases(lacuna, Case) -> list:
+def cyclotomic_cases(lacuna, Case, count: int | None = None) -> list:
     """Each form of ``CYCLOTOMIC_FORMS`` for k in ``CYCLOTOMIC_K`` and j in
     ``CYCLOTOMIC_J``, on its full pattern and on the one that forbids every
-    exponent off kZ, expecting the verdicts ``lacuna`` gives it."""
-    cases = []
-    for k in CYCLOTOMIC_K:
-        for j in CYCLOTOMIC_J:
-            for n, form in enumerate(CYCLOTOMIC_FORMS):
-                text = form.format(k=k, j=j)
-                for name, forbidden in (("full", ()), ("gapped", tuple(e for e in range(1, j * k) if e % k))):
-                    cases.append(Case(f"cyclotomic-{k}-{j}-{n}-{name}", f"k={k}", "classify", text, j * k,
-                                      forbidden, expect=_expect(lacuna, text, j * k, forbidden)))
-    return cases
+    exponent off kZ, the first ``count`` of them (all when None), each
+    expecting the verdicts ``lacuna`` gives it; only those are classified."""
+    specs = [(f"cyclotomic-{k}-{j}-{n}-{name}", f"k={k}", form.format(k=k, j=j), j * k, forbidden)
+             for k in CYCLOTOMIC_K for j in CYCLOTOMIC_J for n, form in enumerate(CYCLOTOMIC_FORMS)
+             for name, forbidden in (("full", ()), ("gapped", tuple(e for e in range(1, j * k) if e % k)))]
+    return [Case(case_id, family, "classify", text, N, forbidden, expect=_expect(lacuna, text, N, forbidden))
+            for case_id, family, text, N, forbidden in specs[:count]]
 
 
 def main(argv=None) -> int:
@@ -109,9 +106,9 @@ def main(argv=None) -> int:
     sides = {"parent": load(args.parent.resolve(), "lacuna_parent"),
              "change": load(args.change.resolve(), "lacuna_change")}
     if args.workload == "lacunary":
-        cases = lacunary_cases(sides["parent"], Case)[: args.cases]
+        cases = lacunary_cases(sides["parent"], Case, args.cases)
     elif args.workload == "cyclotomic":
-        cases = cyclotomic_cases(sides["parent"], Case)[: args.cases]
+        cases = cyclotomic_cases(sides["parent"], Case, args.cases)
     else:
         cases = make_cases(args.workload, args.seed, args.parent / "corpus")[: args.cases]
     best = {side: [] for side in sides}

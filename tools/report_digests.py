@@ -7,9 +7,10 @@ Usage::
 CHECKOUT is a lacuna source tree (its ``src/`` and ``perfbench/`` are
 imported; nothing is written there).  For every classify case of the
 exact_generic and exact_circle workloads at SEED, census included, the
-script classifies the input and prints one line per report::
+script classifies the input with the default options and prints one line
+per report::
 
-    <workload> <case id> exact <sha256> <extreme> <exposed> <dim_plus>
+    <workload> <case id> <sha256> <extreme> <exposed> <dim_plus>
 
 where the digest covers the JSON of ``report_to_dict`` in its ``lacuna/1``
 form (``tools/to_lacuna1.py`` rebuilds it from ``lacuna/2``) followed by
@@ -54,8 +55,6 @@ from pathlib import Path
 
 from ab_cases import LACUNARY_Q
 from to_lacuna1 import to_lacuna1
-
-MODES = {"exact": {"mode": "exact"}}
 
 # (id, expression, N, forbidden, scalar): a scalar turns the input into its
 # coefficients rounded to doubles, each times that double in float arithmetic
@@ -151,18 +150,17 @@ def outside_cases(lacuna, cases):
         yield cases.Case(case_id, "outside", "plusdim", data)
 
 
-def classify_case(lacuna, case, overrides: dict):
-    """The classify report of a case, under its options with ``overrides``."""
-    opts = {**dict(case.options), **overrides}
+def classify_case(lacuna, case):
+    """The classify report of a case, under the default options: every
+    case's options are the default ``mode`` ``auto``."""
     p = lacuna.poly_core.parse_poly(case.source)
-    pattern = lacuna.poly_core.LacunaryPattern(case.N, case.forbidden)
-    return lacuna.classifier.classify(p, pattern, lacuna.classifier.ClassifyOptions(**opts))
+    return lacuna.classifier.classify(p, lacuna.poly_core.LacunaryPattern(case.N, case.forbidden))
 
 
-def _digest(lacuna, case, overrides: dict) -> str:
+def _digest(lacuna, case) -> str:
     """The report's digest and verdicts, or the exception raised instead."""
     try:
-        rep = classify_case(lacuna, case, overrides)
+        rep = classify_case(lacuna, case)
         text = json.dumps(to_lacuna1(lacuna.cli_reports.report_to_dict(rep)), indent=2, sort_keys=True) + "\n"
         text += lacuna.cli_reports.render_text(rep)
     except Exception as exc:  # the outcome is part of the behaviour being compared
@@ -197,8 +195,7 @@ def main(argv: list[str]) -> int:
         if case.kind == "plusdim":
             print(workload, case.id, "plusdim", _plusdim_digest(lacuna, case), flush=True)
             continue
-        for name, overrides in MODES.items():
-            print(workload, case.id, name, _digest(lacuna, case, overrides), flush=True)
+        print(workload, case.id, _digest(lacuna, case), flush=True)
     return 0
 
 

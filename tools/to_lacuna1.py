@@ -16,7 +16,9 @@ writes it back:
 * ``matrix_tilde`` written as ``{"same_as": "matrix"}`` is ``matrix`` with
   ``kind`` ``"tilde"``;
 * a witness with ``same_as`` takes its ``vector``, ``perturbation`` and
-  ``spectrum`` from the witness at that index.
+  ``spectrum`` from the witness at that index;
+* ``diagnostics.plus_vectors_found`` is ``dim_plus`` where that is not
+  null (an older ``lacuna/2`` document that still writes it keeps its own).
 
 The other ``lacuna/2`` documents (``plusdim`` and ``norm``) differ from
 ``lacuna/1`` only in their tag, and a ``lacuna/1`` document passes through
@@ -56,6 +58,8 @@ def to_lacuna1(doc: dict) -> dict:
         if "same_as" in w:
             first = out["witnesses"][w.pop("same_as")]
             w.update({key: first[key] for key in ("vector", "perturbation", "spectrum")})
+    if out["dim_plus"] is not None:
+        out["diagnostics"].setdefault("plus_vectors_found", out["dim_plus"])
     return out
 
 
