@@ -203,8 +203,12 @@ def make_non_exposed_witness(
 ) -> Witness:
     """Perturbation q with q/p real, *nonnegative* and nonconstant, from the
     first accepted of the exactly certified plus vectors of ``plus_dimension``
-    on the tilde kernel."""
+    on the tilde kernel.  The seed, which ``plus_dimension`` hands back first
+    as this very object, would only rescale p: it is skipped before its
+    polynomial is built."""
     for v in plus_vectors:
+        if v is seed_tilde:
+            continue
         w = _validated_witness(
             "non_exposed", v, symbol_to_poly(v, tilde.m_tilde), tilde.reduced_cofactor, seed_tilde, pattern
         )

@@ -29,13 +29,14 @@ otherwise the rationalized float product prod (z - a) of the c_j zeros a
 of f_j nearest the circle, multiplied in their order, accepted only when
 it divides f_j and has c_j circle zeros; an irrational split (a Salem
 polynomial, say) raises :class:`IllConditionedZeros` with the counts.
-The monic G is g / prod C_j^j and m = (deg G + order of G at 0) / 2: only
-the exact g decides a count.  The float zeros of p and p* locate the m displayed disk
-zeros (``common_disk_zeros``, told m and the order at 0), or the input is
-refused.  G is scaled to make its symbol on the circle real and positive:
-by the natural scale prod(-conj a) when the disk zeros a have a
-Gaussian-rational monic product, else by the Gaussian rational that
-Hilbert 90 reads off G's coefficients.
+The monic G is z^origin prod (f_j / C_j)^j, origin the order of g at 0,
+with one exact division per part partly on the circle, and m = (deg G +
+origin) / 2: only the exact g decides a count.  The float zeros of p and
+p* locate the m displayed disk zeros (``common_disk_zeros``, told m and
+the origin), or the input is refused.  G is scaled to make its symbol
+on the circle real and positive: by the natural scale prod(-conj a) when
+the disk zeros a have a Gaussian-rational monic product, else by the
+Gaussian rational that Hilbert 90 reads off G's coefficients.
 """
 
 from __future__ import annotations
@@ -211,22 +212,23 @@ def _unity_zeros(f: ComplexPoly, n: int) -> list[complex] | None:
 
 
 def circle_parts(g: ComplexPoly) -> list[tuple[ComplexPoly, int, list[ZeroCluster]]]:
-    """(f, j, zeros) for each part f of multiplicity j of the square-free
-    decomposition of g = gcd(p, p*), origin dropped, with circle zeros, each
-    one of ``zeros`` at multiplicity j.  A part that divides z^n - 1
-    (``_unity_order``) has deg f of them, the n-th roots of unity it
-    vanishes at (``_unity_zeros``).  Any other part, or one whose roots of
-    unity are not read unambiguously, has their number c counted exactly
-    (``_circle_count``), and they are the c float zeros of f nearest the
-    circle."""
+    """(f, j, zeros) for every part f of multiplicity j of the square-free
+    decomposition of g = gcd(p, p*), origin dropped, with f's circle zeros,
+    each one of ``zeros`` at multiplicity j (none for a part off the
+    circle).  A part that divides z^n - 1 (``_unity_order``) has deg f of
+    them, the n-th roots of unity it vanishes at (``_unity_zeros``).  Any
+    other part, or one whose roots of unity are not read unambiguously, has
+    their number c counted exactly (``_circle_count``), and they are the c
+    float zeros of f nearest the circle."""
     parts = []
     for f, j in square_free_decomposition(ComplexPoly(g.coeffs[g.order_at_zero():])):
         n = _unity_order(f)
         zeros = _unity_zeros(f, n) if n else None
-        if zeros is None and (c := _circle_count(f)):
-            zeros = [z.location for z in sorted(find_zeros(f), key=lambda z: abs(1 - abs(z.location)))[:c]]
-        if zeros:
-            parts.append((f, j, [ZeroCluster(z, j) for z in zeros]))
+        if zeros is None:
+            c = _circle_count(f)
+            near = sorted(find_zeros(f), key=lambda z: abs(1 - abs(z.location))) if c else []
+            zeros = [z.location for z in near[:c]]
+        parts.append((f, j, [ZeroCluster(z, j) for z in zeros]))
     return parts
 
 
@@ -240,23 +242,26 @@ def canonical_factorization(p: ComplexPoly, N: int) -> CanonicalData:
     g = gcd_exact(p, pstar)
     if g.deg == 0:  # no shared zero, and so no circle zero either
         return CanonicalData((), 0, N, ComplexPoly.one(), p, (), ())
-    G, clusters, circle = g, [], []
-    for f, j, zeros in circle_parts(g):
+    origin = g.order_at_zero()
+    G, clusters, circle = ComplexPoly.monomial(origin), [], []
+    for f, j, zeros in circle_parts(g):  # G = z^origin prod (f / C)^j
         c = len(zeros)
-        C = f if c == f.deg else _factor_out(f, [z.location for z in zeros])
-        if c < f.deg and (C is None or _circle_count(C) != c):
-            raise IllConditionedZeros(
-                "no Gaussian-rational monic product of the circle zeros of p with denominators "
-                f"up to {_RATIONALIZE_BOUNDS[-1]:.0e} divides the part of multiplicity {j} of "
-                f"gcd(p, p*): {c} of its {f.deg} zeros lie on the circle, and the split is "
-                "irrational (a Salem factor, say)",
-                diagnostics={"multiplicity": j, "circle_zeros": c, "degree": f.deg},
-            )
-        clusters += zeros
-        circle.append((C, j))
-        for _ in range(j):
-            G = divide_exact(G, C)
-    origin = G.order_at_zero()
+        if c:
+            C = f if c == f.deg else _factor_out(f, [z.location for z in zeros])
+            if c < f.deg and (C is None or _circle_count(C) != c):
+                raise IllConditionedZeros(
+                    "no Gaussian-rational monic product of the circle zeros of p with denominators "
+                    f"up to {_RATIONALIZE_BOUNDS[-1]:.0e} divides the part of multiplicity {j} of "
+                    f"gcd(p, p*): {c} of its {f.deg} zeros lie on the circle, and the split is "
+                    "irrational (a Salem factor, say)",
+                    diagnostics={"multiplicity": j, "circle_zeros": c, "degree": f.deg},
+                )
+            clusters += zeros
+            circle.append((C, j))
+        if c < f.deg:
+            F = divide_exact(f, C) if c else f
+            for _ in range(j):
+                G = G * F
     m, shared = (G.deg + origin) // 2, ()
     if m:  # the located zeros are displayed, and give G its natural scale
         shared = common_disk_zeros(p, pstar, m, origin)

@@ -188,9 +188,9 @@ def plus_dimension(basis, seed: CoefVector | None = None) -> tuple[int, list[Coe
     their exact value, a float at its binary value.  On the harmonic lattice
     of the rows and the seed the search runs on sigma (module docstring), and
     each found vector is spread back by tau(t) -> tau(kt), which keeps plus
-    vectors plus; the seed comes back as the caller's own object.  A zero
-    seed counts as none; a seed outside V or not plus is a ValueError; an
-    unfinished certificate raises :class:`SolverStalled`.
+    vectors plus; a seed that comes back comes first, as the caller's own
+    object.  A zero seed counts as none; a seed outside V or not plus is a
+    ValueError; an unfinished certificate raises :class:`SolverStalled`.
     """
     rows = [b.entries if isinstance(b, CoefVector) else b for b in basis]
     d = (len(rows[0]) - 1) // 2 if rows else seed.d if seed else 0

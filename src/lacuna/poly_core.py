@@ -966,10 +966,17 @@ def _monic(coeffs: Sequence[GaussianRational]) -> ComplexPoly:
 
 
 def square_free_decomposition(p: ComplexPoly) -> list[tuple[ComplexPoly, int]]:
-    """Yun decomposition [(f_i, i)] with p = lead * prod f_i^i, f_i square-free.
+    """Yun decomposition [(f_i, i)] with p = lead * prod f_i^i, f_i square-free
+    (D. Y. Y. Yun, SYMSAC 1976).
 
-    The factors are monic and pairwise coprime, constants are dropped.  When the first gcd(p, p') is 1, p is square-free and the
-    result is [(monic p, 1)] without further gcds.
+    The factors are monic and pairwise coprime, constants are dropped.  When
+    the first gcd(p, p') is 1, p is square-free and the result is
+    [(monic p, 1)] without further gcds.  Step i holds c = prod_{k >= i} f_k
+    and d with d / c = sum_{k >= i} (k - i) f_k' / f_k, and splits off
+    f_i = gcd(c, d).  When d = lam c' for a constant lam, the partial
+    fractions sum_{k >= i} (k - i - lam) f_k' / f_k = 0 have the residue
+    k - i - lam at each zero of a part f_k, so c is one part, of
+    multiplicity i + lam: the step returns it as the last, with no gcd.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no square-free decomposition")
@@ -982,16 +989,21 @@ def square_free_decomposition(p: ComplexPoly) -> list[tuple[ComplexPoly, int]]:
         return [(_monic(p.coeffs), 1)]
     out: list[tuple[ComplexPoly, int]] = []
     c = divide_exact(p, g)
-    d = divide_exact(dp, g) - c.derivative()
+    dc = c.derivative()
+    d = divide_exact(dp, g) - dc
     i = 1
-    while c.deg > 0:
+    while True:
+        lam = d.coeffs[-1] / dc.coeffs[-1] if d.deg == dc.deg else 0
+        if d == dc * lam:  # d = 0 (lam = 0) is the same exit
+            out.append((_monic(c.coeffs), i + int(lam.real)))
+            return out
         f = gcd_exact(c, d)
         if f.deg > 0:
             out.append((f, i))
         c = divide_exact(c, f)
-        d = divide_exact(d, f) - c.derivative()
+        dc = c.derivative()
+        d = divide_exact(d, f) - dc
         i += 1
-    return out
 
 
 def _primitive(coeffs: list[int]) -> list[int]:

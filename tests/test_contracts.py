@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from lacuna import ComplexPoly, LacunaryPattern, classify, parse_poly
-from lacuna import circle_analysis, factorization, plus_cone, poly_core
+from lacuna import circle_analysis, classifier, factorization, plus_cone, poly_core
 
 ROOT = Path(__file__).resolve().parent.parent
 # the norm's panels on the dense input below, where the bound was set
@@ -76,6 +76,25 @@ def _companion_solves(monkeypatch) -> list[int]:
 
     _wrap(monkeypatch, circle_analysis, "_float_roots", counted)
     return degrees
+
+
+def _calls(monkeypatch, module, name: str, caller: str | None = None) -> list[str]:
+    """The callers' names of the calls of ``module.name``, appended as they are
+    made; with ``caller``, only the calls made directly by a function of that
+    name."""
+    names = []
+
+    def counted(original):
+        def call(*args):
+            who = sys._getframe(1).f_code.co_name
+            if caller in (None, who):
+                names.append(who)
+            return original(*args)
+
+        return call
+
+    _wrap(monkeypatch, module, name, counted)
+    return names
 
 
 @pytest.mark.parametrize("k", [1, 6, 24, 48])
@@ -157,3 +176,27 @@ def test_a_mixed_circle_part_keeps_its_count_and_its_solves(monkeypatch):
     assert rep.canonical.m == 1 and len(rep.canonical.zero_clusters) == 3
     assert len(chains) <= 2 and max(chains, default=0) <= 4
     assert len(solves) <= 3 and max(solves, default=0) <= 5
+
+
+@pytest.mark.parametrize(
+    "text,N,forbidden",
+    [
+        ("(1 + z^3)^6", 18, ()),
+        ("(1 - z^2)^5", 10, (1, 3, 5, 7, 9)),
+        ("(1 + i z)^3", 3, ()),
+        ("(1 + z^48)^2", 96, ()),
+    ],
+)
+def test_a_power_of_one_circle_part_takes_two_gcds_and_one_division(monkeypatch, text, N, forbidden):
+    # g = gcd(p, p*) is f^j for one part f on the circle: Yun's first gcd(g, g')
+    # leaves d = (j - 1) c', its last part, and G = 1 needs no division, so
+    # only the cofactor p / G is divided; the seed, which the cone search
+    # hands back first, is no witness candidate
+    gcds = _calls(monkeypatch, poly_core, "gcd_exact")
+    divisions = _calls(monkeypatch, poly_core, "divide_exact", caller="canonical_factorization")
+    candidates = _calls(monkeypatch, classifier, "symbol_to_poly", caller="make_non_exposed_witness")
+    rep = classify(parse_poly(text), LacunaryPattern(N, forbidden))
+    assert (rep.extreme, rep.exposed) == (True, False)
+    assert len(gcds) <= 2
+    assert len(divisions) <= 1
+    assert len(candidates) <= 1

@@ -292,7 +292,7 @@ def test_roots_of_unity_read_exactly_give_the_counted_route_report(seed, monkeyp
 @pytest.mark.parametrize(
     "text,parts",
     [
-        ("z^2 - 3z + 1", []),  # a coefficient over its binomial, no circle zero
+        ("z^2 - 3z + 1", [(2, 1, 0)]),  # a coefficient over its binomial, no circle zero
         ("z^4 - z^3 - z^2 - z + 1", [(4, 1, 2)]),  # a Salem quartic: no n up to the bound
         ("(z^4 - z^3 - z^2 - z + 1)(1 + z^3)", [(7, 1, 5)]),
     ],

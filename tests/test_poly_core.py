@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic against sympy oracles, parser, serialization."""
 
+import itertools
 import math
 import random
 import time
@@ -535,6 +536,76 @@ def test_square_free_parts_are_square_free(p):
             continue
         sp = _to_sympy(f)
         assert sympy.gcd(sp, sp.diff(_z)).degree() == 0
+
+
+def _assert_yun_parts(p: ComplexPoly, parts) -> None:
+    """Each part monic and square-free, the parts pairwise coprime, their
+    multiplicities increasing, and lead * prod f^j = p."""
+    one = ComplexPoly.one()
+    assert all(f.deg > 0 and f.coeffs[-1] == 1 for f, _ in parts)
+    assert all(_euclid_gcd(f, f.derivative()) == one for f, _ in parts)
+    assert all(_euclid_gcd(f, h) == one for (f, _), (h, _) in itertools.combinations(parts, 2))
+    mults = [j for _, j in parts]
+    assert mults == sorted(set(mults))
+    rebuilt = ComplexPoly.constant(p.coeffs[-1])
+    for f, j in parts:
+        for _ in range(j):
+            rebuilt = rebuilt * f
+    assert rebuilt == p
+
+
+def _yun_inputs(count: int):
+    """Seeded products of 1 to 4 Gaussian-rational factors of degree 1 to 3,
+    each to a power of 1 to 6; a fifth of the factors are drawn again from
+    those already made, so a product may hold one factor twice."""
+    rng = random.Random(49)
+
+    def coefficient():
+        re, im = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
+        return GaussianRational(re, im)
+
+    pool = []
+    for _ in range(count):
+        p = ComplexPoly.one()
+        for _ in range(rng.randint(1, 4)):
+            if pool and rng.random() < 0.2:
+                f = rng.choice(pool)
+            else:
+                f = ComplexPoly([coefficient() for _ in range(rng.randint(1, 3))] + [coefficient() or 1])
+                pool.append(f)
+            for _ in range(rng.randint(1, 6)):
+                p = p * f
+        yield p
+
+
+def test_square_free_decomposition_of_seeded_products():
+    for p in _yun_inputs(300):
+        _assert_yun_parts(p, square_free_decomposition(p))
+
+
+@pytest.mark.parametrize(
+    "text,parts,gcds",
+    [
+        # the last part comes after a nontrivial one, at d = 2 c' and d = c'
+        ("(1 + z)^2 (1 - z^3)^5", [("z + 1", 2), ("z^3 - 1", 5)], 3),
+        ("(z - 1)(z - 2)^3", [("z - 1", 1), ("z - 2", 3)], 2),
+        ("(z - 1)(z - 2)^2", [("z - 1", 1), ("z - 2", 2)], 2),  # ends with d = 0
+        ("(1 + z^3)^6", [("z^3 + 1", 6)], 1),  # d = 5 c' at once
+    ],
+)
+def test_yun_returns_its_last_part_without_a_gcd(text, parts, gcds, monkeypatch):
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return gcd_exact(a, b)
+
+    monkeypatch.setattr(lacuna.poly_core, "gcd_exact", counting_gcd)
+    p = parse_poly(text)
+    got = square_free_decomposition(p)
+    assert got == [(parse_poly(f), j) for f, j in parts]
+    _assert_yun_parts(p, got)
+    assert len(calls) <= gcds
 
 
 # -- real roots ---------------------------------------------------------------

@@ -16,7 +16,9 @@ L1 from P(Lambda) onto P(k Lambda), so each case expects the verdicts and
 ``dim_plus`` that PARENT gives q on Lambda.  WORKLOAD ``cyclotomic`` is
 built here too, with no seed: (1 +- z^k)^j and (1 +- iz^k)^j for each k in
 ``CYCLOTOMIC_K`` and j in ``CYCLOTOMIC_J``, one family per k, each on its
-full pattern and on the pattern that forbids every exponent off kZ; each
+full pattern and on the pattern that forbids every exponent off kZ, and
+family ``products``, each product of two parts in ``CYCLOTOMIC_PRODUCTS``
+on its full pattern, so that Yun reaches a last part after another; each
 case expects the verdicts and ``dim_plus`` that PARENT gives it.  Every case
 runs N times on each side, the sides alternating run by run, and counts
 with its fastest run, as the benchmark counts it.  One line per family, and
@@ -42,6 +44,7 @@ LACUNARY_K = (2, 3, 4, 6, 8, 12, 16, 24)
 CYCLOTOMIC_FORMS = ("(1 + z^{k})^{j}", "(1 - z^{k})^{j}", "(1 + iz^{k})^{j}", "(1 - iz^{k})^{j}")
 CYCLOTOMIC_K = (3, 6, 12, 24, 48)
 CYCLOTOMIC_J = (2, 3)
+CYCLOTOMIC_PRODUCTS = ("(1 + z)^2 (1 - z^3)^5", "(1 + iz)^4 (1 - z^2)")
 
 
 def load(root: Path, name: str):
@@ -78,11 +81,14 @@ def lacunary_cases(lacuna, Case, count: int | None = None) -> list:
 def cyclotomic_cases(lacuna, Case, count: int | None = None) -> list:
     """Each form of ``CYCLOTOMIC_FORMS`` for k in ``CYCLOTOMIC_K`` and j in
     ``CYCLOTOMIC_J``, on its full pattern and on the one that forbids every
-    exponent off kZ, the first ``count`` of them (all when None), each
-    expecting the verdicts ``lacuna`` gives it; only those are classified."""
+    exponent off kZ, then each product of ``CYCLOTOMIC_PRODUCTS`` on its full
+    pattern, the first ``count`` of them (all when None), each expecting the
+    verdicts ``lacuna`` gives it; only those are classified."""
     specs = [(f"cyclotomic-{k}-{j}-{n}-{name}", f"k={k}", form.format(k=k, j=j), j * k, forbidden)
              for k in CYCLOTOMIC_K for j in CYCLOTOMIC_J for n, form in enumerate(CYCLOTOMIC_FORMS)
              for name, forbidden in (("full", ()), ("gapped", tuple(e for e in range(1, j * k) if e % k)))]
+    specs += [(f"cyclotomic-product-{n}", "products", text, lacuna.poly_core.parse_poly(text).deg, ())
+              for n, text in enumerate(CYCLOTOMIC_PRODUCTS)]
     return [Case(case_id, family, "classify", text, N, forbidden, expect=_expect(lacuna, text, N, forbidden))
             for case_id, family, text, N, forbidden in specs[:count]]
 

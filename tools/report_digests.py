@@ -34,7 +34,9 @@ roots of unity, rounded powers of 1 - z^2 whose zeros split near the
 circle, a shared disk pair within 1e-9 of it, a shared disk zero 10^-20
 beside a zero of p at the origin that p* does not share, and
 ``tools/ab_cases.py``'s q(z^12) on 12 Lambda, whose witness step is
-certified on a dilated input.  Each of these inputs
+certified on a dilated input, a g = gcd(p, p*) whose last Yun part comes
+after another part, and one whose part off the circle (a disk pair, m = 2)
+sits beside a circle part.  Each of these inputs
 whose report moves when its coefficients are rounded to doubles also comes
 as a ``<id>-rounded`` twin, so rounded.  Then each basis of
 ``OUTSIDE_PLUSDIM``, a ``lacuna plusdim`` job without a seed, gets one
@@ -88,6 +90,8 @@ OUTSIDE = (
     ("disk-pair-in-band", "(z - (1 - 1/10^9))(1 - (1 - 1/10^9)z)", 2, (), None),
     ("shared-pair-beside-the-origin", "z (z + 10^20)(1 + 10^20 z)", 3, (), None),
     ("lacunary-q-at-12", LACUNARY_Q.replace("w", "(z^12)"), 84, tuple(e for e in range(1, 84) if e % 12), None),
+    ("yun-last-part-after-a-part", "(1 + z)^2 (1 - z^3)^5", 17, (), None),
+    ("disk-part-beside-a-circle-part", "(z - 1/2)^2 (2 - z)^2 (1 + z^3)^3", 13, (), None),
 )
 # the inputs above whose report moves when their coefficients are rounded to
 # doubles, so rounded
